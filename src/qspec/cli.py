@@ -7,8 +7,9 @@ grids of any operator, ``local`` for local spectra of a vector,
 suites.  Exit codes: 0 success, 1 a check suite failed, 2 malformed
 input or configuration.
 
-All output is deterministic for a fixed seed; QSPEC_THREADS only changes
-how portrait rows are scheduled, never the bytes produced.
+All output is deterministic for a fixed seed.  QSPEC_THREADS is accepted
+for compatibility and ignored: portraits are computed in one thread,
+because a thread pool over rows gave no speed-up.
 """
 
 from __future__ import annotations

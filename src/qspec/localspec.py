@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, PoleError, ShapeError
 from .operators import (LinearOperator, MultiplicationOperator, ShiftOperator,
@@ -117,6 +116,9 @@ def spectral_projections(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> Spectr
         projections.append(QMatrix.identity(n))
         conditions.append(1.0)
     else:
+        # imported where it is needed: scipy costs a command that never
+        # gets here tens of megabytes and a few tenths of a second
+        import scipy.linalg
         for k in range(len(spheres)):
             t, z, sdim = scipy.linalg.schur(
                 m, output="complex", sort=lambda lam, k=k: assign(complex(lam)) == k)

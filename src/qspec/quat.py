@@ -232,11 +232,6 @@ def sphere_of(q: Quaternion) -> EigenSphere:
     return EigenSphere(q.w, q.imag_norm())
 
 
-def conjugate_set(qs) -> list[Quaternion]:
-    """Elementwise conjugate of a set of quaternions."""
-    return [q.conjugate() for q in qs]
-
-
 def merge_spheres(spheres, tol: float = SPHERE_MERGE_TOL) -> tuple[EigenSphere, ...]:
     """Deduplicate spheres, replacing each near-coincident run by its centroid.
 
@@ -331,27 +326,15 @@ def sigma_dist(q: Quaternion, p: Quaternion) -> float:
     return omega_dist(q, p)
 
 
-def in_sigma_ball(q: Quaternion, p: Quaternion, radius: float) -> bool:
-    """Open sigma-ball membership; radius must be positive."""
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    return sigma_dist(q, p) < radius
-
-
-def in_omega_ball(q: Quaternion, p: Quaternion, radius: float) -> bool:
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    return omega_dist(q, p) < radius
-
-
 # -- vectorized helpers ------------------------------------------------
 #
-# Bulk property checks run over (n, 4) float arrays; the scalar class is
-# too slow for 1e5 samples.
+# The series engine runs on (..., 4) float arrays; the scalar class costs
+# one Python object per product.
 
 
 def hamilton_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise Hamilton product of (..., 4) arrays."""
+    """Componentwise Hamilton product of (..., 4) arrays, broadcasting the
+    leading axes."""
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     return np.stack([
@@ -360,13 +343,3 @@ def hamilton_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     ], axis=-1)
-
-
-def conjugate_array(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def norm_array(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(a * a, axis=-1))

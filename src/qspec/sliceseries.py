@@ -9,6 +9,15 @@ identity at any truncation, and only then sums.  Coefficients may be
 scalars or vectors; vector times vector has no meaning here and is
 rejected.
 
+The arithmetic runs on float arrays: a scalar coefficient is a row of
+four components (w, x, y, z) and a vector coefficient of length m an
+(m, 4) block, so one engine serves both.  Every power that occurs lies
+in a single complex slice: (q - p)^{*n} in the slice of the center, and
+q^m in the slice of q.  Writing q = x + y I, q^m = Re(z^m) + Im(z^m) I
+with z = x + iy, so a sum of C_m q^m over many points takes two matrix
+products with the complex powers and one Hamilton product with I.  The
+monomials are computed once per series and kept on it.
+
 Convergence lives on sigma-balls around the center.  The radius
 estimator reads the tail of the coefficient sequence; the metric on
 series compares them over a compact exhaustion of the common ball, level
@@ -22,9 +31,11 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 from .qlinalg import QVector
 from .quat import (SLICE_I, SLICE_J, SLICE_K, Quaternion, SliceUnit,
-                   sigma_dist, slice_compose, slice_decompose)
+                   hamilton_array, sigma_dist)
 
 Coefficient = Union[Quaternion, QVector]
 
@@ -45,9 +56,95 @@ def _coeff_norm(c: Coefficient) -> float:
     return c.norm() if _is_vector(c) else abs(c)
 
 
-def _right_mul(c: Coefficient, q: Quaternion) -> Coefficient:
-    # scalar coefficients multiply as c * q, vectors through the right action
-    return c.times(q) if _is_vector(c) else c * q
+# -- array form -----------------------------------------------------------
+#
+# A quaternion is a row (w, x, y, z); a vector of length m an (m, 4) block.
+# Series coefficients stack to (n, 4) or (n, m, 4), and a batch of values
+# at k points to (k, 4) or (k, m, 4).
+
+
+def _rows(points: Sequence[Quaternion]) -> np.ndarray:
+    return np.array([(q.w, q.x, q.y, q.z) for q in points], dtype=np.float64).reshape(-1, 4)
+
+
+def _components(c: Coefficient) -> np.ndarray:
+    return c.to_components() if _is_vector(c) else np.array((c.w, c.x, c.y, c.z))
+
+
+def _objects(arr: np.ndarray) -> tuple[Coefficient, ...]:
+    if arr.ndim == 3:
+        return tuple(QVector.from_components(block) for block in arr)
+    return tuple(Quaternion(*row) for row in arr.tolist())
+
+
+def _norms(values: np.ndarray) -> np.ndarray:
+    """|value| of each entry of a (k, 4) or (k, m, 4) batch."""
+    axes = tuple(range(1, values.ndim))
+    return np.sqrt(np.sum(values * values, axis=axes))
+
+
+def _slice_parts(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split each row as q = x + y I with y >= 0.
+
+    I comes back as a (k, 4) array of pure imaginary units; real rows get
+    the zero row, which every product with an imaginary part that is zero
+    there ignores.
+    """
+    im = pts[:, 1:]
+    y = np.sqrt(im[:, 0] * im[:, 0] + im[:, 1] * im[:, 1] + im[:, 2] * im[:, 2])
+    unit = np.zeros_like(pts)
+    nonreal = y > 0.0
+    unit[nonreal, 1:] = im[nonreal] / y[nonreal, None]
+    return pts[:, 0], y, unit
+
+
+def _right_unit(values: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """values * I row by row; vector values take I on each entry."""
+    if values.ndim == 3:
+        unit = unit[:, None, :]
+    return hamilton_array(values, unit)
+
+
+def _to_monomials(coeffs: np.ndarray, center: Quaternion) -> np.ndarray:
+    """C with sum_n a_n (q - p)^{*n} = sum_m C_m q^m.
+
+    (q - p)^{*n} = sum_m binom(n, m) (-p)^{n-m} q^m, and every power of -p
+    lies in the slice of p: with -p = x + y I, (-p)^k = Re(w^k) + Im(w^k) I
+    for the complex w = x + iy.  So C_m = sum_n Re(T[n, m]) a_n +
+    Im(T[n, m]) a_n I with T[n, m] = binom(n, m) w^{n-m}.
+    """
+    n = coeffs.shape[0]
+    if center == Quaternion():
+        return coeffs
+    x, y, unit = _slice_parts(-_rows([center]))
+    k = np.arange(n)
+    # binom(n, m) as the running product of (n - j + 1) / j over j <= m; the
+    # factor at j = n + 1 is zero, which clears the upper triangle, and
+    # rounding restores exact integers wherever a float can hold them.
+    ratio = np.ones((n, n))
+    ratio[:, 1:] = (k[:, None] - k[None, 1:] + 1) / k[None, 1:]
+    binom = np.rint(np.cumprod(ratio, axis=1))
+    powers = np.cumprod(np.concatenate(([1.0 + 0j], np.full(n - 1, complex(x[0], y[0])))))
+    t = binom * powers[np.maximum(k[:, None] - k[None, :], 0)]
+    flat = coeffs.reshape(n, -1)
+    turned = hamilton_array(coeffs, unit[0]).reshape(n, -1)
+    return (t.real.T @ flat + t.imag.T @ turned).reshape(coeffs.shape)
+
+
+def _evaluate(mono: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sum_m C_m q^m at each row of pts: U + V I with U, V the sums of
+    Re(z^m) C_m and Im(z^m) C_m, z = x + iy for q = x + y I."""
+    n = mono.shape[0]
+    x, y, unit = _slice_parts(pts)
+    z = np.empty((pts.shape[0], n), dtype=np.complex128)
+    z[:, 0] = 1.0
+    z[:, 1:] = (x + 1j * y)[:, None]
+    z = np.cumprod(z, axis=1)
+    flat = mono.reshape(n, -1)
+    shape = (pts.shape[0],) + mono.shape[1:]
+    u = (z.real @ flat).reshape(shape)
+    v = (z.imag @ flat).reshape(shape)
+    return u + _right_unit(v, unit)
 
 
 @dataclass(frozen=True)
@@ -76,6 +173,9 @@ class SliceSeries:
         if not self.radius > 0.0:
             raise ValueError("declared radius must be positive")
         object.__setattr__(self, "coefficients", coeffs)
+        arr = np.stack([c.to_components() for c in coeffs]) if vec else _rows(coeffs)
+        arr.setflags(write=False)
+        object.__setattr__(self, "_coeffs", arr)
 
     @property
     def is_vector(self) -> bool:
@@ -91,57 +191,54 @@ class SliceSeries:
     def _zero(self) -> Coefficient:
         return QVector.zeros(self.coefficients[0].n) if self.is_vector else Quaternion()
 
-    def monomial_coefficients(self) -> list[Coefficient]:
-        """Rewrite around zero: coefficients C_m with f(q) = sum C_m q^m.
+    def _monomials(self) -> np.ndarray:
+        mono = self.__dict__.get("_mono")
+        if mono is None:
+            mono = _to_monomials(self._coeffs, self.center)
+            mono.setflags(write=False)
+            object.__setattr__(self, "_mono", mono)
+        return mono
 
-        The star power (q - p)^{*n} is the n-fold convolution of the pair
-        (-p, 1); its coefficients are binomial combinations of powers of
-        -p, accumulated here one convolution at a time.
-        """
-        if self.center == Quaternion():
-            return list(self.coefficients)
-        minus_p = -self.center
-        out: list[Coefficient] = [self._zero() for _ in self.coefficients]
-        power: list[Quaternion] = [Quaternion(1.0)]
-        for a_n in self.coefficients:
-            for m, b in enumerate(power):
-                out[m] = out[m] + _right_mul(a_n, b)
-            # convolve with (-p, 1): new[m] = power[m] * (-p) + power[m-1]
-            power = ([power[0] * minus_p]
-                     + [power[m] * minus_p + power[m - 1]
-                        for m in range(1, len(power))]
-                     + [power[-1]])
-        return out
+    def monomial_coefficients(self) -> list[Coefficient]:
+        """Rewrite around zero: coefficients C_m with f(q) = sum C_m q^m."""
+        return list(_objects(self._monomials()))
+
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        """Values at the rows of a (k, 4) point array, warning once if any
+        row lies outside the declared ball."""
+        if math.isfinite(self.radius):
+            # sigma_dist never exceeds the euclidean distance, so only rows
+            # euclidean-farther than the radius need the exact test
+            d = pts - _rows([self.center])
+            far = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+                          + d[:, 2] * d[:, 2] + d[:, 3] * d[:, 3]) > self.radius
+            if any(sigma_dist(Quaternion(*row), self.center) > self.radius
+                   for row in pts[far].tolist()):
+                warnings.warn(
+                    "evaluation point lies outside the declared sigma-ball; the "
+                    "truncated sum does not approximate a limit there",
+                    DivergenceWarning, stacklevel=3)
+        return _evaluate(self._monomials(), pts)
 
     def eval(self, q: Quaternion) -> Coefficient:
-        if math.isfinite(self.radius) and sigma_dist(q, self.center) > self.radius:
-            warnings.warn(
-                "evaluation point lies outside the declared sigma-ball; the "
-                "truncated sum does not approximate a limit there",
-                DivergenceWarning, stacklevel=2)
-        acc = self._zero()
-        power = Quaternion(1.0)
-        for c_m in self.monomial_coefficients():
-            acc = acc + _right_mul(c_m, power)
-            power = power * q
-        return acc
+        value = self._values(_rows([q]))[0]
+        return QVector.from_components(value) if self.is_vector else Quaternion(*value.tolist())
 
     def __call__(self, q: Quaternion) -> Coefficient:
         return self.eval(q)
 
     def __add__(self, other: "SliceSeries") -> "SliceSeries":
-        self._check_compatible(other)
-        n = max(len(self), len(other))
-        coeffs = [self._coeff(k) + other._coeff(k) for k in range(n)]
-        return SliceSeries(self.center, tuple(coeffs),
-                           min(self.radius, other.radius))
+        return self._combine(other, 1.0)
 
     def __sub__(self, other: "SliceSeries") -> "SliceSeries":
+        return self._combine(other, -1.0)
+
+    def _combine(self, other: "SliceSeries", sign: float) -> "SliceSeries":
         self._check_compatible(other)
-        n = max(len(self), len(other))
-        coeffs = [self._coeff(k) - other._coeff(k) for k in range(n)]
-        return SliceSeries(self.center, tuple(coeffs),
-                           min(self.radius, other.radius))
+        out = np.zeros((max(len(self), len(other)),) + self._coeffs.shape[1:])
+        out[:len(self)] = self._coeffs
+        out[:len(other)] += sign * other._coeffs
+        return SliceSeries(self.center, _objects(out), min(self.radius, other.radius))
 
     def _coeff(self, k: int) -> Coefficient:
         return self.coefficients[k] if k < len(self.coefficients) else self._zero()
@@ -162,40 +259,31 @@ def star_product(f: SliceSeries, g: SliceSeries) -> SliceSeries:
 
     Coefficients multiply in reading order, left factor first; a scalar
     series may sit on either side of a vector one, two vector series have
-    no product.
+    no product.  A scalar coefficient multiplies each entry of a vector
+    one: from the right it is the right action, from the left the
+    entrywise left product.
     """
     if f.center != g.center:
         raise ValueError("series must share a center")
     if f.is_vector and g.is_vector:
         raise TypeError("no product of two vector series")
-    n = len(f) + len(g) - 1
-    if f.is_vector:
-        zero: Coefficient = QVector.zeros(f.coefficients[0].n)
-    elif g.is_vector:
-        zero = QVector.zeros(g.coefficients[0].n)
-    else:
-        zero = Quaternion()
-    coeffs = [zero] * n
-    for k, a in enumerate(f.coefficients):
-        for l, b in enumerate(g.coefficients):
-            if _is_vector(a):
-                term: Coefficient = a.times(b)   # vector * scalar, right action
-            elif _is_vector(b):
-                term = b.left_mul(a)             # scalar * vector, entrywise left
-            else:
-                term = a * b
-            coeffs[k + l] = coeffs[k + l] + term
-    return SliceSeries(f.center, tuple(coeffs), min(f.radius, g.radius))
+    a, b = f._coeffs[:, None], g._coeffs[None]
+    if a.ndim < b.ndim:
+        a = a[..., None, :]
+    elif b.ndim < a.ndim:
+        b = b[..., None, :]
+    terms = hamilton_array(a, b)
+    out = np.zeros((len(f) + len(g) - 1,) + terms.shape[2:])
+    np.add.at(out, np.add.outer(np.arange(len(f)), np.arange(len(g))), terms)
+    return SliceSeries(f.center, _objects(out), min(f.radius, g.radius))
 
 
 def slice_derivative(f: SliceSeries) -> SliceSeries:
     """Term-by-term derivative sum_n n a_n (q - p)^{*(n-1)}."""
     if len(f) == 1:
         return SliceSeries(f.center, (f._zero(),), f.radius)
-    coeffs = []
-    for n, a in enumerate(f.coefficients[1:], start=1):
-        coeffs.append(a.scale(float(n)) if _is_vector(a) else a * float(n))
-    return SliceSeries(f.center, tuple(coeffs), f.radius)
+    n = np.arange(1.0, len(f)).reshape((-1,) + (1,) * (f._coeffs.ndim - 1))
+    return SliceSeries(f.center, _objects(f._coeffs[1:] * n), f.radius)
 
 
 def sigma_radius(f: SliceSeries | Sequence[Coefficient],
@@ -224,8 +312,17 @@ def sigma_radius(f: SliceSeries | Sequence[Coefficient],
     return 1.0 / inv
 
 
-def _as_callable(f) -> Callable[[Quaternion], Coefficient]:
-    return f.eval if hasattr(f, "eval") else f
+def _batch(f) -> Callable[[np.ndarray], np.ndarray]:
+    """Values of a series, or of any callable on quaternions, at the rows
+    of a (k, 4) point array; series evaluate the whole batch at once."""
+    if isinstance(f, SliceSeries):
+        return f._values
+    evaluate = f.eval if hasattr(f, "eval") else f
+
+    def values(pts: np.ndarray) -> np.ndarray:
+        return np.stack([_components(evaluate(Quaternion(*row))) for row in pts.tolist()])
+
+    return values
 
 
 def cr_residual(f, points: Sequence[Quaternion], h: float = 1e-4) -> float:
@@ -236,25 +333,37 @@ def cr_residual(f, points: Sequence[Quaternion], h: float = 1e-4) -> float:
     built here and stays order one for their pointwise conjugates.  Real
     sample points read their slice from SLICE_I.
     """
-    evaluate = _as_callable(f)
-    worst = 0.0
-    for q in points:
-        _, _, unit = slice_decompose(q)
-        if unit is None:
-            unit = SLICE_I
-        iq = unit.as_quaternion()
-        step = iq * h
-        fxp, fxm = evaluate(q + Quaternion(h)), evaluate(q - Quaternion(h))
-        fyp, fym = evaluate(q + step), evaluate(q - step)
-        if _is_vector(fxp):
-            dx = (fxp - fxm).scale(0.5 / h)
-            dy = (fyp - fym).scale(0.5 / h)
-            worst = max(worst, (dx + dy.times(iq)).scale(0.5).norm())
-        else:
-            dx = (fxp - fxm) * (0.5 / h)
-            dy = (fyp - fym) * (0.5 / h)
-            worst = max(worst, abs((dx + dy * iq) * 0.5))
-    return worst
+    pts = _rows(points)
+    if not len(pts):
+        return 0.0
+    _, _, unit = _slice_parts(pts)
+    unit[~unit.any(axis=1)] = (0.0, SLICE_I.x, SLICE_I.y, SLICE_I.z)
+    real_step = np.zeros_like(pts)
+    real_step[:, 0] = h
+    step = unit * h
+    vals = _batch(f)(np.concatenate([pts + real_step, pts - real_step,
+                                     pts + step, pts - step]))
+    fxp, fxm, fyp, fym = np.split(vals, 4)
+    dx = (fxp - fxm) * (0.5 / h)
+    dy = (fyp - fym) * (0.5 / h)
+    return float(np.max(_norms((dx + _right_unit(dy, unit)) * 0.5)))
+
+
+def _sample_rows(center: Quaternion, r: float,
+                 units: tuple[SliceUnit, ...] = ()) -> np.ndarray:
+    if not units:
+        s3 = 1.0 / math.sqrt(3.0)
+        units = (SLICE_I, SLICE_J, SLICE_K, SliceUnit(s3, s3, s3))
+    radii = np.array([frac * r for frac in (0.25, 0.5, 0.75, 1.0)])[:, None]
+    angles = [math.pi * k / 4.0 for k in range(5)]
+    xs = (radii * np.array([math.cos(t) for t in angles])).ravel()
+    ys = (radii * np.array([math.sin(t) for t in angles])).ravel()
+    axes = np.array([(u.x, u.y, u.z) for u in units])
+    ring = np.empty((len(units), xs.size, 4))
+    ring[:, :, 0] = xs
+    ring[:, :, 1:] = ys[None, :, None] * axes[:, None, :]
+    c = _rows([center])
+    return np.concatenate([c, ring.reshape(-1, 4) + c])
 
 
 def slice_samples(center: Quaternion, r: float,
@@ -264,18 +373,7 @@ def slice_samples(center: Quaternion, r: float,
     Euclidean distance dominates the sigma distance, so every sample also
     lies in the sigma-ball of the same radius.
     """
-    if not units:
-        s3 = 1.0 / math.sqrt(3.0)
-        units = (SLICE_I, SLICE_J, SLICE_K, SliceUnit(s3, s3, s3))
-    out = [center]
-    for unit in units:
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            for k in range(5):
-                theta = math.pi * k / 4.0
-                out.append(center + slice_compose(frac * r * math.cos(theta),
-                                                  frac * r * math.sin(theta),
-                                                  unit))
-    return out
+    return list(_objects(_sample_rows(center, r, units)))
 
 
 @dataclass(frozen=True)
@@ -318,9 +416,9 @@ def h_metric(f, g, center: Quaternion | None = None,
     s_n is the sampled sup seminorm of f - g on the n-th ball of the
     exhaustion, n starting at one; the weights make the sum finite for
     any pair and below one always.  Adding a common series to both sides
-    leaves the value unchanged.
+    leaves the value unchanged.  The samples of every level go through f
+    and g as one batch.
     """
-    ef, eg = _as_callable(f), _as_callable(g)
     if center is None:
         if isinstance(f, SliceSeries):
             center = f.center
@@ -337,11 +435,10 @@ def h_metric(f, g, center: Quaternion | None = None,
             if isinstance(s, SliceSeries):
                 limit = min(limit, s.radius)
         exhaustion = default_exhaustion(limit)
+    pts = np.concatenate([_sample_rows(center, r) for r in exhaustion.radii])
+    diff = _batch(f)(pts) - _batch(g)(pts)
+    sups = _norms(diff).reshape(len(exhaustion), -1).max(axis=1)
     total = 0.0
-    for n, r in enumerate(exhaustion.radii, start=1):
-        s = 0.0
-        for q in slice_samples(center, r):
-            diff = ef(q) - eg(q)
-            s = max(s, _coeff_norm(diff))
+    for n, s in enumerate(sups.tolist(), start=1):
         total += 2.0 ** (-n) * s / (1.0 + s)
     return total

@@ -15,8 +15,6 @@ non-increasing in the window size.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,16 +24,6 @@ from .qlinalg import QMatrix, kernel_basis, min_singular, op_norm
 from .quat import (EigenSphere, Quaternion, SLICE_I, SliceUnit, merge_spheres,
                    sphere_union)
 from . import qlinalg
-
-
-def thread_count() -> int:
-    """Worker cap taken from QSPEC_THREADS; defaults to 1."""
-    raw = os.environ.get("QSPEC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def pseudo_resolvent(a: QMatrix, q: Quaternion) -> QMatrix:
@@ -340,29 +328,16 @@ class SlicePortrait:
 
 
 def portrait(op, grid: GridSpec, window: int = 128,
-             slice_unit: SliceUnit = SLICE_I, threads: int | None = None,
-             label: str = "") -> SlicePortrait:
+             slice_unit: SliceUnit = SLICE_I, label: str = "") -> SlicePortrait:
     """Sample kappa(R_{x+yI}(op)) over the grid.
 
     The value at (x, y) depends on the slice only through (x, |y|), so the
     portrait is the same for every slice unit; the unit is recorded for
-    the caller's bookkeeping.  Rows are computed independently and joined
-    by index, which keeps the result identical for any thread count.
+    the caller's bookkeeping.
     """
     engine = _SectionKappa(op, window)
     xs, ys = grid.xs(), grid.ys()
-    workers = threads if threads is not None else thread_count()
-
-    def row(iy: int) -> np.ndarray:
-        y = ys[iy]
-        return np.array([engine.kappa(float(x), float(y)) for x in xs])
-
-    if workers > 1 and grid.ny > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(grid.ny)))
-    else:
-        rows = [row(iy) for iy in range(grid.ny)]
-    values = np.vstack(rows)
+    values = np.array([[engine.kappa(float(x), float(y)) for x in xs] for y in ys])
     values.setflags(write=False)
     return SlicePortrait(grid=grid, slice_unit=slice_unit, window=engine.n,
                          norm_scale=engine.norm_scale, values=values,

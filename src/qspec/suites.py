@@ -105,9 +105,7 @@ class _Runner:
                 ok = bool(fn(rng, k))
             except (NumericalError, InvarianceError, PoleError, CoverError,
                     ShapeError, ValueError, TypeError) as exc:
-                ok = False
-                failures.append(f"{label}[{k}] {type(exc).__name__}")
-                passed += 0
+                failures.append(f"{label}[{k}] {type(exc).__name__}: {exc}")
                 continue
             if ok:
                 passed += 1

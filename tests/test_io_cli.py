@@ -204,3 +204,15 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "scalar-algebra" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded on first use by spectral_projections, not by importing
+    # the command line
+    src = os.path.dirname(os.path.dirname(io.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, qspec.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

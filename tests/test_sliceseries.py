@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import series_reference as ref
 
 from qspec import rand
 from qspec.qlinalg import QVector
@@ -216,3 +217,152 @@ def test_slice_samples_deterministic():
     assert len(a) == len(b) > 0
     assert all(p == q for p, q in zip(a, b))
     assert all(abs(p) <= 1.0 + 1e-12 for p in a)
+
+
+# -- the array engine against the pure-Python reference ------------------------
+#
+# "1e-12 relative" is relative to the size of the terms a result sums, the
+# quantity rounding errors scale with: sum_n |a_n| (|p| + |q|)^n for a value
+# at q of a series centred at p.
+
+CENTERS = {"zero": Z, "real": Quaternion(0.25),
+           "slice": Quaternion(0.1, -0.2, 0.15, 0.05)}
+DEGREES = (0, 1, 5, 40, 63)
+POINTS = (Quaternion(0.35), Quaternion(-0.2, 0.3, -0.1, 0.25),
+          Quaternion(0.1, 0.0, 0.4, 0.0), Quaternion(-0.45))
+
+
+def _coeffs(rng, degree, vector):
+    if vector:
+        return tuple(rand.rand_qvector(rng, 3) for _ in range(degree + 1))
+    return tuple(rand.rand_quaternion(rng) for _ in range(degree + 1))
+
+
+def _size(c):
+    return c.norm() if isinstance(c, QVector) else abs(c)
+
+
+def _gap(a, b):
+    return _size(a - b)
+
+
+def _term_scale(f, reach):
+    """sum_n |a_n| (|p| + reach)^n."""
+    t = abs(f.center) + reach
+    return sum(_size(a) * t ** n for n, a in enumerate(f.coefficients))
+
+
+def _evaluator(f):
+    mono = ref.monomial_coefficients(f)
+    return lambda q: ref.sum_monomials(mono, q)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("center", sorted(CENTERS))
+def test_engine_monomials_and_values_match_reference(center, degree, vector):
+    f = SliceSeries(CENTERS[center], _coeffs(rand.generator(211, degree), degree, vector))
+    mono, want = f.monomial_coefficients(), ref.monomial_coefficients(f)
+    assert len(mono) == len(want)
+    p = abs(f.center)
+    for m, (got, exp) in enumerate(zip(mono, want)):
+        scale = sum(_size(a) * math.comb(n, m) * p ** (n - m)
+                    for n, a in enumerate(f.coefficients) if n >= m)
+        assert _gap(got, exp) <= 1e-12 * scale
+    for q in POINTS:
+        got = f.eval(q)
+        assert isinstance(got, QVector if vector else Quaternion)
+        assert _gap(got, ref.sum_monomials(want, q)) <= 1e-12 * _term_scale(f, abs(q))
+
+
+@pytest.mark.parametrize("sides", ["scalar*scalar", "vector*scalar", "scalar*vector"])
+@pytest.mark.parametrize("degree", DEGREES)
+def test_engine_star_product_matches_reference(sides, degree):
+    rng = rand.generator(223, degree)
+    left, right = (side == "vector" for side in sides.split("*"))
+    f = SliceSeries(CENTERS["slice"], _coeffs(rng, degree, left))
+    g = SliceSeries(CENTERS["slice"], _coeffs(rng, 5, right))
+    got, want = star_product(f, g).coefficients, ref.star_coefficients(f, g)
+    assert len(got) == len(want) == degree + 6
+    for s, (a, b) in enumerate(zip(got, want)):
+        scale = sum(_size(f.coefficients[k]) * _size(g.coefficients[s - k])
+                    for k in range(len(f)) if 0 <= s - k < len(g))
+        assert _gap(a, b) <= 1e-12 * scale
+    if sides == "scalar*scalar":
+        assert all(a == b for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("degree", DEGREES)
+def test_engine_derivative_matches_reference(degree, vector):
+    f = SliceSeries(CENTERS["slice"], _coeffs(rand.generator(227, degree), degree, vector))
+    got, want = slice_derivative(f).coefficients, ref.derivative_coefficients(f)
+    assert len(got) == len(want) == max(degree, 1)
+    assert all(_gap(a, b) == 0.0 for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("center", sorted(CENTERS))
+def test_engine_cr_residual_matches_reference(center, degree, vector):
+    f = SliceSeries(CENTERS[center], _coeffs(rand.generator(229, degree), degree, vector))
+    h = 1e-4
+    want = ref.cr_residual(_evaluator(f), POINTS, h)
+    # the defect divides differences of values by h, so value errors of
+    # 1e-12 relative reach it magnified by 1/h
+    scale = _term_scale(f, max(abs(q) for q in POINTS) + h) / h
+    assert abs(cr_residual(f, POINTS, h) - want) <= 1e-12 * scale
+
+
+def test_engine_cr_residual_of_callable_matches_reference():
+    conj = lambda q: q.conjugate()  # noqa: E731
+    assert cr_residual(conj, POINTS) == pytest.approx(
+        ref.cr_residual(conj, POINTS), rel=1e-12)
+    assert cr_residual(conj, []) == 0.0
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("degree", (0, 5, 63))
+@pytest.mark.parametrize("center", sorted(CENTERS))
+def test_engine_h_metric_matches_reference(center, degree, vector):
+    rng = rand.generator(233, degree)
+    f = SliceSeries(CENTERS[center], _coeffs(rng, degree, vector))
+    g = SliceSeries(CENTERS[center], _coeffs(rng, degree, vector))
+    e = default_exhaustion(1.0, 4)
+    want = ref.h_metric(_evaluator(f), _evaluator(g), f.center, e.radii)
+    scale = _term_scale(f, e.radii[-1]) + _term_scale(g, e.radii[-1])
+    assert abs(h_metric(f, g, exhaustion=e) - want) <= 1e-12 * scale
+    assert h_metric(f, f, exhaustion=e) == 0.0
+
+
+def test_engine_h_metric_of_callable_matches_reference():
+    f = series(J, ONE, I, J)
+    conj = lambda q: q.conjugate()  # noqa: E731
+    e = default_exhaustion(1.0, 3)
+    want = ref.h_metric(_evaluator(f), conj, J, e.radii)
+    assert h_metric(f, conj, exhaustion=e) == pytest.approx(want, rel=1e-12)
+    assert h_metric(conj, conj, center=J, exhaustion=e) == 0.0
+
+
+def test_engine_slice_samples_match_reference():
+    p = CENTERS["slice"]
+    assert slice_samples(p, 0.7) == ref.slice_samples(p, 0.7)
+
+
+def test_monomials_computed_once():
+    f = series(CENTERS["slice"], ONE, I, J)
+    f.eval(I)
+    mono = f._monomials()
+    f.eval(J)
+    assert f._monomials() is mono
+    assert not mono.flags.writeable
+
+
+def test_divergence_warning_from_batches():
+    f = SliceSeries(Z, (ONE, ONE), radius=1.0)
+    with pytest.warns(DivergenceWarning):
+        cr_residual(f, [Quaternion(0.5), Quaternion(3.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cr_residual(f, [Quaternion(0.5)])
+        h_metric(f, f)

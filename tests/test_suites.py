@@ -2,6 +2,7 @@ import pytest
 
 from qspec.suites import (
     SuiteConfig,
+    _Runner,
     available_suites,
     report_lines,
     run_many,
@@ -38,3 +39,18 @@ def test_reports_deterministic_per_seed():
     b = report_lines(run_many(["scalar-algebra", "series-algebra"], cfg))
     assert a == b
     assert a[-1].startswith("total:")
+
+
+def test_failure_line_reports_exception_message():
+    r = _Runner(SuiteConfig(seed=3, trials=2))
+
+    def check(rng, k):
+        if k == 1:
+            raise ValueError("boom")
+        return True
+
+    r.run("raises", check)
+    (count,) = r.result("probe").counts
+    assert (count.passed, count.total) == (1, 2)
+    assert count.failures == ("raises[1] ValueError: boom",)
+    assert "boom" in r.result("probe").lines()[-1]
