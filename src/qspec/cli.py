@@ -15,6 +15,7 @@ because a thread pool over rows gave no speed-up.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,7 +49,9 @@ class RunConfig:
     at: str | None = None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="qspec",
         description="computable S-spectra for quaternionic operators")
@@ -89,7 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("local", help="local spectrum of a vector"),
            op=True, vector=True)
     common(sub.add_parser("series", help="series report"), series=True)
-    common(sub.add_parser("check", help="run property suites"), suite=True)
+    check = sub.add_parser("check", help="run property suites")
+    common(check, suite=True)
+    check.set_defaults(tol=1e-6)
     return parser
 
 
@@ -193,7 +198,7 @@ def _cmd_series(cfg: RunConfig) -> int:
 
 def _cmd_check(cfg: RunConfig) -> int:
     scfg = suites.SuiteConfig(seed=cfg.seed, trials=cfg.trials,
-                              tol=max(cfg.tol, 1e-8) if cfg.tol != 1e-8 else 1e-6)
+                              tol=max(cfg.tol, 1e-8))
     try:
         results = suites.run_many([cfg.suite], scfg)
     except KeyError as exc:

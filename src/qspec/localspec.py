@@ -27,8 +27,8 @@ from .operators import (LinearOperator, MultiplicationOperator, ShiftOperator,
 from .qlinalg import (ComplexAdjointMatrix, QMatrix, QVector, SubspaceBasis,
                       _chi, _j_conj, kernel_basis, min_singular, op_norm,
                       orthonormalize, vstack)
-from .quat import (EigenSphere, Quaternion, merge_spheres, sphere_in,
-                   sphere_of, sphere_subset, sphere_union)
+from .quat import (EigenSphere, Quaternion, cluster_spheres, merge_spheres,
+                   sphere_in, sphere_of, sphere_subset, sphere_union)
 from . import spectral
 
 #: refuse spectral projections whose norm exceeds this
@@ -47,31 +47,29 @@ class SpectralProjectionSet:
 
     The projections sum to the identity, annihilate each other, and their
     ranges are invariant; ``conditions`` records the operator norm of each
-    projection, the usual measure of cluster separation.  ``certified``
-    is True when every cluster's eigenspace dimension matches its
-    multiplicity; the diagonal and eigenvector oracles pin the meaning of
-    the projections in that case, defective clusters are computed but
-    carry no such certificate.
+    projection, the usual measure of cluster separation.
+    ``multiplicities`` is each sphere's algebraic multiplicity, half its
+    cluster of chi(A) eigenvalues, which is the quaternionic rank of its
+    projection.  ``certified`` is True when every cluster's eigenspace
+    dimension matches its multiplicity; the diagonal and eigenvector
+    oracles pin the meaning of the projections in that case, defective
+    clusters are computed but carry no such certificate.
     """
 
     spheres: tuple[EigenSphere, ...]
     projections: tuple[QMatrix, ...]
     conditions: tuple[float, ...]
+    multiplicities: tuple[int, ...]
     certified: bool = True
-
-    def projection_for(self, s: EigenSphere, tol: float = 1e-6) -> QMatrix:
-        for sphere, proj in zip(self.spheres, self.projections):
-            if sphere.matches(s, tol):
-                return proj
-        raise KeyError(f"no cluster matches sphere ({s.re}, {s.im})")
 
 
 def spectral_projections(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> SpectralProjectionSet:
     """Build one spectral projection per eigen-sphere of A.
 
-    Eigenvalues of chi(A) are clustered into conjugate-closed groups, one
-    ordered Schur decomposition per group; a Sylvester solve turns the
-    leading invariant block into the projection.  Conjugate-closed
+    ``cluster_spheres`` groups the eigenvalues of chi(A) by sphere, two per
+    unit of multiplicity.  Each group is conjugate closed and gets one
+    ordered Schur decomposition; a Sylvester solve turns the leading
+    invariant block into the projection.  Conjugate-closed
     spectral sets commute with the quaternionic structure map, so each
     complex projection descends to a quaternionic matrix; the residual of
     that symmetry is checked, not assumed.  Projections with norm above
@@ -81,34 +79,23 @@ def spectral_projections(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> Spectr
         raise ShapeError("spectral projections need a square matrix")
     n = a.rows
     if n == 0:
-        return SpectralProjectionSet((), (), ())
+        return SpectralProjectionSet((), (), (), ())
     m = _chi(a)
     try:
         lams = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
-    scale = 1.0 + float(np.max(np.abs(lams)))
-    spheres = merge_spheres(
+    spheres, labels = cluster_spheres(
         [EigenSphere(float(l.real), abs(float(l.imag))) for l in lams],
         tol=cluster_tol)
-    centers = np.array([[s.re, s.im] for s in spheres])
-
-    def assign(lam: complex) -> int:
-        d = np.hypot(centers[:, 0] - lam.real, centers[:, 1] - abs(lam.imag))
-        return int(np.argmin(d))
-
-    sizes = [0] * len(spheres)
-    for l in lams:
-        sizes[assign(complex(l))] += 1
-    if any(sz % 2 for sz in sizes):
+    sizes = np.bincount(labels, minlength=len(spheres))
+    if np.any(sizes % 2):
         raise NumericalError("eigenvalue cluster broke a conjugate pair")
+    multiplicities = tuple(int(sz) // 2 for sz in sizes)
 
-    certified = True
-    for k, s in enumerate(spheres):
-        rep = Quaternion(s.re, s.im)
-        eig_dim = len(kernel_basis(spectral.pseudo_resolvent(a, rep)))
-        if 2 * eig_dim != sizes[k]:
-            certified = False
+    eig_dims = [len(kernel_basis(spectral.pseudo_resolvent(a, Quaternion(s.re, s.im))))
+                for s in spheres]
+    certified = tuple(eig_dims) == multiplicities
 
     projections: list[QMatrix] = []
     conditions: list[float] = []
@@ -119,6 +106,14 @@ def spectral_projections(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> Spectr
         # imported where it is needed: scipy costs a command that never
         # gets here tens of megabytes and a few tenths of a second
         import scipy.linalg
+        centers = np.array([[s.re, s.im] for s in spheres])
+
+        def assign(lam: complex) -> int:
+            # Schur computes its own eigenvalues, so they are matched to
+            # the nearest centre rather than looked up in ``labels``
+            d = np.hypot(centers[:, 0] - lam.real, centers[:, 1] - abs(lam.imag))
+            return int(np.argmin(d))
+
         for k in range(len(spheres)):
             t, z, sdim = scipy.linalg.schur(
                 m, output="complex", sort=lambda lam, k=k: assign(complex(lam)) == k)
@@ -147,7 +142,7 @@ def spectral_projections(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> Spectr
             conditions.append(cond)
     _validate_projections(a, projections, conditions)
     return SpectralProjectionSet(spheres, tuple(projections), tuple(conditions),
-                                 certified)
+                                 multiplicities, certified)
 
 
 def _validate_projections(a: QMatrix, projections: list[QMatrix],
@@ -246,24 +241,16 @@ def local_subspace(a: QMatrix, spheres, tol: float = MEMBER_TOL,
     targets = tuple(spheres)
     cols: list[QVector] = []
     expected = 0
-    for s, p in zip(proj.spheres, proj.projections):
+    for s, p, mult in zip(proj.spheres, proj.projections, proj.multiplicities):
         if sphere_in(s, targets, tol=1e-6):
             cols.extend(p.col(j) for j in range(p.cols))
-            expected += _cluster_rank(a, s)
+            expected += mult
     basis = orthonormalize(cols, drop_tol=1e-6)
     if len(basis) != expected:
         raise NumericalError(
             f"local subspace rank {len(basis)} disagrees with the cluster "
             f"multiplicity {expected}")
     return SubspaceBasis(a.rows, basis)
-
-
-def _cluster_rank(a: QMatrix, s: EigenSphere) -> int:
-    lams = np.linalg.eigvals(_chi(a))
-    count = sum(
-        1 for l in lams
-        if EigenSphere(float(l.real), abs(float(l.imag))).matches(s, 1e-6))
-    return count // 2
 
 
 def global_subspace(a: QMatrix, spheres, tol: float = MEMBER_TOL,

@@ -300,10 +300,6 @@ def columns_matrix(vectors) -> QMatrix:
     return QMatrix(c1, c2)
 
 
-def qmat_allclose(a: QMatrix, b: QMatrix, tol: float = 1e-10) -> bool:
-    return (a - b).frobenius() <= tol * (1.0 + a.frobenius() + b.frobenius())
-
-
 # -- complex adjoint ----------------------------------------------------
 
 
@@ -344,12 +340,15 @@ def _j_conj(m: np.ndarray) -> np.ndarray:
 
 
 def complex_adjoint(a: QMatrix) -> ComplexAdjointMatrix:
-    mat = np.block([[a.c1, a.c2], [-np.conj(a.c2), np.conj(a.c1)]])
-    return ComplexAdjointMatrix(mat)
+    return ComplexAdjointMatrix(_chi(a))
 
 
 def _chi(a: QMatrix) -> np.ndarray:
-    return np.block([[a.c1, a.c2], [-np.conj(a.c2), np.conj(a.c1)]])
+    n, m = a.shape
+    out = np.empty((2 * n, 2 * m), dtype=np.complex128)
+    out[:n, :m], out[:n, m:] = a.c1, a.c2
+    out[n:, :m], out[n:, m:] = -np.conj(a.c2), np.conj(a.c1)
+    return out
 
 
 # -- norms, kernels, eigen-spheres --------------------------------------
@@ -384,15 +383,6 @@ def op_norm(a: QMatrix) -> float:
         return 0.0
     s = _singular_values(a)
     return float(s[0])
-
-
-def min_singular_achiever(a: QMatrix) -> tuple[float, QVector]:
-    """Smallest singular value together with a unit phi attaining it."""
-    if a.rows == 0 or a.cols == 0:
-        raise ShapeError("empty matrix has no singular vectors")
-    _, s, vh = np.linalg.svd(_chi(a))
-    w = np.conj(vh[-1])
-    return float(s[-1]), QVector.from_embedding(w)
 
 
 def kernel_basis(a: QMatrix, tol: float = 1e-10) -> list[QVector]:

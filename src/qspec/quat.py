@@ -232,31 +232,55 @@ def sphere_of(q: Quaternion) -> EigenSphere:
     return EigenSphere(q.w, q.imag_norm())
 
 
-def merge_spheres(spheres, tol: float = SPHERE_MERGE_TOL) -> tuple[EigenSphere, ...]:
-    """Deduplicate spheres, replacing each near-coincident run by its centroid.
+def cluster_spheres(spheres, tol: float = SPHERE_MERGE_TOL
+                    ) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
+    """Single-linkage clusters of spheres under ``EigenSphere.matches``.
 
-    Input order does not matter; the result is sorted by (re, im).
-    Chains of pairwise-close spheres collapse to a single centroid, which
-    is the behaviour wanted for eigenvalue clusters.
+    Spheres share a cluster when a chain of pairwise matches joins them;
+    every pair is compared, so a sphere sorting between two copies of
+    another cannot split them.  Returns the centroids, sorted by (re, im),
+    and for each input sphere the index of its centroid.  A centroid sums
+    its members in (re, im) order, as a sorted scan does, so it is bit for
+    bit the scan's centroid wherever the scan found the same cluster.
+    This is the one place that pairs the eigenvalues of chi(A) into
+    spheres (Zhang, LAA 251 (1997)).
     """
-    items = sorted(spheres, key=EigenSphere.key)
-    if not items:
-        return ()
-    out: list[EigenSphere] = []
-    bucket = [items[0]]
-    for s in items[1:]:
-        if s.matches(bucket[-1], tol):
-            bucket.append(s)
-        else:
-            out.append(_centroid(bucket))
-            bucket = [s]
-    out.append(_centroid(bucket))
-    return tuple(out)
+    items = list(spheres)
+    n = len(items)
+    if not n:
+        return (), np.zeros(0, dtype=np.intp)
+    re, im = np.array([s.key() for s in items]).T
+    mag = np.maximum(np.abs(re), im)
+    # matches() for every pair at once, with the same float operations
+    cut = tol * (1.0 + np.maximum.outer(mag, mag))
+    close = ((np.abs(np.subtract.outer(re, re)) <= cut)
+             & (np.abs(np.subtract.outer(im, im)) <= cut))
+    # connected components: every sphere ends at the least index it reaches
+    root, last = np.arange(n), None
+    while not np.array_equal(root, last):
+        last = root
+        step = np.where(close, last, n).min(axis=1)
+        root = step[step]
+    groups: dict[int, list[EigenSphere]] = {}
+    for k in sorted(range(n), key=lambda k: items[k].key()):
+        groups.setdefault(int(root[k]), []).append(items[k])
+    cents = {r: EigenSphere(sum(s.re for s in g) / len(g), sum(s.im for s in g) / len(g))
+             for r, g in groups.items()}
+    ranked = sorted(cents, key=lambda r: cents[r].key())
+    where = {r: i for i, r in enumerate(ranked)}
+    return (tuple(cents[r] for r in ranked),
+            np.array([where[int(r)] for r in root], dtype=np.intp))
 
 
-def _centroid(bucket: list[EigenSphere]) -> EigenSphere:
-    n = len(bucket)
-    return EigenSphere(sum(s.re for s in bucket) / n, sum(s.im for s in bucket) / n)
+def merge_spheres(spheres, tol: float = SPHERE_MERGE_TOL) -> tuple[EigenSphere, ...]:
+    """Deduplicate spheres, replacing each cluster by its centroid.
+
+    The clusters are those of ``cluster_spheres``; input order does not
+    matter and the result is sorted by (re, im).  Matching is chained, so
+    the merge radius bounds neighbours, not cluster width: 200 spheres
+    spaced 0.9e-8 apart collapse into one centroid at the default tol.
+    """
+    return cluster_spheres(spheres, tol)[0]
 
 
 def sphere_in(s: EigenSphere, spheres, tol: float = SPHERE_MERGE_TOL) -> bool:
@@ -272,10 +296,7 @@ def sphere_sets_equal(a, b, tol: float = SPHERE_MERGE_TOL) -> bool:
 
 
 def sphere_union(*sets) -> tuple[EigenSphere, ...]:
-    all_spheres: list[EigenSphere] = []
-    for s in sets:
-        all_spheres.extend(s)
-    return merge_spheres(all_spheres)
+    return merge_spheres([s for group in sets for s in group])
 
 
 def sphere_hausdorff(a, b) -> float:

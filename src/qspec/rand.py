@@ -44,10 +44,6 @@ def rand_qmatrix(rng: np.random.Generator, rows: int, cols: int,
     return QMatrix.from_components(rng.uniform(-scale, scale, (rows, cols, 4)))
 
 
-def rand_diagonal(rng: np.random.Generator, n: int, scale: float = 1.0) -> QMatrix:
-    return QMatrix.diag([rand_quaternion(rng, scale) for _ in range(n)])
-
-
 def rand_invertible(rng: np.random.Generator, n: int,
                     floor: float = 0.1, attempts: int = 64) -> QMatrix:
     for _ in range(attempts):

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .qlinalg import QMatrix, kernel_basis, min_singular, op_norm
-from .quat import (EigenSphere, Quaternion, SLICE_I, SliceUnit, merge_spheres,
-                   sphere_union)
+from .quat import EigenSphere, Quaternion, SLICE_I, SliceUnit, sphere_union
 from . import qlinalg
 
 
@@ -61,9 +60,6 @@ class SphereFlags:
     surjectivity: bool
     residual: bool = False
     continuous: bool = False
-
-    def all_parts(self) -> bool:
-        return self.point and self.approximate and self.compression and self.surjectivity
 
     def letters(self) -> str:
         out = []
@@ -126,11 +122,10 @@ def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
         r_here = pseudo_resolvent(a, rep)
         point = bool(kernel_basis(r_here, tol))
         approx = min_singular(r_here) <= thresh
-        # The conjugate representative spans the same sphere and R depends
-        # on q only through (Re q, |q|), so this reuses the exact same
-        # matrix; the route is still the conjugate point spectrum.
-        r_conj = pseudo_resolvent(a, rep.conjugate())
-        compression = bool(kernel_basis(r_conj, tol))
+        # Compression is the point spectrum at the conjugate representative.
+        # R_q depends on q only through q.w and q.norm_sq(), which conjugation
+        # leaves bit for bit unchanged, so that kernel is the one just found.
+        compression = point
         surjectivity = min_singular(pseudo_resolvent(adj, rep)) <= thresh
         flags[s] = SphereFlags(point, approx, compression, surjectivity)
     coincident = all(
@@ -401,15 +396,6 @@ def full_spectrum(region: AxSymRegion) -> AxSymRegion:
     filled = mask | ~outside
     filled.setflags(write=False)
     return AxSymRegion(grid=region.grid, mask=filled)
-
-
-def full_spectrum_of_spheres(spheres) -> tuple[EigenSphere, ...]:
-    """eta for an exact finite sphere set.
-
-    Finitely many spheres cannot bound a component of the resolvent set,
-    so eta(A) = sigma_S(A) and the set passes through unchanged.
-    """
-    return merge_spheres(spheres)
 
 
 def transition_cells(values: np.ndarray, low: float, high: float) -> np.ndarray:

@@ -300,12 +300,22 @@ def _suite_eigensphere_similarity(cfg: SuiteConfig) -> SuiteResult:
     r = _Runner(cfg)
 
     def similarity(rng, k):
-        n = int(rng.integers(2, 6))
-        a = rand.rand_qmatrix(rng, n, n)
+        if k % 2:
+            # repeated spheres 0 and [b i]: sorted by real part, which is
+            # rounding noise, their copies interleave, and a Hausdorff bound
+            # cannot see a sphere listed twice
+            n = int(rng.integers(3, 6))
+            b = float(rng.uniform(0.5, 3.0))
+            ims = [0.0, b, *rng.choice([0.0, b], n - 2)]
+            a = QMatrix.diag([slice_compose(0.0, b, _rand_unit(rng)) for b in ims])
+        else:
+            n = int(rng.integers(2, 6))
+            a = rand.rand_qmatrix(rng, n, n)
         s = rand.rand_invertible(rng, n)
         conj = s @ a @ inverse_matrix(s)
-        return sphere_hausdorff(right_eigenspheres(a),
-                                right_eigenspheres(conj)) <= cfg.tol
+        before, after = right_eigenspheres(a), right_eigenspheres(conj)
+        return (len(before) == len(after)
+                and sphere_hausdorff(before, after) <= cfg.tol)
 
     r.run("similarity-invariance", similarity)
     return r.result("eigensphere-similarity")

@@ -216,3 +216,33 @@ def test_cli_import_leaves_scipy_unloaded():
                           timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_main_twice_in_one_process_matches_separate_runs(tmp_path, capsys):
+    # the parser is built once per process and reused across calls
+    p = tmp_path / "a.qmat"
+    io.write_text(str(p), io.format_qmat(rand.rand_qmatrix(rand.generator(227, 0), 3, 3)))
+    calls = [["spectrum", "--op", f"dense:{p}"],
+             ["check", "--suite", "scalar-algebra", "--trials", "2"]]
+    in_process = []
+    for argv in calls:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        in_process.append(out)
+    src = os.path.dirname(os.path.dirname(io.__file__))
+    path = os.pathsep.join(q for q in (src, os.environ.get("PYTHONPATH")) if q)
+    for argv, out in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "qspec", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out
+
+
+def test_cli_check_has_its_own_tol_default():
+    from qspec.cli import _build_parser, _config
+
+    parser = _build_parser()
+    assert _config(parser.parse_args(["check"])).tol == 1e-6
+    assert _config(parser.parse_args(["check", "--tol", "1e-8"])).tol == 1e-8
+    assert _config(parser.parse_args(["spectrum", "--op", "x"])).tol == 1e-8

@@ -10,7 +10,6 @@ from qspec.spectral import (
     annulus_check,
     classify,
     full_spectrum,
-    full_spectrum_of_spheres,
     lower_bound_i,
     portrait,
     pseudo_resolvent,
@@ -189,11 +188,6 @@ def test_full_spectrum_not_seeded_from_real_axis():
     filled = full_spectrum(AxSymRegion(g, mask))
     ix0 = int(np.argmin(np.abs(xs)))
     assert filled.mask[0, ix0]  # (0, 0) sits under the arc
-
-
-def test_full_spectrum_of_spheres_passthrough():
-    spheres = (EigenSphere(0.0, 0.8), EigenSphere(0.6, 0.6))
-    assert full_spectrum_of_spheres(spheres) == spheres
 
 
 def test_transition_cells_flag_boundary():
