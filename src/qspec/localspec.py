@@ -25,8 +25,8 @@ from .errors import NumericalError, PoleError, ShapeError
 from .operators import (LinearOperator, MultiplicationOperator, ShiftOperator,
                         truncated_eigenvector)
 from .qlinalg import (ComplexAdjointMatrix, QMatrix, QVector, SubspaceBasis,
-                      _chi, _j_conj, kernel_basis, min_singular, op_norm,
-                      orthonormalize, vstack)
+                      _chi, _j_conj, kernel_basis, min_singular, nullity,
+                      op_norm, orthonormalize, pseudo_resolvent, vstack)
 from .quat import (EigenSphere, Quaternion, cluster_spheres, merge_spheres,
                    sphere_in, sphere_of, sphere_subset, sphere_union)
 from . import spectral
@@ -93,8 +93,7 @@ def spectral_projections(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> Spectr
         raise NumericalError("eigenvalue cluster broke a conjugate pair")
     multiplicities = tuple(int(sz) // 2 for sz in sizes)
 
-    eig_dims = [len(kernel_basis(spectral.pseudo_resolvent(a, Quaternion(s.re, s.im))))
-                for s in spheres]
+    eig_dims = [nullity(pseudo_resolvent(a, Quaternion(s.re, s.im))) for s in spheres]
     certified = tuple(eig_dims) == multiplicities
 
     projections: list[QMatrix] = []
@@ -148,7 +147,8 @@ def spectral_projections(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> Spectr
 def _validate_projections(a: QMatrix, projections: list[QMatrix],
                           conditions: list[float]) -> None:
     n = a.rows
-    tol = 1e-8 * max(1.0, max(conditions)) * max(1.0, op_norm(a))
+    norm_a = op_norm(a)
+    tol = 1e-8 * max(1.0, max(conditions)) * max(1.0, norm_a)
     total = QMatrix.zeros(n, n)
     for p in projections:
         total = total + p
@@ -161,7 +161,7 @@ def _validate_projections(a: QMatrix, projections: list[QMatrix],
             if op_norm(prod - target) > tol:
                 raise NumericalError("spectral projections are not orthogonal idempotents")
         defect = op_norm((QMatrix.identity(n) - p) @ (a @ p))
-        if defect > tol * (1.0 + op_norm(a)):
+        if defect > tol * (1.0 + norm_a):
             raise NumericalError("a projection range is not invariant")
 
 
@@ -554,7 +554,7 @@ def check_resolvent_identity(a: QMatrix, phi: QVector, f, sample_points,
     values = []
     for q in points:
         v = evaluate(q)
-        resid = (spectral.pseudo_resolvent(a, q).apply(v) - phi).norm()
+        resid = (pseudo_resolvent(a, q).apply(v) - phi).norm()
         if resid > tol * (1.0 + phi.norm()):
             raise ValueError(
                 f"precondition failed at q = ({q.w}, {q.x}, {q.y}, {q.z}): "

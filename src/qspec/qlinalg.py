@@ -374,15 +374,30 @@ def min_singular(a: QMatrix) -> float:
     """
     if a.rows == 0 or a.cols == 0:
         return math.inf
-    s = _singular_values(a)
-    return float(s[-1])
+    return float(_singular_values(a)[-1])
 
 
 def op_norm(a: QMatrix) -> float:
     if a.rows == 0 or a.cols == 0:
         return 0.0
-    s = _singular_values(a)
-    return float(s[0])
+    return float(_singular_values(a)[0])
+
+
+def nullity(a: QMatrix, tol: float = 1e-10, s: np.ndarray | None = None) -> int:
+    """len(kernel_basis(a, tol)) counted from ``s = _singular_values(a)``.
+
+    C_i-block values count once, chi values in pairs; an odd count of
+    small chi values is the failure of a wrong-sized kernel pullback.
+    """
+    if s is None:
+        s = _singular_values(a)
+    rank = int(np.sum(s > tol * (1.0 + a.frobenius())))
+    if a.is_complex_slice:
+        return a.cols - rank
+    null = 2 * a.cols - rank
+    if null % 2:
+        raise NumericalError(f"chi(A) has an odd null space dimension {null}")
+    return null // 2
 
 
 def kernel_basis(a: QMatrix, tol: float = 1e-10) -> list[QVector]:
@@ -396,18 +411,22 @@ def kernel_basis(a: QMatrix, tol: float = 1e-10) -> list[QVector]:
         return []
     if a.rows == 0:
         return [QVector.basis(a.cols, k) for k in range(a.cols)]
-    m = _chi(a)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    thresh = tol * (1.0 + a.frobenius())
-    rank = int(np.sum(s > thresh))
-    null_cols = [np.conj(vh[j]) for j in range(rank, vh.shape[0])]
-    candidates = [QVector.from_embedding(w) for w in null_cols]
+    _, s, vh = np.linalg.svd(_chi(a), full_matrices=True)
+    rank = int(np.sum(s > tol * (1.0 + a.frobenius())))
+    candidates = [QVector.from_embedding(np.conj(w)) for w in vh[rank:]]
     basis = orthonormalize(candidates, drop_tol=1e-6)
     expected = (vh.shape[0] - rank) // 2
     if len(basis) != expected:
         raise NumericalError(
             f"kernel pullback produced {len(basis)} vectors, expected {expected}")
     return basis
+
+
+def pseudo_resolvent(a: QMatrix, q: Quaternion) -> QMatrix:
+    """R_q(A) = A^2 - 2 Re(q) A + |q|^2 I."""
+    if a.rows != a.cols:
+        raise ShapeError("pseudo-resolvent needs a square matrix")
+    return (a @ a) - a.scale(2.0 * q.w) + QMatrix.identity(a.rows).scale(q.norm_sq())
 
 
 def right_eigenspheres(a: QMatrix, tol: float = 1e-8) -> tuple[EigenSphere, ...]:
@@ -434,9 +453,7 @@ def right_eigenspheres(a: QMatrix, tol: float = 1e-8) -> tuple[EigenSphere, ...]
         [EigenSphere(float(l.real), abs(float(l.imag))) for l in lams], tol=tol)
     check_scale = 1e-6 * (1.0 + a.frobenius() ** 2)
     for s in spheres:
-        rep = Quaternion(s.re, s.im, 0.0, 0.0)
-        resolvent = (a @ a) - a.scale(2.0 * rep.w) + QMatrix.identity(a.rows).scale(rep.norm_sq())
-        kappa = min_singular(resolvent)
+        kappa = min_singular(pseudo_resolvent(a, Quaternion(s.re, s.im, 0.0, 0.0)))
         if kappa > check_scale:
             raise NumericalError(
                 f"eigen-sphere ({s.re}, {s.im}) failed the direct residual check: "

@@ -125,9 +125,6 @@ class Quaternion:
     def imag_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_real(self) -> bool:
-        return self.x == 0.0 and self.y == 0.0 and self.z == 0.0
-
     def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return abs(self - other) <= tol * (1.0 + abs(self) + abs(other))
 

@@ -20,16 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .qlinalg import QMatrix, kernel_basis, min_singular, op_norm
+from .qlinalg import QMatrix, min_singular, op_norm, pseudo_resolvent
 from .quat import EigenSphere, Quaternion, SLICE_I, SliceUnit, sphere_union
 from . import qlinalg
-
-
-def pseudo_resolvent(a: QMatrix, q: Quaternion) -> QMatrix:
-    """A^2 - 2 Re(q) A + |q|^2 I."""
-    if a.rows != a.cols:
-        raise ShapeError("pseudo-resolvent needs a square matrix")
-    return (a @ a) - a.scale(2.0 * q.w) + QMatrix.identity(a.rows).scale(q.norm_sq())
 
 
 def s_spectrum(a: QMatrix, tol: float = 1e-8) -> tuple[EigenSphere, ...]:
@@ -104,12 +97,13 @@ def _fmt(x: float) -> str:
 def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
     """Classify every sphere of sigma_S(A) into its four parts.
 
-    Point membership tests ker R_q(A) directly; approximate membership
-    tests kappa = min_singular(R_q(A)); compression goes through the
-    conjugate point spectrum of A; surjectivity through the approximate
-    spectrum of the adjoint.  The sphere list is the merged union of the
-    eigen-spheres of A and A^dag, so a disagreement between the two sides
-    would surface as a non-coincident report.
+    One SVD of R_q(A) gives point membership (ker R_q(A) counted) and
+    approximate membership (kappa, its smallest singular value);
+    compression goes through the conjugate point spectrum of A;
+    surjectivity through the approximate spectrum of the adjoint.  The
+    sphere list is the merged union of the eigen-spheres of A and A^dag,
+    so a disagreement between the two sides would surface as a
+    non-coincident report.
     """
     if a.rows != a.cols:
         raise ShapeError("classification needs a square matrix")
@@ -120,8 +114,9 @@ def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
     for s in spheres:
         rep = Quaternion(s.re, s.im, 0.0, 0.0)
         r_here = pseudo_resolvent(a, rep)
-        point = bool(kernel_basis(r_here, tol))
-        approx = min_singular(r_here) <= thresh
+        s_here = qlinalg._singular_values(r_here)
+        point = qlinalg.nullity(r_here, tol, s_here) > 0
+        approx = bool(s_here[-1] <= thresh)
         # Compression is the point spectrum at the conjugate representative.
         # R_q depends on q only through q.w and q.norm_sq(), which conjugation
         # leaves bit for bit unchanged, so that kernel is the one just found.
@@ -131,11 +126,12 @@ def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
     coincident = all(
         f.point == f.approximate == f.compression == f.surjectivity
         for f in flags.values())
+    radius, lower = growth_bounds(a, n_max) if a.rows else (0.0, 0.0)
     return SpectrumReport(
         spheres=spheres,
         flags=flags,
-        radius=spectral_radius(a, n_max) if a.rows else 0.0,
-        lower_bound=lower_bound_i(a, n_max) if a.rows else 0.0,
+        radius=radius,
+        lower_bound=lower,
         tol=tol,
         threshold=thresh,
         coincident=coincident,
@@ -145,60 +141,49 @@ def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
 # -- growth bounds -------------------------------------------------------
 
 
-def spectral_radius(a, n_max: int = 8, window: int | None = None) -> float:
-    """inf over n <= n_max of |A^n|^(1/n); an upper bound for sigma_S.
+def growth_bounds(a, n_max: int = 8, window: int | None = None) -> tuple[float, float]:
+    """(spectral_radius, lower_bound_i): one SVD per power gives both.
 
-    Accepts a QMatrix or a windowed operator; operators are measured on
-    rectangular sections whose columns are exact operator images.
+    A QMatrix is the section of bandwidth 0 that keeps all its columns;
+    operators are measured on rectangular sections of exact images.  A
+    kappa at the rounding floor 2N eps |A^n| (N rows) is skipped: raised
+    to 1/n it would lift the lower bound above small spheres.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if isinstance(a, QMatrix):
-        best = math.inf
-        power = a
-        for n in range(1, n_max + 1):
-            nrm = op_norm(power)
-            best = min(best, nrm ** (1.0 / n))
-            if n < n_max:
-                power = power @ a
-        return best
-    return _window_growth(a, n_max, window, want_max=True, minimize=True)
-
-
-def lower_bound_i(a, n_max: int = 8, window: int | None = None) -> float:
-    """sup over n <= n_max of kappa(A^n)^(1/n); a lower bound for sigma_apS."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if isinstance(a, QMatrix):
-        best = 0.0
-        power = a
-        for n in range(1, n_max + 1):
-            kappa = min_singular(power)
-            best = max(best, kappa ** (1.0 / n))
-            if n < n_max:
-                power = power @ a
-        return best
-    return _window_growth(a, n_max, window, want_max=False, minimize=False)
-
-
-def _window_growth(op, n_max: int, window: int | None, want_max: bool,
-                   minimize: bool) -> float:
-    n_win = window or getattr(op, "window", 128)
-    section = op.finite_section(n_win)
-    bandwidth = getattr(op, "bandwidth", 0)
-    best = math.inf if minimize else 0.0
+        if a.rows == 0:
+            return 0.0, math.inf    # op_norm and min_singular of an empty matrix
+        section, n_win, bandwidth = a, a.cols, 0
+    else:
+        n_win = window or getattr(a, "window", 128)
+        section, bandwidth = a.finite_section(n_win), a.bandwidth
+    floor = 2 * section.rows * np.finfo(float).eps
+    radius, lower = math.inf, 0.0
     power = section
     for n in range(1, n_max + 1):
         cols = n_win - n * bandwidth
         if cols < 1:
             break
-        rect = power.take_cols(cols)
-        val = op_norm(rect) if want_max else min_singular(rect)
-        scaled = val ** (1.0 / n)
-        best = min(best, scaled) if minimize else max(best, scaled)
+        s = qlinalg._singular_values(power.take_cols(cols))
+        top, kappa = float(s[0]), float(s[-1])
+        radius = min(radius, top ** (1.0 / n))
+        if kappa > floor * top:
+            lower = max(lower, kappa ** (1.0 / n))
         if n < n_max:
             power = power @ section
-    return best
+    return radius, lower
+
+
+def spectral_radius(a, n_max: int = 8, window: int | None = None) -> float:
+    """inf over n <= n_max of |A^n|^(1/n); an upper bound for sigma_S."""
+    return growth_bounds(a, n_max, window)[0]
+
+
+def lower_bound_i(a, n_max: int = 8, window: int | None = None) -> float:
+    """sup over n <= n_max of kappa(A^n)^(1/n) above the rounding floor;
+    a lower bound for sigma_apS."""
+    return growth_bounds(a, n_max, window)[1]
 
 
 @dataclass(frozen=True)

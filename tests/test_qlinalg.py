@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qspec import rand
-from qspec.errors import ShapeError
+from qspec.errors import NumericalError, ShapeError
 from qspec.qlinalg import (
     ComplexAdjointMatrix,
     QMatrix,
@@ -15,8 +15,10 @@ from qspec.qlinalg import (
     inverse_matrix,
     kernel_basis,
     min_singular,
+    nullity,
     op_norm,
     orthonormalize,
+    pseudo_resolvent,
     right_eigenspheres,
 )
 from qspec.quat import EigenSphere, Quaternion
@@ -146,6 +148,63 @@ def test_kernel_basis_counts():
     assert len(ker) == 1
     assert a.apply(ker[0]).norm() < 1e-12
     assert len(kernel_basis(QMatrix.identity(3))) == 0
+
+
+def _rank_product(rng, n, m, r, kind):
+    """An n x m product of rank r: quaternionic, complex-slice or real."""
+    if kind == "quaternion":
+        return rand.rand_qmatrix(rng, n, r) @ rand.rand_qmatrix(rng, r, m)
+    left, right = rng.normal(size=(n, r)), rng.normal(size=(r, m))
+    if kind == "complex":
+        left = left + 1j * rng.normal(size=(n, r))
+        right = right + 1j * rng.normal(size=(r, m))
+    return QMatrix(left @ right, np.zeros((n, m)))
+
+
+def _planted_resolvents(rng):
+    """(R_q(S D S^-1), eigenspace dimension) at each planted sphere.
+
+    One quaternionic and one complex-slice similarity image, each with a
+    sphere carried by two diagonal entries (i and j; 1+2i and 1-2i).
+    """
+    out = []
+    s = rand.rand_invertible(rng, 5)
+    d = QMatrix.diag([I, J, 2 * ONE + K, Quaternion(0.5), Quaternion(-1, 0, 3, 0)])
+    a = s @ d @ inverse_matrix(s)
+    for q, dim in ((I, 2), (2 * ONE + K, 1), (Quaternion(0.5), 1), (Quaternion(-1, 3), 1)):
+        out.append((pseudo_resolvent(a, q), dim))
+    sc = QMatrix(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), np.zeros((4, 4)))
+    dc = QMatrix.diag([Quaternion(1, 2), Quaternion(1, -2), Quaternion(3), Quaternion(0, 1)])
+    ac = sc @ dc @ inverse_matrix(sc)
+    for q, dim in ((Quaternion(1, 2), 2), (Quaternion(3), 1), (J, 1)):
+        out.append((pseudo_resolvent(ac, q), dim))
+    return out
+
+
+def test_nullity_matches_kernel_basis():
+    rng = rand.generator(61, 0)
+    cases = [(QMatrix.identity(3), 0), (QMatrix.zeros(3, 4), 4),
+             (QMatrix.zeros(0, 2), 2), (QMatrix.zeros(2, 0), 0)]
+    # 5e-10 is above tol = 1e-10 but below the threshold tol * (1 + |A|_F)
+    for small in (Quaternion(5e-10), 5e-10 * K):
+        cases.append((QMatrix.diag([10 * ONE, 10 * I, small]), 1))
+    for rows, cols in ((4, 4), (3, 5), (5, 3)):
+        cases.append((rand.rand_qmatrix(rng, rows, cols), max(cols - rows, 0)))
+    for kind in ("quaternion", "complex", "real"):
+        for n, m, r in ((5, 5, 2), (6, 4, 1), (4, 6, 3), (3, 3, 3)):
+            cases.append((_rank_product(rng, n, m, r, kind), m - r))
+    cases.extend(_planted_resolvents(rng))
+    for a, dim in cases:
+        assert nullity(a) == len(kernel_basis(a)) == dim, (a, dim)
+        assert nullity(a, tol=1e-8) == len(kernel_basis(a, tol=1e-8)) == dim
+
+
+def test_nullity_reuses_given_singular_values():
+    a = rand.rand_qmatrix(rand.generator(62, 0), 2, 2)
+    assert nullity(a, s=np.array([2.0, 2.0, 0.0, 0.0])) == 1
+    # chi values come in pairs; an odd count of small ones is a failure
+    with pytest.raises(NumericalError):
+        nullity(a, s=np.array([1.0, 1.0, 1.0, 0.0]))
 
 
 def test_min_singular_invertible_vs_singular():

@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from qspec import rand
 from qspec.operators import DenseOperator, ShiftOperator
-from qspec.qlinalg import QMatrix, min_singular
+from qspec.qlinalg import QMatrix, inverse_matrix, min_singular, op_norm
 from qspec.quat import SLICE_I, SLICE_J, EigenSphere, Quaternion, sphere_of
 from qspec.spectral import (
     GridSpec,
     annulus_check,
     classify,
     full_spectrum,
+    growth_bounds,
     lower_bound_i,
     portrait,
     pseudo_resolvent,
@@ -101,6 +104,117 @@ def test_annulus_bounds_hold():
     rep = classify(a)
     assert annulus_check(rep).ok
     assert lower_bound_i(a) <= rep.radius + 1e-9
+
+
+def _two_loop_growth(a, n_max=8, window=None):
+    """The growth bounds as two separate loops over the powers, the way
+    they were computed before one pass shared them: (radius, lower, floor),
+    where ``floor`` says whether some kappa(A^n) sat at the rounding floor
+    2N eps |A^n| that the one-pass loop skips."""
+    if isinstance(a, QMatrix):
+        section, n_win, band = a, a.cols, 0
+    else:
+        n_win = window or a.window
+        section, band = a.finite_section(n_win), a.bandwidth
+    radius, lower, floor = math.inf, 0.0, False
+    power = section
+    for n in range(1, n_max + 1):
+        cols = n_win - n * band
+        if cols < 1:
+            break
+        radius = min(radius, op_norm(power.take_cols(cols)) ** (1.0 / n))
+        if n < n_max:
+            power = power @ section
+    power = section
+    for n in range(1, n_max + 1):
+        cols = n_win - n * band
+        if cols < 1:
+            break
+        rect = power.take_cols(cols)
+        kappa = min_singular(rect)
+        lower = max(lower, kappa ** (1.0 / n))
+        floor |= kappa <= 2 * rect.rows * np.finfo(float).eps * op_norm(rect)
+        if n < n_max:
+            power = power @ section
+    return radius, lower, floor
+
+
+def _similarity_image(rng, entries):
+    """S diag(entries) S^-1 with S = I plus a small random part."""
+    n = len(entries)
+    s = QMatrix.identity(n) + rand.rand_qmatrix(rng, n, n, scale=1.0 / n)
+    return s @ QMatrix.diag(entries) @ inverse_matrix(s)
+
+
+def _growth_inputs():
+    rng = rand.generator(71, 0)
+    out = [rand.rand_qmatrix(rng, n, n) for n in range(1, 9)]
+    out += [QMatrix(rng.normal(size=(n, n)), np.zeros((n, n))) for n in (3, 6)]
+    out += [QMatrix(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
+                    np.zeros((4, 4)))]
+    out.append(QMatrix(np.diag(np.ones(4), 1), np.zeros((5, 5))))    # nilpotent
+    out.append(QMatrix.zeros(3, 3))
+    for n in (6, 10):
+        entries = [rand.rand_quaternion(rng) for _ in range(n - 1)]
+        out.append(_similarity_image(rng, entries + [Quaternion(0.01, 0.01)]))
+    out += [ShiftOperator("right", window=24), ShiftOperator("left", window=24)]
+    return out
+
+
+def test_growth_bounds_match_two_loop_reference():
+    skipped = 0
+    for a in _growth_inputs():
+        radius, lower, floor = _two_loop_growth(a)
+        assert growth_bounds(a) == (spectral_radius(a), lower_bound_i(a))
+        assert spectral_radius(a) == radius
+        assert lower_bound_i(a) <= lower
+        if floor:
+            skipped += 1
+        else:
+            assert lower_bound_i(a) == lower
+    # the nilpotent, zero and left-shift inputs reach the floor
+    assert 3 <= skipped < len(_growth_inputs())
+    # an empty matrix keeps op_norm's 0 and min_singular's inf
+    assert growth_bounds(QMatrix.zeros(0, 0)) == (0.0, math.inf)
+
+
+def test_growth_bounds_of_the_shifts():
+    # right shift: an isometry, every power norm 1 and kappa 1
+    right = ShiftOperator("right", window=32)
+    assert spectral_radius(right) == pytest.approx(1.0, rel=1e-12)
+    assert lower_bound_i(right) == pytest.approx(1.0, rel=1e-12)
+    # left shift: norm 1, but each power kills e_1, so kappa is 0
+    left = ShiftOperator("left", window=32)
+    assert spectral_radius(left) == pytest.approx(1.0, rel=1e-12)
+    assert lower_bound_i(left) == 0.0
+
+
+def _small_sphere(seed):
+    """S D S^-1, n 8..14, with one sphere of modulus 0.015-0.02 and the
+    others well away from zero; returns (matrix, smallest modulus)."""
+    rng = rand.generator(883, seed)
+    n = 8 + seed % 7
+    r = rng.uniform(0.015, 0.02)
+    theta = rng.uniform(0.0, math.pi)
+    small = Quaternion(r * math.cos(theta), r * math.sin(theta))
+    entries = [small]
+    while len(entries) < n:
+        q = rand.rand_quaternion(rng, 2.0)
+        if abs(q) >= 0.2:
+            entries.append(q)
+    return _similarity_image(rng, entries), r
+
+
+def test_lower_bound_stays_below_a_small_sphere():
+    above = 0
+    for seed in range(24):
+        a, smallest = _small_sphere(seed)
+        above += _two_loop_growth(a)[1] > smallest
+        assert lower_bound_i(a) <= smallest
+        if seed % 6 == 0:
+            assert annulus_check(classify(a)).ok, seed
+    # without the rounding-floor skip the bound rises above the sphere
+    assert above >= 12
 
 
 def test_window_kappa_right_shift_frozen():
