@@ -1,13 +1,15 @@
 """Local S-spectra, spectral subspaces, and decomposability diagnostics.
 
 For a finite matrix the complex adjoint splits into invariant subspaces,
-one per eigen-sphere: cluster the eigenvalues of chi(A) by sphere, build
-the spectral projection of each conjugate-closed cluster through an
-ordered Schur form, and pull the projections back to quaternionic
-coordinates.  The local S-spectrum of phi is then the set of spheres
-whose projection sees phi; the local subspace of a sphere set F is the
-span of the matching ranges.  The diagonal multiplication operator and
-the eigenvector law are the two oracles that certify this realization.
+one per eigen-sphere.  ``qlinalg.spectral_decomposition`` takes one Schur
+form of chi(A) and splits it into well-separated blocks; the spectral
+projection of each sphere comes from that same form, block-diagonalized
+by the Sylvester solutions the split already found, and is pulled back to
+quaternionic coordinates.  The local S-spectrum of phi is then the set of
+spheres whose projection sees phi, drawn from the very sphere objects the
+spectrum reports; the local subspace of a sphere set F is the span of the
+matching ranges.  The diagonal multiplication operator and the
+eigenvector law are the two oracles that certify this realization.
 
 Shifts have no such decomposition.  They are probed through window
 evidence: kappa of exact rectangular sections on both sides of the
@@ -22,20 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PoleError, ShapeError
-from .operators import (LinearOperator, MultiplicationOperator, ShiftOperator,
-                        truncated_eigenvector)
-from .qlinalg import (ComplexAdjointMatrix, QMatrix, QVector, SubspaceBasis,
-                      _chi, _j_conj, kernel_basis, min_singular, nullity,
-                      op_norm, orthonormalize, pseudo_resolvent, vstack)
-from .quat import (EigenSphere, Quaternion, cluster_spheres, merge_spheres,
-                   sphere_in, sphere_of, sphere_subset, sphere_union)
+from .operators import MultiplicationOperator, ShiftOperator
+from .qlinalg import (ComplexAdjointMatrix, QMatrix, QVector, SpectralDecomposition,
+                      SubspaceBasis, _j_conj, kernel_basis, min_singular,
+                      op_norm, orthonormalize, pseudo_resolvent,
+                      spectral_decomposition, vstack)
+from .quat import (EigenSphere, Quaternion, sphere_in, sphere_of, sphere_subset,
+                   sphere_union)
 from . import spectral
 
 #: refuse spectral projections whose norm exceeds this
 CONDITION_LIMIT = 1e8
-
-#: relative eigenvalue clustering radius
-CLUSTER_TOL = 1e-6
 
 #: default membership threshold |P phi| > tol * |phi|
 MEMBER_TOL = 1e-8
@@ -47,13 +46,13 @@ class SpectralProjectionSet:
 
     The projections sum to the identity, annihilate each other, and their
     ranges are invariant; ``conditions`` records the operator norm of each
-    projection, the usual measure of cluster separation.
-    ``multiplicities`` is each sphere's algebraic multiplicity, half its
-    cluster of chi(A) eigenvalues, which is the quaternionic rank of its
-    projection.  ``certified`` is True when every cluster's eigenspace
-    dimension matches its multiplicity; the diagonal and eigenvector
-    oracles pin the meaning of the projections in that case, defective
-    clusters are computed but carry no such certificate.
+    projection, the usual measure of cluster separation.  ``spheres`` and
+    ``multiplicities`` are those of the matrix's ``spectral_decomposition``,
+    the same objects its spectrum reports; a multiplicity is the
+    quaternionic rank of its projection.  ``certified`` is True when every
+    sphere's eigenspace dimension matches its multiplicity; the diagonal
+    and eigenvector oracles pin the meaning of the projections in that
+    case, defective spheres are computed but carry no such certificate.
     """
 
     spheres: tuple[EigenSphere, ...]
@@ -63,85 +62,50 @@ class SpectralProjectionSet:
     certified: bool = True
 
 
-def spectral_projections(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> SpectralProjectionSet:
+def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None = None
+                         ) -> SpectralProjectionSet:
     """Build one spectral projection per eigen-sphere of A.
 
-    ``cluster_spheres`` groups the eigenvalues of chi(A) by sphere, two per
-    unit of multiplicity.  Each group is conjugate closed and gets one
-    ordered Schur decomposition; a Sylvester solve turns the leading
-    invariant block into the projection.  Conjugate-closed
+    All projections come from the one Schur form of ``decomposition``
+    (built from A when not given), block-diagonalized by the Sylvester
+    solutions it already holds; nothing is factored again.  Conjugate-closed
     spectral sets commute with the quaternionic structure map, so each
-    complex projection descends to a quaternionic matrix; the residual of
-    that symmetry is checked, not assumed.  Projections with norm above
-    CONDITION_LIMIT are refused as numerically meaningless.
+    complex projection of chi(A) descends to a quaternionic matrix; the
+    residual of that symmetry is checked, not assumed.  Projections with
+    norm above CONDITION_LIMIT are refused as numerically meaningless.
     """
     if a.rows != a.cols:
         raise ShapeError("spectral projections need a square matrix")
     n = a.rows
     if n == 0:
         return SpectralProjectionSet((), (), (), ())
-    m = _chi(a)
-    try:
-        lams = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
-    spheres, labels = cluster_spheres(
-        [EigenSphere(float(l.real), abs(float(l.imag))) for l in lams],
-        tol=cluster_tol)
-    sizes = np.bincount(labels, minlength=len(spheres))
-    if np.any(sizes % 2):
-        raise NumericalError("eigenvalue cluster broke a conjugate pair")
-    multiplicities = tuple(int(sz) // 2 for sz in sizes)
-
-    eig_dims = [nullity(pseudo_resolvent(a, Quaternion(s.re, s.im))) for s in spheres]
-    certified = tuple(eig_dims) == multiplicities
+    dec = decomposition if decomposition is not None else spectral_decomposition(a)
+    certified = dec.nullities() == dec.multiplicities
 
     projections: list[QMatrix] = []
     conditions: list[float] = []
-    if len(spheres) == 1:
+    if len(dec.spheres) == 1:
         projections.append(QMatrix.identity(n))
         conditions.append(1.0)
     else:
-        # imported where it is needed: scipy costs a command that never
-        # gets here tens of megabytes and a few tenths of a second
-        import scipy.linalg
-        centers = np.array([[s.re, s.im] for s in spheres])
-
-        def assign(lam: complex) -> int:
-            # Schur computes its own eigenvalues, so they are matched to
-            # the nearest centre rather than looked up in ``labels``
-            d = np.hypot(centers[:, 0] - lam.real, centers[:, 1] - abs(lam.imag))
-            return int(np.argmin(d))
-
-        for k in range(len(spheres)):
-            t, z, sdim = scipy.linalg.schur(
-                m, output="complex", sort=lambda lam, k=k: assign(complex(lam)) == k)
-            if sdim != sizes[k]:
-                raise NumericalError(
-                    f"Schur reordering caught {sdim} eigenvalues for cluster {k}, "
-                    f"expected {sizes[k]}")
-            t11 = t[:sdim, :sdim]
-            t12 = t[:sdim, sdim:]
-            t22 = t[sdim:, sdim:]
-            y = scipy.linalg.solve_sylvester(t11, -t22, t12)
-            pi = np.zeros_like(t)
-            pi[:sdim, :sdim] = np.eye(sdim)
-            pi[:sdim, sdim:] = y
-            p = z @ pi @ z.conj().T
+        for s, p in zip(dec.spheres, dec.projectors()):
             cond = float(np.linalg.norm(p, 2))
             if cond > CONDITION_LIMIT:
                 raise NumericalError(
-                    f"projection for sphere ({spheres[k].re}, {spheres[k].im}) has "
+                    f"projection for sphere ({s.re}, {s.im}) has "
                     f"norm {cond:.3e}, beyond the conditioning limit")
-            sym = _j_conj(p)
-            if np.linalg.norm(p - sym) > 1e-6 * max(1.0, cond):
-                raise NumericalError("projection broke the quaternionic structure")
-            p = 0.5 * (p + sym)
-            projections.append(ComplexAdjointMatrix(p).to_qmatrix())
+            if dec.half:
+                # a projector P of the C_i block is diag(P, conj P) on chi(A)
+                projections.append(QMatrix(p, np.zeros_like(p)))
+            else:
+                sym = _j_conj(p)
+                if np.linalg.norm(p - sym) > 1e-6 * max(1.0, cond):
+                    raise NumericalError("projection broke the quaternionic structure")
+                projections.append(ComplexAdjointMatrix(0.5 * (p + sym)).to_qmatrix())
             conditions.append(cond)
     _validate_projections(a, projections, conditions)
-    return SpectralProjectionSet(spheres, tuple(projections), tuple(conditions),
-                                 multiplicities, certified)
+    return SpectralProjectionSet(dec.spheres, tuple(projections), tuple(conditions),
+                                 dec.multiplicities, certified)
 
 
 def _validate_projections(a: QMatrix, projections: list[QMatrix],
@@ -188,8 +152,10 @@ def local_spectrum(a: QMatrix, phi: QVector, tol: float = MEMBER_TOL,
                    projections: SpectralProjectionSet | None = None) -> LocalSpectrum:
     """Spheres whose spectral projection sees phi.
 
-    Empty exactly for phi = 0; always contained in sigma_S(A).  For a
-    right eigenvector A phi = phi q this is the single sphere [q].
+    Empty exactly for phi = 0; its spheres are the projection set's, the
+    same objects ``s_spectrum`` and ``classify`` report, so it lies in
+    sigma_S(A) exactly.  For a right eigenvector A phi = phi q this is the
+    single sphere [q].
     """
     if a.rows != a.cols or a.rows != phi.n:
         raise ShapeError("dimension mismatch between matrix and vector")
@@ -232,8 +198,10 @@ def local_subspace(a: QMatrix, spheres, tol: float = MEMBER_TOL,
                    projections: SpectralProjectionSet | None = None) -> SubspaceBasis:
     """Orthonormal basis of span{ ran P_k : sphere_k in F }.
 
-    Spheres outside sigma_S(A) contribute nothing, so the result equals
-    the subspace for F intersected with the spectrum.
+    A sphere of F selects the spectral sphere it matches at
+    SPHERE_MERGE_TOL, the radius the spheres were merged at; spheres
+    outside sigma_S(A) contribute nothing, so the result equals the
+    subspace for F intersected with the spectrum.
     """
     if a.rows != a.cols:
         raise ShapeError("local subspaces need a square matrix")
@@ -242,7 +210,7 @@ def local_subspace(a: QMatrix, spheres, tol: float = MEMBER_TOL,
     cols: list[QVector] = []
     expected = 0
     for s, p, mult in zip(proj.spheres, proj.projections, proj.multiplicities):
-        if sphere_in(s, targets, tol=1e-6):
+        if sphere_in(s, targets):
             cols.extend(p.col(j) for j in range(p.cols))
             expected += mult
     basis = orthonormalize(cols, drop_tol=1e-6)
@@ -267,7 +235,7 @@ def global_subspace(a: QMatrix, spheres, tol: float = MEMBER_TOL,
     proj = projections if projections is not None else spectral_projections(a)
     targets = tuple(spheres)
     outside = [p for s, p in zip(proj.spheres, proj.projections)
-               if not sphere_in(s, targets, tol=1e-6)]
+               if not sphere_in(s, targets)]
     if not outside:
         return SubspaceBasis(a.rows, [QVector.basis(a.rows, k) for k in range(a.rows)])
     stacked = vstack(outside)
@@ -343,23 +311,23 @@ def decomposability_necessary(op, report: spectral.SpectrumReport | None = None,
 
 def _matrix_decomposability(a: QMatrix, report, tol: float) -> DecomposabilityVerdict:
     rep = report if report is not None else spectral.classify(a, tol=tol)
-    proj = spectral_projections(a)
-    union: list[EigenSphere] = []
-    for k in range(a.rows):
-        union.extend(local_spectrum(a, QVector.basis(a.rows, k),
-                                    tol=tol, projections=proj).spheres)
-    local_union = merge_spheres(union)
+    proj = spectral_projections(a, rep.decomposition)
+    # s lies in the local spectrum of some basis vector e_k exactly when
+    # |P_s e_k|, the norm of column k of P_s, exceeds tol
+    local_union = tuple(
+        s for s, p in zip(proj.spheres, proj.projections)
+        if np.max(np.sqrt(np.sum(np.abs(p.c1) ** 2 + np.abs(p.c2) ** 2, axis=0))) > tol)
     sets = {
-        "sigma_S": rep.spheres,
         "sigma_apS": rep.part("approximate"),
         "sigma_suS": rep.part("surjectivity"),
         "local union": local_union,
     }
-    names = list(sets)
-    for name in names[1:]:
-        a_set, b_set = sets["sigma_S"], sets[name]
-        if not (sphere_subset(a_set, b_set, 1e-6) and sphere_subset(b_set, a_set, 1e-6)):
-            witness = _first_difference(a_set, b_set)
+    # all four sets are drawn from one tuple of sphere objects, so they
+    # compare exactly
+    for name, other in sets.items():
+        if set(other) != set(rep.spheres):
+            witness = next(s for s in (*rep.spheres, *other)
+                           if (s in rep.spheres) != (s in other))
             return DecomposabilityVerdict(
                 "FAIL", witness,
                 f"sigma_S and {name} differ at sphere ({witness.re}, {witness.im}); "
@@ -368,16 +336,6 @@ def _matrix_decomposability(a: QMatrix, report, tol: float) -> DecomposabilityVe
         "PASS", None,
         "necessary condition holds: all four sphere sets coincide; this is "
         "consistent with decomposability, not a proof of it")
-
-
-def _first_difference(a_set, b_set) -> EigenSphere:
-    for s in a_set:
-        if not sphere_in(s, b_set, 1e-6):
-            return s
-    for s in b_set:
-        if not sphere_in(s, a_set, 1e-6):
-            return s
-    raise AssertionError("sets differ but no witness found")
 
 
 def _shift_decomposability(op: ShiftOperator, window: int,

@@ -38,9 +38,6 @@ class LinearOperator:
     def apply(self, v: QVector) -> QVector:
         raise NotImplementedError
 
-    def adjoint_apply(self, v: QVector) -> QVector:
-        raise NotImplementedError
-
     def finite_section(self, n: int) -> QMatrix:
         raise NotImplementedError
 
@@ -61,9 +58,6 @@ class DenseOperator(LinearOperator):
 
     def apply(self, v: QVector) -> QVector:
         return self.matrix.apply(v)
-
-    def adjoint_apply(self, v: QVector) -> QVector:
-        return self._adj.apply(v)
 
     def finite_section(self, n: int) -> QMatrix:
         if n != self.dim:
@@ -99,9 +93,6 @@ class MultiplicationOperator(LinearOperator):
 
     def apply(self, v: QVector) -> QVector:
         return self._matrix.apply(v)
-
-    def adjoint_apply(self, v: QVector) -> QVector:
-        return self._matrix.adjoint().apply(v)
 
     def finite_section(self, n: int) -> QMatrix:
         if n != self.dim:
@@ -141,9 +132,6 @@ class ShiftOperator(LinearOperator):
             c2 = np.concatenate([[0.0], v.c2])
             return QVector(c1, c2)
         return QVector(v.c1[1:], v.c2[1:])
-
-    def adjoint_apply(self, v: QVector) -> QVector:
-        return self.adjoint_operator().apply(v)
 
     def finite_section(self, n: int) -> QMatrix:
         if n < 2:

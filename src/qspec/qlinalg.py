@@ -18,12 +18,13 @@ spectral quantities below are computed through this representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .quat import (EigenSphere, Quaternion, merge_spheres)
+from .quat import (SPHERE_MERGE_TOL, EigenSphere, Quaternion, cluster_spheres,
+                   linked_components)
 
 
 def _split(q: Quaternion) -> tuple[complex, complex]:
@@ -429,36 +430,145 @@ def pseudo_resolvent(a: QMatrix, q: Quaternion) -> QMatrix:
     return (a @ a) - a.scale(2.0 * q.w) + QMatrix.identity(a.rows).scale(q.norm_sq())
 
 
-def right_eigenspheres(a: QMatrix, tol: float = 1e-8) -> tuple[EigenSphere, ...]:
-    """Eigen-spheres of the right eigenvalue problem A phi = phi q.
+#: a Schur block keeps growing while splitting it off needs a Sylvester
+#: solution Y with |Y|_2 at least this
+GROWTH_LIMIT = 1e6
 
-    Computed from the eigenvalues of chi(A); those come in conjugate
-    pairs, and each pair maps to the sphere (Re, |Im|).  Every returned
-    sphere is cross-checked by a direct near-singularity test of
-    A^2 - 2 Re(q) A + |q|^2 at a representative.
+
+@dataclass(frozen=True, eq=False)
+class SpectralDecomposition:
+    """One complex Schur form T = Z^H M Z, split into blocks, and the spheres
+    they make; M is chi(A), or its C_i block when A is a complex-slice
+    matrix (``half``).  Block k spans ``blocks[k]`` of the diagonal, belongs
+    to sphere ``owner[k]``, and ``couplings[k]`` solves
+    T_kk Y - Y T_rest = T_k,rest against the blocks after it.  Sphere i
+    keeps its multiplicity, R_q(A) at its representative and that
+    matrix's one SVD."""
+
+    spheres: tuple[EigenSphere, ...]
+    multiplicities: tuple[int, ...]
+    resolvents: tuple[QMatrix, ...]
+    singular_values: tuple[np.ndarray, ...]
+    half: bool
+    t: np.ndarray = field(repr=False)
+    z: np.ndarray = field(repr=False)
+    blocks: tuple[tuple[int, int], ...] = ()
+    couplings: tuple[np.ndarray, ...] = field(default=(), repr=False)
+    owner: tuple[int, ...] = ()
+
+    def nullities(self, tol: float = 1e-10) -> tuple[int, ...]:
+        return tuple(nullity(r, tol, s) for r, s in zip(self.resolvents, self.singular_values))
+
+    def projectors(self) -> list[np.ndarray]:
+        """Each sphere's spectral projector of M.  With the couplings in its
+        block rows, W is unit upper triangular and W T W^-1 = diag(T_kk), so
+        the projector is Z W^-1[:, S] W[S, :] Z^H over the sphere's positions S."""
+        import scipy.linalg
+        n = self.t.shape[0]
+        w = np.eye(n, dtype=np.complex128)
+        for (start, stop), y in zip(self.blocks, self.couplings):
+            w[start:stop, stop:] = y
+        x = scipy.linalg.solve_triangular(w, np.eye(n), unit_diagonal=True)
+        owner = np.repeat(self.owner, [stop - start for start, stop in self.blocks])
+        return [(self.z @ x[:, owner == i]) @ (w[owner == i] @ self.z.conj().T)
+                for i in range(len(self.spheres))]
+
+
+def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
+    """Eigen-spheres of A phi = phi q and their multiplicities, from one Schur form.
+
+    A block's centre mu = trace/size is accurate to O(eps) even when a
+    size-k Jordan block spreads its eigenvalues by eps^(1/k) (Moro, Burke
+    & Overton, SIAM J. Matrix Anal. Appl. 18 (1997)).  Blocks map to the
+    spheres (Re mu, |Im mu|), merged once at SPHERE_MERGE_TOL; chi(A)
+    counts each sphere twice.  Every sphere passes a direct check: R_q(A)
+    at its representative is numerically singular.
     """
     if a.rows != a.cols:
         raise ShapeError("eigen-spheres need a square matrix")
-    if a.rows == 0:
-        return ()
+    half, n = a.is_complex_slice, a.rows
+    if n == 0:
+        return SpectralDecomposition((), (), (), (), half, np.eye(0), np.eye(0))
+    # imported here: scipy costs a command that never gets here tens of
+    # megabytes and a few tenths of a second
+    import scipy.linalg
     try:
-        if a.is_complex_slice:
-            lams = np.linalg.eigvals(a.c1)
-            lams = np.concatenate([lams, np.conj(lams)])
-        else:
-            lams = np.linalg.eigvals(_chi(a))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
-    spheres = merge_spheres(
-        [EigenSphere(float(l.real), abs(float(l.imag))) for l in lams], tol=tol)
-    check_scale = 1e-6 * (1.0 + a.frobenius() ** 2)
-    for s in spheres:
-        kappa = min_singular(pseudo_resolvent(a, Quaternion(s.re, s.im, 0.0, 0.0)))
-        if kappa > check_scale:
-            raise NumericalError(
-                f"eigen-sphere ({s.re}, {s.im}) failed the direct residual check: "
-                f"kappa = {kappa:.3e}")
-    return spheres
+        t, z = scipy.linalg.schur(a.c1 if half else _chi(a), output="complex")
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalError(f"Schur iteration failed: {exc}") from exc
+    blocks, couplings = _split_schur(t, z)
+    centres = [np.trace(t[i:j, i:j]) / (j - i) for i, j in blocks]
+    spheres, owner = cluster_spheres([EigenSphere(c.real, abs(c.imag)) for c in centres])
+    sizes = np.bincount(owner, weights=[j - i for i, j in blocks]).astype(int)
+    if not half and np.any(sizes % 2):
+        raise NumericalError("eigenvalue cluster broke a conjugate pair")
+    mult = tuple(int(m) for m in (sizes if half else sizes // 2))
+    if len(spheres) > n or sum(mult) != n:
+        raise NumericalError(f"{len(spheres)} spheres of multiplicity {sum(mult)} in {n}x{n}")
+    resolvents = [pseudo_resolvent(a, Quaternion(s.re, s.im, 0.0, 0.0)) for s in spheres]
+    values = [_singular_values(r) for r in resolvents]
+    check = 1e-6 * (1.0 + a.frobenius() ** 2)
+    for s, sv in zip(spheres, values):
+        if sv[-1] > check:
+            raise NumericalError(f"eigen-sphere ({s.re}, {s.im}) failed the direct "
+                                 f"residual check: kappa = {sv[-1]:.3e}")
+    return SpectralDecomposition(spheres, mult, tuple(resolvents), tuple(values), half,
+                                 t, z, tuple(blocks), tuple(couplings), tuple(owner.tolist()))
+
+
+def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, list]:
+    """Split a Schur form, in place, by adaptive blocking (Bavely & Stewart,
+    SIAM J. Numer. Anal. 16 (1979)).
+
+    Eigenvalues linked at SPHERE_MERGE_TOL seed the blocks.  The block atop
+    the unsplit rest starts as the seed of its first eigenvalue; while
+    splitting it off needs |Y|_2 >= GROWTH_LIMIT, the seed of the remaining
+    eigenvalue nearest its centre joins it.  ``ztrsen`` gathers a block,
+    and its rotation of the rest also updates ``z`` and earlier couplings.
+    """
+    from scipy.linalg import lapack
+    n = t.shape[0]
+    seed = linked_components(t.diagonal().real, t.diagonal().imag, SPHERE_MERGE_TOL)
+    blocks: list[tuple[int, int]] = []
+    couplings: list[np.ndarray] = []
+    p = 0
+    while p < n:
+        member = np.zeros(n, dtype=bool)    # indexed by seed label
+        member[seed[p]] = True
+        while True:
+            chosen = member[seed[p:]]
+            stop = p + int(np.count_nonzero(chosen))
+            if not chosen[:stop - p].all():
+                ts, q, *_, info = lapack.ztrsen(chosen, t[p:, p:], np.eye(n - p), job="N")
+                if info:
+                    raise NumericalError("Schur reordering failed on close eigenvalues")
+                t[p:, p:], t[:p, p:], z[:, p:] = ts, t[:p, p:] @ q, z[:, p:] @ q
+                for (_, end), y in zip(blocks, couplings):
+                    y[:, p - end:] = y[:, p - end:] @ q
+                seed[p:] = np.concatenate([seed[p:][chosen], seed[p:][~chosen]])
+            if stop == n:
+                break
+            y, scale, info = lapack.ztrsyl(t[p:stop, p:stop], t[stop:, stop:],
+                                           t[p:stop, stop:], isgn=-1)
+            if info == 0 and scale > 0.0:
+                y = y / scale
+                # the Frobenius norm bounds |Y|_2 and spares most SVDs
+                fro = np.linalg.norm(y)
+                if fro < GROWTH_LIMIT or (np.isfinite(fro)
+                                          and np.linalg.norm(y, 2) < GROWTH_LIMIT):
+                    couplings.append(y)
+                    break
+            centre = np.trace(t[p:stop, p:stop]) / (stop - p)
+            member[seed[stop + int(np.argmin(np.abs(t.diagonal()[stop:] - centre)))]] = True
+        blocks.append((p, stop))
+        p = stop
+    return blocks, couplings
+
+
+def right_eigenspheres(a: QMatrix) -> tuple[EigenSphere, ...]:
+    """Eigen-spheres of A phi = phi q, sorted by (re, im): see
+    ``spectral_decomposition``."""
+    return spectral_decomposition(a).spheres
 
 
 # -- orthonormal bases ---------------------------------------------------

@@ -229,6 +229,23 @@ def sphere_of(q: Quaternion) -> EigenSphere:
     return EigenSphere(q.w, q.imag_norm())
 
 
+def linked_components(re: np.ndarray, im: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage components of plane points under ``EigenSphere.matches``
+    (|im| in the scale): each point gets the least index its component reaches."""
+    n = len(re)
+    mag = np.maximum(np.abs(re), np.abs(im))
+    # every pair at once, with the float operations of matches()
+    cut = tol * (1.0 + np.maximum.outer(mag, mag))
+    close = ((np.abs(np.subtract.outer(re, re)) <= cut)
+             & (np.abs(np.subtract.outer(im, im)) <= cut))
+    root, last = np.arange(n), None
+    while not np.array_equal(root, last):
+        last = root
+        step = np.where(close, last, n).min(axis=1)
+        root = step[step]
+    return root
+
+
 def cluster_spheres(spheres, tol: float = SPHERE_MERGE_TOL
                     ) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
     """Single-linkage clusters of spheres under ``EigenSphere.matches``.
@@ -236,28 +253,16 @@ def cluster_spheres(spheres, tol: float = SPHERE_MERGE_TOL
     Spheres share a cluster when a chain of pairwise matches joins them;
     every pair is compared, so a sphere sorting between two copies of
     another cannot split them.  Returns the centroids, sorted by (re, im),
-    and for each input sphere the index of its centroid.  A centroid sums
-    its members in (re, im) order, as a sorted scan does, so it is bit for
-    bit the scan's centroid wherever the scan found the same cluster.
-    This is the one place that pairs the eigenvalues of chi(A) into
-    spheres (Zhang, LAA 251 (1997)).
+    and for each input sphere the index of its centroid; a centroid sums
+    its members in (re, im) order.  This is the one place that merges the
+    Schur blocks of chi(A) into spheres (Zhang, LAA 251 (1997)).
     """
     items = list(spheres)
     n = len(items)
     if not n:
         return (), np.zeros(0, dtype=np.intp)
     re, im = np.array([s.key() for s in items]).T
-    mag = np.maximum(np.abs(re), im)
-    # matches() for every pair at once, with the same float operations
-    cut = tol * (1.0 + np.maximum.outer(mag, mag))
-    close = ((np.abs(np.subtract.outer(re, re)) <= cut)
-             & (np.abs(np.subtract.outer(im, im)) <= cut))
-    # connected components: every sphere ends at the least index it reaches
-    root, last = np.arange(n), None
-    while not np.array_equal(root, last):
-        last = root
-        step = np.where(close, last, n).min(axis=1)
-        root = step[step]
+    root = linked_components(re, im, tol)
     groups: dict[int, list[EigenSphere]] = {}
     for k in sorted(range(n), key=lambda k: items[k].key()):
         groups.setdefault(int(root[k]), []).append(items[k])

@@ -20,17 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .qlinalg import QMatrix, min_singular, op_norm, pseudo_resolvent
-from .quat import EigenSphere, Quaternion, SLICE_I, SliceUnit, sphere_union
+from .qlinalg import QMatrix, op_norm, pseudo_resolvent
+from .quat import EigenSphere, Quaternion, SLICE_I, SliceUnit
 from . import qlinalg
 
 
-def s_spectrum(a: QMatrix, tol: float = 1e-8) -> tuple[EigenSphere, ...]:
+def s_spectrum(a: QMatrix) -> tuple[EigenSphere, ...]:
     """Spheres where the pseudo-resolvent is singular.
 
     In finite dimension these are exactly the right eigenvalue spheres.
     """
-    return qlinalg.right_eigenspheres(a, tol=tol)
+    return qlinalg.right_eigenspheres(a)
 
 
 def membership_threshold(a: QMatrix, tol: float) -> float:
@@ -78,6 +78,8 @@ class SpectrumReport:
     tol: float
     threshold: float
     coincident: bool
+    decomposition: qlinalg.SpectralDecomposition | None = field(
+        default=None, repr=False, compare=False)
 
     def part(self, name: str) -> tuple[EigenSphere, ...]:
         return tuple(s for s in self.spheres if getattr(self.flags[s], name))
@@ -97,44 +99,35 @@ def _fmt(x: float) -> str:
 def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
     """Classify every sphere of sigma_S(A) into its four parts.
 
-    One SVD of R_q(A) gives point membership (ker R_q(A) counted) and
-    approximate membership (kappa, its smallest singular value);
-    compression goes through the conjugate point spectrum of A;
-    surjectivity through the approximate spectrum of the adjoint.  The
-    sphere list is the merged union of the eigen-spheres of A and A^dag,
-    so a disagreement between the two sides would surface as a
-    non-coincident report.
+    The spheres come from one ``spectral_decomposition``, which the report
+    keeps for its projections; ``tol`` only sets the membership threshold,
+    never the grouping of spheres.  Each sphere's one SVD of R_q(A) gives
+    every flag: point membership (ker R_q(A) counted), approximate
+    membership (kappa, its smallest singular value), compression (the
+    point spectrum at the conjugate representative, where R_q is bit for
+    bit the same matrix) and surjectivity (R_q(A^dag) = R_q(A)^dag has the
+    same singular values).
     """
     if a.rows != a.cols:
         raise ShapeError("classification needs a square matrix")
-    adj = a.adjoint()
-    spheres = sphere_union(s_spectrum(a, tol), s_spectrum(adj, tol))
+    dec = qlinalg.spectral_decomposition(a)
     thresh = membership_threshold(a, tol)
     flags: dict[EigenSphere, SphereFlags] = {}
-    for s in spheres:
-        rep = Quaternion(s.re, s.im, 0.0, 0.0)
-        r_here = pseudo_resolvent(a, rep)
-        s_here = qlinalg._singular_values(r_here)
-        point = qlinalg.nullity(r_here, tol, s_here) > 0
-        approx = bool(s_here[-1] <= thresh)
-        # Compression is the point spectrum at the conjugate representative.
-        # R_q depends on q only through q.w and q.norm_sq(), which conjugation
-        # leaves bit for bit unchanged, so that kernel is the one just found.
-        compression = point
-        surjectivity = min_singular(pseudo_resolvent(adj, rep)) <= thresh
-        flags[s] = SphereFlags(point, approx, compression, surjectivity)
-    coincident = all(
-        f.point == f.approximate == f.compression == f.surjectivity
-        for f in flags.values())
+    for s, r, sv in zip(dec.spheres, dec.resolvents, dec.singular_values):
+        point = qlinalg.nullity(r, tol, sv) > 0
+        approx = bool(sv[-1] <= thresh)
+        flags[s] = SphereFlags(point, approx, point, approx)
+    coincident = all(f.point == f.approximate for f in flags.values())
     radius, lower = growth_bounds(a, n_max) if a.rows else (0.0, 0.0)
     return SpectrumReport(
-        spheres=spheres,
+        spheres=dec.spheres,
         flags=flags,
         radius=radius,
         lower_bound=lower,
         tol=tol,
         threshold=thresh,
         coincident=coincident,
+        decomposition=dec,
     )
 
 

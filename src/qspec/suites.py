@@ -321,6 +321,52 @@ def _suite_eigensphere_similarity(cfg: SuiteConfig) -> SuiteResult:
     return r.result("eigensphere-similarity")
 
 
+def _suite_defective_similarity(cfg: SuiteConfig) -> SuiteResult:
+    """Planted spheres no fixed clustering radius can find: Jordan blocks of
+    size k, which spread their eigenvalue by about eps^(1/k), and sphere
+    pairs 3e-8 to 1e-6 apart, under a similarity of condition <= 30."""
+    r = _Runner(cfg)
+
+    def planted_seen(rng, d: QMatrix, planted, certified: bool) -> bool:
+        n = d.rows
+        while True:
+            sim = QMatrix.from_components(rng.normal(size=(n, n, 4)) / math.sqrt(4 * n))
+            sim = sim + QMatrix.identity(n)
+            if op_norm(sim) <= 30.0 * min_singular(sim):
+                break
+        a = sim @ d @ inverse_matrix(sim)
+        rep = spectral.classify(a)
+        proj = localspec.spectral_projections(a, rep.decomposition)
+        local = localspec.local_spectrum(a, rand.rand_qvector(rng, n), projections=proj)
+        got = [(s.re, s.im, m) for s, m in zip(proj.spheres, proj.multiplicities)]
+        return (rep.coincident and proj.certified == certified
+                and set(local) <= set(rep.spheres) and len(got) == len(planted)
+                and all(m == pm and abs(x - px) + abs(y - py) <= 1e-9
+                        for (x, y, m), (px, py, pm) in zip(got, sorted(planted))))
+
+    def jordan(lam: complex):
+        def check(rng, k):
+            size = 2 + k % 3
+            c1 = np.diag([lam] * size + [-1.0, 1.3 + 0.4j]).astype(complex)
+            c1[np.arange(size - 1), np.arange(1, size)] = 1.0
+            # ker R_q spans a Jordan block only when R_q = (A - q)^2 kills it
+            return planted_seen(rng, QMatrix(c1, np.zeros_like(c1)), [
+                (lam.real, abs(lam.imag), size), (-1.0, 0.0, 1), (1.3, 0.4, 1)],
+                certified=size == 2 and lam.imag == 0)
+        return check
+
+    def close_pair(rng, k):
+        gap = 10.0 ** float(rng.uniform(math.log10(3e-8), -6.0))
+        spheres = [(0.3, 0.7), (0.3 + gap, 0.7), (-0.8, 0.2), (1.1, 0.0)]
+        d = QMatrix.diag([slice_compose(x, y, _rand_unit(rng)) for x, y in spheres])
+        return planted_seen(rng, d, [(x, y, 1) for x, y in spheres], certified=True)
+
+    r.run("jordan-real", jordan(0.5))
+    r.run("jordan-nonreal", jordan(0.5 + 0.8j))
+    r.run("close-pair", close_pair)
+    return r.result("defective-similarity")
+
+
 def _suite_adjoint_symmetry(cfg: SuiteConfig) -> SuiteResult:
     r = _Runner(cfg)
 
@@ -1140,6 +1186,7 @@ SUITES = {
     "scalar-algebra": _suite_scalar_algebra,
     "matrix-structure": _suite_matrix_structure,
     "eigensphere-similarity": _suite_eigensphere_similarity,
+    "defective-similarity": _suite_defective_similarity,
     "adjoint-symmetry": _suite_adjoint_symmetry,
     "classify-parts": _suite_classify_parts,
     "portrait-symmetry": _suite_portrait_symmetry,

@@ -14,7 +14,7 @@ def test_registry_names_are_stable():
     names = available_suites()
     assert "scalar-algebra" in names
     assert "shift-decomposability" in names
-    assert len(names) == len(set(names)) == 17
+    assert len(names) == len(set(names)) == 18
 
 
 @pytest.mark.parametrize("name", available_suites())
@@ -30,7 +30,7 @@ def test_unknown_suite_raises():
 
 def test_run_many_all_expands():
     results = run_many(["all"], SuiteConfig(seed=1, trials=2))
-    assert len(results) == 17
+    assert len(results) == 18
 
 
 def test_reports_deterministic_per_seed():
