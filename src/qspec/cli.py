@@ -180,18 +180,14 @@ def _cmd_series(cfg: RunConfig) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         est = sigma_radius(f)
-    lines = [
-        f"coefficients {len(f)}",
-        f"center {io.format_quaternion(f.center)}",
-        f"declared-radius {'inf' if math.isinf(f.radius) else spectral._fmt(f.radius)}",
-        f"estimated-radius {'inf' if math.isinf(est) else spectral._fmt(est)}",
-    ]
-    if cfg.at is not None:
-        q = io.parse_quaternion(cfg.at)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            val = f.eval(q)
-        lines.append(f"value {io.format_quaternion(val)}")
+        lines = [
+            f"coefficients {len(f)}",
+            f"center {io.format_quaternion(f.center)}",
+            f"declared-radius {'inf' if math.isinf(f.radius) else spectral._fmt(f.radius)}",
+            f"estimated-radius {'inf' if math.isinf(est) else spectral._fmt(est)}",
+        ]
+        if cfg.at is not None:
+            lines.append(f"value {io.format_quaternion(f.eval(io.parse_quaternion(cfg.at)))}")
     _emit(cfg, "\n".join(lines) + "\n")
     return 0
 

@@ -199,15 +199,10 @@ def parse_grid(text: str) -> GridSpec:
     except ValueError as exc:
         raise ValueError(f"bad grid bounds in {text!r}") from exc
     res = parts[3]
-    if "x" in res:
-        left, _, right = res.partition("x")
-        try:
-            nx, ny = int(left), int(right)
-        except ValueError as exc:
-            raise ValueError(f"bad grid resolution {res!r}") from exc
-    else:
-        try:
-            nx = ny = int(res)
-        except ValueError as exc:
-            raise ValueError(f"bad grid resolution {res!r}") from exc
+    left, sep, right = res.partition("x")
+    try:
+        nx = int(left)
+        ny = int(right) if sep else nx
+    except ValueError as exc:
+        raise ValueError(f"bad grid resolution {res!r}") from exc
     return GridSpec(x0, x1, y1, nx, ny)

@@ -27,7 +27,7 @@ from .errors import NumericalError, PoleError, ShapeError
 from .operators import MultiplicationOperator, ShiftOperator
 from .qlinalg import (ComplexAdjointMatrix, QMatrix, QVector, SpectralDecomposition,
                       SubspaceBasis, _j_conj, kernel_basis, min_singular,
-                      op_norm, orthonormalize, pseudo_resolvent,
+                      nullity, op_norm, orthonormalize, pseudo_resolvent,
                       spectral_decomposition, vstack)
 from .quat import (EigenSphere, Quaternion, sphere_in, sphere_of, sphere_subset,
                    sphere_union)
@@ -80,14 +80,13 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
     if n == 0:
         return SpectralProjectionSet((), (), (), ())
     dec = decomposition if decomposition is not None else spectral_decomposition(a)
-    certified = dec.nullities() == dec.multiplicities
+    certified = tuple(nullity(r, s=sv) for r, sv in zip(dec.resolvents, dec.singular_values)
+                      ) == dec.multiplicities
 
-    projections: list[QMatrix] = []
-    conditions: list[float] = []
     if len(dec.spheres) == 1:
-        projections.append(QMatrix.identity(n))
-        conditions.append(1.0)
+        projections, conditions = [QMatrix.identity(n)], [1.0]
     else:
+        projections, conditions = [], []
         for s, p in zip(dec.spheres, dec.projectors()):
             cond = float(np.linalg.norm(p, 2))
             if cond > CONDITION_LIMIT:
@@ -317,14 +316,9 @@ def _matrix_decomposability(a: QMatrix, report, tol: float) -> DecomposabilityVe
     local_union = tuple(
         s for s, p in zip(proj.spheres, proj.projections)
         if np.max(np.sqrt(np.sum(np.abs(p.c1) ** 2 + np.abs(p.c2) ** 2, axis=0))) > tol)
-    sets = {
-        "sigma_apS": rep.part("approximate"),
-        "sigma_suS": rep.part("surjectivity"),
-        "local union": local_union,
-    }
-    # all four sets are drawn from one tuple of sphere objects, so they
-    # compare exactly
-    for name, other in sets.items():
+    # sigma_suS is sigma_apS here, read off the same singular values; the
+    # sets are drawn from one tuple of spheres, so they compare exactly
+    for name, other in (("sigma_apS", rep.part("approximate")), ("local union", local_union)):
         if set(other) != set(rep.spheres):
             witness = next(s for s in (*rep.spheres, *other)
                            if (s in rep.spheres) != (s in other))
@@ -347,26 +341,18 @@ def _shift_decomposability(op: ShiftOperator, window: int,
         dual = _stabilized_kappa(op.adjoint_operator(), q, window)
         if own is None or dual is None:
             continue
-        in_ap = own <= 1e-8        # exact section columns: rigorous membership
-        in_su = dual <= 1e-8       # q in sigma_apS(op^*) = sigma_suS(op)
-        out_ap = own >= 0.1        # stabilized window evidence of exclusion
-        out_su = dual >= 0.1
-        if in_su and out_ap:
-            s = sphere_of(q)
-            return DecomposabilityVerdict(
-                "FAIL", s,
-                f"sphere ({s.re}, {s.im}) lies in sigma_suS (adjoint window "
-                f"kappa {dual:.2e}) but outside sigma_apS (window kappa "
-                f"{own:.3f} stabilized); sigma_S != sigma_apS, so the shift "
-                "is not decomposable")
-        if in_ap and out_su:
-            s = sphere_of(q)
-            return DecomposabilityVerdict(
-                "FAIL", s,
-                f"sphere ({s.re}, {s.im}) lies in sigma_apS (window kappa "
-                f"{own:.2e}) but outside sigma_suS (adjoint window kappa "
-                f"{dual:.3f} stabilized); sigma_S != sigma_suS, so the shift "
-                "is not decomposable")
+        # q in sigma_apS(op^*) = sigma_suS(op); a kappa <= 1e-8 comes from exact
+        # section columns, rigorous membership, and one >= 0.1 is stabilized
+        # window evidence of exclusion
+        ap, su = ("sigma_apS", "window", own), ("sigma_suS", "adjoint window", dual)
+        for (in_set, in_win, k_in), (out_set, out_win, k_out) in ((su, ap), (ap, su)):
+            if k_in <= 1e-8 and k_out >= 0.1:
+                s = sphere_of(q)
+                return DecomposabilityVerdict(
+                    "FAIL", s,
+                    f"sphere ({s.re}, {s.im}) lies in {in_set} ({in_win} kappa "
+                    f"{k_in:.2e}) but outside {out_set} ({out_win} kappa {k_out:.3f} "
+                    f"stabilized); sigma_S != {out_set}, so the shift is not decomposable")
     return DecomposabilityVerdict(
         "PASS", None,
         "no witness among the probes; the necessary condition is not refuted")

@@ -128,9 +128,7 @@ class ShiftOperator(LinearOperator):
 
     def apply(self, v: QVector) -> QVector:
         if self.side == "right":
-            c1 = np.concatenate([[0.0], v.c1])
-            c2 = np.concatenate([[0.0], v.c2])
-            return QVector(c1, c2)
+            return QVector(np.concatenate([[0.0], v.c1]), np.concatenate([[0.0], v.c2]))
         return QVector(v.c1[1:], v.c2[1:])
 
     def finite_section(self, n: int) -> QMatrix:
@@ -185,15 +183,18 @@ def invariance_defect(a: QMatrix, basis: SubspaceBasis) -> float:
     return op_norm((eye - p) @ (a @ p))
 
 
-def restrict(a: QMatrix, basis: SubspaceBasis, tol: float = 1e-8) -> QMatrix:
-    """Matrix of A restricted to an invariant subspace, in the given basis."""
+def _require_invariant(a: QMatrix, basis: SubspaceBasis, tol: float, what: str) -> None:
     if a.rows != a.cols or a.rows != basis.space_dim:
-        raise ShapeError("restriction needs a square matrix on the ambient space")
+        raise ShapeError(f"{what} needs a square matrix on the ambient space")
     defect = invariance_defect(a, basis)
-    scale = 1.0 + op_norm(a)
-    if defect > tol * scale:
+    if defect > tol * (1.0 + op_norm(a)):
         raise InvarianceError(
             f"subspace is not invariant: |(1-P)AP| = {defect:.3e}", defect)
+
+
+def restrict(a: QMatrix, basis: SubspaceBasis, tol: float = 1e-8) -> QMatrix:
+    """Matrix of A restricted to an invariant subspace, in the given basis."""
+    _require_invariant(a, basis, tol, "restriction")
     if basis.dim == 0:
         return QMatrix.zeros(0, 0)
     y = basis.as_matrix()
@@ -215,13 +216,7 @@ def quotient(a: QMatrix, basis: SubspaceBasis, tol: float = 1e-8) -> QMatrix:
     With Y invariant and Z = Y^perp, A is block triangular over [Y Z] and
     the quotient action is the (Z, Z) block.
     """
-    if a.rows != a.cols or a.rows != basis.space_dim:
-        raise ShapeError("quotient needs a square matrix on the ambient space")
-    defect = invariance_defect(a, basis)
-    scale = 1.0 + op_norm(a)
-    if defect > tol * scale:
-        raise InvarianceError(
-            f"subspace is not invariant: |(1-P)AP| = {defect:.3e}", defect)
+    _require_invariant(a, basis, tol, "quotient")
     comp = complement_basis(basis)
     if comp.dim == 0:
         return QMatrix.zeros(0, 0)
@@ -252,17 +247,9 @@ class HalfPlaneRegion:
         return HalfPlaneRegion(self.pieces + other.pieces)
 
     def contains(self, s: EigenSphere) -> bool:
-        for piece in self.pieces:
-            kind = piece[0]
-            if kind == "rect":
-                _, re0, re1, im0, im1 = piece
-                if re0 < s.re < re1 and im0 < s.im < im1:
-                    return True
-            else:
-                _, cre, cim, rad = piece
-                if math.hypot(s.re - cre, s.im - cim) < rad:
-                    return True
-        return False
+        return any(p[0] < s.re < p[1] and p[2] < s.im < p[3] if kind == "rect"
+                   else math.hypot(s.re - p[0], s.im - p[1]) < p[2]
+                   for kind, *p in self.pieces)
 
 
 def partition_splitting(op: MultiplicationOperator, u1: HalfPlaneRegion,
@@ -275,19 +262,13 @@ def partition_splitting(op: MultiplicationOperator, u1: HalfPlaneRegion,
     region is a cover failure.
     """
     n = op.dim
-    idx1: list[int] = []
-    idx2: list[int] = []
+    hits = []
     for k, g in enumerate(op.values):
         s = sphere_of(g)
-        hit1 = u1.contains(s)
-        hit2 = u2.contains(s)
-        if not hit1 and not hit2:
+        hits.append((u1.contains(s), u2.contains(s)))
+        if not any(hits[-1]):
             raise CoverError(
                 f"sphere ({s.re}, {s.im}) at point {op.labels[k]!r} is uncovered", s)
-        if hit1:
-            idx1.append(k)
-        if hit2:
-            idx2.append(k)
-    y1 = SubspaceBasis(n, [QVector.basis(n, k) for k in idx1])
-    y2 = SubspaceBasis(n, [QVector.basis(n, k) for k in idx2])
+    y1, y2 = (SubspaceBasis(n, [QVector.basis(n, k) for k, h in enumerate(hits) if h[i]])
+              for i in (0, 1))
     return y1, y2

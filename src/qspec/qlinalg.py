@@ -439,11 +439,11 @@ GROWTH_LIMIT = 1e6
 class SpectralDecomposition:
     """One complex Schur form T = Z^H M Z, split into blocks, and the spheres
     they make; M is chi(A), or its C_i block when A is a complex-slice
-    matrix (``half``).  Block k spans ``blocks[k]`` of the diagonal, belongs
-    to sphere ``owner[k]``, and ``couplings[k]`` solves
-    T_kk Y - Y T_rest = T_k,rest against the blocks after it.  Sphere i
-    keeps its multiplicity, R_q(A) at its representative and that
-    matrix's one SVD."""
+    matrix (``half``).  Block k spans ``blocks[k]`` of the diagonal and
+    belongs to sphere ``owner[k]``; W is unit upper triangular, its block
+    row k past the block the Y with T_kk Y - Y T_rest = T_k,rest, so
+    W T W^-1 = diag(T_kk).  Sphere i keeps its multiplicity, R_q(A) at its
+    representative and that matrix's one SVD."""
 
     spheres: tuple[EigenSphere, ...]
     multiplicities: tuple[int, ...]
@@ -452,25 +452,17 @@ class SpectralDecomposition:
     half: bool
     t: np.ndarray = field(repr=False)
     z: np.ndarray = field(repr=False)
-    blocks: tuple[tuple[int, int], ...] = ()
-    couplings: tuple[np.ndarray, ...] = field(default=(), repr=False)
-    owner: tuple[int, ...] = ()
-
-    def nullities(self, tol: float = 1e-10) -> tuple[int, ...]:
-        return tuple(nullity(r, tol, s) for r, s in zip(self.resolvents, self.singular_values))
+    w: np.ndarray = field(repr=False)
+    blocks: tuple[tuple[int, int], ...]
+    owner: tuple[int, ...]
 
     def projectors(self) -> list[np.ndarray]:
-        """Each sphere's spectral projector of M.  With the couplings in its
-        block rows, W is unit upper triangular and W T W^-1 = diag(T_kk), so
-        the projector is Z W^-1[:, S] W[S, :] Z^H over the sphere's positions S."""
+        """Each sphere's spectral projector of M: Z W^-1[:, S] W[S, :] Z^H
+        over the sphere's diagonal positions S."""
         import scipy.linalg
-        n = self.t.shape[0]
-        w = np.eye(n, dtype=np.complex128)
-        for (start, stop), y in zip(self.blocks, self.couplings):
-            w[start:stop, stop:] = y
-        x = scipy.linalg.solve_triangular(w, np.eye(n), unit_diagonal=True)
+        x = scipy.linalg.solve_triangular(self.w, np.eye(len(self.w)), unit_diagonal=True)
         owner = np.repeat(self.owner, [stop - start for start, stop in self.blocks])
-        return [(self.z @ x[:, owner == i]) @ (w[owner == i] @ self.z.conj().T)
+        return [(self.z @ x[:, owner == i]) @ (self.w[owner == i] @ self.z.conj().T)
                 for i in range(len(self.spheres))]
 
 
@@ -488,7 +480,7 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
         raise ShapeError("eigen-spheres need a square matrix")
     half, n = a.is_complex_slice, a.rows
     if n == 0:
-        return SpectralDecomposition((), (), (), (), half, np.eye(0), np.eye(0))
+        return SpectralDecomposition((), (), (), (), half, *[np.eye(0)] * 3, (), ())
     # imported here: scipy costs a command that never gets here tens of
     # megabytes and a few tenths of a second
     import scipy.linalg
@@ -496,15 +488,15 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
         t, z = scipy.linalg.schur(a.c1 if half else _chi(a), output="complex")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"Schur iteration failed: {exc}") from exc
-    blocks, couplings = _split_schur(t, z)
-    centres = [np.trace(t[i:j, i:j]) / (j - i) for i, j in blocks]
+    blocks, w = _split_schur(t, z)
+    starts = np.array([i for i, _ in blocks])
+    widths = np.diff(np.append(starts, len(t)))
+    centres = np.add.reduceat(t.diagonal(), starts) / widths
     spheres, owner = cluster_spheres([EigenSphere(c.real, abs(c.imag)) for c in centres])
-    sizes = np.bincount(owner, weights=[j - i for i, j in blocks]).astype(int)
+    sizes = np.bincount(owner, weights=widths).astype(int)
     if not half and np.any(sizes % 2):
         raise NumericalError("eigenvalue cluster broke a conjugate pair")
     mult = tuple(int(m) for m in (sizes if half else sizes // 2))
-    if len(spheres) > n or sum(mult) != n:
-        raise NumericalError(f"{len(spheres)} spheres of multiplicity {sum(mult)} in {n}x{n}")
     resolvents = [pseudo_resolvent(a, Quaternion(s.re, s.im, 0.0, 0.0)) for s in spheres]
     values = [_singular_values(r) for r in resolvents]
     check = 1e-6 * (1.0 + a.frobenius() ** 2)
@@ -513,10 +505,10 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
             raise NumericalError(f"eigen-sphere ({s.re}, {s.im}) failed the direct "
                                  f"residual check: kappa = {sv[-1]:.3e}")
     return SpectralDecomposition(spheres, mult, tuple(resolvents), tuple(values), half,
-                                 t, z, tuple(blocks), tuple(couplings), tuple(owner.tolist()))
+                                 t, z, w, tuple(blocks), tuple(owner.tolist()))
 
 
-def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, list]:
+def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
     """Split a Schur form, in place, by adaptive blocking (Bavely & Stewart,
     SIAM J. Numer. Anal. 16 (1979)).
 
@@ -524,15 +516,26 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, list]:
     the unsplit rest starts as the seed of its first eigenvalue; while
     splitting it off needs |Y|_2 >= GROWTH_LIMIT, the seed of the remaining
     eigenvalue nearest its centre joins it.  ``ztrsen`` gathers a block,
-    and its rotation of the rest also updates ``z`` and earlier couplings.
+    and its rotation of the rest also updates ``z`` and the rows of W above.
+    A lone eigenvalue's Y is its left eigenvector past the diagonal, so one
+    back substitution splits off all of them until the next reordering.
     """
     from scipy.linalg import lapack
-    n = t.shape[0]
+    n = len(t)
     seed = linked_components(t.diagonal().real, t.diagonal().imag, SPHERE_MERGE_TOL)
     blocks: list[tuple[int, int]] = []
-    couplings: list[np.ndarray] = []
+    w = np.eye(n, dtype=np.complex128)
+    left, base = None, 0
     p = 0
     while p < n:
+        if left is None:
+            (left, y_norms), base = _left_eigenvectors(t[p:, p:]), p
+            lone = (y_norms < GROWTH_LIMIT) & (np.bincount(seed[p:])[seed[p:]] == 1)
+        if lone[p - base]:
+            w[p, p + 1:] = left[p - base, p - base + 1:]
+            blocks.append((p, p + 1))
+            p += 1
+            continue
         member = np.zeros(n, dtype=bool)    # indexed by seed label
         member[seed[p]] = True
         while True:
@@ -542,10 +545,10 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, list]:
                 ts, q, *_, info = lapack.ztrsen(chosen, t[p:, p:], np.eye(n - p), job="N")
                 if info:
                     raise NumericalError("Schur reordering failed on close eigenvalues")
-                t[p:, p:], t[:p, p:], z[:, p:] = ts, t[:p, p:] @ q, z[:, p:] @ q
-                for (_, end), y in zip(blocks, couplings):
-                    y[:, p - end:] = y[:, p - end:] @ q
+                t[p:, p:], t[:p, p:] = ts, t[:p, p:] @ q
+                z[:, p:], w[:p, p:] = z[:, p:] @ q, w[:p, p:] @ q
                 seed[p:] = np.concatenate([seed[p:][chosen], seed[p:][~chosen]])
+                left = None
             if stop == n:
                 break
             y, scale, info = lapack.ztrsyl(t[p:stop, p:stop], t[stop:, stop:],
@@ -556,13 +559,25 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, list]:
                 fro = np.linalg.norm(y)
                 if fro < GROWTH_LIMIT or (np.isfinite(fro)
                                           and np.linalg.norm(y, 2) < GROWTH_LIMIT):
-                    couplings.append(y)
+                    w[p:stop, stop:] = y
                     break
             centre = np.trace(t[p:stop, p:stop]) / (stop - p)
             member[seed[stop + int(np.argmin(np.abs(t.diagonal()[stop:] - centre)))]] = True
         blocks.append((p, stop))
         p = stop
-    return blocks, couplings
+    return blocks, w
+
+
+def _left_eigenvectors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit upper triangular L with L T = diag(T) L, and the norm of each
+    row past the diagonal, the Y with t_pp Y - Y T_rest = T_p,rest.  Rows
+    are independent: one a close eigenvalue makes infinite spoils no other."""
+    d = t.diagonal()
+    lev = np.eye(len(d), dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        for j in range(1, len(d)):
+            lev[:j, j] = (lev[:j, :j] @ t[:j, j]) / (d[:j] - d[j])
+        return lev, np.linalg.norm(np.triu(lev, 1), axis=1)
 
 
 def right_eigenspheres(a: QMatrix) -> tuple[EigenSphere, ...]:
@@ -607,12 +622,9 @@ class SubspaceBasis:
             if v.n != space_dim:
                 raise ShapeError("basis vector length differs from the ambient dimension")
         if vectors:
-            gram_err = 0.0
-            for i, u in enumerate(vectors):
-                for j, v in enumerate(vectors):
-                    g = inner(u, v)
-                    target = 1.0 if i == j else 0.0
-                    gram_err = max(gram_err, abs(g - Quaternion(target)))
+            y = columns_matrix(vectors)
+            gram = y.adjoint() @ y - QMatrix.identity(len(vectors))
+            gram_err = float(np.max(np.sqrt(np.abs(gram.c1) ** 2 + np.abs(gram.c2) ** 2)))
             if gram_err > 1e-8:
                 raise ValueError(f"basis is not orthonormal, Gram error {gram_err:.3e}")
         object.__setattr__(self, "space_dim", space_dim)

@@ -307,13 +307,9 @@ def sphere_hausdorff(a, b) -> float:
     Empty vs nonempty is infinite; empty vs empty is zero.
     """
     a, b = list(a), list(b)
-    if not a and not b:
-        return 0.0
     if not a or not b:
-        return math.inf
-    d_ab = max(min(s.distance(t) for t in b) for s in a)
-    d_ba = max(min(s.distance(t) for t in a) for s in b)
-    return max(d_ab, d_ba)
+        return math.inf if a or b else 0.0
+    return max(max(min(s.distance(t) for t in y) for s in x) for x, y in ((a, b), (b, a)))
 
 
 # -- the sigma metric -------------------------------------------------

@@ -55,16 +55,8 @@ class SphereFlags:
     continuous: bool = False
 
     def letters(self) -> str:
-        out = []
-        if self.point:
-            out.append("p")
-        if self.approximate:
-            out.append("a")
-        if self.compression:
-            out.append("c")
-        if self.surjectivity:
-            out.append("s")
-        return " ".join(out)
+        parts = (self.point, self.approximate, self.compression, self.surjectivity)
+        return " ".join(c for c, on in zip("pacs", parts) if on)
 
 
 @dataclass(frozen=True)
@@ -85,10 +77,8 @@ class SpectrumReport:
         return tuple(s for s in self.spheres if getattr(self.flags[s], name))
 
     def to_lines(self) -> list[str]:
-        lines = []
-        for s in self.spheres:
-            lines.append(f"{_fmt(s.re)} {_fmt(s.im)} {self.flags[s].letters()}".rstrip())
-        return sorted(lines)
+        return sorted(f"{_fmt(s.re)} {_fmt(s.im)} {self.flags[s].letters()}".rstrip()
+                      for s in self.spheres)
 
 
 def _fmt(x: float) -> str:
@@ -119,16 +109,7 @@ def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
         flags[s] = SphereFlags(point, approx, point, approx)
     coincident = all(f.point == f.approximate for f in flags.values())
     radius, lower = growth_bounds(a, n_max) if a.rows else (0.0, 0.0)
-    return SpectrumReport(
-        spheres=dec.spheres,
-        flags=flags,
-        radius=radius,
-        lower_bound=lower,
-        tol=tol,
-        threshold=thresh,
-        coincident=coincident,
-        decomposition=dec,
-    )
+    return SpectrumReport(dec.spheres, flags, radius, lower, tol, thresh, coincident, dec)
 
 
 # -- growth bounds -------------------------------------------------------
@@ -347,31 +328,19 @@ def full_spectrum(region: AxSymRegion) -> AxSymRegion:
     component touching only that row is still a bounded hole and gets
     filled.
     """
-    mask = region.mask
-    ny, nx = mask.shape
-    outside = np.zeros_like(mask, dtype=bool)
-    stack = []
-    for iy in range(ny):
-        for ix in (0, nx - 1):
-            if not mask[iy, ix]:
-                stack.append((iy, ix))
-    for ix in range(nx):
-        if not mask[ny - 1, ix]:
-            stack.append((ny - 1, ix))
-    while stack:
-        iy, ix = stack.pop()
-        if outside[iy, ix] or mask[iy, ix]:
-            continue
-        outside[iy, ix] = True
-        if iy > 0:
-            stack.append((iy - 1, ix))
-        if iy < ny - 1:
-            stack.append((iy + 1, ix))
-        if ix > 0:
-            stack.append((iy, ix - 1))
-        if ix < nx - 1:
-            stack.append((iy, ix + 1))
-    filled = mask | ~outside
+    free = ~region.mask
+    edge = np.zeros_like(free)
+    edge[:, [0, -1]] = edge[-1] = True
+    outside, last = free & edge, None
+    # grow through free cells, 4-connected, until nothing more is reached
+    while not np.array_equal(outside, last):
+        last = outside.copy()
+        outside[1:] |= last[:-1]
+        outside[:-1] |= last[1:]
+        outside[:, 1:] |= last[:, :-1]
+        outside[:, :-1] |= last[:, 1:]
+        outside &= free
+    filled = ~outside
     filled.setflags(write=False)
     return AxSymRegion(grid=region.grid, mask=filled)
 
@@ -381,18 +350,11 @@ def transition_cells(values: np.ndarray, low: float, high: float) -> np.ndarray:
 
     Used to sample the topological boundary of a portrait region.
     """
-    near = values <= low
-    far = values >= high
-    pad_near = np.zeros((values.shape[0] + 2, values.shape[1] + 2), dtype=bool)
-    pad_far = np.zeros_like(pad_near)
-    pad_near[1:-1, 1:-1] = near
-    pad_far[1:-1, 1:-1] = far
-    has_near = np.zeros_like(near)
-    has_far = np.zeros_like(far)
-    for dy in (0, 1, 2):
-        for dx in (0, 1, 2):
-            if dy == 1 and dx == 1:
-                continue
-            has_near |= pad_near[dy:dy + values.shape[0], dx:dx + values.shape[1]]
-            has_far |= pad_far[dy:dy + values.shape[0], dx:dx + values.shape[1]]
-    return has_near & has_far
+    ny, nx = values.shape
+
+    def beside(cells: np.ndarray) -> np.ndarray:
+        pad = np.pad(cells, 1)
+        return np.any([pad[dy:dy + ny, dx:dx + nx] for dy in range(3) for dx in range(3)
+                       if (dy, dx) != (1, 1)], axis=0)
+
+    return beside(values <= low) & beside(values >= high)

@@ -10,6 +10,7 @@ reports are reproducible byte for byte, whatever the thread setting.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -120,19 +121,12 @@ class _Runner:
 # -- shared instance helpers ---------------------------------------------------
 
 
-def _far_real(rng, spheres, gap: float = 0.3, box: float = 2.5) -> Quaternion:
+def _far_quaternion(rng, spheres, real: bool = False) -> Quaternion:
+    """A draw, real in [-2.5, 2.5] or any in [-2, 2]^4, at sphere distance
+    at least 0.3 from every sphere given."""
     while True:
-        q = Quaternion(float(rng.uniform(-box, box)))
-        s = sphere_of(q)
-        if all(s.distance(t) >= gap for t in spheres):
-            return q
-
-
-def _far_quaternion(rng, spheres, gap: float = 0.3, box: float = 2.0) -> Quaternion:
-    while True:
-        q = rand.rand_quaternion(rng, box)
-        s = sphere_of(q)
-        if all(s.distance(t) >= gap for t in spheres):
+        q = Quaternion(float(rng.uniform(-2.5, 2.5))) if real else rand.rand_quaternion(rng, 2.0)
+        if all(sphere_of(q).distance(t) >= 0.3 for t in spheres):
             return q
 
 
@@ -434,11 +428,8 @@ def _suite_portrait_symmetry(cfg: SuiteConfig) -> SuiteResult:
         a = rand.rand_qmatrix(rng, n, n)
         x = float(rng.uniform(-1.5, 1.5))
         y = float(rng.uniform(0.0, 1.5))
-        values = []
-        for _ in range(5):
-            unit = _rand_unit(rng)
-            q = slice_compose(x, y, unit)
-            values.append(min_singular(spectral.pseudo_resolvent(a, q)))
+        values = [min_singular(spectral.pseudo_resolvent(a, slice_compose(x, y, _rand_unit(rng))))
+                  for _ in range(5)]
         spread = max(values) - min(values)
         return spread <= 1e-12 * (1.0 + max(values))
 
@@ -499,9 +490,7 @@ def _suite_portrait_boundary(cfg: SuiteConfig) -> SuiteResult:
         filled = spectral.full_spectrum(spectral.AxSymRegion(g, mask))
         ix = int(np.argmin(np.abs(xs - 0.0)))
         iy = int(np.argmin(np.abs(ys - 0.2)))
-        inside = bool(filled.mask[iy, ix])
-        far = bool(filled.mask[-1, -1])
-        return inside and not far
+        return bool(filled.mask[iy, ix]) and not filled.mask[-1, -1]
 
     r.run("transition-cells", transition)
     r.run("threshold-fill", threshold_and_fill)
@@ -590,7 +579,7 @@ def _suite_shift_window(cfg: SuiteConfig) -> SuiteResult:
 
     def monotone(rng, k):
         q = (Quaternion(0.5), Quaternion(0.9, 0.4),
-             Quaternion(-0.3, 1.1), _far_quaternion(rng, (), 0.0, 1.5))[k % 4]
+             Quaternion(-0.3, 1.1), rand.rand_quaternion(rng, 1.5))[k % 4]
         values = [spectral.window_kappa(right, q, n) for n in (32, 64, 128)]
         return all(values[i + 1] <= values[i] + 1e-12 for i in range(2))
 
@@ -635,17 +624,12 @@ def _suite_shift_decomposability(cfg: SuiteConfig) -> SuiteResult:
     r = _Runner(cfg, cap=1)
     target = EigenSphere(0.5, 0.0)
 
-    def right_fails(rng, k):
-        verdict = localspec.decomposability_necessary(
-            ShiftOperator("right"), window=64)
-        return (verdict.status == "FAIL" and verdict.witness is not None
-                and verdict.witness.matches(target, 1e-9))
-
-    def left_fails(rng, k):
-        verdict = localspec.decomposability_necessary(
-            ShiftOperator("left"), window=64)
-        return (verdict.status == "FAIL" and verdict.witness is not None
-                and verdict.witness.matches(target, 1e-9))
+    def fails(side: str):
+        def check(rng, k):
+            verdict = localspec.decomposability_necessary(ShiftOperator(side), window=64)
+            return (verdict.status == "FAIL" and verdict.witness is not None
+                    and verdict.witness.matches(target, 1e-9))
+        return check
 
     def svep_verdicts(rng, k):
         a = rand.rand_qmatrix(rng, 3, 3)
@@ -653,8 +637,8 @@ def _suite_shift_decomposability(cfg: SuiteConfig) -> SuiteResult:
                 and localspec.svep_status(ShiftOperator("left")).has_svep is False
                 and localspec.svep_status(ShiftOperator("right")).has_svep is None)
 
-    r.run("right-shift-fails", right_fails)
-    r.run("left-shift-fails", left_fails)
+    r.run("right-shift-fails", fails("right"))
+    r.run("left-shift-fails", fails("left"))
     r.run("svep-verdicts", svep_verdicts)
     return r.result("shift-decomposability")
 
@@ -704,7 +688,7 @@ def _suite_mult_operator(cfg: SuiteConfig) -> SuiteResult:
     def resolvent_law(rng, k):
         op = _rand_mult(rng, max_points=8)
         f = rand.rand_qvector(rng, op.dim)
-        q = _far_real(rng, op.value_spheres())
+        q = _far_quaternion(rng, op.value_spheres(), real=True)
         h = localspec.local_resolvent_diag(op, f, q)
         resid = (pseudo_resolvent_apply(op, q, h) - f).norm()
         if resid > 1e-10 * (1.0 + f.norm()):
@@ -735,12 +719,9 @@ def _suite_mult_operator(cfg: SuiteConfig) -> SuiteResult:
         op = _rand_mult(rng, max_points=8)
         spheres = [sphere_of(v) for v in op.values]
         mid = max(1, len(spheres) // 2)
-        u1 = HalfPlaneRegion.disk(spheres[0].re, spheres[0].im, 0.05)
-        for s in spheres[1:mid + 1]:
-            u1 = u1 | HalfPlaneRegion.disk(s.re, s.im, 0.05)
-        u2 = HalfPlaneRegion.disk(spheres[mid].re, spheres[mid].im, 0.05)
-        for s in spheres[mid:]:
-            u2 = u2 | HalfPlaneRegion.disk(s.re, s.im, 0.05)
+        disks = [HalfPlaneRegion.disk(s.re, s.im, 0.05) for s in spheres]
+        u1 = functools.reduce(HalfPlaneRegion.__or__, disks[:mid + 1])
+        u2 = functools.reduce(HalfPlaneRegion.__or__, disks[mid:])
         y1, y2 = partition_splitting(op, u1, u2)
         m = op.as_qmatrix()
         for basis, region in ((y1, u1), (y2, u2)):
@@ -1025,10 +1006,8 @@ def _suite_subspace_laws(cfg: SuiteConfig) -> SuiteResult:
 
 def _rand_series(rng, degree: int, center: Quaternion | None = None,
                  scale: float = 1.0) -> SliceSeries:
-    if center is None:
-        center = Quaternion()
     coeffs = tuple(rand.rand_quaternion(rng, scale) for _ in range(degree + 1))
-    return SliceSeries(center, coeffs)
+    return SliceSeries(Quaternion() if center is None else center, coeffs)
 
 
 def _coeff_gap(f: SliceSeries, g: SliceSeries) -> float:
@@ -1077,13 +1056,8 @@ def _suite_series_algebra(cfg: SuiteConfig) -> SuiteResult:
 
     def complex_slice_reduction(rng, k):
         deg = int(rng.integers(2, 7))
-        coeffs = []
-        zs = []
-        for _ in range(deg + 1):
-            w, x = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
-            coeffs.append(Quaternion(w, x))
-            zs.append(complex(w, x))
-        f = SliceSeries(Quaternion(), tuple(coeffs))
+        zs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg + 1)]
+        f = SliceSeries(Quaternion(), tuple(Quaternion(z.real, z.imag) for z in zs))
         x0, y0 = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
         q = Quaternion(x0, y0)
         z = complex(x0, y0)
@@ -1217,12 +1191,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
 
 
 def run_many(names, cfg: SuiteConfig) -> list[SuiteResult]:
-    expanded: list[str] = []
-    for name in names:
-        if name == "all":
-            expanded.extend(SUITES)
-        else:
-            expanded.append(name)
+    expanded = [s for name in names for s in (SUITES if name == "all" else [name])]
     return [run_suite(name, cfg) for name in expanded]
 
 

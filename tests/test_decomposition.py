@@ -11,7 +11,8 @@ import spectral_reference as ref
 from qspec import localspec, rand, spectral
 from qspec.errors import NumericalError
 from qspec.operators import MultiplicationOperator
-from qspec.qlinalg import QMatrix, QVector, op_norm, spectral_decomposition
+from qspec.qlinalg import (QMatrix, QVector, _left_eigenvectors, op_norm,
+                           spectral_decomposition)
 from qspec.quat import EigenSphere, SliceUnit, slice_compose
 
 
@@ -185,3 +186,39 @@ def test_nonfinite_input_raises_numerical_error():
     a = QMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
     with pytest.raises(NumericalError):
         spectral_decomposition(a)
+
+
+def test_left_eigenvector_rows_are_the_sylvester_solutions():
+    from scipy.linalg import lapack
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 5, 12):
+        t = np.triu(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        lev, norms = _left_eigenvectors(t)
+        for p in range(m - 1):
+            y, scale, info = lapack.ztrsyl(t[p:p + 1, p:p + 1], t[p + 1:, p + 1:],
+                                           t[p:p + 1, p + 1:], isgn=-1)
+            assert info == 0
+            assert np.allclose(lev[p, p + 1:], y[0] / scale, rtol=1e-10, atol=1e-12)
+            assert norms[p] == pytest.approx(np.linalg.norm(y / scale), rel=1e-10)
+    # a repeated eigenvalue makes its own rows non-finite and no other row
+    t = np.triu(rng.normal(size=(4, 4)).astype(complex))
+    t[1, 1] = t[3, 3]
+    lev, norms = _left_eigenvectors(t)
+    assert not np.isfinite(norms[1])
+    assert np.all(np.isfinite(lev[[0, 2, 3]])) and np.all(np.isfinite(norms[[0, 2, 3]]))
+
+
+@pytest.mark.parametrize("label,a", INPUTS + [
+    (f"jordan{k}", _conditioned_similarity(np.random.default_rng([9, k]),
+                                           _jordan(k, 0.5 + 0.8j * (k % 2))))
+    for k in (2, 3, 4)], ids=lambda v: v if isinstance(v, str) else "")
+def test_coupling_matrix_block_diagonalizes_the_schur_form(label, a):
+    # lone eigenvalues take their rows of W from the left eigenvectors, grown
+    # blocks from ztrsyl, and reordering rotates the rows above: every path
+    # must leave W T W^-1 block diagonal
+    dec = spectral_decomposition(a)
+    d = dec.w @ dec.t @ np.linalg.inv(dec.w)
+    scale = np.linalg.norm(dec.t) * np.linalg.cond(dec.w)
+    for start, stop in dec.blocks:
+        assert np.linalg.norm(d[start:stop, stop:]) <= 1e-12 * scale, label
+        assert np.linalg.norm(d[stop:, start:stop]) <= 1e-12 * scale, label
