@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import NumericalError, PoleError, ShapeError
 from .operators import MultiplicationOperator, ShiftOperator
-from .qlinalg import (ComplexAdjointMatrix, QMatrix, QVector, SpectralDecomposition,
-                      SubspaceBasis, _j_conj, kernel_basis, min_singular,
-                      nullity, op_norm, orthonormalize, pseudo_resolvent,
-                      spectral_decomposition, vstack)
+from .qlinalg import (QMatrix, QVector, SpectralDecomposition, SubspaceBasis, _j_conj,
+                      complex_adjoint, kernel_basis, min_singular, nullity, op_norm,
+                      orthonormalize, pseudo_resolvent, spectral_decomposition,
+                      vstack)
 from .quat import (EigenSphere, Quaternion, sphere_in, sphere_of, sphere_subset,
                    sphere_union)
 from . import spectral
@@ -73,6 +73,8 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
     complex projection of chi(A) descends to a quaternionic matrix; the
     residual of that symmetry is checked, not assumed.  Projections with
     norm above CONDITION_LIMIT are refused as numerically meaningless.
+    The projections stay one complex stack through validation and become
+    QMatrix objects only at the end.
     """
     if a.rows != a.cols:
         raise ShapeError("spectral projections need a square matrix")
@@ -83,48 +85,58 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
     certified = tuple(nullity(r, s=sv) for r, sv in zip(dec.resolvents, dec.singular_values)
                       ) == dec.multiplicities
 
-    if len(dec.spheres) == 1:
-        projections, conditions = [QMatrix.identity(n)], [1.0]
+    stack = dec.projectors()
+    conditions = [float(c) for c in np.linalg.norm(stack, 2, axis=(1, 2))]
+    # a projector P of the C_i block is diag(P, conj P) on chi(A)
+    sym = None if dec.half else _j_conj(stack)
+    for i, (s, cond) in enumerate(zip(dec.spheres, conditions)):
+        if cond > CONDITION_LIMIT:
+            raise NumericalError(
+                f"projection for sphere ({s.re}, {s.im}) has "
+                f"norm {cond:.3e}, beyond the conditioning limit")
+        if sym is not None and np.linalg.norm(stack[i] - sym[i]) > 1e-6 * max(1.0, cond):
+            raise NumericalError("projection broke the quaternionic structure")
+    if sym is not None:
+        stack += sym
+        stack *= 0.5
+        del sym  # the validator needs room for a stack of products
+    _validate_projections(a.c1 if dec.half else complex_adjoint(a), stack, conditions)
+    if dec.half:
+        projections = tuple(QMatrix(p, np.zeros_like(p)) for p in stack)
     else:
-        projections, conditions = [], []
-        for s, p in zip(dec.spheres, dec.projectors()):
-            cond = float(np.linalg.norm(p, 2))
-            if cond > CONDITION_LIMIT:
-                raise NumericalError(
-                    f"projection for sphere ({s.re}, {s.im}) has "
-                    f"norm {cond:.3e}, beyond the conditioning limit")
-            if dec.half:
-                # a projector P of the C_i block is diag(P, conj P) on chi(A)
-                projections.append(QMatrix(p, np.zeros_like(p)))
-            else:
-                sym = _j_conj(p)
-                if np.linalg.norm(p - sym) > 1e-6 * max(1.0, cond):
-                    raise NumericalError("projection broke the quaternionic structure")
-                projections.append(ComplexAdjointMatrix(0.5 * (p + sym)).to_qmatrix())
-            conditions.append(cond)
-    _validate_projections(a, projections, conditions)
-    return SpectralProjectionSet(dec.spheres, tuple(projections), tuple(conditions),
+        projections = tuple(QMatrix(p[:n, :n], p[:n, n:]) for p in stack)
+    return SpectralProjectionSet(dec.spheres, projections, tuple(conditions),
                                  dec.multiplicities, certified)
 
 
-def _validate_projections(a: QMatrix, projections: list[QMatrix],
-                          conditions: list[float]) -> None:
-    n = a.rows
-    norm_a = op_norm(a)
-    tol = 1e-8 * max(1.0, max(conditions)) * max(1.0, norm_a)
-    total = QMatrix.zeros(n, n)
-    for p in projections:
-        total = total + p
-    if op_norm(total - QMatrix.identity(n)) > tol:
+def _validate_projections(m: np.ndarray, stack: np.ndarray, conditions) -> None:
+    """Check that the stacked projectors P_i of M sum to I, satisfy
+    P_i P_j = delta_ij P_i and have M-invariant ranges.
+
+    Products are formed one row ``stack[i] @ stack`` at a time, so memory
+    stays at two stacks.  Each residual X is screened by its Frobenius norm,
+    an upper bound of |X|_2, and an SVD runs only where that cannot accept.
+    """
+    norm_m = float(np.linalg.norm(m, 2))
+    tol = 1e-8 * max(1.0, max(conditions)) * max(1.0, norm_m)
+
+    def exceeds(residuals: np.ndarray, bound: float) -> bool:
+        flat = residuals.reshape(len(residuals), -1).view(np.float64)
+        fro = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        return any(np.linalg.norm(residuals[j], 2) > bound
+                   for j in np.flatnonzero(~(fro <= bound)))
+
+    eye = np.eye(len(m), dtype=np.complex128)
+    if exceeds((stack.sum(axis=0) - eye)[None], tol):
         raise NumericalError("spectral projections do not sum to the identity")
-    for i, p in enumerate(projections):
-        for j, q in enumerate(projections):
-            prod = p @ q
-            target = p if i == j else QMatrix.zeros(n, n)
-            if op_norm(prod - target) > tol:
-                raise NumericalError("spectral projections are not orthogonal idempotents")
-        defect = op_norm((QMatrix.identity(n) - p) @ (a @ p))
-        if defect > tol * (1.0 + norm_a):
+    prod = np.empty_like(stack)
+    for i, p in enumerate(stack):
+        np.matmul(p, stack, out=prod)
+        prod[i] -= p
+        if exceeds(prod, tol):
+            raise NumericalError("spectral projections are not orthogonal idempotents")
+        mp = m @ p
+        if exceeds((mp - p @ mp)[None], tol * (1.0 + norm_m)):
             raise NumericalError("a projection range is not invariant")
 
 

@@ -304,51 +304,28 @@ def columns_matrix(vectors) -> QMatrix:
 # -- complex adjoint ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplexAdjointMatrix:
-    """2n x 2m complex image of a quaternionic matrix."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
-            raise ShapeError("complex adjoint must have even dimensions")
-        object.__setattr__(self, "mat", m)
-
-    def to_qmatrix(self) -> QMatrix:
-        n = self.mat.shape[0] // 2
-        m = self.mat.shape[1] // 2
-        return QMatrix(self.mat[:n, :m], self.mat[:n, m:])
-
-    def structure_residual(self) -> float:
-        """How far the matrix is from the chi image set.
-
-        chi images are the fixed points of M -> J conj(M) J^{-1} with
-        J = [[0, I], [-I, 0]].
-        """
-        return float(np.linalg.norm(self.mat - _j_conj(self.mat)))
-
-
-def _j_conj(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0] // 2
-    k = m.shape[1] // 2
-    a = m[:n, :k]
-    b = m[:n, k:]
-    c = m[n:, :k]
-    d = m[n:, k:]
-    return np.block([[np.conj(d), -np.conj(c)], [-np.conj(b), np.conj(a)]])
-
-
-def complex_adjoint(a: QMatrix) -> ComplexAdjointMatrix:
-    return ComplexAdjointMatrix(_chi(a))
-
-
-def _chi(a: QMatrix) -> np.ndarray:
+def complex_adjoint(a: QMatrix) -> np.ndarray:
+    """chi(A), the 2n x 2m complex image of A; A is its top block row."""
     n, m = a.shape
     out = np.empty((2 * n, 2 * m), dtype=np.complex128)
     out[:n, :m], out[:n, m:] = a.c1, a.c2
     out[n:, :m], out[n:, m:] = -np.conj(a.c2), np.conj(a.c1)
+    return out
+
+
+def _j_conj(m: np.ndarray) -> np.ndarray:
+    """M -> J conj(M) J^-1 with J = [[0, I], [-I, 0]], over the last two axes.
+
+    chi images are exactly its fixed points, so a stack of complex
+    adjoints maps to itself.
+    """
+    n, k = m.shape[-2] // 2, m.shape[-1] // 2
+    out = np.empty_like(m)
+    # block by block through out=, so that a stack costs no temporaries
+    np.conjugate(m[..., n:, k:], out=out[..., :n, :k])
+    np.conjugate(m[..., :n, :k], out=out[..., n:, k:])
+    np.negative(np.conjugate(m[..., n:, :k], out=out[..., :n, k:]), out=out[..., :n, k:])
+    np.negative(np.conjugate(m[..., :n, k:], out=out[..., n:, :k]), out=out[..., n:, :k])
     return out
 
 
@@ -364,7 +341,7 @@ def _singular_values(a: QMatrix) -> np.ndarray:
         if not np.any(block.imag):
             block = block.real
         return np.linalg.svd(block, compute_uv=False)
-    return np.linalg.svd(_chi(a), compute_uv=False)
+    return np.linalg.svd(complex_adjoint(a), compute_uv=False)
 
 
 def min_singular(a: QMatrix) -> float:
@@ -412,7 +389,7 @@ def kernel_basis(a: QMatrix, tol: float = 1e-10) -> list[QVector]:
         return []
     if a.rows == 0:
         return [QVector.basis(a.cols, k) for k in range(a.cols)]
-    _, s, vh = np.linalg.svd(_chi(a), full_matrices=True)
+    _, s, vh = np.linalg.svd(complex_adjoint(a), full_matrices=True)
     rank = int(np.sum(s > tol * (1.0 + a.frobenius())))
     candidates = [QVector.from_embedding(np.conj(w)) for w in vh[rank:]]
     basis = orthonormalize(candidates, drop_tol=1e-6)
@@ -456,14 +433,21 @@ class SpectralDecomposition:
     blocks: tuple[tuple[int, int], ...]
     owner: tuple[int, ...]
 
-    def projectors(self) -> list[np.ndarray]:
-        """Each sphere's spectral projector of M: Z W^-1[:, S] W[S, :] Z^H
-        over the sphere's diagonal positions S."""
+    def projectors(self) -> np.ndarray:
+        """Each sphere's spectral projector of M, stacked along the first
+        axis: Z W^-1[:, S] W[S, :] Z^H over the sphere's diagonal positions
+        S.  A lone sphere's projector is I exactly."""
+        size, count = len(self.t), len(self.spheres)
+        if count == 1:
+            return np.eye(size, dtype=np.complex128)[None]
         import scipy.linalg
-        x = scipy.linalg.solve_triangular(self.w, np.eye(len(self.w)), unit_diagonal=True)
+        x = scipy.linalg.solve_triangular(self.w, np.eye(size), unit_diagonal=True)
         owner = np.repeat(self.owner, [stop - start for start, stop in self.blocks])
-        return [(self.z @ x[:, owner == i]) @ (self.w[owner == i] @ self.z.conj().T)
-                for i in range(len(self.spheres))]
+        zh = self.z.conj().T
+        out = np.empty((count, size, size), dtype=np.complex128)
+        for i in range(count):
+            np.matmul(self.z @ x[:, owner == i], self.w[owner == i] @ zh, out=out[i])
+        return out
 
 
 def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
@@ -485,7 +469,7 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     # megabytes and a few tenths of a second
     import scipy.linalg
     try:
-        t, z = scipy.linalg.schur(a.c1 if half else _chi(a), output="complex")
+        t, z = scipy.linalg.schur(a.c1 if half else complex_adjoint(a), output="complex")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"Schur iteration failed: {exc}") from exc
     blocks, w = _split_schur(t, z)
@@ -670,8 +654,7 @@ def inverse_matrix(a: QMatrix, tol: float = 1e-12) -> QMatrix:
         raise ShapeError("only square matrices invert")
     if a.rows == 0:
         return a
-    m = _chi(a)
     if min_singular(a) <= tol * (1.0 + a.frobenius()):
         raise NumericalError("matrix is numerically singular")
-    inv = np.linalg.inv(m)
-    return ComplexAdjointMatrix(inv).to_qmatrix()
+    inv = np.linalg.inv(complex_adjoint(a))
+    return QMatrix(inv[:a.rows, :a.rows], inv[:a.rows, a.rows:])

@@ -233,7 +233,7 @@ class _SectionKappa:
             self._eye = np.eye(n_win, dtype=block.dtype)
             self._col_idx = np.arange(self.cols)
         else:
-            m = qlinalg._chi(section)
+            m = qlinalg.complex_adjoint(section)
             self._m1 = m
             self._m2 = m @ m
             self._eye = np.eye(2 * n_win, dtype=np.complex128)

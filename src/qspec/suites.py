@@ -5,7 +5,7 @@ complex-adjoint structure, spectral classification, window evidence for
 shifts, local spectra, subspace laws, and the series engine.  A suite is
 a list of labeled checks; each check runs a number of seeded instances
 and reports a count.  Instance generation is keyed by (seed, stream) so
-reports are reproducible byte for byte, whatever the thread setting.
+reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .operators import (DenseOperator, HalfPlaneRegion, MultiplicationOperator,
                         ShiftOperator, invariance_defect, partition_splitting,
                         pseudo_resolvent_apply, quotient, restrict,
                         truncated_eigenvector)
-from .qlinalg import (QMatrix, QVector, _chi, columns_matrix, hstack, inner,
+from .qlinalg import (QMatrix, QVector, columns_matrix, complex_adjoint, hstack, inner,
                       inverse_matrix, kernel_basis, min_singular, op_norm,
                       orthonormalize, right_eigenspheres, vstack, SubspaceBasis)
 from .quat import (SLICE_I, EigenSphere, Quaternion, SliceUnit, merge_spheres,
@@ -221,8 +221,8 @@ def _suite_matrix_structure(cfg: SuiteConfig) -> SuiteResult:
     def chi_multiplicative(rng, k):
         n = int(rng.integers(2, 5))
         a, b = rand.rand_qmatrix(rng, n, n), rand.rand_qmatrix(rng, n, n)
-        lhs = _chi(a @ b)
-        rhs = _chi(a) @ _chi(b)
+        lhs = complex_adjoint(a @ b)
+        rhs = complex_adjoint(a) @ complex_adjoint(b)
         return np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(rhs))
 
     def adjoint_inner(rng, k):
@@ -241,7 +241,7 @@ def _suite_matrix_structure(cfg: SuiteConfig) -> SuiteResult:
             comps = a.to_components()
             comps[..., 2:] = 0.0
             a = QMatrix.from_components(comps)
-        direct = float(np.linalg.svd(_chi(a), compute_uv=False)[-1])
+        direct = float(np.linalg.svd(complex_adjoint(a), compute_uv=False)[-1])
         return abs(min_singular(a) - direct) <= 1e-9 * (1.0 + direct)
 
     def opnorm_bound(rng, k):
@@ -274,7 +274,7 @@ def _suite_matrix_structure(cfg: SuiteConfig) -> SuiteResult:
         n = int(rng.integers(2, 6))
         a = rand.rand_qmatrix(rng, n, n)
         v = rand.rand_qvector(rng, n)
-        lhs = _chi(a) @ v.embed()
+        lhs = complex_adjoint(a) @ v.embed()
         rhs = a.apply(v).embed()
         return np.linalg.norm(lhs - rhs) <= 1e-12 * (1.0 + np.linalg.norm(rhs))
 

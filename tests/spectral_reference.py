@@ -4,7 +4,9 @@ Spheres from ``numpy.linalg.eigvals`` merged by ``merge_spheres``;
 projections from one ordered Schur form and one ``solve_sylvester`` per
 eigenvalue cluster (clustered at a fixed radius); and a classification
 that merges the spheres of A and A^dag and reads surjectivity from a
-separate SVD of R_q(A^dag).  Kept so that tests can compare the two routes.
+separate SVD of R_q(A^dag); and the projection validator that checks every
+residual as a QMatrix with one ``op_norm`` each.  Kept so that tests can
+compare the two routes.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ import numpy as np
 import scipy.linalg
 
 from qspec.errors import NumericalError
-from qspec.localspec import (CONDITION_LIMIT, SpectralProjectionSet,
-                             _validate_projections)
-from qspec.qlinalg import (ComplexAdjointMatrix, QMatrix, _chi, _j_conj,
-                           _singular_values, min_singular, nullity,
-                           pseudo_resolvent)
+from qspec.localspec import CONDITION_LIMIT, SpectralProjectionSet
+from qspec.qlinalg import (QMatrix, _j_conj, _singular_values, complex_adjoint,
+                           min_singular, nullity, op_norm, pseudo_resolvent)
 from qspec.quat import EigenSphere, Quaternion, cluster_spheres, merge_spheres, sphere_union
 from qspec.spectral import (SphereFlags, SpectrumReport, growth_bounds,
                             membership_threshold)
@@ -29,7 +29,7 @@ def _eigenvalues(a: QMatrix) -> np.ndarray:
     if a.is_complex_slice:
         lams = np.linalg.eigvals(a.c1)
         return np.concatenate([lams, np.conj(lams)])
-    return np.linalg.eigvals(_chi(a))
+    return np.linalg.eigvals(complex_adjoint(a))
 
 
 def eigen_spheres(a: QMatrix, tol: float = 1e-8) -> tuple[EigenSphere, ...]:
@@ -48,7 +48,7 @@ def eigen_spheres(a: QMatrix, tol: float = 1e-8) -> tuple[EigenSphere, ...]:
 def projection_set(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> SpectralProjectionSet:
     """One ordered Schur form and one Sylvester solve per sphere cluster."""
     n = a.rows
-    m = _chi(a)
+    m = complex_adjoint(a)
     spheres, labels = cluster_spheres(
         [EigenSphere(float(l.real), abs(float(l.imag))) for l in np.linalg.eigvals(m)],
         tol=cluster_tol)
@@ -81,11 +81,35 @@ def projection_set(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> SpectralProj
             cond = float(np.linalg.norm(p, 2))
             if cond > CONDITION_LIMIT:
                 raise NumericalError(f"projection norm {cond:.3e} beyond the limit")
-            projections.append(ComplexAdjointMatrix(0.5 * (p + _j_conj(p))).to_qmatrix())
+            sym = 0.5 * (p + _j_conj(p))
+            projections.append(QMatrix(sym[:n, :n], sym[:n, n:]))
             conditions.append(cond)
-    _validate_projections(a, projections, conditions)
+    validate_projections(a, projections, conditions)
     return SpectralProjectionSet(spheres, tuple(projections), tuple(conditions),
                                  multiplicities, certified)
+
+
+def validate_projections(a: QMatrix, projections: list[QMatrix],
+                         conditions: list[float]) -> None:
+    """Sum, orthogonality and invariance checked through QMatrix arithmetic:
+    k^2 + k + 2 operator norms for k projections."""
+    n = a.rows
+    norm_a = op_norm(a)
+    tol = 1e-8 * max(1.0, max(conditions)) * max(1.0, norm_a)
+    total = QMatrix.zeros(n, n)
+    for p in projections:
+        total = total + p
+    if op_norm(total - QMatrix.identity(n)) > tol:
+        raise NumericalError("spectral projections do not sum to the identity")
+    for i, p in enumerate(projections):
+        for j, q in enumerate(projections):
+            prod = p @ q
+            target = p if i == j else QMatrix.zeros(n, n)
+            if op_norm(prod - target) > tol:
+                raise NumericalError("spectral projections are not orthogonal idempotents")
+        defect = op_norm((QMatrix.identity(n) - p) @ (a @ p))
+        if defect > tol * (1.0 + norm_a):
+            raise NumericalError("a projection range is not invariant")
 
 
 def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:

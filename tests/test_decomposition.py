@@ -6,14 +6,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import spectral_reference as ref
 
 from qspec import localspec, rand, spectral
 from qspec.errors import NumericalError
 from qspec.operators import MultiplicationOperator
-from qspec.qlinalg import (QMatrix, QVector, _left_eigenvectors, op_norm,
-                           spectral_decomposition)
-from qspec.quat import EigenSphere, SliceUnit, slice_compose
+from qspec.qlinalg import (QMatrix, QVector, _j_conj, _left_eigenvectors, complex_adjoint,
+                           op_norm, spectral_decomposition)
+from qspec.quat import EigenSphere, Quaternion, SliceUnit, slice_compose
 
 
 def _chi(c1, c2):
@@ -222,3 +223,150 @@ def test_coupling_matrix_block_diagonalizes_the_schur_form(label, a):
     for start, stop in dec.blocks:
         assert np.linalg.norm(d[start:stop, stop:]) <= 1e-12 * scale, label
         assert np.linalg.norm(d[stop:, start:stop]) <= 1e-12 * scale, label
+
+
+# -- the stacked projection validator against the QMatrix reference ---------
+
+
+def _stacked(a: QMatrix):
+    """The projector stack and conditions exactly as ``spectral_projections``
+    hands them to ``_validate_projections``."""
+    proj = localspec.spectral_projections(a)
+    half = a.is_complex_slice
+    stack = np.array([p.c1 if half else complex_adjoint(p) for p in proj.projections])
+    return stack, list(proj.conditions)
+
+
+def _validators_agree(a: QMatrix, stack: np.ndarray, conditions) -> str:
+    """Both validators on one stack: the same accept or the same message."""
+    half = a.is_complex_slice
+    n = a.rows
+    pulled = [QMatrix(s, np.zeros_like(s)) if half else QMatrix(s[:n, :n], s[:n, n:])
+              for s in stack]
+    outcomes = []
+    for run in (lambda: localspec._validate_projections(
+                    a.c1 if half else complex_adjoint(a), stack.copy(), conditions),
+                lambda: ref.validate_projections(a, pulled, conditions)):
+        try:
+            run()
+            outcomes.append("accept")
+        except NumericalError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def _validator_inputs():
+    out = [(lab, a) for lab, a in INPUTS if lab[:4] in ("dens", "real", "slic", "mult")][:16]
+    for k, lam in ((2, 0.5), (3, 0.5 + 0.8j)):
+        rng = np.random.default_rng([k, 17])
+        out.append((f"jordan{k}", _conditioned_similarity(rng, _jordan(k, lam))))
+    d = np.diag([0.3 + 0.7j, 0.3 + 1e-7 + 0.7j, -0.8 + 0.2j, 1.1]).astype(complex)
+    out.append(("close-pair", _conditioned_similarity(np.random.default_rng([5, 99]), d)))
+    out.append(("single-sphere", QMatrix.diag([Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0),
+                                               Quaternion(0, 0.6, 0, 0.8)])))
+    return out
+
+
+VALIDATOR_INPUTS = _validator_inputs()
+
+
+def _tol(a: QMatrix, conditions) -> float:
+    return 1e-8 * max(1.0, max(conditions)) * max(1.0, op_norm(a))
+
+
+@pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
+def test_stacked_validator_matches_reference(label, a):
+    stack, conditions = _stacked(a)
+    assert _validators_agree(a, stack, conditions) == "accept"
+    tol = _tol(a, conditions)
+    k = len(stack)
+    for i in range(k):
+        for f, verdict in ((0.5, None), (2.0, "spectral projections do not sum to the identity")):
+            # P_i (1 +- delta): the sum is off by delta |P_i| = f tol
+            for sign in (1.0, -1.0):
+                bad = stack.copy()
+                bad[i] *= 1.0 + sign * f * tol / conditions[i]
+                got = _validators_agree(a, bad, conditions)
+                if verdict:
+                    assert got == verdict
+            if k == 1:
+                continue
+            j = (i + 1) % k
+            # P_i + eps P_j: the sum is off by eps |P_j| = f tol
+            bad = stack.copy()
+            bad[i] += f * tol / conditions[j] * stack[j]
+            got = _validators_agree(a, bad, conditions)
+            if verdict:
+                assert got == verdict
+            # moving eps P_j from P_j to P_i keeps the sum but not P_i P_j = 0
+            bad[j] -= f * tol / conditions[j] * stack[j]
+            got = _validators_agree(a, bad, conditions)
+            if verdict:
+                assert got == "spectral projections are not orthogonal idempotents"
+
+
+def _rotation(rng, n: int, angle: float) -> np.ndarray:
+    """chi of a quaternionic unitary exp(angle K), K skew-Hermitian."""
+    b = rand.rand_qmatrix(rng, n, n)
+    u = scipy.linalg.expm(angle * complex_adjoint(b - b.adjoint()))
+    return 0.5 * (u + _j_conj(u))
+
+
+@pytest.mark.parametrize("label,a", [(lab, a) for lab, a in VALIDATOR_INPUTS
+                                     if not a.is_complex_slice and lab != "single-sphere"])
+def test_stacked_validator_rejects_rotated_ranges(label, a):
+    # rotating every projector keeps the sum and the products but moves the
+    # ranges off the invariant subspaces of A
+    stack, conditions = _stacked(a)
+    u = _rotation(rand.generator(3, a.rows), a.rows, 1e-3)
+    rotated = u @ stack @ u.conj().T
+    rotated = 0.5 * (rotated + _j_conj(rotated))
+    assert _validators_agree(a, rotated, conditions) == "a projection range is not invariant"
+    u = _rotation(rand.generator(3, a.rows), a.rows, 1e-15)
+    rotated = u @ stack @ u.conj().T
+    assert _validators_agree(a, 0.5 * (rotated + _j_conj(rotated)), conditions) == "accept"
+
+
+def test_frobenius_screen_defers_to_the_svd_and_accepts():
+    # a residual c I with c < tol < c sqrt(N): the Frobenius screen cannot
+    # accept it, the 2-norm can
+    a = QMatrix.diag([Quaternion(k + 1.0, 0.5, 0.2, 0.0) for k in range(4)])
+    stack, conditions = _stacked(a)
+    tol = _tol(a, conditions)
+    c = 0.5 * tol
+    eye = np.eye(stack.shape[1])
+    assert np.linalg.norm(c * eye) > tol
+    bad = stack.copy()
+    bad[0] += c * eye
+    assert _validators_agree(a, bad, conditions) == "accept"
+
+
+def test_spectral_projections_reaches_every_raise_path(monkeypatch):
+    from qspec.qlinalg import SpectralDecomposition
+
+    a = QMatrix.diag([Quaternion(1.0, 0.5, 0.2, 0.0), Quaternion(-1.0, 0.3, 0.0, 0.4),
+                      Quaternion(2.0, 0.0, 0.0, 0.0)])
+    dec = spectral_decomposition(a)
+    stack, _ = _stacked(a)
+    eye = np.eye(len(stack[0]))
+
+    def raised(bad) -> str:
+        monkeypatch.setattr(SpectralDecomposition, "projectors", lambda self: bad.copy())
+        with pytest.raises(NumericalError) as info:
+            localspec.spectral_projections(a, dec)
+        return str(info.value)
+
+    huge = stack.copy()
+    huge[1] += 1e9 * (stack[0] @ (eye - stack[0]) + stack[0] @ np.roll(eye, 1, axis=0))
+    assert "beyond the conditioning limit" in raised(huge)
+    foreign = stack.copy()
+    foreign[0, 0, 1] += 1e-3
+    assert raised(foreign) == "projection broke the quaternionic structure"
+    assert raised(stack * 1.01) == "spectral projections do not sum to the identity"
+    moved = stack.copy()
+    moved[0] += 1e-4 * stack[1]
+    moved[1] -= 1e-4 * stack[1]
+    assert raised(moved) == "spectral projections are not orthogonal idempotents"
+    u = _rotation(rand.generator(4, 0), a.rows, 1e-3)
+    assert raised(u @ stack @ u.conj().T) == "a projection range is not invariant"

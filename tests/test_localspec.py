@@ -21,7 +21,7 @@ from qspec.localspec import (
     svep_status,
 )
 from qspec.operators import MultiplicationOperator, ShiftOperator
-from qspec.qlinalg import QMatrix, QVector, op_norm
+from qspec.qlinalg import QMatrix, QVector, op_norm, spectral_decomposition
 from qspec.quat import EigenSphere, Quaternion, sphere_of
 
 Z = Quaternion(0)
@@ -85,6 +85,36 @@ def test_spectral_projection_single_sphere_is_identity():
     ps = spectral_projections(a)
     assert len(ps.projections) == 1
     assert np.allclose(ps.projections[0].c1, np.eye(2))
+
+
+def test_single_sphere_projection_is_exactly_the_identity():
+    # a lone sphere takes the general path and comes out as I bit for bit,
+    # on chi(A) and on the C_i block
+    for a in (QMatrix.from_quaternions([[I, Z], [Z, J]]),
+              QMatrix.diag([Quaternion(0.5, 2.0)] * 3)):
+        ps = spectral_projections(a)
+        assert ps.conditions == (1.0,)
+        assert np.array_equal(ps.projections[0].c1, np.eye(a.rows))
+        assert not np.any(ps.projections[0].c2)
+
+
+def test_spectral_projections_memory_stays_within_three_stacks():
+    # 40 spheres of a 40x40 quaternionic diagonal: the (k, 2n, 2n) complex
+    # stack is 4.1 MB, all k^2 products at once would be 164 MB
+    import tracemalloc
+
+    n = 40
+    a = QMatrix(np.diag(np.arange(1.0, n + 1) + 0.3j), np.diag(np.full(n, 0.4 + 0j)))
+    dec = spectral_decomposition(a)
+    assert len(dec.spheres) == n
+    stack_bytes = n * (2 * n) ** 2 * 16
+    tracemalloc.start()
+    try:
+        spectral_projections(a, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * stack_bytes
 
 
 def test_local_resolvent_diag_frozen():

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from qspec import rand
 from qspec.errors import NumericalError, ShapeError
 from qspec.qlinalg import (
-    ComplexAdjointMatrix,
     QMatrix,
     QVector,
     SubspaceBasis,
+    _j_conj,
     complex_adjoint,
     inner,
     inverse_matrix,
@@ -68,7 +68,7 @@ def test_right_scalar_action_commutes_with_matrix():
 
 def test_chi_shape_and_frozen_value():
     m = QMatrix.from_quaternions([[J]])
-    chi = complex_adjoint(m).mat
+    chi = complex_adjoint(m)
     assert chi.shape == (2, 2)
     assert np.allclose(chi, np.array([[0, 1], [-1, 0]], dtype=complex))
 
@@ -77,31 +77,36 @@ def test_chi_multiplicative():
     rng = rand.generator(3, 1)
     a = rand.rand_qmatrix(rng, 3, 3)
     b = rand.rand_qmatrix(rng, 3, 3)
-    lhs = complex_adjoint(a @ b).mat
-    rhs = complex_adjoint(a).mat @ complex_adjoint(b).mat
+    lhs = complex_adjoint(a @ b)
+    rhs = complex_adjoint(a) @ complex_adjoint(b)
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 def test_chi_of_adjoint_is_hermitian_transpose():
     rng = rand.generator(3, 2)
     a = rand.rand_qmatrix(rng, 2, 4)
-    lhs = complex_adjoint(a.adjoint()).mat
-    rhs = complex_adjoint(a).mat.conj().T
+    lhs = complex_adjoint(a.adjoint())
+    rhs = complex_adjoint(a).conj().T
     assert np.allclose(lhs, rhs)
 
 
 def test_structure_residual_zero_for_honest_chi():
     rng = rand.generator(5, 0)
     a = rand.rand_qmatrix(rng, 3, 2)
-    ca = complex_adjoint(a)
-    assert ca.structure_residual() < 1e-14
-    back = ca.to_qmatrix()
-    assert np.allclose(back.c1, a.c1) and np.allclose(back.c2, a.c2)
+    chi = complex_adjoint(a)
+    assert np.array_equal(_j_conj(chi), chi)
+    # a stack of complex adjoints is fixed as a whole
+    stack = np.stack([chi, complex_adjoint(rand.rand_qmatrix(rng, 3, 2))])
+    assert np.array_equal(_j_conj(stack), stack)
+    assert np.array_equal(chi[:3, :2], a.c1) and np.array_equal(chi[:3, 2:], a.c2)
 
 
 def test_structure_residual_detects_foreign_matrix():
     m = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert ComplexAdjointMatrix(m).structure_residual() > 0.5
+    assert np.linalg.norm(m - _j_conj(m)) > 0.5
+    stack = np.stack([complex_adjoint(QMatrix.identity(1)), m])
+    assert np.linalg.norm(stack[1] - _j_conj(stack)[1]) > 0.5
+    assert np.array_equal(_j_conj(stack)[0], stack[0])
 
 
 def test_adjoint_frozen_example():
@@ -254,7 +259,7 @@ def test_embedding_pullback():
     rng = rand.generator(31, 0)
     a = rand.rand_qmatrix(rng, 3, 3)
     v = rand.rand_qvector(rng, 3)
-    chi = complex_adjoint(a).mat
+    chi = complex_adjoint(a)
     lhs = chi @ v.embed()
     rhs = a.apply(v).embed()
     assert np.allclose(lhs, rhs, atol=1e-10)
@@ -266,5 +271,5 @@ def test_embedding_pullback():
 def test_min_singular_matches_chi_svd(seed):
     rng = rand.generator(seed, 0)
     a = rand.rand_qmatrix(rng, 3, 3)
-    direct = float(np.linalg.svd(complex_adjoint(a).mat, compute_uv=False)[-1])
+    direct = float(np.linalg.svd(complex_adjoint(a), compute_uv=False)[-1])
     assert min_singular(a) == pytest.approx(direct, rel=1e-9, abs=1e-12)
