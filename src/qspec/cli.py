@@ -43,7 +43,7 @@ class RunConfig:
     trials: int = 20
     seed: int = 0
     out: str | None = None
-    window: int = 128
+    window: int | None = None
     slice_axis: str = "i"
     suite: str = "all"
     at: str | None = None
@@ -65,8 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if grid:
             p.add_argument("--grid", default="-1.5,1.5,1.5,128x64",
                            help="portrait grid 'x0,x1,y1,RES' with RES N or NXxNY")
-            p.add_argument("--window", type=int, default=128,
-                           help="finite-section size for genuinely infinite operators")
+            p.add_argument("--window", type=int, default=None,
+                           help="finite-section size (at least 4) for genuinely "
+                                "infinite operators; default the operator's own")
             p.add_argument("--slice", default="i", dest="slice_axis",
                            help="slice plane: i, j, k, or a custom axis 'x,y,z'")
         if vector:

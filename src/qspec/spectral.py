@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .qlinalg import QMatrix, op_norm, pseudo_resolvent
+from .qlinalg import QMatrix, pseudo_resolvent
 from .quat import EigenSphere, Quaternion, SLICE_I, SliceUnit
 from . import qlinalg
 
@@ -115,6 +115,19 @@ def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
 # -- growth bounds -------------------------------------------------------
 
 
+def _section_size(op, window: int | None) -> int:
+    """Rows of the section that probes ``op``: its dimension when finite,
+    else ``window`` (None means the operator's own window)."""
+    if op.dim is not None:
+        return op.dim
+    n_win = getattr(op, "window", 128) if window is None else window
+    if n_win < 4:
+        raise ValueError(f"window must be at least 4, got {n_win}")
+    if n_win <= op.section_margin:
+        raise ValueError("window too small for the section margin")
+    return n_win
+
+
 def growth_bounds(a, n_max: int = 8, window: int | None = None) -> tuple[float, float]:
     """(spectral_radius, lower_bound_i): one SVD per power gives both.
 
@@ -130,7 +143,7 @@ def growth_bounds(a, n_max: int = 8, window: int | None = None) -> tuple[float, 
             return 0.0, math.inf    # op_norm and min_singular of an empty matrix
         section, n_win, bandwidth = a, a.cols, 0
     else:
-        n_win = window or getattr(a, "window", 128)
+        n_win = _section_size(a, window)
         section, bandwidth = a.finite_section(n_win), a.bandwidth
     floor = 2 * section.rows * np.finfo(float).eps
     radius, lower = math.inf, 0.0
@@ -207,45 +220,64 @@ class GridSpec:
         return np.linspace(0.0, self.y1, self.ny)
 
 
+# entries of R_q per stacked SVD: small sections go hundreds of grid points
+# at a time, shift sections of windows >= 66 one at a time, so a block never
+# holds much more than one large section
+_BLOCK_ENTRIES = 1 << 13
+
+
 class _SectionKappa:
     """kappa(R_q) on a rectangular window section, reusable across q.
 
-    Precomputes the section and its square once; each sphere then costs a
-    single SVD.  Entries of shift and real diagonal sections live in C_i
-    (or R), where the complex adjoint is block diagonal and one block
+    Precomputes the kept columns of the section and of its square once;
+    ``values`` then forms R_q for a block of grid points by broadcasting
+    and takes their smallest singular values from one stacked SVD per
+    block.  Entries of shift and real diagonal sections live in C_i (or
+    R), where the complex adjoint is block diagonal and one block
     suffices.
     """
 
     def __init__(self, op, window: int | None):
-        n_win = op.dim if op.dim is not None else (window or getattr(op, "window", 128))
-        if op.dim is None and n_win <= op.section_margin:
-            raise ValueError("window too small for the section margin")
+        n_win = _section_size(op, window)
         section = op.finite_section(n_win)
         self.n = n_win
-        self.cols = n_win - (0 if op.dim is not None else op.section_margin)
-        self.norm_scale = op_norm(section)
+        cols = n_win - (0 if op.dim is not None else op.section_margin)
         if section.is_complex_slice:
-            block = section.c1
-            if not np.any(block.imag):
-                block = block.real.copy()
-            self._m1 = block
-            self._m2 = block @ block
-            self._eye = np.eye(n_win, dtype=block.dtype)
-            self._col_idx = np.arange(self.cols)
+            m = section.c1
+            if not np.any(m.imag):
+                m = m.real.copy()
+            keep = np.arange(cols)
         else:
             m = qlinalg.complex_adjoint(section)
-            self._m1 = m
-            self._m2 = m @ m
-            self._eye = np.eye(2 * n_win, dtype=np.complex128)
-            self._col_idx = np.concatenate(
-                [np.arange(self.cols), n_win + np.arange(self.cols)])
+            keep = np.concatenate([np.arange(cols), n_win + np.arange(cols)])
+        self._m = m
+        # R_q = m^2 - 2x m + r^2 I is entrywise, so dropping columns first
+        # leaves every kept entry bit for bit the same
+        self._m1 = m[:, keep]
+        self._m2 = (m @ m)[:, keep]
+        self._eye = np.zeros(self._m1.shape, dtype=m.dtype)
+        self._eye[keep, np.arange(len(keep))] = 1
+        self._block = max(1, _BLOCK_ENTRIES // self._m1.size)
+
+    def values(self, xs, ys) -> np.ndarray:
+        """kappa at the points (x, y) of the broadcast of ``xs`` and ``ys``."""
+        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float),
+                                     np.asarray(ys, dtype=float))
+        x, y = xs.reshape(-1, 1, 1), ys.reshape(-1, 1, 1)
+        twice_x, r2 = 2.0 * x, x * x + y * y
+        out = np.empty(len(x))
+        for lo in range(0, len(x), self._block):
+            hi = lo + self._block
+            rect = self._m2 - twice_x[lo:hi] * self._m1 + r2[lo:hi] * self._eye
+            out[lo:hi] = np.linalg.svd(rect, compute_uv=False)[:, -1]
+        return out.reshape(xs.shape)
 
     def kappa(self, x: float, y: float) -> float:
-        r2 = x * x + y * y
-        full = self._m2 - (2.0 * x) * self._m1 + r2 * self._eye
-        rect = full[:, self._col_idx]
-        s = np.linalg.svd(rect, compute_uv=False)
-        return float(s[-1])
+        return float(self.values(x, y))
+
+    def norm_scale(self) -> float:
+        """The section's 2-norm, from the SVD ``op_norm`` would take."""
+        return float(np.linalg.svd(self._m, compute_uv=False)[0])
 
 
 def window_kappa(op, q: Quaternion, window: int) -> float:
@@ -281,20 +313,21 @@ class SlicePortrait:
             fh.write("\n".join(self.csv_lines()) + "\n")
 
 
-def portrait(op, grid: GridSpec, window: int = 128,
+def portrait(op, grid: GridSpec, window: int | None = None,
              slice_unit: SliceUnit = SLICE_I, label: str = "") -> SlicePortrait:
     """Sample kappa(R_{x+yI}(op)) over the grid.
 
-    The value at (x, y) depends on the slice only through (x, |y|), so the
+    A finite operator is probed on its whole matrix, an infinite one on a
+    section of ``window`` rows (None: the operator's own window).  The
+    value at (x, y) depends on the slice only through (x, |y|), so the
     portrait is the same for every slice unit; the unit is recorded for
     the caller's bookkeeping.
     """
     engine = _SectionKappa(op, window)
-    xs, ys = grid.xs(), grid.ys()
-    values = np.array([[engine.kappa(float(x), float(y)) for x in xs] for y in ys])
+    values = engine.values(grid.xs()[None, :], grid.ys()[:, None])
     values.setflags(write=False)
     return SlicePortrait(grid=grid, slice_unit=slice_unit, window=engine.n,
-                         norm_scale=engine.norm_scale, values=values,
+                         norm_scale=engine.norm_scale(), values=values,
                          op_label=label)
 
 

@@ -4,9 +4,10 @@ Spheres from ``numpy.linalg.eigvals`` merged by ``merge_spheres``;
 projections from one ordered Schur form and one ``solve_sylvester`` per
 eigenvalue cluster (clustered at a fixed radius); and a classification
 that merges the spheres of A and A^dag and reads surjectivity from a
-separate SVD of R_q(A^dag); and the projection validator that checks every
-residual as a QMatrix with one ``op_norm`` each.  Kept so that tests can
-compare the two routes.
+separate SVD of R_q(A^dag); the projection validator that checks every
+residual as a QMatrix with one ``op_norm`` each; and the portrait kappa that
+formed the whole R_q of one grid point at a time before taking its kept
+columns and one SVD.  Kept so that tests can compare the two routes.
 """
 
 from __future__ import annotations
@@ -130,3 +131,27 @@ def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
                      for f in flags.values())
     radius, lower = growth_bounds(a, n_max) if a.rows else (0.0, 0.0)
     return SpectrumReport(spheres, flags, radius, lower, tol, thresh, coincident)
+
+
+def section_kappas(op, window: int, xs, ys) -> np.ndarray:
+    """kappa(R_{x+yI}) on the window section, one point and one SVD at a time."""
+    n = op.dim if op.dim is not None else window
+    cols = n - (0 if op.dim is not None else op.section_margin)
+    section = op.finite_section(n)
+    if section.is_complex_slice:
+        m = section.c1
+        if not np.any(m.imag):
+            m = m.real.copy()
+        keep = np.arange(cols)
+    else:
+        m = complex_adjoint(section)
+        keep = np.concatenate([np.arange(cols), n + np.arange(cols)])
+    m2, eye = m @ m, np.eye(len(m), dtype=m.dtype)
+    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    out = np.empty(xs.shape)
+    for idx in np.ndindex(xs.shape):
+        x, y = float(xs[idx]), float(ys[idx])
+        r2 = x * x + y * y
+        full = m2 - (2.0 * x) * m + r2 * eye
+        out[idx] = np.linalg.svd(full[:, keep], compute_uv=False)[-1]
+    return out

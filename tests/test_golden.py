@@ -1,11 +1,12 @@
-"""Golden CLI output: ``spectrum``, ``classify`` and ``local`` on planted inputs.
+"""Golden CLI output: ``spectrum``, ``classify``, ``local`` and ``portrait``.
 
 Sixty seed-fixed inputs (generic, repeated and pure-imaginary spectra;
 dense similarity images and multiplication operators; n from 3 to 14) are
-built here with numpy alone, and the stdout of the three commands must
-match ``tests/golden/`` byte for byte.  Each golden file also records a
-digest of its input text, so a change in the generator fails with its
-own message instead of as an output change.
+built here with numpy alone, and the stdout of the first three commands
+must match ``tests/golden/`` byte for byte.  Portraits of both shifts at
+small windows and of two of those inputs are pinned the same way.  Each
+golden file also records a digest of its input text, so a change in the
+generator fails with its own message instead of as an output change.
 
 Regenerate the files, after a deliberate output change only, with
 
@@ -31,6 +32,16 @@ SEED = 20260601
 SPECTRA = ("generic", "repeated", "imaginary")
 OPS = ("dense", "mult")
 COUNT = 60
+# (name, operator, options): an int operator is the file of that case
+PORTRAITS = (
+    ("p0-shift-right-w4", "shift:right", ["--window", "4", "--grid=-1.5,1.5,1.5,13x7"]),
+    ("p1-shift-left-w4", "shift:left", ["--window", "4", "--grid=-1.5,1.5,1.5,13x7"]),
+    ("p2-shift-right-w9", "shift:right", ["--window", "9", "--grid=-1.3,1.2,1.4,17x9"]),
+    ("p3-shift-left-w12", "shift:left", ["--window", "12", "--grid=-1.3,1.2,1.4,17x9"]),
+    ("p4-shift-right-w33", "shift:right", ["--window", "33", "--grid=-0.7,1.1,0.9,9x5"]),
+    ("p5-dense-n3", 0, ["--grid=-2.5,2.5,2.5,31x16"]),
+    ("p6-mult-n12", 3, ["--grid=-2.5,2.5,2.5,23x12"]),
+)
 
 
 def _lit(q) -> str:
@@ -118,23 +129,42 @@ def _run(argv: list[str]) -> str:
     return f"exit {code}\n{buf.getvalue()}"
 
 
+def _write(path: str, text: str) -> str:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+    return path
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 def render(idx: int, workdir: str) -> tuple[str, str]:
     """(name, golden text) of case ``idx``, computed by the current code."""
     name, op, text, vtext = build_case(idx)
     ext = "qmat" if op == "dense" else "qfun"
-    path = os.path.join(workdir, f"{name}.{ext}")
-    vpath = os.path.join(workdir, f"{name}.qvec")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-    with open(vpath, "w", encoding="ascii") as fh:
-        fh.write(vtext)
-    digest = hashlib.sha256((text + vtext).encode("ascii")).hexdigest()
+    path = _write(os.path.join(workdir, f"{name}.{ext}"), text)
+    vpath = _write(os.path.join(workdir, f"{name}.qvec"), vtext)
     spec = f"{op}:{path}"
-    parts = [f"input {digest}\n"]
+    parts = [f"input {_digest(text + vtext)}\n"]
     for cmd, extra in (("spectrum", []), ("classify", []), ("local", ["--vector", vpath])):
         parts.append(f"$ {cmd}\n")
         parts.append(_run([cmd, "--op", spec, *extra]))
     return name, "".join(parts)
+
+
+def render_portrait(idx: int, workdir: str) -> tuple[str, str]:
+    """(name, golden text) of portrait case ``idx``: CSV on stdout."""
+    name, op, options = PORTRAITS[idx]
+    if isinstance(op, int):
+        case, kind, text, _ = build_case(op)
+        ext = "qmat" if kind == "dense" else "qfun"
+        path = _write(os.path.join(workdir, f"{case}.{ext}"), text)
+        shown, spec = f"{kind}:{case}.{ext}", f"{kind}:{path}"
+    else:
+        text = shown = spec = op
+    return name, (f"input {_digest(text)}\n$ portrait --op {shown} {' '.join(options)}\n"
+                  + _run(["portrait", "--op", spec, *options]))
 
 
 def _golden_path(name: str) -> str:
@@ -151,14 +181,24 @@ def test_golden_output(idx, tmp_path):
     assert got == want
 
 
+@pytest.mark.parametrize("idx", range(len(PORTRAITS)))
+def test_golden_portrait(idx, tmp_path):
+    name, got = render_portrait(idx, str(tmp_path))
+    with open(_golden_path(name), encoding="ascii") as fh:
+        want = fh.read()
+    assert got.splitlines()[0] == want.splitlines()[0], \
+        f"{name}: the input generator changed; its golden output no longer applies"
+    assert got == want
+
+
 def _regen() -> None:
     import tempfile
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for idx in range(COUNT):
-            name, text = render(idx, tmp)
-            with open(_golden_path(name), "w", encoding="ascii") as fh:
-                fh.write(text)
+        cases = [render(idx, tmp) for idx in range(COUNT)]
+        cases += [render_portrait(idx, tmp) for idx in range(len(PORTRAITS))]
+        for name, text in cases:
+            _write(_golden_path(name), text)
 
 
 if __name__ == "__main__":

@@ -163,6 +163,35 @@ def test_cli_portrait_rejects_negative_height(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("window", ["0", "3", "-1"])
+def test_cli_portrait_rejects_small_shift_window(capsys, window):
+    code, out, err = run_cli(capsys, "portrait", "--op", "shift:right",
+                             "--grid=-1,1,1,4x2", "--window", window)
+    assert code == 2
+    assert out == ""
+    assert "window must be at least 4" in err
+
+
+def test_cli_portrait_window_defaults_to_the_operators(capsys):
+    grid = "--grid=-1,1,1,5x3"
+    code, own, _ = run_cli(capsys, "portrait", "--op", "shift:left:16", grid)
+    assert code == 0
+    assert own == run_cli(capsys, "portrait", "--op", "shift:left", grid,
+                          "--window", "16")[1]
+    assert own != run_cli(capsys, "portrait", "--op", "shift:left", grid)[1]
+    # the smallest window a shift accepts
+    assert run_cli(capsys, "portrait", "--op", "shift:left", grid, "--window", "4")[0] == 0
+
+
+def test_cli_portrait_dense_ignores_window(tmp_path, capsys):
+    p = tmp_path / "d.qmat"
+    io.write_text(str(p), "2 2\n0,1,0,0 0,0,0,0\n0,0,0,0 0.5,0,0,0\n")
+    args = ("portrait", "--op", f"dense:{p}", "--grid=-1,1,1,5x3")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert run_cli(capsys, *args, "--window", "0") == (0, out, "")
+
+
 def test_cli_spectrum_rejects_shift(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--op", "shift:left")
     assert code == 2

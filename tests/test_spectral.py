@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from qspec import rand
-from qspec.operators import DenseOperator, ShiftOperator
+from qspec.operators import DenseOperator, MultiplicationOperator, ShiftOperator
 from qspec.qlinalg import QMatrix, inverse_matrix, min_singular, op_norm
 from qspec.quat import SLICE_I, SLICE_J, EigenSphere, Quaternion, sphere_of
 from qspec.spectral import (
     GridSpec,
+    _SectionKappa,
     annulus_check,
     classify,
     full_spectrum,
@@ -22,6 +23,8 @@ from qspec.spectral import (
     transition_cells,
     window_kappa,
 )
+
+import spectral_reference as ref
 
 Z = Quaternion(0)
 ONE = Quaternion(1)
@@ -311,3 +314,90 @@ def test_transition_cells_flag_boundary():
     # neighbors of the zero cell see both sides of the band
     assert cells[2, 2] and cells[2, 4] and cells[1, 3] and cells[3, 3]
     assert not cells[0, 0]
+
+
+# -- batched kappa against one SVD per point --------------------------------
+
+
+def _dense_operators() -> dict:
+    rng = rand.generator(307, 0)
+    c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    real = rng.normal(size=(5, 5)).astype(np.complex128)
+    return {
+        "quaternionic": DenseOperator(rand.rand_qmatrix(rng, 3, 3)),
+        "complex-slice": DenseOperator(QMatrix(c, np.zeros_like(c))),
+        "real-slice": DenseOperator(QMatrix(real, np.zeros_like(real))),
+        "diagonal-c-slice": DenseOperator(QMatrix.diag([Quaternion(0.0, 0.8),
+                                                        Quaternion(0.6, 0.6), ONE])),
+        "mult": MultiplicationOperator(range(6), [rand.rand_quaternion(rng) for _ in range(6)]),
+    }
+
+
+def _assert_matches_reference(op, window, grid):
+    engine = _SectionKappa(op, window)
+    xs, ys = grid.xs()[None, :], grid.ys()[:, None]
+    want = ref.section_kappas(op, engine.n, xs, ys)
+    assert np.array_equal(engine.values(xs, ys), want)
+    p = portrait(op, grid, window=window)
+    assert np.array_equal(p.values, want)
+    assert p.norm_scale == op_norm(op.finite_section(engine.n))
+    assert engine.kappa(float(xs[0, -1]), float(ys[-1, 0])) == want[-1, -1]
+    return engine
+
+
+@pytest.mark.parametrize("name", sorted(_dense_operators()))
+def test_section_kappa_dense_matches_per_point_svd(name):
+    op = _dense_operators()[name]
+    engine = _assert_matches_reference(op, None, GridSpec(-2.0, 2.0, 2.0, 37, 29))
+    # several blocks, the last one partial
+    assert 37 * 29 > engine._block and (37 * 29) % engine._block
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_section_kappa_shifts_match_per_point_svd(side):
+    op = ShiftOperator(side)
+    for n in range(4, 41):
+        _assert_matches_reference(op, n, GridSpec(-1.4, 1.3, 1.2, 7, 5))
+    for n, grid in ((10, GridSpec(-1.2, 1.2, 1.2, 13, 11)), (24, GridSpec(-1, 1, 1, 4, 4))):
+        engine = _assert_matches_reference(op, n, grid)
+        points = grid.nx * grid.ny
+        assert points > engine._block and points % engine._block
+
+
+@pytest.mark.parametrize("grid", [GridSpec(0.3, 0.3, 0.0, 1, 1),
+                                  GridSpec(0.5, 0.5, 1.1, 1, 9),
+                                  GridSpec(-1.1, 1.1, 0.0, 9, 3)],
+                         ids=["1x1", "nx1", "y1-zero"])
+def test_section_kappa_degenerate_grids(grid):
+    for op, window in ((ShiftOperator("right"), 12), (ShiftOperator("left"), 5),
+                       (_dense_operators()["quaternionic"], None)):
+        _assert_matches_reference(op, window, grid)
+
+
+def test_window_kappa_matches_per_point_svd():
+    for side in ("left", "right"):
+        for q in (Quaternion(0.5), Quaternion(0.9, 0.4), Quaternion(-0.3, 0.1, 1.0, 0.2)):
+            want = ref.section_kappas(ShiftOperator(side), 64, q.w, q.imag_norm())
+            assert window_kappa(ShiftOperator(side), q, 64) == float(want)
+
+
+def test_window_none_means_the_operators_own_window():
+    g = GridSpec(-1.2, 1.2, 1.0, 5, 3)
+    own = portrait(ShiftOperator("right", window=8), g)
+    assert own.window == 8
+    assert np.array_equal(own.values, portrait(ShiftOperator("right"), g, window=8).values)
+    assert portrait(ShiftOperator("left"), g).window == 128
+
+
+@pytest.mark.parametrize("window", [0, 3, -4])
+def test_small_windows_rejected_for_infinite_operators(window):
+    g = GridSpec(-1.0, 1.0, 1.0, 3, 2)
+    with pytest.raises(ValueError, match="at least 4"):
+        portrait(ShiftOperator("right"), g, window=window)
+    with pytest.raises(ValueError, match="at least 4"):
+        window_kappa(ShiftOperator("left"), Quaternion(0.5), window)
+    with pytest.raises(ValueError, match="at least 4"):
+        growth_bounds(ShiftOperator("left"), window=window)
+    # a finite operator is probed on its whole matrix whatever the window
+    dense = _dense_operators()["quaternionic"]
+    assert portrait(dense, g, window=window).window == 3
