@@ -11,9 +11,9 @@ Three exhibits:
 
 import argparse
 
-from qspec import localspec, rand, spectral
+from qspec import localspec, rand
 from qspec.operators import HalfPlaneRegion, MultiplicationOperator, ShiftOperator
-from qspec.quat import Quaternion, sphere_of
+from qspec.quat import Quaternion
 
 
 def show(title, verdict):

@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Digest the CLI output that a pure refactor must leave byte-identical.
+
+Three gates, each printed as a sha256 digest of its stdout and exit
+codes, with the number of stdout lines:
+
+  matrix    ``classify`` on the 504 ``matrix`` benchmark inputs of seeds 51-53
+  check     ``check --suite all --trials 6`` for seeds 42 and 1
+  portrait  the 110 ``portrait`` benchmark requests of seed 51
+
+Run it from any directory as ``python3 scripts/output_gate.py`` on two
+checkouts and compare the lines.  It imports qspec from the ``src`` of
+the checkout it sits in and the request builders of
+``perfbench/workloads.py``, which it only reads.  It takes about ten
+seconds.
+"""
+
+import os
+import sys
+
+# one BLAS thread, as in the benchmark worker: two threads change last bits
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import tempfile  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import workloads  # noqa: E402
+from qspec import cli  # noqa: E402
+
+# the random streams perfbench/worker.py gives these two workloads
+MATRIX_STREAM, PORTRAIT_STREAM = 1, 2
+
+
+def digest(argvs) -> tuple[str, int]:
+    """sha256 over each command's exit code and stdout, and the stdout lines."""
+    h, lines = hashlib.sha256(), 0
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        text = out.getvalue()
+        h.update(f"{code}\n{text}".encode())
+        lines += text.count("\n")
+    return h.hexdigest(), lines
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as workdir:
+        matrix = [req.argv for seed in (51, 52, 53) for req in workloads.build_matrix(
+            np.random.default_rng([seed, MATRIX_STREAM]), workdir)]
+        portrait = [req.argv for req in workloads.build_portrait(
+            np.random.default_rng([51, PORTRAIT_STREAM]), workdir)]
+        check = [["check", "--suite", "all", "--trials", "6", "--seed", str(seed)]
+                 for seed in (42, 1)]
+        for name, argvs in (("matrix", matrix), ("check", check), ("portrait", portrait)):
+            sha, lines = digest(argvs)
+            print(f"{name:<9} {len(argvs):>4} commands  sha256 {sha}  lines {lines}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

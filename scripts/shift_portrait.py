@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from qspec.operators import ShiftOperator
-from qspec.spectral import GridSpec, portrait, threshold_region
+from qspec.spectral import portrait, threshold_region
 
 
 def stats(op, grid, window):

@@ -18,35 +18,11 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 from . import io, localspec, spectral, suites
 from .errors import NumericalError, PoleError, ShapeError
 from .quat import SLICE_I, SLICE_J, SLICE_K, SliceUnit
 from .sliceseries import sigma_radius
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs, resolved from flags.
-
-    A fixed config determines the output bytes; the seed feeds every
-    randomized suite through counter-based streams.
-    """
-
-    command: str
-    op_spec: str | None = None
-    input_path: str | None = None
-    vector_path: str | None = None
-    grid: str | None = None
-    tol: float = 1e-8
-    trials: int = 20
-    seed: int = 0
-    out: str | None = None
-    window: int | None = None
-    slice_axis: str = "i"
-    suite: str = "all"
-    at: str | None = None
 
 
 @functools.cache
@@ -99,13 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    fields = ("op_spec", "input_path", "vector_path", "grid", "tol", "trials",
-              "seed", "out", "window", "slice_axis", "suite", "at")
-    kwargs = {f: getattr(ns, f) for f in fields if hasattr(ns, f)}
-    return RunConfig(command=ns.command, **kwargs)
-
-
 def _slice_unit(text: str) -> SliceUnit:
     named = {"i": SLICE_I, "j": SLICE_J, "k": SLICE_K}
     if text in named:
@@ -117,7 +86,7 @@ def _slice_unit(text: str) -> SliceUnit:
     return SliceUnit.from_components(x, y, z)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.out:
         io.write_text(cfg.out, text)
     else:
@@ -132,14 +101,14 @@ def _matrix_backed(op):
     return op.finite_section(op.dim)
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
+def _cmd_spectrum(cfg: argparse.Namespace) -> int:
     op = io.parse_operator_spec(cfg.op_spec)
     report = spectral.classify(_matrix_backed(op), tol=cfg.tol)
     _emit(cfg, "\n".join(report.to_lines()) + "\n")
     return 0
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
+def _cmd_classify(cfg: argparse.Namespace) -> int:
     mat = _matrix_backed(io.parse_operator_spec(cfg.op_spec))
     report = spectral.classify(mat, tol=cfg.tol)
     verdict = localspec.decomposability_necessary(mat, report=report)
@@ -157,7 +126,7 @@ def _cmd_classify(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_portrait(cfg: RunConfig) -> int:
+def _cmd_portrait(cfg: argparse.Namespace) -> int:
     op = io.parse_operator_spec(cfg.op_spec)
     grid = io.parse_grid(cfg.grid)
     unit = _slice_unit(cfg.slice_axis)
@@ -166,7 +135,7 @@ def _cmd_portrait(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_local(cfg: RunConfig) -> int:
+def _cmd_local(cfg: argparse.Namespace) -> int:
     mat = _matrix_backed(io.parse_operator_spec(cfg.op_spec))
     vec = io.parse_qvec(io.read_text(cfg.vector_path))
     spheres = localspec.local_spectrum(mat, vec, tol=max(cfg.tol, 1e-12))
@@ -175,7 +144,7 @@ def _cmd_local(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_series(cfg: RunConfig) -> int:
+def _cmd_series(cfg: argparse.Namespace) -> int:
     f = io.parse_series(io.read_text(cfg.input_path))
     import warnings
     with warnings.catch_warnings():
@@ -193,7 +162,7 @@ def _cmd_series(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
+def _cmd_check(cfg: argparse.Namespace) -> int:
     scfg = suites.SuiteConfig(seed=cfg.seed, trials=cfg.trials,
                               tol=max(cfg.tol, 1e-8))
     try:
@@ -216,8 +185,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    cfg = _config(ns)
+    cfg = parser.parse_args(argv)
     try:
         return _COMMANDS[cfg.command](cfg)
     except (ValueError, ShapeError, PoleError, OSError) as exc:

@@ -36,6 +36,8 @@ def parse_quaternion(text: str) -> Quaternion:
         w, x, y, z = (float(p) for p in parts)
     except ValueError as exc:
         raise ValueError(f"bad quaternion literal {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, (w, x, y, z))):
+        raise ValueError(f"quaternion literal {text!r} is not finite")
     return Quaternion(w, x, y, z)
 
 

@@ -26,9 +26,8 @@ import numpy as np
 from .errors import NumericalError, PoleError, ShapeError
 from .operators import MultiplicationOperator, ShiftOperator
 from .qlinalg import (QMatrix, QVector, SpectralDecomposition, SubspaceBasis, _j_conj,
-                      complex_adjoint, kernel_basis, min_singular, nullity, op_norm,
-                      orthonormalize, pseudo_resolvent, spectral_decomposition,
-                      vstack)
+                      kernel_basis, min_singular, op_norm, orthonormalize,
+                      pseudo_resolvent, spectral_decomposition, vstack)
 from .quat import (EigenSphere, Quaternion, sphere_in, sphere_of, sphere_subset,
                    sphere_union)
 from . import spectral
@@ -82,8 +81,7 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
     if n == 0:
         return SpectralProjectionSet((), (), (), ())
     dec = decomposition if decomposition is not None else spectral_decomposition(a)
-    certified = tuple(nullity(r, s=sv) for r, sv in zip(dec.resolvents, dec.singular_values)
-                      ) == dec.multiplicities
+    certified = dec.kernel_dims() == dec.multiplicities
 
     stack = dec.projectors()
     conditions = [float(c) for c in np.linalg.norm(stack, 2, axis=(1, 2))]
@@ -100,7 +98,7 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
         stack += sym
         stack *= 0.5
         del sym  # the validator needs room for a stack of products
-    _validate_projections(a.c1 if dec.half else complex_adjoint(a), stack, conditions)
+    _validate_projections(dec.m, stack, conditions)
     if dec.half:
         projections = tuple(QMatrix(p, np.zeros_like(p)) for p in stack)
     else:

@@ -329,19 +329,26 @@ def _j_conj(m: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- norms, kernels, eigen-spheres --------------------------------------
+# -- complex images, norms, kernels, eigen-spheres -------------------------
+
+
+def complex_image(a: QMatrix) -> tuple[np.ndarray, bool]:
+    """The complex matrix every spectral fact of A is read from, and whether
+    it is ``half``, the C_i block of a complex-slice A, rather than chi(A).
+
+    chi of a complex-slice A is block diagonal with conjugate blocks, so one
+    block carries each singular value and eigenvalue, once instead of twice.
+    A real block is returned as a contiguous real array, for the cheaper
+    real BLAS and LAPACK paths.
+    """
+    if a.is_complex_slice:
+        block = a.c1
+        return (block if np.any(block.imag) else block.real.copy()), True
+    return complex_adjoint(a), False
 
 
 def _singular_values(a: QMatrix) -> np.ndarray:
-    # When the j-part vanishes chi is block diagonal with conjugate blocks,
-    # so the singular values of the C_i block appear twice; one block is
-    # enough. Real blocks take the cheaper real SVD path.
-    if a.is_complex_slice:
-        block = a.c1
-        if not np.any(block.imag):
-            block = block.real
-        return np.linalg.svd(block, compute_uv=False)
-    return np.linalg.svd(complex_adjoint(a), compute_uv=False)
+    return np.linalg.svd(complex_image(a)[0], compute_uv=False)
 
 
 def min_singular(a: QMatrix) -> float:
@@ -361,21 +368,29 @@ def op_norm(a: QMatrix) -> float:
     return float(_singular_values(a)[0])
 
 
-def nullity(a: QMatrix, tol: float = 1e-10, s: np.ndarray | None = None) -> int:
-    """len(kernel_basis(a, tol)) counted from ``s = _singular_values(a)``.
+def _kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> int:
+    """Kernel dimension of a matrix with ``cols`` columns whose complex image
+    has singular values ``s``, at kernel_basis's threshold tol * (1 + |A|_F).
 
-    C_i-block values count once, chi values in pairs; an odd count of
-    small chi values is the failure of a wrong-sized kernel pullback.
+    |A|_F^2 is the sum of s^2, halved for chi, which holds each value twice.
+    C_i-block values count once, chi values in pairs; an odd count of small
+    chi values is the failure of a wrong-sized kernel pullback.
     """
-    if s is None:
-        s = _singular_values(a)
-    rank = int(np.sum(s > tol * (1.0 + a.frobenius())))
-    if a.is_complex_slice:
-        return a.cols - rank
-    null = 2 * a.cols - rank
+    fro = math.sqrt(float(np.sum(s * s)) / (1 if half else 2))
+    rank = int(np.sum(s > tol * (1.0 + fro)))
+    if half:
+        return cols - rank
+    null = 2 * cols - rank
     if null % 2:
         raise NumericalError(f"chi(A) has an odd null space dimension {null}")
     return null // 2
+
+
+def nullity(a: QMatrix, tol: float = 1e-10, s: np.ndarray | None = None) -> int:
+    """len(kernel_basis(a, tol)) counted from ``s = _singular_values(a)``."""
+    if s is None:
+        s = _singular_values(a)
+    return _kernel_dim(s, a.cols, a.is_complex_slice, tol)
 
 
 def kernel_basis(a: QMatrix, tol: float = 1e-10) -> list[QVector]:
@@ -401,10 +416,42 @@ def kernel_basis(a: QMatrix, tol: float = 1e-10) -> list[QVector]:
 
 
 def pseudo_resolvent(a: QMatrix, q: Quaternion) -> QMatrix:
-    """R_q(A) = A^2 - 2 Re(q) A + |q|^2 I."""
+    """R_q(A) = A^2 - 2 Re(q) A + |q|^2 I, for callers that apply or invert it;
+    its singular values come from ``resolvent_singular_values``."""
     if a.rows != a.cols:
         raise ShapeError("pseudo-resolvent needs a square matrix")
     return (a @ a) - a.scale(2.0 * q.w) + QMatrix.identity(a.rows).scale(q.norm_sq())
+
+
+# entries of R_q per stacked SVD: small images go hundreds of points at a
+# time, shift sections of windows >= 66 one at a time, so a block never
+# holds much more than one large section
+_BLOCK_ENTRIES = 1 << 13
+
+
+def resolvent_singular_values(m: np.ndarray, xs, ys, keep: np.ndarray | None = None):
+    """Singular values of R_q(m) = m^2 - 2x m + (x^2 + y^2) I at the points
+    q = x + yI of the equal-length sequences ``xs`` and ``ys``, restricted to
+    the columns ``keep`` (None: all of them).
+
+    With m = complex_image(A) these are the singular values of the image of
+    R_q(A).  R_q is formed entrywise, so dropping columns first leaves every
+    kept entry bit for bit the same.  Points go in blocks of about
+    _BLOCK_ENTRIES matrix entries, one stacked SVD each, and each block's
+    (points, values) array is yielded, largest value first, before the next
+    block is formed.
+    """
+    cols = np.arange(m.shape[1]) if keep is None else keep
+    m1, m2 = m[:, cols], (m @ m)[:, cols]
+    eye = np.zeros(m1.shape, dtype=m.dtype)
+    eye[cols, np.arange(len(cols))] = 1
+    x = np.asarray(xs, dtype=float).reshape(-1, 1, 1)
+    y = np.asarray(ys, dtype=float).reshape(-1, 1, 1)
+    twice_x, r2 = 2.0 * x, x * x + y * y
+    block = max(1, _BLOCK_ENTRIES // m1.size)
+    for lo in range(0, len(x), block):
+        hi = lo + block
+        yield np.linalg.svd(m2 - twice_x[lo:hi] * m1 + r2[lo:hi] * eye, compute_uv=False)
 
 
 #: a Schur block keeps growing while splitting it off needs a Sylvester
@@ -414,24 +461,29 @@ GROWTH_LIMIT = 1e6
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """One complex Schur form T = Z^H M Z, split into blocks, and the spheres
-    they make; M is chi(A), or its C_i block when A is a complex-slice
-    matrix (``half``).  Block k spans ``blocks[k]`` of the diagonal and
-    belongs to sphere ``owner[k]``; W is unit upper triangular, its block
-    row k past the block the Y with T_kk Y - Y T_rest = T_k,rest, so
-    W T W^-1 = diag(T_kk).  Sphere i keeps its multiplicity, R_q(A) at its
-    representative and that matrix's one SVD."""
+    """One complex Schur form T = Z^H M Z of the image M = complex_image(A),
+    split into blocks, and the spheres they make; ``half`` when M is the C_i
+    block.  Block k spans ``blocks[k]`` of the diagonal and belongs to sphere
+    ``owner[k]``; W is unit upper triangular, its block row k past the block
+    the Y with T_kk Y - Y T_rest = T_k,rest, so W T W^-1 = diag(T_kk).
+    Sphere i keeps its multiplicity and row i of ``singular_values``, those
+    of R_q(M) at its representative."""
 
     spheres: tuple[EigenSphere, ...]
     multiplicities: tuple[int, ...]
-    resolvents: tuple[QMatrix, ...]
-    singular_values: tuple[np.ndarray, ...]
+    singular_values: np.ndarray = field(repr=False)
+    m: np.ndarray = field(repr=False)
     half: bool
     t: np.ndarray = field(repr=False)
     z: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
     blocks: tuple[tuple[int, int], ...]
     owner: tuple[int, ...]
+
+    def kernel_dims(self, tol: float = 1e-10) -> tuple[int, ...]:
+        """nullity(R_q(A), tol) at each sphere, from its singular values."""
+        cols = len(self.m) if self.half else len(self.m) // 2
+        return tuple(_kernel_dim(s, cols, self.half, tol) for s in self.singular_values)
 
     def projectors(self) -> np.ndarray:
         """Each sphere's spectral projector of M, stacked along the first
@@ -457,19 +509,21 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     size-k Jordan block spreads its eigenvalues by eps^(1/k) (Moro, Burke
     & Overton, SIAM J. Matrix Anal. Appl. 18 (1997)).  Blocks map to the
     spheres (Re mu, |Im mu|), merged once at SPHERE_MERGE_TOL; chi(A)
-    counts each sphere twice.  Every sphere passes a direct check: R_q(A)
-    at its representative is numerically singular.
+    counts each sphere twice.  One ``resolvent_singular_values`` call gives
+    the singular values of R_q at every sphere's representative, and every
+    sphere passes a direct check: that R_q is numerically singular.
     """
     if a.rows != a.cols:
         raise ShapeError("eigen-spheres need a square matrix")
-    half, n = a.is_complex_slice, a.rows
-    if n == 0:
-        return SpectralDecomposition((), (), (), (), half, *[np.eye(0)] * 3, (), ())
+    m, half = complex_image(a)
+    if a.rows == 0:
+        return SpectralDecomposition((), (), np.empty((0, 0)), m, half,
+                                     *[np.eye(0)] * 3, (), ())
     # imported here: scipy costs a command that never gets here tens of
     # megabytes and a few tenths of a second
     import scipy.linalg
     try:
-        t, z = scipy.linalg.schur(a.c1 if half else complex_adjoint(a), output="complex")
+        t, z = scipy.linalg.schur(m, output="complex")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"Schur iteration failed: {exc}") from exc
     blocks, w = _split_schur(t, z)
@@ -480,16 +534,16 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     sizes = np.bincount(owner, weights=widths).astype(int)
     if not half and np.any(sizes % 2):
         raise NumericalError("eigenvalue cluster broke a conjugate pair")
-    mult = tuple(int(m) for m in (sizes if half else sizes // 2))
-    resolvents = [pseudo_resolvent(a, Quaternion(s.re, s.im, 0.0, 0.0)) for s in spheres]
-    values = [_singular_values(r) for r in resolvents]
+    mult = tuple(int(k) for k in (sizes if half else sizes // 2))
+    values = np.concatenate(list(resolvent_singular_values(
+        m, [s.re for s in spheres], [s.im for s in spheres])))
     check = 1e-6 * (1.0 + a.frobenius() ** 2)
     for s, sv in zip(spheres, values):
         if sv[-1] > check:
             raise NumericalError(f"eigen-sphere ({s.re}, {s.im}) failed the direct "
                                  f"residual check: kappa = {sv[-1]:.3e}")
-    return SpectralDecomposition(spheres, mult, tuple(resolvents), tuple(values), half,
-                                 t, z, w, tuple(blocks), tuple(owner.tolist()))
+    return SpectralDecomposition(spheres, mult, values, m, half, t, z, w,
+                                 tuple(blocks), tuple(owner.tolist()))
 
 
 def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:

@@ -136,12 +136,6 @@ class Quaternion:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
 
-ONE = Quaternion(1.0)
-I_UNIT = Quaternion(0.0, 1.0)
-J_UNIT = Quaternion(0.0, 0.0, 1.0)
-K_UNIT = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
 @dataclass(frozen=True, slots=True)
 class SliceUnit:
     """A point of the imaginary unit sphere; I * I = -1."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .qlinalg import QMatrix, pseudo_resolvent
+from .qlinalg import QMatrix, pseudo_resolvent  # noqa: F401 (documented re-export)
 from .quat import EigenSphere, Quaternion, SLICE_I, SliceUnit
 from . import qlinalg
 
@@ -91,22 +91,21 @@ def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
 
     The spheres come from one ``spectral_decomposition``, which the report
     keeps for its projections; ``tol`` only sets the membership threshold,
-    never the grouping of spheres.  Each sphere's one SVD of R_q(A) gives
-    every flag: point membership (ker R_q(A) counted), approximate
-    membership (kappa, its smallest singular value), compression (the
-    point spectrum at the conjugate representative, where R_q is bit for
-    bit the same matrix) and surjectivity (R_q(A^dag) = R_q(A)^dag has the
-    same singular values).
+    never the grouping of spheres.  The singular values of R_q(A) that the
+    decomposition holds for each sphere give every flag: point membership
+    (ker R_q(A) counted), approximate membership (kappa, the smallest
+    value), compression (the point spectrum at the conjugate
+    representative, where R_q is bit for bit the same matrix) and
+    surjectivity (R_q(A^dag) = R_q(A)^dag has the same singular values).
     """
     if a.rows != a.cols:
         raise ShapeError("classification needs a square matrix")
     dec = qlinalg.spectral_decomposition(a)
     thresh = membership_threshold(a, tol)
     flags: dict[EigenSphere, SphereFlags] = {}
-    for s, r, sv in zip(dec.spheres, dec.resolvents, dec.singular_values):
-        point = qlinalg.nullity(r, tol, sv) > 0
+    for s, dim, sv in zip(dec.spheres, dec.kernel_dims(tol), dec.singular_values):
         approx = bool(sv[-1] <= thresh)
-        flags[s] = SphereFlags(point, approx, point, approx)
+        flags[s] = SphereFlags(dim > 0, approx, dim > 0, approx)
     coincident = all(f.point == f.approximate for f in flags.values())
     radius, lower = growth_bounds(a, n_max) if a.rows else (0.0, 0.0)
     return SpectrumReport(dec.spheres, flags, radius, lower, tol, thresh, coincident, dec)
@@ -206,6 +205,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        for name in ("x0", "x1", "y1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"grid bound {name} = {getattr(self, name)!r} is not finite")
         if self.x1 < self.x0:
             raise ValueError("x1 must not be below x0")
         if self.y1 < 0.0:
@@ -220,57 +222,28 @@ class GridSpec:
         return np.linspace(0.0, self.y1, self.ny)
 
 
-# entries of R_q per stacked SVD: small sections go hundreds of grid points
-# at a time, shift sections of windows >= 66 one at a time, so a block never
-# holds much more than one large section
-_BLOCK_ENTRIES = 1 << 13
-
-
 class _SectionKappa:
     """kappa(R_q) on a rectangular window section, reusable across q.
 
-    Precomputes the kept columns of the section and of its square once;
-    ``values`` then forms R_q for a block of grid points by broadcasting
-    and takes their smallest singular values from one stacked SVD per
-    block.  Entries of shift and real diagonal sections live in C_i (or
-    R), where the complex adjoint is block diagonal and one block
-    suffices.
+    Takes the complex image of the section once and reads kappa as the
+    last of the singular values ``qlinalg.resolvent_singular_values`` gives
+    for the kept columns, a block of grid points per stacked SVD.
     """
 
     def __init__(self, op, window: int | None):
         n_win = _section_size(op, window)
-        section = op.finite_section(n_win)
         self.n = n_win
-        cols = n_win - (0 if op.dim is not None else op.section_margin)
-        if section.is_complex_slice:
-            m = section.c1
-            if not np.any(m.imag):
-                m = m.real.copy()
-            keep = np.arange(cols)
-        else:
-            m = qlinalg.complex_adjoint(section)
-            keep = np.concatenate([np.arange(cols), n_win + np.arange(cols)])
-        self._m = m
-        # R_q = m^2 - 2x m + r^2 I is entrywise, so dropping columns first
-        # leaves every kept entry bit for bit the same
-        self._m1 = m[:, keep]
-        self._m2 = (m @ m)[:, keep]
-        self._eye = np.zeros(self._m1.shape, dtype=m.dtype)
-        self._eye[keep, np.arange(len(keep))] = 1
-        self._block = max(1, _BLOCK_ENTRIES // self._m1.size)
+        self._m, half = qlinalg.complex_image(op.finite_section(n_win))
+        cols = np.arange(n_win - (0 if op.dim is not None else op.section_margin))
+        self._keep = cols if half else np.concatenate([cols, n_win + cols])
 
     def values(self, xs, ys) -> np.ndarray:
         """kappa at the points (x, y) of the broadcast of ``xs`` and ``ys``."""
         xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float),
                                      np.asarray(ys, dtype=float))
-        x, y = xs.reshape(-1, 1, 1), ys.reshape(-1, 1, 1)
-        twice_x, r2 = 2.0 * x, x * x + y * y
-        out = np.empty(len(x))
-        for lo in range(0, len(x), self._block):
-            hi = lo + self._block
-            rect = self._m2 - twice_x[lo:hi] * self._m1 + r2[lo:hi] * self._eye
-            out[lo:hi] = np.linalg.svd(rect, compute_uv=False)[:, -1]
-        return out.reshape(xs.shape)
+        blocks = qlinalg.resolvent_singular_values(self._m, xs.ravel(), ys.ravel(), self._keep)
+        # a copy, not a view, lets each block's values go before the next
+        return np.concatenate([s[:, -1].copy() for s in blocks]).reshape(xs.shape)
 
     def kappa(self, x: float, y: float) -> float:
         return float(self.values(x, y))

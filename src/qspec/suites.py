@@ -28,8 +28,8 @@ from .qlinalg import (QMatrix, QVector, columns_matrix, complex_adjoint, hstack,
                       inverse_matrix, kernel_basis, min_singular, op_norm,
                       orthonormalize, right_eigenspheres, vstack, SubspaceBasis)
 from .quat import (SLICE_I, EigenSphere, Quaternion, SliceUnit, merge_spheres,
-                   sigma_dist, slice_compose, sphere_hausdorff, sphere_in,
-                   sphere_of, sphere_sets_equal, sphere_subset, sphere_union)
+                   sigma_dist, slice_compose, sphere_hausdorff, sphere_of,
+                   sphere_sets_equal, sphere_subset, sphere_union)
 from .sliceseries import (SliceSeries, cr_residual, default_exhaustion,
                           h_metric, sigma_radius, slice_derivative,
                           star_product)

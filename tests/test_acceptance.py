@@ -16,7 +16,7 @@ import pytest
 
 from qspec import localspec, operators, rand, spectral, suites
 from qspec.operators import MultiplicationOperator, ShiftOperator
-from qspec.qlinalg import QMatrix, QVector, op_norm
+from qspec.qlinalg import QMatrix, QVector
 from qspec.quat import (
     EigenSphere,
     Quaternion,

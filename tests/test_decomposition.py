@@ -12,8 +12,10 @@ import spectral_reference as ref
 from qspec import localspec, rand, spectral
 from qspec.errors import NumericalError
 from qspec.operators import MultiplicationOperator
-from qspec.qlinalg import (QMatrix, QVector, _j_conj, _left_eigenvectors, complex_adjoint,
-                           op_norm, spectral_decomposition)
+from qspec.qlinalg import (QMatrix, QVector, _j_conj, _kernel_dim, _left_eigenvectors,
+                           _singular_values, complex_adjoint, complex_image, nullity,
+                           op_norm, pseudo_resolvent, resolvent_singular_values,
+                           spectral_decomposition)
 from qspec.quat import EigenSphere, Quaternion, SliceUnit, slice_compose
 
 
@@ -370,3 +372,61 @@ def test_spectral_projections_reaches_every_raise_path(monkeypatch):
     assert raised(moved) == "spectral projections are not orthogonal idempotents"
     u = _rotation(rand.generator(4, 0), a.rows, 1e-3)
     assert raised(u @ stack @ u.conj().T) == "a projection range is not invariant"
+
+
+# -- the R_q kernel against the QMatrix pseudo-resolvent ----------------------
+
+
+def _kernel_inputs():
+    out = list(INPUTS)
+    for k, lam in ((2, 0.5), (3, 0.5 + 0.8j), (4, 0.8j)):
+        rng = np.random.default_rng([83, k])
+        out.append((f"jordan{k}", _conditioned_similarity(rng, _jordan(k, lam))))
+    # R_q(A) is complex-slice at Re q = 0 although A is not: the QMatrix route
+    # takes n singular values there, the image 2n
+    values = [Quaternion(0, 0, 1), Quaternion(0, 0, 0, 2), Quaternion(0, 0.6, 0.8),
+              Quaternion(0, 0, 1.5), Quaternion(0, 0, 0, 1)]
+    out.append(("imaginary-mult", MultiplicationOperator(range(5), values).as_qmatrix()))
+    return out
+
+
+KERNEL_INPUTS = _kernel_inputs()
+
+
+@pytest.mark.parametrize("label,a", KERNEL_INPUTS, ids=[lab for lab, _ in KERNEL_INPUTS])
+def test_resolvent_kernel_matches_pseudo_resolvent(label, a):
+    m, half = complex_image(a)
+    assert half == a.is_complex_slice
+    assert np.array_equal(m, a.c1 if half else complex_adjoint(a))
+    assert (m.dtype == np.float64) == (half and not np.any(a.c1.imag))
+    dec = spectral_decomposition(a)
+    rng = np.random.default_rng([97, a.rows])
+    points = [Quaternion(s.re, s.im) for s in dec.spheres]
+    points += [rand.rand_quaternion(rng, 1.5) for _ in range(4)]
+    got = np.concatenate(list(resolvent_singular_values(
+        m, [q.w for q in points], [q.imag_norm() for q in points])))
+    assert np.array_equal(got[:len(dec.spheres)], dec.singular_values)
+    scale = 1.0 + a.frobenius() ** 2
+    for q, s in zip(points, got):
+        r = pseudo_resolvent(a, q)
+        want = _singular_values(r)
+        # R_q(A) vanishes at the sphere of a one-sphere matrix, and its
+        # values are rounding of terms of size |A|_F^2 there
+        top = want[0] if want[0] > 1e-12 * scale else scale
+        assert abs(s[-1] - want[-1]) <= 1e-14 * top, (q, s[-1], want[-1])
+        for tol in (1e-8, 1e-10):
+            assert _kernel_dim(s, a.cols, half, tol) == nullity(r, tol), (q, tol)
+    for tol in (1e-8, 1e-10):
+        assert dec.kernel_dims(tol) == tuple(
+            nullity(pseudo_resolvent(a, q), tol) for q in points[:len(dec.spheres)])
+
+
+def test_real_image_has_the_schur_form_of_its_complex_block():
+    reals = [a for label, a in INPUTS if label.startswith("real")]
+    for a in reals:
+        m, half = complex_image(a)
+        assert half and m.dtype == np.float64
+        t, z = scipy.linalg.schur(m, output="complex")
+        t1, z1 = scipy.linalg.schur(a.c1, output="complex")
+        assert np.array_equal(t, t1) and np.array_equal(z, z1)
+    assert len(reals) == 8

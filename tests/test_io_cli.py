@@ -2,13 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from qspec import io, rand
 from qspec.cli import main
 from qspec.operators import MultiplicationOperator, ShiftOperator
-from qspec.qlinalg import QMatrix, QVector
 from qspec.quat import Quaternion
 from qspec.sliceseries import SliceSeries
 
@@ -22,6 +22,9 @@ def test_quaternion_literal_roundtrip():
     assert io.parse_quaternion("1,0,0,0") == ONE
     with pytest.raises(ValueError):
         io.parse_quaternion("1,2,3")
+    for text in ("nan,0,0,0", "0,inf,0,0", "0,0,-inf,0", "0,0,0,NaN"):
+        with pytest.raises(ValueError, match=f"{text!r} is not finite"):
+            io.parse_quaternion(text)
 
 
 def test_qvec_roundtrip(tmp_path):
@@ -156,6 +159,30 @@ def test_cli_portrait_deterministic(tmp_path, capsys):
     assert len(out1.splitlines()) == 1 + 8 * 4
 
 
+@pytest.mark.parametrize("kind", ["dense", "mult"])
+def test_cli_rejects_non_finite_entries(tmp_path, capsys, kind):
+    p = tmp_path / "bad"
+    body = ("2 2\n0,1,0,0 0,0,0,0\n0,0,0,0 nan,0,0,0\n" if kind == "dense"
+            else "a 0,1,0,0\nb nan,0,0,0\n")
+    io.write_text(str(p), body)
+    for command in ("spectrum", "classify", "local"):
+        extra = ("--vector", str(p)) if command == "local" else ()
+        code, out, err = run_cli(capsys, command, "--op", f"{kind}:{p}", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: quaternion literal 'nan,0,0,0' is not finite\n"
+
+
+@pytest.mark.parametrize("grid, bound", [("nan,1,1,2x1", "x0 = nan"),
+                                         ("0,inf,1,2x1", "x1 = inf"),
+                                         ("-1,1,-inf,2x1", "y1 = -inf")])
+def test_cli_portrait_rejects_non_finite_grid(capsys, grid, bound):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "portrait", "--op", "shift:right", f"--grid={grid}")
+    assert (code, out) == (2, "")
+    assert err == f"error: grid bound {bound} is not finite\n"
+
+
 def test_cli_portrait_rejects_negative_height(capsys):
     code, _, err = run_cli(capsys, "portrait", "--op", "shift:right",
                            "--grid=-1,1,-0.5,8x4")
@@ -269,9 +296,9 @@ def test_cli_main_twice_in_one_process_matches_separate_runs(tmp_path, capsys):
 
 
 def test_cli_check_has_its_own_tol_default():
-    from qspec.cli import _build_parser, _config
+    from qspec.cli import _build_parser
 
     parser = _build_parser()
-    assert _config(parser.parse_args(["check"])).tol == 1e-6
-    assert _config(parser.parse_args(["check", "--tol", "1e-8"])).tol == 1e-8
-    assert _config(parser.parse_args(["spectrum", "--op", "x"])).tol == 1e-8
+    assert parser.parse_args(["check"]).tol == 1e-6
+    assert parser.parse_args(["check", "--tol", "1e-8"]).tol == 1e-8
+    assert parser.parse_args(["spectrum", "--op", "x"]).tol == 1e-8

@@ -22,7 +22,7 @@ from qspec.localspec import (
 )
 from qspec.operators import MultiplicationOperator, ShiftOperator
 from qspec.qlinalg import QMatrix, QVector, op_norm, spectral_decomposition
-from qspec.quat import EigenSphere, Quaternion, sphere_of
+from qspec.quat import EigenSphere, Quaternion
 
 Z = Quaternion(0)
 ONE = Quaternion(1)

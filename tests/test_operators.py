@@ -16,7 +16,7 @@ from qspec.operators import (
     restrict,
     truncated_eigenvector,
 )
-from qspec.qlinalg import QMatrix, QVector, SubspaceBasis, op_norm
+from qspec.qlinalg import QMatrix, QVector, SubspaceBasis
 from qspec.quat import EigenSphere, Quaternion, sphere_of
 from qspec.spectral import s_spectrum, window_kappa
 

@@ -1,13 +1,12 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 import series_reference as ref
 
 from qspec import rand
 from qspec.qlinalg import QVector
-from qspec.quat import SLICE_I, SLICE_J, Quaternion
+from qspec.quat import Quaternion
 from qspec.sliceseries import (
     CompactExhaustion,
     DivergenceWarning,
