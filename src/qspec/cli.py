@@ -83,6 +83,9 @@ def _slice_unit(text: str) -> SliceUnit:
     if len(parts) != 3:
         raise ValueError(f"slice axis must be i, j, k or 'x,y,z': {text!r}")
     x, y, z = (float(p) for p in parts)
+    for name, value in zip("xyz", (x, y, z)):
+        if not math.isfinite(value):
+            raise ValueError(f"slice axis component {name} = {value!r} is not finite")
     return SliceUnit.from_components(x, y, z)
 
 
@@ -187,6 +190,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     cfg = parser.parse_args(argv)
     try:
+        # every comparison against a nan threshold is False, and a threshold
+        # at or below 0 admits nothing
+        if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+            raise ValueError(f"--tol must be finite and positive, got {cfg.tol!r}")
         return _COMMANDS[cfg.command](cfg)
     except (ValueError, ShapeError, PoleError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

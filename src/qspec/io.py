@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import os
 
+import numpy as np
+
 from .operators import (DenseOperator, LinearOperator, MultiplicationOperator,
                         ShiftOperator)
 from .qlinalg import QMatrix, QVector
@@ -41,6 +43,26 @@ def parse_quaternion(text: str) -> Quaternion:
     return Quaternion(w, x, y, z)
 
 
+def _components(literals: list[str]) -> np.ndarray:
+    """(len, 4) float components of quaternion literals, accepted exactly
+    when ``parse_quaternion`` accepts each of them.  The array is C-ordered,
+    so its view as complex128 pairs each row into w + x i and y + z i.
+
+    One split pass and ``float`` per component, as ``parse_quaternion``
+    reads them, then one finiteness check; on any failure the literals go
+    through ``parse_quaternion`` one by one, so the error is its message.
+    """
+    if all(lit.count(",") == 3 for lit in literals):
+        try:
+            values = np.array([float(p) for p in ",".join(literals).split(",")])
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values.reshape(len(literals), 4)
+    return np.array([[q.w, q.x, q.y, q.z] for q in map(parse_quaternion, literals)],
+                    dtype=np.float64).reshape(len(literals), 4)
+
+
 def _data_lines(text: str) -> list[str]:
     out = []
     for raw in text.splitlines():
@@ -60,7 +82,8 @@ def parse_qvec(text: str) -> QVector:
         raise ValueError(f"bad vector header {lines[0]!r}") from exc
     if n < 0 or len(lines) != n + 1:
         raise ValueError(f"vector header says {n} entries, file has {len(lines) - 1}")
-    return QVector.from_quaternions([parse_quaternion(l) for l in lines[1:]])
+    pairs = _components(lines[1:]).view(np.complex128)
+    return QVector(pairs[:, 0], pairs[:, 1])
 
 
 def format_qvec(v: QVector) -> str:
@@ -82,13 +105,18 @@ def parse_qmat(text: str) -> QMatrix:
         raise ValueError(f"bad matrix header {lines[0]!r}") from exc
     if rows < 0 or cols < 0 or len(lines) != rows + 1:
         raise ValueError(f"matrix header says {rows} rows, file has {len(lines) - 1}")
-    entries = []
+    cells = []
     for line in lines[1:]:
-        cells = line.split()
-        if len(cells) != cols:
-            raise ValueError(f"row has {len(cells)} entries, expected {cols}")
-        entries.append([parse_quaternion(c) for c in cells])
-    return QMatrix.from_quaternions(entries)
+        row = line.split()
+        if len(row) != cols:
+            # errors in file order: a bad literal in a row above comes first
+            _components(cells)
+            raise ValueError(f"row has {len(row)} entries, expected {cols}")
+        cells.extend(row)
+    if rows == 0:
+        return QMatrix.zeros(0, 0)
+    pairs = _components(cells).reshape(rows, cols, 4).view(np.complex128)
+    return QMatrix(pairs[..., 0], pairs[..., 1])
 
 
 def format_qmat(a: QMatrix) -> str:
@@ -103,14 +131,16 @@ def parse_qfun(text: str) -> MultiplicationOperator:
     lines = _data_lines(text)
     if not lines:
         raise ValueError("empty point-function file")
-    labels, values = [], []
+    labels, literals = [], []
     for line in lines:
         parts = line.split()
         if len(parts) != 2:
+            _components(literals)
             raise ValueError(f"point-function line must be 'label literal': {line!r}")
         labels.append(parts[0])
-        values.append(parse_quaternion(parts[1]))
-    return MultiplicationOperator(tuple(labels), tuple(values))
+        literals.append(parts[1])
+    values = tuple(Quaternion(*q) for q in _components(literals).tolist())
+    return MultiplicationOperator(tuple(labels), values)
 
 
 def format_qfun(op: MultiplicationOperator) -> str:

@@ -19,6 +19,7 @@ outside sigma_apS and thereby refute decomposability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,9 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
     residual of that symmetry is checked, not assumed.  Projections with
     norm above CONDITION_LIMIT are refused as numerically meaningless.
     The projections stay one complex stack through validation and become
-    QMatrix objects only at the end.
+    QMatrix objects only at the end.  ``_block_checked`` validates them in
+    the coordinates of the Schur factors; where its bounds cannot decide,
+    the stack is built again and ``_validate_projections`` decides.
     """
     if a.rows != a.cols:
         raise ShapeError("spectral projections need a square matrix")
@@ -84,6 +87,23 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
     certified = dec.kernel_dims() == dec.multiplicities
 
     stack = dec.projectors()
+    conditions = _block_checked(dec, stack)
+    if conditions is None:
+        del stack   # room for the validator's stacks
+        stack = dec.projectors()
+        conditions = _checked(dec, stack)
+    if dec.half:
+        projections = tuple(QMatrix(p, np.zeros_like(p)) for p in stack)
+    else:
+        projections = tuple(QMatrix(p[:n, :n], p[:n, n:]) for p in stack)
+    return SpectralProjectionSet(dec.spheres, projections, tuple(conditions),
+                                 dec.multiplicities, certified)
+
+
+def _checked(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]:
+    """The conditions of the projector stack, which is checked and
+    J-symmetrized in place: limits and symmetry sphere by sphere, then
+    ``_validate_projections``."""
     conditions = [float(c) for c in np.linalg.norm(stack, 2, axis=(1, 2))]
     # a projector P of the C_i block is diag(P, conj P) on chi(A)
     sym = None if dec.half else _j_conj(stack)
@@ -99,12 +119,84 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
         stack *= 0.5
         del sym  # the validator needs room for a stack of products
     _validate_projections(dec.m, stack, conditions)
-    if dec.half:
-        projections = tuple(QMatrix(p, np.zeros_like(p)) for p in stack)
-    else:
-        projections = tuple(QMatrix(p[:n, :n], p[:n, n:]) for p in stack)
-    return SpectralProjectionSet(dec.spheres, projections, tuple(conditions),
-                                 dec.multiplicities, certified)
+    return conditions
+
+
+def _fro(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the matrices of a complex stack."""
+    flat = x.reshape(len(x), -1).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+def _block_checked(dec: SpectralDecomposition, stack: np.ndarray) -> list[float] | None:
+    """``_checked`` in the block coordinates of the Schur factors, or None
+    where the bounds below cannot accept.
+
+    With V = Z W^-1, U = W Z^H and the computed E = U V - I, L_i = U P_i -
+    E_i U (E_i sphere i's diagonal selector) and G = U M V, each P_i is
+    V (E_i + R_i) V^-1 with |R_i| <= rho_i = (|L_i| |V| + 2|E|) / (1 - |E|),
+    and |V| |V^-1| <= kappa = |V| |U| / (1 - |E|).  Then
+      |sum P_i - I|             <= kappa |V| |sum L_i| / (1 - |E|),
+      |P_i P_j - delta_ij P_i|  <= kappa (3 rho + rho^2),
+      |(I - P_i) M P_i|         <= kappa (o_i + (|E| + rho_i (2 + rho_i)) |G| / (1 - |E|)),
+    o_i the part of G in sphere i's columns and the other spheres' rows.
+    Frobenius norms bound the 2-norms, each product's rounding is added,
+    |M|_F / sqrt(N) stands in for |M|_2 in the tolerance, and every
+    threshold is halved, so that rounding in the conditions or in
+    ``_validate_projections`` cannot turn an accept here into a raise
+    there.  The conditions come from each sphere's m_i columns of V and
+    rows of U, never from an N x N SVD.
+    """
+    count, size = stack.shape[:2]
+    if count == 1:
+        return [1.0] if np.array_equal(stack[0], np.eye(size)) else None
+    vs, us = dec.sphere_factors
+    # V_i = Q S W^H with orthonormal Q, so |V_i U_i| = |S W^H U_i|
+    _, sv, wh = np.linalg.svd(vs, full_matrices=False)
+    conditions = np.linalg.svd(sv[:, :, None] * (wh @ us), compute_uv=False)[:, 0]
+    if conditions.max() > 0.5 * CONDITION_LIMIT:
+        return None
+    work = np.empty_like(stack)
+    if not dec.half:
+        sym = _j_conj(stack, out=work)
+        # P - J conj(P) J^-1 is minus its own J-conjugate: its lower half
+        # rows are the conjugates of the upper half's
+        half = size // 2
+        if np.any(math.sqrt(2.0) * _fro(stack[:, :half] - sym[:, :half])
+                  > 0.5e-6 * np.maximum(1.0, conditions)):
+            return None
+        stack += sym
+        stack *= 0.5
+    v, u = dec.factors
+    owner, _ = dec.positions
+    left = np.matmul(u, stack, out=work)
+    left[owner, np.arange(size), :] -= u
+    err = u @ v
+    err.flat[::size + 1] -= 1.0
+    g = u @ (dec.m @ v)
+    g2 = g.real ** 2 + g.imag ** 2
+    off = np.bincount(owner, weights=np.where(owner[:, None] != owner, g2, 0.0).sum(axis=0),
+                      minlength=count)
+    # each product's rounding: gamma |X|_F |Y|_F per factor pair
+    gamma = 2 * size * np.finfo(float).eps
+    v_f, u_f, m_f = (float(np.linalg.norm(x)) for x in (v, u, dec.m))
+    p_f = np.sqrt(np.bincount(owner, minlength=count)) * conditions
+    e = float(np.linalg.norm(err)) + gamma * v_f * u_f
+    if e >= 0.5:
+        return None
+    g_round = 2 * gamma * u_f * m_f * v_f
+    g_f = math.sqrt(float(g2.sum())) + g_round
+    o = math.sqrt(float(off.max())) + g_round
+    kappa = v_f * u_f / (1.0 - e)
+    rho = ((float(_fro(left).max()) + gamma * u_f * float(p_f.max())) * v_f + 2 * e) / (1.0 - e)
+    total = float(np.linalg.norm(left.sum(axis=0))) + gamma * u_f * float(p_f.sum())
+    tol = 0.5e-8 * max(1.0, float(conditions.max())) * max(1.0, m_f / math.sqrt(size))
+    if (kappa * v_f * total / (1.0 - e) > tol
+            or kappa * (3.0 * rho + rho * rho) > tol
+            or kappa * (o + (e + rho * (2.0 + rho)) * g_f / (1.0 - e))
+            > tol * (1.0 + m_f / math.sqrt(size))):
+        return None
+    return [float(c) for c in conditions]
 
 
 def _validate_projections(m: np.ndarray, stack: np.ndarray, conditions) -> None:
@@ -119,10 +211,8 @@ def _validate_projections(m: np.ndarray, stack: np.ndarray, conditions) -> None:
     tol = 1e-8 * max(1.0, max(conditions)) * max(1.0, norm_m)
 
     def exceeds(residuals: np.ndarray, bound: float) -> bool:
-        flat = residuals.reshape(len(residuals), -1).view(np.float64)
-        fro = np.sqrt(np.einsum("ij,ij->i", flat, flat))
         return any(np.linalg.norm(residuals[j], 2) > bound
-                   for j in np.flatnonzero(~(fro <= bound)))
+                   for j in np.flatnonzero(~(_fro(residuals) <= bound)))
 
     eye = np.eye(len(m), dtype=np.complex128)
     if exceeds((stack.sum(axis=0) - eye)[None], tol):

@@ -17,6 +17,7 @@ spectral quantities below are computed through this representation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -313,14 +314,16 @@ def complex_adjoint(a: QMatrix) -> np.ndarray:
     return out
 
 
-def _j_conj(m: np.ndarray) -> np.ndarray:
-    """M -> J conj(M) J^-1 with J = [[0, I], [-I, 0]], over the last two axes.
+def _j_conj(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """M -> J conj(M) J^-1 with J = [[0, I], [-I, 0]], over the last two axes,
+    into ``out`` (a new array when None; never M itself).
 
     chi images are exactly its fixed points, so a stack of complex
     adjoints maps to itself.
     """
     n, k = m.shape[-2] // 2, m.shape[-1] // 2
-    out = np.empty_like(m)
+    if out is None:
+        out = np.empty_like(m)
     # block by block through out=, so that a stack costs no temporaries
     np.conjugate(m[..., n:, k:], out=out[..., :n, :k])
     np.conjugate(m[..., :n, :k], out=out[..., n:, k:])
@@ -485,21 +488,46 @@ class SpectralDecomposition:
         cols = len(self.m) if self.half else len(self.m) // 2
         return tuple(_kernel_dim(s, cols, self.half, tol) for s in self.singular_values)
 
+    @functools.cached_property
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each diagonal position of T, the sphere that owns it and its
+        rank among that sphere's positions."""
+        owner = np.repeat(self.owner, [stop - start for start, stop in self.blocks])
+        order = np.argsort(owner, kind="stable")
+        counts = np.bincount(owner, minlength=len(self.spheres))
+        slot = np.empty_like(owner)
+        slot[order] = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        return owner, slot
+
+    @functools.cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """V = Z W^-1 and U = W Z^H, so that M = V diag(T_kk) U and U V = I."""
+        from scipy.linalg import lapack
+        x, _ = lapack.ztrtri(self.w, unitdiag=1)    # unit triangular: never singular
+        return self.z @ x, self.w @ self.z.conj().T
+
+    @functools.cached_property
+    def sphere_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sphere i's columns of V and rows of U, stacked along the first axis
+        and padded with zeros to the widest sphere: its projector is the
+        product of the two."""
+        v, u = self.factors
+        owner, slot = self.positions
+        size, width = len(self.t), int(slot.max()) + 1
+        vs = np.zeros((len(self.spheres), size, width), dtype=np.complex128)
+        us = np.zeros((len(self.spheres), width, size), dtype=np.complex128)
+        vs[owner, :, slot] = v.T
+        us[owner, slot, :] = u
+        return vs, us
+
     def projectors(self) -> np.ndarray:
         """Each sphere's spectral projector of M, stacked along the first
         axis: Z W^-1[:, S] W[S, :] Z^H over the sphere's diagonal positions
         S.  A lone sphere's projector is I exactly."""
-        size, count = len(self.t), len(self.spheres)
-        if count == 1:
-            return np.eye(size, dtype=np.complex128)[None]
-        import scipy.linalg
-        x = scipy.linalg.solve_triangular(self.w, np.eye(size), unit_diagonal=True)
-        owner = np.repeat(self.owner, [stop - start for start, stop in self.blocks])
-        zh = self.z.conj().T
-        out = np.empty((count, size, size), dtype=np.complex128)
-        for i in range(count):
-            np.matmul(self.z @ x[:, owner == i], self.w[owner == i] @ zh, out=out[i])
-        return out
+        if len(self.spheres) == 1:
+            return np.eye(len(self.t), dtype=np.complex128)[None]
+        vs, us = self.sphere_factors
+        return vs @ us
 
 
 def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
@@ -550,25 +578,32 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
     """Split a Schur form, in place, by adaptive blocking (Bavely & Stewart,
     SIAM J. Numer. Anal. 16 (1979)).
 
-    Eigenvalues linked at SPHERE_MERGE_TOL seed the blocks.  The block atop
-    the unsplit rest starts as the seed of its first eigenvalue; while
+    Eigenvalues linked at SPHERE_MERGE_TOL seed the blocks, and ``ztrsen``
+    first gathers the members of every seed, top down.  The block atop the
+    unsplit rest starts as the seed of its first eigenvalue; while
     splitting it off needs |Y|_2 >= GROWTH_LIMIT, the seed of the remaining
-    eigenvalue nearest its centre joins it.  ``ztrsen`` gathers a block,
-    and its rotation of the rest also updates ``z`` and the rows of W above.
-    A lone eigenvalue's Y is its left eigenvector past the diagonal, so one
-    back substitution splits off all of them until the next reordering.
+    eigenvalue nearest its centre joins it, and ``ztrsen`` gathers the
+    grown block, rotating ``z`` and the rows of W above with the rest.  A
+    lone eigenvalue's Y is its left eigenvector past the diagonal, so one
+    back substitution splits off all of them until a block grows.
     """
     from scipy.linalg import lapack
     n = len(t)
     seed = linked_components(t.diagonal().real, t.diagonal().imag, SPHERE_MERGE_TOL)
-    blocks: list[tuple[int, int]] = []
     w = np.eye(n, dtype=np.complex128)
+    # a seed's label is its first position, so labels run top down; a
+    # label's count stays with it through every reordering
+    counts = np.bincount(seed, minlength=n)
+    for label in np.flatnonzero(counts > 1):
+        p = int(np.argmax(seed == label))
+        _gather(t, z, w, seed, p, seed[p:] == label)
+    blocks: list[tuple[int, int]] = []
     left, base = None, 0
     p = 0
     while p < n:
         if left is None:
             (left, y_norms), base = _left_eigenvectors(t[p:, p:]), p
-            lone = (y_norms < GROWTH_LIMIT) & (np.bincount(seed[p:])[seed[p:]] == 1)
+            lone = (y_norms < GROWTH_LIMIT) & (counts[seed[p:]] == 1)
         if lone[p - base]:
             w[p, p + 1:] = left[p - base, p - base + 1:]
             blocks.append((p, p + 1))
@@ -579,13 +614,7 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
         while True:
             chosen = member[seed[p:]]
             stop = p + int(np.count_nonzero(chosen))
-            if not chosen[:stop - p].all():
-                ts, q, *_, info = lapack.ztrsen(chosen, t[p:, p:], np.eye(n - p), job="N")
-                if info:
-                    raise NumericalError("Schur reordering failed on close eigenvalues")
-                t[p:, p:], t[:p, p:] = ts, t[:p, p:] @ q
-                z[:, p:], w[:p, p:] = z[:, p:] @ q, w[:p, p:] @ q
-                seed[p:] = np.concatenate([seed[p:][chosen], seed[p:][~chosen]])
+            if _gather(t, z, w, seed, p, chosen):
                 left = None
             if stop == n:
                 break
@@ -604,6 +633,24 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
         blocks.append((p, stop))
         p = stop
     return blocks, w
+
+
+def _gather(t: np.ndarray, z: np.ndarray, w: np.ndarray, seed: np.ndarray, p: int,
+            chosen: np.ndarray) -> bool:
+    """Move the eigenvalues ``chosen`` among positions p.. to the top of
+    them with ``ztrsen``, updating t, z, the rows of W above p and ``seed``
+    in place; False when they are already there."""
+    count = int(np.count_nonzero(chosen))
+    if chosen[:count].all():
+        return False
+    from scipy.linalg import lapack
+    ts, q, *_, info = lapack.ztrsen(chosen, t[p:, p:], np.eye(len(t) - p), job="N")
+    if info:
+        raise NumericalError("Schur reordering failed on close eigenvalues")
+    t[p:, p:], t[:p, p:] = ts, t[:p, p:] @ q
+    z[:, p:], w[:p, p:] = z[:, p:] @ q, w[:p, p:] @ q
+    seed[p:] = np.concatenate([seed[p:][chosen], seed[p:][~chosen]])
+    return True
 
 
 def _left_eigenvectors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

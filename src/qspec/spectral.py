@@ -128,12 +128,15 @@ def _section_size(op, window: int | None) -> int:
 
 
 def growth_bounds(a, n_max: int = 8, window: int | None = None) -> tuple[float, float]:
-    """(spectral_radius, lower_bound_i): one SVD per power gives both.
+    """(spectral_radius, lower_bound_i): one set of singular values per power
+    gives both.
 
     A QMatrix is the section of bandwidth 0 that keeps all its columns;
-    operators are measured on rectangular sections of exact images.  A
-    kappa at the rounding floor 2N eps |A^n| (N rows) is skipped: raised
-    to 1/n it would lift the lower bound above small spheres.
+    operators are measured on rectangular sections of exact images.  The
+    powers' complex images take one stacked SVD per (dtype, shape), which
+    gives each the values of its own SVD bit for bit.  A kappa at the
+    rounding floor 2N eps |A^n| (N rows) is skipped: raised to 1/n it would
+    lift the lower bound above small spheres.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -144,20 +147,28 @@ def growth_bounds(a, n_max: int = 8, window: int | None = None) -> tuple[float, 
     else:
         n_win = _section_size(a, window)
         section, bandwidth = a.finite_section(n_win), a.bandwidth
+    # a power keeps n_win - n * bandwidth columns, at least one
+    count = min(n_max, (n_win - 1) // bandwidth) if bandwidth else n_max
+    images, power = [], section
+    for n in range(1, count + 1):
+        if n > 1:
+            power = power @ section
+        images.append(qlinalg.complex_image(power.take_cols(n_win - n * bandwidth))[0])
+    groups: dict[tuple, list[int]] = {}
+    for idx, image in enumerate(images):
+        groups.setdefault((image.dtype, image.shape), []).append(idx)
+    values = [None] * len(images)
+    for idxs in groups.values():
+        for idx, s in zip(idxs, np.linalg.svd(np.stack([images[i] for i in idxs]),
+                                              compute_uv=False)):
+            values[idx] = s
     floor = 2 * section.rows * np.finfo(float).eps
     radius, lower = math.inf, 0.0
-    power = section
-    for n in range(1, n_max + 1):
-        cols = n_win - n * bandwidth
-        if cols < 1:
-            break
-        s = qlinalg._singular_values(power.take_cols(cols))
+    for n, s in enumerate(values, 1):
         top, kappa = float(s[0]), float(s[-1])
         radius = min(radius, top ** (1.0 / n))
         if kappa > floor * top:
             lower = max(lower, kappa ** (1.0 / n))
-        if n < n_max:
-            power = power @ section
     return radius, lower
 
 

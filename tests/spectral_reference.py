@@ -4,13 +4,16 @@ Spheres from ``numpy.linalg.eigvals`` merged by ``merge_spheres``;
 projections from one ordered Schur form and one ``solve_sylvester`` per
 eigenvalue cluster (clustered at a fixed radius); and a classification
 that merges the spheres of A and A^dag and reads surjectivity from a
-separate SVD of R_q(A^dag); the projection validator that checks every
+separate SVD of R_q(A^dag); the growth bounds from one SVD per power,
+taken power by power; the projection validator that checks every
 residual as a QMatrix with one ``op_norm`` each; and the portrait kappa that
 formed the whole R_q of one grid point at a time before taking its kept
 columns and one SVD.  Kept so that tests can compare the two routes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +23,7 @@ from qspec.localspec import CONDITION_LIMIT, SpectralProjectionSet
 from qspec.qlinalg import (QMatrix, _j_conj, _singular_values, complex_adjoint,
                            min_singular, nullity, op_norm, pseudo_resolvent)
 from qspec.quat import EigenSphere, Quaternion, cluster_spheres, merge_spheres, sphere_union
-from qspec.spectral import (SphereFlags, SpectrumReport, growth_bounds,
+from qspec.spectral import (SphereFlags, SpectrumReport, _section_size, growth_bounds,
                             membership_threshold)
 
 CLUSTER_TOL = 1e-6
@@ -155,3 +158,29 @@ def section_kappas(op, window: int, xs, ys) -> np.ndarray:
         full = m2 - (2.0 * x) * m + r2 * eye
         out[idx] = np.linalg.svd(full[:, keep], compute_uv=False)[-1]
     return out
+
+
+def growth_bounds(a, n_max: int = 8, window: int | None = None) -> tuple[float, float]:
+    """(spectral_radius, lower_bound_i) from one SVD per power, power by power."""
+    if isinstance(a, QMatrix):
+        if a.rows == 0:
+            return 0.0, math.inf
+        section, n_win, bandwidth = a, a.cols, 0
+    else:
+        n_win = _section_size(a, window)
+        section, bandwidth = a.finite_section(n_win), a.bandwidth
+    floor = 2 * section.rows * np.finfo(float).eps
+    radius, lower = math.inf, 0.0
+    power = section
+    for n in range(1, n_max + 1):
+        cols = n_win - n * bandwidth
+        if cols < 1:
+            break
+        s = _singular_values(power.take_cols(cols))
+        top, kappa = float(s[0]), float(s[-1])
+        radius = min(radius, top ** (1.0 / n))
+        if kappa > floor * top:
+            lower = max(lower, kappa ** (1.0 / n))
+        if n < n_max:
+            power = power @ section
+    return radius, lower

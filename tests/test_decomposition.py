@@ -255,6 +255,9 @@ def _validators_agree(a: QMatrix, stack: np.ndarray, conditions) -> str:
         except NumericalError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+    # the block-coordinate check may accept only what both validators accept
+    if localspec._block_checked(spectral_decomposition(a), stack.copy()) is not None:
+        assert outcomes[0] == "accept"
     return outcomes[0]
 
 
@@ -306,6 +309,76 @@ def test_stacked_validator_matches_reference(label, a):
             got = _validators_agree(a, bad, conditions)
             if verdict:
                 assert got == "spectral projections are not orthogonal idempotents"
+
+
+@pytest.mark.parametrize("label,a", VALIDATOR_INPUTS + [
+    (lab, a) for lab, a in INPUTS if lab.startswith("planted")],
+    ids=lambda v: v if isinstance(v, str) else "")
+def test_block_check_accepts_valid_projections(label, a):
+    # every well-conditioned valid set passes in block coordinates, with the
+    # conditions of the stacked SVD to rounding, and comes out J-symmetrized
+    dec = spectral_decomposition(a)
+    stack = dec.projectors()
+    want = np.linalg.norm(stack, 2, axis=(1, 2))
+    got = localspec._block_checked(dec, stack)
+    if label in ("jordan2", "close-pair"):
+        # ill-conditioned sets are left to the validator
+        assert got is None
+        return
+    assert got is not None
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    if not dec.half:
+        assert np.array_equal(stack, _j_conj(stack))
+    assert _validators_agree(a, stack, got) == "accept"
+
+
+def test_block_check_defers_on_broken_stacks():
+    # the check never raises: a stack it cannot accept goes back to the
+    # validator, which names what is wrong
+    a = QMatrix.diag([Quaternion(1.0, 0.5, 0.2, 0.0), Quaternion(-1.0, 0.3, 0.0, 0.4),
+                      Quaternion(2.0, 0.0, 0.0, 0.0)])
+    dec = spectral_decomposition(a)
+    stack = dec.projectors()
+    moved = stack.copy()
+    moved[0] += 1e-4 * stack[1]
+    moved[1] -= 1e-4 * stack[1]
+    foreign = stack.copy()
+    foreign[0, 0, 1] += 1e-3
+    for bad in (stack * 1.01, moved, foreign, 2.0 * np.eye(len(stack[0])) - stack):
+        assert localspec._block_checked(dec, bad.copy()) is None
+    one = spectral_decomposition(QMatrix.diag([Quaternion(0.5, 2.0)] * 3))
+    assert localspec._block_checked(one, one.projectors()) == [1.0]
+    assert localspec._block_checked(one, 1.01 * one.projectors()) is None
+
+
+def test_one_left_eigenvector_pass_unless_a_block_grows(monkeypatch):
+    from qspec import qlinalg
+    from qspec.quat import linked_components
+
+    runs = []
+
+    def counted(t):
+        runs.append(len(t))
+        return _left_eigenvectors(t)
+
+    monkeypatch.setattr(qlinalg, "_left_eigenvectors", counted)
+    gathered = 0
+    for k in range(4):
+        rng = np.random.default_rng([29, k])
+        d = np.diag([0.5 + 0.8j, -1.0, 0.5 + 0.8j, 1.2 - 0.3j, -1.0, 0.5 + 0.8j])
+        inputs = [_conditioned_similarity(rng, d.astype(complex))]
+        inputs += [a for label, a in INPUTS if label.startswith("planted") or "repeated" in label]
+        for a in inputs:
+            runs.clear()
+            dec = spectral_decomposition(a)
+            t = dec.t.diagonal()
+            seed = linked_components(t.real, t.imag, 1e-8)
+            grown = any(len(set(seed[start:stop])) > 1 for start, stop in dec.blocks)
+            if not grown:
+                assert len(runs) <= 1
+                gathered += any(stop - start > 1 for start, stop in dec.blocks)
+    # the repeated spheres need reordering before the back substitution
+    assert gathered >= 4
 
 
 def _rotation(rng, n: int, angle: float) -> np.ndarray:

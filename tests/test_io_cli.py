@@ -302,3 +302,114 @@ def test_cli_check_has_its_own_tol_default():
     assert parser.parse_args(["check"]).tol == 1e-6
     assert parser.parse_args(["check", "--tol", "1e-8"]).tol == 1e-8
     assert parser.parse_args(["spectrum", "--op", "x"]).tol == 1e-8
+
+
+# -- array-native parsing against the literal-by-literal route ---------------
+
+
+def _qmat_by_literals(text: str):
+    """The matrix parser as one ``parse_quaternion`` per literal."""
+    lines = io._data_lines(text)
+    rows, cols = (int(t) for t in lines[0].split())
+    entries = []
+    for line in lines[1:]:
+        cells = line.split()
+        if len(cells) != cols:
+            raise ValueError(f"row has {len(cells)} entries, expected {cols}")
+        entries.append([io.parse_quaternion(c) for c in cells])
+    return io.QMatrix.from_quaternions(entries)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_bits(a, b) -> bool:
+    return (a.c1.shape == b.c1.shape and a.c1.tobytes() == b.c1.tobytes()
+            and a.c2.tobytes() == b.c2.tobytes())
+
+
+SPELLINGS = ["1,0,0,0", "-0.0,0.0,-0.0,+0.0", "1_0,2e-300,-3E+2,.5",
+             "4.9e-324,1.7976931348623157e308,-1,7", "0x1,0,0,0", "1,2,3",
+             "1,2,3,4,5", "1,,2,3", "nan,0,0,0", "0,0,0,-inf", "1,2,3,1e999",
+             "1,2,x,3"]
+
+
+@pytest.mark.parametrize("bad", SPELLINGS)
+def test_array_parsing_matches_literal_parsing(bad):
+    good = "0.25,-1.5,3,-0.0"
+    texts = [f"2 2\n{good} {bad}\n{bad} {good}\n",
+             f"2 2\n{good} {good}\n{good} {bad}\n",
+             # a short row below a bad literal: the literal is reported
+             f"2 2\n{good} {bad}\n{good}\n",
+             f"2 2\n{good}\n{good} {bad}\n"]
+    for text in texts:
+        got, want = _outcome(io.parse_qmat, text), _outcome(_qmat_by_literals, text)
+        if isinstance(want, str):
+            assert got == want, text
+        else:
+            assert _same_bits(got, want), text
+    qvec = f"3\n{good}\n  {bad}  \n{good}\n"
+    got = _outcome(io.parse_qvec, qvec)
+    want = _outcome(lambda t: io.QVector.from_quaternions(
+        [io.parse_quaternion(l) for l in io._data_lines(t)[1:]]), qvec)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.c1.tobytes() == want.c1.tobytes() and got.c2.tobytes() == want.c2.tobytes()
+    qfun = f"a {good}\nb {bad}\nc\n"
+    try:
+        io.parse_quaternion(bad)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            io.parse_qfun(qfun)
+        assert str(info.value) == str(exc)
+    else:
+        with pytest.raises(ValueError, match="must be 'label literal'"):
+            io.parse_qfun(qfun)
+        op = io.parse_qfun(f"a {good}\nb {bad}\n")
+        assert op.values == (io.parse_quaternion(good), io.parse_quaternion(bad))
+
+
+def test_array_parsing_of_random_files_is_bit_exact():
+    rng = rand.generator(227, 0)
+    for n in (1, 3, 14):
+        a = rand.rand_qmatrix(rng, n, n)
+        text = io.format_qmat(a)
+        assert _same_bits(io.parse_qmat(text), a)
+        assert _same_bits(io.parse_qmat(text), _qmat_by_literals(text))
+    assert io.parse_qmat("0 0\n").shape == (0, 0)
+    assert io.parse_qvec("0\n").n == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "-1e-9"])
+def test_cli_rejects_bad_tolerances(tmp_path, capsys, tol):
+    # with a nan threshold every comparison is False: the 1x1 matrix [i]
+    # lost its part letters and failed decomposability, exit 0
+    p = tmp_path / "i.qmat"
+    io.write_text(str(p), "1 1\n0,1,0,0\n")
+    v = tmp_path / "v.qvec"
+    io.write_text(str(v), "1\n1,0,0,0\n")
+    for argv in (["spectrum", "--op", f"dense:{p}"], ["classify", "--op", f"dense:{p}"],
+                 ["local", "--op", f"dense:{p}", "--vector", str(v)],
+                 ["portrait", "--op", f"dense:{p}", "--grid=-1,1,1,3x2"],
+                 ["check", "--suite", "scalar-algebra", "--trials", "1"]):
+        code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: --tol must be finite and positive, got {float(tol)!r}\n"
+    code, out, _ = run_cli(capsys, "classify", "--op", f"dense:{p}", "--tol=1e-8")
+    assert code == 0 and out.startswith("0 1 p a c s\n")
+
+
+@pytest.mark.parametrize("axis, bad", [("nan,0,1", "x = nan"), ("0,inf,1", "y = inf"),
+                                       ("1,0,-inf", "z = -inf")])
+def test_cli_portrait_rejects_non_finite_slice(capsys, axis, bad):
+    code, out, err = run_cli(capsys, "portrait", "--op", "shift:right", "--window", "8",
+                             "--grid=-1,1,1,3x2", "--slice", axis)
+    assert (code, out) == (2, "")
+    assert err == f"error: slice axis component {bad} is not finite\n"
+    assert run_cli(capsys, "portrait", "--op", "shift:right", "--window", "8",
+                   "--grid=-1,1,1,3x2", "--slice", "0,3,4")[0] == 0

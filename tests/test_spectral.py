@@ -182,6 +182,23 @@ def test_growth_bounds_match_two_loop_reference():
     assert growth_bounds(QMatrix.zeros(0, 0)) == (0.0, math.inf)
 
 
+def test_stacked_growth_bounds_match_the_per_power_loop():
+    # i B (B real) squares to a real block and j B to a complex-slice
+    # -B^2, so their powers fall into several (dtype, shape) groups; shift
+    # sections shrink by the bandwidth, one shape per power
+    b = np.random.default_rng(7).normal(size=(5, 5))
+    mixed = [QMatrix.diag([I] * 3), QMatrix.diag([J, J]),
+             QMatrix.diag([Quaternion(0.5, 0, 0.5), Quaternion(0, 0.7)]),
+             QMatrix(1j * b, np.zeros((5, 5))), QMatrix(np.zeros((5, 5)), b)]
+    for a in _growth_inputs() + mixed:
+        for n_max in (1, 3, 8):
+            assert growth_bounds(a, n_max) == ref.growth_bounds(a, n_max)
+    for window in (4, 5, 9):
+        for side in ("left", "right"):
+            op = ShiftOperator(side)
+            assert growth_bounds(op, window=window) == ref.growth_bounds(op, window=window)
+
+
 def test_growth_bounds_of_the_shifts():
     # right shift: an isometry, every power norm 1 and kappa 1
     right = ShiftOperator("right", window=32)
