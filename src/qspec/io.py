@@ -114,7 +114,7 @@ def parse_qmat(text: str) -> QMatrix:
             raise ValueError(f"row has {len(row)} entries, expected {cols}")
         cells.extend(row)
     if rows == 0:
-        return QMatrix.zeros(0, 0)
+        return QMatrix.zeros(0, cols)
     pairs = _components(cells).reshape(rows, cols, 4).view(np.complex128)
     return QMatrix(pairs[..., 0], pairs[..., 1])
 

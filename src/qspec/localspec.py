@@ -73,10 +73,12 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
     complex projection of chi(A) descends to a quaternionic matrix; the
     residual of that symmetry is checked, not assumed.  Projections with
     norm above CONDITION_LIMIT are refused as numerically meaningless.
-    The projections stay one complex stack through validation and become
-    QMatrix objects only at the end.  ``_block_checked`` validates them in
-    the coordinates of the Schur factors; where its bounds cannot decide,
-    the stack is built again and ``_validate_projections`` decides.
+    The projections are built once, as one complex stack, and become
+    QMatrix objects only at the end.  ``_conditioned`` takes the conditions
+    from the Schur factors, applies both refusals and J-symmetrizes the
+    stack; ``_block_checked`` then validates it in the coordinates of the
+    factors, and where its bounds cannot accept, ``_validate_projections``
+    decides on the same stack.
     """
     if a.rows != a.cols:
         raise ShapeError("spectral projections need a square matrix")
@@ -87,11 +89,9 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
     certified = dec.kernel_dims() == dec.multiplicities
 
     stack = dec.projectors()
-    conditions = _block_checked(dec, stack)
-    if conditions is None:
-        del stack   # room for the validator's stacks
-        stack = dec.projectors()
-        conditions = _checked(dec, stack)
+    conditions = _conditioned(dec, stack)
+    if not _block_checked(dec, stack, conditions):
+        _validate_projections(dec.m, stack, conditions)
     if dec.half:
         projections = tuple(QMatrix(p, np.zeros_like(p)) for p in stack)
     else:
@@ -100,37 +100,56 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
                                  dec.multiplicities, certified)
 
 
-def _checked(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]:
-    """The conditions of the projector stack, which is checked and
-    J-symmetrized in place: limits and symmetry sphere by sphere, then
-    ``_validate_projections``."""
-    conditions = [float(c) for c in np.linalg.norm(stack, 2, axis=(1, 2))]
-    # a projector P of the C_i block is diag(P, conj P) on chi(A)
-    sym = None if dec.half else _j_conj(stack)
-    for i, (s, cond) in enumerate(zip(dec.spheres, conditions)):
-        if cond > CONDITION_LIMIT:
-            raise NumericalError(
-                f"projection for sphere ({s.re}, {s.im}) has "
-                f"norm {cond:.3e}, beyond the conditioning limit")
-        if sym is not None and np.linalg.norm(stack[i] - sym[i]) > 1e-6 * max(1.0, cond):
-            raise NumericalError("projection broke the quaternionic structure")
-    if sym is not None:
-        stack += sym
-        stack *= 0.5
-        del sym  # the validator needs room for a stack of products
-    _validate_projections(dec.m, stack, conditions)
-    return conditions
-
-
 def _fro(x: np.ndarray) -> np.ndarray:
     """Frobenius norms of the matrices of a complex stack."""
     flat = x.reshape(len(x), -1).view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
-def _block_checked(dec: SpectralDecomposition, stack: np.ndarray) -> list[float] | None:
-    """``_checked`` in the block coordinates of the Schur factors, or None
-    where the bounds below cannot accept.
+def _conditioned(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]:
+    """The conditions of the projector stack, which is checked sphere by
+    sphere against CONDITION_LIMIT and the quaternionic structure, then
+    J-symmetrized in place.
+
+    A lone sphere's projector is I, of condition 1.  Otherwise the
+    conditions come from each sphere's m_i columns of V and rows of U,
+    never from an N x N SVD.  The limit reads the stack's own norms: the
+    Frobenius norm screens, and a 2-norm SVD runs only above the limit.
+    """
+    count, size = stack.shape[:2]
+    if count == 1:
+        conditions = np.ones(1)
+    else:
+        vs, us = dec.sphere_factors
+        # V_i = Q S W^H with orthonormal Q, so |V_i U_i| = |S W^H U_i|
+        _, sv, wh = np.linalg.svd(vs, full_matrices=False)
+        conditions = np.linalg.svd(sv[:, :, None] * (wh @ us), compute_uv=False)[:, 0]
+    fro = _fro(stack)
+    # a projector P of the C_i block is diag(P, conj P) on chi(A)
+    broken = np.zeros(count)
+    if not dec.half:
+        # P - J conj(P) J^-1 is minus its own J-conjugate: its lower half
+        # rows are the conjugates of the upper half's
+        sym = _j_conj(stack)
+        broken = math.sqrt(2.0) * _fro(stack[:, :size // 2] - sym[:, :size // 2])
+    for i, s in enumerate(dec.spheres):
+        if fro[i] > CONDITION_LIMIT:
+            norm = float(np.linalg.norm(stack[i], 2))
+            if norm > CONDITION_LIMIT:
+                raise NumericalError(
+                    f"projection for sphere ({s.re}, {s.im}) has "
+                    f"norm {norm:.3e}, beyond the conditioning limit")
+        if broken[i] > 1e-6 * max(1.0, conditions[i]):
+            raise NumericalError("projection broke the quaternionic structure")
+    if not dec.half:
+        stack += sym
+        stack *= 0.5
+    return [float(c) for c in conditions]
+
+
+def _block_checked(dec: SpectralDecomposition, stack: np.ndarray, conditions) -> bool:
+    """Whether the bounds below prove, in the block coordinates of the
+    Schur factors, what ``_validate_projections`` checks; never raises.
 
     With V = Z W^-1, U = W Z^H and the computed E = U V - I, L_i = U P_i -
     E_i U (E_i sphere i's diagonal selector) and G = U M V, each P_i is
@@ -142,34 +161,16 @@ def _block_checked(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]
     o_i the part of G in sphere i's columns and the other spheres' rows.
     Frobenius norms bound the 2-norms, each product's rounding is added,
     |M|_F / sqrt(N) stands in for |M|_2 in the tolerance, and every
-    threshold is halved, so that rounding in the conditions or in
-    ``_validate_projections`` cannot turn an accept here into a raise
-    there.  The conditions come from each sphere's m_i columns of V and
-    rows of U, never from an N x N SVD.
+    threshold is halved, so that rounding in ``_validate_projections``
+    cannot turn an accept here into a raise there.
     """
     count, size = stack.shape[:2]
     if count == 1:
-        return [1.0] if np.array_equal(stack[0], np.eye(size)) else None
-    vs, us = dec.sphere_factors
-    # V_i = Q S W^H with orthonormal Q, so |V_i U_i| = |S W^H U_i|
-    _, sv, wh = np.linalg.svd(vs, full_matrices=False)
-    conditions = np.linalg.svd(sv[:, :, None] * (wh @ us), compute_uv=False)[:, 0]
-    if conditions.max() > 0.5 * CONDITION_LIMIT:
-        return None
-    work = np.empty_like(stack)
-    if not dec.half:
-        sym = _j_conj(stack, out=work)
-        # P - J conj(P) J^-1 is minus its own J-conjugate: its lower half
-        # rows are the conjugates of the upper half's
-        half = size // 2
-        if np.any(math.sqrt(2.0) * _fro(stack[:, :half] - sym[:, :half])
-                  > 0.5e-6 * np.maximum(1.0, conditions)):
-            return None
-        stack += sym
-        stack *= 0.5
+        return np.array_equal(stack[0], np.eye(size))
+    conditions = np.asarray(conditions)
     v, u = dec.factors
     owner, _ = dec.positions
-    left = np.matmul(u, stack, out=work)
+    left = u @ stack
     left[owner, np.arange(size), :] -= u
     err = u @ v
     err.flat[::size + 1] -= 1.0
@@ -183,7 +184,7 @@ def _block_checked(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]
     p_f = np.sqrt(np.bincount(owner, minlength=count)) * conditions
     e = float(np.linalg.norm(err)) + gamma * v_f * u_f
     if e >= 0.5:
-        return None
+        return False
     g_round = 2 * gamma * u_f * m_f * v_f
     g_f = math.sqrt(float(g2.sum())) + g_round
     o = math.sqrt(float(off.max())) + g_round
@@ -191,12 +192,10 @@ def _block_checked(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]
     rho = ((float(_fro(left).max()) + gamma * u_f * float(p_f.max())) * v_f + 2 * e) / (1.0 - e)
     total = float(np.linalg.norm(left.sum(axis=0))) + gamma * u_f * float(p_f.sum())
     tol = 0.5e-8 * max(1.0, float(conditions.max())) * max(1.0, m_f / math.sqrt(size))
-    if (kappa * v_f * total / (1.0 - e) > tol
-            or kappa * (3.0 * rho + rho * rho) > tol
-            or kappa * (o + (e + rho * (2.0 + rho)) * g_f / (1.0 - e))
-            > tol * (1.0 + m_f / math.sqrt(size))):
-        return None
-    return [float(c) for c in conditions]
+    return not (kappa * v_f * total / (1.0 - e) > tol
+                or kappa * (3.0 * rho + rho * rho) > tol
+                or kappa * (o + (e + rho * (2.0 + rho)) * g_f / (1.0 - e))
+                > tol * (1.0 + m_f / math.sqrt(size)))
 
 
 def _validate_projections(m: np.ndarray, stack: np.ndarray, conditions) -> None:
@@ -293,7 +292,7 @@ def local_resolvent_diag(op: MultiplicationOperator, f: QVector, q: Quaternion,
     return QVector.from_quaternions(out)
 
 
-def local_subspace(a: QMatrix, spheres, tol: float = MEMBER_TOL,
+def local_subspace(a: QMatrix, spheres,
                    projections: SpectralProjectionSet | None = None) -> SubspaceBasis:
     """Orthonormal basis of span{ ran P_k : sphere_k in F }.
 

@@ -256,7 +256,7 @@ def _validators_agree(a: QMatrix, stack: np.ndarray, conditions) -> str:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     # the block-coordinate check may accept only what both validators accept
-    if localspec._block_checked(spectral_decomposition(a), stack.copy()) is not None:
+    if localspec._block_checked(spectral_decomposition(a), stack.copy(), conditions):
         assert outcomes[0] == "accept"
     return outcomes[0]
 
@@ -315,21 +315,20 @@ def test_stacked_validator_matches_reference(label, a):
     (lab, a) for lab, a in INPUTS if lab.startswith("planted")],
     ids=lambda v: v if isinstance(v, str) else "")
 def test_block_check_accepts_valid_projections(label, a):
-    # every well-conditioned valid set passes in block coordinates, with the
-    # conditions of the stacked SVD to rounding, and comes out J-symmetrized
+    # every well-conditioned valid set passes in block coordinates; every set
+    # gets the conditions of the stacked SVD to rounding from the factors,
+    # and comes out J-symmetrized
     dec = spectral_decomposition(a)
     stack = dec.projectors()
     want = np.linalg.norm(stack, 2, axis=(1, 2))
-    got = localspec._block_checked(dec, stack)
-    if label in ("jordan2", "close-pair"):
-        # ill-conditioned sets are left to the validator
-        assert got is None
-        return
-    assert got is not None
-    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    conditions = localspec._conditioned(dec, stack)
+    assert np.allclose(conditions, want, rtol=1e-12, atol=0.0)
     if not dec.half:
         assert np.array_equal(stack, _j_conj(stack))
-    assert _validators_agree(a, stack, got) == "accept"
+    accepted = localspec._block_checked(dec, stack, conditions)
+    # ill-conditioned sets are left to the validator
+    assert accepted == (label not in ("jordan2", "close-pair"))
+    assert _validators_agree(a, stack, conditions) == "accept"
 
 
 def test_block_check_defers_on_broken_stacks():
@@ -339,16 +338,35 @@ def test_block_check_defers_on_broken_stacks():
                       Quaternion(2.0, 0.0, 0.0, 0.0)])
     dec = spectral_decomposition(a)
     stack = dec.projectors()
+    conditions = localspec._conditioned(dec, stack.copy())
     moved = stack.copy()
     moved[0] += 1e-4 * stack[1]
     moved[1] -= 1e-4 * stack[1]
     foreign = stack.copy()
     foreign[0, 0, 1] += 1e-3
     for bad in (stack * 1.01, moved, foreign, 2.0 * np.eye(len(stack[0])) - stack):
-        assert localspec._block_checked(dec, bad.copy()) is None
+        assert not localspec._block_checked(dec, bad.copy(), conditions)
     one = spectral_decomposition(QMatrix.diag([Quaternion(0.5, 2.0)] * 3))
-    assert localspec._block_checked(one, one.projectors()) == [1.0]
-    assert localspec._block_checked(one, 1.01 * one.projectors()) is None
+    assert localspec._conditioned(one, one.projectors()) == [1.0]
+    assert localspec._block_checked(one, one.projectors(), [1.0])
+    assert not localspec._block_checked(one, 1.01 * one.projectors(), [1.0])
+
+
+@pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
+def test_spectral_projections_builds_the_stack_once(label, a, monkeypatch):
+    from qspec.qlinalg import SpectralDecomposition
+
+    built = []
+    projectors = SpectralDecomposition.projectors
+
+    def counted(self):
+        built.append(self)
+        return projectors(self)
+
+    monkeypatch.setattr(SpectralDecomposition, "projectors", counted)
+    dec = spectral_decomposition(a)
+    localspec.spectral_projections(a, dec)
+    assert len(built) == 1 and built[0] is dec
 
 
 def test_one_left_eigenvector_pass_unless_a_block_grows(monkeypatch):

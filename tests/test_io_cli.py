@@ -413,3 +413,16 @@ def test_cli_portrait_rejects_non_finite_slice(capsys, axis, bad):
     assert err == f"error: slice axis component {bad} is not finite\n"
     assert run_cli(capsys, "portrait", "--op", "shift:right", "--window", "8",
                    "--grid=-1,1,1,3x2", "--slice", "0,3,4")[0] == 0
+
+
+def test_cli_rejects_a_matrix_with_no_rows_but_columns(tmp_path, capsys):
+    # the header "0 3" once read as a 0x0 matrix: an empty line and exit 0
+    assert io.parse_qmat("0 3\n").shape == (0, 3)
+    p = tmp_path / "z.qmat"
+    io.write_text(str(p), "0 3\n")
+    for command in ("spectrum", "classify"):
+        code, out, err = run_cli(capsys, command, "--op", f"dense:{p}")
+        assert (code, out, err) == (2, "", "error: dense operators must be square\n")
+    io.write_text(str(p), "0 0\n")
+    code, out, _ = run_cli(capsys, "spectrum", "--op", f"dense:{p}")
+    assert (code, out) == (0, "\n")
