@@ -134,7 +134,7 @@ class ShiftOperator(LinearOperator):
     def finite_section(self, n: int) -> QMatrix:
         if n < 2:
             raise ShapeError("shift sections need n >= 2")
-        band = np.eye(n, k=-1 if self.side == "right" else 1).astype(np.complex128)
+        band = np.eye(n, k=-1 if self.side == "right" else 1, dtype=np.complex128)
         return QMatrix(band, np.zeros((n, n), dtype=np.complex128))
 
     def adjoint_operator(self) -> "ShiftOperator":

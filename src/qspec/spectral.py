@@ -10,6 +10,12 @@ rectangular finite sections: columns of R_q applied exactly to the first
 few basis vectors, so each sampled kappa is an honest value of the full
 operator restricted to a finitely supported subspace, monotonically
 non-increasing in the window size.
+
+The sections of the unilateral shifts are banded Toeplitz matrices whose
+Grams the sine transform diagonalizes up to a few corner terms, so their
+kappa comes from a secular equation over the symbol, O(W) per point, with
+an error bound; only the points where that bound cannot fix the printed
+value or the side of the ``threshold_region`` cut take the dense SVD.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
+from .operators import ShiftOperator
 from .qlinalg import QMatrix, pseudo_resolvent  # noqa: F401 (documented re-export)
 from .quat import EigenSphere, Quaternion, SLICE_I, SliceUnit
 from . import qlinalg
@@ -233,35 +240,516 @@ class GridSpec:
         return np.linspace(0.0, self.y1, self.ny)
 
 
+# -- shift sections from the symbol ---------------------------------------
+#
+# On the slice of q = x + yI, with lam = x + iy and r2 = x^2 + y^2, the kept
+# columns of a shift's section are the real banded Toeplitz matrix of
+# p(z) = z^2 - 2xz + r2 = (z - lam)(z - conj(lam)).  Column j of the right
+# shift's holds r2, -2x, 1 at rows j, j+1, j+2 (W rows, n = W - 2 columns);
+# the left shift's is the n x n triangle of its first n rows turned around,
+# which has the same singular values.  The sine transform (DST-I)
+# diagonalizes C = tridiag(1/2, 0, 1/2) with the modes theta_k = k pi/(n+1),
+# and g(C) has the eigenvalues d_k = |p(e^{i theta_k})|^2.  Both Grams are
+# corner updates of g(C) (the tau algebra: Bini & Capovani, Linear Algebra
+# Appl. 52/53 (1983)):
+#
+#   right  R^T R = g(C) + r2 (e_0 e_0^T + e_{n-1} e_{n-1}^T)
+#   left   L^T L = g(C) + r2 e_{n-1} e_{n-1}^T + (r2 - 1) e_0 e_0^T - c c^T,
+#          c = e_1 - 2x e_0
+#
+# The right update is persymmetric and splits into one positive rank-one
+# update on the odd and one on the even modes, so kappa^2 is the smaller of
+# two secular-equation roots (Golub, SIAM Rev. 15 (1973)), each accurate to a
+# few ulps.  The left update is indefinite; kappa^2 is the first zero of a
+# 3 x 3 secular determinant, found by Newton steps kept in a bracket by
+# counts of the eigenvalues below mu (Haynsworth inertia), and accurate only
+# where the terms of x^T L^T L x do not cancel, so not where kappa is small.
+# There, inside the unit disc, the inverse of the section is the Toeplitz
+# matrix of 1/p, and kappa is one over its largest singular value, which
+# block power steps bound from both sides.  Each value comes with an error
+# bound, and a cell whose printed value (``_fmt``) or side of the
+# ``threshold_region`` cut the bound cannot fix is left to the dense SVD.
+
+_EPS = float(np.finfo(float).eps)
+#: the default tol of ``threshold_region``
+REGION_TOL = 1e-8
+#: points x sine modes per chunk of the symbol kernels
+_SYMBOL_ENTRIES = 1 << 15
+#: Newton steps at most per secular root (bisection steps when Newton strays)
+_SECULAR_STEPS = 80
+#: fast counts at most per left-shift point
+_LEFT_STEPS = 20
+#: a value below this prints as 0
+_PRINTS_ZERO = 5e-13
+#: block power steps on the inverse of a left-shift section
+_POWER_STEPS = 8
+#: error bounds: of the dense SVD's smallest value and of the right route's
+#: kappa, in units of eps times the section's norm bound 1 + 2|x| + r2
+#: (measured: at most 1.07 and 0.86); of the left route's kappa^2, in units
+#: of eps times its first-order error (``_LeftGram.examine``)
+_DENSE_ERR, _RIGHT_ERR, _LEFT_ERR = 4.0, 2.0, 16.0
+#: the entries (i, j), i <= j, of a symmetric 3 x 3 matrix, in a flat row,
+#: and how often each stands in the whole matrix
+_UPPER = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
+_TWICE = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
+#: in that flat row, adj(A) = A[i] A[j] - A[m] A[n] for a symmetric 3 x 3 A
+_ADJ = (np.array([3, 2, 1, 0, 1, 0]), np.array([5, 4, 4, 5, 2, 3]),
+        np.array([4, 1, 2, 2, 0, 1]), np.array([4, 5, 3, 2, 4, 1]))
+
+
+def _region_cut(tol: float, norm_scale: float) -> float:
+    return tol * (1.0 + norm_scale ** 2)
+
+
+def _sine_modes(cols: int) -> tuple[np.ndarray, np.ndarray]:
+    theta = np.arange(1, cols + 1) * (math.pi / (cols + 1))
+    return np.cos(theta), np.sin(theta)
+
+
+def _symbol(c: np.ndarray, s: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """d_k = |e^{i theta_k} - lam|^2 |e^{i theta_k} - conj(lam)|^2, a row per
+    point, as products of sums of squares so that nothing cancels."""
+    dx = (c - xs[:, None]) ** 2
+    return (dx + (s - ys[:, None]) ** 2) * (dx + (s + ys[:, None]) ** 2)
+
+
+def _secular_min(d: np.ndarray, w: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of diag(d) + rho z z^T, z_k^2 = w_k > 0, a row per point.
+
+    It is d_(1) + tau, tau the root in (0, gap) of the increasing convex
+    h(tau) = tau (1 + rho phi(tau)) - rho w_(1), phi(tau) = sum w_k /
+    (d_k - d_(1) - tau) over the other modes: the secular equation in the gap
+    variable, so that no term cancels.  Newton steps from a point right of
+    the root stay right of it and converge monotonically; until there is
+    one, a Newton step from the left that leaves the bracket bisects it.  A
+    smallest d_k that is repeated stays an eigenvalue (tau = 0), and so does
+    every d_k when rho = 0.
+    """
+    rows = np.arange(len(d))
+    first = np.argmin(d, axis=1)
+    d1 = d[rows, first]
+    delta = d - d1[:, None]
+    delta[rows, first] = np.inf
+    gap = delta.min(axis=1)
+    delta[gap == 0] = np.inf
+    pull = rho * w[first]
+    lo, hi = np.zeros_like(d1), np.minimum(gap, pull)
+    # where pull < gap, h(pull) >= 0: a point right of the root
+    tau = np.where(pull < gap, pull, 0.5 * hi)
+    ahead = np.full_like(d1, np.nan)     # the Newton step from the last right point
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SECULAR_STEPS):
+            den = delta - tau[:, None]
+            terms = w / den
+            f = 1.0 + rho * terms.sum(axis=1)
+            h = tau * f - pull
+            step = tau - h / (f + tau * rho * (terms / den).sum(axis=1))
+            right = h >= 0
+            lo, hi = np.where(right, lo, tau), np.where(right, tau, hi)
+            ahead = np.where(right, step, ahead)
+            inside = (step > lo) & (step < hi)
+            step = np.where(right | inside, step,
+                            np.where((ahead > lo) & (ahead < hi), ahead, 0.5 * (lo + hi)))
+            done = np.abs(step - tau) <= 2.0 * _EPS * step
+            tau = step
+            if done.all():
+                break
+    return d1 + tau
+
+
+def _right_gram_min(c, s, d, r2) -> np.ndarray:
+    """Smallest eigenvalue of R^T R: the odd and the even sine modes each see
+    the update r2 z z^T with z_k^2 = 4 sin^2 theta_k / (n + 1)."""
+    w = (4.0 / (len(c) + 1)) * s * s
+    return np.minimum(_secular_min(d[:, 0::2], w[0::2], r2),
+                      _secular_min(d[:, 1::2], w[1::2], r2))
+
+
+class _LeftGram:
+    """L^T L in the sine basis, a row per point: M = diag(d) + V T V^T.
+
+    The three columns of V are the sine coordinates of e_{n-1}, e_0 and c,
+    scaled by sqrt|s| for the weights s = (r2, r2 - 1, -1), and T holds
+    their signs (+1 for a zero weight, whose column is then zero).  The
+    modes are sorted by d at each point.
+
+    By Haynsworth's inertia formula on K = [[D - mu, V], [V^T, -T]], the
+    eigenvalues of M below mu number #(d_k < mu) + pos(H) - pos(T), with
+    H = T + V^T (D - mu)^-1 V, and det(M - mu) = det(D - mu) det(T) det(H).
+    Each count keeps two poles d_k, d_{k+1} out of the sums in H, so that
+    their size cancels nowhere.
+    """
+
+    def __init__(self, c, s, d, xs, r2):
+        cols = len(c)
+        a = math.sqrt(2.0 / (cols + 1)) * s               # e_0
+        alt = np.where(np.arange(cols) % 2 == 0, a, -a)   # e_{n-1}
+        weights = np.stack([r2, r2 - 1.0, np.full_like(r2, -1.0)], axis=1)
+        self.t = np.where(weights >= 0, 1.0, -1.0)
+        self.positive = np.count_nonzero(self.t > 0, axis=1)
+        root = np.sqrt(np.abs(weights))
+        order = np.argsort(d, axis=1)
+        self.d = np.take_along_axis(d, order, axis=1)
+        a_k = a[order]
+        # sin 2 theta_k = 2 sin theta_k cos theta_k: the coordinates of e_1
+        self.v = np.stack([alt[order] * root[:, :1], a_k * root[:, 1:2],
+                           2.0 * (a * c)[order] - 2.0 * xs[:, None] * a_k], axis=2)
+        self.v6 = self.v[:, :, _UPPER[0]] * self.v[:, :, _UPPER[1]]
+        self.size = np.sum(self.v * self.v, axis=2)
+        self.rows = np.arange(len(d))
+
+    def _split(self, mu, k):
+        """D - mu, the poles below mu, k (where k < 0: the sorted poles k and
+        k + 1 nearest mu), T plus the sums of H over the other poles and
+        their derivative in mu, as flat upper triangles, and the reciprocal
+        gaps."""
+        rows, cols = self.rows, self.d.shape[1]
+        dm = self.d - mu[:, None]
+        poles = np.count_nonzero(dm < 0, axis=1)
+        far = np.abs(dm)
+        near = np.clip(poles - 1, 0, cols - 2)
+        near = np.where((near > 0) & (far[rows, near - 1] < far[rows, near + 1]), near - 1,
+                        np.where((near + 2 < cols)
+                                 & (far[rows, np.minimum(near + 2, cols - 1)] < far[rows, near]),
+                                 near + 1, near))
+        k = np.where(k < 0, near, k)
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / dm
+        inv[rows, k] = inv[rows, k + 1] = 0.0
+        h, slope = np.matmul(np.stack([inv, inv * inv], axis=1), self.v6).transpose(1, 0, 2)
+        h[:, [0, 3, 5]] += self.t
+        return dm, poles, k, h, slope, inv
+
+    def probe(self, mu, k):
+        """At each point: the eigenvalues below mu, the poles below mu, k, and
+        F = det(H) (d_k - mu)(d_{k+1} - mu) with its derivative in mu.
+
+        The poles k, k + 1 enter the leading minors of H as rank-one terms;
+        scaled by the product of their gaps, each minor is a polynomial with
+        no large term, and the signs of the minors give the inertia of H
+        (Jacobi).  That is fast, but not accurate at a close pair of
+        eigenvalues, which ``examine`` is.
+        """
+        rows = self.rows
+        dm, poles, k, h, slope, _ = self._split(mu, k)
+        a, g = h.T, slope.T
+        e1, e2 = dm[rows, k], dm[rows, k + 1]
+        u, v = self.v[rows, k].T, self.v[rows, k + 1].T
+        x = np.stack([u, v, u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]])
+        # the adjugate of A and its derivative along the far sums' derivative,
+        # each entry a difference of products of two entries of A (or of G)
+        i, j, m, n = _ADJ
+        adj = a[i] * a[j] - a[m] * a[n]
+        dadj = g[i] * a[j] + a[i] * g[j] - g[m] * a[n] - a[m] * g[n]
+        det2, zero = adj[5], np.zeros_like(e1)
+        # x^T B x for x = u, v, u x v and B = adj(A), its derivative, A, G,
+        # the adjugate of A's leading 2 x 2 block and e_0 e_0^T
+        form = np.einsum("xkp,bkp->xbp", x[:, _UPPER[0]] * x[:, _UPPER[1]] * _TWICE[:, None],
+                         np.stack([adj, dadj, a, g, [a[3], -a[1], zero, a[0], zero, zero],
+                                   [np.ones_like(e1), zero, zero, zero, zero, zero]]))
+        det3 = np.sum(a[:3] * adj[:3], axis=0)
+        both = e1 * e2
+        m1 = a[0] * both + e2 * form[0, 5] + e1 * form[1, 5]
+        m2 = det2 * both + e2 * form[0, 4] + e1 * form[1, 4] + x[2, 2] ** 2
+        m3 = det3 * both + e2 * form[0, 0] + e1 * form[1, 0] + form[2, 2]
+        # d det(A) = tr(adj(A) dA)
+        dm3 = (np.sum(_TWICE[:, None] * adj * g, axis=0) * both - det3 * (e1 + e2)
+               - form[0, 0] - form[1, 0] + e2 * form[0, 1] + e1 * form[1, 1] + form[2, 3])
+        # the scaling flips the sign of every minor where both < 0
+        flip = both < 0
+        n1, n2, n3 = (m1 < 0) != flip, (m2 < 0) != flip, (m3 < 0) != flip
+        changes = n1.astype(int) + (n1 != n2) + (n2 != n3)
+        below = poles + 3 - changes - self.positive
+        return below, poles, k, m3, dm3, det3
+
+    def examine(self, mu):
+        """At each point: the eigenvalues of M below mu, from ``eigvalsh`` on
+        the Schur complement of all but the two nearest poles in K (5 x 5,
+        with no large entry); whether its eigenvalues are clear of 0 by their
+        backward error; and the error of an eigenvalue of M at mu, to first
+        order, in units of eps.
+
+        The 5 x 5 matrix is scaled on both sides by the inverse square roots
+        of its absolute row sums (a congruence: the inertia stays).  Its
+        eigenvector (x_near, w) nearest 0 gives V^T x = T w, so x^T M x =
+        mu |x|^2 is a sum whose terms have absolute values adding to
+        mu |x|^2 + 2 sum_{t_i < 0} w_i^2: relative errors of d and V move mu
+        by eps times that over |x|^2.  Rounding in the far sums adds sum_far
+        |V_k|^2 / |d_k - mu| times |w|^2, and the backward error of
+        ``eigvalsh`` the 5 x 5 norm, each over |x|^2, whose far part is
+        w^T (sum_far V V^T / (d - mu)^2) w: the slope of that eigenvalue.
+        """
+        rows = self.rows
+        dm, poles, k, h, slope, inv = self._split(mu, np.full(len(mu), -1))
+        small = np.zeros((len(mu), 5, 5))
+        small[:, 0, 0], small[:, 1, 1] = dm[rows, k], dm[rows, k + 1]
+        small[:, 0, 2:], small[:, 1, 2:] = self.v[rows, k], self.v[rows, k + 1]
+        small[:, 2 + _UPPER[0], 2 + _UPPER[1]] = -h
+        small = np.triu(small) + np.triu(small, 1).transpose(0, 2, 1)
+        outside = poles - np.count_nonzero(small[:, [0, 1], [0, 1]] < 0, axis=1)
+        scale = 1.0 / np.sqrt(np.sum(np.abs(small), axis=2))
+        small *= scale[:, :, None] * scale[:, None, :]
+        lam, vec = np.linalg.eigh(small)
+        size = np.abs(lam)
+        below = outside + np.count_nonzero(lam < 0, axis=1) - self.positive
+        clear = size.min(axis=1) > 16.0 * _EPS * size.max(axis=1)
+        z = vec[rows, :, np.argmin(size, axis=1)] * scale
+        w = z[:, 2:]
+        ww = w * w
+        pairs = w[:, _UPPER[0]] * w[:, _UPPER[1]] * _TWICE
+        norm = np.sum(z[:, :2] ** 2, axis=1) + np.sum(slope * pairs, axis=1)
+        spread = mu + (2.0 * np.sum(ww * (self.t < 0), axis=1)
+                       + np.sum(np.abs(inv) * self.size, axis=1) * np.sum(ww, axis=1)
+                       + 2.0 * size.max(axis=1)) / norm
+        return below, clear, spread
+
+
+def _left_gram_min(c, s, d, xs, r2):
+    """Smallest eigenvalue mu of L^T L, its error bound, and whether robust
+    counts confirm the bound, at each point.
+
+    By interlacing, the smallest eigenvalue lies below d_(3); fast counts
+    just below the three smallest poles find the gap between poles that
+    holds it.  With the two poles around that gap
+    held in F, Newton steps on F converge to it, each kept inside the
+    bracket the counts leave, taken only from where at most one eigenvalue
+    lies below, and replaced by bisection otherwise.  The bound is
+    ``_LEFT_ERR`` eps times the first-order error from ``examine`` plus
+    what is left of the bracket, and the robust counts must find no
+    eigenvalue below mu - bound and one below mu + bound.
+    """
+    gram = _LeftGram(c, s, d, xs, r2)
+    cols = len(c)
+    scale = 1.0 + 2.0 * np.abs(xs) + r2
+    floor = _EPS * scale * scale
+    lo, hi = np.zeros_like(r2), r2 * r2         # r2^2 is a diagonal entry of L^T L
+    poles_lo, poles_hi = np.zeros(len(r2), dtype=int), np.full(len(r2), -1)
+    pair = np.full(len(r2), -1)
+    for j in range(min(3, cols)):
+        shut = poles_hi >= 0
+        top = gram.d[:, j] * (1.0 - 8.0 * _EPS)
+        below, poles = gram.probe(top, pair)[:2]
+        found = ~shut & (below > 0) & (top > lo)
+        hi, poles_hi = np.where(found, top, hi), np.where(found, poles, poles_hi)
+        lost = ~shut & ~found
+        lo = np.where(lost, gram.d[:, j] * (1.0 + 8.0 * _EPS), lo)
+        poles_lo = np.where(lost, np.count_nonzero(gram.d < lo[:, None], axis=1), poles_lo)
+    lo = np.minimum(lo, hi)
+    mu, model = 0.5 * (lo + hi), None
+    done, edge = np.zeros(len(r2), dtype=bool), np.zeros(len(r2), dtype=bool)
+    for _ in range(_LEFT_STEPS):
+        trial = 0.5 * (lo + hi)
+        if model is not None:
+            # the root of F + F' h + det(A) h^2 nearest 0: Newton, with the
+            # curvature the two held poles give F (det(A) times their gaps)
+            f, slope, curve = model
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root = np.sqrt(np.maximum(slope * slope - 4.0 * curve * f, 0.0))
+                step = -2.0 * f / (slope + np.where(slope < 0, -root, root))
+            newton = (pair >= 0) & (mu + step > lo) & (mu + step < hi)
+            # a step past an end says the root hugs it (a mode barely coupled
+            # to the corners): look just inside that end, once
+            past_lo = (pair >= 0) & ~edge & (mu + step <= lo)
+            past_hi = (pair >= 0) & ~edge & (mu + step >= hi)
+            edge = past_lo | past_hi
+            trial = np.where(newton, mu + step,
+                             np.where(past_lo, lo + 4.0 * _EPS * hi,
+                                      np.where(past_hi, hi * (1.0 - 4.0 * _EPS), trial)))
+            settled = newton & (np.abs(step) <= 4.0 * _EPS * mu)
+            lo, hi = np.where(settled, mu, lo), np.where(settled, mu, hi)
+            done |= settled
+        trial = np.where(done, mu, trial)
+        below, poles, _, *model = gram.probe(trial, pair)
+        search = pair < 0
+        found = ~done & (below > 0)
+        hi, lo = np.where(found, trial, hi), np.where(~done & ~found, trial, lo)
+        poles_hi = np.where(search & found, poles, poles_hi)
+        poles_lo = np.where(search & ~found, poles, poles_lo)
+        # no pole in the bracket: hold the poles around it
+        pair = np.where(search & (poles_hi == poles_lo), np.clip(poles_lo - 1, 0, cols - 2), pair)
+        # Newton steps only from where at most the smallest eigenvalue is below
+        model = tuple(np.where(search | (below > 1), 0.0, m) for m in model)
+        mu = trial
+        done |= np.where(pair < 0, hi - lo <= floor, hi - lo <= 4.0 * _EPS * hi)
+        if done.all():
+            break
+    mu = np.where(hi - lo <= 4.0 * _EPS * hi, 0.5 * (lo + hi), mu)
+    err = _LEFT_ERR * _EPS * gram.examine(mu)[2] + (hi - lo)
+    below, clear = gram.examine(np.maximum(mu - err, 0.0))[:2]
+    sure = (mu - err < 0) | (clear & (below == 0))
+    below, clear = gram.examine(mu + err)[:2]
+    return mu, err, sure & clear & (below > 0)
+
+
+def _inverse_kappa_bounds(xs, ys, cols):
+    """Bounds on kappa of the left shift's section at points with |q| < 1,
+    from the largest singular value of its inverse, and whether they hold.
+
+    The section is (turned around) the lower triangular Toeplitz matrix L of
+    p, and L^-1 is that of 1/p, h_k = (2x h_{k-1} - h_{k-2}) / r2: it grows
+    like r^-k, and kappa = 1 / |L^-1|.  Block power steps from e_0, e_1 on
+    L^-T L^-1, with products by FFT convolution, give Ritz values
+    theta_1 >= theta_2 and the residual rho of their block.  Then
+    theta_1 <= |L^-1|^2 <= the top eigenvalue of [[theta_1, rho],
+    [rho, tau]], tau = |L^-1|_F^2 - theta_1 - theta_2 bounding what is left
+    of the spectrum; the bound holds where theta_1 > tau, which is where
+    kappa is small against the other singular values of L.  Each end keeps
+    a rounding slack of 16 n eps.
+    """
+    r2 = xs * xs + ys * ys
+    h = np.empty((len(xs), cols))
+    size = 2 * cols
+
+    def gram(block):
+        # L^-T L^-1 block; J L^-1 J is the transpose of L^-1
+        low = np.fft.irfft(spectrum * np.fft.rfft(block, size, axis=1), size, axis=1)[:, :cols]
+        up = np.fft.irfft(spectrum * np.fft.rfft(low[:, ::-1], size, axis=1), size, axis=1)
+        return up[:, :cols][:, ::-1]
+
+    # a point whose h overflows keeps no finite bound, and stays unproved
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h[:, 0] = 1.0 / r2
+        h[:, 1] = 2.0 * xs * h[:, 0] / r2
+        for k in range(2, cols):
+            h[:, k] = (2.0 * xs * h[:, k - 1] - h[:, k - 2]) / r2
+        h[~np.all(np.isfinite(h), axis=1)] = 0.0
+        spectrum = np.fft.rfft(h, size, axis=1)[:, :, None]
+        block = np.zeros((len(xs), cols, 2))
+        block[:, 0, 0] = block[:, 1, 1] = 1.0
+        for _ in range(_POWER_STEPS):
+            block = np.linalg.qr(gram(block))[0]
+        image = gram(block)
+        ritz = np.matmul(block.transpose(0, 2, 1), image)
+        theta = np.linalg.eigvalsh(0.5 * (ritz + ritz.transpose(0, 2, 1)))
+        rho = np.linalg.norm(image - np.matmul(block, ritz), axis=(1, 2))
+        slack = 16.0 * cols * _EPS
+        frobenius = np.sum(h * h * np.arange(cols, 0, -1), axis=1)
+        tau = frobenius * (1.0 + slack) - (theta[:, 0] + theta[:, 1]) * (1.0 - slack)
+        top = 0.5 * (theta[:, 1] + tau) + np.hypot(0.5 * (theta[:, 1] - tau), rho)
+        lo, hi = 1.0 / np.sqrt(top * (1.0 + slack)), 1.0 / np.sqrt(theta[:, 1] * (1.0 - slack))
+    return lo, hi, np.isfinite(lo) & np.isfinite(hi) & (theta[:, 1] > tau)
+
+
+def _decided(lo: np.ndarray, hi: np.ndarray, cut: float) -> np.ndarray:
+    """Cells where every value in [lo, hi] prints the same and falls on the
+    same side of ``cut``.  ``_fmt`` is monotone, so the two ends decide."""
+    same = np.fromiter((_fmt(a) == _fmt(b) for a, b in zip(lo.tolist(), hi.tolist())),
+                       dtype=bool, count=len(lo))
+    return same & ((hi <= cut) | (lo > cut))
+
+
+def _shift_kappas(side: str, cols: int, xs: np.ndarray, ys: np.ndarray):
+    """kappa on the ``cols`` kept columns of a shift's section at the points
+    (xs, ys), from the symbol; how far the dense SVD's value may lie from
+    each; and the mask of the points where the dense SVD must decide instead.
+
+    A kept value prints as the dense SVD's would and falls on the same side
+    of the default ``threshold_region`` cut, whatever the two routes' errors
+    within their bounds.  At a left-shift point with |q| < 1 the truncated
+    geometric eigenvector (1, q, q^2, ...) leaves a residual in its last two
+    rows only, so kappa <= r^n sqrt((1 + r2)(1 - r2) / (1 - r2^n)); where
+    that bound proves a printed 0 it is the value, with no other work.  The
+    other points with |q| < 1, where kappa is small and the Gram route has
+    no accuracy, take ``_inverse_kappa_bounds``; those with |q| >= 1 the
+    Gram route, but for x = 0.
+    """
+    r2 = xs * xs + ys * ys
+    scale = 1.0 + 2.0 * np.abs(xs) + r2
+    dense_err = _DENSE_ERR * _EPS * scale
+    cut = _region_cut(REGION_TOL, 1.0)
+    out, reach = np.full(len(xs), np.nan), np.zeros(len(xs))
+    hard = np.ones(len(xs), dtype=bool)
+    todo = np.arange(len(xs))
+    chunk = max(1, _SYMBOL_ENTRIES // cols)
+    if side == "left":
+        inside = np.flatnonzero(r2 < 1.0)
+        rr = r2[inside]
+        bound = rr ** (0.5 * cols) * np.sqrt((1.0 + rr) * (1.0 - rr) / (1.0 - rr ** cols))
+        zero = bound + dense_err[inside] < _PRINTS_ZERO
+        done = inside[zero]
+        out[done], reach[done], hard[done] = bound[zero], bound[zero] + dense_err[done], False
+        rest = inside[~zero]
+        for start in range(0, len(rest), chunk):
+            idx = rest[start:start + chunk]
+            lo, hi, sure = _inverse_kappa_bounds(xs[idx], ys[idx], cols)
+            out[idx], reach[idx] = hi, hi - lo + dense_err[idx]
+            hard[idx] = ~(sure & _decided(lo - dense_err[idx], hi + dense_err[idx], cut))
+        # at x = 0 the section splits into two interleaved chains, equal for
+        # even n, whose double eigenvalues the fast counts resolve slowly
+        todo = np.flatnonzero((r2 >= 1.0) & (xs != 0.0))
+    c, s = _sine_modes(cols)
+    for start in range(0, len(todo), chunk):
+        idx = todo[start:start + chunk]
+        d = _symbol(c, s, xs[idx], ys[idx])
+        if side == "right":
+            kappa = np.sqrt(_right_gram_min(c, s, d, r2[idx]))
+            err = _RIGHT_ERR * _EPS * scale[idx]
+            lo, hi, sure = kappa - err, kappa + err, True
+        else:
+            mu, err, sure = _left_gram_min(c, s, d, xs[idx], r2[idx])
+            # the robust counts hold for a Gram whose mu is within err of L^T L's
+            kappa = np.sqrt(mu)
+            lo, hi = np.sqrt(np.maximum(mu - 2.0 * err, 0.0)), np.sqrt(mu + 2.0 * err)
+        out[idx], reach[idx] = kappa, np.maximum(hi - kappa, kappa - lo) + dense_err[idx]
+        hard[idx] = ~(sure & _decided(lo - dense_err[idx], hi + dense_err[idx], cut))
+    return out, np.where(hard, 0.0, reach), hard
+
+
 class _SectionKappa:
     """kappa(R_q) on a rectangular window section, reusable across q.
 
-    Takes the complex image of the section once and reads kappa as the
-    last of the singular values ``qlinalg.resolvent_singular_values`` gives
-    for the kept columns, a block of grid points per stacked SVD.
+    Dense and multiplication operators: the complex image of the section is
+    taken once, and kappa is the last of the singular values
+    ``qlinalg.resolvent_singular_values`` gives for the kept columns, a block
+    of grid points per stacked SVD.  Shifts: kappa comes from the symbol
+    (``_shift_kappas``), O(W) per point, and only the points it cannot
+    certify go to that same dense kernel, on an image built at the first
+    such point.  ``dense_cells`` counts the points the dense SVD decided.
     """
 
     def __init__(self, op, window: int | None):
-        n_win = _section_size(op, window)
-        self.n = n_win
-        self._m, half = qlinalg.complex_image(op.finite_section(n_win))
-        cols = np.arange(n_win - (0 if op.dim is not None else op.section_margin))
-        self._keep = cols if half else np.concatenate([cols, n_win + cols])
+        self.n = _section_size(op, window)
+        self.dense_cells = 0
+        self._op = op
+        self._side = op.side if isinstance(op, ShiftOperator) else None
+        self._m = self._keep = None
+
+    def _image(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._m is None:
+            n_win = self.n
+            self._m, half = qlinalg.complex_image(self._op.finite_section(n_win))
+            cols = np.arange(n_win - (0 if self._op.dim is not None else self._op.section_margin))
+            self._keep = cols if half else np.concatenate([cols, n_win + cols])
+        return self._m, self._keep
+
+    def _dense(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        self.dense_cells += len(xs)
+        m, keep = self._image()
+        blocks = qlinalg.resolvent_singular_values(m, xs, ys, keep)
+        # a copy, not a view, lets each block's values go before the next
+        return np.concatenate([s[:, -1].copy() for s in blocks])
 
     def values(self, xs, ys) -> np.ndarray:
         """kappa at the points (x, y) of the broadcast of ``xs`` and ``ys``."""
         xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float),
                                      np.asarray(ys, dtype=float))
-        blocks = qlinalg.resolvent_singular_values(self._m, xs.ravel(), ys.ravel(), self._keep)
-        # a copy, not a view, lets each block's values go before the next
-        return np.concatenate([s[:, -1].copy() for s in blocks]).reshape(xs.shape)
+        x, y = xs.ravel(), ys.ravel()
+        if self._side is None:
+            return self._dense(x, y).reshape(xs.shape)
+        out, _, hard = _shift_kappas(self._side, self.n - self._op.section_margin, x, y)
+        if hard.any():
+            out[hard] = self._dense(x[hard], y[hard])
+        return out.reshape(xs.shape)
 
     def kappa(self, x: float, y: float) -> float:
         return float(self.values(x, y))
 
     def norm_scale(self) -> float:
-        """The section's 2-norm, from the SVD ``op_norm`` would take."""
-        return float(np.linalg.svd(self._m, compute_uv=False)[0])
+        """The section's 2-norm, from the SVD ``op_norm`` would take; a shift's
+        section is a partial isometry, and its norm is 1."""
+        if self._side is not None:
+            return 1.0
+        return float(np.linalg.svd(self._image()[0], compute_uv=False)[0])
 
 
 def window_kappa(op, q: Quaternion, window: int) -> float:
@@ -283,6 +771,8 @@ class SlicePortrait:
     norm_scale: float
     values: np.ndarray
     op_label: str = ""
+    #: cells whose kappa the dense SVD decided; bookkeeping, never printed
+    dense_cells: int = field(default=0, compare=False)
 
     def csv_lines(self) -> list[str]:
         lines = ["x,y,kappa"]
@@ -312,7 +802,7 @@ def portrait(op, grid: GridSpec, window: int | None = None,
     values.setflags(write=False)
     return SlicePortrait(grid=grid, slice_unit=slice_unit, window=engine.n,
                          norm_scale=engine.norm_scale(), values=values,
-                         op_label=label)
+                         op_label=label, dense_cells=engine.dense_cells)
 
 
 # -- axially symmetric regions and the full spectrum ----------------------
@@ -329,10 +819,9 @@ class AxSymRegion:
         return int(np.sum(self.mask))
 
 
-def threshold_region(p: SlicePortrait, tol: float = 1e-8) -> AxSymRegion:
+def threshold_region(p: SlicePortrait, tol: float = REGION_TOL) -> AxSymRegion:
     """Cells flagged as approximate spectrum: kappa <= tol * (1 + |A|^2)."""
-    cut = tol * (1.0 + p.norm_scale ** 2)
-    mask = p.values <= cut
+    mask = p.values <= _region_cut(tol, p.norm_scale)
     mask.setflags(write=False)
     return AxSymRegion(grid=p.grid, mask=mask)
 

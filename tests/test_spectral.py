@@ -1,4 +1,9 @@
+import contextlib
+import importlib.util
+import io
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +14,13 @@ from qspec.qlinalg import (QMatrix, inverse_matrix, min_singular, op_norm,
                            resolvent_singular_values)
 from qspec.quat import SLICE_I, SLICE_J, EigenSphere, Quaternion
 from qspec.spectral import (
+    REGION_TOL,
     GridSpec,
+    SlicePortrait,
     _SectionKappa,
+    _fmt,
+    _section_size,
+    _shift_kappas,
     annulus_check,
     classify,
     full_spectrum,
@@ -29,6 +39,8 @@ import spectral_reference as ref
 
 Z = Quaternion(0)
 ONE = Quaternion(1)
+#: the default threshold_region cut of a shift portrait (norm_scale 1)
+REGION_CUT = REGION_TOL * 2.0
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
 
@@ -354,19 +366,42 @@ def _dense_operators() -> dict:
 def _block_sizes(engine, points: int) -> list[int]:
     """Points per stacked SVD when the kernel runs ``points`` points on the
     engine's section."""
+    m, keep = engine._image()
     zeros = np.zeros(points)
-    return [len(s) for s in resolvent_singular_values(engine._m, zeros, zeros, engine._keep)]
+    return [len(s) for s in resolvent_singular_values(m, zeros, zeros, keep)]
+
+
+def _assert_shift_agrees(op, window, xs, ys, got, want):
+    """A shift's symbol route against one SVD per point: the same printed
+    values and threshold cells, and each value within its stated bound."""
+    assert [_fmt(v) for v in got.ravel()] == [_fmt(v) for v in want.ravel()]
+    assert np.array_equal(got <= REGION_CUT, want <= REGION_CUT)
+    xs, ys = np.broadcast_arrays(xs, ys)
+    cols = _section_size(op, window) - op.section_margin
+    _, reach, hard = _shift_kappas(op.side, cols, xs.ravel().astype(float),
+                                   ys.ravel().astype(float))
+    diff = np.abs(got.ravel() - want.ravel())
+    assert np.all(diff <= reach)
+    assert np.all(diff[hard] == 0.0)
 
 
 def _assert_matches_reference(op, window, grid):
     engine = _SectionKappa(op, window)
     xs, ys = grid.xs()[None, :], grid.ys()[:, None]
     want = ref.section_kappas(op, engine.n, xs, ys)
-    assert np.array_equal(engine.values(xs, ys), want)
+    got = engine.values(xs, ys)
     p = portrait(op, grid, window=window)
-    assert np.array_equal(p.values, want)
+    if isinstance(op, ShiftOperator):
+        # the symbol route meets one SVD per point in print, not in bits
+        _assert_shift_agrees(op, window, xs, ys, got, want)
+        assert np.array_equal(p.values, got)
+        assert np.array_equal(threshold_region(p).mask, want <= REGION_CUT)
+        assert _fmt(engine.kappa(float(xs[0, -1]), float(ys[-1, 0]))) == _fmt(want[-1, -1])
+    else:
+        assert np.array_equal(got, want)
+        assert np.array_equal(p.values, want)
+        assert engine.kappa(float(xs[0, -1]), float(ys[-1, 0])) == want[-1, -1]
     assert p.norm_scale == op_norm(op.finite_section(engine.n))
-    assert engine.kappa(float(xs[0, -1]), float(ys[-1, 0])) == want[-1, -1]
     return engine
 
 
@@ -403,8 +438,100 @@ def test_section_kappa_degenerate_grids(grid):
 def test_window_kappa_matches_per_point_svd():
     for side in ("left", "right"):
         for q in (Quaternion(0.5), Quaternion(0.9, 0.4), Quaternion(-0.3, 0.1, 1.0, 0.2)):
-            want = ref.section_kappas(ShiftOperator(side), 64, q.w, q.imag_norm())
-            assert window_kappa(ShiftOperator(side), q, 64) == float(want)
+            x, y = np.array([q.w]), np.array([q.imag_norm()])
+            want = ref.section_kappas(ShiftOperator(side), 64, x, y)
+            got = np.array([window_kappa(ShiftOperator(side), q, 64)])
+            _assert_shift_agrees(ShiftOperator(side), 64, x, y, got, want)
+
+
+# -- the shift symbol route against one SVD per point ------------------------
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("window", [96, 128, 160, 257])
+def test_symbol_route_matches_reference_at_wide_windows(side, window):
+    _assert_matches_reference(ShiftOperator(side), window, GridSpec(-1.7, 1.6, 1.5, 7, 4))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_symbol_route_matches_reference_at_window_1024(side):
+    op, grid = ShiftOperator(side), GridSpec(-1.3, 1.45, 1.2, 3, 2)
+    xs, ys = grid.xs()[None, :], grid.ys()[:, None]
+    got = _SectionKappa(op, 1024).values(xs, ys)
+    _assert_shift_agrees(op, 1024, xs, ys, got, ref.section_kappas(op, 1024, xs, ys))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("window", [5, 9, 10, 33, 34, 128])
+def test_symbol_route_special_points(side, window):
+    # x = 0 with odd and even n = window - 2 (repeated modes), q = 0 (every
+    # d_k equal to 1), the real axis (a double root of the symbol), and
+    # |q| = 1 exactly (a zero corner weight of the left Gram)
+    t = np.linspace(0.0, math.pi, 9)
+    xs = np.concatenate([[0.0, 0.0, 0.0, 0.0, -0.7, 0.4, 1.0, -1.0, 1.3], np.cos(t), [0.6, 0.8]])
+    ys = np.concatenate([[0.0, 0.5, 1.0, 1.6, 0.0, 0.0, 0.0, 0.0, 0.0], np.sin(t), [0.8, 0.6]])
+    op = ShiftOperator(side)
+    got = _SectionKappa(op, window).values(xs, ys)
+    _assert_shift_agrees(op, window, xs, ys, got, ref.section_kappas(op, window, xs, ys))
+
+
+def test_symbol_route_cells_at_the_threshold_cut():
+    # left-shift points where one SVD per point gives kappa within 1e-13 of
+    # the cut 2e-8, on two rays through the disc
+    op, window = ShiftOperator("left"), 16
+    for angle in (0.7, 2.2):
+        c, s = math.cos(angle), math.sin(angle)
+
+        def dense(r):
+            return float(ref.section_kappas(op, window, r * c, r * s))
+
+        lo, hi = 0.05, 0.95
+        assert dense(lo) < REGION_CUT < dense(hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if dense(mid) <= REGION_CUT else (lo, mid)
+        rs = np.array([lo * (1 - 1e-12), lo, hi, hi * (1 + 1e-12)])
+        xs, ys = rs * c, rs * s
+        want = ref.section_kappas(op, window, xs, ys)
+        assert np.all(np.abs(want - REGION_CUT) < 1e-13)
+        got = _SectionKappa(op, window).values(xs, ys)
+        _assert_shift_agrees(op, window, xs, ys, got, want)
+
+
+def _gate_requests():
+    """The ``portrait`` benchmark requests of seed 51, from the benchmark's
+    own request builder."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("qspec_bench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return workloads.build_portrait(np.random.default_rng([51, 2]), "")
+
+
+def test_gate_requests_print_the_per_point_csv():
+    from qspec import cli
+
+    requests = _gate_requests()
+    for req in requests[:6] + requests[-6:]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(req.argv) == 0
+        side, window = req.expect["side"], req.expect["window"]
+        xs, ys = req.expect["xs"], req.expect["ys"]
+        grid = GridSpec(float(xs[0]), float(xs[-1]), float(ys[-1]), len(xs), len(ys))
+        want = ref.section_kappas(ShiftOperator(side), window, xs[None, :], ys[:, None])
+        p = SlicePortrait(grid=grid, slice_unit=SLICE_I, window=window, norm_scale=1.0,
+                          values=want)
+        assert out.getvalue() == "\n".join(p.csv_lines()) + "\n"
+
+
+def test_shift_section_norm_is_one():
+    for n in (4, 5, 17, 64, 199, 256):
+        for side in ("left", "right"):
+            op = ShiftOperator(side)
+            assert op_norm(op.finite_section(n)) == 1.0
+            assert _SectionKappa(op, n).norm_scale() == 1.0
 
 
 def test_window_none_means_the_operators_own_window():
