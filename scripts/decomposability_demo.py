@@ -6,7 +6,9 @@ Three exhibits:
      condition passes;
   2. a multiplication operator, decomposable by construction, with the
      partition of a two-disk cover shown explicitly;
-  3. both shifts, where window evidence refutes the condition.
+  3. both shifts, where the exact lower bounds of R_q on both sides of the
+     adjoint duality (the symbol limits of the window kappas) refute the
+     condition.
 """
 
 import argparse
@@ -49,7 +51,7 @@ def main() -> int:
     print()
 
     for side in ("right", "left"):
-        show(f"{side} shift (window evidence)",
+        show(f"{side} shift (symbol limit)",
              localspec.decomposability_necessary(ShiftOperator(side)))
 
     for side in ("right", "left"):

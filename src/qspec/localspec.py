@@ -11,10 +11,11 @@ spectrum reports; the local subspace of a sphere set F is the span of the
 matching ranges.  The diagonal multiplication operator and the
 eigenvector law are the two oracles that certify this realization.
 
-Shifts have no such decomposition.  They are probed through window
-evidence: kappa of exact rectangular sections on both sides of the
-adjoint duality, which is enough to exhibit a sphere inside sigma_S but
-outside sigma_apS and thereby refute decomposability.
+Shifts have no such decomposition.  Their R_q are Toeplitz operators,
+whose exact lower bounds ``spectral.shift_kappa_limit`` gives in closed
+form; read on both sides of the adjoint duality, they exhibit a sphere
+inside sigma_suS but outside sigma_apS, or the reverse, and thereby
+refute decomposability.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .operators import MultiplicationOperator, ShiftOperator
 from .qlinalg import (QMatrix, QVector, SpectralDecomposition, SubspaceBasis, _j_conj,
                       kernel_basis, min_singular, op_norm, orthonormalize,
                       pseudo_resolvent, spectral_decomposition, vstack)
-from .quat import (EigenSphere, Quaternion, sphere_in, sphere_of, sphere_subset,
-                   sphere_union)
+from .quat import EigenSphere, Quaternion, sphere_in, sphere_subset, sphere_union
 from . import spectral
 
 #: refuse spectral projections whose norm exceeds this
@@ -345,13 +345,9 @@ def global_subspace(a: QMatrix, spheres, tol: float = MEMBER_TOL,
 
 @dataclass(frozen=True)
 class SvepStatus:
-    """Single valued extension property verdict with its justification.
+    """Single valued extension property verdict with its justification."""
 
-    ``has_svep`` is None when the question is not decidable from finite
-    sections.
-    """
-
-    has_svep: bool | None
+    has_svep: bool
     reason: str
 
 
@@ -370,10 +366,11 @@ def svep_status(op) -> SvepStatus:
                 "operator with the single valued extension property would be "
                 "invertible")
         return SvepStatus(
-            None,
-            "not decidable from finite sections; the decomposability check "
-            "resolves its spectral structure instead")
-    return SvepStatus(None, "unknown operator family")
+            True,
+            "on each complex component R_q(S) = (S - lam)(S - conj lam), and "
+            "S - lam is injective for every lam, so sigma_pS is empty and "
+            "local resolvents extend uniquely")
+    raise TypeError(f"no SVEP route for {type(op).__name__}")
 
 
 @dataclass(frozen=True)
@@ -387,23 +384,22 @@ class DecomposabilityVerdict:
 
 
 def decomposability_necessary(op, report: spectral.SpectrumReport | None = None,
-                              tol: float = MEMBER_TOL, window: int = 128,
-                              probes=None) -> DecomposabilityVerdict:
+                              tol: float = MEMBER_TOL) -> DecomposabilityVerdict:
     """Necessary condition: a decomposable operator has
     sigma_S = sigma_apS = sigma_suS = union of all local spectra.
 
     FAIL therefore proves the operator is not decomposable; PASS is only
     consistent with decomposability, never a proof of it.  Matrices are
     checked exactly through their classification and projections; shifts
-    through rectangular window evidence on both sides of the adjoint
-    duality.
+    through the exact lower bounds of R_q on both sides of the adjoint
+    duality (``spectral.shift_kappa_limit``), with no finite section.
     """
     if isinstance(op, QMatrix):
         return _matrix_decomposability(op, report, tol)
     if getattr(op, "dim", None) is not None:
         return _matrix_decomposability(op.finite_section(op.dim), report, tol)
     if isinstance(op, ShiftOperator):
-        return _shift_decomposability(op, window, probes)
+        return _shift_decomposability(op)
     raise TypeError(f"no decomposability route for {type(op).__name__}")
 
 
@@ -431,43 +427,20 @@ def _matrix_decomposability(a: QMatrix, report, tol: float) -> DecomposabilityVe
         "consistent with decomposability, not a proof of it")
 
 
-def _shift_decomposability(op: ShiftOperator, window: int,
-                           probes) -> DecomposabilityVerdict:
-    if probes is None:
-        probes = (Quaternion(0.5), Quaternion(0.0, 0.5))
-    for q in probes:
-        own = _stabilized_kappa(op, q, window)
-        dual = _stabilized_kappa(op.adjoint_operator(), q, window)
-        if own is None or dual is None:
-            continue
-        # q in sigma_apS(op^*) = sigma_suS(op); a kappa <= 1e-8 comes from exact
-        # section columns, rigorous membership, and one >= 0.1 is stabilized
-        # window evidence of exclusion
-        ap, su = ("sigma_apS", "window", own), ("sigma_suS", "adjoint window", dual)
-        for (in_set, in_win, k_in), (out_set, out_win, k_out) in ((su, ap), (ap, su)):
-            if k_in <= 1e-8 and k_out >= 0.1:
-                s = sphere_of(q)
-                return DecomposabilityVerdict(
-                    "FAIL", s,
-                    f"sphere ({s.re}, {s.im}) lies in {in_set} ({in_win} kappa "
-                    f"{k_in:.2e}) but outside {out_set} ({out_win} kappa {k_out:.3f} "
-                    f"stabilized); sigma_S != {out_set}, so the shift is not decomposable")
+def _shift_decomposability(op: ShiftOperator) -> DecomposabilityVerdict:
+    # kappa_inf of R_q(op) is zero exactly on sigma_apS(op), and that of
+    # R_q(op^*) on sigma_apS(op^*) = sigma_suS(op); at q = 0.5 one is 0 and
+    # the other (1 - 0.5)^2, for either shift
+    s = EigenSphere(0.5, 0.0)
+    limits = {name: float(spectral.shift_kappa_limit(side, s.re, s.im))
+              for name, side in (("sigma_apS", op.side),
+                                 ("sigma_suS", op.adjoint_operator().side))}
+    in_set, out_set = sorted(limits, key=limits.get)
     return DecomposabilityVerdict(
-        "PASS", None,
-        "no witness among the probes; the necessary condition is not refuted")
-
-
-def _stabilized_kappa(op, q: Quaternion, window: int) -> float | None:
-    k1 = spectral.window_kappa(op, q, window)
-    if k1 <= 1e-8:
-        # exact columns of the rectangular section: rigorous membership
-        return k1
-    k2 = spectral.window_kappa(op, q, 2 * window)
-    # window values converge like 1/N^2; a sequence decaying to zero keeps a
-    # relative gap near 1/2 per doubling and is never accepted here
-    if abs(k1 - k2) <= max(1e-4, 1e-2 * k2):
-        return k2
-    return None
+        "FAIL", s,
+        f"sphere ({s.re}, {s.im}) lies in {in_set} (limit kappa {limits[in_set]:.2e}) "
+        f"but outside {out_set} (limit kappa {limits[out_set]:.3f}); sigma_S != "
+        f"{out_set}, so the shift is not decomposable")
 
 
 # -- spectral law checks --------------------------------------------------------

@@ -3,7 +3,7 @@
 An operator here exposes exact actions on finitely supported vectors plus
 square finite sections.  The window contract for banded infinite
 operators: finite_section(N) agrees with the exact action on vectors
-supported in the first N - bandwidth coordinates, and spectral probes of
+supported in the first N - bandwidth coordinates, and spectral samples of
 R_q drop the last 2 * bandwidth columns of the section so that every kept
 column is an exact image of the full operator.
 """

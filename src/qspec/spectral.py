@@ -47,19 +47,12 @@ def membership_threshold(a: QMatrix, tol: float) -> float:
 
 @dataclass(frozen=True)
 class SphereFlags:
-    """Spectrum part membership for one sphere.
-
-    Finite matrices admit no residual or continuous part: the kernel of a
-    singular R_q is always nonzero, so those two flags exist for report
-    symmetry and stay False.
-    """
+    """Spectrum part membership for one sphere."""
 
     point: bool
     approximate: bool
     compression: bool
     surjectivity: bool
-    residual: bool = False
-    continuous: bool = False
 
     def letters(self) -> str:
         parts = (self.point, self.approximate, self.compression, self.surjectivity)
@@ -122,7 +115,7 @@ def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
 
 
 def _section_size(op, window: int | None) -> int:
-    """Rows of the section that probes ``op``: its dimension when finite,
+    """Rows of the section that samples ``op``: its dimension when finite,
     else ``window`` (None means the operator's own window)."""
     if op.dim is not None:
         return op.dim
@@ -759,6 +752,33 @@ def window_kappa(op, q: Quaternion, window: int) -> float:
     spectrum membership because the section columns are exact images.
     """
     return _SectionKappa(op, window).kappa(q.w, q.imag_norm())
+
+
+def shift_kappa_limit(side: str, xs, ys) -> np.ndarray:
+    """kappa of R_{x+yI} on the whole sequence space for the ``side`` shift,
+    the limit of ``window_kappa`` as W grows, at the points (x, y) of the
+    broadcast of ``xs`` and ``ys``; zero exactly on sigma_apS.
+
+    R_q is the Toeplitz operator of p(z) = z^2 - 2xz + r2 (right shift) or
+    of its conjugate (left).  Its lower bound is min_{|z|=1} |p| for the
+    right shift, and for the left shift where r2 > 1; for the left shift
+    with r2 <= 1 it is 0, which the truncations of (1, q, q^2, ...) reach
+    (Boettcher & Silbermann, Analysis of Toeplitz Operators, ch. 2).  On
+    z = c + is, |p|^2 = 4 r2 c^2 - 4x(1 + r2) c + (1 + r2)^2 - 4y^2 is convex
+    in c: the minimum sits at the vertex clipped to [-1, 1], evaluated by
+    ``_symbol`` so that nothing cancels.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    x, y = xs.ravel(), ys.ravel()
+    r2 = x * x + y * y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.clip(np.where(r2 > 0.0, x * (1.0 + r2) / (2.0 * r2), 0.0), -1.0, 1.0)
+    kappa = np.sqrt(_symbol(c[:, None], np.sqrt(1.0 - c * c)[:, None], x, y)[:, 0])
+    if side == "left":
+        kappa[r2 <= 1.0] = 0.0
+    return kappa.reshape(xs.shape)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Named property suites behind the ``check`` command.
 
 Every law the library claims is executable from here: scalar algebra,
-complex-adjoint structure, spectral classification, window evidence for
-shifts, local spectra, subspace laws, and the series engine.  A suite is
-a list of labeled checks; each check runs a number of seeded instances
-and reports a count.  Instance generation is keyed by (seed, stream) so
-reports are reproducible byte for byte.
+complex-adjoint structure, spectral classification, window evidence and
+symbol limits for shifts, local spectra, subspace laws, and the series
+engine.  A suite is a list of labeled checks; each check runs a number of
+seeded instances and reports a count.  Instance generation is keyed by
+(seed, stream) so reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -608,9 +608,10 @@ def _suite_shift_window(cfg: SuiteConfig) -> SuiteResult:
         return spectral.window_kappa(left, q, 64) <= 1e-10
 
     def interior_floor(rng, k):
-        # frozen oracle: kappa at q=0.5 approaches (1-|q|)^2 = 0.25
+        # window values decrease to the exact limit (1-|q|)^2 = 0.25 like 1/W^2
+        limit = float(spectral.shift_kappa_limit("right", 0.5, 0.0))
         val = spectral.window_kappa(right, Quaternion(0.5), 128)
-        return 0.2 <= val <= 0.3
+        return limit <= val <= limit + 1e-3
 
     r.run("kappa-monotone", monotone)
     r.run("kappa-stabilization", stabilization)
@@ -626,7 +627,7 @@ def _suite_shift_decomposability(cfg: SuiteConfig) -> SuiteResult:
 
     def fails(side: str):
         def check(rng, k):
-            verdict = localspec.decomposability_necessary(ShiftOperator(side), window=64)
+            verdict = localspec.decomposability_necessary(ShiftOperator(side))
             return (verdict.status == "FAIL" and verdict.witness is not None
                     and verdict.witness.matches(target, 1e-9))
         return check
@@ -635,7 +636,7 @@ def _suite_shift_decomposability(cfg: SuiteConfig) -> SuiteResult:
         a = rand.rand_qmatrix(rng, 3, 3)
         return (localspec.svep_status(a).has_svep is True
                 and localspec.svep_status(ShiftOperator("left")).has_svep is False
-                and localspec.svep_status(ShiftOperator("right")).has_svep is None)
+                and localspec.svep_status(ShiftOperator("right")).has_svep is True)
 
     r.run("right-shift-fails", fails("right"))
     r.run("left-shift-fails", fails("left"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qspec import rand
+from qspec import rand, spectral
 from qspec.errors import PoleError
 from qspec.localspec import (
     check_ab_ba,
@@ -239,16 +239,32 @@ def test_matrix_decomposability_passes():
 
 
 def test_shift_decomposability_fails_with_witness():
-    right = decomposability_necessary(ShiftOperator("right"), window=64)
+    right = decomposability_necessary(ShiftOperator("right"))
     assert right.status == "FAIL" and not bool(right)
     assert right.witness.matches(EigenSphere(0.5, 0.0), 1e-9)
-    left = decomposability_necessary(ShiftOperator("left"), window=64)
+    left = decomposability_necessary(ShiftOperator("left"))
     assert left.status == "FAIL"
     assert left.witness.matches(EigenSphere(0.5, 0.0), 1e-9)
+
+
+def test_shift_decomposability_builds_no_section(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shift verdict must not sample a finite section")
+
+    monkeypatch.setattr(ShiftOperator, "finite_section", refuse)
+    monkeypatch.setattr(spectral._SectionKappa, "values", refuse)
+    for side in ("right", "left"):
+        verdict = decomposability_necessary(ShiftOperator(side))
+        assert verdict.status == "FAIL"
+        assert verdict.witness.matches(EigenSphere(0.5, 0.0), 1e-9)
+        assert "limit kappa 0.00e+00" in verdict.detail
+        assert "limit kappa 0.250" in verdict.detail
 
 
 def test_svep_verdicts():
     rng = rand.generator(127, 0)
     assert svep_status(rand.rand_qmatrix(rng, 3, 3)).has_svep is True
     assert svep_status(ShiftOperator("left")).has_svep is False
-    assert svep_status(ShiftOperator("right")).has_svep is None
+    assert svep_status(ShiftOperator("right")).has_svep is True
+    with pytest.raises(TypeError):
+        svep_status(object())

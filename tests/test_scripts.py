@@ -7,17 +7,30 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_decomposability_demo_verdicts():
+def _run_script(name, *args):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "decomposability_demo.py")],
+    run = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                          capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
+    return run
+
+
+def test_decomposability_demo_verdicts():
+    run = _run_script("decomposability_demo.py")
     exhibits = {block.splitlines()[0]: block for block in run.stdout.split("== ")[1:]}
     for title in ("random 5x5 matrix", "multiplication operator on 4 points"):
         assert "   status  PASS\n" in exhibits[title]
     for side in ("right", "left"):
-        block = exhibits[f"{side} shift (window evidence)"]
+        block = exhibits[f"{side} shift (symbol limit)"]
         assert "   status  FAIL\n" in block
         assert "   witness (0.500, 0.000)\n" in block
+
+
+def test_shift_portrait_writes_both_csvs(tmp_path):
+    _run_script("shift_portrait.py", "--grid=-1.5,1.5,1.5,16x8", "--windows", "16,32",
+                "--outdir", str(tmp_path))
+    for side in ("right", "left"):
+        lines = (tmp_path / f"portrait_{side}_32.csv").read_text().splitlines()
+        assert lines[0] == "x,y,kappa" and len(lines) == 1 + 16 * 8

@@ -29,6 +29,7 @@ from qspec.spectral import (
     portrait,
     pseudo_resolvent,
     s_spectrum,
+    shift_kappa_limit,
     spectral_radius,
     threshold_region,
     transition_cells,
@@ -263,6 +264,50 @@ def test_window_kappa_left_shift_interior_zero():
     left = ShiftOperator("left")
     assert window_kappa(left, Quaternion(0.5), 64) < 1e-10
     assert window_kappa(left, Quaternion(0, 0.5), 64) < 1e-10
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_shift_kappa_limit_brackets_the_window_values(side):
+    g = GridSpec(-1.5, 1.5, 1.5, 31, 16)
+    x, y = g.xs()[None, :], g.ys()[:, None]
+    limit = shift_kappa_limit(side, x, y)
+    scale = 1.0 + 2.0 * np.abs(x) + x * x + y * y
+    gaps = {}
+    for window in (32, 128, 512):
+        gaps[window] = portrait(ShiftOperator(side), g, window=window).values - limit
+        # section columns are exact images: every window value bounds the limit
+        assert np.all(gaps[window] >= -4.0 * np.finfo(float).eps * scale)
+    # the gap is O(1/W^2) away from the circle once W is past the transient
+    # near the circle's end points c = +-1 (at 32 -> 128 some cells fall 6.5x)
+    far = np.abs(np.hypot(x, y) - 1.0) > 0.1
+    assert np.all(gaps[128] <= gaps[32] + 4.0 * np.finfo(float).eps * scale)
+    assert np.all(10.0 * gaps[512][far] <= gaps[128][far])
+
+
+def test_shift_kappa_limit_pinned_values():
+    assert shift_kappa_limit("right", 0.5, 0.0) == pytest.approx(0.25, abs=1e-15)
+    assert shift_kappa_limit("right", 0.9, 0.0) == pytest.approx(0.01, abs=1e-15)
+    assert shift_kappa_limit("left", 1.2, 0.3) == pytest.approx(0.128544, abs=1e-6)
+    assert shift_kappa_limit("left", 0.5, 0.0) == 0.0
+    # q = 0: R_q is S^2, an isometry for the right shift
+    assert shift_kappa_limit("right", 0.0, 0.0) == 1.0
+    assert shift_kappa_limit("right", [[0.5, 0.9]], 0.0).shape == (1, 2)
+    with pytest.raises(ValueError, match="side"):
+        shift_kappa_limit("up", 0.5, 0.0)
+
+
+def test_shift_kappa_limit_matches_brute_force_on_the_circle():
+    rng = np.random.default_rng(2024)
+    xs, ys = rng.uniform(-2.0, 2.0, 300), rng.uniform(0.0, 2.0, 300)
+    # |p| takes the same values on the lower half circle (real coefficients)
+    z = np.exp(1j * np.linspace(0.0, math.pi, 200_001))
+    brute = np.array([np.abs(z * z - 2.0 * x * z + (x * x + y * y)).min()
+                      for x, y in zip(xs, ys)])
+    assert np.max(np.abs(shift_kappa_limit("right", xs, ys) - brute)) <= 1e-8
+    outside = xs * xs + ys * ys > 1.0
+    left = shift_kappa_limit("left", xs, ys)
+    assert np.all(left[~outside] == 0.0)
+    assert np.max(np.abs(left[outside] - brute[outside])) <= 1e-8
 
 
 def test_grid_spec_validation():
