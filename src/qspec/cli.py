@@ -7,9 +7,9 @@ grids of any operator, ``local`` for local spectra of a vector,
 suites.  Exit codes: 0 success, 1 a check suite failed, 2 malformed
 input or configuration.
 
-All output is deterministic for a fixed seed.  QSPEC_THREADS is accepted
-for compatibility and ignored: portraits are computed in one thread,
-because a thread pool over rows gave no speed-up.
+``--tol`` sets the membership threshold of ``spectrum``, ``classify`` and
+``local`` and the tolerance of ``check``; ``--seed`` seeds ``check``, the
+one command that draws random instances.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -58,8 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--suite", default="all",
                            help="suite name or 'all'")
             p.add_argument("--trials", type=int, default=20)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--tol", type=float, default=1e-6)
+        elif op and not grid:
+            # the membership threshold of the matrix-backed commands
+            p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
     common(sub.add_parser("spectrum", help="sphere set with part flags"), op=True)
@@ -69,9 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("local", help="local spectrum of a vector"),
            op=True, vector=True)
     common(sub.add_parser("series", help="series report"), series=True)
-    check = sub.add_parser("check", help="run property suites")
-    common(check, suite=True)
-    check.set_defaults(tol=1e-6)
+    common(sub.add_parser("check", help="run property suites"), suite=True)
     return parser
 
 
@@ -192,7 +193,7 @@ def main(argv=None) -> int:
     try:
         # every comparison against a nan threshold is False, and a threshold
         # at or below 0 admits nothing
-        if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+        if "tol" in cfg and not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
             raise ValueError(f"--tol must be finite and positive, got {cfg.tol!r}")
         return _COMMANDS[cfg.command](cfg)
     except (ValueError, ShapeError, PoleError, OSError) as exc:

@@ -14,7 +14,6 @@ Operator specifications are single tokens: ``dense:FILE.qmat``,
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -187,7 +186,7 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def parse_operator_spec(spec: str, base_dir: str = ".") -> LinearOperator:
+def parse_operator_spec(spec: str) -> LinearOperator:
     """Build an operator from a one-token description.
 
     dense:FILE   square matrix from a .qmat file
@@ -210,10 +209,7 @@ def parse_operator_spec(spec: str, base_dir: str = ".") -> LinearOperator:
     if kind in ("dense", "mult"):
         if len(parts) != 2 or not parts[1]:
             raise ValueError(f"{kind} spec must be {kind}:FILE, got {spec!r}")
-        path = parts[1]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        text = read_text(path)
+        text = read_text(parts[1])
         if kind == "dense":
             mat = parse_qmat(text)
             return DenseOperator(mat)

@@ -266,15 +266,14 @@ def local_spectrum(a: QMatrix, phi: QVector, tol: float = MEMBER_TOL,
     return LocalSpectrum(hit)
 
 
-def local_resolvent_diag(op: MultiplicationOperator, f: QVector, q: Quaternion,
-                         tol: float = 1e-10) -> QVector:
+def local_resolvent_diag(op: MultiplicationOperator, f: QVector, q: Quaternion) -> QVector:
     """Solve R_q(M_g) h = f pointwise for a diagonal multiplier.
 
     Entrywise h(x) = (g(x)^2 - 2 Re(q) g(x) + |q|^2)^{-1} f(x); the
     inverse acts on the left because the diagonal matrix acts on the
     left.  On common slices |h(x)| = |f(x)| / (|g(x) - q| |g(x) - conj q|).
-    Entries where the divisor degenerates under a nonzero f(x) put [q] on
-    the local spectrum of f, a pole.
+    Entries where the divisor degenerates (to 1e-10 of its scale) under a
+    nonzero f(x) put [q] on the local spectrum of f, a pole.
     """
     if op.dim != f.n:
         raise ShapeError("vector length must match the point set")
@@ -282,8 +281,8 @@ def local_resolvent_diag(op: MultiplicationOperator, f: QVector, q: Quaternion,
     for k, g in enumerate(op.values):
         d = g * g - 2.0 * q.w * g + Quaternion(q.norm_sq())
         fk = f.entry(k)
-        if abs(d) <= tol * (1.0 + abs(g) ** 2 + q.norm_sq()):
-            if abs(fk) > tol * (1.0 + f.norm()):
+        if abs(d) <= 1e-10 * (1.0 + abs(g) ** 2 + q.norm_sq()):
+            if abs(fk) > 1e-10 * (1.0 + f.norm()):
                 raise PoleError(
                     f"q sits on the sphere of g at point {op.labels[k]!r}")
             out.append(Quaternion())
@@ -319,14 +318,14 @@ def local_subspace(a: QMatrix, spheres,
     return SubspaceBasis(a.rows, basis)
 
 
-def global_subspace(a: QMatrix, spheres, tol: float = MEMBER_TOL,
+def global_subspace(a: QMatrix, spheres,
                     projections: SpectralProjectionSet | None = None) -> SubspaceBasis:
     """Vectors whose local spectrum stays inside F.
 
-    Realized as the joint kernel of the projections of the complementary
-    spheres, a different numerical route from local_subspace; finite
-    matrices carry the single valued extension property, so the two spans
-    agree and tests compare them.
+    Realized as the joint kernel, at MEMBER_TOL, of the projections of the
+    complementary spheres, a different numerical route from local_subspace;
+    finite matrices carry the single valued extension property, so the two
+    spans agree and tests compare them.
     """
     if a.rows != a.cols:
         raise ShapeError("global subspaces need a square matrix")
@@ -337,7 +336,7 @@ def global_subspace(a: QMatrix, spheres, tol: float = MEMBER_TOL,
     if not outside:
         return SubspaceBasis(a.rows, [QVector.basis(a.rows, k) for k in range(a.rows)])
     stacked = vstack(outside)
-    return SubspaceBasis(a.rows, kernel_basis(stacked, tol=tol))
+    return SubspaceBasis(a.rows, kernel_basis(stacked, tol=MEMBER_TOL))
 
 
 # -- SVEP and decomposability -------------------------------------------------
@@ -383,34 +382,36 @@ class DecomposabilityVerdict:
         return self.status == "PASS"
 
 
-def decomposability_necessary(op, report: spectral.SpectrumReport | None = None,
-                              tol: float = MEMBER_TOL) -> DecomposabilityVerdict:
+def decomposability_necessary(
+        op, report: spectral.SpectrumReport | None = None) -> DecomposabilityVerdict:
     """Necessary condition: a decomposable operator has
     sigma_S = sigma_apS = sigma_suS = union of all local spectra.
 
     FAIL therefore proves the operator is not decomposable; PASS is only
     consistent with decomposability, never a proof of it.  Matrices are
-    checked exactly through their classification and projections; shifts
+    checked exactly through their classification (``report``, else one at
+    MEMBER_TOL) and projections, columns seen above MEMBER_TOL; shifts
     through the exact lower bounds of R_q on both sides of the adjoint
     duality (``spectral.shift_kappa_limit``), with no finite section.
     """
     if isinstance(op, QMatrix):
-        return _matrix_decomposability(op, report, tol)
+        return _matrix_decomposability(op, report)
     if getattr(op, "dim", None) is not None:
-        return _matrix_decomposability(op.finite_section(op.dim), report, tol)
+        return _matrix_decomposability(op.finite_section(op.dim), report)
     if isinstance(op, ShiftOperator):
         return _shift_decomposability(op)
     raise TypeError(f"no decomposability route for {type(op).__name__}")
 
 
-def _matrix_decomposability(a: QMatrix, report, tol: float) -> DecomposabilityVerdict:
-    rep = report if report is not None else spectral.classify(a, tol=tol)
+def _matrix_decomposability(a: QMatrix, report) -> DecomposabilityVerdict:
+    rep = report if report is not None else spectral.classify(a, tol=MEMBER_TOL)
     proj = spectral_projections(a, rep.decomposition)
     # s lies in the local spectrum of some basis vector e_k exactly when
-    # |P_s e_k|, the norm of column k of P_s, exceeds tol
+    # |P_s e_k|, the norm of column k of P_s, exceeds MEMBER_TOL
     local_union = tuple(
         s for s, p in zip(proj.spheres, proj.projections)
-        if np.max(np.sqrt(np.sum(np.abs(p.c1) ** 2 + np.abs(p.c2) ** 2, axis=0))) > tol)
+        if np.max(np.sqrt(np.sum(np.abs(p.c1) ** 2 + np.abs(p.c2) ** 2, axis=0)))
+        > MEMBER_TOL)
     # sigma_suS is sigma_apS here, read off the same singular values; the
     # sets are drawn from one tuple of spheres, so they compare exactly
     for name, other in (("sigma_apS", rep.part("approximate")), ("local union", local_union)):

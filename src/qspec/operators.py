@@ -183,18 +183,18 @@ def invariance_defect(a: QMatrix, basis: SubspaceBasis) -> float:
     return op_norm((eye - p) @ (a @ p))
 
 
-def _require_invariant(a: QMatrix, basis: SubspaceBasis, tol: float, what: str) -> None:
+def _require_invariant(a: QMatrix, basis: SubspaceBasis, what: str) -> None:
     if a.rows != a.cols or a.rows != basis.space_dim:
         raise ShapeError(f"{what} needs a square matrix on the ambient space")
     defect = invariance_defect(a, basis)
-    if defect > tol * (1.0 + op_norm(a)):
+    if defect > 1e-8 * (1.0 + op_norm(a)):
         raise InvarianceError(
             f"subspace is not invariant: |(1-P)AP| = {defect:.3e}", defect)
 
 
-def restrict(a: QMatrix, basis: SubspaceBasis, tol: float = 1e-8) -> QMatrix:
+def restrict(a: QMatrix, basis: SubspaceBasis) -> QMatrix:
     """Matrix of A restricted to an invariant subspace, in the given basis."""
-    _require_invariant(a, basis, tol, "restriction")
+    _require_invariant(a, basis, "restriction")
     if basis.dim == 0:
         return QMatrix.zeros(0, 0)
     y = basis.as_matrix()
@@ -210,13 +210,13 @@ def complement_basis(basis: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis(n, survivors[basis.dim:])
 
 
-def quotient(a: QMatrix, basis: SubspaceBasis, tol: float = 1e-8) -> QMatrix:
+def quotient(a: QMatrix, basis: SubspaceBasis) -> QMatrix:
     """Matrix induced on the orthogonal complement of an invariant subspace.
 
     With Y invariant and Z = Y^perp, A is block triangular over [Y Z] and
     the quotient action is the (Z, Z) block.
     """
-    _require_invariant(a, basis, tol, "quotient")
+    _require_invariant(a, basis, "quotient")
     comp = complement_basis(basis)
     if comp.dim == 0:
         return QMatrix.zeros(0, 0)

@@ -314,16 +314,15 @@ def complex_adjoint(a: QMatrix) -> np.ndarray:
     return out
 
 
-def _j_conj(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _j_conj(m: np.ndarray) -> np.ndarray:
     """M -> J conj(M) J^-1 with J = [[0, I], [-I, 0]], over the last two axes,
-    into ``out`` (a new array when None; never M itself).
+    as a new array.
 
     chi images are exactly its fixed points, so a stack of complex
     adjoints maps to itself.
     """
     n, k = m.shape[-2] // 2, m.shape[-1] // 2
-    if out is None:
-        out = np.empty_like(m)
+    out = np.empty_like(m)
     # block by block through out=, so that a stack costs no temporaries
     np.conjugate(m[..., n:, k:], out=out[..., :n, :k])
     np.conjugate(m[..., :n, :k], out=out[..., n:, k:])
@@ -749,13 +748,13 @@ class SubspaceBasis:
         return f"SubspaceBasis(space_dim={self.space_dim}, dim={self.dim})"
 
 
-def inverse_matrix(a: QMatrix, tol: float = 1e-12) -> QMatrix:
+def inverse_matrix(a: QMatrix) -> QMatrix:
     """Inverse through the complex adjoint; raises on near-singular input."""
     if a.rows != a.cols:
         raise ShapeError("only square matrices invert")
     if a.rows == 0:
         return a
-    if min_singular(a) <= tol * (1.0 + a.frobenius()):
+    if min_singular(a) <= 1e-12 * (1.0 + a.frobenius()):
         raise NumericalError("matrix is numerically singular")
     inv = np.linalg.inv(complex_adjoint(a))
     return QMatrix(inv[:a.rows, :a.rows], inv[:a.rows, a.rows:])

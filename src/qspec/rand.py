@@ -44,13 +44,12 @@ def rand_qmatrix(rng: np.random.Generator, rows: int, cols: int,
     return QMatrix.from_components(rng.uniform(-scale, scale, (rows, cols, 4)))
 
 
-def rand_invertible(rng: np.random.Generator, n: int,
-                    floor: float = 0.1, attempts: int = 64) -> QMatrix:
-    for _ in range(attempts):
+def rand_invertible(rng: np.random.Generator, n: int) -> QMatrix:
+    for _ in range(64):
         m = rand_qmatrix(rng, n, n)
-        if min_singular(m) > floor:
+        if min_singular(m) > 0.1:
             return m
-    raise NumericalError(f"no well-conditioned {n}x{n} draw in {attempts} attempts")
+    raise NumericalError(f"no well-conditioned {n}x{n} draw in 64 attempts")
 
 
 def rand_idempotent(rng: np.random.Generator, n: int, rank: int) -> QMatrix:

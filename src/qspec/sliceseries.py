@@ -286,11 +286,10 @@ def slice_derivative(f: SliceSeries) -> SliceSeries:
     return SliceSeries(f.center, _objects(f._coeffs[1:] * n), f.radius)
 
 
-def sigma_radius(f: SliceSeries | Sequence[Coefficient],
-                 tail_fraction: float = 0.5) -> float:
+def sigma_radius(f: SliceSeries | Sequence[Coefficient]) -> float:
     """Root-test estimate of the radius of the sigma-ball of convergence.
 
-    1/R is read as max |a_n|^{1/n} over the tail of the available
+    1/R is read as max |a_n|^{1/n} over the second half of the available
     coefficients; the head carries transient information and is ignored.
     Truncations this short cannot distinguish slow growth from none, so
     fewer than eight coefficients raise a bias warning, and a tail that
@@ -301,7 +300,7 @@ def sigma_radius(f: SliceSeries | Sequence[Coefficient],
         warnings.warn(
             "radius estimated from fewer than eight coefficients; the tail "
             "is too short to trust", RadiusBiasWarning, stacklevel=2)
-    start = max(1, int(len(coeffs) * (1.0 - tail_fraction)))
+    start = max(1, int(len(coeffs) * 0.5))
     inv = 0.0
     for n in range(start, len(coeffs)):
         mag = _coeff_norm(coeffs[n])
@@ -325,15 +324,15 @@ def _batch(f) -> Callable[[np.ndarray], np.ndarray]:
     return values
 
 
-def cr_residual(f, points: Sequence[Quaternion], h: float = 1e-4) -> float:
+def cr_residual(f, points: Sequence[Quaternion]) -> float:
     """Largest sampled Cauchy-Riemann defect of f on its slices.
 
     At q = x + y I the defect is (D_x f + (D_y f) I) / 2 with centered
-    differences of step h; it vanishes identically for series of the kind
-    built here and stays order one for their pointwise conjugates.  Real
-    sample points read their slice from SLICE_I.
+    differences of step h = 1e-4; it vanishes identically for series of the
+    kind built here and stays order one for their pointwise conjugates.
+    Real sample points read their slice from SLICE_I.
     """
-    pts = _rows(points)
+    pts, h = _rows(points), 1e-4
     if not len(pts):
         return 0.0
     _, _, unit = _slice_parts(pts)

@@ -86,7 +86,7 @@ def _fmt(x: float) -> str:
     return format(round(x, 12) + 0.0, ".12g")
 
 
-def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
+def classify(a: QMatrix, tol: float = 1e-8) -> SpectrumReport:
     """Classify every sphere of sigma_S(A) into its four parts.
 
     The spheres come from one ``spectral_decomposition``, which the report
@@ -107,7 +107,7 @@ def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
         approx = bool(sv[-1] <= thresh)
         flags[s] = SphereFlags(dim > 0, approx, dim > 0, approx)
     coincident = all(f.point == f.approximate for f in flags.values())
-    radius, lower = growth_bounds(a, n_max) if a.rows else (0.0, 0.0)
+    radius, lower = growth_bounds(a) if a.rows else (0.0, 0.0)
     return SpectrumReport(dec.spheres, flags, radius, lower, tol, thresh, coincident, dec)
 
 
@@ -127,14 +127,14 @@ def _section_size(op, window: int | None) -> int:
     return n_win
 
 
-def growth_bounds(a, n_max: int = 8, window: int | None = None) -> tuple[float, float]:
+def growth_bounds(a, n_max: int = 8) -> tuple[float, float]:
     """(spectral_radius, lower_bound_i): one set of singular values per power
     gives both.
 
     A QMatrix is the section of bandwidth 0 that keeps all its columns;
-    operators are measured on rectangular sections of exact images.  The
-    powers' complex images take one stacked SVD per (dtype, shape), which
-    gives each the values of its own SVD bit for bit.  A kappa at the
+    operators are measured on rectangular sections of exact images, of
+    their own window.  The powers' complex images take one stacked SVD per
+    (dtype, shape), which gives each the values of its own SVD bit for bit.  A kappa at the
     rounding floor 2N eps |A^n| (N rows) is skipped: raised to 1/n it would
     lift the lower bound above small spheres.
     """
@@ -145,7 +145,7 @@ def growth_bounds(a, n_max: int = 8, window: int | None = None) -> tuple[float, 
             return 0.0, math.inf    # op_norm and min_singular of an empty matrix
         section, n_win, bandwidth = a, a.cols, 0
     else:
-        n_win = _section_size(a, window)
+        n_win = _section_size(a, None)
         section, bandwidth = a.finite_section(n_win), a.bandwidth
     # a power keeps n_win - n * bandwidth columns, at least one
     count = min(n_max, (n_win - 1) // bandwidth) if bandwidth else n_max
@@ -172,15 +172,15 @@ def growth_bounds(a, n_max: int = 8, window: int | None = None) -> tuple[float, 
     return radius, lower
 
 
-def spectral_radius(a, n_max: int = 8, window: int | None = None) -> float:
+def spectral_radius(a, n_max: int = 8) -> float:
     """inf over n <= n_max of |A^n|^(1/n); an upper bound for sigma_S."""
-    return growth_bounds(a, n_max, window)[0]
+    return growth_bounds(a, n_max)[0]
 
 
-def lower_bound_i(a, n_max: int = 8, window: int | None = None) -> float:
+def lower_bound_i(a, n_max: int = 8) -> float:
     """sup over n <= n_max of kappa(A^n)^(1/n) above the rounding floor;
     a lower bound for sigma_apS."""
-    return growth_bounds(a, n_max, window)[1]
+    return growth_bounds(a, n_max)[1]
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ class GridSpec:
 # ``threshold_region`` cut the bound cannot fix is left to the dense SVD.
 
 _EPS = float(np.finfo(float).eps)
-#: the default tol of ``threshold_region``
+#: ``threshold_region``'s one cut, the one the shift kernel certifies against
 REGION_TOL = 1e-8
 #: points x sine modes per chunk of the symbol kernels
 _SYMBOL_ENTRIES = 1 << 15
@@ -290,8 +290,8 @@ _ADJ = (np.array([3, 2, 1, 0, 1, 0]), np.array([5, 4, 4, 5, 2, 3]),
         np.array([4, 1, 2, 2, 0, 1]), np.array([4, 5, 3, 2, 4, 1]))
 
 
-def _region_cut(tol: float, norm_scale: float) -> float:
-    return tol * (1.0 + norm_scale ** 2)
+def _region_cut(norm_scale: float) -> float:
+    return REGION_TOL * (1.0 + norm_scale ** 2)
 
 
 def _sine_modes(cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -637,7 +637,7 @@ def _shift_kappas(side: str, cols: int, xs: np.ndarray, ys: np.ndarray):
     each; and the mask of the points where the dense SVD must decide instead.
 
     A kept value prints as the dense SVD's would and falls on the same side
-    of the default ``threshold_region`` cut, whatever the two routes' errors
+    of the ``threshold_region`` cut, whatever the two routes' errors
     within their bounds.  At a left-shift point with |q| < 1 the truncated
     geometric eigenvector (1, q, q^2, ...) leaves a residual in its last two
     rows only, so kappa <= r^n sqrt((1 + r2)(1 - r2) / (1 - r2^n)); where
@@ -649,7 +649,7 @@ def _shift_kappas(side: str, cols: int, xs: np.ndarray, ys: np.ndarray):
     r2 = xs * xs + ys * ys
     scale = 1.0 + 2.0 * np.abs(xs) + r2
     dense_err = _DENSE_ERR * _EPS * scale
-    cut = _region_cut(REGION_TOL, 1.0)
+    cut = _region_cut(1.0)
     out, reach = np.full(len(xs), np.nan), np.zeros(len(xs))
     hard = np.ones(len(xs), dtype=bool)
     todo = np.arange(len(xs))
@@ -790,7 +790,6 @@ class SlicePortrait:
     window: int
     norm_scale: float
     values: np.ndarray
-    op_label: str = ""
     #: cells whose kappa the dense SVD decided; bookkeeping, never printed
     dense_cells: int = field(default=0, compare=False)
 
@@ -808,7 +807,7 @@ class SlicePortrait:
 
 
 def portrait(op, grid: GridSpec, window: int | None = None,
-             slice_unit: SliceUnit = SLICE_I, label: str = "") -> SlicePortrait:
+             slice_unit: SliceUnit = SLICE_I) -> SlicePortrait:
     """Sample kappa(R_{x+yI}(op)) over the grid.
 
     A finite operator is probed on its whole matrix, an infinite one on a
@@ -822,7 +821,7 @@ def portrait(op, grid: GridSpec, window: int | None = None,
     values.setflags(write=False)
     return SlicePortrait(grid=grid, slice_unit=slice_unit, window=engine.n,
                          norm_scale=engine.norm_scale(), values=values,
-                         op_label=label, dense_cells=engine.dense_cells)
+                         dense_cells=engine.dense_cells)
 
 
 # -- axially symmetric regions and the full spectrum ----------------------
@@ -839,9 +838,9 @@ class AxSymRegion:
         return int(np.sum(self.mask))
 
 
-def threshold_region(p: SlicePortrait, tol: float = REGION_TOL) -> AxSymRegion:
-    """Cells flagged as approximate spectrum: kappa <= tol * (1 + |A|^2)."""
-    mask = p.values <= _region_cut(tol, p.norm_scale)
+def threshold_region(p: SlicePortrait) -> AxSymRegion:
+    """Cells flagged as approximate spectrum: kappa <= REGION_TOL (1 + |A|^2)."""
+    mask = p.values <= _region_cut(p.norm_scale)
     mask.setflags(write=False)
     return AxSymRegion(grid=p.grid, mask=mask)
 

@@ -41,6 +41,10 @@ class SuiteConfig:
     trials: int = 20
     tol: float = 1e-6
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials!r}")
+
 
 @dataclass(frozen=True)
 class CheckCount:
@@ -92,7 +96,7 @@ class _Runner:
     @property
     def trials(self) -> int:
         n = self.cfg.trials
-        return max(1, min(n, self._cap)) if self._cap else max(1, n)
+        return min(n, self._cap) if self._cap else n
 
     def run(self, label: str, fn, trials: int | None = None) -> None:
         sid = self._stream
@@ -477,7 +481,7 @@ def _suite_portrait_boundary(cfg: SuiteConfig) -> SuiteResult:
         spheres = [Quaternion(0.0, 0.8), Quaternion(0.6, 0.6)]
         op = DenseOperator(QMatrix.diag(spheres))
         p = spectral.portrait(op, grid, window=0)
-        region = spectral.threshold_region(p, tol=1e-8)
+        region = spectral.threshold_region(p)
         if region.cell_count() != 2:
             return False
         filled = spectral.full_spectrum(region)

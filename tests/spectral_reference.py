@@ -116,7 +116,7 @@ def validate_projections(a: QMatrix, projections: list[QMatrix],
             raise NumericalError("a projection range is not invariant")
 
 
-def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
+def classify(a: QMatrix, tol: float = 1e-8) -> SpectrumReport:
     """Spheres of A and A^dag merged; surjectivity from R_q(A^dag)."""
     adj = a.adjoint()
     spheres = sphere_union(eigen_spheres(a, tol), eigen_spheres(adj, tol))
@@ -132,7 +132,7 @@ def classify(a: QMatrix, tol: float = 1e-8, n_max: int = 8) -> SpectrumReport:
         flags[s] = SphereFlags(point, approx, point, surjectivity)
     coincident = all(f.point == f.approximate == f.compression == f.surjectivity
                      for f in flags.values())
-    radius, lower = growth_bounds(a, n_max) if a.rows else (0.0, 0.0)
+    radius, lower = growth_bounds(a) if a.rows else (0.0, 0.0)
     return SpectrumReport(spheres, flags, radius, lower, tol, thresh, coincident)
 
 
@@ -160,14 +160,14 @@ def section_kappas(op, window: int, xs, ys) -> np.ndarray:
     return out
 
 
-def growth_bounds(a, n_max: int = 8, window: int | None = None) -> tuple[float, float]:
+def growth_bounds(a, n_max: int = 8) -> tuple[float, float]:
     """(spectral_radius, lower_bound_i) from one SVD per power, power by power."""
     if isinstance(a, QMatrix):
         if a.rows == 0:
             return 0.0, math.inf
         section, n_win, bandwidth = a, a.cols, 0
     else:
-        n_win = _section_size(a, window)
+        n_win = _section_size(a, None)
         section, bandwidth = a.finite_section(n_win), a.bandwidth
     floor = 2 * section.rows * np.finfo(float).eps
     radius, lower = math.inf, 0.0

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import math
 import os
 import subprocess
@@ -295,6 +297,80 @@ def test_cli_main_twice_in_one_process_matches_separate_runs(tmp_path, capsys):
         assert proc.stdout == out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_check_rejects_trials_below_one(capsys, trials):
+    code, out, err = run_cli(capsys, "check", "--suite", "scalar-algebra",
+                             "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"error: trials must be at least 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--op", "shift:right", "--seed", "1"],
+    ["portrait", "--op", "shift:right", "--tol", "1e-3"],
+    ["series", "--input", "f.series", "--tol", "1e-3"],
+    ["spectrum", "--op", "shift:right", "--seed", "1"],
+    ["local", "--op", "shift:right", "--vector", "v.qvec", "--seed", "1"],
+])
+def test_cli_rejects_flags_the_command_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_help_lists_seed_and_tol_only_where_read(capsys):
+    helps = {}
+    for cmd in ("spectrum", "classify", "portrait", "local", "series", "check"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        helps[cmd] = capsys.readouterr().out
+    assert {c for c, text in helps.items() if "--seed" in text} == {"check"}
+    assert ({c for c, text in helps.items() if "--tol" in text}
+            == {"spectrum", "classify", "local", "check"})
+
+
+def test_cli_tol_and_seed_still_work_where_read(tmp_path, capsys):
+    p = tmp_path / "i.qmat"
+    io.write_text(str(p), "1 1\n0,1,0,0\n")
+    assert run_cli(capsys, "spectrum", "--op", f"dense:{p}", "--tol", "1e-8") == (
+        0, "0 1 p a c s\n", "")
+    code, out, _ = run_cli(capsys, "check", "--suite", "scalar-algebra",
+                           "--trials", "2", "--seed", "7")
+    assert code == 0 and out.startswith("suite scalar-algebra")
+
+
+@pytest.mark.parametrize("module, function, name", [
+    ("spectral", "classify", "n_max"),
+    ("spectral", "threshold_region", "tol"),
+    ("spectral", "_region_cut", "tol"),
+    ("spectral", "portrait", "label"),
+    ("spectral", "SlicePortrait", "op_label"),
+    ("spectral", "growth_bounds", "window"),
+    ("spectral", "spectral_radius", "window"),
+    ("spectral", "lower_bound_i", "window"),
+    ("localspec", "decomposability_necessary", "tol"),
+    ("localspec", "global_subspace", "tol"),
+    ("localspec", "local_resolvent_diag", "tol"),
+    ("qlinalg", "inverse_matrix", "tol"),
+    ("qlinalg", "_j_conj", "out"),
+    ("operators", "restrict", "tol"),
+    ("operators", "quotient", "tol"),
+    ("sliceseries", "cr_residual", "h"),
+    ("sliceseries", "sigma_radius", "tail_fraction"),
+    ("io", "parse_operator_spec", "base_dir"),
+    ("rand", "rand_invertible", "floor"),
+    ("rand", "rand_invertible", "attempts"),
+])
+def test_library_takes_no_parameter_that_no_caller_sets(module, function, name):
+    # each was a constant in every call: thresholds are fixed where the
+    # verdicts are decided, and a shift's window comes from its operator;
+    # a dataclass's signature lists its fields
+    fn = getattr(importlib.import_module(f"qspec.{module}"), function)
+    assert name not in inspect.signature(fn).parameters
+
+
 def test_cli_check_has_its_own_tol_default():
     from qspec.cli import _build_parser
 
@@ -395,7 +471,6 @@ def test_cli_rejects_bad_tolerances(tmp_path, capsys, tol):
     io.write_text(str(v), "1\n1,0,0,0\n")
     for argv in (["spectrum", "--op", f"dense:{p}"], ["classify", "--op", f"dense:{p}"],
                  ["local", "--op", f"dense:{p}", "--vector", str(v)],
-                 ["portrait", "--op", f"dense:{p}", "--grid=-1,1,1,3x2"],
                  ["check", "--suite", "scalar-algebra", "--trials", "1"]):
         code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
         assert (code, out) == (2, ""), argv

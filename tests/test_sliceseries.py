@@ -310,7 +310,7 @@ def test_engine_cr_residual_matches_reference(center, degree, vector):
     # the defect divides differences of values by h, so value errors of
     # 1e-12 relative reach it magnified by 1/h
     scale = _term_scale(f, max(abs(q) for q in POINTS) + h) / h
-    assert abs(cr_residual(f, POINTS, h) - want) <= 1e-12 * scale
+    assert abs(cr_residual(f, POINTS) - want) <= 1e-12 * scale
 
 
 def test_engine_cr_residual_of_callable_matches_reference():

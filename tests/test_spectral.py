@@ -123,7 +123,7 @@ def test_annulus_bounds_hold():
     assert lower_bound_i(a) <= rep.radius + 1e-9
 
 
-def _two_loop_growth(a, n_max=8, window=None):
+def _two_loop_growth(a, n_max=8):
     """The growth bounds as two separate loops over the powers, the way
     they were computed before one pass shared them: (radius, lower, floor),
     where ``floor`` says whether some kappa(A^n) sat at the rounding floor
@@ -131,7 +131,7 @@ def _two_loop_growth(a, n_max=8, window=None):
     if isinstance(a, QMatrix):
         section, n_win, band = a, a.cols, 0
     else:
-        n_win = window or a.window
+        n_win = a.window
         section, band = a.finite_section(n_win), a.bandwidth
     radius, lower, floor = math.inf, 0.0, False
     power = section
@@ -208,8 +208,8 @@ def test_stacked_growth_bounds_match_the_per_power_loop():
             assert growth_bounds(a, n_max) == ref.growth_bounds(a, n_max)
     for window in (4, 5, 9):
         for side in ("left", "right"):
-            op = ShiftOperator(side)
-            assert growth_bounds(op, window=window) == ref.growth_bounds(op, window=window)
+            op = ShiftOperator(side, window=window)
+            assert growth_bounds(op) == ref.growth_bounds(op)
 
 
 def test_growth_bounds_of_the_shifts():
@@ -342,7 +342,7 @@ def test_threshold_region_and_fill():
     a = QMatrix.from_quaternions([[I, Z], [Z, I]])
     g = GridSpec(-1.5, 1.5, 1.5, 31, 16)
     p = portrait(DenseOperator(a), g, window=2)
-    region = threshold_region(p, tol=1e-8)
+    region = threshold_region(p)
     assert region.cell_count() == 1  # the sphere [i] only touches (0, 1)
     filled = full_spectrum(region)
     assert filled.cell_count() == 1  # a point cannot trap interior cells
@@ -595,7 +595,7 @@ def test_small_windows_rejected_for_infinite_operators(window):
     with pytest.raises(ValueError, match="at least 4"):
         window_kappa(ShiftOperator("left"), Quaternion(0.5), window)
     with pytest.raises(ValueError, match="at least 4"):
-        growth_bounds(ShiftOperator("left"), window=window)
+        growth_bounds(ShiftOperator("left", window=window))
     # a finite operator is probed on its whole matrix whatever the window
     dense = _dense_operators()["quaternionic"]
     assert portrait(dense, g, window=window).window == 3

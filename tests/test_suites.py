@@ -54,3 +54,10 @@ def test_failure_line_reports_exception_message():
     assert (count.passed, count.total) == (1, 2)
     assert count.failures == ("raises[1] ValueError: boom",)
     assert "boom" in r.result("probe").lines()[-1]
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_config_rejects_trials_below_one(trials):
+    # both once ran one trial silently
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        SuiteConfig(trials=trials)
