@@ -254,14 +254,21 @@ class GridSpec:
 # update on the odd and one on the even modes, so kappa^2 is the smaller of
 # two secular-equation roots (Golub, SIAM Rev. 15 (1973)), each accurate to a
 # few ulps.  The left update is indefinite; kappa^2 is the first zero of a
-# 3 x 3 secular determinant, found by Newton steps kept in a bracket by
-# counts of the eigenvalues below mu (Haynsworth inertia), and accurate only
-# where the terms of x^T L^T L x do not cancel, so not where kappa is small.
-# There, inside the unit disc, the inverse of the section is the Toeplitz
-# matrix of 1/p, and kappa is one over its largest singular value, which
-# block power steps bound from both sides.  Each value comes with an error
-# bound, and a cell whose printed value (``_fmt``) or side of the
-# ``threshold_region`` cut the bound cannot fix is left to the dense SVD.
+# 3 x 3 secular determinant, kept in a bracket by counts of the eigenvalues
+# below mu (Haynsworth inertia).  For y != 0 the sorted d_k, and with them
+# the smallest eigenvalues, come in close pairs from the two sides of the
+# symbol's minimum (lam and conj(lam)), and on the real axis the lowest
+# modes cluster; so the steps go to the roots of the determinant's
+# second-order model, with its exact second derivative, which holds a pair,
+# or to the m-fold root a cluster looks like, and take a bounded number of
+# probes.  A point stops once the determinant is at its rounding level, and
+# leaves the arrays.  The value is accurate only where the terms of
+# x^T L^T L x do not cancel, so not where kappa is small.  There, inside the
+# unit disc, the inverse of the section is the Toeplitz matrix of 1/p, and
+# kappa is one over its largest singular value, which block power steps
+# bound from both sides until the bounds decide the cell.  Each value comes
+# with an error bound, and a cell whose printed value (``_fmt``) or side of
+# the ``threshold_region`` cut the bound cannot fix is left to the dense SVD.
 
 _EPS = float(np.finfo(float).eps)
 #: ``threshold_region``'s one cut, the one the shift kernel certifies against
@@ -270,11 +277,11 @@ REGION_TOL = 1e-8
 _SYMBOL_ENTRIES = 1 << 15
 #: Newton steps at most per secular root (bisection steps when Newton strays)
 _SECULAR_STEPS = 80
-#: fast counts at most per left-shift point
+#: steps at most per left-shift point after the two search probes
 _LEFT_STEPS = 20
 #: a value below this prints as 0
 _PRINTS_ZERO = 5e-13
-#: block power steps on the inverse of a left-shift section
+#: block power steps at most on the inverse of a left-shift section
 _POWER_STEPS = 8
 #: error bounds: of the dense SVD's smallest value and of the right route's
 #: kappa, in units of eps times the section's norm bound 1 + 2|x| + r2
@@ -336,14 +343,18 @@ def _secular_min(d: np.ndarray, w: np.ndarray, rho: np.ndarray) -> np.ndarray:
             terms = w / den
             f = 1.0 + rho * terms.sum(axis=1)
             h = tau * f - pull
-            step = tau - h / (f + tau * rho * (terms / den).sum(axis=1))
+            newton = tau - h / (f + tau * rho * (terms / den).sum(axis=1))
+            # h is increasing and convex: from the left of the root a Newton
+            # step is at least the distance to it, and from the right the
+            # steps shrink to it, so one within rounding of tau ends the search
+            settled = np.abs(newton - tau) <= 2.0 * _EPS * newton
             right = h >= 0
             lo, hi = np.where(right, lo, tau), np.where(right, tau, hi)
-            ahead = np.where(right, step, ahead)
-            inside = (step > lo) & (step < hi)
-            step = np.where(right | inside, step,
+            ahead = np.where(right, newton, ahead)
+            inside = (newton > lo) & (newton < hi)
+            step = np.where(settled | right | inside, newton,
                             np.where((ahead > lo) & (ahead < hi), ahead, 0.5 * (lo + hi)))
-            done = np.abs(step - tau) <= 2.0 * _EPS * step
+            done = settled | (np.abs(step - tau) <= 2.0 * _EPS * step)
             tau = step
             if done.all():
                 break
@@ -388,14 +399,23 @@ class _LeftGram:
         self.v = np.stack([alt[order] * root[:, :1], a_k * root[:, 1:2],
                            2.0 * (a * c)[order] - 2.0 * xs[:, None] * a_k], axis=2)
         self.v6 = self.v[:, :, _UPPER[0]] * self.v[:, :, _UPPER[1]]
+        self.v6abs = np.abs(self.v6)
         self.size = np.sum(self.v * self.v, axis=2)
         self.rows = np.arange(len(d))
+
+    def take(self, keep):
+        """The Gram of the points ``keep`` alone."""
+        sub = object.__new__(_LeftGram)
+        for name in ("t", "positive", "d", "v", "v6", "v6abs", "size"):
+            setattr(sub, name, getattr(self, name)[keep])
+        sub.rows = np.arange(len(sub.d))
+        return sub
 
     def _split(self, mu, k):
         """D - mu, the poles below mu, k (where k < 0: the sorted poles k and
         k + 1 nearest mu), T plus the sums of H over the other poles and
-        their derivative in mu, as flat upper triangles, and the reciprocal
-        gaps."""
+        their first and half second derivatives in mu, as flat upper
+        triangles, and the reciprocal gaps."""
         rows, cols = self.rows, self.d.shape[1]
         dm = self.d - mu[:, None]
         poles = np.count_nonzero(dm < 0, axis=1)
@@ -409,51 +429,84 @@ class _LeftGram:
         with np.errstate(divide="ignore"):
             inv = 1.0 / dm
         inv[rows, k] = inv[rows, k + 1] = 0.0
-        h, slope = np.matmul(np.stack([inv, inv * inv], axis=1), self.v6).transpose(1, 0, 2)
+        inv2 = inv * inv
+        h, slope, bend = np.matmul(np.stack([inv, inv2, inv2 * inv], axis=1),
+                                   self.v6).transpose(1, 0, 2)
         h[:, [0, 3, 5]] += self.t
-        return dm, poles, k, h, slope, inv
+        return dm, poles, k, h, slope, bend, inv
 
     def probe(self, mu, k):
-        """At each point: the eigenvalues below mu, the poles below mu, k, and
-        F = det(H) (d_k - mu)(d_{k+1} - mu) with its derivative in mu.
+        """At each point: the eigenvalues below mu, and G = F (d_{k-1} - mu)
+        (d_{k+2} - mu) with F = det(H) (d_k - mu)(d_{k+1} - mu), G's first
+        two derivatives in mu and its rounding level.
 
         The poles k, k + 1 enter the leading minors of H as rank-one terms;
         scaled by the product of their gaps, each minor is a polynomial with
         no large term, and the signs of the minors give the inertia of H
         (Jacobi).  That is fast, but not accurate at a close pair of
-        eigenvalues, which ``examine`` is.
+        eigenvalues, which ``examine`` is.  The gaps to the next poles out,
+        k - 1 and k + 2, take their poles out of G as well, so that a
+        second-order model of G reaches up to them; G has F's zeros.  The
+        rounding level is eps times F's sums taken over absolute values
+        (the far sums of H too), times those gaps.
         """
         rows = self.rows
-        dm, poles, k, h, slope, _ = self._split(mu, k)
-        a, g = h.T, slope.T
+        dm, poles, k, h, slope, bend, inv = self._split(mu, k)
+        # A is H over the far poles, A' = G and A'' = 2 P
+        a, g, p = h.T, slope.T, bend.T
         e1, e2 = dm[rows, k], dm[rows, k + 1]
         u, v = self.v[rows, k].T, self.v[rows, k + 1].T
         x = np.stack([u, v, u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]])
-        # the adjugate of A and its derivative along the far sums' derivative,
-        # each entry a difference of products of two entries of A (or of G)
+        # the adjugate of A and its first two derivatives, each entry a
+        # difference of products of two entries of A, G or P
         i, j, m, n = _ADJ
         adj = a[i] * a[j] - a[m] * a[n]
         dadj = g[i] * a[j] + a[i] * g[j] - g[m] * a[n] - a[m] * g[n]
+        ddadj = 2.0 * (p[i] * a[j] + g[i] * g[j] + a[i] * p[j]
+                       - p[m] * a[n] - g[m] * g[n] - a[m] * p[n])
         det2, zero = adj[5], np.zeros_like(e1)
-        # x^T B x for x = u, v, u x v and B = adj(A), its derivative, A, G,
-        # the adjugate of A's leading 2 x 2 block and e_0 e_0^T
+        # x^T B x for x = u, v, u x v and B = adj(A) and its derivatives, A,
+        # G, P and the adjugate of A's leading 2 x 2 block
         form = np.einsum("xkp,bkp->xbp", x[:, _UPPER[0]] * x[:, _UPPER[1]] * _TWICE[:, None],
-                         np.stack([adj, dadj, a, g, [a[3], -a[1], zero, a[0], zero, zero],
-                                   [np.ones_like(e1), zero, zero, zero, zero, zero]]))
+                         np.stack([adj, dadj, ddadj, a, g, p,
+                                   [a[3], -a[1], zero, a[0], zero, zero]]))
         det3 = np.sum(a[:3] * adj[:3], axis=0)
-        both = e1 * e2
-        m1 = a[0] * both + e2 * form[0, 5] + e1 * form[1, 5]
-        m2 = det2 * both + e2 * form[0, 4] + e1 * form[1, 4] + x[2, 2] ** 2
-        m3 = det3 * both + e2 * form[0, 0] + e1 * form[1, 0] + form[2, 2]
-        # d det(A) = tr(adj(A) dA)
-        dm3 = (np.sum(_TWICE[:, None] * adj * g, axis=0) * both - det3 * (e1 + e2)
-               - form[0, 0] - form[1, 0] + e2 * form[0, 1] + e1 * form[1, 1] + form[2, 3])
+        both, either = e1 * e2, e1 + e2
+        m1 = a[0] * both + e2 * u[0] ** 2 + e1 * v[0] ** 2
+        m2 = det2 * both + e2 * form[0, 6] + e1 * form[1, 6] + x[2, 2] ** 2
+        m3 = det3 * both + e2 * form[0, 0] + e1 * form[1, 0] + form[2, 3]
+        # d det(A) = tr(adj(A) dA), and d^2 det(A) = tr(d adj(A) dA + adj(A) d^2 A)
+        ddet = np.sum(_TWICE[:, None] * adj * g, axis=0)
+        dddet = np.sum(_TWICE[:, None] * (dadj * g + 2.0 * adj * p), axis=0)
+        dm3 = (ddet * both - det3 * either - form[0, 0] - form[1, 0]
+               + e2 * form[0, 1] + e1 * form[1, 1] + form[2, 4])
+        d2m3 = (dddet * both - 2.0 * ddet * either + 2.0 * det3
+                - 2.0 * (form[0, 1] + form[1, 1]) + e2 * form[0, 2] + e1 * form[1, 2]
+                + 2.0 * form[2, 5])
+        # the same sums over absolute values: F's rounding level over eps
+        big = np.matmul(np.abs(inv)[:, None, :], self.v6abs)[:, 0].T
+        big[[0, 3, 5]] += 1.0
+        big_adj = big[i] * big[j] + big[m] * big[n]
+        xa = np.abs(x)
+        big_form = np.einsum("xkp,bkp->xbp", xa[:, _UPPER[0]] * xa[:, _UPPER[1]]
+                             * _TWICE[:, None], np.stack([big_adj, big]))
+        noise = (np.sum(big[:3] * big_adj[:3], axis=0) * np.abs(both) + np.abs(e2)
+                 * big_form[0, 0] + np.abs(e1) * big_form[1, 0] + big_form[2, 1])
         # the scaling flips the sign of every minor where both < 0
         flip = both < 0
         n1, n2, n3 = (m1 < 0) != flip, (m2 < 0) != flip, (m3 < 0) != flip
         changes = n1.astype(int) + (n1 != n2) + (n2 != n3)
         below = poles + 3 - changes - self.positive
-        return below, poles, k, m3, dm3, det3
+        # G = F times the gaps to the poles k - 1 and k + 2 (1 where there is
+        # none), a product whose second derivative is 2 or 0
+        cols = self.d.shape[1]
+        low, high = k > 0, k + 2 < cols
+        ea = np.where(low, dm[rows, np.maximum(k - 1, 0)], 1.0)
+        eb = np.where(high, dm[rows, np.minimum(k + 2, cols - 1)], 1.0)
+        gaps, slant = ea * eb, -(low * eb + high * ea)
+        return (below, m3 * gaps, dm3 * gaps + m3 * slant,
+                d2m3 * gaps + 2.0 * (dm3 * slant + m3 * (low & high)),
+                _EPS * noise * np.abs(gaps))
 
     def examine(self, mu):
         """At each point: the eigenvalues of M below mu, from ``eigvalsh`` on
@@ -473,7 +526,7 @@ class _LeftGram:
         w^T (sum_far V V^T / (d - mu)^2) w: the slope of that eigenvalue.
         """
         rows = self.rows
-        dm, poles, k, h, slope, inv = self._split(mu, np.full(len(mu), -1))
+        dm, poles, k, h, slope, _, inv = self._split(mu, np.full(len(mu), -1))
         small = np.zeros((len(mu), 5, 5))
         small[:, 0, 0], small[:, 1, 1] = dm[rows, k], dm[rows, k + 1]
         small[:, 0, 2:], small[:, 1, 2:] = self.v[rows, k], self.v[rows, k + 1]
@@ -497,75 +550,118 @@ class _LeftGram:
         return below, clear, spread
 
 
+def _model_step(f, f1, f2, below):
+    """The step h to the smallest eigenvalue from a point where F, F' and
+    F'' are f, f1 and f2 and ``below`` eigenvalues lie below: right of it
+    where none does, left where one or two do, or nan.
+
+    The roots of the second-order model f + f1 h + f2 h^2 / 2 hold a close
+    pair of roots; with none real, its vertex stands for the pair.  Where F
+    looks like m > 2 roots at one place, m = f1^2 / (f1^2 - f f2) (F ~ h^m
+    gives m exactly), the step is the one to that m-fold root, h = -m f /
+    f1 (Schroeder's), which a cluster of modes at the bottom of the symbol
+    needs.  Where two eigenvalues lie below, the step goes to the lower of
+    the pair.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curve = f1 * f1 - f * f2
+        root = np.sqrt(f1 * f1 - 2.0 * f2 * f)
+        big = -0.5 * (f1 + np.copysign(root, f1))
+        one, two = f / big, 2.0 * big / f2
+        vertex = -f1 / f2
+        cluster = -f * f1 / curve
+    one, two = (np.where(np.isnan(root), vertex, r) for r in (one, two))
+    a, b = np.fmin(one, two), np.fmax(one, two)
+    many = (curve > 0) & (f1 * f1 > 2.0 * curve)
+    a, b = np.where(many, cluster, a), np.where(many, cluster, b)
+    return np.select([below == 0, below == 1, below == 2],
+                     [np.where(a >= 0, a, np.where(b >= 0, b, np.nan)),
+                      np.where(b <= 0, b, np.where(a <= 0, a, np.nan)),
+                      np.where(b <= 0, a, np.nan)], np.nan)
+
+
 def _left_gram_min(c, s, d, xs, r2):
     """Smallest eigenvalue mu of L^T L, its error bound, and whether robust
     counts confirm the bound, at each point.
 
-    By interlacing, the smallest eigenvalue lies below d_(3); fast counts
-    just below the three smallest poles find the gap between poles that
-    holds it.  With the two poles around that gap
-    held in F, Newton steps on F converge to it, each kept inside the
-    bracket the counts leave, taken only from where at most one eigenvalue
-    lies below, and replaced by bisection otherwise.  The bound is
-    ``_LEFT_ERR`` eps times the first-order error from ``examine`` plus
-    what is left of the bracket, and the robust counts must find no
-    eigenvalue below mu - bound and one below mu + bound.
+    By interlacing, the smallest eigenvalue lies below d_(3).  Fast counts
+    just below d_(2), and where it lies lower just below d_(1), find the gap
+    between poles that holds it, and the same probes hold the two poles
+    around that gap in F.  Steps to the roots of F's second-order model
+    then converge to it, each kept inside the bracket the counts leave and
+    replaced by bisection where the model has no root there; a close pair
+    of eigenvalues takes O(1) steps, as the model holds both.  A point
+    stops once F is at its own rounding level or the step is below 4 eps
+    mu, and leaves the arrays.  The bound is ``_LEFT_ERR`` eps times the
+    first-order error from ``examine`` plus what is left of the bracket,
+    and the robust counts must find no eigenvalue below mu - bound and one
+    below mu + bound.
     """
     gram = _LeftGram(c, s, d, xs, r2)
-    cols = len(c)
-    scale = 1.0 + 2.0 * np.abs(xs) + r2
-    floor = _EPS * scale * scale
-    lo, hi = np.zeros_like(r2), r2 * r2         # r2^2 is a diagonal entry of L^T L
-    poles_lo, poles_hi = np.zeros(len(r2), dtype=int), np.full(len(r2), -1)
-    pair = np.full(len(r2), -1)
-    for j in range(min(3, cols)):
-        shut = poles_hi >= 0
-        top = gram.d[:, j] * (1.0 - 8.0 * _EPS)
-        below, poles = gram.probe(top, pair)[:2]
-        found = ~shut & (below > 0) & (top > lo)
-        hi, poles_hi = np.where(found, top, hi), np.where(found, poles, poles_hi)
-        lost = ~shut & ~found
-        lo = np.where(lost, gram.d[:, j] * (1.0 + 8.0 * _EPS), lo)
-        poles_lo = np.where(lost, np.count_nonzero(gram.d < lo[:, None], axis=1), poles_lo)
+    cols, count = len(c), len(r2)
+    grow, shrink = 1.0 + 8.0 * _EPS, 1.0 - 8.0 * _EPS
+    # r2^2 is a diagonal entry of L^T L, a bound when there is no d_(3)
+    lo, hi = np.zeros(count), (gram.d[:, 2] if cols > 2 else r2 * r2).copy()
+    pair = np.full(count, min(1, cols - 2))
+    mu = gram.d[:, 1] * shrink
+    below, *model = gram.probe(mu, pair)
+    up = below == 0
+    lo[up] = gram.d[up, 1] * grow
+    down = np.flatnonzero(~up)
+    if len(down):
+        hi[down], pair[down], mu[down] = mu[down], 0, gram.d[down, 0] * shrink
+        below_down, *model_down = gram.take(down).probe(mu[down], pair[down])
+        below[down] = below_down
+        for m, m_down in zip(model, model_down):
+            m[down] = m_down
+        found = below_down > 0
+        lo[down[~found]] = gram.d[down[~found], 0] * grow
+        hi[down[found]] = mu[down[found]]
     lo = np.minimum(lo, hi)
-    mu, model = 0.5 * (lo + hi), None
-    done, edge = np.zeros(len(r2), dtype=bool), np.zeros(len(r2), dtype=bool)
+    # where d_(1) repeats d_(2) to the last bits (x = 0 to rounding: two
+    # interleaved chains), the probe just below d_(2) is no nearer to it
+    # than to d_(1), and its model goes by nothing: bisect first
+    if cols > 2:
+        below[up & (gram.d[:, 0] >= mu)] = -1
+    out_mu, out_lo, out_hi = mu.copy(), lo.copy(), hi.copy()
+    act, sub = np.arange(count), gram
+    edge, last = np.zeros(count, dtype=bool), np.full(count, np.nan)
     for _ in range(_LEFT_STEPS):
-        trial = 0.5 * (lo + hi)
-        if model is not None:
-            # the root of F + F' h + det(A) h^2 nearest 0: Newton, with the
-            # curvature the two held poles give F (det(A) times their gaps)
-            f, slope, curve = model
-            with np.errstate(divide="ignore", invalid="ignore"):
-                root = np.sqrt(np.maximum(slope * slope - 4.0 * curve * f, 0.0))
-                step = -2.0 * f / (slope + np.where(slope < 0, -root, root))
-            newton = (pair >= 0) & (mu + step > lo) & (mu + step < hi)
-            # a step past an end says the root hugs it (a mode barely coupled
-            # to the corners): look just inside that end, once
-            past_lo = (pair >= 0) & ~edge & (mu + step <= lo)
-            past_hi = (pair >= 0) & ~edge & (mu + step >= hi)
-            edge = past_lo | past_hi
-            trial = np.where(newton, mu + step,
-                             np.where(past_lo, lo + 4.0 * _EPS * hi,
-                                      np.where(past_hi, hi * (1.0 - 4.0 * _EPS), trial)))
-            settled = newton & (np.abs(step) <= 4.0 * _EPS * mu)
-            lo, hi = np.where(settled, mu, lo), np.where(settled, mu, hi)
-            done |= settled
-        trial = np.where(done, mu, trial)
-        below, poles, _, *model = gram.probe(trial, pair)
-        search = pair < 0
-        found = ~done & (below > 0)
-        hi, lo = np.where(found, trial, hi), np.where(~done & ~found, trial, lo)
-        poles_hi = np.where(search & found, poles, poles_hi)
-        poles_lo = np.where(search & ~found, poles, poles_lo)
-        # no pole in the bracket: hold the poles around it
-        pair = np.where(search & (poles_hi == poles_lo), np.clip(poles_lo - 1, 0, cols - 2), pair)
-        # Newton steps only from where at most the smallest eigenvalue is below
-        model = tuple(np.where(search | (below > 1), 0.0, m) for m in model)
+        f, f1, f2, noise = model
+        step = _model_step(f, f1, f2, below)
+        inside = (mu + step > lo) & (mu + step < hi)
+        # a step past an end says the root hugs it (a mode barely coupled
+        # to the corners): look just inside that end, once
+        past_lo = ~edge & (below < 2) & (mu + step <= lo)
+        past_hi = ~edge & (below < 2) & (mu + step >= hi)
+        edge = past_lo | past_hi
+        trial = np.where(inside, mu + step,
+                         np.where(past_lo, lo + 4.0 * _EPS * hi,
+                                  np.where(past_hi, hi * (1.0 - 4.0 * _EPS), 0.5 * (lo + hi))))
+        # F at its rounding level, or a step below the last bits: mu is the
+        # root as nearly as F can tell
+        size = np.abs(step)
+        settled = ((lo <= mu) & (mu <= hi)
+                   & ((np.abs(f) <= noise)
+                      | (inside & (size * (size / last) ** 3 <= 4.0 * _EPS * mu))))
+        last = np.where(inside, size, np.nan)
+        mu = np.where(settled & np.isfinite(step), np.clip(mu + step, lo, hi), mu)
+        lo, hi = np.where(settled, mu, lo), np.where(settled, mu, hi)
+        done = settled | (hi - lo <= 4.0 * _EPS * hi)
+        if done.any():
+            out_mu[act], out_lo[act], out_hi[act] = mu, lo, hi
+            keep = ~done
+            act, sub = act[keep], sub.take(keep)
+            lo, hi, mu, trial, pair, edge, last = (
+                a[keep] for a in (lo, hi, mu, trial, pair, edge, last))
+            if not len(act):
+                break
+        below, *model = sub.probe(trial, pair)
+        found = below > 0
+        hi, lo = np.where(found, trial, hi), np.where(found, lo, trial)
         mu = trial
-        done |= np.where(pair < 0, hi - lo <= floor, hi - lo <= 4.0 * _EPS * hi)
-        if done.all():
-            break
+    out_mu[act], out_lo[act], out_hi[act] = mu, lo, hi
+    mu, lo, hi = out_mu, out_lo, out_hi
     mu = np.where(hi - lo <= 4.0 * _EPS * hi, 0.5 * (lo + hi), mu)
     err = _LEFT_ERR * _EPS * gram.examine(mu)[2] + (hi - lo)
     below, clear = gram.examine(np.maximum(mu - err, 0.0))[:2]
@@ -574,9 +670,10 @@ def _left_gram_min(c, s, d, xs, r2):
     return mu, err, sure & clear & (below > 0)
 
 
-def _inverse_kappa_bounds(xs, ys, cols):
+def _inverse_kappa_bounds(xs, ys, cols, widen, cut):
     """Bounds on kappa of the left shift's section at points with |q| < 1,
-    from the largest singular value of its inverse, and whether they hold.
+    from the largest singular value of its inverse, and whether they hold
+    and, widened by ``widen``, decide the cell (``_decided`` at ``cut``).
 
     The section is (turned around) the lower triangular Toeplitz matrix L of
     p, and L^-1 is that of 1/p, h_k = (2x h_{k-1} - h_{k-2}) / r2: it grows
@@ -587,13 +684,17 @@ def _inverse_kappa_bounds(xs, ys, cols):
     [rho, tau]], tau = |L^-1|_F^2 - theta_1 - theta_2 bounding what is left
     of the spectrum; the bound holds where theta_1 > tau, which is where
     kappa is small against the other singular values of L.  Each end keeps
-    a rounding slack of 16 n eps.
+    a rounding slack of 16 n eps.  The bounds are read after every step,
+    and a point stops as soon as they decide its cell, or after
+    ``_POWER_STEPS`` steps.
     """
+    count = len(xs)
     r2 = xs * xs + ys * ys
-    h = np.empty((len(xs), cols))
+    h = np.empty((count, cols))
     size = 2 * cols
+    slack = 16.0 * cols * _EPS
 
-    def gram(block):
+    def gram(block, spectrum):
         # L^-T L^-1 block; J L^-1 J is the transpose of L^-1
         low = np.fft.irfft(spectrum * np.fft.rfft(block, size, axis=1), size, axis=1)[:, :cols]
         up = np.fft.irfft(spectrum * np.fft.rfft(low[:, ::-1], size, axis=1), size, axis=1)
@@ -607,20 +708,30 @@ def _inverse_kappa_bounds(xs, ys, cols):
             h[:, k] = (2.0 * xs * h[:, k - 1] - h[:, k - 2]) / r2
         h[~np.all(np.isfinite(h), axis=1)] = 0.0
         spectrum = np.fft.rfft(h, size, axis=1)[:, :, None]
-        block = np.zeros((len(xs), cols, 2))
-        block[:, 0, 0] = block[:, 1, 1] = 1.0
-        for _ in range(_POWER_STEPS):
-            block = np.linalg.qr(gram(block))[0]
-        image = gram(block)
-        ritz = np.matmul(block.transpose(0, 2, 1), image)
-        theta = np.linalg.eigvalsh(0.5 * (ritz + ritz.transpose(0, 2, 1)))
-        rho = np.linalg.norm(image - np.matmul(block, ritz), axis=(1, 2))
-        slack = 16.0 * cols * _EPS
         frobenius = np.sum(h * h * np.arange(cols, 0, -1), axis=1)
-        tau = frobenius * (1.0 + slack) - (theta[:, 0] + theta[:, 1]) * (1.0 - slack)
-        top = 0.5 * (theta[:, 1] + tau) + np.hypot(0.5 * (theta[:, 1] - tau), rho)
-        lo, hi = 1.0 / np.sqrt(top * (1.0 + slack)), 1.0 / np.sqrt(theta[:, 1] * (1.0 - slack))
-    return lo, hi, np.isfinite(lo) & np.isfinite(hi) & (theta[:, 1] > tau)
+        lo, hi = np.full(count, np.nan), np.full(count, np.nan)
+        done = np.zeros(count, dtype=bool)
+        act = np.arange(count)
+        block = np.zeros((count, cols, 2))
+        block[:, 0, 0] = block[:, 1, 1] = 1.0
+        for step in range(_POWER_STEPS + 1):
+            if step:
+                block = np.linalg.qr(image)[0]
+            image = gram(block, spectrum)
+            ritz = np.matmul(block.transpose(0, 2, 1), image)
+            theta = np.linalg.eigvalsh(0.5 * (ritz + ritz.transpose(0, 2, 1)))
+            rho = np.linalg.norm(image - np.matmul(block, ritz), axis=(1, 2))
+            tau = frobenius[act] * (1.0 + slack) - (theta[:, 0] + theta[:, 1]) * (1.0 - slack)
+            top = 0.5 * (theta[:, 1] + tau) + np.hypot(0.5 * (theta[:, 1] - tau), rho)
+            lo[act] = 1.0 / np.sqrt(top * (1.0 + slack))
+            hi[act] = 1.0 / np.sqrt(theta[:, 1] * (1.0 - slack))
+            sure = np.isfinite(lo[act]) & np.isfinite(hi[act]) & (theta[:, 1] > tau)
+            done[act] = sure & _decided(lo[act] - widen[act], hi[act] + widen[act], cut)
+            keep = ~done[act]
+            act, image, spectrum = act[keep], image[keep], spectrum[keep]
+            if not len(act):
+                break
+    return lo, hi, done
 
 
 def _decided(lo: np.ndarray, hi: np.ndarray, cut: float) -> np.ndarray:
@@ -664,9 +775,8 @@ def _shift_kappas(side: str, cols: int, xs: np.ndarray, ys: np.ndarray):
         rest = inside[~zero]
         for start in range(0, len(rest), chunk):
             idx = rest[start:start + chunk]
-            lo, hi, sure = _inverse_kappa_bounds(xs[idx], ys[idx], cols)
-            out[idx], reach[idx] = hi, hi - lo + dense_err[idx]
-            hard[idx] = ~(sure & _decided(lo - dense_err[idx], hi + dense_err[idx], cut))
+            lo, hi, decided = _inverse_kappa_bounds(xs[idx], ys[idx], cols, dense_err[idx], cut)
+            out[idx], reach[idx], hard[idx] = hi, hi - lo + dense_err[idx], ~decided
         # at x = 0 the section splits into two interleaved chains, equal for
         # even n, whose double eigenvalues the fast counts resolve slowly
         todo = np.flatnonzero((r2 >= 1.0) & (xs != 0.0))
@@ -794,11 +904,12 @@ class SlicePortrait:
     dense_cells: int = field(default=0, compare=False)
 
     def csv_lines(self) -> list[str]:
+        # numpy scalars, as _fmt rounds them with numpy's round
+        xs = [_fmt(x) for x in self.grid.xs()]
         lines = ["x,y,kappa"]
-        xs, ys = self.grid.xs(), self.grid.ys()
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(self.values[iy, ix])}")
+        for y, row in zip(self.grid.ys(), self.values):
+            y = _fmt(y)
+            lines += [f"{x},{y},{_fmt(v)}" for x, v in zip(xs, row)]
         return lines
 
     def write_csv(self, path) -> None:

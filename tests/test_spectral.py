@@ -3,12 +3,13 @@ import importlib.util
 import io
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qspec import rand
+from qspec import rand, spectral
 from qspec.operators import DenseOperator, MultiplicationOperator, ShiftOperator
 from qspec.qlinalg import (QMatrix, inverse_matrix, min_singular, op_norm,
                            resolvent_singular_values)
@@ -541,6 +542,87 @@ def test_symbol_route_cells_at_the_threshold_cut():
         assert np.all(np.abs(want - REGION_CUT) < 1e-13)
         got = _SectionKappa(op, window).values(xs, ys)
         _assert_shift_agrees(op, window, xs, ys, got, want)
+
+
+#: left-shift points off the real axis with |q| in [1.05, 1.8], where the
+#: smallest singular values come in close pairs (the conjugate roots of p);
+#: the angle pi / 2 puts a column at x = cos(pi / 2), zero to rounding
+_PAIR_R, _PAIR_T = np.meshgrid(np.linspace(1.05, 1.8, 6), np.linspace(0.15, math.pi - 0.15, 7))
+NEAR_PAIRS = (_PAIR_R * np.cos(_PAIR_T)).ravel(), (_PAIR_R * np.sin(_PAIR_T)).ravel()
+#: real-axis points with |q| in [1.0, 1.05], where the lowest modes cluster
+#: and the Gram's smallest eigenvalue sits near its rounding level
+_REAL = np.linspace(1.0, 1.05, 6)
+NEAR_CIRCLE = np.concatenate([_REAL, -_REAL]), np.zeros(2 * len(_REAL))
+STRESS_WINDOWS = (96, 128, 151, 160)
+
+
+@pytest.mark.parametrize("window", STRESS_WINDOWS)
+@pytest.mark.parametrize("points", [NEAR_PAIRS, NEAR_CIRCLE], ids=["near-pairs", "near-circle"])
+def test_symbol_route_left_shift_stress_points(window, points):
+    op = ShiftOperator("left")
+    xs, ys = points
+    got = _SectionKappa(op, window).values(xs, ys)
+    _assert_shift_agrees(op, window, xs, ys, got, ref.section_kappas(op, window, xs, ys))
+
+
+def test_left_gram_takes_a_bounded_number_of_probes(monkeypatch):
+    # close pairs and real-axis clusters take O(1) steps each, so a batch
+    # of points takes a bounded number of probes
+    probes, per_call = [0], []
+    probe, gram_min = spectral._LeftGram.probe, spectral._left_gram_min
+
+    def counted_probe(self, mu, k):
+        probes[0] += 1
+        return probe(self, mu, k)
+
+    def counted_min(*args):
+        start = probes[0]
+        out = gram_min(*args)
+        per_call.append(probes[0] - start)
+        return out
+
+    monkeypatch.setattr(spectral._LeftGram, "probe", counted_probe)
+    monkeypatch.setattr(spectral, "_left_gram_min", counted_min)
+    for window in STRESS_WINDOWS:
+        for xs, ys in (NEAR_PAIRS, NEAR_CIRCLE):
+            _SectionKappa(ShiftOperator("left"), window).values(xs, ys)
+    assert len(per_call) == 2 * len(STRESS_WINDOWS)
+    assert np.mean(per_call) <= 8 and max(per_call) <= 12, per_call
+    # the left-shift benchmark requests, whose real-axis points with large
+    # |x| put a cluster of weakly coupled modes at the bottom of the symbol
+    per_call.clear()
+    for req in _gate_requests():
+        if req.expect["side"] == "left":
+            _SectionKappa(ShiftOperator("left"), req.expect["window"]).values(
+                req.expect["xs"][None, :], req.expect["ys"][:, None])
+    assert len(per_call) == 55
+    assert np.mean(per_call) <= 8 and max(per_call) <= 12, per_call
+
+
+def test_shift_portraits_leave_scipy_unloaded():
+    # the symbol kernels and the dense fallback run on numpy alone, so a
+    # portrait pays neither scipy's import time nor its memory
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import contextlib, io, sys\n"
+        "from qspec import cli, spectral\n"
+        "from qspec.operators import ShiftOperator\n"
+        "grid = spectral.GridSpec(-1.2, 1.2, 1.5, 3, 3)\n"
+        "dense = 0\n"
+        "for side in ('left', 'right'):\n"
+        "    dense += spectral.portrait(ShiftOperator(side), grid, window=40).dense_cells\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['portrait', '--op', f'shift:{side}',\n"
+        "                         '--grid=-1.2,1.2,1.5,3x3', '--window', '40']) == 0\n"
+        "print(dense, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    dense, scipy_loaded = proc.stdout.split()
+    # the left shift's x = 0, |q| > 1 cell takes the dense SVD
+    assert int(dense) >= 1
+    assert scipy_loaded == "False"
 
 
 def _gate_requests():
