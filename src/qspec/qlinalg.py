@@ -18,7 +18,11 @@ spectral quantities below are computed through this representation.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -456,6 +460,59 @@ def resolvent_singular_values(m: np.ndarray, xs, ys, keep: np.ndarray | None = N
         yield np.linalg.svd(m2 - twice_x[lo:hi] * m1 + r2[lo:hi] * eye, compute_uv=False)
 
 
+#: the LAPACK routines qspec calls, all wrapped in scipy's compiled ``_flapack``
+_LAPACK_ROUTINES = ("zgees", "ztrsen", "ztrsyl", "ztrtri")
+
+
+def _flapack():
+    """scipy's ``linalg/_flapack`` extension, loaded by file path under the
+    name ``qspec._flapack`` without running scipy's package ``__init__``;
+    None when the file or one of ``_LAPACK_ROUTINES`` is missing."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    linalg = os.path.join(spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        return None
+    try:
+        ext = importlib.util.spec_from_file_location("qspec._flapack", path)
+        module = importlib.util.module_from_spec(ext)
+        ext.loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    return module if all(hasattr(module, r) for r in _LAPACK_ROUTINES) else None
+
+
+@functools.cache
+def _lapack():
+    """The LAPACK wrappers: ``scipy.linalg.lapack`` when something has
+    already imported it, else ``_flapack()``, else ``scipy.linalg.lapack``
+    after all.  Importing scipy.linalg costs a one-shot command about 0.3 s
+    and 17 MB of peak memory; loading the one extension, a few ms."""
+    lapack = sys.modules.get("scipy.linalg.lapack") or _flapack()
+    if lapack is None:
+        from scipy.linalg import lapack
+    return lapack
+
+
+def _schur(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form T = Z^H M Z by ``zgees``, with the checks and the
+    workspace query of ``scipy.linalg.schur(m, output="complex")``, so T
+    and Z are bit for bit the same."""
+    if not np.all(np.isfinite(m)):
+        raise NumericalError("Schur iteration failed: array must not contain infs or NaNs")
+    zgees, m = _lapack().zgees, np.asarray(m, dtype=np.complex128)
+    lwork = int(zgees(lambda x: None, m, lwork=-1)[-2][0].real)
+    t, _, _, z, _, info = zgees(lambda x: None, m, lwork=lwork, sort_t=0)
+    if info:
+        raise NumericalError(f"Schur iteration failed: zgees info {info}")
+    return t, z
+
+
 #: a Schur block keeps growing while splitting it off needs a Sylvester
 #: solution Y with |Y|_2 at least this
 GROWTH_LIMIT = 1e6
@@ -501,8 +558,7 @@ class SpectralDecomposition:
     @functools.cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """V = Z W^-1 and U = W Z^H, so that M = V diag(T_kk) U and U V = I."""
-        from scipy.linalg import lapack
-        x, _ = lapack.ztrtri(self.w, unitdiag=1)    # unit triangular: never singular
+        x, _ = _lapack().ztrtri(self.w, unitdiag=1)    # unit triangular: never singular
         return self.z @ x, self.w @ self.z.conj().T
 
     @functools.cached_property
@@ -546,13 +602,7 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     if a.rows == 0:
         return SpectralDecomposition((), (), np.empty((0, 0)), m, half,
                                      *[np.eye(0)] * 3, (), ())
-    # imported here: scipy costs a command that never gets here tens of
-    # megabytes and a few tenths of a second
-    import scipy.linalg
-    try:
-        t, z = scipy.linalg.schur(m, output="complex")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Schur iteration failed: {exc}") from exc
+    t, z = _schur(m)
     blocks, w = _split_schur(t, z)
     starts = np.array([i for i, _ in blocks])
     widths = np.diff(np.append(starts, len(t)))
@@ -586,7 +636,6 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
     lone eigenvalue's Y is its left eigenvector past the diagonal, so one
     back substitution splits off all of them until a block grows.
     """
-    from scipy.linalg import lapack
     n = len(t)
     seed = linked_components(t.diagonal().real, t.diagonal().imag, SPHERE_MERGE_TOL)
     w = np.eye(n, dtype=np.complex128)
@@ -617,8 +666,8 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
                 left = None
             if stop == n:
                 break
-            y, scale, info = lapack.ztrsyl(t[p:stop, p:stop], t[stop:, stop:],
-                                           t[p:stop, stop:], isgn=-1)
+            y, scale, info = _lapack().ztrsyl(t[p:stop, p:stop], t[stop:, stop:],
+                                              t[p:stop, stop:], isgn=-1)
             if info == 0 and scale > 0.0:
                 y = y / scale
                 # the Frobenius norm bounds |Y|_2 and spares most SVDs
@@ -642,8 +691,7 @@ def _gather(t: np.ndarray, z: np.ndarray, w: np.ndarray, seed: np.ndarray, p: in
     count = int(np.count_nonzero(chosen))
     if chosen[:count].all():
         return False
-    from scipy.linalg import lapack
-    ts, q, *_, info = lapack.ztrsen(chosen, t[p:, p:], np.eye(len(t) - p), job="N")
+    ts, q, *_, info = _lapack().ztrsen(chosen, t[p:, p:], np.eye(len(t) - p), job="N")
     if info:
         raise NumericalError("Schur reordering failed on close eigenvalues")
     t[p:, p:], t[:p, p:] = ts, t[:p, p:] @ q

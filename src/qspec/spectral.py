@@ -86,6 +86,13 @@ def _fmt(x: float) -> str:
     return format(round(x, 12) + 0.0, ".12g")
 
 
+def _fmt_array(values: np.ndarray) -> list[str]:
+    """``_fmt`` of each element as a numpy scalar, in one vectorized round:
+    what portraits print and certify.  numpy's ``round`` differs from
+    Python's correctly rounded one on about 8 in 10^5 random floats."""
+    return [format(v, ".12g") for v in (np.round(values, 12) + 0.0).tolist()]
+
+
 def classify(a: QMatrix, tol: float = 1e-8) -> SpectrumReport:
     """Classify every sphere of sigma_S(A) into its four parts.
 
@@ -736,9 +743,9 @@ def _inverse_kappa_bounds(xs, ys, cols, widen, cut):
 
 def _decided(lo: np.ndarray, hi: np.ndarray, cut: float) -> np.ndarray:
     """Cells where every value in [lo, hi] prints the same and falls on the
-    same side of ``cut``.  ``_fmt`` is monotone, so the two ends decide."""
-    same = np.fromiter((_fmt(a) == _fmt(b) for a, b in zip(lo.tolist(), hi.tolist())),
-                       dtype=bool, count=len(lo))
+    same side of ``cut``, printed by ``_fmt_array`` as the CSV prints them.
+    The rounding is monotone, so the two ends decide."""
+    same = np.array([a == b for a, b in zip(_fmt_array(lo), _fmt_array(hi))], dtype=bool)
     return same & ((hi <= cut) | (lo > cut))
 
 
@@ -904,12 +911,10 @@ class SlicePortrait:
     dense_cells: int = field(default=0, compare=False)
 
     def csv_lines(self) -> list[str]:
-        # numpy scalars, as _fmt rounds them with numpy's round
-        xs = [_fmt(x) for x in self.grid.xs()]
+        xs = _fmt_array(self.grid.xs())
         lines = ["x,y,kappa"]
-        for y, row in zip(self.grid.ys(), self.values):
-            y = _fmt(y)
-            lines += [f"{x},{y},{_fmt(v)}" for x, v in zip(xs, row)]
+        for y, row in zip(_fmt_array(self.grid.ys()), self.values):
+            lines += [f"{x},{y},{v}" for x, v in zip(xs, _fmt_array(row))]
         return lines
 
     def write_csv(self, path) -> None:

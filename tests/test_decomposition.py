@@ -186,9 +186,10 @@ def test_ill_separated_eigenvalues_share_a_block():
 
 
 def test_nonfinite_input_raises_numerical_error():
-    a = QMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
-    with pytest.raises(NumericalError):
-        spectral_decomposition(a)
+    for bad in (np.nan, np.inf):
+        a = QMatrix(np.array([[bad, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
+        with pytest.raises(NumericalError, match="Schur iteration failed"):
+            spectral_decomposition(a)
 
 
 def test_left_eigenvector_rows_are_the_sylvester_solutions():

@@ -264,16 +264,26 @@ def test_module_entry_point():
     assert "scalar-algebra" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is loaded on first use by spectral_projections, not by importing
-    # the command line
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # neither importing the command line nor running matrix commands loads
+    # a scipy module: the Schur form behind classify and the suites takes
+    # its LAPACK from scipy's _flapack, loaded by file path
+    p = tmp_path / "a.qmat"
+    io.write_text(str(p), io.format_qmat(rand.rand_qmatrix(rand.generator(227, 0), 3, 3)))
     src = os.path.dirname(os.path.dirname(io.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, qspec.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    path = os.pathsep.join(x for x in (src, os.environ.get("PYTHONPATH")) if x)
+    code = ("import contextlib, io, sys\n"
+            "from qspec import cli, qlinalg\n"
+            "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(['classify', '--op', 'dense:{p}']),\n"
+            "             cli.main(['check', '--suite', 'all', '--trials', '1'])]\n"
+            "print(codes, qlinalg._lapack().__name__, scipy())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+                          timeout=300, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["[]", "[0, 0] qspec._flapack []"]
 
 
 def test_cli_main_twice_in_one_process_matches_separate_runs(tmp_path, capsys):

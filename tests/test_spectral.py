@@ -19,7 +19,9 @@ from qspec.spectral import (
     GridSpec,
     SlicePortrait,
     _SectionKappa,
+    _decided,
     _fmt,
+    _fmt_array,
     _section_size,
     _shift_kappas,
     annulus_check,
@@ -542,6 +544,24 @@ def test_symbol_route_cells_at_the_threshold_cut():
         assert np.all(np.abs(want - REGION_CUT) < 1e-13)
         got = _SectionKappa(op, window).values(xs, ys)
         _assert_shift_agrees(op, window, xs, ys, got, want)
+
+
+def test_decided_rounds_as_the_csv_prints():
+    # x is a hair past the half-way point -0.5507484141545: Python's round
+    # gives ...155, and numpy's, which the CSV prints with, ...154
+    x = -0.5507484141545
+    below, above = np.nextafter(x, -1.0), np.nextafter(x, 0.0)
+    assert _fmt(x) != _fmt(np.float64(x))
+    values = np.concatenate([[below, x, above, 0.0, -0.0, 5e-13, -5e-13],
+                             np.random.default_rng(7).uniform(-2.0, 2.0, 20000)])
+    assert _fmt_array(values) == [_fmt(v) for v in values]
+    portrait = SlicePortrait(grid=GridSpec(0.0, 1.0, 1.0, 3, 1), slice_unit=SLICE_I, window=3,
+                             norm_scale=1.0, values=np.array([[below, x, above]]))
+    printed = [line.split(",")[2] for line in portrait.csv_lines()[1:]]
+    assert printed == ["-0.550748414155", "-0.550748414154", "-0.550748414154"]
+    # [x, above] prints one value, [below, x] two
+    got = _decided(np.array([x, below]), np.array([above, x]), 0.0)
+    assert got.tolist() == [True, False]
 
 
 #: left-shift points off the real axis with |q| in [1.05, 1.8], where the
