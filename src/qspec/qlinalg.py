@@ -22,7 +22,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -489,11 +488,10 @@ def _flapack():
 
 @functools.cache
 def _lapack():
-    """The LAPACK wrappers: ``scipy.linalg.lapack`` when something has
-    already imported it, else ``_flapack()``, else ``scipy.linalg.lapack``
-    after all.  Importing scipy.linalg costs a one-shot command about 0.3 s
-    and 17 MB of peak memory; loading the one extension, a few ms."""
-    lapack = sys.modules.get("scipy.linalg.lapack") or _flapack()
+    """The LAPACK wrappers: ``_flapack()``, else ``scipy.linalg.lapack``.
+    Importing scipy.linalg costs a one-shot command about 0.3 s and 17 MB
+    of peak memory; loading the one extension, a few ms."""
+    lapack = _flapack()
     if lapack is None:
         from scipy.linalg import lapack
     return lapack

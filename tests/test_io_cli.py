@@ -281,7 +281,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
             "             cli.main(['check', '--suite', 'all', '--trials', '1'])]\n"
             "print(codes, qlinalg._lapack().__name__, scipy())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=300, env={**os.environ, "PYTHONPATH": path})
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[0, 0] qspec._flapack []"]
 

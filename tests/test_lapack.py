@@ -3,7 +3,6 @@ loaded by file path, cross-tested bit for bit against the slow reference
 route through ``scipy.linalg``."""
 
 import importlib.machinery
-import sys
 
 import numpy as np
 import pytest
@@ -16,10 +15,9 @@ from qspec.qlinalg import spectral_decomposition
 
 @pytest.fixture
 def routes(monkeypatch):
-    """(direct, fallback): what ``_lapack()`` gives in a process that has not
-    imported scipy.linalg, and what it gives when loading by path fails."""
+    """(direct, fallback): what ``_lapack()`` gives, and what it gives when
+    loading by path fails."""
     lapack = qlinalg._lapack
-    monkeypatch.delitem(sys.modules, "scipy.linalg.lapack")
     lapack.cache_clear()
     direct = lapack()
     monkeypatch.setattr(qlinalg, "_flapack", lambda: None)
