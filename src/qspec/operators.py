@@ -202,7 +202,8 @@ def restrict(a: QMatrix, basis: SubspaceBasis) -> QMatrix:
 
 
 def complement_basis(basis: SubspaceBasis) -> SubspaceBasis:
-    """Orthonormal basis of the orthogonal complement."""
+    """Orthonormal basis of the orthogonal complement: what
+    ``orthonormalize`` keeps of e_1, ..., e_n after the basis itself."""
     n = basis.space_dim
     survivors = orthonormalize(
         list(basis.vectors) + [QVector.basis(n, k) for k in range(n)],

@@ -403,7 +403,8 @@ def kernel_basis(a: QMatrix, tol: float = 1e-10) -> list[QVector]:
 
     The complex null space of chi(A) is closed under the quaternionic
     structure map, so it pulls back to exactly half as many right
-    independent quaternionic vectors.
+    independent quaternionic vectors: ``orthonormalize`` keeps one vector
+    of each pair phi, phi j of pulled-back singular vectors.
     """
     if a.cols == 0:
         return []
@@ -720,25 +721,45 @@ def right_eigenspheres(a: QMatrix) -> tuple[EigenSphere, ...]:
 
 
 def orthonormalize(vectors, drop_tol: float = 1e-10) -> list[QVector]:
-    """Modified Gram-Schmidt over right quaternion scalars.
+    """Orthonormal right basis of the span, in input order.
 
-    Vectors whose residual drops below drop_tol times their original norm
-    are discarded, so the result has full numerical rank.  Two projection
-    passes keep the loss of orthogonality near machine precision.
+    Classical Gram-Schmidt applied twice, in the complex image: each kept
+    vector phi holds two columns of one complex block, embed(phi) and
+    embed(phi j), whose complex span is exactly the image of the right span
+    phi H.  A new vector leaves the whole block in two passes
+    w <- w - Q (Q^H w), which keep the loss of orthogonality near machine
+    precision (Giraud, Langou & Rozloznik 2005).  A vector whose residual
+    is at most drop_tol times its own norm is dropped, zero vectors are
+    skipped, so the result has full numerical rank.  Vectors of different
+    lengths raise ShapeError.
     """
-    basis: list[QVector] = []
-    for v in vectors:
-        original = v.norm()
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    n = vectors[0].n
+    if any(v.n != n for v in vectors):
+        raise ShapeError("vectors to orthonormalize differ in length")
+    # the embeddings as rows; q holds the kept columns, qh = q^H
+    rows = np.concatenate([np.array([v.c1 for v in vectors]),
+                           -np.conj([v.c2 for v in vectors])], axis=1)
+    q = np.empty((2 * n, 2 * len(vectors)), dtype=np.complex128)
+    qh = np.empty((2 * len(vectors), 2 * n), dtype=np.complex128)
+    cols = 0  # columns of q in use, two per kept vector
+    for w, original in zip(rows, np.linalg.norm(rows, axis=1).tolist()):
         if original == 0.0:
             continue
-        w = v
-        for _ in range(2):
-            for b in basis:
-                w = w - b.times(inner(b, w))
-        r = w.norm()
+        if cols:
+            for _ in range(2):
+                w = w - q[:, :cols] @ (qh[:cols] @ w)
+        r = float(np.linalg.norm(w))
         if r > drop_tol * original:
-            basis.append(w.scale(1.0 / r))
-    return basis
+            w = w / r
+            q[:, cols] = w
+            q[:n, cols + 1] = np.conj(w[n:])
+            q[n:, cols + 1] = -np.conj(w[:n])
+            qh[cols:cols + 2] = q[:, cols:cols + 2].T.conj()
+            cols += 2
+    return [QVector.from_embedding(c) for c in q[:, :cols:2].T]
 
 
 class SubspaceBasis:
@@ -772,6 +793,8 @@ class SubspaceBasis:
 
     @staticmethod
     def from_span(space_dim: int, vectors, drop_tol: float = 1e-10) -> "SubspaceBasis":
+        """Basis of the right span by ``orthonormalize`` (CGS2 in the complex
+        image, input order, drop_tol relative to each vector's norm)."""
         return SubspaceBasis(space_dim, orthonormalize(vectors, drop_tol))
 
     def as_matrix(self) -> QMatrix:

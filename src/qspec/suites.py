@@ -508,14 +508,16 @@ def _arc_mask(g: spectral.GridSpec, radius: float) -> np.ndarray:
     Marking the nearest cell of densely sampled arc points yields an
     8-connected wall, which the 4-connected hole fill cannot cross.
     """
-    xs, ys = g.xs(), g.ys()
+    # math.cos/sin, since np.cos/sin may differ by an ulp, and argmin takes
+    # the first of tied cells: the wall is bit for bit the one that nearest
+    # cells of one sample point at a time give
+    thetas = np.linspace(0.0, math.pi, 8 * max(g.nx, g.ny)).tolist()
+    x = radius * np.array([math.cos(t) for t in thetas])
+    y = radius * np.array([math.sin(t) for t in thetas])
+    ix = np.argmin(np.abs(g.xs()[None, :] - x[:, None]), axis=1)
+    iy = np.argmin(np.abs(g.ys()[None, :] - y[:, None]), axis=1)
     mask = np.zeros((g.ny, g.nx), dtype=bool)
-    for theta in np.linspace(0.0, math.pi, 8 * max(g.nx, g.ny)):
-        x = radius * math.cos(theta)
-        y = radius * math.sin(theta)
-        ix = int(np.argmin(np.abs(xs - x)))
-        iy = int(np.argmin(np.abs(ys - y)))
-        mask[iy, ix] = True
+    mask[iy, ix] = True
     return mask
 
 

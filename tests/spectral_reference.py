@@ -8,7 +8,9 @@ separate SVD of R_q(A^dag); the growth bounds from one SVD per power,
 taken power by power; the projection validator that checks every
 residual as a QMatrix with one ``op_norm`` each; and the portrait kappa that
 formed the whole R_q of one grid point at a time before taking its kept
-columns and one SVD.  Kept so that tests can compare the two routes.
+columns and one SVD; the object-by-object modified Gram-Schmidt behind
+orthonormal bases; and the arc rasterizer that placed one sample point at a
+time.  Kept so that tests can compare the two routes.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import scipy.linalg
 
 from qspec.errors import NumericalError
 from qspec.localspec import CONDITION_LIMIT, SpectralProjectionSet
-from qspec.qlinalg import (QMatrix, _j_conj, _singular_values, complex_adjoint,
-                           min_singular, nullity, op_norm, pseudo_resolvent)
+from qspec.qlinalg import (QMatrix, QVector, _j_conj, _singular_values, complex_adjoint,
+                           inner, min_singular, nullity, op_norm, pseudo_resolvent)
 from qspec.quat import EigenSphere, Quaternion, cluster_spheres, merge_spheres, sphere_union
 from qspec.spectral import (SphereFlags, SpectrumReport, _section_size, growth_bounds,
                             membership_threshold)
@@ -184,3 +186,34 @@ def growth_bounds(a, n_max: int = 8) -> tuple[float, float]:
         if n < n_max:
             power = power @ section
     return radius, lower
+
+
+def orthonormalize(vectors, drop_tol: float = 1e-10) -> list[QVector]:
+    """Modified Gram-Schmidt over right quaternion scalars, one QVector and
+    one Quaternion inner product per basis vector, in two passes."""
+    basis: list[QVector] = []
+    for v in vectors:
+        original = v.norm()
+        if original == 0.0:
+            continue
+        w = v
+        for _ in range(2):
+            for b in basis:
+                w = w - b.times(inner(b, w))
+        r = w.norm()
+        if r > drop_tol * original:
+            basis.append(w.scale(1.0 / r))
+    return basis
+
+
+def arc_mask(g, radius: float) -> np.ndarray:
+    """The half-circle wall of ``suites._arc_mask``, one sample point at a time."""
+    xs, ys = g.xs(), g.ys()
+    mask = np.zeros((g.ny, g.nx), dtype=bool)
+    for theta in np.linspace(0.0, math.pi, 8 * max(g.nx, g.ny)):
+        x = radius * math.cos(theta)
+        y = radius * math.sin(theta)
+        ix = int(np.argmin(np.abs(xs - x)))
+        iy = int(np.argmin(np.abs(ys - y)))
+        mask[iy, ix] = True
+    return mask

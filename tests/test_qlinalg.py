@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import spectral_reference as ref
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,6 +13,7 @@ from qspec.qlinalg import (
     QVector,
     SubspaceBasis,
     _j_conj,
+    columns_matrix,
     complex_adjoint,
     inner,
     inverse_matrix,
@@ -245,6 +249,153 @@ def test_orthonormalize_and_subspace():
     assert sub.dim == 2
     assert sub.contains(vs[2], 1e-8)
     assert not sub.contains(QVector.basis(4, 3), 1e-3)
+
+
+def _kept_indices(ortho, vs, drop_tol):
+    """Input indices that add a basis vector, read from the prefix counts."""
+    counts = [len(ortho(vs[:i], drop_tol)) for i in range(len(vs) + 1)]
+    return [i for i in range(len(vs)) if counts[i + 1] > counts[i]]
+
+
+def _span_projector(basis, n):
+    if not basis:
+        return np.zeros((2 * n, 2 * n), dtype=complex)
+    y = complex_adjoint(columns_matrix(basis))
+    return y @ y.conj().T
+
+
+def _assert_routes_agree(vs, drop_tol=1e-10):
+    """The block CGS2 against the reference modified Gram-Schmidt."""
+    fast, slow = orthonormalize(vs, drop_tol), ref.orthonormalize(vs, drop_tol)
+    assert _kept_indices(orthonormalize, vs, drop_tol) \
+        == _kept_indices(ref.orthonormalize, vs, drop_tol)
+    if not vs:
+        return fast
+    n = vs[0].n
+    assert np.abs(_span_projector(fast, n) - _span_projector(slow, n)).max() <= 1e-12
+    k = len(fast)
+    if k:
+        y = columns_matrix(fast)
+        gram = y.adjoint() @ y
+        err = np.hypot(np.abs(gram.c1 - np.eye(k)), np.abs(gram.c2)).max()
+        assert err <= 1e-14 * k
+    return fast
+
+
+def _right_dependent_set(rng, n):
+    """Random vectors mixed with right combinations of earlier ones, zeros,
+    vectors with a zero c1, and the pair [v, v j]."""
+    vs = []
+    for _ in range(int(rng.integers(1, 3 * n + 1))):
+        kind = int(rng.integers(0, 6))
+        if kind == 0 or not vs:
+            vs.append(rand.rand_qvector(rng, n))
+        elif kind == 1:
+            a, b = (vs[int(rng.integers(0, len(vs)))] for _ in range(2))
+            vs.append(a.times(I) + b.times(J))
+        elif kind == 2:
+            vs.append(vs[int(rng.integers(0, len(vs)))].times(rand.rand_quaternion(rng)))
+        elif kind == 3:
+            vs.append(QVector.zeros(n))
+        elif kind == 4:
+            v = rand.rand_qvector(rng, n)
+            vs.append(QVector(np.zeros(n), v.c2))
+        else:
+            v = vs[int(rng.integers(0, len(vs)))]
+            vs.extend([v, v.times(J)])
+    return vs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_orthonormalize_matches_reference_on_random_sets(seed):
+    rng = rand.generator(401, seed)
+    for _ in range(10):
+        n = int(rng.integers(1, 8))
+        vs = _right_dependent_set(rng, n)
+        for drop_tol in (1e-6, 1e-9, 1e-10):
+            _assert_routes_agree(vs, drop_tol)
+
+
+def test_orthonormalize_right_dependent_inputs():
+    rng = rand.generator(403, 0)
+    v0, v1 = rand.rand_qvector(rng, 4), rand.rand_qvector(rng, 4)
+    q = rand.rand_quaternion(rng)
+    assert len(_assert_routes_agree([v0, v1, v0.times(I) + v1.times(J)])) == 2
+    assert len(_assert_routes_agree([v0, v0.times(q), v1])) == 2
+    # one right span: a complex-only Gram-Schmidt, without the partner
+    # column embed(v j), would keep both
+    pair = [v0, v0.times(J)]
+    assert np.linalg.matrix_rank(np.stack([v.embed() for v in pair])) == 2
+    assert len(_assert_routes_agree(pair)) == 1
+
+
+def test_orthonormalize_edge_inputs():
+    rng = rand.generator(405, 0)
+    assert _assert_routes_agree([]) == []
+    assert _assert_routes_agree([QVector.zeros(3), QVector.zeros(3)]) == []
+    one = _assert_routes_agree([QVector.zeros(1), QVector.from_quaternions([I + J]),
+                                QVector.from_quaternions([K])])
+    assert len(one) == 1
+    c2_only = [QVector(np.zeros(3), rand.rand_qvector(rng, 3).c2) for _ in range(4)]
+    assert len(_assert_routes_agree(c2_only)) == 3
+    assert len(_assert_routes_agree([QVector.zeros(3)] + c2_only[:1])) == 1
+
+
+@pytest.mark.parametrize("drop_tol", [1e-6, 1e-9, 1e-10])
+@pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+def test_orthonormalize_drop_rule_at_threshold(drop_tol, factor):
+    """A residual of drop_tol (1 +- 1e-3) times the input norm is kept or
+    dropped alike on both routes, and as the rule says."""
+    rng = rand.generator(407, 0)
+    ratio = factor * drop_tol
+    expected = 2 if factor > 1 else 1
+    for n in (2, 3, 5):
+        q, p = rand.rand_quaternion(rng), rand.rand_quaternion(rng)
+        t = ratio * abs(q) / math.sqrt(1 - ratio ** 2)  # residual / |v| = ratio
+        # on coordinate vectors both routes find the residual exactly
+        i, j = rng.choice(n, 2, replace=False)
+        b = QVector.basis(n, int(i))
+        v = b.times(q) + QVector.basis(n, int(j)).times(p / abs(p)).scale(t)
+        assert len(_assert_routes_agree([b, v], drop_tol)) == expected
+        # in general position the residual, and with it the kept direction,
+        # is known only to about eps / ratio, but the decision is the same
+        b, u = ref.orthonormalize([rand.rand_qvector(rng, n) for _ in range(2)])
+        v = b.times(q) + u.times(p / abs(p)).scale(t)
+        assert len(orthonormalize([b, v], drop_tol)) == expected
+        assert len(ref.orthonormalize([b, v], drop_tol)) == expected
+    # n = 1: a right multiple of b leaves only a rounding residual
+    b = QVector.basis(1, 0)
+    assert len(_assert_routes_agree([b, b.times(rand.rand_quaternion(rng))], drop_tol)) == 1
+
+
+def test_orthonormalize_builds_no_quaternion_or_intermediate_vector(monkeypatch):
+    rng = rand.generator(409, 0)
+    vs = [rand.rand_qvector(rng, 5) for _ in range(4)]
+    vs.append(vs[0].times(J) + vs[1])
+    counts = {"vectors": 0, "quaternions": 0}
+    init, post = QVector.__init__, Quaternion.__post_init__
+
+    def counted_init(self, *args):
+        counts["vectors"] += 1
+        init(self, *args)
+
+    def counted_post(self):
+        counts["quaternions"] += 1
+        post(self)
+
+    monkeypatch.setattr(QVector, "__init__", counted_init)
+    monkeypatch.setattr(Quaternion, "__post_init__", counted_post)
+    basis = orthonormalize(vs)
+    assert len(basis) == 4
+    assert counts == {"vectors": 4, "quaternions": 0}
+
+
+def test_orthonormalize_rejects_mixed_lengths():
+    rng = rand.generator(411, 0)
+    v3, v4 = rand.rand_qvector(rng, 3), rand.rand_qvector(rng, 4)
+    for vs in ([QVector.zeros(3), v4], [v3, v4], [v4, QVector.zeros(3)]):
+        with pytest.raises(ShapeError):
+            orthonormalize(vs)
 
 
 def test_projection_idempotent():

@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
+import spectral_reference as ref
 
+from qspec import spectral
 from qspec.suites import (
     SuiteConfig,
     _Runner,
+    _arc_mask,
     available_suites,
     report_lines,
     run_many,
@@ -61,3 +65,10 @@ def test_config_rejects_trials_below_one(trials):
     # both once ran one trial silently
     with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
         SuiteConfig(trials=trials)
+
+
+@pytest.mark.parametrize("nx, ny, radius", [(64, 32, 0.5), (3, 200, 0.5), (200, 3, 0.7),
+                                            (17, 9, 1.0), (5, 5, 2.0), (1, 1, 0.3)])
+def test_arc_mask_matches_point_loop(nx, ny, radius):
+    g = spectral.GridSpec(-1.0, 1.0, 1.0, nx, ny)
+    assert np.array_equal(_arc_mask(g, radius), ref.arc_mask(g, radius))
