@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
 """Digest the CLI output that a pure refactor must leave byte-identical.
 
-Three gates, each printed as a sha256 digest of its stdout and exit
-codes, with the number of stdout lines:
+Four gates, each printed on one line, named first, as a sha256 digest of
+its stdout and exit codes, with the number of stdout lines:
 
   matrix    ``classify`` on the 504 ``matrix`` benchmark inputs of seeds 51-53
   check     ``check --suite all --trials 6`` for seeds 42 and 1
   portrait  the 110 ``portrait`` benchmark requests of seed 51
+  series    the 112 ``series`` benchmark reports of seed 51
 
 Run it from any directory as ``python3 scripts/output_gate.py`` on two
-checkouts and compare the lines.  It imports qspec from the ``src`` of
+checkouts, save each output, and compare them with
+
+    python3 scripts/output_gate.py --compare BASE_OUTPUT HEAD_OUTPUT
+
+which matches gates by name: a gate that both print must match, a gate
+that the head no longer prints fails, and a gate that only the head
+prints is listed as new.  The comparison exits 1 on any failure.  It imports qspec from the ``src`` of
 the checkout it sits in and the request builders of
 ``perfbench/workloads.py``, which it only reads.  It takes about ten
 seconds.
@@ -35,8 +42,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import workloads  # noqa: E402
 from qspec import cli  # noqa: E402
 
-# the random streams perfbench/worker.py gives these two workloads
-MATRIX_STREAM, PORTRAIT_STREAM = 1, 2
+# the random streams perfbench/worker.py gives these three workloads
+MATRIX_STREAM, PORTRAIT_STREAM, SERIES_STREAM = 1, 2, 3
 
 
 def digest(argvs) -> tuple[str, int]:
@@ -52,15 +59,49 @@ def digest(argvs) -> tuple[str, int]:
     return h.hexdigest(), lines
 
 
-def main() -> int:
+def gates(text: str) -> dict[str, str]:
+    """Gate lines of one output, keyed by gate name."""
+    return {line.split()[0]: line for line in text.splitlines() if line.strip()}
+
+
+def compare(base_text: str, head_text: str) -> list[str]:
+    """Failures of the head's gates against the base's, after printing a
+    line per gate."""
+    base, head = gates(base_text), gates(head_text)
+    failures = []
+    for name in sorted(base.keys() | head.keys()):
+        if name not in head:
+            failures.append(f"{name}: gate dropped by the head")
+        elif name not in base:
+            print(f"new gate  {head[name]}")
+        elif base[name] != head[name]:
+            failures.append(f"{name}: base {base[name]!r} != head {head[name]!r}")
+        else:
+            print(f"same      {head[name]}")
+    for failure in failures:
+        print(f"FAIL {failure}")
+    return failures
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--compare"] and len(argv) == 3:
+        with open(argv[1]) as base, open(argv[2]) as head:
+            return 1 if compare(base.read(), head.read()) else 0
+    if argv:
+        print("usage: output_gate.py [--compare BASE_OUTPUT HEAD_OUTPUT]", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as workdir:
         matrix = [req.argv for seed in (51, 52, 53) for req in workloads.build_matrix(
             np.random.default_rng([seed, MATRIX_STREAM]), workdir)]
         portrait = [req.argv for req in workloads.build_portrait(
             np.random.default_rng([51, PORTRAIT_STREAM]), workdir)]
+        series = [req.argv for req in workloads.build_series(
+            np.random.default_rng([51, SERIES_STREAM]), workdir)]
         check = [["check", "--suite", "all", "--trials", "6", "--seed", str(seed)]
                  for seed in (42, 1)]
-        for name, argvs in (("matrix", matrix), ("check", check), ("portrait", portrait)):
+        for name, argvs in (("matrix", matrix), ("check", check), ("portrait", portrait),
+                            ("series", series)):
             sha, lines = digest(argvs)
             print(f"{name:<9} {len(argvs):>4} commands  sha256 {sha}  lines {lines}")
     return 0

@@ -6,157 +6,50 @@ series engine, and randomized property suites for the structural laws the
 spectra obey.
 """
 
-from .errors import (
-    CoverError,
-    InvarianceError,
-    NumericalError,
-    PoleError,
-    ShapeError,
-)
-from .localspec import (
-    DecomposabilityVerdict,
-    LocalSpectrum,
-    SpectralProjectionSet,
-    SvepStatus,
-    decomposability_necessary,
-    global_subspace,
-    local_resolvent_diag,
-    local_spectrum,
-    local_subspace,
-    spectral_projections,
-    svep_status,
-)
-from .operators import (
-    DenseOperator,
-    HalfPlaneRegion,
-    LinearOperator,
-    MultiplicationOperator,
-    ShiftOperator,
-    partition_splitting,
-    quotient,
-    restrict,
-    truncated_eigenvector,
-)
-from .qlinalg import (
-    QMatrix,
-    QVector,
-    SubspaceBasis,
-    complex_adjoint,
-    inner,
-    kernel_basis,
-    min_singular,
-    op_norm,
-    right_eigenspheres,
-)
-from .quat import (
-    SLICE_I,
-    SLICE_J,
-    SLICE_K,
-    EigenSphere,
-    Quaternion,
-    SliceUnit,
-    merge_spheres,
-    sphere_of,
-)
-from .sliceseries import (
-    CompactExhaustion,
-    DivergenceWarning,
-    RadiusBiasWarning,
-    SliceSeries,
-    cr_residual,
-    default_exhaustion,
-    h_metric,
-    sigma_radius,
-    slice_derivative,
-    star_product,
-)
-from .spectral import (
-    GridSpec,
-    SlicePortrait,
-    SpectrumReport,
-    annulus_check,
-    classify,
-    full_spectrum,
-    portrait,
-    s_spectrum,
-    spectral_radius,
-    threshold_region,
-    transition_cells,
-    window_kappa,
-)
-from .suites import SuiteConfig, SuiteResult, available_suites, run_many, run_suite
+import importlib
+
+# Every public name and the module that defines it.  A module loads the
+# first time one of its names is read (PEP 562), so a command imports only
+# the layers it runs.
+_HOMES = {
+    "errors": ("CoverError", "InvarianceError", "NumericalError", "PoleError",
+               "ShapeError"),
+    "localspec": ("DecomposabilityVerdict", "LocalSpectrum", "SpectralProjectionSet",
+                  "SvepStatus", "decomposability_necessary", "global_subspace",
+                  "local_resolvent_diag", "local_spectrum", "local_subspace",
+                  "spectral_projections", "svep_status"),
+    "operators": ("DenseOperator", "HalfPlaneRegion", "LinearOperator",
+                  "MultiplicationOperator", "ShiftOperator", "partition_splitting",
+                  "quotient", "restrict", "truncated_eigenvector"),
+    "qlinalg": ("QMatrix", "QVector", "SubspaceBasis", "complex_adjoint", "inner",
+                "kernel_basis", "min_singular", "op_norm", "right_eigenspheres"),
+    "quat": ("SLICE_I", "SLICE_J", "SLICE_K", "EigenSphere", "Quaternion", "SliceUnit",
+             "merge_spheres", "sphere_of"),
+    "sliceseries": ("CompactExhaustion", "DivergenceWarning", "RadiusBiasWarning",
+                    "SliceSeries", "cr_residual", "default_exhaustion", "h_metric",
+                    "sigma_radius", "slice_derivative", "star_product"),
+    "spectral": ("GridSpec", "SlicePortrait", "SpectrumReport", "annulus_check",
+                 "classify", "full_spectrum", "portrait", "s_spectrum",
+                 "spectral_radius", "threshold_region", "transition_cells",
+                 "window_kappa"),
+    "suites": ("SuiteConfig", "SuiteResult", "available_suites", "run_many", "run_suite"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CompactExhaustion",
-    "CoverError",
-    "DecomposabilityVerdict",
-    "DenseOperator",
-    "DivergenceWarning",
-    "EigenSphere",
-    "GridSpec",
-    "HalfPlaneRegion",
-    "InvarianceError",
-    "LinearOperator",
-    "LocalSpectrum",
-    "MultiplicationOperator",
-    "NumericalError",
-    "PoleError",
-    "QMatrix",
-    "QVector",
-    "Quaternion",
-    "RadiusBiasWarning",
-    "SLICE_I",
-    "SLICE_J",
-    "SLICE_K",
-    "ShapeError",
-    "ShiftOperator",
-    "SlicePortrait",
-    "SliceSeries",
-    "SliceUnit",
-    "SpectralProjectionSet",
-    "SpectrumReport",
-    "SubspaceBasis",
-    "SuiteConfig",
-    "SuiteResult",
-    "SvepStatus",
-    "annulus_check",
-    "available_suites",
-    "classify",
-    "complex_adjoint",
-    "cr_residual",
-    "decomposability_necessary",
-    "default_exhaustion",
-    "full_spectrum",
-    "global_subspace",
-    "h_metric",
-    "inner",
-    "kernel_basis",
-    "local_resolvent_diag",
-    "local_spectrum",
-    "local_subspace",
-    "merge_spheres",
-    "min_singular",
-    "op_norm",
-    "partition_splitting",
-    "portrait",
-    "quotient",
-    "restrict",
-    "right_eigenspheres",
-    "run_many",
-    "run_suite",
-    "s_spectrum",
-    "sigma_radius",
-    "slice_derivative",
-    "spectral_projections",
-    "spectral_radius",
-    "sphere_of",
-    "star_product",
-    "svep_status",
-    "threshold_region",
-    "transition_cells",
-    "truncated_eigenvector",
-    "window_kappa",
-    "__version__",
-]
+__all__ = sorted(_HOME_OF) + ["__version__"]

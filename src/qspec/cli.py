@@ -19,10 +19,9 @@ import functools
 import math
 import sys
 
-from . import io, localspec, spectral, suites
+from . import io
 from .errors import NumericalError, PoleError, ShapeError
-from .quat import SLICE_I, SLICE_J, SLICE_K, SliceUnit
-from .sliceseries import sigma_radius
+from .quat import SLICE_I, SLICE_J, SLICE_K, SliceUnit, _fmt
 
 
 @functools.cache
@@ -106,6 +105,7 @@ def _matrix_backed(op):
 
 
 def _cmd_spectrum(cfg: argparse.Namespace) -> int:
+    from . import spectral
     op = io.parse_operator_spec(cfg.op_spec)
     report = spectral.classify(_matrix_backed(op), tol=cfg.tol)
     _emit(cfg, "\n".join(report.to_lines()) + "\n")
@@ -113,24 +113,25 @@ def _cmd_spectrum(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_classify(cfg: argparse.Namespace) -> int:
+    from . import localspec, spectral
     mat = _matrix_backed(io.parse_operator_spec(cfg.op_spec))
     report = spectral.classify(mat, tol=cfg.tol)
     verdict = localspec.decomposability_necessary(mat, report=report)
     lines = report.to_lines()
-    lines.append(f"radius {spectral._fmt(report.radius)}")
-    lines.append(f"lower-bound {spectral._fmt(report.lower_bound)}")
+    lines.append(f"radius {_fmt(report.radius)}")
+    lines.append(f"lower-bound {_fmt(report.lower_bound)}")
     lines.append(f"coincident {'yes' if report.coincident else 'no'}")
     lines.append(f"annulus {'ok' if spectral.annulus_check(report).ok else 'violated'}")
     witness = ""
     if verdict.witness is not None:
-        witness = (f" witness {spectral._fmt(verdict.witness.re)}"
-                   f" {spectral._fmt(verdict.witness.im)}")
+        witness = f" witness {_fmt(verdict.witness.re)} {_fmt(verdict.witness.im)}"
     lines.append(f"decomposability {verdict.status}{witness}")
     _emit(cfg, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_portrait(cfg: argparse.Namespace) -> int:
+    from . import spectral
     op = io.parse_operator_spec(cfg.op_spec)
     grid = io.parse_grid(cfg.grid)
     unit = _slice_unit(cfg.slice_axis)
@@ -140,25 +141,28 @@ def _cmd_portrait(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_local(cfg: argparse.Namespace) -> int:
+    from . import localspec
     mat = _matrix_backed(io.parse_operator_spec(cfg.op_spec))
     vec = io.parse_qvec(io.read_text(cfg.vector_path))
     spheres = localspec.local_spectrum(mat, vec, tol=max(cfg.tol, 1e-12))
-    lines = [f"{spectral._fmt(s.re)} {spectral._fmt(s.im)}" for s in spheres]
+    lines = [f"{_fmt(s.re)} {_fmt(s.im)}" for s in spheres]
     _emit(cfg, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
 
 def _cmd_series(cfg: argparse.Namespace) -> int:
-    f = io.parse_series(io.read_text(cfg.input_path))
     import warnings
+
+    from .sliceseries import sigma_radius
+    f = io.parse_series(io.read_text(cfg.input_path))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         est = sigma_radius(f)
         lines = [
             f"coefficients {len(f)}",
             f"center {io.format_quaternion(f.center)}",
-            f"declared-radius {'inf' if math.isinf(f.radius) else spectral._fmt(f.radius)}",
-            f"estimated-radius {'inf' if math.isinf(est) else spectral._fmt(est)}",
+            f"declared-radius {'inf' if math.isinf(f.radius) else _fmt(f.radius)}",
+            f"estimated-radius {'inf' if math.isinf(est) else _fmt(est)}",
         ]
         if cfg.at is not None:
             lines.append(f"value {io.format_quaternion(f.eval(io.parse_quaternion(cfg.at)))}")
@@ -167,6 +171,7 @@ def _cmd_series(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_check(cfg: argparse.Namespace) -> int:
+    from . import suites
     scfg = suites.SuiteConfig(seed=cfg.seed, trials=cfg.trials,
                               tol=max(cfg.tol, 1e-8))
     try:

@@ -14,15 +14,17 @@ Operator specifications are single tokens: ``dense:FILE.qmat``,
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .operators import (DenseOperator, LinearOperator, MultiplicationOperator,
-                        ShiftOperator)
 from .qlinalg import QMatrix, QVector
 from .quat import Quaternion
 from .sliceseries import SliceSeries
-from .spectral import GridSpec
+
+if TYPE_CHECKING:
+    from .operators import LinearOperator, MultiplicationOperator
+    from .spectral import GridSpec
 
 
 def format_quaternion(q: Quaternion) -> str:
@@ -127,6 +129,7 @@ def format_qmat(a: QMatrix) -> str:
 
 
 def parse_qfun(text: str) -> MultiplicationOperator:
+    from .operators import MultiplicationOperator
     lines = _data_lines(text)
     if not lines:
         raise ValueError("empty point-function file")
@@ -163,7 +166,7 @@ def parse_series(text: str) -> SliceSeries:
         body = body[1:]
     if not body:
         raise ValueError("series file has no coefficients")
-    return SliceSeries(center, tuple(parse_quaternion(l) for l in body), radius)
+    return SliceSeries._from_array(center, _components(body), radius)
 
 
 def format_series(f: SliceSeries) -> str:
@@ -193,6 +196,7 @@ def parse_operator_spec(spec: str) -> LinearOperator:
     mult:FILE    diagonal multiplication from a .qfun file
     shift:SIDE:N shift with default window N (N optional, default 128)
     """
+    from .operators import DenseOperator, ShiftOperator
     parts = spec.strip().split(":")
     kind = parts[0]
     if kind == "shift":
@@ -219,6 +223,7 @@ def parse_operator_spec(spec: str) -> LinearOperator:
 
 def parse_grid(text: str) -> GridSpec:
     """Grid description "x0,x1,y1,RES" with RES either N or NXxNY."""
+    from .spectral import GridSpec
     parts = text.strip().split(",")
     if len(parts) != 4:
         raise ValueError(f"grid must be 'x0,x1,y1,RES', got {text!r}")

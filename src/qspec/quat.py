@@ -165,6 +165,11 @@ SLICE_J = SliceUnit(0.0, 1.0, 0.0)
 SLICE_K = SliceUnit(0.0, 0.0, 1.0)
 
 
+def _fmt(x: float) -> str:
+    # round display-only values so eigenvalue noise prints as clean zeros
+    return format(round(x, 12) + 0.0, ".12g")
+
+
 def slice_decompose(q: Quaternion) -> tuple[float, float, SliceUnit | None]:
     """Split q = x + y * I with y >= 0.
 

@@ -3,20 +3,32 @@
 A series sum_n a_n (q - p)^{*n} keeps its coefficients on the left and
 its powers of the variable on the right; the star power is the n-fold
 convolution product, which differs from the pointwise power whenever the
-center fails to commute with the argument.  Evaluation therefore first
-gathers the series into plain monomials C_m q^m, an exact polynomial
-identity at any truncation, and only then sums.  Coefficients may be
-scalars or vectors; vector times vector has no meaning here and is
-rejected.
+center fails to commute with the argument.  Coefficients may be scalars
+or vectors; vector times vector has no meaning here and is rejected.
 
 The arithmetic runs on float arrays: a scalar coefficient is a row of
 four components (w, x, y, z) and a vector coefficient of length m an
-(m, 4) block, so one engine serves both.  Every power that occurs lies
-in a single complex slice: (q - p)^{*n} in the slice of the center, and
-q^m in the slice of q.  Writing q = x + y I, q^m = Re(z^m) + Im(z^m) I
-with z = x + iy, so a sum of C_m q^m over many points takes two matrix
-products with the complex powers and one Hamilton product with I.  The
-monomials are computed once per series and kept on it.
+(m, 4) block, so one engine serves both.  A series keeps that array;
+``coefficients``, the tuple of Quaternion or QVector objects, is built
+the first time it is read, and products, derivatives and sums never read
+it.
+
+Evaluation uses the representation formula of slice-regular functions
+(Colombo, Sabadini & Struppa, Noncommutative Functional Calculus, 2011;
+Gentili, Stoppato & Struppa, Regular Functions of a Quaternionic
+Variable, 2013).  On the slice of the center p = p0 + p1 J star powers are
+plain powers: (x + yJ - p)^n = Re(w^n) + Im(w^n) J with the complex
+w = (x - p0) + i(y - p1), so f(x + yJ) = U + V J, where U and V sum
+Re(w^n) a_n and Im(w^n) a_n: the real and imaginary parts of one matrix
+product of a table of complex powers with the coefficients.  A point
+q = x + yI on any slice then reads
+
+    f(q) = (f+ + f-) / 2 - (f+ - f-) / 2 J I,    f+- = f(x +- yJ),
+
+two slice points per query and O(n) work each.  A real center lies on
+every slice, so q's own slice serves and one point is enough.  The
+monomial form f(q) = sum C_m q^m, an O(n^2) rewrite, is built only for
+``monomial_coefficients``.
 
 Convergence lives on sigma-balls around the center.  The radius
 estimator reads the tail of the coefficient sequence; the metric on
@@ -83,6 +95,17 @@ def _norms(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(values * values, axis=axes))
 
 
+def _magnitudes(coeffs: np.ndarray) -> list[float]:
+    """|a_n| of each coefficient, rounded as ``abs(Quaternion)`` and
+    ``QVector.norm`` round them."""
+    if coeffs.ndim == 2:
+        w, x, y, z = coeffs.T
+        return np.sqrt(w * w + x * x + y * y + z * z).tolist()
+    pairs = np.ascontiguousarray(coeffs).view(np.complex128)
+    return np.sqrt(np.sum(np.abs(pairs[..., 0]) ** 2 + np.abs(pairs[..., 1]) ** 2,
+                          axis=1)).tolist()
+
+
 def _slice_parts(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split each row as q = x + y I with y >= 0.
 
@@ -131,37 +154,56 @@ def _to_monomials(coeffs: np.ndarray, center: Quaternion) -> np.ndarray:
     return (t.real.T @ flat + t.imag.T @ turned).reshape(coeffs.shape)
 
 
-def _evaluate(mono: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """sum_m C_m q^m at each row of pts: U + V I with U, V the sums of
-    Re(z^m) C_m and Im(z^m) C_m, z = x + iy for q = x + y I."""
-    n = mono.shape[0]
-    x, y, unit = _slice_parts(pts)
-    z = np.empty((pts.shape[0], n), dtype=np.complex128)
+def _powers(w: np.ndarray, n: int) -> np.ndarray:
+    """(k, n) table of w_j^m for m < n, by running products."""
+    z = np.empty((w.size, n), dtype=np.complex128)
     z[:, 0] = 1.0
-    z[:, 1:] = (x + 1j * y)[:, None]
-    z = np.cumprod(z, axis=1)
-    flat = mono.reshape(n, -1)
-    shape = (pts.shape[0],) + mono.shape[1:]
-    u = (z.real @ flat).reshape(shape)
-    v = (z.imag @ flat).reshape(shape)
-    return u + _right_unit(v, unit)
+    z[:, 1:] = w[:, None]
+    return np.cumprod(z, axis=1, out=z)
 
 
-@dataclass(frozen=True)
+def _power_sums(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_n w_j^n a_n for each complex w_j, as (k, F) complex rows over the
+    F = coeffs[0].size real components: the real part sums Re(w_j^n) a_n
+    and the imaginary part Im(w_j^n) a_n."""
+    n = coeffs.shape[0]
+    flat = coeffs.reshape(n, -1).astype(np.complex128)
+    return _powers(w, n) @ flat
+
+
+def _slice_values(coeffs: np.ndarray, center: Quaternion, pts: np.ndarray) -> np.ndarray:
+    """sum_n a_n (q - p)^{*n} at each row q = x + yI of pts, by the
+    representation formula on the slice of the center p = p0 + p1 J."""
+    k = len(pts)
+    x, y, unit = _slice_parts(pts)
+    x, p1 = x - center.w, center.imag_norm()
+    shape = (-1,) + coeffs.shape[1:]
+    if p1 == 0.0:
+        # a real center lies on every slice, q's own among them
+        sums = _power_sums(coeffs, x + 1j * y)
+        return sums.real.reshape(shape) + _right_unit(sums.imag.reshape(shape), unit)
+    sums = _power_sums(coeffs, np.concatenate([x + 1j * (y - p1), x - 1j * (y + p1)]))
+    j = np.array([0.0, center.x, center.y, center.z]) / p1
+    # f(x +- yJ) = U+- + V+- J, and f(q) = (f+ + f-)/2 - (f+ - f-)/2 J I
+    f = sums.real.reshape(shape) + hamilton_array(sums.imag.reshape(shape), j)
+    plus, minus = f[:k], f[k:]
+    return (plus + minus) * 0.5 - _right_unit(hamilton_array((plus - minus) * 0.5, j), unit)
+
+
 class SliceSeries:
     """Truncated series sum_n a_n (q - center)^{*n}.
 
     ``radius`` is the declared sigma-ball of convergence; evaluation
     outside it still returns the truncated sum but raises a
-    DivergenceWarning.
+    DivergenceWarning.  A series is immutable; it compares and hashes as
+    the triple (center, coefficients, radius).
     """
 
-    center: Quaternion
-    coefficients: tuple[Coefficient, ...]
-    radius: float = math.inf
+    __slots__ = ("center", "radius", "_coeffs", "_tuple", "_mono")
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+    def __init__(self, center: Quaternion, coefficients: Sequence[Coefficient],
+                 radius: float = math.inf):
+        coeffs = tuple(coefficients)
         if not coeffs:
             raise ValueError("a series needs at least one coefficient")
         vec = _is_vector(coeffs[0])
@@ -170,34 +212,70 @@ class SliceSeries:
                 raise TypeError("coefficients must be all scalars or all vectors")
             if vec and c.n != coeffs[0].n:
                 raise TypeError("vector coefficients must share a length")
-        if not self.radius > 0.0:
-            raise ValueError("declared radius must be positive")
-        object.__setattr__(self, "coefficients", coeffs)
         arr = np.stack([c.to_components() for c in coeffs]) if vec else _rows(coeffs)
-        arr.setflags(write=False)
-        object.__setattr__(self, "_coeffs", arr)
+        self._set(center, arr, radius, coeffs)
+
+    @classmethod
+    def _from_array(cls, center: Quaternion, coeffs: np.ndarray,
+                    radius: float) -> "SliceSeries":
+        """The series with an (n, 4) or (n, m, 4) coefficient array, which it
+        takes over; no coefficient object is built."""
+        series = object.__new__(cls)
+        series._set(center, coeffs, radius, None)
+        return series
+
+    def _set(self, center, coeffs, radius, objects) -> None:
+        if not radius > 0.0:
+            raise ValueError("declared radius must be positive")
+        coeffs.setflags(write=False)
+        for name, value in (("center", center), ("radius", radius), ("_coeffs", coeffs),
+                            ("_tuple", objects), ("_mono", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SliceSeries is immutable")
+
+    def __reduce__(self):
+        return (SliceSeries._from_array, (self.center, self._coeffs, self.radius))
+
+    @property
+    def coefficients(self) -> tuple[Coefficient, ...]:
+        if self._tuple is None:
+            object.__setattr__(self, "_tuple", _objects(self._coeffs))
+        return self._tuple
+
+    def _key(self) -> tuple:
+        return (self.center, self.coefficients, self.radius)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"SliceSeries(center={self.center!r}, coefficients={self.coefficients!r}, "
+                f"radius={self.radius!r})")
 
     @property
     def is_vector(self) -> bool:
-        return _is_vector(self.coefficients[0])
+        return self._coeffs.ndim == 3
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self) - 1
 
     def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def _zero(self) -> Coefficient:
-        return QVector.zeros(self.coefficients[0].n) if self.is_vector else Quaternion()
+        return self._coeffs.shape[0]
 
     def _monomials(self) -> np.ndarray:
-        mono = self.__dict__.get("_mono")
-        if mono is None:
+        if self._mono is None:
             mono = _to_monomials(self._coeffs, self.center)
             mono.setflags(write=False)
             object.__setattr__(self, "_mono", mono)
-        return mono
+        return self._mono
 
     def monomial_coefficients(self) -> list[Coefficient]:
         """Rewrite around zero: coefficients C_m with f(q) = sum C_m q^m."""
@@ -218,7 +296,7 @@ class SliceSeries:
                     "evaluation point lies outside the declared sigma-ball; the "
                     "truncated sum does not approximate a limit there",
                     DivergenceWarning, stacklevel=3)
-        return _evaluate(self._monomials(), pts)
+        return _slice_values(self._coeffs, self.center, pts)
 
     def eval(self, q: Quaternion) -> Coefficient:
         value = self._values(_rows([q]))[0]
@@ -238,10 +316,7 @@ class SliceSeries:
         out = np.zeros((max(len(self), len(other)),) + self._coeffs.shape[1:])
         out[:len(self)] = self._coeffs
         out[:len(other)] += sign * other._coeffs
-        return SliceSeries(self.center, _objects(out), min(self.radius, other.radius))
-
-    def _coeff(self, k: int) -> Coefficient:
-        return self.coefficients[k] if k < len(self.coefficients) else self._zero()
+        return SliceSeries._from_array(self.center, out, min(self.radius, other.radius))
 
     def _check_compatible(self, other: "SliceSeries") -> None:
         if not isinstance(other, SliceSeries):
@@ -250,7 +325,7 @@ class SliceSeries:
             raise ValueError("series must share a center")
         if self.is_vector != other.is_vector:
             raise TypeError("cannot mix scalar and vector series")
-        if self.is_vector and self.coefficients[0].n != other.coefficients[0].n:
+        if self._coeffs.shape[1:] != other._coeffs.shape[1:]:
             raise TypeError("vector series must share a length")
 
 
@@ -275,15 +350,15 @@ def star_product(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     terms = hamilton_array(a, b)
     out = np.zeros((len(f) + len(g) - 1,) + terms.shape[2:])
     np.add.at(out, np.add.outer(np.arange(len(f)), np.arange(len(g))), terms)
-    return SliceSeries(f.center, _objects(out), min(f.radius, g.radius))
+    return SliceSeries._from_array(f.center, out, min(f.radius, g.radius))
 
 
 def slice_derivative(f: SliceSeries) -> SliceSeries:
     """Term-by-term derivative sum_n n a_n (q - p)^{*(n-1)}."""
     if len(f) == 1:
-        return SliceSeries(f.center, (f._zero(),), f.radius)
+        return SliceSeries._from_array(f.center, np.zeros_like(f._coeffs), f.radius)
     n = np.arange(1.0, len(f)).reshape((-1,) + (1,) * (f._coeffs.ndim - 1))
-    return SliceSeries(f.center, _objects(f._coeffs[1:] * n), f.radius)
+    return SliceSeries._from_array(f.center, f._coeffs[1:] * n, f.radius)
 
 
 def sigma_radius(f: SliceSeries | Sequence[Coefficient]) -> float:
@@ -295,15 +370,18 @@ def sigma_radius(f: SliceSeries | Sequence[Coefficient]) -> float:
     fewer than eight coefficients raise a bias warning, and a tail that
     has underflowed to zero reads as an infinite radius.
     """
-    coeffs = list(f.coefficients) if isinstance(f, SliceSeries) else list(f)
-    if len(coeffs) < 8:
+    if isinstance(f, SliceSeries):
+        mags = _magnitudes(f._coeffs)
+    else:
+        mags = [_coeff_norm(c) for c in f]
+    if len(mags) < 8:
         warnings.warn(
             "radius estimated from fewer than eight coefficients; the tail "
             "is too short to trust", RadiusBiasWarning, stacklevel=2)
-    start = max(1, int(len(coeffs) * 0.5))
+    start = max(1, int(len(mags) * 0.5))
     inv = 0.0
-    for n in range(start, len(coeffs)):
-        mag = _coeff_norm(coeffs[n])
+    for n in range(start, len(mags)):
+        mag = mags[n]
         if mag > 0.0:
             inv = max(inv, mag ** (1.0 / n))
     if inv == 0.0:

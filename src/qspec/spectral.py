@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ShapeError
 from .operators import ShiftOperator
 from .qlinalg import QMatrix, pseudo_resolvent  # noqa: F401 (documented re-export)
-from .quat import EigenSphere, Quaternion, SLICE_I, SliceUnit
+from .quat import EigenSphere, Quaternion, SLICE_I, SliceUnit, _fmt
 from . import qlinalg
 
 
@@ -79,11 +79,6 @@ class SpectrumReport:
     def to_lines(self) -> list[str]:
         return sorted(f"{_fmt(s.re)} {_fmt(s.im)} {self.flags[s].letters()}".rstrip()
                       for s in self.spheres)
-
-
-def _fmt(x: float) -> str:
-    # round display-only values so eigenvalue noise prints as clean zeros
-    return format(round(x, 12) + 0.0, ".12g")
 
 
 def _fmt_array(values: np.ndarray) -> list[str]:

@@ -1018,8 +1018,7 @@ def _rand_series(rng, degree: int, center: Quaternion | None = None,
 
 
 def _coeff_gap(f: SliceSeries, g: SliceSeries) -> float:
-    n = max(len(f), len(g))
-    return max(abs(f._coeff(j) - g._coeff(j)) for j in range(n))
+    return max(abs(c) for c in (f - g).coefficients)
 
 
 def _suite_series_algebra(cfg: SuiteConfig) -> SuiteResult:

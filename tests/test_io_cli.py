@@ -150,6 +150,57 @@ def test_cli_series(tmp_path, capsys):
     assert "value" in out
 
 
+# the messages the object-by-object parser gave, read from the first bad
+# literal in file order
+BAD_SERIES = {
+    "three components": ("1,0,0,0\n1,2,3\n",
+                         "quaternion literal needs four components: '1,2,3'"),
+    "nan": ("1,0,0,0\nnan,0,0,0\n", "quaternion literal 'nan,0,0,0' is not finite"),
+    "stray token": ("1,0,0,0\n1,0,0,0 x\n0,1,0,0\n",
+                    "bad quaternion literal '1,0,0,0 x': could not convert string "
+                    "to float: '0 x'"),
+    "radius 0": ("radius: 0\n1,0,0,0\n", "declared radius must be positive"),
+    "radius -1": ("radius: -1\n1,0,0,0\n", "declared radius must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SERIES))
+def test_bad_series_files_keep_their_messages(case, tmp_path, capsys):
+    body, message = BAD_SERIES[case]
+    with pytest.raises(ValueError) as exc:
+        io.parse_series("center: 0,0,0,0\n" + body)
+    assert str(exc.value) == message
+    p = tmp_path / "f.series"
+    io.write_text(str(p), "center: 0,0,0,0\n" + body)
+    code, out, err = run_cli(capsys, "series", "--input", str(p))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_series_command_loads_only_the_series_layers(tmp_path):
+    p = tmp_path / "f.series"
+    io.write_text(str(p), "center: 0,0,0,0\nradius: 2.0\n1,0,0,0\n0,0.5,0,0\n")
+    src = os.path.dirname(os.path.dirname(io.__file__))
+    path = os.pathsep.join(x for x in (src, os.environ.get("PYTHONPATH")) if x)
+    code = ("import contextlib, io, sys\n"
+            "import qspec\n"
+            "from qspec import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main(['series', '--input', {str(p)!r}, '--at', '0.5,0,0,0'])\n"
+            "print(status, sorted(m for m in sys.modules if m.startswith('qspec.')))\n"
+            "print(all(getattr(qspec, name) is not None for name in qspec.__all__),\n"
+            "      set(qspec.__all__) <= set(dir(qspec)), hasattr(qspec, 'nothing'))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('qspec.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    loaded, resolved, everything = proc.stdout.splitlines()
+    assert loaded == ("0 ['qspec.cli', 'qspec.errors', 'qspec.io', 'qspec.qlinalg', "
+                      "'qspec.quat', 'qspec.sliceseries']")
+    assert resolved == "True True False"
+    for module in ("localspec", "operators", "rand", "spectral", "suites"):
+        assert f"'qspec.{module}'" in everything
+
+
 def test_cli_portrait_deterministic(tmp_path, capsys):
     args = ("portrait", "--op", "shift:right", "--grid=-1,1,1,8x4",
             "--window", "16")

@@ -34,3 +34,26 @@ def test_shift_portrait_writes_both_csvs(tmp_path):
     for side in ("right", "left"):
         lines = (tmp_path / f"portrait_{side}_32.csv").read_text().splitlines()
         assert lines[0] == "x,y,kappa" and len(lines) == 1 + 16 * 8
+
+
+def test_output_gate_compares_gates_by_name(tmp_path):
+    base = "matrix 504 commands  sha256 aa  lines 5\ncheck 2 commands  sha256 bb  lines 3\n"
+    cases = {
+        "same, one new": (base + "series 112 commands  sha256 cc  lines 9\n", 0),
+        "changed digest": (base.replace("bb", "bd"), 1),
+        "dropped gate": ("matrix 504 commands  sha256 aa  lines 5\n", 1),
+    }
+    (tmp_path / "base.txt").write_text(base)
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for name, (head, code) in cases.items():
+        (tmp_path / "head.txt").write_text(head)
+        run = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "output_gate.py"),
+                              "--compare", str(tmp_path / "base.txt"), str(tmp_path / "head.txt")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == code, (name, run.stdout, run.stderr)
+        if name == "same, one new":
+            assert "new gate  series" in run.stdout
+        if name == "dropped gate":
+            assert "FAIL check: gate dropped by the head" in run.stdout

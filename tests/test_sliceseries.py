@@ -1,12 +1,20 @@
+import cmath
+import copy
+import dataclasses
+import importlib.util
 import math
+import os
+import pickle
+import sys
 import warnings
 
+import numpy as np
 import pytest
 import series_reference as ref
 
-from qspec import rand
+from qspec import io, rand, sliceseries
 from qspec.qlinalg import QVector
-from qspec.quat import Quaternion
+from qspec.quat import SLICE_I, Quaternion, SliceUnit, slice_compose
 from qspec.sliceseries import (
     CompactExhaustion,
     DivergenceWarning,
@@ -357,6 +365,14 @@ def test_monomials_computed_once():
     assert not mono.flags.writeable
 
 
+def test_evaluation_builds_no_monomials():
+    f = series(CENTERS["slice"], ONE, I, J)
+    f.eval(I)
+    cr_residual(f, POINTS)
+    h_metric(f, f + f, exhaustion=default_exhaustion(1.0, 2))
+    assert f._mono is None
+
+
 def test_divergence_warning_from_batches():
     f = SliceSeries(Z, (ONE, ONE), radius=1.0)
     with pytest.warns(DivergenceWarning):
@@ -365,3 +381,244 @@ def test_divergence_warning_from_batches():
         warnings.simplefilter("error")
         cr_residual(f, [Quaternion(0.5)])
         h_metric(f, f)
+
+
+# -- the representation formula -------------------------------------------------
+#
+# A value at q = x + yI of a series centred at p = p0 + p1 J is read from the
+# slice points x +- yJ, where star powers are powers of the complex numbers
+# w+- = (x - p0) + i(+-y - p1).  Rounding errors scale with
+# sum_n |a_n| max|w+-|^n, and each check allows 1e-12 of that.
+
+FAR = slice_compose(1.2, 1.6, SliceUnit.from_components(0.3, -0.5, 0.8))  # |p| = 2
+FORMULA_DEGREES = (0, 1, 7, 40, 80)
+
+
+def _formula_scale(f, q):
+    x, y = q.w, q.imag_norm()
+    p0, p1 = f.center.w, f.center.imag_norm()
+    t = max(abs(complex(x - p0, y - p1)), abs(complex(x - p0, -y - p1)))
+    return sum(_size(a) * t ** n for n, a in enumerate(f.coefficients))
+
+
+def _unit_of(q):
+    y = q.imag_norm()
+    return SLICE_I if y == 0.0 else SliceUnit(q.x / y, q.y / y, q.z / y)
+
+
+def _formula_points(center, rng):
+    """Points on the centre's slice (I = J), on its mirror (I = -J), a real
+    point and a generic one, all within 0.3 of the centre's real part."""
+    unit = _unit_of(center)
+    other = SliceUnit.from_components(*rng.normal(size=3))
+    x, y = center.w + 0.1, center.imag_norm() + 0.15
+    return {"I=J": slice_compose(x, y, unit), "I=-J": slice_compose(x, -y, unit),
+            "real": Quaternion(x - 0.2), "generic": slice_compose(x, 0.2, other)}
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("degree", FORMULA_DEGREES)
+@pytest.mark.parametrize("center", sorted(CENTERS))
+def test_formula_matches_monomial_reference(center, degree, vector):
+    rng = rand.generator(239, degree)
+    f = SliceSeries(CENTERS[center], _coeffs(rng, degree, vector))
+    mono = ref.monomial_coefficients(f)
+    for kind, q in _formula_points(f.center, rng).items():
+        got = f.eval(q)
+        assert isinstance(got, QVector if vector else Quaternion)
+        assert _gap(got, ref.sum_monomials(mono, q)) <= 1e-12 * _formula_scale(f, q), kind
+
+
+def _geometric(center, coeff, ratio, degree, unit):
+    """coeff * sum_{n <= degree} (ratio (q - center))^n with ratio on the
+    slice of unit, and its closed form at points of that slice."""
+    powers = [slice_compose((ratio ** n).real, (ratio ** n).imag, unit)
+              for n in range(degree + 1)]
+    if isinstance(coeff, QVector):
+        f = SliceSeries(center, tuple(coeff.times(b) for b in powers))
+    else:
+        f = SliceSeries(center, tuple(coeff * b for b in powers))
+    zc = complex(center.w, center.x * unit.x + center.y * unit.y + center.z * unit.z)
+
+    def closed(q):
+        r = ratio * (complex(q.w, q.x * unit.x + q.y * unit.y + q.z * unit.z) - zc)
+        s = (1 - r ** (degree + 1)) / (1 - r)
+        b = slice_compose(s.real, s.imag, unit)
+        return coeff.times(b) if isinstance(coeff, QVector) else coeff * b
+
+    return f, closed
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("degree", (1, 12, 40, 80))
+@pytest.mark.parametrize("center", ["zero", "real", "slice", "far"])
+def test_formula_matches_geometric_closed_form(center, degree, vector):
+    rng = rand.generator(241, degree)
+    p = FAR if center == "far" else CENTERS[center]
+    coeff = rand.rand_qvector(rng, 3) if vector else rand.rand_quaternion(rng)
+    points = _formula_points(p, rng)
+    if p.imag_norm() == 0.0:
+        # a real ratio commutes with every slice: the closed form holds on
+        # each point's own slice
+        ratio = complex(float(rng.uniform(0.5, 0.9)))
+    else:
+        ratio = cmath.rect(float(rng.uniform(0.4, 0.6)), float(rng.uniform(0, 2 * math.pi)))
+        del points["generic"]
+    for kind, q in points.items():
+        f, closed = _geometric(p, coeff, ratio, degree, _unit_of(q if kind == "generic" else p))
+        assert _gap(f.eval(q), closed(q)) <= 1e-12 * _formula_scale(f, q), kind
+
+
+def test_imaginary_parts_that_underflow_count_as_real():
+    rng = rand.generator(283, 0)
+    for vector in (False, True):
+        f = SliceSeries(CENTERS["slice"], _coeffs(rng, 9, vector))
+        tiny = Quaternion(0.3, 1e-200, -1e-200, 0.0)
+        assert _gap(f.eval(tiny), f.eval(Quaternion(0.3))) == 0.0
+        assert cr_residual(f, [tiny]) == cr_residual(f, [Quaternion(0.3)])
+
+
+def test_batched_values_match_one_point_at_a_time():
+    rng = rand.generator(257, 0)
+    f = SliceSeries(CENTERS["slice"], _coeffs(rng, 30, False))
+    pts = [rand.rand_quaternion(rng, 0.4) for _ in range(300)]
+    batch = f._values(sliceseries._rows(pts))
+    for q, row in zip(pts, batch.tolist()):
+        assert _gap(Quaternion(*row), f.eval(q)) <= 1e-15 * _formula_scale(f, q)
+
+
+def _series_workloads():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("qspec_bench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+# The largest error of the monomial engine that the representation formula
+# replaced, over the same evaluations: relative to 1 + |value|, the value at
+# each request's three points and the product and derivative at the second.
+MONOMIAL_ENGINE_MAX_ERROR = 2.14e-15
+
+
+def test_planted_series_errors_no_larger_than_the_monomial_engine(tmp_path):
+    wl = _series_workloads()
+    worst = 0.0
+    for seed in range(51, 61):
+        for req in wl.build_series(np.random.default_rng([seed, 3]), str(tmp_path)):
+            e = req.expect
+            f, g, pts = e["f"], e["g"], e["points"]
+            center = Quaternion(*f.center)
+            sf = SliceSeries(center, tuple(Quaternion(*c) for c in e["f_coefficients"]))
+            sg = SliceSeries(center, tuple(Quaternion(*c) for c in e["g_coefficients"]))
+            if f.center[1:] != (0.0, 0.0, 0.0):
+                product = wl.qmul(f.slice_value(pts[1]), g.slice_value(pts[1]))
+            else:
+                product = wl._real_center_product(f, g, pts[1])
+            cases = ((sf, pts[0], f.slice_value(pts[0])),
+                     (star_product(sf, sg), pts[1], product),
+                     (slice_derivative(sf), pts[1], f.slice_value(pts[1], derivative=True)),
+                     (sf, pts[2], f.slice_value(pts[2])))
+            for s, q, want in cases:
+                v = s.eval(Quaternion(*q))
+                worst = max(worst, wl.qdist((v.w, v.x, v.y, v.z), want) / (1 + wl.qnorm(want)))
+    assert worst <= MONOMIAL_ENGINE_MAX_ERROR
+
+
+# -- series kept as arrays ------------------------------------------------------
+
+
+@pytest.fixture
+def count_quaternions(monkeypatch):
+    counts = {"built": 0}
+    post = Quaternion.__post_init__
+
+    def counted(self):
+        counts["built"] += 1
+        post(self)
+
+    monkeypatch.setattr(Quaternion, "__post_init__", counted)
+    return counts
+
+
+def test_derived_series_build_no_quaternion_until_read(count_quaternions):
+    rng = rand.generator(263, 0)
+    center = CENTERS["slice"]
+    f = SliceSeries(center, _coeffs(rng, 6, False))
+    g = SliceSeries(center, _coeffs(rng, 4, False))
+    v = SliceSeries(center, _coeffs(rng, 3, True))
+    text = io.format_series(SliceSeries(center, _coeffs(rng, 5, False), radius=0.75))
+    count_quaternions["built"] = 0
+    derived = {"product": star_product(f, g), "vector product": star_product(g, v),
+               "derivative": slice_derivative(f), "sum": f + g, "difference": f - g,
+               "parsed": io.parse_series(text)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RadiusBiasWarning)
+        for s in derived.values():
+            sigma_radius(s), len(s), s.degree, s.is_vector
+    # the one quaternion is the parsed center
+    assert count_quaternions["built"] == 1
+    want = {"product": ref.star_coefficients(f, g),
+            "vector product": ref.star_coefficients(g, v),
+            "derivative": ref.derivative_coefficients(f),
+            "sum": [a + b for a, b in zip(f.coefficients, g.coefficients)]
+            + list(f.coefficients[len(g):]),
+            "difference": [a - b for a, b in zip(f.coefficients, g.coefficients)]
+            + list(f.coefficients[len(g):]),
+            "parsed": [io.parse_quaternion(line) for line in text.splitlines()[2:]]}
+    for name, s in derived.items():
+        got = s.coefficients
+        assert isinstance(got, tuple) and s.coefficients is got
+        if name == "vector product":
+            assert all(_gap(a, b) <= 1e-15 * (1 + _size(b)) for a, b in zip(got, want[name]))
+        else:
+            assert got == tuple(want[name]), name
+
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenSeries:
+    """The frozen dataclass SliceSeries used to be, for its == and hash."""
+
+    center: Quaternion
+    coefficients: tuple
+    radius: float = math.inf
+
+
+def test_equality_and_hash_as_a_frozen_dataclass():
+    rng = rand.generator(269, 0)
+    coeffs = _coeffs(rng, 3, False)
+    vectors = _coeffs(rng, 2, True)
+    f = SliceSeries(Z, coeffs)
+    same = [f, SliceSeries(Z, coeffs), SliceSeries(Z, coeffs, math.inf),
+            SliceSeries._from_array(Z, np.array([(c.w, c.x, c.y, c.z) for c in coeffs]),
+                                    math.inf), copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
+    others = [SliceSeries(Z, coeffs, 2.0), SliceSeries(ONE, coeffs),
+              SliceSeries(Z, coeffs[:3]), SliceSeries(Z, coeffs + (Z,)),
+              slice_derivative(f), SliceSeries(Z, vectors), SliceSeries(Z, vectors),
+              star_product(f, SliceSeries(Z, vectors))]
+    everything = same + others
+    for a in everything:
+        old_a = _FrozenSeries(a.center, a.coefficients, a.radius)
+        assert hash(a) == hash(old_a)
+        for b in everything:
+            old_b = _FrozenSeries(b.center, b.coefficients, b.radius)
+            assert (a == b) == (old_a == old_b)
+    assert all(a == f for a in same) and not any(a == f for a in others)
+    assert f != coeffs and len({hash(a) for a in same}) == 1
+    with pytest.raises(AttributeError):
+        f.radius = 2.0
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_sigma_radius_reads_the_array_as_the_objects_round(vector):
+    rng = rand.generator(281, int(vector))
+    for degree in (8, 20, 63):
+        coeffs = tuple(c.scale(0.7 ** n) if vector else c * 0.7 ** n
+                       for n, c in enumerate(_coeffs(rng, degree, vector)))
+        f = SliceSeries(CENTERS["slice"], coeffs)
+        derived = slice_derivative(f)
+        assert sigma_radius(f) == sigma_radius(list(coeffs))
+        assert sigma_radius(derived) == sigma_radius(list(derived.coefficients))
+    many = SliceSeries(Z, _coeffs(rng, 2000, vector))
+    assert sliceseries._magnitudes(many._coeffs) == [_size(c) for c in many.coefficients]
