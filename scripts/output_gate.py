@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Digest the CLI output that a pure refactor must leave byte-identical.
 
-Four gates, each printed on one line, named first, as a sha256 digest of
+Five gates, each printed on one line, named first, as a sha256 digest of
 its stdout and exit codes, with the number of stdout lines:
 
   matrix    ``classify`` on the 504 ``matrix`` benchmark inputs of seeds 51-53
   check     ``check --suite all --trials 6`` for seeds 42 and 1
   portrait  the 110 ``portrait`` benchmark requests of seed 51
   series    the 112 ``series`` benchmark reports of seed 51
+  subspace  ``check --suite S --trials 4`` for seeds 100-139 and each of the
+            six suites that build subspace bases
 
 Run it from any directory as ``python3 scripts/output_gate.py`` on two
 checkouts, save each output, and compare them with
@@ -18,7 +20,7 @@ which matches gates by name: a gate that both print must match, a gate
 that the head no longer prints fails, and a gate that only the head
 prints is listed as new.  The comparison exits 1 on any failure.  It imports qspec from the ``src`` of
 the checkout it sits in and the request builders of
-``perfbench/workloads.py``, which it only reads.  It takes about ten
+``perfbench/workloads.py``, which it only reads.  It takes about fifteen
 seconds.
 """
 
@@ -44,6 +46,10 @@ from qspec import cli  # noqa: E402
 
 # the random streams perfbench/worker.py gives these three workloads
 MATRIX_STREAM, PORTRAIT_STREAM, SERIES_STREAM = 1, 2, 3
+
+# the suites whose instances build orthonormal bases of subspaces
+SUBSPACE_SUITES = ("subspace-laws", "restriction-quotient", "mult-operator",
+                   "intertwining", "local-laws", "matrix-structure")
 
 
 def digest(argvs) -> tuple[str, int]:
@@ -100,8 +106,10 @@ def main(argv=None) -> int:
             np.random.default_rng([51, SERIES_STREAM]), workdir)]
         check = [["check", "--suite", "all", "--trials", "6", "--seed", str(seed)]
                  for seed in (42, 1)]
+        subspace = [["check", "--suite", suite, "--trials", "4", "--seed", str(seed)]
+                    for seed in range(100, 140) for suite in SUBSPACE_SUITES]
         for name, argvs in (("matrix", matrix), ("check", check), ("portrait", portrait),
-                            ("series", series)):
+                            ("series", series), ("subspace", subspace)):
             sha, lines = digest(argvs)
             print(f"{name:<9} {len(argvs):>4} commands  sha256 {sha}  lines {lines}")
     return 0

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NumericalError, PoleError, ShapeError
 from .operators import MultiplicationOperator, ShiftOperator
 from .qlinalg import (QMatrix, QVector, SpectralDecomposition, SubspaceBasis, _j_conj,
-                      kernel_basis, min_singular, op_norm, orthonormalize,
+                      hstack, kernel_basis, min_singular, op_norm, orthonormalize,
                       pseudo_resolvent, spectral_decomposition, vstack)
 from .quat import EigenSphere, Quaternion, sphere_in, sphere_subset, sphere_union
 from . import spectral
@@ -304,18 +304,18 @@ def local_subspace(a: QMatrix, spheres,
         raise ShapeError("local subspaces need a square matrix")
     proj = projections if projections is not None else spectral_projections(a)
     targets = tuple(spheres)
-    cols: list[QVector] = []
+    blocks = [QMatrix.zeros(a.rows, 0)]  # so that hstack has a block when F selects none
     expected = 0
     for s, p, mult in zip(proj.spheres, proj.projections, proj.multiplicities):
         if sphere_in(s, targets):
-            cols.extend(p.col(j) for j in range(p.cols))
+            blocks.append(p)
             expected += mult
-    basis = orthonormalize(cols, drop_tol=1e-6)
-    if len(basis) != expected:
+    basis = orthonormalize(hstack(blocks), drop_tol=1e-6)
+    if basis.cols != expected:
         raise NumericalError(
-            f"local subspace rank {len(basis)} disagrees with the cluster "
+            f"local subspace rank {basis.cols} disagrees with the cluster "
             f"multiplicity {expected}")
-    return SubspaceBasis(a.rows, basis)
+    return SubspaceBasis(basis)
 
 
 def global_subspace(a: QMatrix, spheres,
@@ -334,9 +334,8 @@ def global_subspace(a: QMatrix, spheres,
     outside = [p for s, p in zip(proj.spheres, proj.projections)
                if not sphere_in(s, targets)]
     if not outside:
-        return SubspaceBasis(a.rows, [QVector.basis(a.rows, k) for k in range(a.rows)])
-    stacked = vstack(outside)
-    return SubspaceBasis(a.rows, kernel_basis(stacked, tol=MEMBER_TOL))
+        return SubspaceBasis(QMatrix.identity(a.rows))
+    return SubspaceBasis(kernel_basis(vstack(outside), tol=MEMBER_TOL))
 
 
 # -- SVEP and decomposability -------------------------------------------------
@@ -410,8 +409,7 @@ def _matrix_decomposability(a: QMatrix, report) -> DecomposabilityVerdict:
     # |P_s e_k|, the norm of column k of P_s, exceeds MEMBER_TOL
     local_union = tuple(
         s for s, p in zip(proj.spheres, proj.projections)
-        if np.max(np.sqrt(np.sum(np.abs(p.c1) ** 2 + np.abs(p.c2) ** 2, axis=0)))
-        > MEMBER_TOL)
+        if np.max(p.col_norms()) > MEMBER_TOL)
     # sigma_suS is sigma_apS here, read off the same singular values; the
     # sets are drawn from one tuple of spheres, so they compare exactly
     for name, other in (("sigma_apS", rep.part("approximate")), ("local union", local_union)):
@@ -546,14 +544,9 @@ def check_intertwining(a: QMatrix, b: QMatrix, r: QMatrix, phi: QVector,
         local_spectrum(a, phi, projections=proj_a).spheres, tol)
     va = local_subspace(a, spheres, projections=proj_a)
     vb = local_subspace(b, spheres, projections=proj_b)
-    pb = vb.projection()
-    eye = QMatrix.identity(b.rows)
-    for v in va.vectors:
-        image = r.apply(v)
-        residual = (eye - pb).apply(image).norm()
-        if residual > tol * (1.0 + image.norm()):
-            return False
-    return ok
+    images = r @ va.matrix
+    residuals = (QMatrix.identity(b.rows) - vb.projection()) @ images
+    return ok and not np.any(residuals.col_norms() > tol * (1.0 + images.col_norms()))
 
 
 def check_resolvent_identity(a: QMatrix, phi: QVector, f, sample_points,

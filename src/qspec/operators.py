@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverError, InvarianceError, ShapeError
-from .qlinalg import (QMatrix, QVector, SubspaceBasis, op_norm,
-                      orthonormalize)
+from .qlinalg import QMatrix, QVector, SubspaceBasis, hstack, op_norm, orthonormalize
 from .quat import EigenSphere, Quaternion, merge_spheres, sphere_of
 
 
@@ -195,20 +194,16 @@ def _require_invariant(a: QMatrix, basis: SubspaceBasis, what: str) -> None:
 def restrict(a: QMatrix, basis: SubspaceBasis) -> QMatrix:
     """Matrix of A restricted to an invariant subspace, in the given basis."""
     _require_invariant(a, basis, "restriction")
-    if basis.dim == 0:
-        return QMatrix.zeros(0, 0)
-    y = basis.as_matrix()
+    y = basis.matrix
     return y.adjoint() @ (a @ y)
 
 
 def complement_basis(basis: SubspaceBasis) -> SubspaceBasis:
     """Orthonormal basis of the orthogonal complement: what
     ``orthonormalize`` keeps of e_1, ..., e_n after the basis itself."""
-    n = basis.space_dim
-    survivors = orthonormalize(
-        list(basis.vectors) + [QVector.basis(n, k) for k in range(n)],
-        drop_tol=1e-9)
-    return SubspaceBasis(n, survivors[basis.dim:])
+    survivors = orthonormalize(hstack([basis.matrix, QMatrix.identity(basis.space_dim)]),
+                               drop_tol=1e-9)
+    return SubspaceBasis(QMatrix(survivors.c1[:, basis.dim:], survivors.c2[:, basis.dim:]))
 
 
 def quotient(a: QMatrix, basis: SubspaceBasis) -> QMatrix:
@@ -218,10 +213,7 @@ def quotient(a: QMatrix, basis: SubspaceBasis) -> QMatrix:
     the quotient action is the (Z, Z) block.
     """
     _require_invariant(a, basis, "quotient")
-    comp = complement_basis(basis)
-    if comp.dim == 0:
-        return QMatrix.zeros(0, 0)
-    z = comp.as_matrix()
+    z = complement_basis(basis).matrix
     return z.adjoint() @ (a @ z)
 
 
@@ -270,6 +262,7 @@ def partition_splitting(op: MultiplicationOperator, u1: HalfPlaneRegion,
         if not any(hits[-1]):
             raise CoverError(
                 f"sphere ({s.re}, {s.im}) at point {op.labels[k]!r} is uncovered", s)
-    y1, y2 = (SubspaceBasis(n, [QVector.basis(n, k) for k, h in enumerate(hits) if h[i]])
-              for i in (0, 1))
+    eye = QMatrix.identity(n)
+    y1, y2 = (SubspaceBasis(QMatrix(eye.c1[:, mask], eye.c2[:, mask]))
+              for mask in np.array(hits).T)
     return y1, y2

@@ -284,6 +284,10 @@ class QMatrix:
     def frobenius(self) -> float:
         return math.sqrt(float(np.sum(np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2)))
 
+    def col_norms(self) -> np.ndarray:
+        """Euclidean norm of each column."""
+        return np.sqrt(np.sum(np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2, axis=0))
+
     def __repr__(self) -> str:
         return f"QMatrix(shape={self.shape})"
 
@@ -294,15 +298,6 @@ def hstack(mats: list[QMatrix]) -> QMatrix:
 
 def vstack(mats: list[QMatrix]) -> QMatrix:
     return QMatrix(np.vstack([m.c1 for m in mats]), np.vstack([m.c2 for m in mats]))
-
-
-def columns_matrix(vectors) -> QMatrix:
-    vectors = list(vectors)
-    if not vectors:
-        raise ShapeError("need at least one column")
-    c1 = np.stack([v.c1 for v in vectors], axis=1)
-    c2 = np.stack([v.c2 for v in vectors], axis=1)
-    return QMatrix(c1, c2)
 
 
 # -- complex adjoint ----------------------------------------------------
@@ -398,26 +393,27 @@ def nullity(a: QMatrix, tol: float = 1e-10, s: np.ndarray | None = None) -> int:
     return _kernel_dim(s, a.cols, a.is_complex_slice, tol)
 
 
-def kernel_basis(a: QMatrix, tol: float = 1e-10) -> list[QVector]:
-    """Right orthonormal basis of ker A at relative tolerance tol * (1 + |A|_F).
+def kernel_basis(a: QMatrix, tol: float = 1e-10) -> QMatrix:
+    """Right orthonormal basis of ker A at relative tolerance tol * (1 + |A|_F),
+    as the columns of an (m, k) matrix.
 
     The complex null space of chi(A) is closed under the quaternionic
     structure map, so it pulls back to exactly half as many right
     independent quaternionic vectors: ``orthonormalize`` keeps one vector
     of each pair phi, phi j of pulled-back singular vectors.
     """
-    if a.cols == 0:
-        return []
-    if a.rows == 0:
-        return [QVector.basis(a.cols, k) for k in range(a.cols)]
+    m = a.cols
+    if a.rows == 0 or m == 0:
+        return QMatrix.identity(m)
     _, s, vh = np.linalg.svd(complex_adjoint(a), full_matrices=True)
     rank = int(np.sum(s > tol * (1.0 + a.frobenius())))
-    candidates = [QVector.from_embedding(np.conj(w)) for w in vh[rank:]]
-    basis = orthonormalize(candidates, drop_tol=1e-6)
+    # row w of vh[rank:] pulls back to the column with embedding conj(w)
+    null = vh[rank:]
+    basis = orthonormalize(QMatrix(np.conj(null[:, :m]).T, -null[:, m:].T), drop_tol=1e-6)
     expected = (vh.shape[0] - rank) // 2
-    if len(basis) != expected:
+    if basis.cols != expected:
         raise NumericalError(
-            f"kernel pullback produced {len(basis)} vectors, expected {expected}")
+            f"kernel pullback produced {basis.cols} vectors, expected {expected}")
     return basis
 
 
@@ -720,8 +716,9 @@ def right_eigenspheres(a: QMatrix) -> tuple[EigenSphere, ...]:
 # -- orthonormal bases ---------------------------------------------------
 
 
-def orthonormalize(vectors, drop_tol: float = 1e-10) -> list[QVector]:
-    """Orthonormal right basis of the span, in input order.
+def orthonormalize(cols: QMatrix, drop_tol: float = 1e-10) -> QMatrix:
+    """Orthonormal right basis of the span of the columns, in column order,
+    as the columns of a new matrix.
 
     Classical Gram-Schmidt applied twice, in the complex image: each kept
     vector phi holds two columns of one complex block, embed(phi) and
@@ -730,84 +727,63 @@ def orthonormalize(vectors, drop_tol: float = 1e-10) -> list[QVector]:
     w <- w - Q (Q^H w), which keep the loss of orthogonality near machine
     precision (Giraud, Langou & Rozloznik 2005).  A vector whose residual
     is at most drop_tol times its own norm is dropped, zero vectors are
-    skipped, so the result has full numerical rank.  Vectors of different
-    lengths raise ShapeError.
+    skipped, so the result has full numerical rank.
     """
-    vectors = list(vectors)
-    if not vectors:
-        return []
-    n = vectors[0].n
-    if any(v.n != n for v in vectors):
-        raise ShapeError("vectors to orthonormalize differ in length")
+    n, k = cols.shape
     # the embeddings as rows; q holds the kept columns, qh = q^H
-    rows = np.concatenate([np.array([v.c1 for v in vectors]),
-                           -np.conj([v.c2 for v in vectors])], axis=1)
-    q = np.empty((2 * n, 2 * len(vectors)), dtype=np.complex128)
-    qh = np.empty((2 * len(vectors), 2 * n), dtype=np.complex128)
-    cols = 0  # columns of q in use, two per kept vector
+    rows = np.concatenate([cols.c1.T, -np.conj(cols.c2).T], axis=1)
+    q = np.empty((2 * n, 2 * k), dtype=np.complex128)
+    qh = np.empty((2 * k, 2 * n), dtype=np.complex128)
+    used = 0  # columns of q in use, two per kept vector
     for w, original in zip(rows, np.linalg.norm(rows, axis=1).tolist()):
         if original == 0.0:
             continue
-        if cols:
+        if used:
             for _ in range(2):
-                w = w - q[:, :cols] @ (qh[:cols] @ w)
+                w = w - q[:, :used] @ (qh[:used] @ w)
         r = float(np.linalg.norm(w))
         if r > drop_tol * original:
             w = w / r
-            q[:, cols] = w
-            q[:n, cols + 1] = np.conj(w[n:])
-            q[n:, cols + 1] = -np.conj(w[:n])
-            qh[cols:cols + 2] = q[:, cols:cols + 2].T.conj()
-            cols += 2
-    return [QVector.from_embedding(c) for c in q[:, :cols:2].T]
+            q[:, used] = w
+            q[:n, used + 1] = np.conj(w[n:])
+            q[n:, used + 1] = -np.conj(w[:n])
+            qh[used:used + 2] = q[:, used:used + 2].T.conj()
+            used += 2
+    kept = q[:, :used:2]
+    return QMatrix(kept[:n], -np.conj(kept[n:]))
 
 
 class SubspaceBasis:
-    """Orthonormal right basis of a subspace of H^n."""
+    """Orthonormal right basis of a subspace of H^n: the columns of an
+    (n, dim) matrix."""
 
-    __slots__ = ("space_dim", "vectors")
+    __slots__ = ("matrix",)
 
-    def __init__(self, space_dim: int, vectors=()):
-        vectors = tuple(vectors)
-        for v in vectors:
-            if v.n != space_dim:
-                raise ShapeError("basis vector length differs from the ambient dimension")
-        if vectors:
-            y = columns_matrix(vectors)
-            gram = y.adjoint() @ y - QMatrix.identity(len(vectors))
-            gram_err = float(np.max(np.sqrt(np.abs(gram.c1) ** 2 + np.abs(gram.c2) ** 2)))
-            if gram_err > 1e-8:
-                raise ValueError(f"basis is not orthonormal, Gram error {gram_err:.3e}")
-        object.__setattr__(self, "space_dim", space_dim)
-        object.__setattr__(self, "vectors", vectors)
+    def __init__(self, matrix: QMatrix):
+        gram = matrix.adjoint() @ matrix - QMatrix.identity(matrix.cols)
+        gram_err = float(np.max(np.sqrt(np.abs(gram.c1) ** 2 + np.abs(gram.c2) ** 2),
+                                initial=0.0))
+        if gram_err > 1e-8:
+            raise ValueError(f"basis is not orthonormal, Gram error {gram_err:.3e}")
+        object.__setattr__(self, "matrix", matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
 
     @property
+    def space_dim(self) -> int:
+        return self.matrix.rows
+
+    @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return self.matrix.cols
 
     def __len__(self) -> int:
-        return len(self.vectors)
-
-    @staticmethod
-    def from_span(space_dim: int, vectors, drop_tol: float = 1e-10) -> "SubspaceBasis":
-        """Basis of the right span by ``orthonormalize`` (CGS2 in the complex
-        image, input order, drop_tol relative to each vector's norm)."""
-        return SubspaceBasis(space_dim, orthonormalize(vectors, drop_tol))
-
-    def as_matrix(self) -> QMatrix:
-        if not self.vectors:
-            return QMatrix.zeros(self.space_dim, 0)
-        return columns_matrix(self.vectors)
+        return self.matrix.cols
 
     def projection(self) -> QMatrix:
         """Orthogonal projection onto the span."""
-        if not self.vectors:
-            return QMatrix.zeros(self.space_dim, self.space_dim)
-        m = self.as_matrix()
-        return m @ m.adjoint()
+        return self.matrix @ self.matrix.adjoint()
 
     def contains(self, v: QVector, tol: float = 1e-8) -> bool:
         r = v - self.projection().apply(v)

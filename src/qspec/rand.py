@@ -27,8 +27,8 @@ def rand_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
     return Quaternion(w, x, y, z)
 
 
-def rand_qvector(rng: np.random.Generator, n: int, scale: float = 1.0) -> QVector:
-    return QVector.from_components(rng.uniform(-scale, scale, (n, 4)))
+def rand_qvector(rng: np.random.Generator, n: int) -> QVector:
+    return QVector.from_components(rng.uniform(-1.0, 1.0, (n, 4)))
 
 
 def rand_unit_vector(rng: np.random.Generator, n: int) -> QVector:
@@ -62,21 +62,23 @@ def rand_idempotent(rng: np.random.Generator, n: int, rank: int) -> QMatrix:
     return s @ d @ inverse_matrix(s)
 
 
-def rand_orthonormal(rng: np.random.Generator, n: int, k: int) -> list[QVector]:
+def rand_orthonormal(rng: np.random.Generator, n: int, k: int) -> QMatrix:
+    """k orthonormal columns from k draws of ``rand_qvector(rng, n)``."""
     if k > n:
         raise ValueError("cannot fit that many orthonormal vectors")
     while True:
-        basis = orthonormalize([rand_qvector(rng, n) for _ in range(k)])
-        if len(basis) == k:
+        draws = rng.uniform(-1.0, 1.0, (k, n, 4))
+        basis = orthonormalize(QMatrix.from_components(draws.transpose(1, 0, 2)))
+        if basis.cols == k:
             return basis
 
 
-def rand_commutant(rng: np.random.Generator, a: QMatrix, degree: int = 2) -> QMatrix:
-    """Random real polynomial in A; real coefficients keep it in the
-    commutant regardless of the entries of A."""
+def rand_commutant(rng: np.random.Generator, a: QMatrix) -> QMatrix:
+    """Random real quadratic polynomial in A; real coefficients keep it in
+    the commutant regardless of the entries of A."""
     out = QMatrix.identity(a.rows).scale(float(rng.uniform(-1.0, 1.0)))
     power = QMatrix.identity(a.rows)
-    for _ in range(degree):
+    for _ in range(2):
         power = power @ a
         out = out + power.scale(float(rng.uniform(-1.0, 1.0)))
     return out

@@ -426,11 +426,9 @@ def cr_residual(f, points: Sequence[Quaternion]) -> float:
     return float(np.max(_norms((dx + _right_unit(dy, unit)) * 0.5)))
 
 
-def _sample_rows(center: Quaternion, r: float,
-                 units: tuple[SliceUnit, ...] = ()) -> np.ndarray:
-    if not units:
-        s3 = 1.0 / math.sqrt(3.0)
-        units = (SLICE_I, SLICE_J, SLICE_K, SliceUnit(s3, s3, s3))
+def _sample_rows(center: Quaternion, r: float) -> np.ndarray:
+    s3 = 1.0 / math.sqrt(3.0)
+    units = (SLICE_I, SLICE_J, SLICE_K, SliceUnit(s3, s3, s3))
     radii = np.array([frac * r for frac in (0.25, 0.5, 0.75, 1.0)])[:, None]
     angles = [math.pi * k / 4.0 for k in range(5)]
     xs = (radii * np.array([math.cos(t) for t in angles])).ravel()
@@ -443,14 +441,13 @@ def _sample_rows(center: Quaternion, r: float,
     return np.concatenate([c, ring.reshape(-1, 4) + c])
 
 
-def slice_samples(center: Quaternion, r: float,
-                  units: tuple[SliceUnit, ...] = ()) -> list[Quaternion]:
+def slice_samples(center: Quaternion, r: float) -> list[Quaternion]:
     """Deterministic sample grid of the closed euclidean r-ball at center.
 
     Euclidean distance dominates the sigma distance, so every sample also
     lies in the sigma-ball of the same radius.
     """
-    return list(_objects(_sample_rows(center, r, units)))
+    return list(_objects(_sample_rows(center, r)))
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,10 @@ def classify(a: QMatrix, tol: float = 1e-8) -> SpectrumReport:
 
 def _section_size(op, window: int | None) -> int:
     """Rows of the section that samples ``op``: its dimension when finite,
-    else ``window`` (None means the operator's own window)."""
+    else ``window`` (None means the operator's own window).  An operator of
+    dimension 0 has no section to sample."""
+    if op.dim == 0:
+        raise ValueError("the operator has dimension 0")
     if op.dim is not None:
         return op.dim
     n_win = getattr(op, "window", 128) if window is None else window

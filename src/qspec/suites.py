@@ -24,7 +24,7 @@ from .operators import (DenseOperator, HalfPlaneRegion, MultiplicationOperator,
                         ShiftOperator, invariance_defect, partition_splitting,
                         pseudo_resolvent_apply, quotient, restrict,
                         truncated_eigenvector)
-from .qlinalg import (QMatrix, QVector, columns_matrix, complex_adjoint, hstack, inner,
+from .qlinalg import (QMatrix, QVector, complex_adjoint, hstack, inner,
                       inverse_matrix, kernel_basis, min_singular, op_norm,
                       orthonormalize, right_eigenspheres, vstack, SubspaceBasis)
 from .quat import (SLICE_I, EigenSphere, Quaternion, SliceUnit, merge_spheres,
@@ -98,10 +98,10 @@ class _Runner:
         n = self.cfg.trials
         return min(n, self._cap) if self._cap else n
 
-    def run(self, label: str, fn, trials: int | None = None) -> None:
+    def run(self, label: str, fn) -> None:
         sid = self._stream
         self._stream += 1
-        n = trials if trials is not None else self.trials
+        n = self.trials
         failures = []
         passed = 0
         for k in range(n):
@@ -134,12 +134,13 @@ def _far_quaternion(rng, spheres, real: bool = False) -> Quaternion:
             return q
 
 
-def _separated_diag(rng, n: int, gap: float = 0.2) -> QMatrix:
+def _separated_diag(rng, n: int) -> QMatrix:
+    """Diagonal of n draws whose spheres lie at least 0.2 apart."""
     entries: list[Quaternion] = []
     while len(entries) < n:
         q = rand.rand_quaternion(rng, 1.5)
         s = sphere_of(q)
-        if all(s.distance(sphere_of(e)) >= gap for e in entries):
+        if all(s.distance(sphere_of(e)) >= 0.2 for e in entries):
             entries.append(q)
     return QMatrix.diag(entries)
 
@@ -265,14 +266,11 @@ def _suite_matrix_structure(cfg: SuiteConfig) -> SuiteResult:
         rnk = int(rng.integers(1, n))
         a = rand.rand_qmatrix(rng, n, rnk) @ rand.rand_qmatrix(rng, rnk, n)
         null = kernel_basis(a.adjoint(), tol=1e-10)
-        if len(null) != n - rnk:
+        if null.cols != n - rnk:
             return False
-        scale = 1.0 + a.frobenius()
-        for w in null:
-            for j in range(n):
-                if abs(inner(w, a.col(j))) > 1e-9 * scale:
-                    return False
-        return True
+        # entry (i, j) is the inner product of kernel vector i with column j
+        g = null.adjoint() @ a
+        return not np.any(np.hypot(np.abs(g.c1), np.abs(g.c2)) > 1e-9 * (1.0 + a.frobenius()))
 
     def embed_compat(rng, k):
         n = int(rng.integers(2, 6))
@@ -531,8 +529,7 @@ def _suite_restriction_quotient(cfg: SuiteConfig) -> SuiteResult:
         n1 = int(rng.integers(2, 4))
         n2 = int(rng.integers(2, 4))
         t, a, b, _ = rand.rand_block_upper(rng, n1, n2)
-        basis = SubspaceBasis(n1 + n2,
-                              [QVector.basis(n1 + n2, j) for j in range(n1)])
+        basis = SubspaceBasis(QMatrix.identity(n1 + n2).take_cols(n1))
         rest = restrict(t, basis)
         quot = quotient(t, basis)
         ok = sphere_hausdorff(right_eigenspheres(rest),
@@ -545,9 +542,9 @@ def _suite_restriction_quotient(cfg: SuiteConfig) -> SuiteResult:
         n2 = int(rng.integers(2, 4))
         n = n1 + n2
         t, _, _, _ = rand.rand_block_upper(rng, n1, n2)
-        u = columns_matrix(rand.rand_orthonormal(rng, n, n))
+        u = rand.rand_orthonormal(rng, n, n)
         t = u @ t @ u.adjoint()
-        basis = SubspaceBasis(n, [u.col(j) for j in range(n1)])
+        basis = SubspaceBasis(u.take_cols(n1))
         rest = restrict(t, basis)
         quot = quotient(t, basis)
         st = right_eigenspheres(t)
@@ -560,7 +557,7 @@ def _suite_restriction_quotient(cfg: SuiteConfig) -> SuiteResult:
     def invariance_guard(rng, k):
         n = int(rng.integers(3, 6))
         a = rand.rand_qmatrix(rng, n, n)
-        basis = SubspaceBasis(n, rand.rand_orthonormal(rng, n, 2))
+        basis = SubspaceBasis(rand.rand_orthonormal(rng, n, 2))
         if invariance_defect(a, basis) <= 1e-8 * (1.0 + op_norm(a)):
             return True  # freak invariant draw; nothing to reject
         try:
@@ -740,9 +737,7 @@ def _suite_mult_operator(cfg: SuiteConfig) -> SuiteResult:
             for s in right_eigenspheres(part):
                 if not region.contains(s):
                     return False
-        joined = orthonormalize(list(y1.vectors) + list(y2.vectors),
-                                drop_tol=1e-9)
-        return len(joined) == op.dim
+        return orthonormalize(hstack([y1.matrix, y2.matrix]), drop_tol=1e-9).cols == op.dim
 
     r.run("spectrum-equals-values", spectrum_is_values)
     r.run("classify-all-parts", classify_normal)
@@ -956,12 +951,8 @@ def _suite_subspace_laws(cfg: SuiteConfig) -> SuiteResult:
         a, proj, spheres, f = _matrix_and_split(rng)
         small = localspec.local_subspace(a, f, projections=proj)
         big = localspec.local_subspace(a, spheres, projections=proj)
-        p_big = big.projection()
-        eye = QMatrix.identity(a.rows)
-        for v in small.vectors:
-            if (eye - p_big).apply(v).norm() > cfg.tol:
-                return False
-        return True
+        outside = (QMatrix.identity(a.rows) - big.projection()) @ small.matrix
+        return not np.any(outside.col_norms() > cfg.tol)
 
     def outside_ignored(rng, k):
         a, proj, _, f = _matrix_and_split(rng)
@@ -1011,9 +1002,8 @@ def _suite_subspace_laws(cfg: SuiteConfig) -> SuiteResult:
 # -- series ---------------------------------------------------------------------
 
 
-def _rand_series(rng, degree: int, center: Quaternion | None = None,
-                 scale: float = 1.0) -> SliceSeries:
-    coeffs = tuple(rand.rand_quaternion(rng, scale) for _ in range(degree + 1))
+def _rand_series(rng, degree: int, center: Quaternion | None = None) -> SliceSeries:
+    coeffs = tuple(rand.rand_quaternion(rng) for _ in range(degree + 1))
     return SliceSeries(Quaternion() if center is None else center, coeffs)
 
 

@@ -423,12 +423,22 @@ def test_cli_tol_and_seed_still_work_where_read(tmp_path, capsys):
     ("io", "parse_operator_spec", "base_dir"),
     ("rand", "rand_invertible", "floor"),
     ("rand", "rand_invertible", "attempts"),
+    ("rand", "rand_qvector", "scale"),
+    ("rand", "rand_commutant", "degree"),
+    ("suites", "_separated_diag", "gap"),
+    ("suites", "_rand_series", "scale"),
+    ("suites", "_Runner.run", "trials"),
+    ("sliceseries", "slice_samples", "units"),
+    ("sliceseries", "_sample_rows", "units"),
+    ("qlinalg", "SubspaceBasis", "space_dim"),
 ])
 def test_library_takes_no_parameter_that_no_caller_sets(module, function, name):
     # each was a constant in every call: thresholds are fixed where the
     # verdicts are decided, and a shift's window comes from its operator;
     # a dataclass's signature lists its fields
-    fn = getattr(importlib.import_module(f"qspec.{module}"), function)
+    fn = importlib.import_module(f"qspec.{module}")
+    for attr in function.split("."):
+        fn = getattr(fn, attr)
     assert name not in inspect.signature(fn).parameters
 
 
@@ -562,3 +572,17 @@ def test_cli_rejects_a_matrix_with_no_rows_but_columns(tmp_path, capsys):
     io.write_text(str(p), "0 0\n")
     code, out, _ = run_cli(capsys, "spectrum", "--op", f"dense:{p}")
     assert (code, out) == (0, "\n")
+
+
+def test_cli_portrait_rejects_an_empty_matrix(tmp_path, capsys):
+    from qspec import spectral
+    from qspec.operators import DenseOperator
+    from qspec.qlinalg import QMatrix
+
+    # the empty section once reached the SVD block size as a ZeroDivisionError
+    p = tmp_path / "e.qmat"
+    io.write_text(str(p), "0 0\n")
+    code, out, err = run_cli(capsys, "portrait", "--op", f"dense:{p}")
+    assert (code, out, err) == (2, "", "error: the operator has dimension 0\n")
+    with pytest.raises(ValueError):
+        spectral.window_kappa(DenseOperator(QMatrix.zeros(0)), Quaternion(1.0), 8)

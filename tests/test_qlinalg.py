@@ -13,7 +13,6 @@ from qspec.qlinalg import (
     QVector,
     SubspaceBasis,
     _j_conj,
-    columns_matrix,
     complex_adjoint,
     inner,
     inverse_matrix,
@@ -154,9 +153,9 @@ def test_right_eigenspheres_diagonal():
 def test_kernel_basis_counts():
     a = QMatrix.from_quaternions([[ONE, Z], [Z, Z]])
     ker = kernel_basis(a)
-    assert len(ker) == 1
-    assert a.apply(ker[0]).norm() < 1e-12
-    assert len(kernel_basis(QMatrix.identity(3))) == 0
+    assert ker.shape == (2, 1)
+    assert (a @ ker).frobenius() < 1e-12
+    assert kernel_basis(QMatrix.identity(3)).shape == (3, 0)
 
 
 def _rank_product(rng, n, m, r, kind):
@@ -204,8 +203,8 @@ def test_nullity_matches_kernel_basis():
             cases.append((_rank_product(rng, n, m, r, kind), m - r))
     cases.extend(_planted_resolvents(rng))
     for a, dim in cases:
-        assert nullity(a) == len(kernel_basis(a)) == dim, (a, dim)
-        assert nullity(a, tol=1e-8) == len(kernel_basis(a, tol=1e-8)) == dim
+        assert nullity(a) == kernel_basis(a).cols == dim, (a, dim)
+        assert nullity(a, tol=1e-8) == kernel_basis(a, tol=1e-8).cols == dim
 
 
 def test_nullity_reuses_given_singular_values():
@@ -243,40 +242,42 @@ def test_orthonormalize_and_subspace():
     rng = rand.generator(23, 0)
     vs = [rand.rand_qvector(rng, 4) for _ in range(2)]
     vs.append(vs[0].times(I) + vs[1].times(J))  # right-dependent
-    basis = orthonormalize(vs)
-    assert len(basis) == 2
-    sub = SubspaceBasis.from_span(4, vs)
-    assert sub.dim == 2
+    sub = SubspaceBasis(orthonormalize(_block(vs, 4)))
+    assert sub.space_dim == 4 and sub.dim == 2
     assert sub.contains(vs[2], 1e-8)
     assert not sub.contains(QVector.basis(4, 3), 1e-3)
 
 
-def _kept_indices(ortho, vs, drop_tol):
+def _block(vs, n):
+    """The length-n vectors ``vs`` as the columns of one matrix."""
+    return QMatrix(np.array([v.c1 for v in vs]).reshape(len(vs), n).T,
+                   np.array([v.c2 for v in vs]).reshape(len(vs), n).T)
+
+
+def _kept_indices(counts):
     """Input indices that add a basis vector, read from the prefix counts."""
-    counts = [len(ortho(vs[:i], drop_tol)) for i in range(len(vs) + 1)]
-    return [i for i in range(len(vs)) if counts[i + 1] > counts[i]]
+    return [i for i in range(len(counts) - 1) if counts[i + 1] > counts[i]]
 
 
-def _span_projector(basis, n):
-    if not basis:
-        return np.zeros((2 * n, 2 * n), dtype=complex)
-    y = complex_adjoint(columns_matrix(basis))
+def _span_projector(y):
+    y = complex_adjoint(y)
     return y @ y.conj().T
 
 
-def _assert_routes_agree(vs, drop_tol=1e-10):
-    """The block CGS2 against the reference modified Gram-Schmidt."""
-    fast, slow = orthonormalize(vs, drop_tol), ref.orthonormalize(vs, drop_tol)
-    assert _kept_indices(orthonormalize, vs, drop_tol) \
-        == _kept_indices(ref.orthonormalize, vs, drop_tol)
-    if not vs:
-        return fast
-    n = vs[0].n
-    assert np.abs(_span_projector(fast, n) - _span_projector(slow, n)).max() <= 1e-12
-    k = len(fast)
+def _assert_routes_agree(cols, drop_tol=1e-10):
+    """The block CGS2 on the columns against the reference modified
+    Gram-Schmidt on them one QVector at a time."""
+    vs = [cols.col(j) for j in range(cols.cols)]
+    fast, slow = orthonormalize(cols, drop_tol), ref.orthonormalize(vs, drop_tol)
+    prefixes = range(cols.cols + 1)
+    assert _kept_indices([orthonormalize(cols.take_cols(i), drop_tol).cols for i in prefixes]) \
+        == _kept_indices([len(ref.orthonormalize(vs[:i], drop_tol)) for i in prefixes])
+    n, k = fast.shape
+    assert n == cols.rows
+    gap = np.abs(_span_projector(fast) - _span_projector(_block(slow, n)))
+    assert gap.max(initial=0.0) <= 1e-12
     if k:
-        y = columns_matrix(fast)
-        gram = y.adjoint() @ y
+        gram = fast.adjoint() @ fast
         err = np.hypot(np.abs(gram.c1 - np.eye(k)), np.abs(gram.c2)).max()
         assert err <= 1e-14 * k
     return fast
@@ -311,34 +312,34 @@ def test_orthonormalize_matches_reference_on_random_sets(seed):
     rng = rand.generator(401, seed)
     for _ in range(10):
         n = int(rng.integers(1, 8))
-        vs = _right_dependent_set(rng, n)
+        cols = _block(_right_dependent_set(rng, n), n)
         for drop_tol in (1e-6, 1e-9, 1e-10):
-            _assert_routes_agree(vs, drop_tol)
+            _assert_routes_agree(cols, drop_tol)
 
 
 def test_orthonormalize_right_dependent_inputs():
     rng = rand.generator(403, 0)
     v0, v1 = rand.rand_qvector(rng, 4), rand.rand_qvector(rng, 4)
     q = rand.rand_quaternion(rng)
-    assert len(_assert_routes_agree([v0, v1, v0.times(I) + v1.times(J)])) == 2
-    assert len(_assert_routes_agree([v0, v0.times(q), v1])) == 2
+    assert _assert_routes_agree(_block([v0, v1, v0.times(I) + v1.times(J)], 4)).cols == 2
+    assert _assert_routes_agree(_block([v0, v0.times(q), v1], 4)).cols == 2
     # one right span: a complex-only Gram-Schmidt, without the partner
     # column embed(v j), would keep both
     pair = [v0, v0.times(J)]
     assert np.linalg.matrix_rank(np.stack([v.embed() for v in pair])) == 2
-    assert len(_assert_routes_agree(pair)) == 1
+    assert _assert_routes_agree(_block(pair, 4)).cols == 1
 
 
 def test_orthonormalize_edge_inputs():
     rng = rand.generator(405, 0)
-    assert _assert_routes_agree([]) == []
-    assert _assert_routes_agree([QVector.zeros(3), QVector.zeros(3)]) == []
-    one = _assert_routes_agree([QVector.zeros(1), QVector.from_quaternions([I + J]),
-                                QVector.from_quaternions([K])])
-    assert len(one) == 1
+    assert _assert_routes_agree(QMatrix.zeros(3, 0)).shape == (3, 0)
+    assert _assert_routes_agree(QMatrix.zeros(3, 2)).shape == (3, 0)
+    assert _assert_routes_agree(QMatrix.zeros(0, 2)).shape == (0, 0)
+    one = _assert_routes_agree(QMatrix.from_quaternions([[Z, I + J, K]]))
+    assert one.cols == 1
     c2_only = [QVector(np.zeros(3), rand.rand_qvector(rng, 3).c2) for _ in range(4)]
-    assert len(_assert_routes_agree(c2_only)) == 3
-    assert len(_assert_routes_agree([QVector.zeros(3)] + c2_only[:1])) == 1
+    assert _assert_routes_agree(_block(c2_only, 3)).cols == 3
+    assert _assert_routes_agree(_block([QVector.zeros(3)] + c2_only[:1], 3)).cols == 1
 
 
 @pytest.mark.parametrize("drop_tol", [1e-6, 1e-9, 1e-10])
@@ -356,22 +357,22 @@ def test_orthonormalize_drop_rule_at_threshold(drop_tol, factor):
         i, j = rng.choice(n, 2, replace=False)
         b = QVector.basis(n, int(i))
         v = b.times(q) + QVector.basis(n, int(j)).times(p / abs(p)).scale(t)
-        assert len(_assert_routes_agree([b, v], drop_tol)) == expected
+        assert _assert_routes_agree(_block([b, v], n), drop_tol).cols == expected
         # in general position the residual, and with it the kept direction,
         # is known only to about eps / ratio, but the decision is the same
         b, u = ref.orthonormalize([rand.rand_qvector(rng, n) for _ in range(2)])
         v = b.times(q) + u.times(p / abs(p)).scale(t)
-        assert len(orthonormalize([b, v], drop_tol)) == expected
+        assert orthonormalize(_block([b, v], n), drop_tol).cols == expected
         assert len(ref.orthonormalize([b, v], drop_tol)) == expected
     # n = 1: a right multiple of b leaves only a rounding residual
     b = QVector.basis(1, 0)
-    assert len(_assert_routes_agree([b, b.times(rand.rand_quaternion(rng))], drop_tol)) == 1
+    pair = [b, b.times(rand.rand_quaternion(rng))]
+    assert _assert_routes_agree(_block(pair, 1), drop_tol).cols == 1
 
 
-def test_orthonormalize_builds_no_quaternion_or_intermediate_vector(monkeypatch):
-    rng = rand.generator(409, 0)
-    vs = [rand.rand_qvector(rng, 5) for _ in range(4)]
-    vs.append(vs[0].times(J) + vs[1])
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of QVector and Quaternion constructions; reset it to start."""
     counts = {"vectors": 0, "quaternions": 0}
     init, post = QVector.__init__, Quaternion.__post_init__
 
@@ -385,25 +386,52 @@ def test_orthonormalize_builds_no_quaternion_or_intermediate_vector(monkeypatch)
 
     monkeypatch.setattr(QVector, "__init__", counted_init)
     monkeypatch.setattr(Quaternion, "__post_init__", counted_post)
-    basis = orthonormalize(vs)
-    assert len(basis) == 4
-    assert counts == {"vectors": 4, "quaternions": 0}
+    return counts
 
 
-def test_orthonormalize_rejects_mixed_lengths():
+def test_orthonormalize_builds_no_quaternion_or_intermediate_vector(constructions):
+    rng = rand.generator(409, 0)
+    vs = [rand.rand_qvector(rng, 5) for _ in range(4)]
+    cols = _block(vs + [vs[0].times(J) + vs[1]], 5)
+    constructions.update(vectors=0, quaternions=0)
+    basis = orthonormalize(cols)
+    assert basis.shape == (5, 4)
+    assert constructions == {"vectors": 0, "quaternions": 0}
+
+
+def test_subspace_bases_build_no_vector(constructions):
+    """Kernels, local subspaces and complements stay column blocks: no
+    QVector per column on the way."""
+    from qspec.localspec import local_subspace, spectral_projections
+    from qspec.operators import complement_basis
+
     rng = rand.generator(411, 0)
-    v3, v4 = rand.rand_qvector(rng, 3), rand.rand_qvector(rng, 4)
-    for vs in ([QVector.zeros(3), v4], [v3, v4], [v4, QVector.zeros(3)]):
-        with pytest.raises(ShapeError):
-            orthonormalize(vs)
+    a = rand.rand_qmatrix(rng, 5, 3) @ rand.rand_qmatrix(rng, 3, 5)
+    m = rand.rand_qmatrix(rng, 4, 4)
+    proj = spectral_projections(m)
+    sub = SubspaceBasis(rand.rand_orthonormal(rng, 4, 2))
+    constructions["vectors"] = 0
+    assert kernel_basis(a).shape == (5, 2)
+    assert local_subspace(m, proj.spheres[:2], projections=proj).dim \
+        == sum(proj.multiplicities[:2])
+    assert complement_basis(sub).dim == 2
+    assert constructions["vectors"] == 0
 
 
 def test_projection_idempotent():
     rng = rand.generator(29, 0)
-    sub = SubspaceBasis.from_span(4, [rand.rand_qvector(rng, 4) for _ in range(2)])
+    sub = SubspaceBasis(orthonormalize(rand.rand_qmatrix(rng, 4, 2)))
     p = sub.projection()
     diff = p @ p - p
     assert op_norm(diff) < 1e-10
+
+
+def test_subspace_basis_is_its_matrix():
+    empty = SubspaceBasis(QMatrix.zeros(3, 0))
+    assert (empty.space_dim, empty.dim) == (3, 0)
+    assert empty.projection().shape == (3, 3) and empty.projection().frobenius() == 0.0
+    with pytest.raises(ValueError, match="not orthonormal"):
+        SubspaceBasis(QMatrix.identity(3).take_cols(2).scale(2.0))
 
 
 def test_embedding_pullback():
