@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the CLI output that a pure refactor must leave byte-identical.
 
-Five gates, each printed on one line, named first, as a sha256 digest of
+Six gates, each printed on one line, named first, as a sha256 digest of
 its stdout and exit codes, with the number of stdout lines:
 
   matrix    ``classify`` on the 504 ``matrix`` benchmark inputs of seeds 51-53
@@ -10,6 +10,8 @@ its stdout and exit codes, with the number of stdout lines:
   series    the 112 ``series`` benchmark reports of seed 51
   subspace  ``check --suite S --trials 4`` for seeds 100-139 and each of the
             six suites that build subspace bases
+  laws      ``check --suite S --trials 4`` for seeds 100-139 and each of the
+            two suites that run the product and similarity law checks
 
 Run it from any directory as ``python3 scripts/output_gate.py`` on two
 checkouts, save each output, and compare them with
@@ -20,8 +22,8 @@ which matches gates by name: a gate that both print must match, a gate
 that the head no longer prints fails, and a gate that only the head
 prints is listed as new.  The comparison exits 1 on any failure.  It imports qspec from the ``src`` of
 the checkout it sits in and the request builders of
-``perfbench/workloads.py``, which it only reads.  It takes about fifteen
-seconds.
+``perfbench/workloads.py``, which it only reads.  It takes 15-18 seconds
+on a 2-core host.
 """
 
 import os
@@ -51,6 +53,10 @@ MATRIX_STREAM, PORTRAIT_STREAM, SERIES_STREAM = 1, 2, 3
 SUBSPACE_SUITES = ("subspace-laws", "restriction-quotient", "mult-operator",
                    "intertwining", "local-laws", "matrix-structure")
 
+# the suites of the local spectrum laws under products, and of planted
+# spheres under similarity, that no other seeded gate runs
+LAW_SUITES = ("product-laws", "defective-similarity")
+
 
 def digest(argvs) -> tuple[str, int]:
     """sha256 over each command's exit code and stdout, and the stdout lines."""
@@ -63,6 +69,12 @@ def digest(argvs) -> tuple[str, int]:
         h.update(f"{code}\n{text}".encode())
         lines += text.count("\n")
     return h.hexdigest(), lines
+
+
+def seeded_checks(suites) -> list[list[str]]:
+    """``check --suite S --trials 4`` for seeds 100-139 and each suite S."""
+    return [["check", "--suite", suite, "--trials", "4", "--seed", str(seed)]
+            for seed in range(100, 140) for suite in suites]
 
 
 def gates(text: str) -> dict[str, str]:
@@ -106,10 +118,9 @@ def main(argv=None) -> int:
             np.random.default_rng([51, SERIES_STREAM]), workdir)]
         check = [["check", "--suite", "all", "--trials", "6", "--seed", str(seed)]
                  for seed in (42, 1)]
-        subspace = [["check", "--suite", suite, "--trials", "4", "--seed", str(seed)]
-                    for seed in range(100, 140) for suite in SUBSPACE_SUITES]
+        subspace, laws = seeded_checks(SUBSPACE_SUITES), seeded_checks(LAW_SUITES)
         for name, argvs in (("matrix", matrix), ("check", check), ("portrait", portrait),
-                            ("series", series), ("subspace", subspace)):
+                            ("series", series), ("subspace", subspace), ("laws", laws)):
             sha, lines = digest(argvs)
             print(f"{name:<9} {len(argvs):>4} commands  sha256 {sha}  lines {lines}")
     return 0

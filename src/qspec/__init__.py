@@ -14,10 +14,10 @@ import importlib
 _HOMES = {
     "errors": ("CoverError", "InvarianceError", "NumericalError", "PoleError",
                "ShapeError"),
-    "localspec": ("DecomposabilityVerdict", "LocalSpectrum", "SpectralProjectionSet",
-                  "SvepStatus", "decomposability_necessary", "global_subspace",
-                  "local_resolvent_diag", "local_spectrum", "local_subspace",
-                  "spectral_projections", "svep_status"),
+    "localspec": ("DecomposabilityVerdict", "SpectralProjectionSet", "SvepStatus",
+                  "decomposability_necessary", "global_subspace", "local_resolvent_diag",
+                  "local_spectrum", "local_subspace", "spectral_projections",
+                  "svep_status"),
     "operators": ("DenseOperator", "HalfPlaneRegion", "LinearOperator",
                   "MultiplicationOperator", "ShiftOperator", "partition_splitting",
                   "quotient", "restrict", "truncated_eigenvector"),

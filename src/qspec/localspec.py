@@ -62,12 +62,11 @@ class SpectralProjectionSet:
     certified: bool = True
 
 
-def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None = None
-                         ) -> SpectralProjectionSet:
+def spectral_projections(a: QMatrix) -> SpectralProjectionSet:
     """Build one spectral projection per eigen-sphere of A.
 
-    All projections come from the one Schur form of ``decomposition``
-    (built from A when not given), block-diagonalized by the Sylvester
+    All projections come from the one Schur form of A's
+    ``spectral_decomposition``, block-diagonalized by the Sylvester
     solutions it already holds; nothing is factored again.  Conjugate-closed
     spectral sets commute with the quaternionic structure map, so each
     complex projection of chi(A) descends to a quaternionic matrix; the
@@ -78,14 +77,17 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
     from the Schur factors, applies both refusals and J-symmetrizes the
     stack; ``_block_checked`` then validates it in the coordinates of the
     factors, and where its bounds cannot accept, ``_validate_projections``
-    decides on the same stack.
+    decides on the same stack.  Each matrix's set is built and validated
+    once, kept on its decomposition, and returned by every later call.
     """
     if a.rows != a.cols:
         raise ShapeError("spectral projections need a square matrix")
     n = a.rows
     if n == 0:
         return SpectralProjectionSet((), (), (), ())
-    dec = decomposition if decomposition is not None else spectral_decomposition(a)
+    dec = spectral_decomposition(a)
+    if dec.projections is not None:
+        return dec.projections
     certified = dec.kernel_dims() == dec.multiplicities
 
     stack = dec.projectors()
@@ -96,8 +98,9 @@ def spectral_projections(a: QMatrix, decomposition: SpectralDecomposition | None
         projections = tuple(QMatrix(p, np.zeros_like(p)) for p in stack)
     else:
         projections = tuple(QMatrix(p[:n, :n], p[:n, n:]) for p in stack)
-    return SpectralProjectionSet(dec.spheres, projections, tuple(conditions),
-                                 dec.multiplicities, certified)
+    object.__setattr__(dec, "projections", SpectralProjectionSet(
+        dec.spheres, projections, tuple(conditions), dec.multiplicities, certified))
+    return dec.projections
 
 
 def _fro(x: np.ndarray) -> np.ndarray:
@@ -230,40 +233,23 @@ def _validate_projections(m: np.ndarray, stack: np.ndarray, conditions) -> None:
 # -- local spectra -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalSpectrum:
-    """Finite set of eigen-spheres attached to one vector."""
-
-    spheres: tuple[EigenSphere, ...]
-
-    def __iter__(self):
-        return iter(self.spheres)
-
-    def __len__(self) -> int:
-        return len(self.spheres)
-
-    def subset_of(self, other, tol: float = 1e-6) -> bool:
-        return sphere_subset(self.spheres, tuple(other), tol)
-
-
-def local_spectrum(a: QMatrix, phi: QVector, tol: float = MEMBER_TOL,
-                   projections: SpectralProjectionSet | None = None) -> LocalSpectrum:
+def local_spectrum(a: QMatrix, phi: QVector, tol: float = MEMBER_TOL) -> tuple[EigenSphere, ...]:
     """Spheres whose spectral projection sees phi.
 
     Empty exactly for phi = 0; its spheres are the projection set's, the
     same objects ``s_spectrum`` and ``classify`` report, so it lies in
     sigma_S(A) exactly.  For a right eigenvector A phi = phi q this is the
-    single sphere [q].
+    single sphere [q].  The projections are A's ``spectral_projections``,
+    built once per matrix, so the local spectra of many vectors share them.
     """
     if a.rows != a.cols or a.rows != phi.n:
         raise ShapeError("dimension mismatch between matrix and vector")
     norm = phi.norm()
     if norm == 0.0:
-        return LocalSpectrum(())
-    proj = projections if projections is not None else spectral_projections(a)
-    hit = tuple(s for s, p in zip(proj.spheres, proj.projections)
-                if p.apply(phi).norm() > tol * norm)
-    return LocalSpectrum(hit)
+        return ()
+    proj = spectral_projections(a)
+    return tuple(s for s, p in zip(proj.spheres, proj.projections)
+                 if p.apply(phi).norm() > tol * norm)
 
 
 def local_resolvent_diag(op: MultiplicationOperator, f: QVector, q: Quaternion) -> QVector:
@@ -291,8 +277,7 @@ def local_resolvent_diag(op: MultiplicationOperator, f: QVector, q: Quaternion) 
     return QVector.from_quaternions(out)
 
 
-def local_subspace(a: QMatrix, spheres,
-                   projections: SpectralProjectionSet | None = None) -> SubspaceBasis:
+def local_subspace(a: QMatrix, spheres) -> SubspaceBasis:
     """Orthonormal basis of span{ ran P_k : sphere_k in F }.
 
     A sphere of F selects the spectral sphere it matches at
@@ -302,7 +287,7 @@ def local_subspace(a: QMatrix, spheres,
     """
     if a.rows != a.cols:
         raise ShapeError("local subspaces need a square matrix")
-    proj = projections if projections is not None else spectral_projections(a)
+    proj = spectral_projections(a)
     targets = tuple(spheres)
     blocks = [QMatrix.zeros(a.rows, 0)]  # so that hstack has a block when F selects none
     expected = 0
@@ -318,8 +303,7 @@ def local_subspace(a: QMatrix, spheres,
     return SubspaceBasis(basis)
 
 
-def global_subspace(a: QMatrix, spheres,
-                    projections: SpectralProjectionSet | None = None) -> SubspaceBasis:
+def global_subspace(a: QMatrix, spheres) -> SubspaceBasis:
     """Vectors whose local spectrum stays inside F.
 
     Realized as the joint kernel, at MEMBER_TOL, of the projections of the
@@ -329,7 +313,7 @@ def global_subspace(a: QMatrix, spheres,
     """
     if a.rows != a.cols:
         raise ShapeError("global subspaces need a square matrix")
-    proj = projections if projections is not None else spectral_projections(a)
+    proj = spectral_projections(a)
     targets = tuple(spheres)
     outside = [p for s, p in zip(proj.spheres, proj.projections)
                if not sphere_in(s, targets)]
@@ -404,7 +388,7 @@ def decomposability_necessary(
 
 def _matrix_decomposability(a: QMatrix, report) -> DecomposabilityVerdict:
     rep = report if report is not None else spectral.classify(a, tol=MEMBER_TOL)
-    proj = spectral_projections(a, rep.decomposition)
+    proj = spectral_projections(a)
     # s lies in the local spectrum of some basis vector e_k exactly when
     # |P_s e_k|, the norm of column k of P_s, exceeds MEMBER_TOL
     local_union = tuple(
@@ -445,41 +429,33 @@ def _shift_decomposability(op: ShiftOperator) -> DecomposabilityVerdict:
 # -- spectral law checks --------------------------------------------------------
 
 
-def check_zero_vector(a: QMatrix, projections=None) -> bool:
+def check_zero_vector(a: QMatrix) -> bool:
     """The zero vector has empty local spectrum."""
-    return len(local_spectrum(a, QVector.zeros(a.rows), projections=projections)) == 0
+    return len(local_spectrum(a, QVector.zeros(a.rows))) == 0
 
 
 def check_combination(a: QMatrix, phi: QVector, psi: QVector, qa: Quaternion,
-                      qb: Quaternion, tol: float = 1e-6, projections=None) -> bool:
+                      qb: Quaternion, tol: float = 1e-6) -> bool:
     """sigma(phi a + psi b) is contained in sigma(phi) union sigma(psi)."""
-    proj = projections if projections is not None else spectral_projections(a)
     combo = phi.times(qa) + psi.times(qb)
-    lhs = local_spectrum(a, combo, projections=proj)
-    rhs = sphere_union(local_spectrum(a, phi, projections=proj).spheres,
-                       local_spectrum(a, psi, projections=proj).spheres)
-    return lhs.subset_of(rhs, tol)
+    return sphere_subset(local_spectrum(a, combo),
+                         sphere_union(local_spectrum(a, phi), local_spectrum(a, psi)), tol)
 
 
-def check_commutant(a: QMatrix, b: QMatrix, phi: QVector,
-                    tol: float = 1e-6, projections=None) -> bool:
+def check_commutant(a: QMatrix, b: QMatrix, phi: QVector, tol: float = 1e-6) -> bool:
     """B commuting with A implies sigma(B phi) subset sigma(phi)."""
     scale = 1.0 + op_norm(a) * op_norm(b)
     if op_norm(a @ b - b @ a) > 1e-8 * scale:
         raise ValueError("precondition failed: operators do not commute")
-    proj = projections if projections is not None else spectral_projections(a)
-    lhs = local_spectrum(a, b.apply(phi), projections=proj)
-    rhs = local_spectrum(a, phi, projections=proj)
-    return lhs.subset_of(rhs.spheres, tol)
+    return sphere_subset(local_spectrum(a, b.apply(phi)), local_spectrum(a, phi), tol)
 
 
 def check_local_laws(a: QMatrix, phi: QVector, psi: QVector, qa: Quaternion,
                      qb: Quaternion, b: QMatrix, tol: float = 1e-6) -> bool:
-    """The three basic local spectrum laws in one pass."""
-    proj = spectral_projections(a)
-    return (check_zero_vector(a, projections=proj)
-            and check_combination(a, phi, psi, qa, qb, tol, projections=proj)
-            and check_commutant(a, b, phi, tol, projections=proj))
+    """The three basic local spectrum laws in one pass over A's projections."""
+    return (check_zero_vector(a)
+            and check_combination(a, phi, psi, qa, qb, tol)
+            and check_commutant(a, b, phi, tol))
 
 
 ZERO_SPHERE = EigenSphere(0.0, 0.0)
@@ -496,16 +472,17 @@ def check_ab_ba(a: QMatrix, b: QMatrix, phi: QVector, tol: float = 1e-6) -> bool
         raise ShapeError("A and B must map between the same two spaces")
     ab = a @ b
     ba = b @ a
-    proj_ab = spectral_projections(ab)
-    proj_ba = spectral_projections(ba)
-    s_ab = local_spectrum(ab, a.apply(phi), projections=proj_ab)
-    s_ba = local_spectrum(ba, phi, projections=proj_ba)
-    ok = s_ab.subset_of(s_ba.spheres, tol)
-    ok = ok and sphere_subset(s_ba.spheres,
-                              sphere_union(s_ab.spheres, (ZERO_SPHERE,)), tol)
+    # AB's projections, then BA's, come first: a zero vector's local
+    # spectrum builds none, and a failing build must raise in this order
+    spectral_projections(ab)
+    spectral_projections(ba)
+    s_ab = local_spectrum(ab, a.apply(phi))
+    s_ba = local_spectrum(ba, phi)
+    ok = sphere_subset(s_ab, s_ba, tol)
+    ok = ok and sphere_subset(s_ba, sphere_union(s_ab, (ZERO_SPHERE,)), tol)
     # equality needs A injective: full column rank, so rows >= cols first
     if a.rows >= a.cols and min_singular(a) > 1e-6 * (1.0 + a.frobenius()):
-        ok = ok and sphere_subset(s_ba.spheres, s_ab.spheres, tol)
+        ok = ok and sphere_subset(s_ba, s_ab, tol)
     return ok
 
 
@@ -519,12 +496,10 @@ def check_aba(a: QMatrix, b: QMatrix, phi: QVector, tol: float = 1e-6) -> bool:
     if op_norm(a @ b @ a - a @ a) > 1e-8 * scale * (1.0 + op_norm(b)):
         raise ValueError("precondition failed: A B A != A^2")
     ba = b @ a
-    proj_a = spectral_projections(a)
-    proj_ba = spectral_projections(ba)
-    first = local_spectrum(a, a.apply(phi), projections=proj_a).subset_of(
-        local_spectrum(ba, phi, projections=proj_ba).spheres, tol)
-    second = local_spectrum(ba, ba.apply(phi), projections=proj_ba).subset_of(
-        local_spectrum(a, phi, projections=proj_a).spheres, tol)
+    spectral_projections(a)    # A's projections before BA's, as in check_ab_ba
+    spectral_projections(ba)
+    first = sphere_subset(local_spectrum(a, a.apply(phi)), local_spectrum(ba, phi), tol)
+    second = sphere_subset(local_spectrum(ba, ba.apply(phi)), local_spectrum(a, phi), tol)
     return first and second
 
 
@@ -538,12 +513,11 @@ def check_intertwining(a: QMatrix, b: QMatrix, r: QMatrix, phi: QVector,
     scale = 1.0 + op_norm(r) * (op_norm(a) + op_norm(b))
     if op_norm(b @ r - r @ a) > 1e-8 * scale:
         raise ValueError("precondition failed: B R != R A")
-    proj_a = spectral_projections(a)
-    proj_b = spectral_projections(b)
-    ok = local_spectrum(b, r.apply(phi), projections=proj_b).subset_of(
-        local_spectrum(a, phi, projections=proj_a).spheres, tol)
-    va = local_subspace(a, spheres, projections=proj_a)
-    vb = local_subspace(b, spheres, projections=proj_b)
+    spectral_projections(a)    # A's projections before B's, as in check_ab_ba
+    spectral_projections(b)
+    ok = sphere_subset(local_spectrum(b, r.apply(phi)), local_spectrum(a, phi), tol)
+    va = local_subspace(a, spheres)
+    vb = local_subspace(b, spheres)
     images = r @ va.matrix
     residuals = (QMatrix.identity(b.rows) - vb.projection()) @ images
     return ok and not np.any(residuals.col_norms() > tol * (1.0 + images.col_norms()))
@@ -570,10 +544,5 @@ def check_resolvent_identity(a: QMatrix, phi: QVector, f, sample_points,
                 f"precondition failed at q = ({q.w}, {q.x}, {q.y}, {q.z}): "
                 f"residual {resid:.3e}")
         values.append(v)
-    proj = spectral_projections(a)
-    target = local_spectrum(a, phi, projections=proj)
-    for v in values:
-        if not target.subset_of(
-                local_spectrum(a, v, projections=proj).spheres, tol):
-            return False
-    return True
+    target = local_spectrum(a, phi)
+    return all(sphere_subset(target, local_spectrum(a, v), tol) for v in values)

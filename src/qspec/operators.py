@@ -232,7 +232,7 @@ class HalfPlaneRegion:
 
     @staticmethod
     def disk(re: float, im: float, radius: float) -> "HalfPlaneRegion":
-        if radius <= 0.0:
+        if not radius > 0.0:    # nan fails too
             raise ValueError("disk radius must be positive")
         return HalfPlaneRegion((("disk", re, im, radius),))
 

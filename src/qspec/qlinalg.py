@@ -23,12 +23,16 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .quat import (SPHERE_MERGE_TOL, EigenSphere, Quaternion, cluster_spheres,
                    linked_components)
+
+if TYPE_CHECKING:
+    from .localspec import SpectralProjectionSet
 
 
 def _split(q: Quaternion) -> tuple[complex, complex]:
@@ -56,6 +60,9 @@ class QVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("QVector is immutable")
+
+    def __reduce__(self):
+        return (QVector, (self.c1, self.c2))
 
     @property
     def n(self) -> int:
@@ -167,7 +174,7 @@ def inner(u: QVector, v: QVector) -> Quaternion:
 class QMatrix:
     """Dense matrix with quaternion entries acting on the left of columns."""
 
-    __slots__ = ("c1", "c2")
+    __slots__ = ("c1", "c2", "_spectral")    # _spectral: see spectral_decomposition
 
     def __init__(self, c1: np.ndarray, c2: np.ndarray):
         c1 = np.asarray(c1, dtype=np.complex128).copy()
@@ -181,6 +188,9 @@ class QMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
+
+    def __reduce__(self):
+        return (QMatrix, (self.c1, self.c2))
 
     @property
     def rows(self) -> int:
@@ -521,7 +531,9 @@ class SpectralDecomposition:
     ``owner[k]``; W is unit upper triangular, its block row k past the block
     the Y with T_kk Y - Y T_rest = T_k,rest, so W T W^-1 = diag(T_kk).
     Sphere i keeps its multiplicity and row i of ``singular_values``, those
-    of R_q(M) at its representative."""
+    of R_q(M) at its representative.  All of one matrix's consumers share it,
+    so its arrays are read-only; ``projections`` is None until
+    ``localspec.spectral_projections`` keeps the validated set there."""
 
     spheres: tuple[EigenSphere, ...]
     multiplicities: tuple[int, ...]
@@ -533,6 +545,11 @@ class SpectralDecomposition:
     w: np.ndarray = field(repr=False)
     blocks: tuple[tuple[int, int], ...]
     owner: tuple[int, ...]
+    projections: SpectralProjectionSet | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        for x in (self.singular_values, self.m, self.t, self.z, self.w):
+            x.setflags(write=False)
 
     def kernel_dims(self, tol: float = 1e-10) -> tuple[int, ...]:
         """nullity(R_q(A), tol) at each sphere, from its singular values."""
@@ -583,6 +600,9 @@ class SpectralDecomposition:
 def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     """Eigen-spheres of A phi = phi q and their multiplicities, from one Schur form.
 
+    Built once per matrix: the first call keeps it with A (a copy of A does
+    not), later calls return it, and a failed build keeps nothing.
+
     A block's centre mu = trace/size is accurate to O(eps) even when a
     size-k Jordan block spreads its eigenvalues by eps^(1/k) (Moro, Burke
     & Overton, SIAM J. Matrix Anal. Appl. 18 (1997)).  Blocks map to the
@@ -591,6 +611,14 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     the singular values of R_q at every sphere's representative, and every
     sphere passes a direct check: that R_q is numerically singular.
     """
+    dec = getattr(a, "_spectral", None)
+    if dec is None:
+        dec = _decompose(a)
+        object.__setattr__(a, "_spectral", dec)
+    return dec
+
+
+def _decompose(a: QMatrix) -> SpectralDecomposition:
     if a.rows != a.cols:
         raise ShapeError("eigen-spheres need a square matrix")
     m, half = complex_image(a)
@@ -769,6 +797,9 @@ class SubspaceBasis:
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
+
+    def __reduce__(self):
+        return (SubspaceBasis, (self.matrix,))
 
     @property
     def space_dim(self) -> int:

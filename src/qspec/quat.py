@@ -146,7 +146,7 @@ class SliceUnit:
 
     def __post_init__(self):
         n = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:    # nan fails too
             raise ValueError(f"slice unit must have unit norm, got |I|^2 = {n!r}")
 
     @staticmethod

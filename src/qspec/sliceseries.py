@@ -463,10 +463,10 @@ class CompactExhaustion:
             raise ValueError("an exhaustion needs at least one level")
         last = 0.0
         for r in radii:
-            if r <= last:
+            if not r > last:    # nan fails each of these comparisons
                 raise ValueError("exhaustion radii must increase strictly")
             last = r
-        if radii[-1] >= self.limit:
+        if not radii[-1] < self.limit:
             raise ValueError("exhaustion radii must stay below the limit radius")
         object.__setattr__(self, "radii", radii)
 

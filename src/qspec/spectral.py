@@ -70,8 +70,6 @@ class SpectrumReport:
     tol: float
     threshold: float
     coincident: bool
-    decomposition: qlinalg.SpectralDecomposition | None = field(
-        default=None, repr=False, compare=False)
 
     def part(self, name: str) -> tuple[EigenSphere, ...]:
         return tuple(s for s in self.spheres if getattr(self.flags[s], name))
@@ -91,8 +89,9 @@ def _fmt_array(values: np.ndarray) -> list[str]:
 def classify(a: QMatrix, tol: float = 1e-8) -> SpectrumReport:
     """Classify every sphere of sigma_S(A) into its four parts.
 
-    The spheres come from one ``spectral_decomposition``, which the report
-    keeps for its projections; ``tol`` only sets the membership threshold,
+    The spheres come from A's ``spectral_decomposition``, built once per
+    matrix and kept with it, so the projections and local spectra of A
+    read the same Schur form; ``tol`` only sets the membership threshold,
     never the grouping of spheres.  The singular values of R_q(A) that the
     decomposition holds for each sphere give every flag: point membership
     (ker R_q(A) counted), approximate membership (kappa, the smallest
@@ -110,7 +109,7 @@ def classify(a: QMatrix, tol: float = 1e-8) -> SpectrumReport:
         flags[s] = SphereFlags(dim > 0, approx, dim > 0, approx)
     coincident = all(f.point == f.approximate for f in flags.values())
     radius, lower = growth_bounds(a) if a.rows else (0.0, 0.0)
-    return SpectrumReport(dec.spheres, flags, radius, lower, tol, thresh, coincident, dec)
+    return SpectrumReport(dec.spheres, flags, radius, lower, tol, thresh, coincident)
 
 
 # -- growth bounds -------------------------------------------------------

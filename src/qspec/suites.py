@@ -332,8 +332,8 @@ def _suite_defective_similarity(cfg: SuiteConfig) -> SuiteResult:
                 break
         a = sim @ d @ inverse_matrix(sim)
         rep = spectral.classify(a)
-        proj = localspec.spectral_projections(a, rep.decomposition)
-        local = localspec.local_spectrum(a, rand.rand_qvector(rng, n), projections=proj)
+        proj = localspec.spectral_projections(a)
+        local = localspec.local_spectrum(a, rand.rand_qvector(rng, n))
         got = [(s.re, s.im, m) for s, m in zip(proj.spheres, proj.multiplicities)]
         return (rep.coincident and proj.certified == certified
                 and set(local) <= set(rep.spheres) and len(got) == len(planted)
@@ -687,7 +687,7 @@ def _suite_mult_operator(cfg: SuiteConfig) -> SuiteResult:
         expected = merge_spheres([sphere_of(op.values[j])
                                   for j in range(n) if keep[j]])
         got = localspec.local_spectrum(op.as_qmatrix(), f)
-        return sphere_sets_equal(got.spheres, expected, cfg.tol)
+        return sphere_sets_equal(got, expected, cfg.tol)
 
     def resolvent_law(rng, k):
         op = _rand_mult(rng, max_points=8)
@@ -783,18 +783,16 @@ def _suite_local_laws(cfg: SuiteConfig) -> SuiteResult:
         phi = s.col(j)
         got = localspec.local_spectrum(a, phi)
         target = sphere_of(d.entry(j, j))
-        if len(got) != 1 or not got.spheres[0].matches(target, cfg.tol):
+        if len(got) != 1 or not got[0].matches(target, cfg.tol):
             return False
         return localspec.spectral_projections(a).certified
 
     def basis_union(rng, k):
         n = int(rng.integers(2, 6))
         a = rand.rand_qmatrix(rng, n, n)
-        proj = localspec.spectral_projections(a)
         union: list[EigenSphere] = []
         for j in range(n):
-            union.extend(localspec.local_spectrum(
-                a, QVector.basis(n, j), projections=proj).spheres)
+            union.extend(localspec.local_spectrum(a, QVector.basis(n, j)))
         return sphere_sets_equal(merge_spheres(union),
                                  right_eigenspheres(a), cfg.tol)
 
@@ -803,7 +801,7 @@ def _suite_local_laws(cfg: SuiteConfig) -> SuiteResult:
         a = rand.rand_qmatrix(rng, n, n)
         phi = rand.rand_qvector(rng, n)
         loc = localspec.local_spectrum(a, phi)
-        if not sphere_subset(loc.spheres, right_eigenspheres(a), cfg.tol):
+        if not sphere_subset(loc, right_eigenspheres(a), cfg.tol):
             return False
         return len(localspec.local_spectrum(a, QVector.zeros(n))) == 0
 
@@ -932,49 +930,48 @@ def _suite_subspace_laws(cfg: SuiteConfig) -> SuiteResult:
     def _matrix_and_split(rng):
         n = int(rng.integers(3, 6))
         a = rand.rand_qmatrix(rng, n, n)
-        proj = localspec.spectral_projections(a)
-        spheres = proj.spheres
+        spheres = localspec.spectral_projections(a).spheres
         if len(spheres) < 2:
-            return a, proj, spheres, spheres
+            return a, spheres, spheres
         m = int(rng.integers(1, len(spheres)))
-        return a, proj, spheres, spheres[:m]
+        return a, spheres, spheres[:m]
 
     def local_global_equal(rng, k):
-        a, proj, _, f = _matrix_and_split(rng)
-        v_loc = localspec.local_subspace(a, f, projections=proj)
-        v_glo = localspec.global_subspace(a, f, projections=proj)
+        a, _, f = _matrix_and_split(rng)
+        v_loc = localspec.local_subspace(a, f)
+        v_glo = localspec.global_subspace(a, f)
         if v_loc.dim != v_glo.dim:
             return False
         return op_norm(v_loc.projection() - v_glo.projection()) <= 1e-8 * 10
 
     def monotone(rng, k):
-        a, proj, spheres, f = _matrix_and_split(rng)
-        small = localspec.local_subspace(a, f, projections=proj)
-        big = localspec.local_subspace(a, spheres, projections=proj)
+        a, spheres, f = _matrix_and_split(rng)
+        small = localspec.local_subspace(a, f)
+        big = localspec.local_subspace(a, spheres)
         outside = (QMatrix.identity(a.rows) - big.projection()) @ small.matrix
         return not np.any(outside.col_norms() > cfg.tol)
 
     def outside_ignored(rng, k):
-        a, proj, _, f = _matrix_and_split(rng)
-        v1 = localspec.local_subspace(a, f, projections=proj)
+        a, _, f = _matrix_and_split(rng)
+        v1 = localspec.local_subspace(a, f)
         padded = tuple(f) + (EigenSphere(9.0, 3.0),)
-        v2 = localspec.local_subspace(a, padded, projections=proj)
+        v2 = localspec.local_subspace(a, padded)
         return (v1.dim == v2.dim
                 and op_norm(v1.projection() - v2.projection()) <= 1e-8 * 10)
 
     def hyperinvariant(rng, k):
-        a, proj, _, f = _matrix_and_split(rng)
+        a, _, f = _matrix_and_split(rng)
         b = rand.rand_commutant(rng, a)
-        v = localspec.local_subspace(a, f, projections=proj)
+        v = localspec.local_subspace(a, f)
         p = v.projection()
         eye = QMatrix.identity(a.rows)
         defect = op_norm((eye - p) @ (b @ p))
         return defect <= 1e-7 * (1.0 + op_norm(b))
 
     def resolvent_invariant(rng, k):
-        a, proj, spheres, f = _matrix_and_split(rng)
+        a, spheres, f = _matrix_and_split(rng)
         q = _far_quaternion(rng, f)
-        v = localspec.local_subspace(a, f, projections=proj)
+        v = localspec.local_subspace(a, f)
         p = v.projection()
         eye = QMatrix.identity(a.rows)
         rq = spectral.pseudo_resolvent(a, q)
@@ -982,11 +979,11 @@ def _suite_subspace_laws(cfg: SuiteConfig) -> SuiteResult:
         return defect <= 1e-7 * (1.0 + op_norm(rq))
 
     def empty_and_full(rng, k):
-        a, proj, spheres, _ = _matrix_and_split(rng)
-        empty_loc = localspec.local_subspace(a, (), projections=proj)
-        empty_glo = localspec.global_subspace(a, (), projections=proj)
-        full_loc = localspec.local_subspace(a, spheres, projections=proj)
-        full_glo = localspec.global_subspace(a, spheres, projections=proj)
+        a, spheres, _ = _matrix_and_split(rng)
+        empty_loc = localspec.local_subspace(a, ())
+        empty_glo = localspec.global_subspace(a, ())
+        full_loc = localspec.local_subspace(a, spheres)
+        full_glo = localspec.global_subspace(a, spheres)
         return (empty_loc.dim == 0 and empty_glo.dim == 0
                 and full_loc.dim == a.rows and full_glo.dim == a.rows)
 

@@ -178,6 +178,6 @@ def test_repeated_imaginary_spheres_over_200_seeds(tmp_path, capsys):
 def test_local_subspace_rank_is_cluster_multiplicity():
     a = _planted(0)
     proj = spectral_projections(a)
-    assert len(local_subspace(a, [EigenSphere(0, 0)], projections=proj)) == 2
-    assert len(local_subspace(a, [EigenSphere(0, 5)], projections=proj)) == 1
-    assert len(local_subspace(a, proj.spheres, projections=proj)) == 3
+    assert len(local_subspace(a, [EigenSphere(0, 0)])) == 2
+    assert len(local_subspace(a, [EigenSphere(0, 5)])) == 1
+    assert len(local_subspace(a, proj.spheres)) == 3

@@ -97,7 +97,7 @@ def test_decomposition_matches_reference_route(label, a):
     assert [spectral._fmt(x) for s in spectral.s_spectrum(a) for x in s.key()] == \
         [spectral._fmt(x) for s in ref.eigen_spheres(a) for x in s.key()]
     assert got.coincident == want.coincident
-    proj = localspec.spectral_projections(a, got.decomposition)
+    proj = localspec.spectral_projections(a)
     old = ref.projection_set(a)
     assert proj.multiplicities == old.multiplicities
     assert proj.certified == old.certified
@@ -108,10 +108,58 @@ def test_decomposition_matches_reference_route(label, a):
 def test_decomposition_is_read_by_every_consumer():
     a = INPUTS[0][1]
     rep = spectral.classify(a)
-    proj = localspec.spectral_projections(a, rep.decomposition)
-    assert proj.spheres is rep.decomposition.spheres
-    loc = localspec.local_spectrum(a, QVector.basis(a.rows, 0), projections=proj)
+    proj = localspec.spectral_projections(a)
+    assert proj.spheres is spectral_decomposition(a).spheres is rep.spheres
+    loc = localspec.local_spectrum(a, QVector.basis(a.rows, 0))
     assert all(any(s is t for t in rep.spheres) for s in loc)
+
+
+def test_each_matrix_keeps_its_decomposition_and_projections():
+    import qspec
+
+    a = rand.rand_qmatrix(rand.generator(19, 0), 4, 4)
+    dec = spectral_decomposition(a)
+    assert spectral_decomposition(a) is dec
+    assert localspec.spectral_projections(a) is localspec.spectral_projections(a)
+    assert dec.projections is localspec.spectral_projections(a)
+    # an equal matrix is another object, with a decomposition of its own
+    other = QMatrix(a.c1, a.c2)
+    assert spectral_decomposition(other) is not dec
+    assert spectral_decomposition(other).spheres == dec.spheres
+    with pytest.raises(ValueError):
+        dec.t[0, 0] = 0.0
+    # a local spectrum is a plain tuple of the projections' own spheres
+    loc = localspec.local_spectrum(a, QVector.basis(4, 0))
+    assert type(loc) is tuple and all(any(s is t for t in dec.spheres) for s in loc)
+    assert not hasattr(localspec, "LocalSpectrum") and "LocalSpectrum" not in qspec.__all__
+
+
+def _counted_projectors(monkeypatch) -> list:
+    """The decompositions whose projector stack is built from now on."""
+    from qspec.qlinalg import SpectralDecomposition
+
+    built = []
+    projectors = SpectralDecomposition.projectors
+
+    def counted(self):
+        built.append(self)
+        return projectors(self)
+
+    monkeypatch.setattr(SpectralDecomposition, "projectors", counted)
+    return built
+
+
+def test_intertwining_builds_one_projector_stack_per_matrix(monkeypatch):
+    built = _counted_projectors(monkeypatch)
+    rng = rand.generator(23, 0)
+    a1, a2 = rand.rand_qmatrix(rng, 2, 2), rand.rand_qmatrix(rng, 3, 3)
+    a = QMatrix(np.block([[a1.c1, np.zeros((2, 3))], [np.zeros((3, 2)), a2.c1]]),
+                np.block([[a1.c2, np.zeros((2, 3))], [np.zeros((3, 2)), a2.c2]]))
+    r = QMatrix.diag([Quaternion(1.0)] * 2 + [Quaternion()] * 3)
+    phi = rand.rand_qvector(rng, 5)
+    spheres = spectral.s_spectrum(a1)[:1]
+    assert localspec.check_intertwining(a, a, r, phi, spheres)
+    assert len(built) == 1
 
 
 def _jordan(k: int, lam: complex) -> np.ndarray:
@@ -131,7 +179,7 @@ def test_jordan_blocks_under_similarity(k, lam):
         rng = np.random.default_rng([seed, k, int(lam.imag * 10)])
         a = _conditioned_similarity(rng, _jordan(k, lam))
         rep = spectral.classify(a)
-        proj = localspec.spectral_projections(a, rep.decomposition)
+        proj = localspec.spectral_projections(a)
         got = [(s.re, s.im, m) for s, m in zip(proj.spheres, proj.multiplicities)]
         assert len(got) == 3, (seed, got)
         for (re, im, m), (pre, pim, pm) in zip(got, planted):
@@ -144,7 +192,7 @@ def test_jordan_blocks_under_similarity(k, lam):
         assert proj.certified == (k == 2 and lam.imag == 0)
         assert rep.coincident
         phi = QVector.from_components(rng.normal(size=(a.rows, 4)))
-        assert set(localspec.local_spectrum(a, phi, projections=proj)) <= set(rep.spheres)
+        assert set(localspec.local_spectrum(a, phi)) <= set(rep.spheres)
         assert localspec.decomposability_necessary(a, report=rep).status == "PASS"
 
 
@@ -160,8 +208,8 @@ def test_close_sphere_pair_splits_cleanly(gap):
         assert proj.certified and proj.multiplicities == (1, 1, 1, 1)
         assert max(proj.conditions) <= 30.0
         phi = QVector.from_components(rng.normal(size=(4, 4)))
-        assert set(localspec.local_spectrum(a, phi, projections=proj)) <= set(spheres)
-        one = localspec.local_subspace(a, spheres[1:2], projections=proj)
+        assert set(localspec.local_spectrum(a, phi)) <= set(spheres)
+        one = localspec.local_subspace(a, spheres[1:2])
         assert one.dim == 1
 
 
@@ -355,18 +403,11 @@ def test_block_check_defers_on_broken_stacks():
 
 @pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
 def test_spectral_projections_builds_the_stack_once(label, a, monkeypatch):
-    from qspec.qlinalg import SpectralDecomposition
-
-    built = []
-    projectors = SpectralDecomposition.projectors
-
-    def counted(self):
-        built.append(self)
-        return projectors(self)
-
-    monkeypatch.setattr(SpectralDecomposition, "projectors", counted)
+    built = _counted_projectors(monkeypatch)
+    a = QMatrix(a.c1, a.c2)    # a matrix of its own, with no projections kept yet
     dec = spectral_decomposition(a)
-    localspec.spectral_projections(a, dec)
+    localspec.spectral_projections(a)
+    localspec.spectral_projections(a)
     assert len(built) == 1 and built[0] is dec
 
 
@@ -389,12 +430,13 @@ def test_one_left_eigenvector_pass_unless_a_block_grows(monkeypatch):
         inputs += [a for label, a in INPUTS if label.startswith("planted") or "repeated" in label]
         for a in inputs:
             runs.clear()
-            dec = spectral_decomposition(a)
+            # a matrix of its own, so that the decomposition runs here
+            dec = spectral_decomposition(QMatrix(a.c1, a.c2))
             t = dec.t.diagonal()
             seed = linked_components(t.real, t.imag, 1e-8)
             grown = any(len(set(seed[start:stop])) > 1 for start, stop in dec.blocks)
             if not grown:
-                assert len(runs) <= 1
+                assert len(runs) == 1
                 gathered += any(stop - start > 1 for start, stop in dec.blocks)
     # the repeated spheres need reordering before the back substitution
     assert gathered >= 4
@@ -441,14 +483,14 @@ def test_spectral_projections_reaches_every_raise_path(monkeypatch):
 
     a = QMatrix.diag([Quaternion(1.0, 0.5, 0.2, 0.0), Quaternion(-1.0, 0.3, 0.0, 0.4),
                       Quaternion(2.0, 0.0, 0.0, 0.0)])
-    dec = spectral_decomposition(a)
     stack, _ = _stacked(a)
     eye = np.eye(len(stack[0]))
 
     def raised(bad) -> str:
         monkeypatch.setattr(SpectralDecomposition, "projectors", lambda self: bad.copy())
         with pytest.raises(NumericalError) as info:
-            localspec.spectral_projections(a, dec)
+            # a matrix of its own: a's projections are kept from _stacked
+            localspec.spectral_projections(QMatrix(a.c1, a.c2))
         return str(info.value)
 
     huge = stack.copy()

@@ -431,6 +431,14 @@ def test_cli_tol_and_seed_still_work_where_read(tmp_path, capsys):
     ("sliceseries", "slice_samples", "units"),
     ("sliceseries", "_sample_rows", "units"),
     ("qlinalg", "SubspaceBasis", "space_dim"),
+    ("localspec", "spectral_projections", "decomposition"),
+    ("localspec", "local_spectrum", "projections"),
+    ("localspec", "local_subspace", "projections"),
+    ("localspec", "global_subspace", "projections"),
+    ("localspec", "check_zero_vector", "projections"),
+    ("localspec", "check_combination", "projections"),
+    ("localspec", "check_commutant", "projections"),
+    ("spectral", "SpectrumReport", "decomposition"),
 ])
 def test_library_takes_no_parameter_that_no_caller_sets(module, function, name):
     # each was a constant in every call: thresholds are fixed where the

@@ -50,10 +50,11 @@ def test_fallback_route_matches_direct_on_golden_inputs(routes, monkeypatch):
     assert direct.__name__ == "qspec._flapack" and fallback is scipy.linalg.lapack
     assert direct.zgees is not fallback.zgees
     for idx in range(COUNT):
-        name, a = _case_matrix(idx)
         got = []
         for lapack in (direct, fallback):
             monkeypatch.setattr(qlinalg, "_lapack", lambda lapack=lapack: lapack)
+            # one parse per route: a matrix keeps its first decomposition
+            name, a = _case_matrix(idx)
             dec = spectral_decomposition(a)
             dec.factors    # ztrtri, while this route is in place
             got.append(dec)

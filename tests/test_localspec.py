@@ -53,10 +53,9 @@ def test_local_spectrum_zero_vector_empty():
 def test_local_spectra_union_is_spectrum():
     rng = rand.generator(71, 0)
     a = rand.rand_qmatrix(rng, 4, 4)
-    proj = spectral_projections(a)
     union = []
     for k in range(4):
-        union.extend(local_spectrum(a, QVector.basis(4, k), projections=proj))
+        union.extend(local_spectrum(a, QVector.basis(4, k)))
     from qspec.quat import merge_spheres, sphere_sets_equal
     from qspec.spectral import s_spectrum
 
@@ -106,11 +105,11 @@ def test_spectral_projections_memory_stays_within_three_stacks():
     n = 40
     a = QMatrix(np.diag(np.arange(1.0, n + 1) + 0.3j), np.diag(np.full(n, 0.4 + 0j)))
     dec = spectral_decomposition(a)
-    assert len(dec.spheres) == n
+    assert len(dec.spheres) == n and dec.projections is None
     stack_bytes = n * (2 * n) ** 2 * 16
     tracemalloc.start()
     try:
-        spectral_projections(a, dec)
+        spectral_projections(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -159,8 +158,8 @@ def test_global_subspace_matches_local():
     a = rand.rand_qmatrix(rng, 4, 4)
     ps = spectral_projections(a)
     take = ps.spheres[:1]
-    loc = local_subspace(a, take, projections=ps)
-    glo = global_subspace(a, take, projections=ps)
+    loc = local_subspace(a, take)
+    glo = global_subspace(a, take)
     assert loc.dim == glo.dim
     assert op_norm(loc.projection() - glo.projection()) < 1e-7
 

@@ -148,6 +148,11 @@ def test_half_plane_region_membership():
     assert not rect.contains(EigenSphere(-1, 1))  # boundary is outside
 
 
+def test_disk_rejects_nan_radius():
+    with pytest.raises(ValueError, match="disk radius"):
+        HalfPlaneRegion.disk(0, 1, float("nan"))
+
+
 def test_partition_splitting_by_value_sphere():
     m = MultiplicationOperator(
         ("a", "b", "c", "d"),

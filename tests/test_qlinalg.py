@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from qspec.qlinalg import (
     orthonormalize,
     pseudo_resolvent,
     right_eigenspheres,
+    spectral_decomposition,
 )
 from qspec.quat import EigenSphere, Quaternion
 
@@ -412,7 +415,7 @@ def test_subspace_bases_build_no_vector(constructions):
     sub = SubspaceBasis(rand.rand_orthonormal(rng, 4, 2))
     constructions["vectors"] = 0
     assert kernel_basis(a).shape == (5, 2)
-    assert local_subspace(m, proj.spheres[:2], projections=proj).dim \
+    assert local_subspace(m, proj.spheres[:2]).dim \
         == sum(proj.multiplicities[:2])
     assert complement_basis(sub).dim == 2
     assert constructions["vectors"] == 0
@@ -452,3 +455,26 @@ def test_min_singular_matches_chi_svd(seed):
     a = rand.rand_qmatrix(rng, 3, 3)
     direct = float(np.linalg.svd(complex_adjoint(a), compute_uv=False)[-1])
     assert min_singular(a) == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
+
+def test_pickle_and_deepcopy_round_trips():
+    from qspec.localspec import spectral_projections
+
+    rng = rand.generator(37, 0)
+    a = rand.rand_qmatrix(rng, 3, 3)
+    v = rand.rand_qvector(rng, 3)
+    basis = SubspaceBasis(orthonormalize(rand.rand_qmatrix(rng, 4, 2)))
+    proj = spectral_projections(a)
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        b, u, sub = clone(a), clone(v), clone(basis)
+        assert type(sub) is SubspaceBasis and sub is not basis
+        for x, y in ((a, b), (v, u), (basis.matrix, sub.matrix)):
+            assert type(y) is type(x) and y is not x
+            assert np.array_equal(x.c1, y.c1) and np.array_equal(x.c2, y.c2)
+        # the copy starts without the original's decomposition
+        assert spectral_decomposition(b) is not spectral_decomposition(a)
+        assert spectral_decomposition(b).spheres == spectral_decomposition(a).spheres
+        p = clone(proj)
+        assert p.spheres == proj.spheres and p.conditions == proj.conditions
+        assert all(np.array_equal(x.c1, y.c1) and np.array_equal(x.c2, y.c2)
+                   for x, y in zip(p.projections, proj.projections))

@@ -104,6 +104,14 @@ def test_slice_unit_square_is_minus_one():
         assert (q * q).isclose(Quaternion(-1))
 
 
+def test_slice_unit_rejects_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="unit norm"):
+        SliceUnit(nan, 0.0, 0.0)
+    with pytest.raises(ValueError, match="unit norm"):
+        SliceUnit.from_components(nan, 1.0, 0.0)
+
+
 def test_sphere_of_and_representative():
     s = sphere_of(Quaternion(1, 1, 1, 1))
     assert s.re == pytest.approx(1.0)

@@ -191,6 +191,13 @@ def test_exhaustion_shapes():
         CompactExhaustion((2.0, 1.0))
 
 
+def test_exhaustion_rejects_nan():
+    nan = float("nan")
+    for radii, limit in (((nan,), math.inf), ((1.0, nan), math.inf), ((1.0,), nan)):
+        with pytest.raises(ValueError, match="exhaustion radii"):
+            CompactExhaustion(radii, limit)
+
+
 def test_h_metric_constant_oracle():
     c0 = SliceSeries(Z, (Z,))
     c1 = SliceSeries(Z, (ONE,))
