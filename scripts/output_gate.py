@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the CLI output that a pure refactor must leave byte-identical.
 
-Six gates, each printed on one line, named first, as a sha256 digest of
+Seven gates, each printed on one line, named first, as a sha256 digest of
 its stdout and exit codes, with the number of stdout lines:
 
   matrix    ``classify`` on the 504 ``matrix`` benchmark inputs of seeds 51-53
@@ -12,6 +12,8 @@ its stdout and exit codes, with the number of stdout lines:
             six suites that build subspace bases
   laws      ``check --suite S --trials 4`` for seeds 100-139 and each of the
             two suites that run the product and similarity law checks
+  local     ``local`` on each ``.qmat`` input of the matrix gate, written to a
+            folder of its seed, with one seeded vector and one basis vector
 
 Run it from any directory as ``python3 scripts/output_gate.py`` on two
 checkouts, save each output, and compare them with
@@ -22,8 +24,8 @@ which matches gates by name: a gate that both print must match, a gate
 that the head no longer prints fails, and a gate that only the head
 prints is listed as new.  The comparison exits 1 on any failure.  It imports qspec from the ``src`` of
 the checkout it sits in and the request builders of
-``perfbench/workloads.py``, which it only reads.  It takes 15-18 seconds
-on a 2-core host.
+``perfbench/workloads.py``, which it only reads.  It takes about 19
+seconds on a 2-core host.
 """
 
 import os
@@ -48,6 +50,9 @@ from qspec import cli  # noqa: E402
 
 # the random streams perfbench/worker.py gives these three workloads
 MATRIX_STREAM, PORTRAIT_STREAM, SERIES_STREAM = 1, 2, 3
+
+# the random stream of the local gate's vectors
+LOCAL_STREAM = 4
 
 # the suites whose instances build orthonormal bases of subspaces
 SUBSPACE_SUITES = ("subspace-laws", "restriction-quotient", "mult-operator",
@@ -75,6 +80,31 @@ def seeded_checks(suites) -> list[list[str]]:
     """``check --suite S --trials 4`` for seeds 100-139 and each suite S."""
     return [["check", "--suite", suite, "--trials", "4", "--seed", str(seed)]
             for seed in range(100, 140) for suite in suites]
+
+
+def local_requests(workdir: str) -> list[list[str]]:
+    """``local --op dense:M --vector V`` for each ``.qmat`` input M of the
+    matrix gate's seeds, with V a seeded vector and then a basis vector."""
+    out = []
+    for seed in (51, 52, 53):
+        folder = os.path.join(workdir, f"local{seed}")
+        os.mkdir(folder)
+        rng = np.random.default_rng([seed, LOCAL_STREAM])
+        for k, req in enumerate(workloads.build_matrix(
+                np.random.default_rng([seed, MATRIX_STREAM]), folder)):
+            spec = req.argv[req.argv.index("--op") + 1]
+            if not spec.startswith("dense:"):
+                continue
+            with open(spec[len("dense:"):], encoding="ascii") as fh:
+                n = int(fh.readline().split()[0])
+            basis = np.zeros((n, 4))
+            basis[rng.integers(n), 0] = 1.0
+            for name, vec in (("v", rng.uniform(-1.0, 1.0, (n, 4))), ("e", basis)):
+                path = os.path.join(folder, f"{name}{k}.qvec")
+                with open(path, "w", encoding="ascii") as fh:
+                    fh.write("\n".join([str(n)] + [workloads.qlit(q) for q in vec]) + "\n")
+                out.append(["local", "--op", spec, "--vector", path])
+    return out
 
 
 def gates(text: str) -> dict[str, str]:
@@ -119,8 +149,10 @@ def main(argv=None) -> int:
         check = [["check", "--suite", "all", "--trials", "6", "--seed", str(seed)]
                  for seed in (42, 1)]
         subspace, laws = seeded_checks(SUBSPACE_SUITES), seeded_checks(LAW_SUITES)
+        local = local_requests(workdir)
         for name, argvs in (("matrix", matrix), ("check", check), ("portrait", portrait),
-                            ("series", series), ("subspace", subspace), ("laws", laws)):
+                            ("series", series), ("subspace", subspace), ("laws", laws),
+                            ("local", local)):
             sha, lines = digest(argvs)
             print(f"{name:<9} {len(argvs):>4} commands  sha256 {sha}  lines {lines}")
     return 0

@@ -14,15 +14,15 @@ import importlib
 _HOMES = {
     "errors": ("CoverError", "InvarianceError", "NumericalError", "PoleError",
                "ShapeError"),
-    "localspec": ("DecomposabilityVerdict", "SpectralProjectionSet", "SvepStatus",
-                  "decomposability_necessary", "global_subspace", "local_resolvent_diag",
-                  "local_spectrum", "local_subspace", "spectral_projections",
-                  "svep_status"),
+    "localspec": ("DecomposabilityVerdict", "SvepStatus", "decomposability_necessary",
+                  "global_subspace", "local_resolvent_diag", "local_spectrum",
+                  "local_subspace", "spectral_projections", "svep_status"),
     "operators": ("DenseOperator", "HalfPlaneRegion", "LinearOperator",
                   "MultiplicationOperator", "ShiftOperator", "partition_splitting",
                   "quotient", "restrict", "truncated_eigenvector"),
-    "qlinalg": ("QMatrix", "QVector", "SubspaceBasis", "complex_adjoint", "inner",
-                "kernel_basis", "min_singular", "op_norm", "right_eigenspheres"),
+    "qlinalg": ("QMatrix", "QVector", "SpectralDecomposition", "SubspaceBasis",
+                "complex_adjoint", "inner", "kernel_basis", "min_singular", "op_norm",
+                "right_eigenspheres"),
     "quat": ("SLICE_I", "SLICE_J", "SLICE_K", "EigenSphere", "Quaternion", "SliceUnit",
              "merge_spheres", "sphere_of"),
     "sliceseries": ("CompactExhaustion", "DivergenceWarning", "RadiusBiasWarning",

@@ -20,214 +20,36 @@ refute decomposability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, PoleError, ShapeError
 from .operators import MultiplicationOperator, ShiftOperator
-from .qlinalg import (QMatrix, QVector, SpectralDecomposition, SubspaceBasis, _j_conj,
-                      hstack, kernel_basis, min_singular, op_norm, orthonormalize,
+from .qlinalg import (QMatrix, QVector, SpectralDecomposition, SubspaceBasis, hstack,
+                      kernel_basis, min_singular, op_norm, orthonormalize,
                       pseudo_resolvent, spectral_decomposition, vstack)
 from .quat import EigenSphere, Quaternion, sphere_in, sphere_subset, sphere_union
 from . import spectral
-
-#: refuse spectral projections whose norm exceeds this
-CONDITION_LIMIT = 1e8
 
 #: default membership threshold |P phi| > tol * |phi|
 MEMBER_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SpectralProjectionSet:
-    """Commuting idempotents splitting H^n along the eigen-spheres of A.
+def spectral_projections(a: QMatrix) -> SpectralDecomposition:
+    """A's ``spectral_decomposition``, with its spectral projections built
+    and validated: one per eigen-sphere, with ``conditions`` and
+    ``certified`` (see ``SpectralDecomposition``).
 
-    The projections sum to the identity, annihilate each other, and their
-    ranges are invariant; ``conditions`` records the operator norm of each
-    projection, the usual measure of cluster separation.  ``spheres`` and
-    ``multiplicities`` are those of the matrix's ``spectral_decomposition``,
-    the same objects its spectrum reports; a multiplicity is the
-    quaternionic rank of its projection.  ``certified`` is True when every
-    sphere's eigenspace dimension matches its multiplicity; the diagonal
-    and eigenvector oracles pin the meaning of the projections in that
-    case, defective spheres are computed but carry no such certificate.
-    """
-
-    spheres: tuple[EigenSphere, ...]
-    projections: tuple[QMatrix, ...]
-    conditions: tuple[float, ...]
-    multiplicities: tuple[int, ...]
-    certified: bool = True
-
-
-def spectral_projections(a: QMatrix) -> SpectralProjectionSet:
-    """Build one spectral projection per eigen-sphere of A.
-
-    All projections come from the one Schur form of A's
-    ``spectral_decomposition``, block-diagonalized by the Sylvester
-    solutions it already holds; nothing is factored again.  Conjugate-closed
-    spectral sets commute with the quaternionic structure map, so each
-    complex projection of chi(A) descends to a quaternionic matrix; the
-    residual of that symmetry is checked, not assumed.  Projections with
-    norm above CONDITION_LIMIT are refused as numerically meaningless.
-    The projections are built once, as one complex stack, and become
-    QMatrix objects only at the end.  ``_conditioned`` takes the conditions
-    from the Schur factors, applies both refusals and J-symmetrizes the
-    stack; ``_block_checked`` then validates it in the coordinates of the
-    factors, and where its bounds cannot accept, ``_validate_projections``
-    decides on the same stack.  Each matrix's set is built and validated
-    once, kept on its decomposition, and returned by every later call.
+    The projections are built once per matrix, on their first read, and
+    kept on the decomposition; a failed validation raises here, and again
+    on the next call.
     """
     if a.rows != a.cols:
         raise ShapeError("spectral projections need a square matrix")
-    n = a.rows
-    if n == 0:
-        return SpectralProjectionSet((), (), (), ())
     dec = spectral_decomposition(a)
-    if dec.projections is not None:
-        return dec.projections
-    certified = dec.kernel_dims() == dec.multiplicities
-
-    stack = dec.projectors()
-    conditions = _conditioned(dec, stack)
-    if not _block_checked(dec, stack, conditions):
-        _validate_projections(dec.m, stack, conditions)
-    if dec.half:
-        projections = tuple(QMatrix(p, np.zeros_like(p)) for p in stack)
-    else:
-        projections = tuple(QMatrix(p[:n, :n], p[:n, n:]) for p in stack)
-    object.__setattr__(dec, "projections", SpectralProjectionSet(
-        dec.spheres, projections, tuple(conditions), dec.multiplicities, certified))
-    return dec.projections
-
-
-def _fro(x: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the matrices of a complex stack."""
-    flat = x.reshape(len(x), -1).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
-
-
-def _conditioned(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]:
-    """The conditions of the projector stack, which is checked sphere by
-    sphere against CONDITION_LIMIT and the quaternionic structure, then
-    J-symmetrized in place.
-
-    A lone sphere's projector is I, of condition 1.  Otherwise the
-    conditions come from each sphere's m_i columns of V and rows of U,
-    never from an N x N SVD.  The limit reads the stack's own norms: the
-    Frobenius norm screens, and a 2-norm SVD runs only above the limit.
-    """
-    count, size = stack.shape[:2]
-    if count == 1:
-        conditions = np.ones(1)
-    else:
-        vs, us = dec.sphere_factors
-        # V_i = Q S W^H with orthonormal Q, so |V_i U_i| = |S W^H U_i|
-        _, sv, wh = np.linalg.svd(vs, full_matrices=False)
-        conditions = np.linalg.svd(sv[:, :, None] * (wh @ us), compute_uv=False)[:, 0]
-    fro = _fro(stack)
-    # a projector P of the C_i block is diag(P, conj P) on chi(A)
-    broken = np.zeros(count)
-    if not dec.half:
-        # P - J conj(P) J^-1 is minus its own J-conjugate: its lower half
-        # rows are the conjugates of the upper half's
-        sym = _j_conj(stack)
-        broken = math.sqrt(2.0) * _fro(stack[:, :size // 2] - sym[:, :size // 2])
-    for i, s in enumerate(dec.spheres):
-        if fro[i] > CONDITION_LIMIT:
-            norm = float(np.linalg.norm(stack[i], 2))
-            if norm > CONDITION_LIMIT:
-                raise NumericalError(
-                    f"projection for sphere ({s.re}, {s.im}) has "
-                    f"norm {norm:.3e}, beyond the conditioning limit")
-        if broken[i] > 1e-6 * max(1.0, conditions[i]):
-            raise NumericalError("projection broke the quaternionic structure")
-    if not dec.half:
-        stack += sym
-        stack *= 0.5
-    return [float(c) for c in conditions]
-
-
-def _block_checked(dec: SpectralDecomposition, stack: np.ndarray, conditions) -> bool:
-    """Whether the bounds below prove, in the block coordinates of the
-    Schur factors, what ``_validate_projections`` checks; never raises.
-
-    With V = Z W^-1, U = W Z^H and the computed E = U V - I, L_i = U P_i -
-    E_i U (E_i sphere i's diagonal selector) and G = U M V, each P_i is
-    V (E_i + R_i) V^-1 with |R_i| <= rho_i = (|L_i| |V| + 2|E|) / (1 - |E|),
-    and |V| |V^-1| <= kappa = |V| |U| / (1 - |E|).  Then
-      |sum P_i - I|             <= kappa |V| |sum L_i| / (1 - |E|),
-      |P_i P_j - delta_ij P_i|  <= kappa (3 rho + rho^2),
-      |(I - P_i) M P_i|         <= kappa (o_i + (|E| + rho_i (2 + rho_i)) |G| / (1 - |E|)),
-    o_i the part of G in sphere i's columns and the other spheres' rows.
-    Frobenius norms bound the 2-norms, each product's rounding is added,
-    |M|_F / sqrt(N) stands in for |M|_2 in the tolerance, and every
-    threshold is halved, so that rounding in ``_validate_projections``
-    cannot turn an accept here into a raise there.
-    """
-    count, size = stack.shape[:2]
-    if count == 1:
-        return np.array_equal(stack[0], np.eye(size))
-    conditions = np.asarray(conditions)
-    v, u = dec.factors
-    owner, _ = dec.positions
-    left = u @ stack
-    left[owner, np.arange(size), :] -= u
-    err = u @ v
-    err.flat[::size + 1] -= 1.0
-    g = u @ (dec.m @ v)
-    g2 = g.real ** 2 + g.imag ** 2
-    off = np.bincount(owner, weights=np.where(owner[:, None] != owner, g2, 0.0).sum(axis=0),
-                      minlength=count)
-    # each product's rounding: gamma |X|_F |Y|_F per factor pair
-    gamma = 2 * size * np.finfo(float).eps
-    v_f, u_f, m_f = (float(np.linalg.norm(x)) for x in (v, u, dec.m))
-    p_f = np.sqrt(np.bincount(owner, minlength=count)) * conditions
-    e = float(np.linalg.norm(err)) + gamma * v_f * u_f
-    if e >= 0.5:
-        return False
-    g_round = 2 * gamma * u_f * m_f * v_f
-    g_f = math.sqrt(float(g2.sum())) + g_round
-    o = math.sqrt(float(off.max())) + g_round
-    kappa = v_f * u_f / (1.0 - e)
-    rho = ((float(_fro(left).max()) + gamma * u_f * float(p_f.max())) * v_f + 2 * e) / (1.0 - e)
-    total = float(np.linalg.norm(left.sum(axis=0))) + gamma * u_f * float(p_f.sum())
-    tol = 0.5e-8 * max(1.0, float(conditions.max())) * max(1.0, m_f / math.sqrt(size))
-    return not (kappa * v_f * total / (1.0 - e) > tol
-                or kappa * (3.0 * rho + rho * rho) > tol
-                or kappa * (o + (e + rho * (2.0 + rho)) * g_f / (1.0 - e))
-                > tol * (1.0 + m_f / math.sqrt(size)))
-
-
-def _validate_projections(m: np.ndarray, stack: np.ndarray, conditions) -> None:
-    """Check that the stacked projectors P_i of M sum to I, satisfy
-    P_i P_j = delta_ij P_i and have M-invariant ranges.
-
-    Products are formed one row ``stack[i] @ stack`` at a time, so memory
-    stays at two stacks.  Each residual X is screened by its Frobenius norm,
-    an upper bound of |X|_2, and an SVD runs only where that cannot accept.
-    """
-    norm_m = float(np.linalg.norm(m, 2))
-    tol = 1e-8 * max(1.0, max(conditions)) * max(1.0, norm_m)
-
-    def exceeds(residuals: np.ndarray, bound: float) -> bool:
-        return any(np.linalg.norm(residuals[j], 2) > bound
-                   for j in np.flatnonzero(~(_fro(residuals) <= bound)))
-
-    eye = np.eye(len(m), dtype=np.complex128)
-    if exceeds((stack.sum(axis=0) - eye)[None], tol):
-        raise NumericalError("spectral projections do not sum to the identity")
-    prod = np.empty_like(stack)
-    for i, p in enumerate(stack):
-        np.matmul(p, stack, out=prod)
-        prod[i] -= p
-        if exceeds(prod, tol):
-            raise NumericalError("spectral projections are not orthogonal idempotents")
-        mp = m @ p
-        if exceeds((mp - p @ mp)[None], tol * (1.0 + norm_m)):
-            raise NumericalError("a projection range is not invariant")
+    dec.projections    # builds and validates them, or raises
+    return dec
 
 
 # -- local spectra -----------------------------------------------------------
@@ -236,7 +58,7 @@ def _validate_projections(m: np.ndarray, stack: np.ndarray, conditions) -> None:
 def local_spectrum(a: QMatrix, phi: QVector, tol: float = MEMBER_TOL) -> tuple[EigenSphere, ...]:
     """Spheres whose spectral projection sees phi.
 
-    Empty exactly for phi = 0; its spheres are the projection set's, the
+    Empty exactly for phi = 0; its spheres are the decomposition's, the
     same objects ``s_spectrum`` and ``classify`` report, so it lies in
     sigma_S(A) exactly.  For a right eigenvector A phi = phi q this is the
     single sphere [q].  The projections are A's ``spectral_projections``,
@@ -429,11 +251,6 @@ def _shift_decomposability(op: ShiftOperator) -> DecomposabilityVerdict:
 # -- spectral law checks --------------------------------------------------------
 
 
-def check_zero_vector(a: QMatrix) -> bool:
-    """The zero vector has empty local spectrum."""
-    return len(local_spectrum(a, QVector.zeros(a.rows))) == 0
-
-
 def check_combination(a: QMatrix, phi: QVector, psi: QVector, qa: Quaternion,
                       qb: Quaternion, tol: float = 1e-6) -> bool:
     """sigma(phi a + psi b) is contained in sigma(phi) union sigma(psi)."""
@@ -448,14 +265,6 @@ def check_commutant(a: QMatrix, b: QMatrix, phi: QVector, tol: float = 1e-6) -> 
     if op_norm(a @ b - b @ a) > 1e-8 * scale:
         raise ValueError("precondition failed: operators do not commute")
     return sphere_subset(local_spectrum(a, b.apply(phi)), local_spectrum(a, phi), tol)
-
-
-def check_local_laws(a: QMatrix, phi: QVector, psi: QVector, qa: Quaternion,
-                     qb: Quaternion, b: QMatrix, tol: float = 1e-6) -> bool:
-    """The three basic local spectrum laws in one pass over A's projections."""
-    return (check_zero_vector(a)
-            and check_combination(a, phi, psi, qa, qb, tol)
-            and check_commutant(a, b, phi, tol))
 
 
 ZERO_SPHERE = EigenSphere(0.0, 0.0)

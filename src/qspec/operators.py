@@ -53,7 +53,6 @@ class DenseOperator(LinearOperator):
         self.matrix = matrix
         self.dim = matrix.rows
         self.label = label
-        self._adj = matrix.adjoint()
 
     def apply(self, v: QVector) -> QVector:
         return self.matrix.apply(v)
@@ -64,7 +63,7 @@ class DenseOperator(LinearOperator):
         return self.matrix
 
     def adjoint_operator(self) -> "DenseOperator":
-        return DenseOperator(self._adj, label=self.label + "^*")
+        return DenseOperator(self.matrix.adjoint(), label=self.label + "^*")
 
 
 class MultiplicationOperator(LinearOperator):

@@ -23,16 +23,12 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .quat import (SPHERE_MERGE_TOL, EigenSphere, Quaternion, cluster_spheres,
                    linked_components)
-
-if TYPE_CHECKING:
-    from .localspec import SpectralProjectionSet
 
 
 def _split(q: Quaternion) -> tuple[complex, complex]:
@@ -99,9 +95,6 @@ class QVector:
     def entry(self, k: int) -> Quaternion:
         return _join(complex(self.c1[k]), complex(self.c2[k]))
 
-    def entries(self) -> list[Quaternion]:
-        return [self.entry(k) for k in range(self.n)]
-
     def __add__(self, other: "QVector") -> "QVector":
         if self.n != other.n:
             raise ShapeError("vector lengths differ")
@@ -146,14 +139,6 @@ class QVector:
     def embed(self) -> np.ndarray:
         """Complex column [phi1; -conj(phi2)] compatible with chi."""
         return np.concatenate([self.c1, -np.conj(self.c2)])
-
-    @staticmethod
-    def from_embedding(w: np.ndarray) -> "QVector":
-        w = np.asarray(w, dtype=np.complex128).reshape(-1)
-        if w.shape[0] % 2:
-            raise ShapeError("embedded vector length must be even")
-        n = w.shape[0] // 2
-        return QVector(w[:n], -np.conj(w[n:]))
 
     def __repr__(self) -> str:
         return f"QVector(n={self.n})"
@@ -522,6 +507,9 @@ def _schur(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: solution Y with |Y|_2 at least this
 GROWTH_LIMIT = 1e6
 
+#: refuse spectral projections whose norm exceeds this
+CONDITION_LIMIT = 1e8
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
@@ -532,8 +520,17 @@ class SpectralDecomposition:
     the Y with T_kk Y - Y T_rest = T_k,rest, so W T W^-1 = diag(T_kk).
     Sphere i keeps its multiplicity and row i of ``singular_values``, those
     of R_q(M) at its representative.  All of one matrix's consumers share it,
-    so its arrays are read-only; ``projections`` is None until
-    ``localspec.spectral_projections`` keeps the validated set there."""
+    so its arrays are read-only.
+
+    It also holds A's spectral projections, commuting idempotents splitting
+    H^n along the spheres: they sum to the identity, annihilate each other,
+    and their ranges are invariant.  ``conditions`` records the operator
+    norm of each, the usual measure of cluster separation; a multiplicity
+    is the quaternionic rank of its projection.  ``certified`` is True when
+    every sphere's eigenspace dimension matches its multiplicity; the
+    diagonal and eigenvector oracles pin the meaning of the projections in
+    that case, defective spheres are computed but carry no such certificate.
+    """
 
     spheres: tuple[EigenSphere, ...]
     multiplicities: tuple[int, ...]
@@ -545,7 +542,6 @@ class SpectralDecomposition:
     w: np.ndarray = field(repr=False)
     blocks: tuple[tuple[int, int], ...]
     owner: tuple[int, ...]
-    projections: SpectralProjectionSet | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for x in (self.singular_values, self.m, self.t, self.z, self.w):
@@ -555,6 +551,48 @@ class SpectralDecomposition:
         """nullity(R_q(A), tol) at each sphere, from its singular values."""
         cols = len(self.m) if self.half else len(self.m) // 2
         return tuple(_kernel_dim(s, cols, self.half, tol) for s in self.singular_values)
+
+    @property
+    def certified(self) -> bool:
+        return self.kernel_dims() == self.multiplicities
+
+    @property
+    def projections(self) -> tuple[QMatrix, ...]:
+        """One spectral projection per sphere, built and validated on first read."""
+        return self._validated[0]
+
+    @property
+    def conditions(self) -> tuple[float, ...]:
+        return self._validated[1]
+
+    @functools.cached_property
+    def _validated(self) -> tuple[tuple[QMatrix, ...], tuple[float, ...]]:
+        """The projections and their conditions, kept from the first read on;
+        a failed validation raises and keeps nothing.
+
+        All projections come from ``projectors``, the Schur form
+        block-diagonalized by the Sylvester solutions the split already
+        found; nothing is factored again.  Conjugate-closed spectral sets
+        commute with the quaternionic structure map, so each complex
+        projection of chi(A) descends to a quaternionic matrix; the residual
+        of that symmetry is checked, not assumed.  Projections with norm
+        above CONDITION_LIMIT are refused as numerically meaningless.  The
+        stack becomes QMatrix objects only at the end: ``_conditioned`` takes
+        the conditions from the Schur factors, applies both refusals and
+        J-symmetrizes the stack; ``_block_checked`` then validates it in the
+        coordinates of the factors, and where its bounds cannot accept,
+        ``_validate_projections`` decides on the same stack.
+        """
+        stack = self.projectors()
+        conditions = _conditioned(self, stack)
+        if not _block_checked(self, stack, conditions):
+            _validate_projections(self.m, stack, conditions)
+        if self.half:
+            projections = tuple(QMatrix(p, np.zeros_like(p)) for p in stack)
+        else:
+            n = len(self.m) // 2
+            projections = tuple(QMatrix(p[:n, :n], p[:n, n:]) for p in stack)
+        return projections, tuple(conditions)
 
     @functools.cached_property
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -590,18 +628,147 @@ class SpectralDecomposition:
     def projectors(self) -> np.ndarray:
         """Each sphere's spectral projector of M, stacked along the first
         axis: Z W^-1[:, S] W[S, :] Z^H over the sphere's diagonal positions
-        S.  A lone sphere's projector is I exactly."""
-        if len(self.spheres) == 1:
-            return np.eye(len(self.t), dtype=np.complex128)[None]
+        S.  With fewer than two spheres each projector is I exactly."""
+        if len(self.spheres) < 2:
+            return np.repeat(np.eye(len(self.t), dtype=np.complex128)[None],
+                             len(self.spheres), axis=0)
         vs, us = self.sphere_factors
         return vs @ us
+
+
+def _fro(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the matrices of a complex stack."""
+    flat = x.reshape(len(x), math.prod(x.shape[1:])).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+def _conditioned(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]:
+    """The conditions of the projector stack, which is checked sphere by
+    sphere against CONDITION_LIMIT and the quaternionic structure, then
+    J-symmetrized in place.
+
+    With fewer than two spheres each projector is I, of condition 1.
+    Otherwise the conditions come from each sphere's m_i columns of V and rows of U,
+    never from an N x N SVD.  The limit reads the stack's own norms: the
+    Frobenius norm screens, and a 2-norm SVD runs only above the limit.
+    """
+    count, size = stack.shape[:2]
+    if count < 2:
+        conditions = np.ones(count)
+    else:
+        vs, us = dec.sphere_factors
+        # V_i = Q S W^H with orthonormal Q, so |V_i U_i| = |S W^H U_i|
+        _, sv, wh = np.linalg.svd(vs, full_matrices=False)
+        conditions = np.linalg.svd(sv[:, :, None] * (wh @ us), compute_uv=False)[:, 0]
+    fro = _fro(stack)
+    # a projector P of the C_i block is diag(P, conj P) on chi(A)
+    broken = np.zeros(count)
+    if not dec.half:
+        # P - J conj(P) J^-1 is minus its own J-conjugate: its lower half
+        # rows are the conjugates of the upper half's
+        sym = _j_conj(stack)
+        broken = math.sqrt(2.0) * _fro(stack[:, :size // 2] - sym[:, :size // 2])
+    for i, s in enumerate(dec.spheres):
+        if fro[i] > CONDITION_LIMIT:
+            norm = float(np.linalg.norm(stack[i], 2))
+            if norm > CONDITION_LIMIT:
+                raise NumericalError(
+                    f"projection for sphere ({s.re}, {s.im}) has "
+                    f"norm {norm:.3e}, beyond the conditioning limit")
+        if broken[i] > 1e-6 * max(1.0, conditions[i]):
+            raise NumericalError("projection broke the quaternionic structure")
+    if not dec.half:
+        stack += sym
+        stack *= 0.5
+    return [float(c) for c in conditions]
+
+
+def _block_checked(dec: SpectralDecomposition, stack: np.ndarray, conditions) -> bool:
+    """Whether the bounds below prove, in the block coordinates of the
+    Schur factors, what ``_validate_projections`` checks; never raises.
+
+    With V = Z W^-1, U = W Z^H and the computed E = U V - I, L_i = U P_i -
+    E_i U (E_i sphere i's diagonal selector) and G = U M V, each P_i is
+    V (E_i + R_i) V^-1 with |R_i| <= rho_i = (|L_i| |V| + 2|E|) / (1 - |E|),
+    and |V| |V^-1| <= kappa = |V| |U| / (1 - |E|).  Then
+      |sum P_i - I|             <= kappa |V| |sum L_i| / (1 - |E|),
+      |P_i P_j - delta_ij P_i|  <= kappa (3 rho + rho^2),
+      |(I - P_i) M P_i|         <= kappa (o_i + (|E| + rho_i (2 + rho_i)) |G| / (1 - |E|)),
+    o_i the part of G in sphere i's columns and the other spheres' rows.
+    Frobenius norms bound the 2-norms, each product's rounding is added,
+    |M|_F / sqrt(N) stands in for |M|_2 in the tolerance, and every
+    threshold is halved, so that rounding in ``_validate_projections``
+    cannot turn an accept here into a raise there.
+    """
+    count, size = stack.shape[:2]
+    if count < 2:
+        return np.array_equal(stack.sum(axis=0), np.eye(size))
+    conditions = np.asarray(conditions)
+    v, u = dec.factors
+    owner, _ = dec.positions
+    left = u @ stack
+    left[owner, np.arange(size), :] -= u
+    err = u @ v
+    err.flat[::size + 1] -= 1.0
+    g = u @ (dec.m @ v)
+    g2 = g.real ** 2 + g.imag ** 2
+    off = np.bincount(owner, weights=np.where(owner[:, None] != owner, g2, 0.0).sum(axis=0),
+                      minlength=count)
+    # each product's rounding: gamma |X|_F |Y|_F per factor pair
+    gamma = 2 * size * np.finfo(float).eps
+    v_f, u_f, m_f = (float(np.linalg.norm(x)) for x in (v, u, dec.m))
+    p_f = np.sqrt(np.bincount(owner, minlength=count)) * conditions
+    e = float(np.linalg.norm(err)) + gamma * v_f * u_f
+    if e >= 0.5:
+        return False
+    g_round = 2 * gamma * u_f * m_f * v_f
+    g_f = math.sqrt(float(g2.sum())) + g_round
+    o = math.sqrt(float(off.max())) + g_round
+    kappa = v_f * u_f / (1.0 - e)
+    rho = ((float(_fro(left).max()) + gamma * u_f * float(p_f.max())) * v_f + 2 * e) / (1.0 - e)
+    total = float(np.linalg.norm(left.sum(axis=0))) + gamma * u_f * float(p_f.sum())
+    tol = 0.5e-8 * max(1.0, float(conditions.max())) * max(1.0, m_f / math.sqrt(size))
+    return not (kappa * v_f * total / (1.0 - e) > tol
+                or kappa * (3.0 * rho + rho * rho) > tol
+                or kappa * (o + (e + rho * (2.0 + rho)) * g_f / (1.0 - e))
+                > tol * (1.0 + m_f / math.sqrt(size)))
+
+
+def _validate_projections(m: np.ndarray, stack: np.ndarray, conditions) -> None:
+    """Check that the stacked projectors P_i of M sum to I, satisfy
+    P_i P_j = delta_ij P_i and have M-invariant ranges.
+
+    Products are formed one row ``stack[i] @ stack`` at a time, so memory
+    stays at two stacks.  Each residual X is screened by its Frobenius norm,
+    an upper bound of |X|_2, and an SVD runs only where that cannot accept.
+    """
+    norm_m = float(np.linalg.norm(m, 2))
+    tol = 1e-8 * max(1.0, max(conditions)) * max(1.0, norm_m)
+
+    def exceeds(residuals: np.ndarray, bound: float) -> bool:
+        return any(np.linalg.norm(residuals[j], 2) > bound
+                   for j in np.flatnonzero(~(_fro(residuals) <= bound)))
+
+    eye = np.eye(len(m), dtype=np.complex128)
+    if exceeds((stack.sum(axis=0) - eye)[None], tol):
+        raise NumericalError("spectral projections do not sum to the identity")
+    prod = np.empty_like(stack)
+    for i, p in enumerate(stack):
+        np.matmul(p, stack, out=prod)
+        prod[i] -= p
+        if exceeds(prod, tol):
+            raise NumericalError("spectral projections are not orthogonal idempotents")
+        mp = m @ p
+        if exceeds((mp - p @ mp)[None], tol * (1.0 + norm_m)):
+            raise NumericalError("a projection range is not invariant")
 
 
 def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     """Eigen-spheres of A phi = phi q and their multiplicities, from one Schur form.
 
     Built once per matrix: the first call keeps it with A (a copy of A does
-    not), later calls return it, and a failed build keeps nothing.
+    not), later calls return it, and a failed build keeps nothing.  Its
+    projections are built, the same way, on their first read.
 
     A block's centre mu = trace/size is accurate to O(eps) even when a
     size-k Jordan block spreads its eigenvalues by eps^(1/k) (Moro, Burke

@@ -104,18 +104,6 @@ class Quaternion:
             raise ZeroDivisionError("zero quaternion has no inverse")
         return Quaternion(self.w / n, -self.x / n, -self.y / n, -self.z / n)
 
-    def power(self, n: int) -> "Quaternion":
-        if n < 0:
-            return self.inverse().power(-n)
-        out = Quaternion(1.0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -127,10 +115,6 @@ class Quaternion:
 
     def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return abs(self - other) <= tol * (1.0 + abs(self) + abs(other))
-
-    @staticmethod
-    def from_real(value: float) -> "Quaternion":
-        return Quaternion(float(value))
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
@@ -215,9 +199,6 @@ class EigenSphere:
     def abs_value(self) -> float:
         """|q| for any representative q of the sphere."""
         return math.hypot(self.re, self.im)
-
-    def representative(self, unit: SliceUnit = SLICE_I) -> Quaternion:
-        return slice_compose(self.re, self.im, unit)
 
     def key(self) -> tuple[float, float]:
         return (self.re, self.im)

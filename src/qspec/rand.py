@@ -31,14 +31,6 @@ def rand_qvector(rng: np.random.Generator, n: int) -> QVector:
     return QVector.from_components(rng.uniform(-1.0, 1.0, (n, 4)))
 
 
-def rand_unit_vector(rng: np.random.Generator, n: int) -> QVector:
-    while True:
-        v = rand_qvector(rng, n)
-        norm = v.norm()
-        if norm > 1e-3:
-            return v.scale(1.0 / norm)
-
-
 def rand_qmatrix(rng: np.random.Generator, rows: int, cols: int,
                  scale: float = 1.0) -> QMatrix:
     return QMatrix.from_components(rng.uniform(-scale, scale, (rows, cols, 4)))

@@ -64,10 +64,6 @@ def _is_vector(c: Coefficient) -> bool:
     return isinstance(c, QVector)
 
 
-def _coeff_norm(c: Coefficient) -> float:
-    return c.norm() if _is_vector(c) else abs(c)
-
-
 # -- array form -----------------------------------------------------------
 #
 # A quaternion is a row (w, x, y, z); a vector of length m an (m, 4) block.
@@ -361,7 +357,7 @@ def slice_derivative(f: SliceSeries) -> SliceSeries:
     return SliceSeries._from_array(f.center, f._coeffs[1:] * n, f.radius)
 
 
-def sigma_radius(f: SliceSeries | Sequence[Coefficient]) -> float:
+def sigma_radius(f: SliceSeries) -> float:
     """Root-test estimate of the radius of the sigma-ball of convergence.
 
     1/R is read as max |a_n|^{1/n} over the second half of the available
@@ -370,10 +366,7 @@ def sigma_radius(f: SliceSeries | Sequence[Coefficient]) -> float:
     fewer than eight coefficients raise a bias warning, and a tail that
     has underflowed to zero reads as an infinite radius.
     """
-    if isinstance(f, SliceSeries):
-        mags = _magnitudes(f._coeffs)
-    else:
-        mags = [_coeff_norm(c) for c in f]
+    mags = _magnitudes(f._coeffs)
     if len(mags) < 8:
         warnings.warn(
             "radius estimated from fewer than eight coefficients; the tail "

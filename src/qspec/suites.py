@@ -761,7 +761,9 @@ def _suite_local_laws(cfg: SuiteConfig) -> SuiteResult:
         phi, psi = rand.rand_qvector(rng, n), rand.rand_qvector(rng, n)
         qa, qb = rand.rand_quaternion(rng), rand.rand_quaternion(rng)
         b = rand.rand_commutant(rng, a)
-        return localspec.check_local_laws(a, phi, psi, qa, qb, b, cfg.tol)
+        # the third law, an empty local spectrum of 0, ends ``containment``
+        return (localspec.check_combination(a, phi, psi, qa, qb, cfg.tol)
+                and localspec.check_commutant(a, b, phi, cfg.tol))
 
     def quaternion_commutant(rng, k):
         # real-entried A commutes with scalar matrices of any quaternion

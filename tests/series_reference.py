@@ -31,6 +31,17 @@ def _zero(c):
     return QVector.zeros(c.n) if _is_vector(c) else Quaternion()
 
 
+def sigma_radius(coefficients) -> float:
+    """The root test of ``sliceseries.sigma_radius``, one coefficient object
+    at a time: 1 / max |a_n|^(1/n) over the second half."""
+    mags = [_norm(c) for c in coefficients]
+    inv = 0.0
+    for n in range(max(1, int(len(mags) * 0.5)), len(mags)):
+        if mags[n] > 0.0:
+            inv = max(inv, mags[n] ** (1.0 / n))
+    return math.inf if inv == 0.0 else 1.0 / inv
+
+
 def monomial_coefficients(f) -> list:
     """C_m with f(q) = sum C_m q^m, one star convolution at a time."""
     if f.center == Quaternion():

@@ -16,19 +16,31 @@ time.  Kept so that tests can compare the two routes.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from qspec.errors import NumericalError
-from qspec.localspec import CONDITION_LIMIT, SpectralProjectionSet
-from qspec.qlinalg import (QMatrix, QVector, _j_conj, _singular_values, complex_adjoint,
-                           inner, min_singular, nullity, op_norm, pseudo_resolvent)
+from qspec.qlinalg import (CONDITION_LIMIT, QMatrix, QVector, _j_conj, _singular_values,
+                           complex_adjoint, inner, min_singular, nullity, op_norm,
+                           pseudo_resolvent)
 from qspec.quat import EigenSphere, Quaternion, cluster_spheres, merge_spheres, sphere_union
 from qspec.spectral import (SphereFlags, SpectrumReport, _section_size, growth_bounds,
                             membership_threshold)
 
 CLUSTER_TOL = 1e-6
+
+
+class ProjectionSet(NamedTuple):
+    """The reference route's projections, under the names the library's
+    ``SpectralDecomposition`` gives them."""
+
+    spheres: tuple[EigenSphere, ...]
+    projections: tuple[QMatrix, ...]
+    conditions: tuple[float, ...]
+    multiplicities: tuple[int, ...]
+    certified: bool
 
 
 def _eigenvalues(a: QMatrix) -> np.ndarray:
@@ -51,7 +63,7 @@ def eigen_spheres(a: QMatrix, tol: float = 1e-8) -> tuple[EigenSphere, ...]:
     return spheres
 
 
-def projection_set(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> SpectralProjectionSet:
+def projection_set(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> ProjectionSet:
     """One ordered Schur form and one Sylvester solve per sphere cluster."""
     n = a.rows
     m = complex_adjoint(a)
@@ -91,8 +103,8 @@ def projection_set(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> SpectralProj
             projections.append(QMatrix(sym[:n, :n], sym[:n, n:]))
             conditions.append(cond)
     validate_projections(a, projections, conditions)
-    return SpectralProjectionSet(spheres, tuple(projections), tuple(conditions),
-                                 multiplicities, certified)
+    return ProjectionSet(spheres, tuple(projections), tuple(conditions),
+                         multiplicities, certified)
 
 
 def validate_projections(a: QMatrix, projections: list[QMatrix],

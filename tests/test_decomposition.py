@@ -2,6 +2,8 @@
 local spectra: cross-tested against the eigvals route it replaced
 (``spectral_reference``), and regression inputs that split that route."""
 
+import ast
+import importlib
 import math
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 import scipy.linalg
 import spectral_reference as ref
 
-from qspec import localspec, rand, spectral
-from qspec.errors import NumericalError
+from qspec import localspec, qlinalg, rand, spectral
+from qspec.errors import NumericalError, ShapeError
 from qspec.operators import MultiplicationOperator
 from qspec.qlinalg import (QMatrix, QVector, _j_conj, _kernel_dim, _left_eigenvectors,
                            _singular_values, complex_adjoint, complex_image, nullity,
@@ -120,18 +122,93 @@ def test_each_matrix_keeps_its_decomposition_and_projections():
     a = rand.rand_qmatrix(rand.generator(19, 0), 4, 4)
     dec = spectral_decomposition(a)
     assert spectral_decomposition(a) is dec
-    assert localspec.spectral_projections(a) is localspec.spectral_projections(a)
-    assert dec.projections is localspec.spectral_projections(a)
+    # the projections are the decomposition's own, kept from the first read
+    assert localspec.spectral_projections(a) is dec
+    assert localspec.spectral_projections(a).projections is dec.projections
+    assert dec.conditions is dec.conditions
     # an equal matrix is another object, with a decomposition of its own
     other = QMatrix(a.c1, a.c2)
     assert spectral_decomposition(other) is not dec
     assert spectral_decomposition(other).spheres == dec.spheres
     with pytest.raises(ValueError):
         dec.t[0, 0] = 0.0
+    for name in ("projections", "conditions", "certified"):
+        with pytest.raises(AttributeError):
+            setattr(dec, name, None)
     # a local spectrum is a plain tuple of the projections' own spheres
     loc = localspec.local_spectrum(a, QVector.basis(4, 0))
     assert type(loc) is tuple and all(any(s is t for t in dec.spheres) for s in loc)
     assert not hasattr(localspec, "LocalSpectrum") and "LocalSpectrum" not in qspec.__all__
+
+
+def test_spectral_projections_returns_the_decomposition():
+    import qspec
+
+    for a in (rand.rand_qmatrix(rand.generator(21, 0), 5, 5), QMatrix.zeros(0),
+              QMatrix.diag([Quaternion(0.5, 2.0)] * 3)):
+        dec = localspec.spectral_projections(a)
+        assert dec is spectral_decomposition(a)
+        assert len(dec.projections) == len(dec.conditions) == len(dec.spheres)
+        assert dec.certified == (dec.kernel_dims() == dec.multiplicities)
+    assert localspec.spectral_projections(QMatrix.zeros(0)).projections == ()
+    with pytest.raises(ShapeError, match="square"):
+        localspec.spectral_projections(QMatrix.zeros(2, 3))
+    assert not hasattr(localspec, "SpectralProjectionSet")
+    assert "SpectralProjectionSet" not in qspec.__all__
+    assert qspec.SpectralDecomposition is qlinalg.SpectralDecomposition
+
+
+def test_projections_are_built_on_their_first_read(monkeypatch):
+    built = _counted_projectors(monkeypatch)
+    a = rand.rand_qmatrix(rand.generator(22, 0), 4, 4)
+    dec = spectral_decomposition(a)
+    spectral.classify(a)
+    assert built == [] and "_validated" not in vars(dec)
+    conditions = dec.conditions
+    assert built == [dec] and "_validated" in vars(dec)
+    assert localspec.spectral_projections(a) is dec and dec.conditions is conditions
+    assert len(dec.projections) == len(dec.spheres) and built == [dec]
+
+
+def test_failed_validation_raises_again_and_keeps_nothing(monkeypatch):
+    a = QMatrix.diag([Quaternion(1.0, 0.5), Quaternion(-1.0, 0.3), Quaternion(2.0)])
+    dec = spectral_decomposition(a)
+    stack = dec.projectors()
+    monkeypatch.setattr(qlinalg.SpectralDecomposition, "projectors",
+                        lambda self: 1.01 * stack)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="do not sum to the identity"):
+            localspec.spectral_projections(a)
+        assert "_validated" not in vars(dec)
+    monkeypatch.undo()
+    assert localspec.spectral_projections(a) is dec and len(dec.projections) == 3
+
+
+def _module_tree(name: str) -> ast.Module:
+    with open(importlib.import_module(f"qspec.{name}").__file__, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def test_qlinalg_imports_nothing_from_localspec():
+    imported = []
+    for node in ast.walk(_module_tree("qlinalg")):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not any("localspec" in name for name in imported)
+
+
+def test_only_qlinalg_writes_a_decomposition():
+    # a frozen decomposition is written only through object.__setattr__, and
+    # outside qlinalg that sets up nothing but an object's own fields
+    for name in ("cli", "io", "localspec", "operators", "quat", "rand", "sliceseries",
+                 "spectral", "suites"):
+        for node in ast.walk(_module_tree(name)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__setattr__"):
+                target = node.args[0]
+                assert isinstance(target, ast.Name) and target.id == "self", name
 
 
 def _counted_projectors(monkeypatch) -> list:
@@ -295,7 +372,7 @@ def _validators_agree(a: QMatrix, stack: np.ndarray, conditions) -> str:
     pulled = [QMatrix(s, np.zeros_like(s)) if half else QMatrix(s[:n, :n], s[:n, n:])
               for s in stack]
     outcomes = []
-    for run in (lambda: localspec._validate_projections(
+    for run in (lambda: qlinalg._validate_projections(
                     a.c1 if half else complex_adjoint(a), stack.copy(), conditions),
                 lambda: ref.validate_projections(a, pulled, conditions)):
         try:
@@ -305,7 +382,7 @@ def _validators_agree(a: QMatrix, stack: np.ndarray, conditions) -> str:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     # the block-coordinate check may accept only what both validators accept
-    if localspec._block_checked(spectral_decomposition(a), stack.copy(), conditions):
+    if qlinalg._block_checked(spectral_decomposition(a), stack.copy(), conditions):
         assert outcomes[0] == "accept"
     return outcomes[0]
 
@@ -370,11 +447,11 @@ def test_block_check_accepts_valid_projections(label, a):
     dec = spectral_decomposition(a)
     stack = dec.projectors()
     want = np.linalg.norm(stack, 2, axis=(1, 2))
-    conditions = localspec._conditioned(dec, stack)
+    conditions = qlinalg._conditioned(dec, stack)
     assert np.allclose(conditions, want, rtol=1e-12, atol=0.0)
     if not dec.half:
         assert np.array_equal(stack, _j_conj(stack))
-    accepted = localspec._block_checked(dec, stack, conditions)
+    accepted = qlinalg._block_checked(dec, stack, conditions)
     # ill-conditioned sets are left to the validator
     assert accepted == (label not in ("jordan2", "close-pair"))
     assert _validators_agree(a, stack, conditions) == "accept"
@@ -387,18 +464,18 @@ def test_block_check_defers_on_broken_stacks():
                       Quaternion(2.0, 0.0, 0.0, 0.0)])
     dec = spectral_decomposition(a)
     stack = dec.projectors()
-    conditions = localspec._conditioned(dec, stack.copy())
+    conditions = qlinalg._conditioned(dec, stack.copy())
     moved = stack.copy()
     moved[0] += 1e-4 * stack[1]
     moved[1] -= 1e-4 * stack[1]
     foreign = stack.copy()
     foreign[0, 0, 1] += 1e-3
     for bad in (stack * 1.01, moved, foreign, 2.0 * np.eye(len(stack[0])) - stack):
-        assert not localspec._block_checked(dec, bad.copy(), conditions)
+        assert not qlinalg._block_checked(dec, bad.copy(), conditions)
     one = spectral_decomposition(QMatrix.diag([Quaternion(0.5, 2.0)] * 3))
-    assert localspec._conditioned(one, one.projectors()) == [1.0]
-    assert localspec._block_checked(one, one.projectors(), [1.0])
-    assert not localspec._block_checked(one, 1.01 * one.projectors(), [1.0])
+    assert qlinalg._conditioned(one, one.projectors()) == [1.0]
+    assert qlinalg._block_checked(one, one.projectors(), [1.0])
+    assert not qlinalg._block_checked(one, 1.01 * one.projectors(), [1.0])
 
 
 @pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
@@ -412,7 +489,6 @@ def test_spectral_projections_builds_the_stack_once(label, a, monkeypatch):
 
 
 def test_one_left_eigenvector_pass_unless_a_block_grows(monkeypatch):
-    from qspec import qlinalg
     from qspec.quat import linked_components
 
     runs = []

@@ -435,7 +435,6 @@ def test_cli_tol_and_seed_still_work_where_read(tmp_path, capsys):
     ("localspec", "local_spectrum", "projections"),
     ("localspec", "local_subspace", "projections"),
     ("localspec", "global_subspace", "projections"),
-    ("localspec", "check_zero_vector", "projections"),
     ("localspec", "check_combination", "projections"),
     ("localspec", "check_commutant", "projections"),
     ("spectral", "SpectrumReport", "decomposition"),

@@ -9,9 +9,7 @@ from qspec.localspec import (
     check_combination,
     check_commutant,
     check_intertwining,
-    check_local_laws,
     check_resolvent_identity,
-    check_zero_vector,
     decomposability_necessary,
     global_subspace,
     local_resolvent_diag,
@@ -46,8 +44,9 @@ def test_local_spectrum_of_mixed_vector():
 
 
 def test_local_spectrum_zero_vector_empty():
-    assert len(local_spectrum(DIAG, QVector.zeros(2))) == 0
-    assert check_zero_vector(DIAG)
+    assert local_spectrum(DIAG, QVector.zeros(2)) == ()
+    a = rand.rand_qmatrix(rand.generator(67, 0), 4, 4)
+    assert local_spectrum(a, QVector.zeros(4)) == ()
 
 
 def test_local_spectra_union_is_spectrum():
@@ -105,14 +104,15 @@ def test_spectral_projections_memory_stays_within_three_stacks():
     n = 40
     a = QMatrix(np.diag(np.arange(1.0, n + 1) + 0.3j), np.diag(np.full(n, 0.4 + 0j)))
     dec = spectral_decomposition(a)
-    assert len(dec.spheres) == n and dec.projections is None
+    assert len(dec.spheres) == n and "_validated" not in vars(dec)
     stack_bytes = n * (2 * n) ** 2 * 16
     tracemalloc.start()
     try:
-        spectral_projections(a)
+        assert spectral_projections(a) is dec
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(dec.projections) == n
     assert peak <= 3 * stack_bytes
 
 
@@ -173,7 +173,6 @@ def test_check_combination_and_commutant():
     assert check_combination(a, phi, psi, rand.rand_quaternion(rng),
                              rand.rand_quaternion(rng))
     assert check_commutant(a, b, phi)
-    assert check_local_laws(a, phi, psi, ONE, I, b)
 
 
 def test_check_commutant_rejects_noncommuting():

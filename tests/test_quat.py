@@ -52,7 +52,7 @@ def test_inverse_frozen():
 
 
 def test_real_scalar_embedding():
-    assert Quaternion.from_real(2.5) * I == Quaternion(0, 2.5, 0, 0)
+    assert Quaternion(2.5) * I == Quaternion(0, 2.5, 0, 0)
     assert 2.0 * J == J * 2.0 == Quaternion(0, 0, 2, 0)
 
 
@@ -116,7 +116,7 @@ def test_sphere_of_and_representative():
     s = sphere_of(Quaternion(1, 1, 1, 1))
     assert s.re == pytest.approx(1.0)
     assert s.im == pytest.approx(math.sqrt(3))
-    rep = s.representative(SLICE_J)
+    rep = slice_compose(s.re, s.im, SLICE_J)
     assert sphere_of(rep).matches(s, 1e-12)
 
 
@@ -151,9 +151,3 @@ def test_sphere_distance_metrics():
     p = Quaternion(1, -1, 0, 0)
     assert omega_dist(q, p) == pytest.approx(0.0, abs=1e-12)
     assert sigma_dist(q, p) == pytest.approx(2.0)
-
-
-def test_power_matches_repeated_product():
-    q = Quaternion(0.5, -0.25, 1, 0)
-    assert q.power(3).isclose(q * q * q)
-    assert q.power(0) == ONE

@@ -57,3 +57,29 @@ def test_output_gate_compares_gates_by_name(tmp_path):
             assert "new gate  series" in run.stdout
         if name == "dropped gate":
             assert "FAIL check: gate dropped by the head" in run.stdout
+
+
+def test_output_gate_local_requests_pair_each_dense_input(tmp_path):
+    # every .qmat input of seeds 51-53 keeps a file of its own and gets a
+    # seeded vector, then a basis vector; one pair runs through the CLI
+    probe = (
+        "import collections, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import output_gate\n"
+        "from qspec import cli, io\n"
+        "reqs = output_gate.local_requests(sys.argv[2])\n"
+        "mats = collections.Counter(r[2] for r in reqs)\n"
+        "assert len(reqs) == 504 and len(mats) == 252, (len(reqs), len(mats))\n"
+        "assert set(mats.values()) == {2} and all(m.startswith('dense:') for m in mats)\n"
+        "for seeded, basis in zip(reqs[::2], reqs[1::2]):\n"
+        "    assert seeded[:3] == basis[:3]\n"
+        "    e = io.parse_qvec(io.read_text(basis[4])).to_components()\n"
+        "    assert sorted(e.ravel().tolist()) == [0.0] * (e.size - 1) + [1.0]\n"
+        "assert cli.main(reqs[0]) == 0 and cli.main(reqs[1]) == 0\n")
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", probe, os.path.join(ROOT, "scripts"),
+                          str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert len(run.stdout.splitlines()) >= 4
