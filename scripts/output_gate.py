@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Digest the CLI output that a pure refactor must leave byte-identical.
 
-Seven gates, each printed on one line, named first, as a sha256 digest of
+Eight gates, each printed on one line, named first, as a sha256 digest of
 its stdout and exit codes, with the number of stdout lines:
 
-  matrix    ``classify`` on the 504 ``matrix`` benchmark inputs of seeds 51-53
+  matrix    the 504 ``classify`` requests of the ``matrix`` benchmark for
+            seeds 51-53, whose inputs share one folder, so that later seeds
+            overwrite earlier ones' files and the commands read 291 of them
   check     ``check --suite all --trials 6`` for seeds 42 and 1
   portrait  the 110 ``portrait`` benchmark requests of seed 51
   series    the 112 ``series`` benchmark reports of seed 51
@@ -12,8 +14,11 @@ its stdout and exit codes, with the number of stdout lines:
             six suites that build subspace bases
   laws      ``check --suite S --trials 4`` for seeds 100-139 and each of the
             two suites that run the product and similarity law checks
-  local     ``local`` on each ``.qmat`` input of the matrix gate, written to a
+  local     ``local`` on each ``.qmat`` input of seeds 51-53, written to a
             folder of its seed, with one seeded vector and one basis vector
+  classify  the same 504 ``classify`` requests, each seed's inputs in the
+            folder of its own that the local gate reads, so every command
+            reads its own input
 
 Run it from any directory as ``python3 scripts/output_gate.py`` on two
 checkouts, save each output, and compare them with
@@ -24,7 +29,7 @@ which matches gates by name: a gate that both print must match, a gate
 that the head no longer prints fails, and a gate that only the head
 prints is listed as new.  The comparison exits 1 on any failure.  It imports qspec from the ``src`` of
 the checkout it sits in and the request builders of
-``perfbench/workloads.py``, which it only reads.  It takes about 19
+``perfbench/workloads.py``, which it only reads.  It takes about 23
 seconds on a 2-core host.
 """
 
@@ -82,25 +87,35 @@ def seeded_checks(suites) -> list[list[str]]:
             for seed in range(100, 140) for suite in suites]
 
 
-def local_requests(workdir: str) -> list[list[str]]:
-    """``local --op dense:M --vector V`` for each ``.qmat`` input M of the
-    matrix gate's seeds, with V a seeded vector and then a basis vector."""
-    out = []
+def seeded_matrix_requests(workdir: str) -> dict[int, list]:
+    """The ``matrix`` benchmark requests of seeds 51-53, each seed's inputs
+    written to a folder of its own, so no seed overwrites another's."""
+    out = {}
     for seed in (51, 52, 53):
-        folder = os.path.join(workdir, f"local{seed}")
+        folder = os.path.join(workdir, f"seed{seed}")
         os.mkdir(folder)
+        out[seed] = workloads.build_matrix(np.random.default_rng([seed, MATRIX_STREAM]), folder)
+    return out
+
+
+def local_requests(seeded: dict[int, list]) -> list[list[str]]:
+    """``local --op dense:M --vector V`` for each ``.qmat`` input M of the
+    ``seeded_matrix_requests``, with V a seeded vector and then a basis
+    vector, written next to M."""
+    out = []
+    for seed, requests in seeded.items():
         rng = np.random.default_rng([seed, LOCAL_STREAM])
-        for k, req in enumerate(workloads.build_matrix(
-                np.random.default_rng([seed, MATRIX_STREAM]), folder)):
+        for k, req in enumerate(requests):
             spec = req.argv[req.argv.index("--op") + 1]
             if not spec.startswith("dense:"):
                 continue
-            with open(spec[len("dense:"):], encoding="ascii") as fh:
+            source = spec[len("dense:"):]
+            with open(source, encoding="ascii") as fh:
                 n = int(fh.readline().split()[0])
             basis = np.zeros((n, 4))
             basis[rng.integers(n), 0] = 1.0
             for name, vec in (("v", rng.uniform(-1.0, 1.0, (n, 4))), ("e", basis)):
-                path = os.path.join(folder, f"{name}{k}.qvec")
+                path = os.path.join(os.path.dirname(source), f"{name}{k}.qvec")
                 with open(path, "w", encoding="ascii") as fh:
                     fh.write("\n".join([str(n)] + [workloads.qlit(q) for q in vec]) + "\n")
                 out.append(["local", "--op", spec, "--vector", path])
@@ -149,10 +164,12 @@ def main(argv=None) -> int:
         check = [["check", "--suite", "all", "--trials", "6", "--seed", str(seed)]
                  for seed in (42, 1)]
         subspace, laws = seeded_checks(SUBSPACE_SUITES), seeded_checks(LAW_SUITES)
-        local = local_requests(workdir)
+        seeded = seeded_matrix_requests(workdir)
+        local = local_requests(seeded)
+        classify = [req.argv for requests in seeded.values() for req in requests]
         for name, argvs in (("matrix", matrix), ("check", check), ("portrait", portrait),
                             ("series", series), ("subspace", subspace), ("laws", laws),
-                            ("local", local)):
+                            ("local", local), ("classify", classify)):
             sha, lines = digest(argvs)
             print(f"{name:<9} {len(argvs):>4} commands  sha256 {sha}  lines {lines}")
     return 0

@@ -371,7 +371,10 @@ def _kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> int:
     C_i-block values count once, chi values in pairs; an odd count of small
     chi values is the failure of a wrong-sized kernel pullback.
     """
-    fro = math.sqrt(float(np.sum(s * s)) / (1 if half else 2))
+    with np.errstate(over="ignore"):
+        fro = math.sqrt(float(np.sum(s * s)) / (1 if half else 2))
+    if math.isinf(fro):
+        raise NumericalError(f"singular values up to {s.max():.3e} overflow when squared")
     rank = int(np.sum(s > tol * (1.0 + fro)))
     if half:
         return cols - rank
@@ -383,8 +386,7 @@ def _kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> int:
 
 def nullity(a: QMatrix, tol: float = 1e-10, s: np.ndarray | None = None) -> int:
     """len(kernel_basis(a, tol)) counted from ``s = _singular_values(a)``."""
-    if s is None:
-        s = _singular_values(a)
+    s = _singular_values(a) if s is None else s
     return _kernel_dim(s, a.cols, a.is_complex_slice, tol)
 
 
@@ -401,11 +403,10 @@ def kernel_basis(a: QMatrix, tol: float = 1e-10) -> QMatrix:
     if a.rows == 0 or m == 0:
         return QMatrix.identity(m)
     _, s, vh = np.linalg.svd(complex_adjoint(a), full_matrices=True)
-    rank = int(np.sum(s > tol * (1.0 + a.frobenius())))
-    # row w of vh[rank:] pulls back to the column with embedding conj(w)
-    null = vh[rank:]
+    expected = _kernel_dim(s, m, False, tol)
+    # each of the last 2 * expected rows w of vh pulls back to a column conj(w)
+    null = vh[2 * (m - expected):]
     basis = orthonormalize(QMatrix(np.conj(null[:, :m]).T, -null[:, m:].T), drop_tol=1e-6)
-    expected = (vh.shape[0] - rank) // 2
     if basis.cols != expected:
         raise NumericalError(
             f"kernel pullback produced {basis.cols} vectors, expected {expected}")
@@ -436,19 +437,24 @@ def resolvent_singular_values(m: np.ndarray, xs, ys, keep: np.ndarray | None = N
     kept entry bit for bit the same.  Points go in blocks of about
     _BLOCK_ENTRIES matrix entries, one stacked SVD each, and each block's
     (points, values) array is yielded, largest value first, before the next
-    block is formed.
+    block is formed; a block past double precision raises NumericalError.
     """
     cols = np.arange(m.shape[1]) if keep is None else keep
-    m1, m2 = m[:, cols], (m @ m)[:, cols]
-    eye = np.zeros(m1.shape, dtype=m.dtype)
-    eye[cols, np.arange(len(cols))] = 1
     x = np.asarray(xs, dtype=float).reshape(-1, 1, 1)
     y = np.asarray(ys, dtype=float).reshape(-1, 1, 1)
-    twice_x, r2 = 2.0 * x, x * x + y * y
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1, m2 = m[:, cols], (m @ m)[:, cols]
+        twice_x, r2 = 2.0 * x, x * x + y * y
+    eye = np.zeros(m1.shape, dtype=m.dtype)
+    eye[cols, np.arange(len(cols))] = 1
     block = max(1, _BLOCK_ENTRIES // m1.size)
     for lo in range(0, len(x), block):
         hi = lo + block
-        yield np.linalg.svd(m2 - twice_x[lo:hi] * m1 + r2[lo:hi] * eye, compute_uv=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = m2 - twice_x[lo:hi] * m1 + r2[lo:hi] * eye
+        if not np.isfinite(r).all():
+            raise NumericalError("R_q = A^2 - 2 Re(q) A + |q|^2 I overflows double precision")
+        yield np.linalg.svd(r, compute_uv=False)
 
 
 #: the LAPACK routines qspec calls, all wrapped in scipy's compiled ``_flapack``
@@ -770,13 +776,16 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     not), later calls return it, and a failed build keeps nothing.  Its
     projections are built, the same way, on their first read.
 
-    A block's centre mu = trace/size is accurate to O(eps) even when a
-    size-k Jordan block spreads its eigenvalues by eps^(1/k) (Moro, Burke
-    & Overton, SIAM J. Matrix Anal. Appl. 18 (1997)).  Blocks map to the
+    ``_split_schur`` splits the form into blocks, each gathered by
+    ``ztrsen`` and split off by the rows of W one ``ztrsyl`` solve gives.  A
+    block's centre mu = trace/size is accurate to O(eps) even when a size-k
+    Jordan block spreads its eigenvalues by eps^(1/k) (Moro, Burke &
+    Overton, SIAM J. Matrix Anal. Appl. 18 (1997)).  Blocks map to the
     spheres (Re mu, |Im mu|), merged once at SPHERE_MERGE_TOL; chi(A)
     counts each sphere twice.  One ``resolvent_singular_values`` call gives
     the singular values of R_q at every sphere's representative, and every
-    sphere passes a direct check: that R_q is numerically singular.
+    sphere passes a direct check: that R_q is numerically singular.  An
+    R_q past double precision raises NumericalError.
     """
     dec = getattr(a, "_spectral", None)
     if dec is None:
@@ -817,43 +826,24 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
     """Split a Schur form, in place, by adaptive blocking (Bavely & Stewart,
     SIAM J. Numer. Anal. 16 (1979)).
 
-    Eigenvalues linked at SPHERE_MERGE_TOL seed the blocks, and ``ztrsen``
-    first gathers the members of every seed, top down.  The block atop the
-    unsplit rest starts as the seed of its first eigenvalue; while
-    splitting it off needs |Y|_2 >= GROWTH_LIMIT, the seed of the remaining
-    eigenvalue nearest its centre joins it, and ``ztrsen`` gathers the
-    grown block, rotating ``z`` and the rows of W above with the rest.  A
-    lone eigenvalue's Y is its left eigenvector past the diagonal, so one
-    back substitution splits off all of them until a block grows.
+    Eigenvalues linked at SPHERE_MERGE_TOL seed the blocks.  The block atop
+    the unsplit rest starts as the seed of its first eigenvalue, which
+    ``ztrsen`` gathers there, and one ``ztrsyl`` solve of T_kk Y - Y T_rest
+    = T_k,rest splits it off.  While |Y|_2 >= GROWTH_LIMIT, the seed of the
+    remaining eigenvalue nearest its centre joins it and is gathered too;
+    each gather rotates ``z`` and the rows of W above with the rest.
     """
     n = len(t)
     seed = linked_components(t.diagonal().real, t.diagonal().imag, SPHERE_MERGE_TOL)
     w = np.eye(n, dtype=np.complex128)
-    # a seed's label is its first position, so labels run top down; a
-    # label's count stays with it through every reordering
-    counts = np.bincount(seed, minlength=n)
-    for label in np.flatnonzero(counts > 1):
-        p = int(np.argmax(seed == label))
-        _gather(t, z, w, seed, p, seed[p:] == label)
-    blocks: list[tuple[int, int]] = []
-    left, base = None, 0
-    p = 0
+    blocks, p = [], 0
     while p < n:
-        if left is None:
-            (left, y_norms), base = _left_eigenvectors(t[p:, p:]), p
-            lone = (y_norms < GROWTH_LIMIT) & (counts[seed[p:]] == 1)
-        if lone[p - base]:
-            w[p, p + 1:] = left[p - base, p - base + 1:]
-            blocks.append((p, p + 1))
-            p += 1
-            continue
-        member = np.zeros(n, dtype=bool)    # indexed by seed label
-        member[seed[p]] = True
+        member = np.arange(n) == seed[p]    # indexed by seed label
         while True:
             chosen = member[seed[p:]]
             stop = p + int(np.count_nonzero(chosen))
-            if _gather(t, z, w, seed, p, chosen):
-                left = None
+            if not chosen[:stop - p].all():
+                _gather(t, z, w, seed, p, chosen)
             if stop == n:
                 break
             y, scale, info = _lapack().ztrsyl(t[p:stop, p:stop], t[stop:, stop:],
@@ -862,8 +852,7 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
                 y = y / scale
                 # the Frobenius norm bounds |Y|_2 and spares most SVDs
                 fro = np.linalg.norm(y)
-                if fro < GROWTH_LIMIT or (np.isfinite(fro)
-                                          and np.linalg.norm(y, 2) < GROWTH_LIMIT):
+                if fro < GROWTH_LIMIT or np.isfinite(fro) and np.linalg.norm(y, 2) < GROWTH_LIMIT:
                     w[p:stop, stop:] = y
                     break
             centre = np.trace(t[p:stop, p:stop]) / (stop - p)
@@ -874,32 +863,16 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
 
 
 def _gather(t: np.ndarray, z: np.ndarray, w: np.ndarray, seed: np.ndarray, p: int,
-            chosen: np.ndarray) -> bool:
+            chosen: np.ndarray) -> None:
     """Move the eigenvalues ``chosen`` among positions p.. to the top of
     them with ``ztrsen``, updating t, z, the rows of W above p and ``seed``
-    in place; False when they are already there."""
-    count = int(np.count_nonzero(chosen))
-    if chosen[:count].all():
-        return False
+    in place."""
     ts, q, *_, info = _lapack().ztrsen(chosen, t[p:, p:], np.eye(len(t) - p), job="N")
     if info:
         raise NumericalError("Schur reordering failed on close eigenvalues")
     t[p:, p:], t[:p, p:] = ts, t[:p, p:] @ q
     z[:, p:], w[:p, p:] = z[:, p:] @ q, w[:p, p:] @ q
     seed[p:] = np.concatenate([seed[p:][chosen], seed[p:][~chosen]])
-    return True
-
-
-def _left_eigenvectors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit upper triangular L with L T = diag(T) L, and the norm of each
-    row past the diagonal, the Y with t_pp Y - Y T_rest = T_p,rest.  Rows
-    are independent: one a close eigenvalue makes infinite spoils no other."""
-    d = t.diagonal()
-    lev = np.eye(len(d), dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        for j in range(1, len(d)):
-            lev[:j, j] = (lev[:j, :j] @ t[:j, j]) / (d[:j] - d[j])
-        return lev, np.linalg.norm(np.triu(lev, 1), axis=1)
 
 
 def right_eigenspheres(a: QMatrix) -> tuple[EigenSphere, ...]:

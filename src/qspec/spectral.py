@@ -20,6 +20,7 @@ value or the side of the ``threshold_region`` cut take the dense SVD.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -83,7 +84,10 @@ def _fmt_array(values: np.ndarray) -> list[str]:
     """``_fmt`` of each element as a numpy scalar, in one vectorized round:
     what portraits print and certify.  numpy's ``round`` differs from
     Python's correctly rounded one on about 8 in 10^5 random floats."""
-    return [format(v, ".12g") for v in (np.round(values, 12) + 0.0).tolist()]
+    with np.errstate(over="ignore"):
+        rounded = np.round(values, 12)    # inf past about 1e296: no digit there to round
+    rounded = np.where(np.isinf(rounded), values, rounded)
+    return [format(v, ".12g") for v in (rounded + 0.0).tolist()]
 
 
 def classify(a: QMatrix, tol: float = 1e-8) -> SpectrumReport:
@@ -154,10 +158,14 @@ def growth_bounds(a, n_max: int = 8) -> tuple[float, float]:
     # a power keeps n_win - n * bandwidth columns, at least one
     count = min(n_max, (n_win - 1) // bandwidth) if bandwidth else n_max
     images, power = [], section
-    for n in range(1, count + 1):
-        if n > 1:
-            power = power @ section
-        images.append(qlinalg.complex_image(power.take_cols(n_win - n * bandwidth))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, count + 1):
+            if n > 1:
+                power = power @ section
+            image = qlinalg.complex_image(power.take_cols(n_win - n * bandwidth))[0]
+            if not np.isfinite(image).all():
+                break    # each power bounds alone: the ones before an overflow stand
+            images.append(image)
     groups: dict[tuple, list[int]] = {}
     for idx, image in enumerate(images):
         groups.setdefault((image.dtype, image.shape), []).append(idx)
@@ -908,11 +916,9 @@ class SlicePortrait:
     dense_cells: int = field(default=0, compare=False)
 
     def csv_lines(self) -> list[str]:
-        xs = _fmt_array(self.grid.xs())
-        lines = ["x,y,kappa"]
-        for y, row in zip(_fmt_array(self.grid.ys()), self.values):
-            lines += [f"{x},{y},{v}" for x, v in zip(xs, _fmt_array(row))]
-        return lines
+        cells = itertools.product(_fmt_array(self.grid.ys()), _fmt_array(self.grid.xs()))
+        return ["x,y,kappa"] + [f"{x},{y},{v}" for (y, x), v in
+                                zip(cells, _fmt_array(self.values.ravel()))]
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:

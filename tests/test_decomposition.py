@@ -14,10 +14,9 @@ import spectral_reference as ref
 from qspec import localspec, qlinalg, rand, spectral
 from qspec.errors import NumericalError, ShapeError
 from qspec.operators import MultiplicationOperator
-from qspec.qlinalg import (QMatrix, QVector, _j_conj, _kernel_dim, _left_eigenvectors,
-                           _singular_values, complex_adjoint, complex_image, nullity,
-                           op_norm, pseudo_resolvent, resolvent_singular_values,
-                           spectral_decomposition)
+from qspec.qlinalg import (QMatrix, QVector, _j_conj, _kernel_dim, _singular_values,
+                           complex_adjoint, complex_image, nullity, op_norm,
+                           pseudo_resolvent, resolvent_singular_values, spectral_decomposition)
 from qspec.quat import EigenSphere, Quaternion, SliceUnit, slice_compose
 
 
@@ -317,24 +316,60 @@ def test_nonfinite_input_raises_numerical_error():
             spectral_decomposition(a)
 
 
-def test_left_eigenvector_rows_are_the_sylvester_solutions():
-    from scipy.linalg import lapack
+def _counted_lapack(monkeypatch) -> dict[str, int]:
+    """Calls of ``ztrsen`` and ``ztrsyl`` by the Schur split, counted."""
+    calls = {"ztrsen": 0, "ztrsyl": 0}
+    lapack = qlinalg._lapack()
+
+    class Counted:
+        def __getattr__(self, name):
+            routine = getattr(lapack, name)
+            if name not in calls:
+                return routine
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+            return counted
+
+    monkeypatch.setattr(qlinalg, "_lapack", Counted)
+    return calls
+
+
+def test_lone_eigenvalues_split_by_one_solve_each(monkeypatch):
+    calls = _counted_lapack(monkeypatch)
     rng = np.random.default_rng(5)
-    for m in (1, 2, 5, 12):
-        t = np.triu(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-        lev, norms = _left_eigenvectors(t)
-        for p in range(m - 1):
-            y, scale, info = lapack.ztrsyl(t[p:p + 1, p:p + 1], t[p + 1:, p + 1:],
-                                           t[p:p + 1, p + 1:], isgn=-1)
-            assert info == 0
-            assert np.allclose(lev[p, p + 1:], y[0] / scale, rtol=1e-10, atol=1e-12)
-            assert norms[p] == pytest.approx(np.linalg.norm(y / scale), rel=1e-10)
-    # a repeated eigenvalue makes its own rows non-finite and no other row
-    t = np.triu(rng.normal(size=(4, 4)).astype(complex))
-    t[1, 1] = t[3, 3]
-    lev, norms = _left_eigenvectors(t)
-    assert not np.isfinite(norms[1])
-    assert np.all(np.isfinite(lev[[0, 2, 3]])) and np.all(np.isfinite(norms[[0, 2, 3]]))
+    for n in (1, 2, 5, 12):
+        # well-separated eigenvalues: every seed is one eigenvalue, no block grows
+        t = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+        t += np.diag(np.arange(n) * (1.0 + 0.5j))
+        z = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        t0, z0 = t.copy(), z.copy()
+        calls.update(ztrsen=0, ztrsyl=0)
+        blocks, w = qlinalg._split_schur(t, z)
+        assert blocks == [(p, p + 1) for p in range(n)]
+        assert np.array_equal(t, t0) and np.array_equal(z, z0)
+        assert calls == {"ztrsen": 0, "ztrsyl": n - 1}
+        # the rows of W are the left eigenvectors: W T = diag(T) W
+        assert np.allclose(w @ t, t.diagonal()[:, None] * w, rtol=0.0, atol=1e-12 * n)
+
+
+def test_one_gather_per_repeated_seed_unless_a_block_grows(monkeypatch):
+    calls = _counted_lapack(monkeypatch)
+    d = np.diag([0.5 + 0.8j, -1.0, 0.5 + 0.8j, 1.2 - 0.3j, -1.0, 0.5 + 0.8j]).astype(complex)
+    inputs = [_conditioned_similarity(np.random.default_rng([29, k]), d) for k in range(4)]
+    inputs += [a for label, a in INPUTS if label.startswith("planted") or "repeated" in label]
+    gathered = 0
+    for a in inputs:
+        calls.update(ztrsen=0, ztrsyl=0)
+        # a matrix of its own, so that the decomposition runs here
+        dec = spectral_decomposition(QMatrix(a.c1, a.c2))
+        # with no block grown, each block is one seed split off by one solve
+        if calls["ztrsyl"] == len(dec.blocks) - 1:
+            assert calls["ztrsen"] <= sum(stop - start > 1 for start, stop in dec.blocks)
+            gathered += calls["ztrsen"]
+    # the repeated spheres need reordering before they split off
+    assert gathered >= 4
 
 
 @pytest.mark.parametrize("label,a", INPUTS + [
@@ -342,9 +377,8 @@ def test_left_eigenvector_rows_are_the_sylvester_solutions():
                                            _jordan(k, 0.5 + 0.8j * (k % 2))))
     for k in (2, 3, 4)], ids=lambda v: v if isinstance(v, str) else "")
 def test_coupling_matrix_block_diagonalizes_the_schur_form(label, a):
-    # lone eigenvalues take their rows of W from the left eigenvectors, grown
-    # blocks from ztrsyl, and reordering rotates the rows above: every path
-    # must leave W T W^-1 block diagonal
+    # each block's rows of W are its ztrsyl solution, and every reordering
+    # rotates the rows above: W T W^-1 must come out block diagonal
     dec = spectral_decomposition(a)
     d = dec.w @ dec.t @ np.linalg.inv(dec.w)
     scale = np.linalg.norm(dec.t) * np.linalg.cond(dec.w)
@@ -486,36 +520,6 @@ def test_spectral_projections_builds_the_stack_once(label, a, monkeypatch):
     localspec.spectral_projections(a)
     localspec.spectral_projections(a)
     assert len(built) == 1 and built[0] is dec
-
-
-def test_one_left_eigenvector_pass_unless_a_block_grows(monkeypatch):
-    from qspec.quat import linked_components
-
-    runs = []
-
-    def counted(t):
-        runs.append(len(t))
-        return _left_eigenvectors(t)
-
-    monkeypatch.setattr(qlinalg, "_left_eigenvectors", counted)
-    gathered = 0
-    for k in range(4):
-        rng = np.random.default_rng([29, k])
-        d = np.diag([0.5 + 0.8j, -1.0, 0.5 + 0.8j, 1.2 - 0.3j, -1.0, 0.5 + 0.8j])
-        inputs = [_conditioned_similarity(rng, d.astype(complex))]
-        inputs += [a for label, a in INPUTS if label.startswith("planted") or "repeated" in label]
-        for a in inputs:
-            runs.clear()
-            # a matrix of its own, so that the decomposition runs here
-            dec = spectral_decomposition(QMatrix(a.c1, a.c2))
-            t = dec.t.diagonal()
-            seed = linked_components(t.real, t.imag, 1e-8)
-            grown = any(len(set(seed[start:stop])) > 1 for start, stop in dec.blocks)
-            if not grown:
-                assert len(runs) == 1
-                gathered += any(stop - start > 1 for start, stop in dec.blocks)
-    # the repeated spheres need reordering before the back substitution
-    assert gathered >= 4
 
 
 def _rotation(rng, n: int, angle: float) -> np.ndarray:

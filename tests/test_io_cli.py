@@ -236,6 +236,30 @@ def test_cli_portrait_rejects_non_finite_grid(capsys, grid, bound):
     assert err == f"error: grid bound {bound} is not finite\n"
 
 
+@pytest.mark.parametrize("size", [1e150, 1e200])
+def test_cli_overflowing_entries_fail_loudly(tmp_path, capsys, size):
+    # at 1e150 the squares of R_q's singular values pass double precision, at
+    # 1e200 R_q itself: a numerical failure that names the overflow, with no
+    # numpy warning and no inf or nan printed
+    p = tmp_path / "huge.qmat"
+    io.write_text(str(p), f"2 2\n{size!r},0.3,0,0 1,0,0.5,0\n0,0,0,0.2 {-size!r},0,0.1,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = {command: run_cli(capsys, command, "--op", f"dense:{p}")
+                for command in ("classify", "spectrum", "portrait")}
+    failing = ("classify", "spectrum") if size < 1e160 else tuple(runs)
+    for command in failing:
+        code, out, err = runs[command]
+        assert (code, out) == (2, ""), command
+        assert err.startswith("numerical failure: ") and "overflow" in err, (command, err)
+    if "portrait" not in failing:
+        # kappa near 1e300 is still a double, and prints as one
+        code, out, err = runs["portrait"]
+        assert (code, err) == (0, "")
+        kappas = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        assert kappas and all(1e299 < k < 1e301 for k in kappas)
+
+
 def test_cli_portrait_rejects_negative_height(capsys):
     code, _, err = run_cli(capsys, "portrait", "--op", "shift:right",
                            "--grid=-1,1,-0.5,8x4")

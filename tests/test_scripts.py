@@ -60,14 +60,17 @@ def test_output_gate_compares_gates_by_name(tmp_path):
 
 
 def test_output_gate_local_requests_pair_each_dense_input(tmp_path):
-    # every .qmat input of seeds 51-53 keeps a file of its own and gets a
-    # seeded vector, then a basis vector; one pair runs through the CLI
+    # every classify input of seeds 51-53 keeps a file of its own, and each
+    # .qmat one gets a seeded vector, then a basis vector; one pair runs
+    # through the CLI
     probe = (
         "import collections, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import output_gate\n"
         "from qspec import cli, io\n"
-        "reqs = output_gate.local_requests(sys.argv[2])\n"
+        "seeded = output_gate.seeded_matrix_requests(sys.argv[2])\n"
+        "assert len({r.argv[2] for rs in seeded.values() for r in rs}) == 504\n"
+        "reqs = output_gate.local_requests(seeded)\n"
         "mats = collections.Counter(r[2] for r in reqs)\n"
         "assert len(reqs) == 504 and len(mats) == 252, (len(reqs), len(mats))\n"
         "assert set(mats.values()) == {2} and all(m.startswith('dense:') for m in mats)\n"

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,16 @@ def test_stacked_growth_bounds_match_the_per_power_loop():
         for side in ("left", "right"):
             op = ShiftOperator(side, window=window)
             assert growth_bounds(op) == ref.growth_bounds(op)
+
+
+def test_growth_bounds_stop_before_an_overflowing_power():
+    # at entries 1e60 the sixth power passes double precision; each power
+    # bounds the spectrum alone, so the first five give the bounds
+    a = QMatrix.diag([Quaternion(1e60, 0.3), Quaternion(-2e60, 0.0, 0.1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert growth_bounds(a) == growth_bounds(a, 5)
+    assert growth_bounds(a)[0] == pytest.approx(2e60, rel=1e-12)
 
 
 def test_growth_bounds_of_the_shifts():
@@ -544,6 +555,14 @@ def test_symbol_route_cells_at_the_threshold_cut():
         assert np.all(np.abs(want - REGION_CUT) < 1e-13)
         got = _SectionKappa(op, window).values(xs, ys)
         _assert_shift_agrees(op, window, xs, ys, got, want)
+
+
+def test_fmt_array_prints_values_past_the_rounding_range():
+    # rounding to 12 places scales by 1e12, which overflows past about 1e296
+    values = np.array([1e300, -1.5e305, 2.5e296, 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _fmt_array(values) == ["1e+300", "-1.5e+305", "2.5e+296", "0.25"]
 
 
 def test_decided_rounds_as_the_csv_prints():
