@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the CLI output that a pure refactor must leave byte-identical.
 
-Eight gates, each printed on one line, named first, as a sha256 digest of
+Nine gates, each printed on one line, named first, as a sha256 digest of
 its stdout and exit codes, with the number of stdout lines:
 
   matrix    the 504 ``classify`` requests of the ``matrix`` benchmark for
@@ -19,6 +19,9 @@ its stdout and exit codes, with the number of stdout lines:
   classify  the same 504 ``classify`` requests, each seed's inputs in the
             folder of its own that the local gate reads, so every command
             reads its own input
+  portrait-dense
+            ``portrait`` on each of the 168 ``dense:`` and ``mult:`` inputs
+            of seed 51's ``matrix`` requests, on one fixed 9x5 grid
 
 Run it from any directory as ``python3 scripts/output_gate.py`` on two
 checkouts, save each output, and compare them with
@@ -29,7 +32,7 @@ which matches gates by name: a gate that both print must match, a gate
 that the head no longer prints fails, and a gate that only the head
 prints is listed as new.  The comparison exits 1 on any failure.  It imports qspec from the ``src`` of
 the checkout it sits in and the request builders of
-``perfbench/workloads.py``, which it only reads.  It takes about 23
+``perfbench/workloads.py``, which it only reads.  It takes about 25
 seconds on a 2-core host.
 """
 
@@ -58,6 +61,10 @@ MATRIX_STREAM, PORTRAIT_STREAM, SERIES_STREAM = 1, 2, 3
 
 # the random stream of the local gate's vectors
 LOCAL_STREAM = 4
+
+# the grid of the portrait-dense gate: the planted spheres lie in
+# [-2, 2] x [0, 3]
+DENSE_PORTRAIT_GRID = "--grid=-2,2,3,9x5"
 
 # the suites whose instances build orthonormal bases of subspaces
 SUBSPACE_SUITES = ("subspace-laws", "restriction-quotient", "mult-operator",
@@ -167,9 +174,12 @@ def main(argv=None) -> int:
         seeded = seeded_matrix_requests(workdir)
         local = local_requests(seeded)
         classify = [req.argv for requests in seeded.values() for req in requests]
+        dense_portrait = [["portrait", "--op", req.argv[req.argv.index("--op") + 1],
+                           DENSE_PORTRAIT_GRID] for req in seeded[51]]
         for name, argvs in (("matrix", matrix), ("check", check), ("portrait", portrait),
                             ("series", series), ("subspace", subspace), ("laws", laws),
-                            ("local", local), ("classify", classify)):
+                            ("local", local), ("classify", classify),
+                            ("portrait-dense", dense_portrait)):
             sha, lines = digest(argvs)
             print(f"{name:<9} {len(argvs):>4} commands  sha256 {sha}  lines {lines}")
     return 0

@@ -129,11 +129,15 @@ class ShiftOperator(LinearOperator):
             return QVector(np.concatenate([[0.0], v.c1]), np.concatenate([[0.0], v.c2]))
         return QVector(v.c1[1:], v.c2[1:])
 
-    def finite_section(self, n: int) -> QMatrix:
+    def band(self, n: int) -> np.ndarray:
+        """The n x n section as a real array: ones just below the diagonal
+        (right shift) or just above it (left), zeros elsewhere."""
         if n < 2:
             raise ShapeError("shift sections need n >= 2")
-        band = np.eye(n, k=-1 if self.side == "right" else 1, dtype=np.complex128)
-        return QMatrix(band, np.zeros((n, n), dtype=np.complex128))
+        return np.eye(n, k=-1 if self.side == "right" else 1)
+
+    def finite_section(self, n: int) -> QMatrix:
+        return QMatrix(self.band(n).astype(np.complex128), np.zeros((n, n), dtype=np.complex128))
 
     def adjoint_operator(self) -> "ShiftOperator":
         other = "left" if self.side == "right" else "right"

@@ -425,6 +425,8 @@ def pseudo_resolvent(a: QMatrix, q: Quaternion) -> QMatrix:
 # time, shift sections of windows >= 66 one at a time, so a block never
 # holds much more than one large section
 _BLOCK_ENTRIES = 1 << 13
+#: the failure of an R_q with an entry past double precision
+RESOLVENT_OVERFLOW = "R_q = A^2 - 2 Re(q) A + |q|^2 I overflows double precision"
 
 
 def resolvent_singular_values(m: np.ndarray, xs, ys, keep: np.ndarray | None = None):
@@ -453,7 +455,7 @@ def resolvent_singular_values(m: np.ndarray, xs, ys, keep: np.ndarray | None = N
         with np.errstate(over="ignore", invalid="ignore"):
             r = m2 - twice_x[lo:hi] * m1 + r2[lo:hi] * eye
         if not np.isfinite(r).all():
-            raise NumericalError("R_q = A^2 - 2 Re(q) A + |q|^2 I overflows double precision")
+            raise NumericalError(RESOLVENT_OVERFLOW)
         yield np.linalg.svd(r, compute_uv=False)
 
 

@@ -11,8 +11,12 @@ import pytest
 from qspec import io, rand
 from qspec.cli import main
 from qspec.operators import MultiplicationOperator, ShiftOperator
-from qspec.quat import Quaternion
+from qspec.qlinalg import RESOLVENT_OVERFLOW
+from qspec.quat import SLICE_I, Quaternion
 from qspec.sliceseries import SliceSeries
+from qspec.spectral import GridSpec, SlicePortrait
+
+import spectral_reference as ref
 
 ONE = Quaternion(1)
 I = Quaternion(0, 1, 0, 0)
@@ -258,6 +262,30 @@ def test_cli_overflowing_entries_fail_loudly(tmp_path, capsys, size):
         assert (code, err) == (0, "")
         kappas = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
         assert kappas and all(1e299 < k < 1e301 for k in kappas)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cli_shift_portrait_overflow_rule(capsys, side):
+    # at 1e200 r2 = |q|^2, an entry of R_q, passes double precision: the
+    # dense kernel's numerical failure, before any symbol arithmetic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "portrait", "--op", f"shift:{side}",
+                                 "--grid=-1e200,1e200,1e200,3x2")
+    assert (code, out) == (2, "")
+    assert err == f"numerical failure: {RESOLVENT_OVERFLOW}\n"
+    # at 1e100 R_q is finite and the symbol's terms are not: those cells
+    # take the dense SVD, and print what one SVD per point gives
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "portrait", "--op", f"shift:{side}",
+                                 "--grid=-1e100,1e100,1e100,3x2")
+    assert (code, err) == (0, "")
+    grid = GridSpec(-1e100, 1e100, 1e100, 3, 2)
+    xs, ys = grid.xs()[None, :], grid.ys()[:, None]
+    want = ref.section_kappas(ShiftOperator(side), 128, xs, ys)
+    p = SlicePortrait(grid=grid, slice_unit=SLICE_I, window=128, norm_scale=1.0, values=want)
+    assert out == "\n".join(p.csv_lines()) + "\n"
 
 
 def test_cli_portrait_rejects_negative_height(capsys):
