@@ -21,7 +21,7 @@ import sys
 
 from . import io
 from .errors import NumericalError, PoleError, ShapeError
-from .quat import SLICE_I, SLICE_J, SLICE_K, SliceUnit, _fmt
+from .quat import _fmt
 
 
 @functools.cache
@@ -43,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--window", type=int, default=None,
                            help="finite-section size (at least 4) for genuinely "
                                 "infinite operators; default the operator's own")
-            p.add_argument("--slice", default="i", dest="slice_axis",
-                           help="slice plane: i, j, k, or a custom axis 'x,y,z'")
         if vector:
             p.add_argument("--vector", dest="vector_path", required=True,
                            help="vector file (.qvec)")
@@ -73,20 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("series", help="series report"), series=True)
     common(sub.add_parser("check", help="run property suites"), suite=True)
     return parser
-
-
-def _slice_unit(text: str) -> SliceUnit:
-    named = {"i": SLICE_I, "j": SLICE_J, "k": SLICE_K}
-    if text in named:
-        return named[text]
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"slice axis must be i, j, k or 'x,y,z': {text!r}")
-    x, y, z = (float(p) for p in parts)
-    for name, value in zip("xyz", (x, y, z)):
-        if not math.isfinite(value):
-            raise ValueError(f"slice axis component {name} = {value!r} is not finite")
-    return SliceUnit.from_components(x, y, z)
 
 
 def _emit(cfg: argparse.Namespace, text: str) -> None:
@@ -134,8 +118,7 @@ def _cmd_portrait(cfg: argparse.Namespace) -> int:
     from . import spectral
     op = io.parse_operator_spec(cfg.op_spec)
     grid = io.parse_grid(cfg.grid)
-    unit = _slice_unit(cfg.slice_axis)
-    p = spectral.portrait(op, grid, window=cfg.window, slice_unit=unit)
+    p = spectral.portrait(op, grid, window=cfg.window)
     _emit(cfg, "\n".join(p.csv_lines()) + "\n")
     return 0
 

@@ -27,7 +27,6 @@ class LinearOperator:
     dim: int | None = None
     #: band width of the section matrix (0 = diagonal/dense)
     bandwidth: int = 0
-    label: str = "operator"
 
     @property
     def section_margin(self) -> int:
@@ -40,19 +39,15 @@ class LinearOperator:
     def finite_section(self, n: int) -> QMatrix:
         raise NotImplementedError
 
-    def adjoint_operator(self) -> "LinearOperator":
-        raise NotImplementedError
-
 
 class DenseOperator(LinearOperator):
     """A square quaternionic matrix wrapped as an operator."""
 
-    def __init__(self, matrix: QMatrix, label: str = "dense"):
+    def __init__(self, matrix: QMatrix):
         if matrix.rows != matrix.cols:
             raise ShapeError("dense operators must be square")
         self.matrix = matrix
         self.dim = matrix.rows
-        self.label = label
 
     def apply(self, v: QVector) -> QVector:
         return self.matrix.apply(v)
@@ -61,9 +56,6 @@ class DenseOperator(LinearOperator):
         if n != self.dim:
             raise ShapeError(f"dense operator has fixed dimension {self.dim}")
         return self.matrix
-
-    def adjoint_operator(self) -> "DenseOperator":
-        return DenseOperator(self.matrix.adjoint(), label=self.label + "^*")
 
 
 class MultiplicationOperator(LinearOperator):
@@ -75,7 +67,7 @@ class MultiplicationOperator(LinearOperator):
     sphere closure of the value set g(Omega), conjugates included.
     """
 
-    def __init__(self, labels, values, label: str = "mult"):
+    def __init__(self, labels, values):
         self.labels = tuple(str(s) for s in labels)
         self.values = tuple(values)
         if len(self.labels) != len(self.values):
@@ -83,7 +75,6 @@ class MultiplicationOperator(LinearOperator):
         if not self.values:
             raise ShapeError("the point set must be nonempty")
         self.dim = len(self.values)
-        self.label = label
         self._matrix = QMatrix.diag(self.values)
 
     def as_qmatrix(self) -> QMatrix:
@@ -96,10 +87,6 @@ class MultiplicationOperator(LinearOperator):
         if n != self.dim:
             raise ShapeError(f"multiplication operator has fixed dimension {self.dim}")
         return self._matrix
-
-    def adjoint_operator(self) -> "MultiplicationOperator":
-        return MultiplicationOperator(
-            self.labels, [q.conjugate() for q in self.values], label=self.label + "^*")
 
     def value_spheres(self) -> tuple[EigenSphere, ...]:
         return merge_spheres([sphere_of(q) for q in self.values])
@@ -225,27 +212,22 @@ def quotient(a: QMatrix, basis: SubspaceBasis) -> QMatrix:
 
 @dataclass(frozen=True)
 class HalfPlaneRegion:
-    """Open subset of the (re, im) half plane: a union of rectangles and disks."""
+    """Open subset of the (re, im) half plane: a union of open disks, each
+    a (re, im, radius) triple."""
 
-    pieces: tuple
-
-    @staticmethod
-    def rect(re0: float, re1: float, im0: float, im1: float) -> "HalfPlaneRegion":
-        return HalfPlaneRegion((("rect", re0, re1, im0, im1),))
+    disks: tuple
 
     @staticmethod
     def disk(re: float, im: float, radius: float) -> "HalfPlaneRegion":
         if not radius > 0.0:    # nan fails too
             raise ValueError("disk radius must be positive")
-        return HalfPlaneRegion((("disk", re, im, radius),))
+        return HalfPlaneRegion(((re, im, radius),))
 
     def __or__(self, other: "HalfPlaneRegion") -> "HalfPlaneRegion":
-        return HalfPlaneRegion(self.pieces + other.pieces)
+        return HalfPlaneRegion(self.disks + other.disks)
 
     def contains(self, s: EigenSphere) -> bool:
-        return any(p[0] < s.re < p[1] and p[2] < s.im < p[3] if kind == "rect"
-                   else math.hypot(s.re - p[0], s.im - p[1]) < p[2]
-                   for kind, *p in self.pieces)
+        return any(math.hypot(s.re - re, s.im - im) < radius for re, im, radius in self.disks)
 
 
 def partition_splitting(op: MultiplicationOperator, u1: HalfPlaneRegion,

@@ -114,13 +114,6 @@ class QVector:
         return QVector(self.c1 * a - self.c2 * np.conj(b),
                        self.c1 * b + self.c2 * np.conj(a))
 
-    def left_mul(self, q: Quaternion) -> "QVector":
-        """Entrywise left multiplication q * phi_k (basis dependent, used
-        for scalar series coefficients acting on vector values)."""
-        a, b = _split(q)
-        return QVector(a * self.c1 - b * np.conj(self.c2),
-                       a * self.c2 + b * np.conj(self.c1))
-
     def scale(self, t: float) -> "QVector":
         return QVector(self.c1 * t, self.c2 * t)
 
@@ -384,12 +377,6 @@ def _kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> int:
     return null // 2
 
 
-def nullity(a: QMatrix, tol: float = 1e-10, s: np.ndarray | None = None) -> int:
-    """len(kernel_basis(a, tol)) counted from ``s = _singular_values(a)``."""
-    s = _singular_values(a) if s is None else s
-    return _kernel_dim(s, a.cols, a.is_complex_slice, tol)
-
-
 def kernel_basis(a: QMatrix, tol: float = 1e-10) -> QMatrix:
     """Right orthonormal basis of ker A at relative tolerance tol * (1 + |A|_F),
     as the columns of an (m, k) matrix.
@@ -556,7 +543,8 @@ class SpectralDecomposition:
             x.setflags(write=False)
 
     def kernel_dims(self, tol: float = 1e-10) -> tuple[int, ...]:
-        """nullity(R_q(A), tol) at each sphere, from its singular values."""
+        """dim ker R_q(A) at each sphere at ``kernel_basis``'s tol, from its
+        singular values."""
         cols = len(self.m) if self.half else len(self.m) // 2
         return tuple(_kernel_dim(s, cols, self.half, tol) for s in self.singular_values)
 
@@ -957,10 +945,6 @@ class SubspaceBasis:
     def projection(self) -> QMatrix:
         """Orthogonal projection onto the span."""
         return self.matrix @ self.matrix.adjoint()
-
-    def contains(self, v: QVector, tol: float = 1e-8) -> bool:
-        r = v - self.projection().apply(v)
-        return r.norm() <= tol * (1.0 + v.norm())
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(space_dim={self.space_dim}, dim={self.dim})"

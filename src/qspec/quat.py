@@ -133,16 +133,6 @@ class SliceUnit:
         if not abs(n - 1.0) <= 1e-12:    # nan fails too
             raise ValueError(f"slice unit must have unit norm, got |I|^2 = {n!r}")
 
-    @staticmethod
-    def from_components(x: float, y: float, z: float) -> "SliceUnit":
-        n = math.sqrt(x * x + y * y + z * z)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero imaginary vector")
-        return SliceUnit(x / n, y / n, z / n)
-
-    def as_quaternion(self) -> Quaternion:
-        return Quaternion(0.0, self.x, self.y, self.z)
-
 
 SLICE_I = SliceUnit(1.0, 0.0, 0.0)
 SLICE_J = SliceUnit(0.0, 1.0, 0.0)
@@ -152,18 +142,6 @@ SLICE_K = SliceUnit(0.0, 0.0, 1.0)
 def _fmt(x: float) -> str:
     # round display-only values so eigenvalue noise prints as clean zeros
     return format(round(x, 12) + 0.0, ".12g")
-
-
-def slice_decompose(q: Quaternion) -> tuple[float, float, SliceUnit | None]:
-    """Split q = x + y * I with y >= 0.
-
-    Real quaternions return (w, 0.0, None): they lie in every complex
-    plane, so no preferred axis exists.
-    """
-    y = q.imag_norm()
-    if y == 0.0:
-        return (q.w, 0.0, None)
-    return (q.w, y, SliceUnit.from_components(q.x, q.y, q.z))
 
 
 def slice_compose(x: float, y: float, unit: SliceUnit) -> Quaternion:

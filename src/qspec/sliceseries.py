@@ -420,6 +420,12 @@ def cr_residual(f, points: Sequence[Quaternion]) -> float:
 
 
 def _sample_rows(center: Quaternion, r: float) -> np.ndarray:
+    """Deterministic sample grid of the closed euclidean r-ball at center,
+    one quaternion per row.
+
+    Euclidean distance dominates the sigma distance, so every sample also
+    lies in the sigma-ball of the same radius.
+    """
     s3 = 1.0 / math.sqrt(3.0)
     units = (SLICE_I, SLICE_J, SLICE_K, SliceUnit(s3, s3, s3))
     radii = np.array([frac * r for frac in (0.25, 0.5, 0.75, 1.0)])[:, None]
@@ -432,15 +438,6 @@ def _sample_rows(center: Quaternion, r: float) -> np.ndarray:
     ring[:, :, 1:] = ys[None, :, None] * axes[:, None, :]
     c = _rows([center])
     return np.concatenate([c, ring.reshape(-1, 4) + c])
-
-
-def slice_samples(center: Quaternion, r: float) -> list[Quaternion]:
-    """Deterministic sample grid of the closed euclidean r-ball at center.
-
-    Euclidean distance dominates the sigma distance, so every sample also
-    lies in the sigma-ball of the same radius.
-    """
-    return list(_objects(_sample_rows(center, r)))
 
 
 @dataclass(frozen=True)

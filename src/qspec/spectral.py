@@ -29,7 +29,7 @@ import numpy as np
 from .errors import NumericalError, ShapeError
 from .operators import ShiftOperator
 from .qlinalg import QMatrix, pseudo_resolvent  # noqa: F401 (documented re-export)
-from .quat import EigenSphere, Quaternion, SLICE_I, SliceUnit, _fmt
+from .quat import EigenSphere, Quaternion, _fmt
 from . import qlinalg
 
 
@@ -306,6 +306,10 @@ _DENSE_ERR, _RIGHT_ERR, _LEFT_ERR = 4.0, 2.0, 16.0
 #: model step squares products of its terms, about scale^12 in all, which
 #: passes double precision from about scale 3e24 on (measured)
 _SYMBOL_SCALE = 1e20
+#: left points with |x| <= _NEAR_AXIS eps r2 (cols + 1) go to the dense SVD
+#: (a scan of cols 3-1022, y 10-1e8 and x/y 1e-18-1e-4 found the Gram split
+#: failing up to |x| / (eps r2) = 142 at cols 62 and 4,504 at cols 1022)
+_NEAR_AXIS = 16.0
 #: the entries (i, j), i <= j, of a symmetric 3 x 3 matrix, in a flat row,
 #: and how often each stands in the whole matrix
 _UPPER = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
@@ -854,8 +858,11 @@ def _shift_kappas(side: str, cols: int, xs: np.ndarray, ys: np.ndarray):
             lo, hi, decided = _inverse_kappa_bounds(xs[idx], ys[idx], cols, dense_err[idx], cut)
             out[idx], reach[idx], hard[idx] = hi, hi - lo + dense_err[idx], ~decided
         # at x = 0 the section splits into two interleaved chains, equal for
-        # even n, whose double eigenvalues the fast counts resolve slowly
-        todo = np.flatnonzero((r2 >= 1.0) & (xs != 0.0) & symbol)
+        # even n, whose double eigenvalues the fast counts resolve slowly;
+        # near it, |x| within _NEAR_AXIS eps r2 (cols + 1), the paired symbol
+        # values merge in rounding and the Gram split breaks down
+        near_axis = np.abs(xs) <= _NEAR_AXIS * _EPS * r2 * (cols + 1)
+        todo = np.flatnonzero((r2 >= 1.0) & ~near_axis & symbol)
     c, s = _sine_modes(cols)
     for start in range(0, len(todo), chunk):
         idx = todo[start:start + chunk]
@@ -975,10 +982,9 @@ def shift_kappa_limit(side: str, xs, ys) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlicePortrait:
-    """Sampled kappa(R_{x+yI}) over a half-plane grid on one slice."""
+    """Sampled kappa(R_{x+yI}) over a half-plane grid, the same on every slice."""
 
     grid: GridSpec
-    slice_unit: SliceUnit
     window: int
     norm_scale: float
     values: np.ndarray
@@ -995,20 +1001,18 @@ class SlicePortrait:
             fh.write("\n".join(self.csv_lines()) + "\n")
 
 
-def portrait(op, grid: GridSpec, window: int | None = None,
-             slice_unit: SliceUnit = SLICE_I) -> SlicePortrait:
+def portrait(op, grid: GridSpec, window: int | None = None) -> SlicePortrait:
     """Sample kappa(R_{x+yI}(op)) over the grid.
 
     A finite operator is probed on its whole matrix, an infinite one on a
-    section of ``window`` rows (None: the operator's own window).  The
-    value at (x, y) depends on the slice only through (x, |y|), so the
-    portrait is the same for every slice unit; the unit is recorded for
-    the caller's bookkeeping.
+    section of ``window`` rows (None: the operator's own window).  R_q
+    depends on q only through (x, |y|), so one portrait holds for every
+    slice unit I.
     """
     engine = _SectionKappa(op, window)
     values = engine.values(grid.xs()[None, :], grid.ys()[:, None])
     values.setflags(write=False)
-    return SlicePortrait(grid=grid, slice_unit=slice_unit, window=engine.n,
+    return SlicePortrait(grid=grid, window=engine.n,
                          norm_scale=engine.norm_scale(), values=values,
                          dense_cells=engine.dense_cells)
 

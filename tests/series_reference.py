@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 
 from qspec.qlinalg import QVector
-from qspec.quat import (SLICE_I, SLICE_J, SLICE_K, Quaternion, SliceUnit,
-                        slice_compose, slice_decompose)
+from qspec.quat import SLICE_I, SLICE_J, SLICE_K, Quaternion, SliceUnit, slice_compose
 
 
 def _is_vector(c) -> bool:
@@ -29,6 +28,21 @@ def _right_mul(c, q: Quaternion):
 
 def _zero(c):
     return QVector.zeros(c.n) if _is_vector(c) else Quaternion()
+
+
+def _left_mul(q: Quaternion, v: QVector) -> QVector:
+    """Entrywise left multiplication q * v_k: a scalar coefficient acting
+    on a vector one (basis dependent)."""
+    return QVector.from_quaternions([q * v.entry(k) for k in range(v.n)])
+
+
+def slice_decompose(q: Quaternion) -> tuple[float, float, SliceUnit | None]:
+    """Split q = x + y * I with y >= 0; a real q has no preferred axis and
+    gives (w, 0.0, None)."""
+    y = q.imag_norm()
+    if y == 0.0:
+        return (q.w, 0.0, None)
+    return (q.w, y, SliceUnit(q.x / y, q.y / y, q.z / y))
 
 
 def sigma_radius(coefficients) -> float:
@@ -78,7 +92,7 @@ def star_coefficients(f, g) -> list:
             if _is_vector(a):
                 term = a.times(b)
             elif _is_vector(b):
-                term = b.left_mul(a)
+                term = _left_mul(a, b)
             else:
                 term = a * b
             coeffs[k + l] = coeffs[k + l] + term
@@ -98,7 +112,7 @@ def cr_residual(evaluate_at, points, h: float = 1e-4) -> float:
         _, _, unit = slice_decompose(q)
         if unit is None:
             unit = SLICE_I
-        iq = unit.as_quaternion()
+        iq = slice_compose(0.0, 1.0, unit)
         step = iq * h
         fxp, fxm = evaluate_at(q + Quaternion(h)), evaluate_at(q - Quaternion(h))
         fyp, fym = evaluate_at(q + step), evaluate_at(q - step)

@@ -10,7 +10,9 @@ residual as a QMatrix with one ``op_norm`` each; and the portrait kappa that
 formed the whole R_q of one grid point at a time before taking its kept
 columns and one SVD; the object-by-object modified Gram-Schmidt behind
 orthonormal bases; and the arc rasterizer that placed one sample point at a
-time.  Kept so that tests can compare the two routes.
+time; the kernel dimension from a matrix's own SVD, and subspace membership
+from the projection's residual.  Kept so that tests can compare the two
+routes.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import numpy as np
 import scipy.linalg
 
 from qspec.errors import NumericalError
-from qspec.qlinalg import (CONDITION_LIMIT, QMatrix, QVector, _j_conj, _singular_values,
-                           complex_adjoint, inner, min_singular, nullity, op_norm,
-                           pseudo_resolvent)
+from qspec.qlinalg import (CONDITION_LIMIT, QMatrix, QVector, SubspaceBasis, _j_conj,
+                           _kernel_dim, _singular_values, complex_adjoint, inner,
+                           min_singular, op_norm, pseudo_resolvent)
 from qspec.quat import EigenSphere, Quaternion, cluster_spheres, merge_spheres, sphere_union
 from qspec.spectral import (SphereFlags, SpectrumReport, _section_size, growth_bounds,
                             membership_threshold)
@@ -48,6 +50,17 @@ def _eigenvalues(a: QMatrix) -> np.ndarray:
         lams = np.linalg.eigvals(a.c1)
         return np.concatenate([lams, np.conj(lams)])
     return np.linalg.eigvals(complex_adjoint(a))
+
+
+def nullity(a: QMatrix, tol: float = 1e-10, s: np.ndarray | None = None) -> int:
+    """len(kernel_basis(a, tol)) counted from ``s = _singular_values(a)``."""
+    s = _singular_values(a) if s is None else s
+    return _kernel_dim(s, a.cols, a.is_complex_slice, tol)
+
+
+def in_subspace(basis: SubspaceBasis, v: QVector, tol: float = 1e-8) -> bool:
+    """|v - P v| <= tol (1 + |v|) for the orthogonal projection P onto the basis."""
+    return (v - basis.projection().apply(v)).norm() <= tol * (1.0 + v.norm())
 
 
 def eigen_spheres(a: QMatrix, tol: float = 1e-8) -> tuple[EigenSphere, ...]:

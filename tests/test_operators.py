@@ -142,10 +142,10 @@ def test_half_plane_region_membership():
     disk = HalfPlaneRegion.disk(0, 1, 0.2)
     assert disk.contains(EigenSphere(0, 1.1))
     assert not disk.contains(EigenSphere(1, 0))
-    rect = HalfPlaneRegion.rect(-1, 0, 0, 2)
-    both = disk | rect
-    assert both.contains(EigenSphere(-0.5, 1.5))
-    assert not rect.contains(EigenSphere(-1, 1))  # boundary is outside
+    other = HalfPlaneRegion.disk(-0.5, 1.5, 0.5)
+    both = disk | other
+    assert both.contains(EigenSphere(-0.5, 1.5)) and both.contains(EigenSphere(0, 1.1))
+    assert not other.contains(EigenSphere(-1, 1.5))  # boundary is outside
 
 
 def test_disk_rejects_nan_radius():

@@ -25,7 +25,6 @@ from qspec.sliceseries import (
     h_metric,
     sigma_radius,
     slice_derivative,
-    slice_samples,
     star_product,
 )
 
@@ -225,9 +224,14 @@ def test_h_metric_identity_and_symmetry():
         h_metric(g, f, exhaustion=e))
 
 
+def _slice_samples(center, r):
+    """The engine's sample grid of the r-ball at center, one quaternion each."""
+    return [Quaternion(*row) for row in sliceseries._sample_rows(center, r).tolist()]
+
+
 def test_slice_samples_deterministic():
-    a = slice_samples(Z, 1.0)
-    b = slice_samples(Z, 1.0)
+    a = _slice_samples(Z, 1.0)
+    b = _slice_samples(Z, 1.0)
     assert len(a) == len(b) > 0
     assert all(p == q for p, q in zip(a, b))
     assert all(abs(p) <= 1.0 + 1e-12 for p in a)
@@ -360,7 +364,7 @@ def test_engine_h_metric_of_callable_matches_reference():
 
 def test_engine_slice_samples_match_reference():
     p = CENTERS["slice"]
-    assert slice_samples(p, 0.7) == ref.slice_samples(p, 0.7)
+    assert _slice_samples(p, 0.7) == ref.slice_samples(p, 0.7)
 
 
 def test_monomials_computed_once():
@@ -397,7 +401,12 @@ def test_divergence_warning_from_batches():
 # w+- = (x - p0) + i(+-y - p1).  Rounding errors scale with
 # sum_n |a_n| max|w+-|^n, and each check allows 1e-12 of that.
 
-FAR = slice_compose(1.2, 1.6, SliceUnit.from_components(0.3, -0.5, 0.8))  # |p| = 2
+def _unit_of(q):
+    y = q.imag_norm()
+    return SLICE_I if y == 0.0 else SliceUnit(q.x / y, q.y / y, q.z / y)
+
+
+FAR = slice_compose(1.2, 1.6, _unit_of(Quaternion(0.0, 0.3, -0.5, 0.8)))  # |p| = 2
 FORMULA_DEGREES = (0, 1, 7, 40, 80)
 
 
@@ -408,16 +417,11 @@ def _formula_scale(f, q):
     return sum(_size(a) * t ** n for n, a in enumerate(f.coefficients))
 
 
-def _unit_of(q):
-    y = q.imag_norm()
-    return SLICE_I if y == 0.0 else SliceUnit(q.x / y, q.y / y, q.z / y)
-
-
 def _formula_points(center, rng):
     """Points on the centre's slice (I = J), on its mirror (I = -J), a real
     point and a generic one, all within 0.3 of the centre's real part."""
     unit = _unit_of(center)
-    other = SliceUnit.from_components(*rng.normal(size=3))
+    other = _unit_of(Quaternion(0.0, *rng.normal(size=3)))
     x, y = center.w + 0.1, center.imag_norm() + 0.15
     return {"I=J": slice_compose(x, y, unit), "I=-J": slice_compose(x, -y, unit),
             "real": Quaternion(x - 0.2), "generic": slice_compose(x, 0.2, other)}

@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from qspec import rand, spectral
 from qspec.operators import DenseOperator, MultiplicationOperator, ShiftOperator
 from qspec.qlinalg import (QMatrix, complex_image, inverse_matrix, min_singular, op_norm,
                            resolvent_singular_values)
-from qspec.quat import SLICE_I, SLICE_J, EigenSphere, Quaternion
+from qspec.quat import SLICE_I, SLICE_J, SLICE_K, EigenSphere, Quaternion, SliceUnit, slice_compose
 from qspec.spectral import (
     REGION_TOL,
     GridSpec,
@@ -333,13 +334,23 @@ def test_grid_spec_validation():
 
 
 def test_portrait_slice_independent_and_deterministic():
+    # one portrait holds on every slice: each cell is kappa of the section's
+    # R_q at q = x + yI for I = i, j, k and a random unit
     right = ShiftOperator("right")
     g = GridSpec(-1.2, 1.2, 1.0, 9, 5)
-    p1 = portrait(right, g, window=32, slice_unit=SLICE_I)
-    p2 = portrait(right, g, window=32, slice_unit=SLICE_J)
+    p1 = portrait(right, g, window=32)
+    p2 = portrait(right, g, window=32)
     assert np.array_equal(p1.values, p2.values)
     assert p1.csv_lines() == p2.csv_lines()
     assert p1.csv_lines()[0] == "x,y,kappa"
+    section, kept = right.finite_section(32), 32 - right.section_margin
+    u = np.random.default_rng(5).normal(size=3)
+    u /= np.linalg.norm(u)
+    for unit in (SLICE_I, SLICE_J, SLICE_K, SliceUnit(*u)):
+        for (iy, y), (ix, x) in itertools.product(enumerate(g.ys()), enumerate(g.xs())):
+            q = slice_compose(float(x), float(y), unit)
+            want = min_singular(pseudo_resolvent(section, q).take_cols(kept))
+            assert abs(p1.values[iy, ix] - want) <= 1e-12 * (1.0 + want), (unit, x, y)
 
 
 def test_portrait_matrix_operator_zeros_on_spectrum():
@@ -606,7 +617,7 @@ def test_decided_rounds_as_the_csv_prints():
     values = np.concatenate([[below, x, above, 0.0, -0.0, 5e-13, -5e-13],
                              np.random.default_rng(7).uniform(-2.0, 2.0, 20000)])
     assert _fmt_array(values) == [_fmt(v) for v in values]
-    portrait = SlicePortrait(grid=GridSpec(0.0, 1.0, 1.0, 3, 1), slice_unit=SLICE_I, window=3,
+    portrait = SlicePortrait(grid=GridSpec(0.0, 1.0, 1.0, 3, 1), window=3,
                              norm_scale=1.0, values=np.array([[below, x, above]]))
     printed = [line.split(",")[2] for line in portrait.csv_lines()[1:]]
     assert printed == ["-0.550748414155", "-0.550748414154", "-0.550748414154"]
@@ -812,7 +823,7 @@ def test_gate_requests_print_the_per_point_csv():
         xs, ys = req.expect["xs"], req.expect["ys"]
         grid = GridSpec(float(xs[0]), float(xs[-1]), float(ys[-1]), len(xs), len(ys))
         want = ref.section_kappas(ShiftOperator(side), window, xs[None, :], ys[:, None])
-        p = SlicePortrait(grid=grid, slice_unit=SLICE_I, window=window, norm_scale=1.0,
+        p = SlicePortrait(grid=grid, window=window, norm_scale=1.0,
                           values=want)
         assert out.getvalue() == "\n".join(p.csv_lines()) + "\n"
 
