@@ -314,9 +314,15 @@ _NEAR_AXIS = 16.0
 #: and how often each stands in the whole matrix
 _UPPER = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
 _TWICE = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
-#: in that flat row, adj(A) = A[i] A[j] - A[m] A[n] for a symmetric 3 x 3 A
-_ADJ = (np.array([3, 2, 1, 0, 1, 0]), np.array([5, 4, 4, 5, 2, 3]),
-        np.array([4, 1, 2, 2, 0, 1]), np.array([4, 5, 3, 2, 4, 1]))
+#: in that flat row, adj(A) = A[i] A[j] - A[m] A[n] for a symmetric 3 x 3 A:
+#: [[i, m], [j, n]]
+_ADJ = np.array([[[3, 2, 1, 0, 1, 0], [4, 1, 2, 2, 0, 1]],
+                 [[5, 4, 4, 5, 2, 3], [4, 5, 3, 2, 4, 1]]])
+#: offsets from a pole k: to k and k + 1, and to k - 1 ... k + 2
+_PAIR, _AROUND = np.array([[0], [1]]), np.array([[-1], [0], [1], [2]])
+#: the entries of a symmetric 5 x 5 matrix in its flat upper triangle
+_SYMMETRIC = np.array([[0, 1, 2, 3, 4], [1, 5, 6, 7, 8], [2, 6, 9, 10, 11],
+                       [3, 7, 10, 12, 13], [4, 8, 11, 13, 14]])
 
 
 def _region_cut(norm_scale: float) -> float:
@@ -414,6 +420,20 @@ class _LeftGram:
     H = T + V^T (D - mu)^-1 V, and det(M - mu) = det(D - mu) det(T) det(H).
     Each count keeps two poles d_k, d_{k+1} out of the sums in H, so that
     their size cancels nowhere.
+
+    Everything per mode sits in one block of 16 planes, a (points, modes)
+    array each: d, the three columns of V, the six products V_i V_j of the
+    flat upper triangle (``_UPPER``) and their absolute values, so that
+    ``take`` is one gather.  The products are read as a (points, modes, 6)
+    view whose columns are unit-stride, the layout in which the batched
+    matmul of the sums adds its terms.
+
+    One ``probe`` makes three passes over the modes (the reciprocal gaps
+    and their powers, one batched matmul for the sums of H, G and P, one
+    for their absolute sums), O(n) per point, and then about a hundred
+    numpy calls on arrays of a few rows per point, whatever n is: on the
+    benchmark's grids (up to 45 points, n of 94 to 159) 0.2 to 0.4 ms on a
+    2-core x86-64 host with one BLAS thread, most of it call overhead.
     """
 
     def __init__(self, c, s, d, xs, r2):
@@ -425,52 +445,58 @@ class _LeftGram:
         self.positive = np.count_nonzero(self.t > 0, axis=1)
         root = np.sqrt(np.abs(weights))
         order = np.argsort(d, axis=1)
-        self.d = np.take_along_axis(d, order, axis=1)
         a_k = a[order]
+        planes = np.empty((16, len(d), cols))
+        planes[0] = np.sort(d, axis=1)
+        np.multiply(alt[order], root[:, :1], out=planes[1])
+        np.multiply(a_k, root[:, 1:2], out=planes[2])
         # sin 2 theta_k = 2 sin theta_k cos theta_k: the coordinates of e_1
-        self.v = np.stack([alt[order] * root[:, :1], a_k * root[:, 1:2],
-                           2.0 * (a * c)[order] - 2.0 * xs[:, None] * a_k], axis=2)
-        self.v6 = self.v[:, :, _UPPER[0]] * self.v[:, :, _UPPER[1]]
-        self.v6abs = np.abs(self.v6)
-        self.size = np.sum(self.v * self.v, axis=2)
-        self.rows = np.arange(len(d))
+        np.subtract(2.0 * (a * c)[order], 2.0 * xs[:, None] * a_k, out=planes[3])
+        # V_0 V_0, V_0 V_1, V_0 V_2 | V_1 V_1, V_1 V_2 | V_2 V_2
+        np.multiply(planes[1], planes[1:4], out=planes[4:7])
+        np.multiply(planes[2], planes[2:4], out=planes[7:9])
+        np.multiply(planes[3], planes[3], out=planes[9])
+        np.abs(planes[4:10], out=planes[10:])
+        self._hold(planes)
+
+    def _hold(self, planes):
+        self.planes, self.d = planes, planes[0]
+        self.v6 = planes[4:10].transpose(1, 2, 0)
+        self.v6abs = planes[10:].transpose(1, 2, 0)
+        self.rows = np.arange(planes.shape[1])
 
     def take(self, keep):
         """The Gram of the points ``keep`` alone."""
         sub = object.__new__(_LeftGram)
-        for name in ("t", "positive", "d", "v", "v6", "v6abs", "size"):
-            setattr(sub, name, getattr(self, name)[keep])
-        sub.rows = np.arange(len(sub.d))
+        sub.t, sub.positive = self.t[keep], self.positive[keep]
+        sub._hold(self.planes[:, keep])
         return sub
 
-    def _split(self, mu, k):
-        """D - mu, the poles below mu, k (where k < 0: the sorted poles k and
-        k + 1 nearest mu), T plus the sums of H over the other poles and
-        their first and half second derivatives in mu, as flat upper
-        triangles, and the reciprocal gaps."""
-        rows, cols = self.rows, self.d.shape[1]
-        dm = self.d - mu[:, None]
-        poles = np.count_nonzero(dm < 0, axis=1)
-        far = np.abs(dm)
-        near = np.clip(poles - 1, 0, cols - 2)
-        near = np.where((near > 0) & (far[rows, near - 1] < far[rows, near + 1]), near - 1,
-                        np.where((near + 2 < cols)
-                                 & (far[rows, np.minimum(near + 2, cols - 1)] < far[rows, near]),
-                                 near + 1, near))
-        k = np.where(k < 0, near, k)
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / dm
-        inv[rows, k] = inv[rows, k + 1] = 0.0
-        inv2 = inv * inv
-        h, slope, bend = np.matmul(np.stack([inv, inv2, inv2 * inv], axis=1),
-                                   self.v6).transpose(1, 0, 2)
-        h[:, [0, 3, 5]] += self.t
-        return dm, poles, k, h, slope, bend, inv
+    def _sums(self, dm, pair):
+        """T plus the sums of H over all poles but the two at ``pair`` (k
+        and k + 1 in a (2, points) array), and their first and half second
+        derivatives in mu, as flat upper triangles in a (points, 3, 6)
+        array; and the reciprocal gaps."""
+        # power by point, a plane each; the matmul reads each point's three
+        # rows with unit stride, as from a (points, 3, modes) stack
+        powers = np.empty((3,) + dm.shape)
+        inv = powers[0]
+        np.divide(1.0, dm, out=inv)
+        inv[self.rows, pair] = 0.0
+        np.multiply(inv, inv, out=powers[1])
+        np.multiply(powers[1], inv, out=powers[2])
+        sums = np.matmul(powers.transpose(1, 0, 2), self.v6)
+        h, t = sums[:, 0], self.t
+        h[:, 0] += t[:, 0]
+        h[:, 3] += t[:, 1]
+        h[:, 5] += t[:, 2]
+        return sums, inv
 
     def probe(self, mu, k):
-        """At each point: the eigenvalues below mu, and G = F (d_{k-1} - mu)
-        (d_{k+2} - mu) with F = det(H) (d_k - mu)(d_{k+1} - mu), G's first
-        two derivatives in mu and its rounding level.
+        """At each point: the eigenvalues below mu, and a (4, points) array
+        of G = F (d_{k-1} - mu) (d_{k+2} - mu) with F = det(H) (d_k - mu)
+        (d_{k+1} - mu), G's first two derivatives in mu and its rounding
+        level.
 
         The poles k, k + 1 enter the leading minors of H as rank-one terms;
         scaled by the product of their gaps, each minor is a polynomial with
@@ -480,65 +506,106 @@ class _LeftGram:
         k - 1 and k + 2, take their poles out of G as well, so that a
         second-order model of G reaches up to them; G has F's zeros.  The
         rounding level is eps times F's sums taken over absolute values
-        (the far sums of H too), times those gaps.
+        (the far sums of H too), times those gaps.  Where mu meets a far
+        pole, or a term passes double precision, the values are not
+        finite, without a warning: the caller gives such a point up.
         """
-        rows = self.rows
-        dm, poles, k, h, slope, bend, inv = self._split(mu, k)
-        # A is H over the far poles, A' = G and A'' = 2 P
-        a, g, p = h.T, slope.T, bend.T
-        e1, e2 = dm[rows, k], dm[rows, k + 1]
-        u, v = self.v[rows, k].T, self.v[rows, k + 1].T
-        x = np.stack([u, v, u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]])
-        # the adjugate of A and its first two derivatives, each entry a
-        # difference of products of two entries of A, G or P
-        i, j, m, n = _ADJ
-        adj = a[i] * a[j] - a[m] * a[n]
-        dadj = g[i] * a[j] + a[i] * g[j] - g[m] * a[n] - a[m] * g[n]
-        ddadj = 2.0 * (p[i] * a[j] + g[i] * g[j] + a[i] * p[j]
-                       - p[m] * a[n] - g[m] * g[n] - a[m] * p[n])
-        det2, zero = adj[5], np.zeros_like(e1)
-        # x^T B x for x = u, v, u x v and B = adj(A) and its derivatives, A,
-        # G, P and the adjugate of A's leading 2 x 2 block
-        form = np.einsum("xkp,bkp->xbp", x[:, _UPPER[0]] * x[:, _UPPER[1]] * _TWICE[:, None],
-                         np.stack([adj, dadj, ddadj, a, g, p,
-                                   [a[3], -a[1], zero, a[0], zero, zero]]))
-        det3 = np.sum(a[:3] * adj[:3], axis=0)
-        both, either = e1 * e2, e1 + e2
-        m1 = a[0] * both + e2 * u[0] ** 2 + e1 * v[0] ** 2
-        m2 = det2 * both + e2 * form[0, 6] + e1 * form[1, 6] + x[2, 2] ** 2
-        m3 = det3 * both + e2 * form[0, 0] + e1 * form[1, 0] + form[2, 3]
-        # d det(A) = tr(adj(A) dA), and d^2 det(A) = tr(d adj(A) dA + adj(A) d^2 A)
-        ddet = np.sum(_TWICE[:, None] * adj * g, axis=0)
-        dddet = np.sum(_TWICE[:, None] * (dadj * g + 2.0 * adj * p), axis=0)
-        dm3 = (ddet * both - det3 * either - form[0, 0] - form[1, 0]
-               + e2 * form[0, 1] + e1 * form[1, 1] + form[2, 4])
-        d2m3 = (dddet * both - 2.0 * ddet * either + 2.0 * det3
-                - 2.0 * (form[0, 1] + form[1, 1]) + e2 * form[0, 2] + e1 * form[1, 2]
-                + 2.0 * form[2, 5])
-        # the same sums over absolute values: F's rounding level over eps
-        big = np.matmul(np.abs(inv)[:, None, :], self.v6abs)[:, 0].T
-        big[[0, 3, 5]] += 1.0
-        big_adj = big[i] * big[j] + big[m] * big[n]
-        xa = np.abs(x)
-        big_form = np.einsum("xkp,bkp->xbp", xa[:, _UPPER[0]] * xa[:, _UPPER[1]]
-                             * _TWICE[:, None], np.stack([big_adj, big]))
-        noise = (np.sum(big[:3] * big_adj[:3], axis=0) * np.abs(both) + np.abs(e2)
-                 * big_form[0, 0] + np.abs(e1) * big_form[1, 0] + big_form[2, 1])
-        # the scaling flips the sign of every minor where both < 0
-        flip = both < 0
-        n1, n2, n3 = (m1 < 0) != flip, (m2 < 0) != flip, (m3 < 0) != flip
-        changes = n1.astype(int) + (n1 != n2) + (n2 != n3)
-        below = poles + 3 - changes - self.positive
-        # G = F times the gaps to the poles k - 1 and k + 2 (1 where there is
-        # none), a product whose second derivative is 2 or 0
-        cols = self.d.shape[1]
-        low, high = k > 0, k + 2 < cols
-        ea = np.where(low, dm[rows, np.maximum(k - 1, 0)], 1.0)
-        eb = np.where(high, dm[rows, np.minimum(k + 2, cols - 1)], 1.0)
-        gaps, slant = ea * eb, -(low * eb + high * ea)
-        return (below, m3 * gaps, dm3 * gaps + m3 * slant,
-                d2m3 * gaps + 2.0 * (dm3 * slant + m3 * (low & high)),
-                _EPS * noise * np.abs(gaps))
+        rows, cols, count = self.rows, self.d.shape[1], len(mu)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dm = self.d - mu[:, None]
+            poles = np.add.reduce(dm < 0, axis=1)
+            # d and V at the poles k - 1 ... k + 2 (k - 1 and k + 2 wrap or
+            # repeat where there is none), in one gather
+            around = np.minimum(k + _AROUND, cols - 1)
+            sums, inv = self._sums(dm, around[1:3])
+            at = self.planes[:4, rows, around]
+            near = at[0] - mu
+            e1, e2 = near[1], near[2]
+            # component, vector (u and v: V's rows k and k + 1, and u x v),
+            # point; components 0 and 1 again below 2, so that each
+            # component of u x v reads two slices
+            x = np.empty((5, 3, count))
+            x[:3, :2] = at[1:, 1:3]
+            x[3:, :2] = x[:2, :2]
+            np.subtract(x[1:4, 0] * x[2:, 1], x[2:, 0] * x[1:4, 1], out=x[:3, 2])
+            # A is H over the far poles, A' = G and A'' = 2 P; the adjugate
+            # of A and its first two derivatives, each entry a difference of
+            # products of two entries of A, G or P, from one gather: prod[r,
+            # s, 0] = R_r[i] S_s[j] and prod[r, s, 1] = R_r[m] S_s[n] for
+            # R, S in (A, G, P)
+            b = np.zeros((7, 6, count))
+            b[3:6] = sums.transpose(1, 2, 0)
+            a, g, p = b[3], b[4], b[5]
+            terms = b[3:6, _ADJ]
+            prod = terms[:, None, 0] * terms[None, :, 1]
+            adj, dadj, ddadj = b[0], b[1], b[2]
+            np.subtract(prod[0, 0, 0], prod[0, 0, 1], out=adj)
+            np.add(prod[1, 0, 0], prod[0, 1, 0], out=dadj)
+            dadj -= prod[1, 0, 1]
+            dadj -= prod[0, 1, 1]
+            np.add(prod[2, 0, 0], prod[1, 1, 0], out=ddadj)
+            ddadj += prod[0, 2, 0]
+            ddadj -= prod[2, 0, 1]
+            ddadj -= prod[1, 1, 1]
+            ddadj -= prod[0, 2, 1]
+            ddadj *= 2.0
+            b[6, 0], b[6, 3] = a[3], a[0]
+            np.negative(a[1], out=b[6, 1])
+            # x^T B x for x = u, v, u x v and B = adj(A) and its derivatives,
+            # A, G, P and the adjugate of A's leading 2 x 2 block; the
+            # products x_i x_j stand plane by plane, as a gather along the
+            # vector axis lays them out
+            xx = np.empty((6, 3, count))
+            np.multiply(x[0], x[:3], out=xx[:3])
+            np.multiply(x[1], x[1:3], out=xx[3:5])
+            np.multiply(x[2], x[2], out=xx[5])
+            xx *= _TWICE[:, None, None]
+            pairs = xx.transpose(1, 0, 2)
+            form = np.einsum("xkp,bkp->xbp", pairs, b)
+            near_form = form[:2] * near[2:0:-1, None]     # e2 form[0], e1 form[1]
+            det3 = np.add.reduce(a[:3] * adj[:3], axis=0)
+            both, either = e1 * e2, e1 + e2
+            minors = np.empty((3, count))
+            np.add(a[0] * both + e2 * pairs[0, 0], e1 * pairs[1, 0], out=minors[0])
+            np.add(adj[5] * both + near_form[0, 6] + near_form[1, 6], pairs[2, 5], out=minors[1])
+            m3 = minors[2]
+            np.add(det3 * both + near_form[0, 0] + near_form[1, 0], form[2, 3], out=m3)
+            # d det(A) = tr(adj(A) dA), and d^2 det(A) = tr(d adj(A) dA + adj(A) d^2 A)
+            ddet = np.add.reduce(_TWICE[:, None] * adj * g, axis=0)
+            dddet = np.add.reduce(_TWICE[:, None] * (dadj * g + 2.0 * adj * p), axis=0)
+            dm3 = (ddet * both - det3 * either - form[0, 0] - form[1, 0]
+                   + near_form[0, 1] + near_form[1, 1] + form[2, 4])
+            d2m3 = (dddet * both - 2.0 * ddet * either + 2.0 * det3
+                    - 2.0 * (form[0, 1] + form[1, 1]) + near_form[0, 2] + near_form[1, 2]
+                    + 2.0 * form[2, 5])
+            # the same sums over absolute values: F's rounding level over eps
+            big = np.matmul(np.abs(inv)[:, None, :], self.v6abs)[:, 0].T
+            big[0] += 1.0
+            big[3] += 1.0
+            big[5] += 1.0
+            bigs = big[_ADJ]
+            big_b = np.empty((2, 6, count))
+            np.add(*(bigs[0] * bigs[1]), out=big_b[0])
+            big_b[1] = big
+            big_form = np.einsum("xkp,bkp->xbp", np.abs(pairs), big_b)
+            size = np.abs(near)
+            noise = (np.add.reduce(big[:3] * big_b[0, :3], axis=0) * np.abs(both)
+                     + size[2] * big_form[0, 0] + size[1] * big_form[1, 0] + big_form[2, 1])
+            # the scaling flips the sign of every minor where both < 0
+            signs = (minors < 0) != (both < 0)
+            turns = signs[1:] != signs[:2]
+            below = poles + 3 - self.positive - signs[0] - turns[0] - turns[1]
+            # G = F times the gaps to the poles k - 1 and k + 2 (1 where there
+            # is none), a product whose second derivative is 2 or 0
+            low, high = k > 0, k + 2 < cols
+            ea, eb = np.where(low, near[0], 1.0), np.where(high, near[3], 1.0)
+            gaps, slant = ea * eb, -(low * eb + high * ea)
+            model = np.empty((4, count))
+            np.multiply(m3, gaps, out=model[0])
+            np.add(dm3 * gaps, m3 * slant, out=model[1])
+            np.add(d2m3 * gaps, 2.0 * (dm3 * slant + m3 * (low & high)), out=model[2])
+            np.multiply(_EPS * noise, np.abs(gaps), out=model[3])
+        return below, model
 
     def _complement(self, mu):
         """The Schur complement of all but the two nearest poles in K (5 x 5,
@@ -546,17 +613,31 @@ class _LeftGram:
         roots of its absolute row sums (a congruence: the inertia stays);
         that scale; the eigenvalues of M below mu from the poles outside it;
         and the split's slopes and reciprocal gaps."""
-        rows = self.rows
-        dm, poles, k, h, slope, _, inv = self._split(mu, np.full(len(mu), -1))
-        small = np.zeros((len(mu), 5, 5))
-        small[:, 0, 0], small[:, 1, 1] = dm[rows, k], dm[rows, k + 1]
-        small[:, 0, 2:], small[:, 1, 2:] = self.v[rows, k], self.v[rows, k + 1]
-        small[:, 2 + _UPPER[0], 2 + _UPPER[1]] = -h
-        small = np.triu(small) + np.triu(small, 1).transpose(0, 2, 1)
-        outside = poles - np.count_nonzero(small[:, [0, 1], [0, 1]] < 0, axis=1)
+        rows, cols = self.rows, self.d.shape[1]
+        with np.errstate(divide="ignore"):
+            dm = self.d - mu[:, None]
+            poles = np.add.reduce(dm < 0, axis=1)
+            # the sorted poles k and k + 1 nearest mu
+            k = np.minimum(np.maximum(poles - 1, 0), cols - 2)
+            far = np.abs(dm[rows, np.minimum(k + _AROUND, cols - 1)])
+            k = np.where((k > 0) & (far[0] < far[2]), k - 1,
+                         np.where((k + 2 < cols) & (far[3] < far[1]), k + 1, k))
+            pair = k + _PAIR
+            sums, inv = self._sums(dm, pair)
+        # its upper triangle row by row, (0, 0) first, entry by point; + 0.0
+        # turns -0.0 into 0.0 (LAPACK picks reflector signs by the sign bit)
+        at = self.planes[:4, rows, pair]
+        upper = np.zeros((15, len(mu)))
+        gaps = at[0] - mu
+        upper[[0, 5]] = gaps
+        upper[2:5], upper[6:9] = at[1:, 0], at[1:, 1]
+        np.negative(sums[:, 0].T, out=upper[9:])
+        upper += 0.0
+        small = upper[_SYMMETRIC].transpose(2, 0, 1)
+        outside = poles - np.add.reduce(gaps < 0, axis=0)
         scale = 1.0 / np.sqrt(np.sum(np.abs(small), axis=2))
         small *= scale[:, :, None] * scale[:, None, :]
-        return small, scale, outside, slope, inv
+        return small, scale, outside, sums[:, 1], inv
 
     def count(self, mu):
         """At each point: the eigenvalues of M below mu, from ``eigvalsh`` on
@@ -565,7 +646,7 @@ class _LeftGram:
         small, _, outside, _, _ = self._complement(mu)
         lam = np.linalg.eigvalsh(small)
         size = np.abs(lam)
-        below = outside + np.count_nonzero(lam < 0, axis=1) - self.positive
+        below = outside + np.add.reduce(lam < 0, axis=1) - self.positive
         return below, size.min(axis=1) > 16.0 * _EPS * size.max(axis=1)
 
     def error(self, mu):
@@ -589,8 +670,10 @@ class _LeftGram:
         ww = w * w
         pairs = w[:, _UPPER[0]] * w[:, _UPPER[1]] * _TWICE
         norm = np.sum(z[:, :2] ** 2, axis=1) + np.sum(slope * pairs, axis=1)
+        # |V_k|^2: the planes of V_0 V_0, V_1 V_1 and V_2 V_2
+        square = self.planes[4] + self.planes[7] + self.planes[9]
         spread = mu + (2.0 * np.sum(ww * (self.t < 0), axis=1)
-                       + np.sum(np.abs(inv) * self.size, axis=1) * np.sum(ww, axis=1)
+                       + np.sum(np.abs(inv) * square, axis=1) * np.sum(ww, axis=1)
                        + 2.0 * size.max(axis=1)) / norm
         return spread
 
@@ -609,20 +692,20 @@ def _model_step(f, f1, f2, below):
     the pair.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        curve = f1 * f1 - f * f2
-        root = np.sqrt(f1 * f1 - 2.0 * f2 * f)
+        square = f1 * f1
+        curve = square - f * f2
+        root = np.sqrt(square - 2.0 * f2 * f)
         big = -0.5 * (f1 + np.copysign(root, f1))
-        one, two = f / big, 2.0 * big / f2
-        vertex = -f1 / f2
+        real = ~np.isnan(root)
+        one = np.where(real, f / big, -f1 / f2)
+        two = np.where(real, 2.0 * big / f2, one)
+        many = (curve > 0) & (square > 2.0 * curve)
         cluster = -f * f1 / curve
-    one, two = (np.where(np.isnan(root), vertex, r) for r in (one, two))
-    a, b = np.fmin(one, two), np.fmax(one, two)
-    many = (curve > 0) & (f1 * f1 > 2.0 * curve)
-    a, b = np.where(many, cluster, a), np.where(many, cluster, b)
-    return np.select([below == 0, below == 1, below == 2],
-                     [np.where(a >= 0, a, np.where(b >= 0, b, np.nan)),
-                      np.where(b <= 0, b, np.where(a <= 0, a, np.nan)),
-                      np.where(b <= 0, a, np.nan)], np.nan)
+    a = np.where(many, cluster, np.fmin(one, two))
+    b = np.where(many, cluster, np.fmax(one, two))
+    return np.where(below == 0, np.where(a >= 0, a, np.where(b >= 0, b, np.nan)),
+                    np.where(below == 1, np.where(b <= 0, b, np.where(a <= 0, a, np.nan)),
+                             np.where((below == 2) & (b <= 0), a, np.nan)))
 
 
 def _left_gram_min(c, s, d, xs, r2):
@@ -640,7 +723,10 @@ def _left_gram_min(c, s, d, xs, r2):
     mu, and leaves the arrays.  The bound is ``_LEFT_ERR`` eps times the
     first-order error from ``_LeftGram.error`` plus what is left of the
     bracket, and the robust counts (``_LeftGram.count``) must find no
-    eigenvalue below mu - bound and one below mu + bound.
+    eigenvalue below mu - bound and one below mu + bound.  A point where a
+    probe's values are not finite (mu on a far pole to the last bit, or a
+    term past double precision) leaves at once, unconfirmed, with an
+    infinite bound: the dense SVD decides it.
     """
     gram = _LeftGram(c, s, d, xs, r2)
     cols, count = len(c), len(r2)
@@ -649,17 +735,17 @@ def _left_gram_min(c, s, d, xs, r2):
     lo, hi = np.zeros(count), (gram.d[:, 2] if cols > 2 else r2 * r2).copy()
     pair = np.full(count, min(1, cols - 2))
     mu = gram.d[:, 1] * shrink
-    below, *model = gram.probe(mu, pair)
+    below, model = gram.probe(mu, pair)
+    # a point whose first probe is not finite is given up, whatever the
+    # probe below d_(1) says: its model stays not finite
+    lost = ~np.isfinite(model).all(axis=0)
     up = below == 0
     lo[up] = gram.d[up, 1] * grow
     down = np.flatnonzero(~up)
     if len(down):
         hi[down], pair[down], mu[down] = mu[down], 0, gram.d[down, 0] * shrink
-        below_down, *model_down = gram.take(down).probe(mu[down], pair[down])
-        below[down] = below_down
-        for m, m_down in zip(model, model_down):
-            m[down] = m_down
-        found = below_down > 0
+        below[down], model[:, down] = gram.take(down).probe(mu[down], pair[down])
+        found = below[down] > 0
         lo[down[~found]] = gram.d[down[~found], 0] * grow
         hi[down[found]] = mu[down[found]]
     lo = np.minimum(lo, hi)
@@ -668,19 +754,22 @@ def _left_gram_min(c, s, d, xs, r2):
     # than to d_(1), and its model goes by nothing: bisect first
     if cols > 2:
         below[up & (gram.d[:, 0] >= mu)] = -1
+    model[0, lost] = np.nan
     out_mu, out_lo, out_hi = mu.copy(), lo.copy(), hi.copy()
     act, sub = np.arange(count), gram
     edge, last = np.zeros(count, dtype=bool), np.full(count, np.nan)
     for _ in range(_LEFT_STEPS):
+        gone = ~np.isfinite(model).all(axis=0)
         f, f1, f2, noise = model
         step = _model_step(f, f1, f2, below)
-        inside = (mu + step > lo) & (mu + step < hi)
+        ahead = mu + step
+        inside = (ahead > lo) & (ahead < hi)
         # a step past an end says the root hugs it (a mode barely coupled
         # to the corners): look just inside that end, once
-        past_lo = ~edge & (below < 2) & (mu + step <= lo)
-        past_hi = ~edge & (below < 2) & (mu + step >= hi)
+        free = ~edge & (below < 2)
+        past_lo, past_hi = free & (ahead <= lo), free & (ahead >= hi)
         edge = past_lo | past_hi
-        trial = np.where(inside, mu + step,
+        trial = np.where(inside, ahead,
                          np.where(past_lo, lo + 4.0 * _EPS * hi,
                                   np.where(past_hi, hi * (1.0 - 4.0 * _EPS), 0.5 * (lo + hi))))
         # F at its rounding level, or a step below the last bits: mu is the
@@ -690,29 +779,38 @@ def _left_gram_min(c, s, d, xs, r2):
                    & ((np.abs(f) <= noise)
                       | (inside & (size * (size / last) ** 3 <= 4.0 * _EPS * mu))))
         last = np.where(inside, size, np.nan)
-        mu = np.where(settled & np.isfinite(step), np.clip(mu + step, lo, hi), mu)
+        mu = np.where(settled & np.isfinite(step), np.clip(ahead, lo, hi), mu)
         lo, hi = np.where(settled, mu, lo), np.where(settled, mu, hi)
-        done = settled | (hi - lo <= 4.0 * _EPS * hi)
+        done = settled | (hi - lo <= 4.0 * _EPS * hi) | gone
         if done.any():
             out_mu[act], out_lo[act], out_hi[act] = mu, lo, hi
+            lost[act[gone]] = True
             keep = ~done
             act, sub = act[keep], sub.take(keep)
             lo, hi, mu, trial, pair, edge, last = (
                 a[keep] for a in (lo, hi, mu, trial, pair, edge, last))
             if not len(act):
                 break
-        below, *model = sub.probe(trial, pair)
+        below, model = sub.probe(trial, pair)
         found = below > 0
         hi, lo = np.where(found, trial, hi), np.where(found, lo, trial)
         mu = trial
+    else:
+        lost[act[~np.isfinite(model).all(axis=0)]] = True
     out_mu[act], out_lo[act], out_hi[act] = mu, lo, hi
     mu, lo, hi = out_mu, out_lo, out_hi
     mu = np.where(hi - lo <= 4.0 * _EPS * hi, 0.5 * (lo + hi), mu)
-    err = _LEFT_ERR * _EPS * gram.error(mu) + (hi - lo)
-    below, clear = gram.count(np.maximum(mu - err, 0.0))
-    sure = (mu - err < 0) | (clear & (below == 0))
-    below, clear = gram.count(mu + err)
-    return mu, err, sure & clear & (below > 0)
+    err, sure = np.full(count, np.inf), np.zeros(count, dtype=bool)
+    kept = np.flatnonzero(~lost)
+    if len(kept):
+        part = gram.take(kept) if len(kept) < count else gram
+        m = mu[kept]
+        e = _LEFT_ERR * _EPS * part.error(m) + (hi - lo)[kept]
+        below, clear = part.count(np.maximum(m - e, 0.0))
+        ok = (m - e < 0) | (clear & (below == 0))
+        below, clear = part.count(m + e)
+        err[kept], sure[kept] = e, ok & clear & (below > 0)
+    return mu, err, sure
 
 
 def _inverse_series(xs, r2, cols) -> np.ndarray:
@@ -802,12 +900,16 @@ def _decided(lo: np.ndarray, hi: np.ndarray, cut: float) -> np.ndarray:
     """Cells where every value in [lo, hi] prints the same and falls on the
     same side of ``cut``, printed by ``_fmt_array`` as the CSV prints them.
     The rounding is monotone, so the two ends decide.  Two ends whose
-    rounded values are finite and equal print the same; only the other
-    pairs are printed and compared."""
-    with np.errstate(over="ignore"):
+    rounded values are finite and equal print the same, and two that lie
+    more than 1e-11 of the larger apart do not (12 significant digits
+    print a value within 5e-12 of it); only the other pairs are printed
+    and compared."""
+    with np.errstate(over="ignore", invalid="ignore"):
         a, b = np.round(lo, 12) + 0.0, np.round(hi, 12) + 0.0
-    same = np.isfinite(a) & np.isfinite(b) & (a == b)
-    rest = np.flatnonzero(~same)
+        finite = np.isfinite(a) & np.isfinite(b)
+        same = finite & (a == b)
+        apart = finite & (np.abs(a - b) > 2e-11 * np.maximum(np.abs(a), np.abs(b)))
+    rest = np.flatnonzero(~(same | apart))
     if len(rest):
         same[rest] = [x == y for x, y in zip(_fmt_array(lo[rest]), _fmt_array(hi[rest]))]
     return same & ((hi <= cut) | (lo > cut))

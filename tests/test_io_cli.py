@@ -304,6 +304,27 @@ def test_cli_left_shift_portrait_near_the_imaginary_axis(capsys):
     assert out == "\n".join(p.csv_lines()) + "\n"
 
 
+def test_cli_left_shift_portrait_where_a_probe_meets_a_pole():
+    # at x = +-sqrt(10), y = sqrt(10) 1e6 and W = 64 the paired symbol values
+    # d_(1), d_(2) lie 10 ulps apart, so the first probe, just below d_(2),
+    # lands on d_(1) and its sums are not finite: those cells take the dense
+    # SVD, with no numpy warning, in a fresh interpreter that turns every
+    # RuntimeWarning into an error
+    grid_arg = "-3.162277660168379,3.162277660168379,3162277.660168379,3x2"
+    src = os.path.dirname(os.path.dirname(io.__file__))
+    path = os.pathsep.join(x for x in (src, os.environ.get("PYTHONPATH")) if x)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qspec", "portrait",
+         "--op", "shift:left", "--window", "64", f"--grid={grid_arg}"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    grid = GridSpec(-3.162277660168379, 3.162277660168379, 3162277.660168379, 3, 2)
+    xs, ys = grid.xs()[None, :], grid.ys()[:, None]
+    want = ref.section_kappas(ShiftOperator("left"), 64, xs, ys)
+    p = SlicePortrait(grid=grid, window=64, norm_scale=1.0, values=want)
+    assert proc.stdout == "\n".join(p.csv_lines()) + "\n"
+
+
 def test_cli_portrait_rejects_negative_height(capsys):
     code, _, err = run_cli(capsys, "portrait", "--op", "shift:right",
                            "--grid=-1,1,-0.5,8x4")

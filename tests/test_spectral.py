@@ -662,6 +662,10 @@ def test_decided_screen_matches_the_string_rule():
     # random pairs, from equal ends to widths far past the 12th decimal
     lo = rng.uniform(-3.0, 3.0, 4000) * 10.0 ** rng.integers(-14, 4, 4000)
     hi = lo + np.abs(lo) * 10.0 ** rng.uniform(-18.0, -8.0, 4000) * rng.integers(0, 2, 4000)
+    # and pairs around the screen's edge, ends 1e-11 of the larger apart
+    near = rng.uniform(-3.0, 3.0, 4000) * 10.0 ** rng.integers(-2, 4, 4000)
+    lo = np.concatenate([lo, near])
+    hi = np.concatenate([hi, near * (1.0 + 10.0 ** rng.uniform(-11.5, -10.5, 4000))])
     # adversarial ends: one ulp either side of a 12-decimal half-way point,
     # signed zeros, nan, infinities, and values where np.round overflows
     x = -0.5507484141545
@@ -772,6 +776,65 @@ def test_left_gram_takes_a_bounded_number_of_probes(monkeypatch):
                 req.expect["xs"][None, :], req.expect["ys"][:, None])
     assert len(per_call) == 55
     assert np.mean(per_call) <= 8 and max(per_call) <= 12, per_call
+
+
+def _left_gram_points(name):
+    """(xs, ys, cols) of points the left Gram route takes: the stress sets at
+    W = 128, and the symbol-route points of the first left-shift benchmark
+    request of seed 51."""
+    if name == "near-pairs":
+        return (*NEAR_PAIRS, 126)
+    if name == "near-circle":
+        return (*NEAR_CIRCLE, 126)
+    req = next(r for r in _gate_requests() if r.expect["side"] == "left")
+    xs, ys = np.broadcast_arrays(req.expect["xs"][None, :], req.expect["ys"][:, None])
+    xs, ys, cols = xs.ravel(), ys.ravel(), req.expect["window"] - 2
+    r2 = xs * xs + ys * ys
+    route = (r2 >= 1.0) & (np.abs(xs) > spectral._NEAR_AXIS * spectral._EPS * r2 * (cols + 1))
+    return xs[route], ys[route], cols
+
+
+@pytest.mark.parametrize("name", ["near-pairs", "near-circle", "benchmark"])
+def test_left_gram_rows_are_independent(name):
+    # _left_gram_min drops settled points with take(), so each point's probe,
+    # count and error must not depend on the points beside it: a taken
+    # Gram gives exactly those rows of the whole batch's results
+    xs, ys, cols = _left_gram_points(name)
+    c, s = spectral._sine_modes(cols)
+    gram = spectral._LeftGram(c, s, spectral._symbol(c, s, xs, ys), xs, xs * xs + ys * ys)
+    count = len(xs)
+    assert count >= 12
+    keeps = (np.arange(count) % 2 == 0, np.flatnonzero(np.arange(count) % 3 != 1),
+             np.array([count // 2]))
+    # _left_gram_min's first probe, just below d_(2), and one between d_(1) and d_(2)
+    for mu, k in ((gram.d[:, 1] * (1.0 - 8.0 * spectral._EPS), np.ones(count, dtype=int)),
+                  (0.5 * (gram.d[:, 0] + gram.d[:, 1]), np.zeros(count, dtype=int))):
+        below, model = gram.probe(mu, k)
+        assert np.isfinite(model).all()
+        counts, clear = gram.count(mu)
+        spread = gram.error(mu)
+        for keep in keeps:
+            sub = gram.take(keep)
+            sub_below, sub_model = sub.probe(mu[keep], k[keep])
+            assert np.array_equal(sub_below, below[keep])
+            assert sub_model.tobytes() == model[:, keep].tobytes()
+            sub_counts, sub_clear = sub.count(mu[keep])
+            assert np.array_equal(sub_counts, counts[keep])
+            assert np.array_equal(sub_clear, clear[keep])
+            assert sub.error(mu[keep]).tobytes() == spread[keep].tobytes()
+
+
+def test_symbol_route_left_shift_gate_requests():
+    # every fifth left-shift benchmark request of seed 51, 9 x 5 points at
+    # W = 96 ... 160: the fast path against one SVD per point
+    op = ShiftOperator("left")
+    left = [req for req in _gate_requests() if req.expect["side"] == "left"]
+    assert len(left) == 55
+    for req in left[::5]:
+        window = req.expect["window"]
+        xs, ys = req.expect["xs"][None, :], req.expect["ys"][:, None]
+        got = _SectionKappa(op, window).values(xs, ys)
+        _assert_shift_agrees(op, window, xs, ys, got, ref.section_kappas(op, window, xs, ys))
 
 
 def test_shift_portraits_leave_scipy_unloaded():
