@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the CLI output that a pure refactor must leave byte-identical.
 
-Nine gates, each printed on one line, named first, as a sha256 digest of
+Ten gates, each printed on one line, named first, as a sha256 digest of
 its stdout and exit codes, with the number of stdout lines:
 
   matrix    the 504 ``classify`` requests of the ``matrix`` benchmark for
@@ -22,6 +22,10 @@ its stdout and exit codes, with the number of stdout lines:
   portrait-dense
             ``portrait`` on each of the 168 ``dense:`` and ``mult:`` inputs
             of seed 51's ``matrix`` requests, on one fixed 9x5 grid
+  classify-large
+            ``classify`` on one random matrix for each n of LARGE_SIZES,
+            past the n = 8-14 of the ``matrix`` inputs: complex-normal c1,
+            then c2, from a fresh ``default_rng(3)`` per n
 
 Run it from any directory as ``python3 scripts/output_gate.py`` on two
 checkouts, save each output, and compare them with
@@ -32,8 +36,8 @@ which matches gates by name: a gate that both print must match, a gate
 that the head no longer prints fails, and a gate that only the head
 prints is listed as new.  The comparison exits 1 on any failure.  It imports qspec from the ``src`` of
 the checkout it sits in and the request builders of
-``perfbench/workloads.py``, which it only reads.  It takes about 25
-seconds on a 2-core host.
+``perfbench/workloads.py``, which it only reads.  It takes about 16
+seconds on a 2-core host, under one of them in the classify-large gate.
 """
 
 import os
@@ -73,6 +77,9 @@ SUBSPACE_SUITES = ("subspace-laws", "restriction-quotient", "mult-operator",
 # the suites of the local spectrum laws under products, and of planted
 # spheres under similarity, that no other seeded gate runs
 LAW_SUITES = ("product-laws", "defective-similarity")
+
+# the sizes of the classify-large gate's random matrices
+LARGE_SIZES = (16, 24, 32, 40, 48, 60)
 
 
 def digest(argvs) -> tuple[str, int]:
@@ -129,6 +136,22 @@ def local_requests(seeded: dict[int, list]) -> list[list[str]]:
     return out
 
 
+def large_requests(workdir: str) -> list[list[str]]:
+    """``classify --op dense:M`` for each size n in LARGE_SIZES, with M the
+    random n x n matrix of the classify-large gate written to its own file."""
+    out = []
+    for n in LARGE_SIZES:
+        rng = np.random.default_rng(3)
+        c1, c2 = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+        entries = np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=-1)
+        path = os.path.join(workdir, f"large{n}.qmat")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join([f"{n} {n}"] + [" ".join(workloads.qlit(q) for q in row)
+                                               for row in entries]) + "\n")
+        out.append(["classify", "--op", f"dense:{path}"])
+    return out
+
+
 def gates(text: str) -> dict[str, str]:
     """Gate lines of one output, keyed by gate name."""
     return {line.split()[0]: line for line in text.splitlines() if line.strip()}
@@ -179,7 +202,8 @@ def main(argv=None) -> int:
         for name, argvs in (("matrix", matrix), ("check", check), ("portrait", portrait),
                             ("series", series), ("subspace", subspace), ("laws", laws),
                             ("local", local), ("classify", classify),
-                            ("portrait-dense", dense_portrait)):
+                            ("portrait-dense", dense_portrait),
+                            ("classify-large", large_requests(workdir))):
             sha, lines = digest(argvs)
             print(f"{name:<9} {len(argvs):>4} commands  sha256 {sha}  lines {lines}")
     return 0

@@ -422,8 +422,10 @@ def resolvent_singular_values(m: np.ndarray, xs, ys, keep: np.ndarray | None = N
     the columns ``keep`` (None: all of them).
 
     With m = complex_image(A) these are the singular values of the image of
-    R_q(A).  R_q is formed entrywise, so dropping columns first leaves every
-    kept entry bit for bit the same.  Points go in blocks of about
+    R_q(A).  Only the kept columns of R_q are formed, and of m^2 only
+    m @ m[:, keep]; a shift's real 0/1 band squares to small integers, exact
+    in either order, so its kept entries are bit for bit those of the whole
+    R_q.  Points go in blocks of about
     _BLOCK_ENTRIES matrix entries, one stacked SVD each, and each block's
     (points, values) array is yielded, largest value first, before the next
     block is formed; a block past double precision raises NumericalError.
@@ -432,7 +434,8 @@ def resolvent_singular_values(m: np.ndarray, xs, ys, keep: np.ndarray | None = N
     x = np.asarray(xs, dtype=float).reshape(-1, 1, 1)
     y = np.asarray(ys, dtype=float).reshape(-1, 1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        m1, m2 = m[:, cols], (m @ m)[:, cols]
+        m1 = m if keep is None else m[:, keep]
+        m2 = m @ m1
         twice_x, r2 = 2.0 * x, x * x + y * y
     eye = np.zeros(m1.shape, dtype=m.dtype)
     eye[cols, np.arange(len(cols))] = 1
@@ -518,13 +521,10 @@ class SpectralDecomposition:
     so its arrays are read-only.
 
     It also holds A's spectral projections, commuting idempotents splitting
-    H^n along the spheres: they sum to the identity, annihilate each other,
-    and their ranges are invariant.  ``conditions`` records the operator
-    norm of each, the usual measure of cluster separation; a multiplicity
-    is the quaternionic rank of its projection.  ``certified`` is True when
-    every sphere's eigenspace dimension matches its multiplicity; the
-    diagonal and eigenvector oracles pin the meaning of the projections in
-    that case, defective spheres are computed but carry no such certificate.
+    H^n along the spheres, with ``conditions``, their operator norms; a
+    multiplicity is the quaternionic rank of its projection.  ``certified``
+    is True when every sphere's eigenspace dimension matches its
+    multiplicity; defective spheres are computed but carry no certificate.
     """
 
     spheres: tuple[EigenSphere, ...]
@@ -566,27 +566,25 @@ class SpectralDecomposition:
         """The projections and their conditions, kept from the first read on;
         a failed validation raises and keeps nothing.
 
-        All projections come from ``projectors``, the Schur form
-        block-diagonalized by the Sylvester solutions the split already
-        found; nothing is factored again.  Conjugate-closed spectral sets
-        commute with the quaternionic structure map, so each complex
-        projection of chi(A) descends to a quaternionic matrix; the residual
-        of that symmetry is checked, not assumed.  Projections with norm
-        above CONDITION_LIMIT are refused as numerically meaningless.  The
-        stack becomes QMatrix objects only at the end: ``_conditioned`` takes
-        the conditions from the Schur factors, applies both refusals and
-        J-symmetrizes the stack; ``_block_checked`` then validates it in the
-        coordinates of the factors, and where its bounds cannot accept,
-        ``_validate_projections`` decides on the same stack.
+        ``projectors`` reads them from the Schur factors; nothing is
+        factored again.  ``_conditioned`` takes their conditions, refuses a
+        norm above CONDITION_LIMIT or a broken quaternionic structure (each
+        complex projection of a conjugate-closed spectral set descends to a
+        quaternionic matrix), and J-symmetrizes the stack.  One check,
+        ``_check_projections``, then validates what is returned: each
+        projection as the product A_i B_i of ``_projection_factors``.  A lone
+        sphere's projection is I exactly, of condition 1.
         """
+        count = len(self.spheres)
+        n = len(self.m) if self.half else len(self.m) // 2
+        if count < 2:
+            return (QMatrix.identity(n),) * count, (1.0,) * count
         stack = self.projectors()
         conditions = _conditioned(self, stack)
-        if not _block_checked(self, stack, conditions):
-            _validate_projections(self.m, stack, conditions)
+        _check_projections(self.m, *_projection_factors(self), conditions)
         if self.half:
             projections = tuple(QMatrix(p, np.zeros_like(p)) for p in stack)
         else:
-            n = len(self.m) // 2
             projections = tuple(QMatrix(p[:n, :n], p[:n, n:]) for p in stack)
         return projections, tuple(conditions)
 
@@ -624,10 +622,7 @@ class SpectralDecomposition:
     def projectors(self) -> np.ndarray:
         """Each sphere's spectral projector of M, stacked along the first
         axis: Z W^-1[:, S] W[S, :] Z^H over the sphere's diagonal positions
-        S.  With fewer than two spheres each projector is I exactly."""
-        if len(self.spheres) < 2:
-            return np.repeat(np.eye(len(self.t), dtype=np.complex128)[None],
-                             len(self.spheres), axis=0)
+        S."""
         vs, us = self.sphere_factors
         return vs @ us
 
@@ -639,23 +634,16 @@ def _fro(x: np.ndarray) -> np.ndarray:
 
 
 def _conditioned(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]:
-    """The conditions of the projector stack, which is checked sphere by
-    sphere against CONDITION_LIMIT and the quaternionic structure, then
-    J-symmetrized in place.
-
-    With fewer than two spheres each projector is I, of condition 1.
-    Otherwise the conditions come from each sphere's m_i columns of V and rows of U,
-    never from an N x N SVD.  The limit reads the stack's own norms: the
-    Frobenius norm screens, and a 2-norm SVD runs only above the limit.
+    """The conditions |V_i U_i|_2 of the projector stack, from each
+    sphere's columns of V and rows of U; the stack is checked sphere by
+    sphere against CONDITION_LIMIT, on its own norms (an SVD only past the
+    Frobenius norm), and the quaternionic structure, then J-symmetrized in
+    place.
     """
     count, size = stack.shape[:2]
-    if count < 2:
-        conditions = np.ones(count)
-    else:
-        vs, us = dec.sphere_factors
-        # V_i = Q S W^H with orthonormal Q, so |V_i U_i| = |S W^H U_i|
-        _, sv, wh = np.linalg.svd(vs, full_matrices=False)
-        conditions = np.linalg.svd(sv[:, :, None] * (wh @ us), compute_uv=False)[:, 0]
+    vs, us = dec.sphere_factors
+    # V_i = Q R with orthonormal Q, so |V_i U_i| = |R U_i|
+    conditions = np.linalg.svd(np.linalg.qr(vs, mode="r") @ us, compute_uv=False)[:, 0]
     fro = _fro(stack)
     # a projector P of the C_i block is diag(P, conj P) on chi(A)
     broken = np.zeros(count)
@@ -679,83 +667,94 @@ def _conditioned(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]:
     return [float(c) for c in conditions]
 
 
-def _block_checked(dec: SpectralDecomposition, stack: np.ndarray, conditions) -> bool:
-    """Whether the bounds below prove, in the block coordinates of the
-    Schur factors, what ``_validate_projections`` checks; never raises.
-
-    With V = Z W^-1, U = W Z^H and the computed E = U V - I, L_i = U P_i -
-    E_i U (E_i sphere i's diagonal selector) and G = U M V, each P_i is
-    V (E_i + R_i) V^-1 with |R_i| <= rho_i = (|L_i| |V| + 2|E|) / (1 - |E|),
-    and |V| |V^-1| <= kappa = |V| |U| / (1 - |E|).  Then
-      |sum P_i - I|             <= kappa |V| |sum L_i| / (1 - |E|),
-      |P_i P_j - delta_ij P_i|  <= kappa (3 rho + rho^2),
-      |(I - P_i) M P_i|         <= kappa (o_i + (|E| + rho_i (2 + rho_i)) |G| / (1 - |E|)),
-    o_i the part of G in sphere i's columns and the other spheres' rows.
-    Frobenius norms bound the 2-norms, each product's rounding is added,
-    |M|_F / sqrt(N) stands in for |M|_2 in the tolerance, and every
-    threshold is halved, so that rounding in ``_validate_projections``
-    cannot turn an accept here into a raise there.
-    """
-    count, size = stack.shape[:2]
-    if count < 2:
-        return np.array_equal(stack.sum(axis=0), np.eye(size))
-    conditions = np.asarray(conditions)
+def _projection_factors(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, B and the sphere of each column of A, with A_i B_i (sphere i's
+    columns of A times the same rows of B) its validated projection.  From
+    V = Z W^-1 and U = W Z^H: on the C_i block A = V and B = U; on chi(A)
+    A = [V, J conj(V)] and B = [U; conj(U) J^-1] / 2, so that A_i B_i =
+    (V_i U_i + J conj(V_i U_i) J^-1) / 2, the J-symmetrized projector."""
     v, u = dec.factors
     owner, _ = dec.positions
-    left = u @ stack
-    left[owner, np.arange(size), :] -= u
-    err = u @ v
-    err.flat[::size + 1] -= 1.0
-    g = u @ (dec.m @ v)
-    g2 = g.real ** 2 + g.imag ** 2
-    off = np.bincount(owner, weights=np.where(owner[:, None] != owner, g2, 0.0).sum(axis=0),
-                      minlength=count)
-    # each product's rounding: gamma |X|_F |Y|_F per factor pair
-    gamma = 2 * size * np.finfo(float).eps
-    v_f, u_f, m_f = (float(np.linalg.norm(x)) for x in (v, u, dec.m))
-    p_f = np.sqrt(np.bincount(owner, minlength=count)) * conditions
-    e = float(np.linalg.norm(err)) + gamma * v_f * u_f
-    if e >= 0.5:
-        return False
-    g_round = 2 * gamma * u_f * m_f * v_f
-    g_f = math.sqrt(float(g2.sum())) + g_round
-    o = math.sqrt(float(off.max())) + g_round
-    kappa = v_f * u_f / (1.0 - e)
-    rho = ((float(_fro(left).max()) + gamma * u_f * float(p_f.max())) * v_f + 2 * e) / (1.0 - e)
-    total = float(np.linalg.norm(left.sum(axis=0))) + gamma * u_f * float(p_f.sum())
-    tol = 0.5e-8 * max(1.0, float(conditions.max())) * max(1.0, m_f / math.sqrt(size))
-    return not (kappa * v_f * total / (1.0 - e) > tol
-                or kappa * (3.0 * rho + rho * rho) > tol
-                or kappa * (o + (e + rho * (2.0 + rho)) * g_f / (1.0 - e))
-                > tol * (1.0 + m_f / math.sqrt(size)))
+    if dec.half:
+        return v, u, owner
+    n = len(v) // 2    # J = [[0, I], [-I, 0]]
+    a = np.hstack([v, np.conj(np.vstack([v[n:], -v[:n]]))])
+    b = 0.5 * np.vstack([u, np.conj(np.hstack([u[:, n:], -u[:, :n]]))])
+    return a, b, np.concatenate([owner, owner])
 
 
-def _validate_projections(m: np.ndarray, stack: np.ndarray, conditions) -> None:
-    """Check that the stacked projectors P_i of M sum to I, satisfy
-    P_i P_j = delta_ij P_i and have M-invariant ranges.
+def _factored_residuals(m: np.ndarray, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
+                        count: int) -> tuple[np.ndarray, ...]:
+    """A B - I, C = B A - I, X = M A - A blockdiag(B M A), the squared
+    Frobenius norms of P_i P_j - delta_ij P_i = A_i C_ij B_j, a (count,
+    count) array, and of (I - P_i) M P_i = X_i B_i, as computed, and one
+    bound on the rounding of those, for the projections P_i = A_i B_i of M.
 
-    Products are formed one row ``stack[i] @ stack`` at a time, so memory
-    stays at two stacks.  Each residual X is screened by its Frobenius norm,
-    an upper bound of |X|_2, and an SVD runs only where that cannot accept.
+    With G = blockdiag(A^H A) and H = blockdiag(B B^H) the squares are
+    tr(C_ij^H G_ii C_ij H_jj) and tr(X_i H_ii X_i^H), from a few products of
+    the factors' size for all spheres at once.  Such a sum rounds by about
+    gamma |C_ij|^2 |A_i|^2 |B_j|^2, small where C_ij is small, as it is off
+    the diagonal; C_ii need not be (on chi(A) A_i has 2 m_i columns of rank
+    m_i), so A_i C_ii = (P_i - I) A_i, which is, is formed first.
     """
-    norm_m = float(np.linalg.norm(m, 2))
-    tol = 1e-8 * max(1.0, max(conditions)) * max(1.0, norm_m)
+    spheres = (owner[:, None] == np.arange(count)).astype(float)
+    same = spheres @ spheres.T
+    total, c = a @ b, b @ a
+    for r in (total, c):
+        r.flat[::len(r) + 1] -= 1.0
+    across, d = c * (1.0 - same), a @ (c * same)
+    gram_a, gram_b = (a.conj().T @ a) * same, (b @ b.conj().T) * same
+    ma = m @ a
+    x = ma - a @ ((b @ ma) * same)
 
-    def exceeds(residuals: np.ndarray, bound: float) -> bool:
-        return any(np.linalg.norm(residuals[j], 2) > bound
-                   for j in np.flatnonzero(~(_fro(residuals) <= bound)))
+    def squares(y: np.ndarray) -> np.ndarray:    # |Y_i B_i|_F^2 for each sphere i
+        return (y.conj() * (y @ gram_b)).real.sum(axis=0) @ spheres
 
-    eye = np.eye(len(m), dtype=np.complex128)
-    if exceeds((stack.sum(axis=0) - eye)[None], tol):
+    pairs = spheres.T @ (across.conj() * (gram_a @ across @ gram_b)).real @ spheres
+    pairs[np.diag_indices(count)] = squares(d)
+    sq = [float(np.vdot(y, y).real) for y in (a, b, across, d, x)]
+    gamma = 4 * (len(a) + len(owner)) * np.finfo(float).eps
+    return total, c, x, pairs, squares(x), gamma * sq[1] * max(sq[0] * sq[2], sq[3], sq[4])
+
+
+def _exceeds(residual: np.ndarray, bound: float) -> bool:
+    """Whether |residual|_2 > bound, by an SVD of the formed N x N residual."""
+    return float(np.linalg.norm(residual, 2)) > bound
+
+
+def _check_projections(m: np.ndarray, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
+                       conditions) -> None:
+    """Check that the projections P_i = A_i B_i of M (A_i the columns of A
+    that ``owner`` gives sphere i, B_i the same rows of B) sum to I, satisfy
+    P_i P_j = delta_ij P_i and have M-invariant ranges, each residual within
+    2-norm tol = 1e-8 max(1, max conditions) max(1, |M|_2), invariance
+    within tol (1 + |M|_2); raise on the first failure: the sum, then
+    sphere by sphere its products and its invariance.
+
+    Each residual is screened by its Frobenius norm from
+    ``_factored_residuals``, rounding bound added, first with |M|_F /
+    sqrt(N) <= |M|_2 for |M|_2; only one that the screen cannot accept is
+    formed, N x N, for ``_exceeds``.  O(N^3) in all.
+    """
+    total, c, x, *squares, rounding = _factored_residuals(m, a, b, owner, len(conditions))
+    pairs, invariance = (np.sqrt(q + rounding) for q in squares)
+    fro = float(np.linalg.norm(total))
+    norm_m = float(np.linalg.norm(m)) / math.sqrt(len(m))
+    for exact in (False, True):
+        if exact:
+            norm_m = float(np.linalg.norm(m, 2))
+        tol = 1e-8 * max(1.0, max(conditions)) * max(1.0, norm_m)
+        bound = tol * (1.0 + norm_m)
+        if fro <= tol and pairs.max() <= tol and invariance.max() <= bound:
+            return
+    if not fro <= tol and _exceeds(total, tol):
         raise NumericalError("spectral projections do not sum to the identity")
-    prod = np.empty_like(stack)
-    for i, p in enumerate(stack):
-        np.matmul(p, stack, out=prod)
-        prod[i] -= p
-        if exceeds(prod, tol):
+    cols = [np.flatnonzero(owner == i) for i in range(len(conditions))]
+    for i, rows in enumerate(cols):
+        if any(_exceeds(a[:, rows] @ c[np.ix_(rows, cols[j])] @ b[cols[j]], tol)
+               for j in np.flatnonzero(~(pairs[i] <= tol))):
             raise NumericalError("spectral projections are not orthogonal idempotents")
-        mp = m @ p
-        if exceeds((mp - p @ mp)[None], tol * (1.0 + norm_m)):
+        if not invariance[i] <= bound and _exceeds(x[:, rows] @ b[rows], bound):
             raise NumericalError("a projection range is not invariant")
 
 

@@ -172,9 +172,8 @@ def test_projections_are_built_on_their_first_read(monkeypatch):
 def test_failed_validation_raises_again_and_keeps_nothing(monkeypatch):
     a = QMatrix.diag([Quaternion(1.0, 0.5), Quaternion(-1.0, 0.3), Quaternion(2.0)])
     dec = spectral_decomposition(a)
-    stack = dec.projectors()
-    monkeypatch.setattr(qlinalg.SpectralDecomposition, "projectors",
-                        lambda self: 1.01 * stack)
+    fa, fb, owner = qlinalg._projection_factors(dec)
+    monkeypatch.setattr(qlinalg, "_projection_factors", lambda dec: (fa, 1.01 * fb, owner))
     for _ in range(2):
         with pytest.raises(NumericalError, match="do not sum to the identity"):
             localspec.spectral_projections(a)
@@ -387,38 +386,53 @@ def test_coupling_matrix_block_diagonalizes_the_schur_form(label, a):
         assert np.linalg.norm(d[stop:, start:stop]) <= 1e-12 * scale, label
 
 
-# -- the stacked projection validator against the QMatrix reference ---------
+# -- the factored projection check against the QMatrix reference -------------
 
 
-def _stacked(a: QMatrix):
-    """The projector stack and conditions exactly as ``spectral_projections``
-    hands them to ``_validate_projections``."""
-    proj = localspec.spectral_projections(a)
-    half = a.is_complex_slice
-    stack = np.array([p.c1 if half else complex_adjoint(p) for p in proj.projections])
-    return stack, list(proj.conditions)
+def _factored(a: QMatrix):
+    """The factors A, B, the sphere of each column of A and the conditions,
+    exactly as ``spectral_projections`` hands them to ``_check_projections``."""
+    dec = localspec.spectral_projections(a)
+    return qlinalg._projection_factors(dec), list(dec.conditions)
 
 
-def _validators_agree(a: QMatrix, stack: np.ndarray, conditions) -> str:
-    """Both validators on one stack: the same accept or the same message."""
-    half = a.is_complex_slice
+def _pulled(a: QMatrix, factors) -> list[QMatrix]:
+    """The projections A_i B_i of the factors, as QMatrix objects."""
+    fa, fb, owner = factors
     n = a.rows
-    pulled = [QMatrix(s, np.zeros_like(s)) if half else QMatrix(s[:n, :n], s[:n, n:])
-              for s in stack]
+    out = []
+    for i in range(int(owner.max()) + 1):
+        p = fa[:, owner == i] @ fb[owner == i]
+        out.append(QMatrix(p, np.zeros_like(p)) if a.is_complex_slice
+                   else QMatrix(p[:n, :n], p[:n, n:]))
+    return out
+
+
+def _checks_agree(a: QMatrix, factors, conditions) -> str:
+    """The factored check and the QMatrix reference on the projections of
+    one set of factors: the same accept or the same message."""
     outcomes = []
-    for run in (lambda: qlinalg._validate_projections(
-                    a.c1 if half else complex_adjoint(a), stack.copy(), conditions),
-                lambda: ref.validate_projections(a, pulled, conditions)):
+    for run in (lambda: qlinalg._check_projections(complex_image(a)[0], *factors, conditions),
+                lambda: ref.validate_projections(a, _pulled(a, factors), conditions)):
         try:
             run()
             outcomes.append("accept")
         except NumericalError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
-    # the block-coordinate check may accept only what both validators accept
-    if qlinalg._block_checked(spectral_decomposition(a), stack.copy(), conditions):
-        assert outcomes[0] == "accept"
     return outcomes[0]
+
+
+def _copied(factors, i: int, j: int, eps: float, moved: bool = False):
+    """Sphere i gets a copy of sphere j's columns and eps times its rows, so
+    that P_i becomes P_i + eps P_j; ``moved`` also scales P_j by 1 - eps."""
+    fa, fb, owner = factors
+    cols = owner == j
+    kept = fb.copy()
+    if moved:
+        kept[cols] *= 1.0 - eps
+    return (np.hstack([fa, fa[:, cols]]), np.vstack([kept, eps * fb[cols]]),
+            np.concatenate([owner, np.full(int(cols.sum()), i)]))
 
 
 def _validator_inputs():
@@ -442,31 +456,32 @@ def _tol(a: QMatrix, conditions) -> float:
 
 @pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
 def test_stacked_validator_matches_reference(label, a):
-    stack, conditions = _stacked(a)
-    assert _validators_agree(a, stack, conditions) == "accept"
+    # faults made to the factors at half and twice the tolerance: B_i
+    # scaled, an eps-copy of P_j added to P_i, and that copy moved out of P_j
+    factors, conditions = _factored(a)
+    assert _checks_agree(a, factors, conditions) == "accept"
+    fa, fb, owner = factors
     tol = _tol(a, conditions)
-    k = len(stack)
+    k = len(conditions)
     for i in range(k):
         for f, verdict in ((0.5, None), (2.0, "spectral projections do not sum to the identity")):
-            # P_i (1 +- delta): the sum is off by delta |P_i| = f tol
+            # B_i (1 +- delta): the sum is off by delta |P_i| = f tol
             for sign in (1.0, -1.0):
-                bad = stack.copy()
-                bad[i] *= 1.0 + sign * f * tol / conditions[i]
-                got = _validators_agree(a, bad, conditions)
+                bad = fb.copy()
+                bad[owner == i] *= 1.0 + sign * f * tol / conditions[i]
+                got = _checks_agree(a, (fa, bad, owner), conditions)
                 if verdict:
                     assert got == verdict
             if k == 1:
                 continue
             j = (i + 1) % k
             # P_i + eps P_j: the sum is off by eps |P_j| = f tol
-            bad = stack.copy()
-            bad[i] += f * tol / conditions[j] * stack[j]
-            got = _validators_agree(a, bad, conditions)
+            eps = f * tol / conditions[j]
+            got = _checks_agree(a, _copied(factors, i, j, eps), conditions)
             if verdict:
                 assert got == verdict
             # moving eps P_j from P_j to P_i keeps the sum but not P_i P_j = 0
-            bad[j] -= f * tol / conditions[j] * stack[j]
-            got = _validators_agree(a, bad, conditions)
+            got = _checks_agree(a, _copied(factors, i, j, eps, moved=True), conditions)
             if verdict:
                 assert got == "spectral projections are not orthogonal idempotents"
 
@@ -474,42 +489,89 @@ def test_stacked_validator_matches_reference(label, a):
 @pytest.mark.parametrize("label,a", VALIDATOR_INPUTS + [
     (lab, a) for lab, a in INPUTS if lab.startswith("planted")],
     ids=lambda v: v if isinstance(v, str) else "")
-def test_block_check_accepts_valid_projections(label, a):
-    # every well-conditioned valid set passes in block coordinates; every set
-    # gets the conditions of the stacked SVD to rounding from the factors,
-    # and comes out J-symmetrized
-    dec = spectral_decomposition(a)
+def test_block_check_accepts_valid_projections(label, a, monkeypatch):
+    # every valid set passes in the block coordinates of the factors, the
+    # ill-conditioned ones too, with no residual formed; every set gets the
+    # conditions of the stacked SVD to rounding from the factors, and comes
+    # out J-symmetrized
+    dec = spectral_decomposition(QMatrix(a.c1, a.c2))
     stack = dec.projectors()
     want = np.linalg.norm(stack, 2, axis=(1, 2))
     conditions = qlinalg._conditioned(dec, stack)
     assert np.allclose(conditions, want, rtol=1e-12, atol=0.0)
     if not dec.half:
         assert np.array_equal(stack, _j_conj(stack))
-    accepted = qlinalg._block_checked(dec, stack, conditions)
-    # ill-conditioned sets are left to the validator
-    assert accepted == (label not in ("jordan2", "close-pair"))
-    assert _validators_agree(a, stack, conditions) == "accept"
+    monkeypatch.setattr(qlinalg, "_exceeds", _never_formed)
+    qlinalg._check_projections(dec.m, *qlinalg._projection_factors(dec), conditions)
 
 
-def test_block_check_defers_on_broken_stacks():
-    # the check never raises: a stack it cannot accept goes back to the
-    # validator, which names what is wrong
-    a = QMatrix.diag([Quaternion(1.0, 0.5, 0.2, 0.0), Quaternion(-1.0, 0.3, 0.0, 0.4),
-                      Quaternion(2.0, 0.0, 0.0, 0.0)])
-    dec = spectral_decomposition(a)
-    stack = dec.projectors()
-    conditions = qlinalg._conditioned(dec, stack.copy())
-    moved = stack.copy()
-    moved[0] += 1e-4 * stack[1]
-    moved[1] -= 1e-4 * stack[1]
-    foreign = stack.copy()
-    foreign[0, 0, 1] += 1e-3
-    for bad in (stack * 1.01, moved, foreign, 2.0 * np.eye(len(stack[0])) - stack):
-        assert not qlinalg._block_checked(dec, bad.copy(), conditions)
-    one = spectral_decomposition(QMatrix.diag([Quaternion(0.5, 2.0)] * 3))
-    assert qlinalg._conditioned(one, one.projectors()) == [1.0]
-    assert qlinalg._block_checked(one, one.projectors(), [1.0])
-    assert not qlinalg._block_checked(one, 1.01 * one.projectors(), [1.0])
+def _never_formed(residual, bound):
+    raise AssertionError("a residual was formed as an N x N matrix")
+
+
+def test_check_screens_are_the_frobenius_norms_of_the_residuals():
+    # on valid and on broken factors, each screen is the squared Frobenius
+    # norm of the residual A_i C_ij B_j or X_i B_i formed outright, to 1e-10
+    # relative or within the rounding bound that comes with it; on valid
+    # factors that bound lies far below the square of the tolerance
+    for label, a in VALIDATOR_INPUTS:
+        factors, conditions = _factored(a)
+        sets = [(factors, 1e-6 * _tol(a, conditions) ** 2)]
+        if len(conditions) > 1:
+            rng = np.random.default_rng(a.rows)
+            k = rng.normal(size=(2, len(factors[0]), len(factors[0])))
+            u = scipy.linalg.expm(1e-3 * (k[0] - k[0].T + 1j * (k[1] + k[1].T)))
+            sets += [(_copied(factors, 0, 1, 1e-3), np.inf),
+                     ((u @ factors[0], factors[1] @ u.conj().T, factors[2]), np.inf)]
+        for (fa, fb, owner), slack in sets:
+            count = int(owner.max()) + 1
+            _, c, x, pairs, invariance, rounding = qlinalg._factored_residuals(
+                complex_image(a)[0], fa, fb, owner, count)
+            assert rounding <= slack, label
+            cols = [owner == i for i in range(count)]
+            for i in range(count):
+                residuals = [(pairs[i, j], fa[:, cols[i]] @ c[np.ix_(cols[i], cols[j])]
+                              @ fb[cols[j]]) for j in range(count)]
+                residuals.append((invariance[i], x[:, cols[i]] @ fb[cols[i]]))
+                for got, formed in residuals:
+                    want = np.linalg.norm(formed) ** 2
+                    assert abs(got - want) <= 1e-10 * want + rounding, (label, i)
+
+
+def test_check_accepts_a_large_draw_without_forming_a_residual(monkeypatch):
+    # at n = 32 the block-coordinate bounds this check replaced could not
+    # accept; the Frobenius screens accept every residual
+    rng = np.random.default_rng(3)
+    c1 = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    c2 = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    a = QMatrix(c1, c2)
+    monkeypatch.setattr(qlinalg, "_exceeds", _never_formed)
+    dec = localspec.spectral_projections(a)
+    assert len(dec.projections) == len(dec.spheres) == 32
+
+
+@pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
+def test_checked_factors_give_the_returned_projections(label, a, monkeypatch):
+    # the check and the projections it passes cannot drift apart
+    checked = []
+    check = qlinalg._check_projections
+
+    def recorded(m, fa, fb, owner, conditions):
+        checked.append((fa, fb, owner))
+        return check(m, fa, fb, owner, conditions)
+
+    monkeypatch.setattr(qlinalg, "_check_projections", recorded)
+    a = QMatrix(a.c1, a.c2)    # a matrix of its own, with no projections kept yet
+    dec = localspec.spectral_projections(a)
+    if len(dec.spheres) < 2:
+        one = dec.projections[0]
+        assert checked == [] and np.array_equal(one.c1, np.eye(a.rows)) and not one.c2.any()
+        return
+    [factors] = checked
+    for p, q in zip(dec.projections, _pulled(a, factors)):
+        got = p.c1 if dec.half else complex_adjoint(p)
+        want = q.c1 if dec.half else complex_adjoint(q)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), label
 
 
 @pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
@@ -519,7 +581,8 @@ def test_spectral_projections_builds_the_stack_once(label, a, monkeypatch):
     dec = spectral_decomposition(a)
     localspec.spectral_projections(a)
     localspec.spectral_projections(a)
-    assert len(built) == 1 and built[0] is dec
+    # a lone sphere's projection is I, with no stack built
+    assert built == ([dec] if len(dec.spheres) > 1 else [])
 
 
 def _rotation(rng, n: int, angle: float) -> np.ndarray:
@@ -532,30 +595,32 @@ def _rotation(rng, n: int, angle: float) -> np.ndarray:
 @pytest.mark.parametrize("label,a", [(lab, a) for lab, a in VALIDATOR_INPUTS
                                      if not a.is_complex_slice and lab != "single-sphere"])
 def test_stacked_validator_rejects_rotated_ranges(label, a):
-    # rotating every projector keeps the sum and the products but moves the
-    # ranges off the invariant subspaces of A
-    stack, conditions = _stacked(a)
+    # rotating every projection, A -> R A and B -> B R^H, keeps the sum and
+    # the products but moves the ranges off the invariant subspaces of A
+    (fa, fb, owner), conditions = _factored(a)
     u = _rotation(rand.generator(3, a.rows), a.rows, 1e-3)
-    rotated = u @ stack @ u.conj().T
-    rotated = 0.5 * (rotated + _j_conj(rotated))
-    assert _validators_agree(a, rotated, conditions) == "a projection range is not invariant"
+    rotated = (u @ fa, fb @ u.conj().T, owner)
+    assert _checks_agree(a, rotated, conditions) == "a projection range is not invariant"
     u = _rotation(rand.generator(3, a.rows), a.rows, 1e-15)
-    rotated = u @ stack @ u.conj().T
-    assert _validators_agree(a, 0.5 * (rotated + _j_conj(rotated)), conditions) == "accept"
+    assert _checks_agree(a, (u @ fa, fb @ u.conj().T, owner), conditions) == "accept"
 
 
-def test_frobenius_screen_defers_to_the_svd_and_accepts():
-    # a residual c I with c < tol < c sqrt(N): the Frobenius screen cannot
-    # accept it, the 2-norm can
+def test_frobenius_screen_defers_to_the_svd_and_accepts(monkeypatch):
+    # P_0 + c I with c < tol < c sqrt(N): the Frobenius screen cannot accept
+    # the sum residual, the 2-norm can
     a = QMatrix.diag([Quaternion(k + 1.0, 0.5, 0.2, 0.0) for k in range(4)])
-    stack, conditions = _stacked(a)
+    (fa, fb, owner), conditions = _factored(a)
     tol = _tol(a, conditions)
     c = 0.5 * tol
-    eye = np.eye(stack.shape[1])
+    eye = np.eye(len(fa))
     assert np.linalg.norm(c * eye) > tol
-    bad = stack.copy()
-    bad[0] += c * eye
-    assert _validators_agree(a, bad, conditions) == "accept"
+    formed = []
+    exceeds = qlinalg._exceeds
+    monkeypatch.setattr(qlinalg, "_exceeds",
+                        lambda residual, bound: formed.append(bound) or exceeds(residual, bound))
+    bad = (np.hstack([fa, eye]), np.vstack([fb, c * eye]), np.concatenate([owner, [0] * len(eye)]))
+    assert _checks_agree(a, bad, conditions) == "accept"
+    assert formed
 
 
 def test_spectral_projections_reaches_every_raise_path(monkeypatch):
@@ -563,29 +628,37 @@ def test_spectral_projections_reaches_every_raise_path(monkeypatch):
 
     a = QMatrix.diag([Quaternion(1.0, 0.5, 0.2, 0.0), Quaternion(-1.0, 0.3, 0.0, 0.4),
                       Quaternion(2.0, 0.0, 0.0, 0.0)])
-    stack, _ = _stacked(a)
+    stack = spectral_decomposition(a).projectors()
+    factors, _ = _factored(a)
+    fa, fb, owner = factors
     eye = np.eye(len(stack[0]))
 
-    def raised(bad) -> str:
-        monkeypatch.setattr(SpectralDecomposition, "projectors", lambda self: bad.copy())
+    def raised(stack=None, factors=None) -> str:
+        # conditioning and structure faults go in through the stack, the
+        # others through the factors the check reads
+        if stack is not None:
+            monkeypatch.setattr(SpectralDecomposition, "projectors", lambda self: stack.copy())
+        if factors is not None:
+            monkeypatch.setattr(qlinalg, "_projection_factors", lambda dec: factors)
         with pytest.raises(NumericalError) as info:
-            # a matrix of its own: a's projections are kept from _stacked
+            # a matrix of its own: a's projections are kept from _factored
             localspec.spectral_projections(QMatrix(a.c1, a.c2))
+        monkeypatch.undo()
         return str(info.value)
 
     huge = stack.copy()
     huge[1] += 1e9 * (stack[0] @ (eye - stack[0]) + stack[0] @ np.roll(eye, 1, axis=0))
-    assert "beyond the conditioning limit" in raised(huge)
+    assert "beyond the conditioning limit" in raised(stack=huge)
     foreign = stack.copy()
     foreign[0, 0, 1] += 1e-3
-    assert raised(foreign) == "projection broke the quaternionic structure"
-    assert raised(stack * 1.01) == "spectral projections do not sum to the identity"
-    moved = stack.copy()
-    moved[0] += 1e-4 * stack[1]
-    moved[1] -= 1e-4 * stack[1]
-    assert raised(moved) == "spectral projections are not orthogonal idempotents"
+    assert raised(stack=foreign) == "projection broke the quaternionic structure"
+    assert raised(factors=(fa, 1.01 * fb, owner)) == \
+        "spectral projections do not sum to the identity"
+    assert raised(factors=_copied(factors, 0, 1, 1e-4, moved=True)) == \
+        "spectral projections are not orthogonal idempotents"
     u = _rotation(rand.generator(4, 0), a.rows, 1e-3)
-    assert raised(u @ stack @ u.conj().T) == "a projection range is not invariant"
+    assert raised(factors=(u @ fa, fb @ u.conj().T, owner)) == \
+        "a projection range is not invariant"
 
 
 # -- the R_q kernel against the QMatrix pseudo-resolvent ----------------------

@@ -519,6 +519,23 @@ def test_shift_dense_image_is_the_sections_complex_image(side):
         assert np.array_equal(keep, np.arange(n - op.section_margin))
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("window", [96, 151, 257])
+def test_shift_kept_columns_of_r_q_are_those_of_the_whole_section(side, window):
+    # the kernel forms only m @ m[:, keep]: on the 0/1 band every entry is
+    # a small integer, so the kept columns of the whole R_q come out bit for
+    # bit, and so do their singular values
+    m, keep = _SectionKappa(ShiftOperator(side), window)._image()
+    assert len(keep) < window
+    xs = np.array([0.0, 1e-16, -0.7, 1.3, -1.05])
+    ys = np.array([1.5, 1.0, 0.4, 2.2, 0.3])
+    got = np.concatenate(list(resolvent_singular_values(m, xs, ys, keep)))
+    square = m @ m
+    for x, y, values in zip(xs, ys, got):
+        section = (square - 2.0 * x * m + (x * x + y * y) * np.eye(window))[:, keep]
+        assert np.array_equal(values, np.linalg.svd(section, compute_uv=False))
+
+
 def test_shift_portraits_build_no_complex_section(monkeypatch):
     from qspec import cli
 
