@@ -36,13 +36,13 @@ def _build_parser() -> argparse.ArgumentParser:
                vector=False, series=False, suite=False) -> None:
         if op:
             p.add_argument("--op", required=True, dest="op_spec",
-                           help="operator spec: dense:FILE | mult:FILE | shift:SIDE[:N]")
+                           help="operator spec: dense:FILE | mult:FILE | shift:left | shift:right")
         if grid:
             p.add_argument("--grid", default="-1.5,1.5,1.5,128x64",
                            help="portrait grid 'x0,x1,y1,RES' with RES N or NXxNY")
             p.add_argument("--window", type=int, default=None,
                            help="finite-section size (at least 4) for genuinely "
-                                "infinite operators; default the operator's own")
+                                "infinite operators; default 128")
         if vector:
             p.add_argument("--vector", dest="vector_path", required=True,
                            help="vector file (.qvec)")

@@ -8,7 +8,7 @@ coefficient literal per line.  Writers emit shortest round-trip floats,
 so read(write(x)) is exact.
 
 Operator specifications are single tokens: ``dense:FILE.qmat``,
-``mult:FILE.qfun``, ``shift:left:N`` / ``shift:right:N``.
+``mult:FILE.qfun``, ``shift:left`` / ``shift:right``.
 """
 
 from __future__ import annotations
@@ -190,33 +190,26 @@ def write_text(path: str, text: str) -> None:
 
 
 def parse_operator_spec(spec: str) -> LinearOperator:
-    """Build an operator from a one-token description.
+    """Build an operator from a one-token description, split at its first
+    colon, so a file path may hold colons of its own.
 
     dense:FILE   square matrix from a .qmat file
     mult:FILE    diagonal multiplication from a .qfun file
-    shift:SIDE:N shift with default window N (N optional, default 128)
+    shift:SIDE   left or right shift; ``portrait --window`` sets its section
     """
     from .operators import DenseOperator, ShiftOperator
-    parts = spec.strip().split(":")
-    kind = parts[0]
+    kind, _, rest = spec.strip().partition(":")
     if kind == "shift":
-        if len(parts) not in (2, 3):
-            raise ValueError(f"shift spec must be shift:SIDE[:N], got {spec!r}")
-        side = parts[1]
-        window = 128
-        if len(parts) == 3:
-            try:
-                window = int(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"bad shift window in {spec!r}") from exc
-        return ShiftOperator(side, window=window)
+        if ":" in rest:
+            raise ValueError(f"shift spec must be shift:SIDE, got {spec!r}; "
+                             "set the section size with --window")
+        return ShiftOperator(rest)
     if kind in ("dense", "mult"):
-        if len(parts) != 2 or not parts[1]:
+        if not rest:
             raise ValueError(f"{kind} spec must be {kind}:FILE, got {spec!r}")
-        text = read_text(parts[1])
+        text = read_text(rest)
         if kind == "dense":
-            mat = parse_qmat(text)
-            return DenseOperator(mat)
+            return DenseOperator(parse_qmat(text))
         return parse_qfun(text)
     raise ValueError(f"unknown operator kind {kind!r} in {spec!r}")
 

@@ -102,13 +102,10 @@ class ShiftOperator(LinearOperator):
 
     bandwidth = 1
 
-    def __init__(self, side: str, window: int = 128):
+    def __init__(self, side: str):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        if window < 4:
-            raise ValueError("window must be at least 4")
         self.side = side
-        self.window = window
         self.label = f"shift:{side}"
 
     def apply(self, v: QVector) -> QVector:
@@ -128,7 +125,7 @@ class ShiftOperator(LinearOperator):
 
     def adjoint_operator(self) -> "ShiftOperator":
         other = "left" if self.side == "right" else "right"
-        return ShiftOperator(other, window=self.window)
+        return ShiftOperator(other)
 
 
 def truncated_eigenvector(q: Quaternion, n: int) -> QVector:

@@ -635,16 +635,14 @@ def _fro(x: np.ndarray) -> np.ndarray:
 
 def _conditioned(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]:
     """The conditions |V_i U_i|_2 of the projector stack, from each
-    sphere's columns of V and rows of U; the stack is checked sphere by
-    sphere against CONDITION_LIMIT, on its own norms (an SVD only past the
-    Frobenius norm), and the quaternionic structure, then J-symmetrized in
-    place.
+    sphere's columns of V and rows of U; each sphere's condition is checked
+    against CONDITION_LIMIT and its projector against the quaternionic
+    structure, then the stack is J-symmetrized in place.
     """
     count, size = stack.shape[:2]
     vs, us = dec.sphere_factors
     # V_i = Q R with orthonormal Q, so |V_i U_i| = |R U_i|
     conditions = np.linalg.svd(np.linalg.qr(vs, mode="r") @ us, compute_uv=False)[:, 0]
-    fro = _fro(stack)
     # a projector P of the C_i block is diag(P, conj P) on chi(A)
     broken = np.zeros(count)
     if not dec.half:
@@ -653,12 +651,10 @@ def _conditioned(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]:
         sym = _j_conj(stack)
         broken = math.sqrt(2.0) * _fro(stack[:, :size // 2] - sym[:, :size // 2])
     for i, s in enumerate(dec.spheres):
-        if fro[i] > CONDITION_LIMIT:
-            norm = float(np.linalg.norm(stack[i], 2))
-            if norm > CONDITION_LIMIT:
-                raise NumericalError(
-                    f"projection for sphere ({s.re}, {s.im}) has "
-                    f"norm {norm:.3e}, beyond the conditioning limit")
+        if conditions[i] > CONDITION_LIMIT:
+            raise NumericalError(
+                f"projection for sphere ({s.re}, {s.im}) has "
+                f"norm {conditions[i]:.3e}, beyond the conditioning limit")
         if broken[i] > 1e-6 * max(1.0, conditions[i]):
             raise NumericalError("projection broke the quaternionic structure")
     if not dec.half:

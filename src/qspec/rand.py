@@ -31,9 +31,8 @@ def rand_qvector(rng: np.random.Generator, n: int) -> QVector:
     return QVector.from_components(rng.uniform(-1.0, 1.0, (n, 4)))
 
 
-def rand_qmatrix(rng: np.random.Generator, rows: int, cols: int,
-                 scale: float = 1.0) -> QMatrix:
-    return QMatrix.from_components(rng.uniform(-scale, scale, (rows, cols, 4)))
+def rand_qmatrix(rng: np.random.Generator, rows: int, cols: int) -> QMatrix:
+    return QMatrix.from_components(rng.uniform(-1.0, 1.0, (rows, cols, 4)))
 
 
 def rand_invertible(rng: np.random.Generator, n: int) -> QMatrix:

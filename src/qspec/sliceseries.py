@@ -473,34 +473,22 @@ def default_exhaustion(radius: float = math.inf, levels: int = 8) -> CompactExha
     return CompactExhaustion(tuple(2.0 ** (n - 1) for n in range(1, levels + 1)))
 
 
-def h_metric(f, g, center: Quaternion | None = None,
+def h_metric(f: SliceSeries, g: SliceSeries,
              exhaustion: CompactExhaustion | None = None) -> float:
     """Translation-invariant distance sum_n 2^{-n} s_n / (1 + s_n).
 
     s_n is the sampled sup seminorm of f - g on the n-th ball of the
-    exhaustion, n starting at one; the weights make the sum finite for
-    any pair and below one always.  Adding a common series to both sides
-    leaves the value unchanged.  The samples of every level go through f
-    and g as one batch.
+    exhaustion around their common center, n starting at one; the weights
+    make the sum finite for any pair and below one always.  Adding a common
+    series to both sides leaves the value unchanged.  The samples of every
+    level go through f and g as one batch.
     """
-    if center is None:
-        if isinstance(f, SliceSeries):
-            center = f.center
-        elif isinstance(g, SliceSeries):
-            center = g.center
-        else:
-            raise ValueError("a center is required for plain callables")
-    if (isinstance(f, SliceSeries) and isinstance(g, SliceSeries)
-            and f.center != g.center):
+    if f.center != g.center:
         raise ValueError("series must share a center")
     if exhaustion is None:
-        limit = math.inf
-        for s in (f, g):
-            if isinstance(s, SliceSeries):
-                limit = min(limit, s.radius)
-        exhaustion = default_exhaustion(limit)
-    pts = np.concatenate([_sample_rows(center, r) for r in exhaustion.radii])
-    diff = _batch(f)(pts) - _batch(g)(pts)
+        exhaustion = default_exhaustion(min(f.radius, g.radius))
+    pts = np.concatenate([_sample_rows(f.center, r) for r in exhaustion.radii])
+    diff = f._values(pts) - g._values(pts)
     sups = _norms(diff).reshape(len(exhaustion), -1).max(axis=1)
     total = 0.0
     for n, s in enumerate(sups.tolist(), start=1):

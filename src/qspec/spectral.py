@@ -119,50 +119,25 @@ def classify(a: QMatrix, tol: float = 1e-8) -> SpectrumReport:
 # -- growth bounds -------------------------------------------------------
 
 
-def _section_size(op, window: int | None) -> int:
-    """Rows of the section that samples ``op``: its dimension when finite,
-    else ``window`` (None means the operator's own window).  An operator of
-    dimension 0 has no section to sample."""
-    if op.dim == 0:
-        raise ValueError("the operator has dimension 0")
-    if op.dim is not None:
-        return op.dim
-    n_win = getattr(op, "window", 128) if window is None else window
-    if n_win < 4:
-        raise ValueError(f"window must be at least 4, got {n_win}")
-    if n_win <= op.section_margin:
-        raise ValueError("window too small for the section margin")
-    return n_win
+def growth_bounds(a: QMatrix) -> tuple[float, float]:
+    """(spectral radius bound, lower bound): inf |A^n|^(1/n) and sup
+    kappa(A^n)^(1/n) over n <= 8, from one set of singular values per power.
 
-
-def growth_bounds(a, n_max: int = 8) -> tuple[float, float]:
-    """(spectral_radius, lower_bound_i): one set of singular values per power
-    gives both.
-
-    A QMatrix is the section of bandwidth 0 that keeps all its columns;
-    operators are measured on rectangular sections of exact images, of
-    their own window.  The powers' complex images take one stacked SVD per
-    (dtype, shape), which gives each the values of its own SVD bit for bit.  A kappa at the
-    rounding floor 2N eps |A^n| (N rows) is skipped: raised to 1/n it would
-    lift the lower bound above small spheres.
+    The powers' complex images take one stacked SVD per (dtype, shape),
+    which gives each the values of its own SVD bit for bit: a quaternionic
+    A can have complex-slice powers (j B with B real squares to -B^2), so
+    the images come in two sizes.  A kappa at the rounding floor 2N eps
+    |A^n| (N rows) is skipped: raised to 1/n it would lift the lower bound
+    above small spheres.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if isinstance(a, QMatrix):
-        if a.rows == 0:
-            return 0.0, math.inf    # op_norm and min_singular of an empty matrix
-        section, n_win, bandwidth = a, a.cols, 0
-    else:
-        n_win = _section_size(a, None)
-        section, bandwidth = a.finite_section(n_win), a.bandwidth
-    # a power keeps n_win - n * bandwidth columns, at least one
-    count = min(n_max, (n_win - 1) // bandwidth) if bandwidth else n_max
-    images, power = [], section
+    if a.rows == 0:
+        return 0.0, math.inf    # op_norm and min_singular of an empty matrix
+    images, power = [], a
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, count + 1):
+        for n in range(1, 9):
             if n > 1:
-                power = power @ section
-            image = qlinalg.complex_image(power.take_cols(n_win - n * bandwidth))[0]
+                power = power @ a
+            image = qlinalg.complex_image(power)[0]
             if not np.isfinite(image).all():
                 break    # each power bounds alone: the ones before an overflow stand
             images.append(image)
@@ -174,7 +149,7 @@ def growth_bounds(a, n_max: int = 8) -> tuple[float, float]:
         for idx, s in zip(idxs, np.linalg.svd(np.stack([images[i] for i in idxs]),
                                               compute_uv=False)):
             values[idx] = s
-    floor = 2 * section.rows * np.finfo(float).eps
+    floor = 2 * a.rows * np.finfo(float).eps
     radius, lower = math.inf, 0.0
     for n, s in enumerate(values, 1):
         top, kappa = float(s[0]), float(s[-1])
@@ -184,15 +159,9 @@ def growth_bounds(a, n_max: int = 8) -> tuple[float, float]:
     return radius, lower
 
 
-def spectral_radius(a, n_max: int = 8) -> float:
-    """inf over n <= n_max of |A^n|^(1/n); an upper bound for sigma_S."""
-    return growth_bounds(a, n_max)[0]
-
-
-def lower_bound_i(a, n_max: int = 8) -> float:
-    """sup over n <= n_max of kappa(A^n)^(1/n) above the rounding floor;
-    a lower bound for sigma_apS."""
-    return growth_bounds(a, n_max)[1]
+def spectral_radius(a: QMatrix) -> float:
+    """inf over n <= 8 of |A^n|^(1/n); an upper bound for sigma_S."""
+    return growth_bounds(a)[0]
 
 
 @dataclass(frozen=True)
@@ -983,6 +952,26 @@ def _shift_kappas(side: str, cols: int, xs: np.ndarray, ys: np.ndarray):
     return out, np.where(hard, 0.0, reach), hard
 
 
+#: the section size of an infinite operator when no window is given
+DEFAULT_WINDOW = 128
+
+
+def _section_size(op, window: int | None) -> int:
+    """Rows of the section that samples ``op``: its dimension when finite,
+    else ``window`` (None means DEFAULT_WINDOW).  An operator of dimension 0
+    has no section to sample."""
+    if op.dim == 0:
+        raise ValueError("the operator has dimension 0")
+    if op.dim is not None:
+        return op.dim
+    n_win = DEFAULT_WINDOW if window is None else window
+    if n_win < 4:
+        raise ValueError(f"window must be at least 4, got {n_win}")
+    if n_win <= op.section_margin:
+        raise ValueError("window too small for the section margin")
+    return n_win
+
+
 class _SectionKappa:
     """kappa(R_q) on a rectangular window section, reusable across q.
 
@@ -1107,7 +1096,7 @@ def portrait(op, grid: GridSpec, window: int | None = None) -> SlicePortrait:
     """Sample kappa(R_{x+yI}(op)) over the grid.
 
     A finite operator is probed on its whole matrix, an infinite one on a
-    section of ``window`` rows (None: the operator's own window).  R_q
+    section of ``window`` rows (None: DEFAULT_WINDOW).  R_q
     depends on q only through (x, |y|), so one portrait holds for every
     slice unit I.
     """

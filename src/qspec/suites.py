@@ -476,7 +476,7 @@ def _suite_portrait_boundary(cfg: SuiteConfig) -> SuiteResult:
                    for s in anchors):
                 break
         op = DenseOperator(QMatrix.diag(anchors + [extra]))
-        p = spectral.portrait(op, grid, window=0)
+        p = spectral.portrait(op, grid)
         trans = spectral.transition_cells(p.values, low=0.02, high=0.2)
         if not np.any(trans):
             return False
@@ -485,7 +485,7 @@ def _suite_portrait_boundary(cfg: SuiteConfig) -> SuiteResult:
     def threshold_and_fill(rng, k):
         spheres = [Quaternion(0.0, 0.8), Quaternion(0.6, 0.6)]
         op = DenseOperator(QMatrix.diag(spheres))
-        p = spectral.portrait(op, grid, window=0)
+        p = spectral.portrait(op, grid)
         region = spectral.threshold_region(p)
         if region.cell_count() != 2:
             return False

@@ -28,8 +28,7 @@ from qspec.qlinalg import (CONDITION_LIMIT, QMatrix, QVector, SubspaceBasis, _j_
                            _kernel_dim, _singular_values, complex_adjoint, inner,
                            min_singular, op_norm, pseudo_resolvent)
 from qspec.quat import EigenSphere, Quaternion, cluster_spheres, merge_spheres, sphere_union
-from qspec.spectral import (SphereFlags, SpectrumReport, _section_size, growth_bounds,
-                            membership_threshold)
+from qspec.spectral import SphereFlags, SpectrumReport, membership_threshold
 
 CLUSTER_TOL = 1e-6
 
@@ -187,29 +186,22 @@ def section_kappas(op, window: int, xs, ys) -> np.ndarray:
     return out
 
 
-def growth_bounds(a, n_max: int = 8) -> tuple[float, float]:
-    """(spectral_radius, lower_bound_i) from one SVD per power, power by power."""
-    if isinstance(a, QMatrix):
-        if a.rows == 0:
-            return 0.0, math.inf
-        section, n_win, bandwidth = a, a.cols, 0
-    else:
-        n_win = _section_size(a, None)
-        section, bandwidth = a.finite_section(n_win), a.bandwidth
-    floor = 2 * section.rows * np.finfo(float).eps
+def growth_bounds(a: QMatrix, n_max: int = 8) -> tuple[float, float]:
+    """The growth bounds over the first ``n_max`` powers of A from one SVD
+    per power, power by power."""
+    if a.rows == 0:
+        return 0.0, math.inf
+    floor = 2 * a.rows * np.finfo(float).eps
     radius, lower = math.inf, 0.0
-    power = section
+    power = a
     for n in range(1, n_max + 1):
-        cols = n_win - n * bandwidth
-        if cols < 1:
-            break
-        s = _singular_values(power.take_cols(cols))
+        s = _singular_values(power)
         top, kappa = float(s[0]), float(s[-1])
         radius = min(radius, top ** (1.0 / n))
         if kappa > floor * top:
             lower = max(lower, kappa ** (1.0 / n))
         if n < n_max:
-            power = power @ section
+            power = power @ a
     return radius, lower
 
 

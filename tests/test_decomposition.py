@@ -631,11 +631,14 @@ def test_spectral_projections_reaches_every_raise_path(monkeypatch):
     stack = spectral_decomposition(a).projectors()
     factors, _ = _factored(a)
     fa, fb, owner = factors
-    eye = np.eye(len(stack[0]))
 
-    def raised(stack=None, factors=None) -> str:
-        # conditioning and structure faults go in through the stack, the
-        # others through the factors the check reads
+    def raised(sphere_factors=None, stack=None, factors=None) -> str:
+        # conditioning faults go in through the sphere factors the conditions
+        # are read from, structure faults through the stack, and the others
+        # through the factors the check reads
+        if sphere_factors is not None:
+            monkeypatch.setattr(SpectralDecomposition, "sphere_factors",
+                                property(lambda self: sphere_factors))
         if stack is not None:
             monkeypatch.setattr(SpectralDecomposition, "projectors", lambda self: stack.copy())
         if factors is not None:
@@ -646,9 +649,10 @@ def test_spectral_projections_reaches_every_raise_path(monkeypatch):
         monkeypatch.undo()
         return str(info.value)
 
-    huge = stack.copy()
-    huge[1] += 1e9 * (stack[0] @ (eye - stack[0]) + stack[0] @ np.roll(eye, 1, axis=0))
-    assert "beyond the conditioning limit" in raised(stack=huge)
+    vs, us = spectral_decomposition(a).sphere_factors
+    vs = vs.copy()
+    vs[1] *= 1e9
+    assert "beyond the conditioning limit" in raised(sphere_factors=(vs, us))
     foreign = stack.copy()
     foreign[0, 0, 1] += 1e-3
     assert raised(stack=foreign) == "projection broke the quaternionic structure"

@@ -82,10 +82,25 @@ def test_parse_operator_spec(tmp_path):
     io.write_text(str(p), "1 1\n0,1,0,0\n")
     op = io.parse_operator_spec(f"dense:{p}")
     assert op.dim == 1
-    sh = io.parse_operator_spec("shift:left:32")
-    assert isinstance(sh, ShiftOperator) and sh.window == 32
+    sh = io.parse_operator_spec("shift:left")
+    assert isinstance(sh, ShiftOperator) and sh.side == "left"
+    # the window is portrait's --window, not part of the spec
+    with pytest.raises(ValueError, match="--window"):
+        io.parse_operator_spec("shift:left:32")
+    with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'up'"):
+        io.parse_operator_spec("shift:up")
     with pytest.raises(ValueError):
         io.parse_operator_spec("banana:x")
+
+
+def test_operator_spec_paths_may_hold_colons(tmp_path, capsys):
+    folder = tmp_path / "run:3"
+    folder.mkdir()
+    io.write_text(str(folder / "a.qmat"), "1 1\n0,1,0,0\n")
+    io.write_text(str(folder / "a.qfun"), "p 0,1,0,0\n")
+    for spec in (f"dense:{folder / 'a.qmat'}", f"mult:{folder / 'a.qfun'}"):
+        assert io.parse_operator_spec(spec).dim == 1
+        assert run_cli(capsys, "spectrum", "--op", spec) == (0, "0 1 p a c s\n", "")
 
 
 def test_parse_grid():
@@ -341,15 +356,27 @@ def test_cli_portrait_rejects_small_shift_window(capsys, window):
     assert "window must be at least 4" in err
 
 
-def test_cli_portrait_window_defaults_to_the_operators(capsys):
+def test_cli_portrait_window_defaults_to_128(capsys):
     grid = "--grid=-1,1,1,5x3"
-    code, own, _ = run_cli(capsys, "portrait", "--op", "shift:left:16", grid)
+    code, own, _ = run_cli(capsys, "portrait", "--op", "shift:left", grid)
     assert code == 0
     assert own == run_cli(capsys, "portrait", "--op", "shift:left", grid,
+                          "--window", "128")[1]
+    assert own != run_cli(capsys, "portrait", "--op", "shift:left", grid,
                           "--window", "16")[1]
-    assert own != run_cli(capsys, "portrait", "--op", "shift:left", grid)[1]
     # the smallest window a shift accepts
     assert run_cli(capsys, "portrait", "--op", "shift:left", grid, "--window", "4")[0] == 0
+
+
+def test_cli_shift_spec_takes_no_window(capsys):
+    grid = "--grid=-1,1,1,5x3"
+    code, out, err = run_cli(capsys, "portrait", "--op", "shift:left:16", grid)
+    assert (code, out) == (2, "")
+    assert "--window" in err
+    # a bad side keeps the operator's own message
+    code, out, err = run_cli(capsys, "portrait", "--op", "shift:up", grid)
+    assert (code, out) == (2, "")
+    assert err == "error: side must be 'left' or 'right', got 'up'\n"
 
 
 def test_cli_portrait_dense_ignores_window(tmp_path, capsys):
@@ -494,6 +521,10 @@ def test_cli_tol_and_seed_still_work_where_read(tmp_path, capsys):
     assert code == 0 and out.startswith("suite scalar-algebra")
 
 
+#: functions deleted along with their settings
+GONE = {"lower_bound_i"}
+
+
 @pytest.mark.parametrize("module, function, name", [
     ("spectral", "classify", "n_max"),
     ("spectral", "threshold_region", "tol"),
@@ -533,15 +564,62 @@ def test_cli_tol_and_seed_still_work_where_read(tmp_path, capsys):
     ("spectral", "SlicePortrait", "slice_unit"),
     ("operators", "DenseOperator", "label"),
     ("operators", "MultiplicationOperator", "label"),
+    ("operators", "ShiftOperator", "window"),
+    ("spectral", "growth_bounds", "n_max"),
+    ("spectral", "spectral_radius", "n_max"),
+    ("spectral", "lower_bound_i", "n_max"),
+    ("sliceseries", "h_metric", "center"),
+    ("rand", "rand_qmatrix", "scale"),
 ])
 def test_library_takes_no_parameter_that_no_caller_sets(module, function, name):
-    # each was a constant in every call: thresholds are fixed where the
-    # verdicts are decided, and a shift's window comes from its operator;
-    # a dataclass's signature lists its fields
+    # each was a constant in every call outside the tests: thresholds are
+    # fixed where the verdicts are decided, the growth bounds take eight
+    # powers of a matrix, and a shift's window is portrait's; a dataclass's
+    # signature lists its fields
     fn = importlib.import_module(f"qspec.{module}")
     for attr in function.split("."):
-        fn = getattr(fn, attr)
-    assert name not in inspect.signature(fn).parameters
+        fn = getattr(fn, attr, None)
+    if function in GONE:
+        assert fn is None
+    else:
+        assert name not in inspect.signature(fn).parameters
+
+
+#: every defaulted parameter of the names qspec exports; a setting added to
+#: the library joins this table in the same change, with the caller outside
+#: the tests that sets it
+EXPORTED_DEFAULTS = {
+    "CompactExhaustion": ("limit",),
+    "Quaternion": ("w", "x", "y", "z"),
+    "SlicePortrait": ("dense_cells",),
+    "SliceSeries": ("radius",),
+    "SuiteConfig": ("seed", "trials", "tol"),
+    "annulus_check": ("tol",),
+    "classify": ("tol",),
+    "decomposability_necessary": ("report",),
+    "default_exhaustion": ("radius", "levels"),
+    "h_metric": ("exhaustion",),
+    "kernel_basis": ("tol",),
+    "local_spectrum": ("tol",),
+    "merge_spheres": ("tol",),
+    "portrait": ("window",),
+}
+
+
+def test_exported_defaults_are_the_table():
+    import qspec
+
+    found = {}
+    for name in qspec.__all__:
+        try:
+            params = inspect.signature(getattr(qspec, name)).parameters.values()
+        except (TypeError, ValueError):    # constants, and exceptions without __init__
+            continue
+        defaults = tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
+        if defaults:
+            found[name] = defaults
+    assert found == EXPORTED_DEFAULTS
+    assert sum(map(len, found.values())) == 20
 
 
 def test_cli_check_has_its_own_tol_default():

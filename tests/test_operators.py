@@ -45,8 +45,16 @@ def test_shift_adjoint_duality():
         assert np.array_equal(ls.c2, rs.c2)
 
 
+def test_shift_takes_only_its_side():
+    # the section size is portrait's window, not the operator's
+    with pytest.raises(TypeError):
+        ShiftOperator("left", window=16)
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        ShiftOperator("up")
+
+
 def test_shift_column_action():
-    sec = ShiftOperator("right", window=8).finite_section(8)
+    sec = ShiftOperator("right").finite_section(8)
     v = QVector.basis(8, 0)
     assert sec.apply(v).entry(1) == ONE
     assert sec.apply(v).entry(0) == Z

@@ -353,15 +353,6 @@ def test_engine_h_metric_matches_reference(center, degree, vector):
     assert h_metric(f, f, exhaustion=e) == 0.0
 
 
-def test_engine_h_metric_of_callable_matches_reference():
-    f = series(J, ONE, I, J)
-    conj = lambda q: q.conjugate()  # noqa: E731
-    e = default_exhaustion(1.0, 3)
-    want = ref.h_metric(_evaluator(f), conj, J, e.radii)
-    assert h_metric(f, conj, exhaustion=e) == pytest.approx(want, rel=1e-12)
-    assert h_metric(conj, conj, center=J, exhaustion=e) == 0.0
-
-
 def test_engine_slice_samples_match_reference():
     p = CENTERS["slice"]
     assert _slice_samples(p, 0.7) == ref.slice_samples(p, 0.7)

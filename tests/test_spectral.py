@@ -31,7 +31,6 @@ from qspec.spectral import (
     classify,
     full_spectrum,
     growth_bounds,
-    lower_bound_i,
     portrait,
     pseudo_resolvent,
     s_spectrum,
@@ -116,9 +115,9 @@ def test_spectral_radius_bounds_sphere_max():
     # power-norm bound: never below the true radius, tight for normal parts
     assert top <= rep.radius + 1e-9
     assert spectral_radius(a) == pytest.approx(rep.radius, rel=1e-12)
-    # diagonal case is exact at n_max -> high powers
+    # a normal matrix has |A^n| = r^n: the bound is exact from the first power
     d = QMatrix.from_quaternions([[2 * I, Z], [Z, J]])
-    assert spectral_radius(d, n_max=64) == pytest.approx(2.0, rel=1e-2)
+    assert spectral_radius(d) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_annulus_bounds_hold():
@@ -126,46 +125,32 @@ def test_annulus_bounds_hold():
     a = rand.rand_invertible(rng, 4)
     rep = classify(a)
     assert annulus_check(rep).ok
-    assert lower_bound_i(a) <= rep.radius + 1e-9
+    assert growth_bounds(a)[1] <= rep.radius + 1e-9
 
 
-def _two_loop_growth(a, n_max=8):
-    """The growth bounds as two separate loops over the powers, the way
-    they were computed before one pass shared them: (radius, lower, floor),
-    where ``floor`` says whether some kappa(A^n) sat at the rounding floor
-    2N eps |A^n| that the one-pass loop skips."""
-    if isinstance(a, QMatrix):
-        section, n_win, band = a, a.cols, 0
-    else:
-        n_win = a.window
-        section, band = a.finite_section(n_win), a.bandwidth
+def _two_loop_growth(a):
+    """The growth bounds as two separate loops over the first eight powers,
+    the way they were computed before one pass shared them: (radius, lower,
+    floor), where ``floor`` says whether some kappa(A^n) sat at the rounding
+    floor 2N eps |A^n| that the one-pass loop skips."""
     radius, lower, floor = math.inf, 0.0, False
-    power = section
-    for n in range(1, n_max + 1):
-        cols = n_win - n * band
-        if cols < 1:
-            break
-        radius = min(radius, op_norm(power.take_cols(cols)) ** (1.0 / n))
-        if n < n_max:
-            power = power @ section
-    power = section
-    for n in range(1, n_max + 1):
-        cols = n_win - n * band
-        if cols < 1:
-            break
-        rect = power.take_cols(cols)
-        kappa = min_singular(rect)
+    power = a
+    for n in range(1, 9):
+        radius = min(radius, op_norm(power) ** (1.0 / n))
+        power = power @ a
+    power = a
+    for n in range(1, 9):
+        kappa = min_singular(power)
         lower = max(lower, kappa ** (1.0 / n))
-        floor |= kappa <= 2 * rect.rows * np.finfo(float).eps * op_norm(rect)
-        if n < n_max:
-            power = power @ section
+        floor |= kappa <= 2 * power.rows * np.finfo(float).eps * op_norm(power)
+        power = power @ a
     return radius, lower, floor
 
 
 def _similarity_image(rng, entries):
     """S diag(entries) S^-1 with S = I plus a small random part."""
     n = len(entries)
-    s = QMatrix.identity(n) + rand.rand_qmatrix(rng, n, n, scale=1.0 / n)
+    s = QMatrix.identity(n) + QMatrix.from_components(rng.uniform(-1.0 / n, 1.0 / n, (n, n, 4)))
     return s @ QMatrix.diag(entries) @ inverse_matrix(s)
 
 
@@ -180,7 +165,8 @@ def _growth_inputs():
     for n in (6, 10):
         entries = [rand.rand_quaternion(rng) for _ in range(n - 1)]
         out.append(_similarity_image(rng, entries + [Quaternion(0.01, 0.01)]))
-    out += [ShiftOperator("right", window=24), ShiftOperator("left", window=24)]
+    # the shifts' 24 x 24 sections, both nilpotent
+    out += [ShiftOperator(side).finite_section(24) for side in ("right", "left")]
     return out
 
 
@@ -188,14 +174,13 @@ def test_growth_bounds_match_two_loop_reference():
     skipped = 0
     for a in _growth_inputs():
         radius, lower, floor = _two_loop_growth(a)
-        assert growth_bounds(a) == (spectral_radius(a), lower_bound_i(a))
-        assert spectral_radius(a) == radius
-        assert lower_bound_i(a) <= lower
+        assert growth_bounds(a)[0] == spectral_radius(a) == radius
+        assert growth_bounds(a)[1] <= lower
         if floor:
             skipped += 1
         else:
-            assert lower_bound_i(a) == lower
-    # the nilpotent, zero and left-shift inputs reach the floor
+            assert growth_bounds(a)[1] == lower
+    # the nilpotent, zero and shift-section inputs reach the floor
     assert 3 <= skipped < len(_growth_inputs())
     # an empty matrix keeps op_norm's 0 and min_singular's inf
     assert growth_bounds(QMatrix.zeros(0, 0)) == (0.0, math.inf)
@@ -203,19 +188,13 @@ def test_growth_bounds_match_two_loop_reference():
 
 def test_stacked_growth_bounds_match_the_per_power_loop():
     # i B (B real) squares to a real block and j B to a complex-slice
-    # -B^2, so their powers fall into several (dtype, shape) groups; shift
-    # sections shrink by the bandwidth, one shape per power
+    # -B^2, so their powers fall into several (dtype, shape) groups
     b = np.random.default_rng(7).normal(size=(5, 5))
     mixed = [QMatrix.diag([I] * 3), QMatrix.diag([J, J]),
              QMatrix.diag([Quaternion(0.5, 0, 0.5), Quaternion(0, 0.7)]),
              QMatrix(1j * b, np.zeros((5, 5))), QMatrix(np.zeros((5, 5)), b)]
     for a in _growth_inputs() + mixed:
-        for n_max in (1, 3, 8):
-            assert growth_bounds(a, n_max) == ref.growth_bounds(a, n_max)
-    for window in (4, 5, 9):
-        for side in ("left", "right"):
-            op = ShiftOperator(side, window=window)
-            assert growth_bounds(op) == ref.growth_bounds(op)
+        assert growth_bounds(a) == ref.growth_bounds(a)
 
 
 def test_growth_bounds_stop_before_an_overflowing_power():
@@ -224,19 +203,8 @@ def test_growth_bounds_stop_before_an_overflowing_power():
     a = QMatrix.diag([Quaternion(1e60, 0.3), Quaternion(-2e60, 0.0, 0.1)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert growth_bounds(a) == growth_bounds(a, 5)
+        assert growth_bounds(a) == ref.growth_bounds(a, 5)
     assert growth_bounds(a)[0] == pytest.approx(2e60, rel=1e-12)
-
-
-def test_growth_bounds_of_the_shifts():
-    # right shift: an isometry, every power norm 1 and kappa 1
-    right = ShiftOperator("right", window=32)
-    assert spectral_radius(right) == pytest.approx(1.0, rel=1e-12)
-    assert lower_bound_i(right) == pytest.approx(1.0, rel=1e-12)
-    # left shift: norm 1, but each power kills e_1, so kappa is 0
-    left = ShiftOperator("left", window=32)
-    assert spectral_radius(left) == pytest.approx(1.0, rel=1e-12)
-    assert lower_bound_i(left) == 0.0
 
 
 def _small_sphere(seed):
@@ -260,7 +228,7 @@ def test_lower_bound_stays_below_a_small_sphere():
     for seed in range(24):
         a, smallest = _small_sphere(seed)
         above += _two_loop_growth(a)[1] > smallest
-        assert lower_bound_i(a) <= smallest
+        assert growth_bounds(a)[1] <= smallest
         if seed % 6 == 0:
             assert annulus_check(classify(a)).ok, seed
     # without the rounding-floor skip the bound rises above the sphere
@@ -916,12 +884,12 @@ def test_shift_section_norm_is_one():
             assert _SectionKappa(op, n).norm_scale() == 1.0
 
 
-def test_window_none_means_the_operators_own_window():
+def test_window_none_means_the_default_window():
     g = GridSpec(-1.2, 1.2, 1.0, 5, 3)
-    own = portrait(ShiftOperator("right", window=8), g)
-    assert own.window == 8
-    assert np.array_equal(own.values, portrait(ShiftOperator("right"), g, window=8).values)
-    assert portrait(ShiftOperator("left"), g).window == 128
+    for side in ("left", "right"):
+        p = portrait(ShiftOperator(side), g)
+        assert p.window == spectral.DEFAULT_WINDOW == 128
+        assert np.array_equal(p.values, portrait(ShiftOperator(side), g, window=128).values)
 
 
 @pytest.mark.parametrize("window", [0, 3, -4])
@@ -931,8 +899,6 @@ def test_small_windows_rejected_for_infinite_operators(window):
         portrait(ShiftOperator("right"), g, window=window)
     with pytest.raises(ValueError, match="at least 4"):
         window_kappa(ShiftOperator("left"), Quaternion(0.5), window)
-    with pytest.raises(ValueError, match="at least 4"):
-        growth_bounds(ShiftOperator("left", window=window))
     # a finite operator is probed on its whole matrix whatever the window
     dense = _dense_operators()["quaternionic"]
     assert portrait(dense, g, window=window).window == 3
