@@ -155,12 +155,12 @@ def _cmd_series(cfg: argparse.Namespace) -> int:
 
 def _cmd_check(cfg: argparse.Namespace) -> int:
     from . import suites
+    if cfg.suite != "all" and cfg.suite not in suites.SUITES:
+        raise ValueError(f"unknown suite {cfg.suite!r}; "
+                         f"available: {', '.join(suites.SUITES)}")
     scfg = suites.SuiteConfig(seed=cfg.seed, trials=cfg.trials,
                               tol=max(cfg.tol, 1e-8))
-    try:
-        results = suites.run_many([cfg.suite], scfg)
-    except KeyError as exc:
-        raise ValueError(str(exc)) from exc
+    results = suites.run_many([cfg.suite], scfg)
     _emit(cfg, "\n".join(suites.report_lines(results)) + "\n")
     return 0 if all(r.ok for r in results) else 1
 

@@ -213,13 +213,13 @@ def _matrix_decomposability(a: QMatrix, report) -> DecomposabilityVerdict:
     proj = spectral_projections(a)
     # s lies in the local spectrum of some basis vector e_k exactly when
     # |P_s e_k|, the norm of column k of P_s, exceeds MEMBER_TOL
-    local_union = tuple(
-        s for s, p in zip(proj.spheres, proj.projections)
-        if np.max(p.col_norms()) > MEMBER_TOL)
-    # sigma_suS is sigma_apS here, read off the same singular values; the
-    # sets are drawn from one tuple of spheres, so they compare exactly
+    local_union = tuple(s for s, top in zip(proj.spheres, _largest_columns(proj.projections))
+                        if top > MEMBER_TOL)
+    # sigma_suS is sigma_apS here, read off the same singular values; both
+    # sets are subsequences of the one tuple of spheres, so they compare
+    # as tuples
     for name, other in (("sigma_apS", rep.part("approximate")), ("local union", local_union)):
-        if set(other) != set(rep.spheres):
+        if other != rep.spheres:
             witness = next(s for s in (*rep.spheres, *other)
                            if (s in rep.spheres) != (s in other))
             return DecomposabilityVerdict(
@@ -230,6 +230,16 @@ def _matrix_decomposability(a: QMatrix, report) -> DecomposabilityVerdict:
         "PASS", None,
         "necessary condition holds: all four sphere sets coincide; this is "
         "consistent with decomposability, not a proof of it")
+
+
+def _largest_columns(projections) -> list[float]:
+    """The largest column norm of each n x n projection, from one pass over
+    them all that sums each column as ``QMatrix.col_norms`` does."""
+    n = projections[0].rows if projections else 0
+    parts = np.array([(p.c1, p.c2) for p in projections]).reshape(len(projections), 2, n, n)
+    squares = np.abs(parts) ** 2
+    norms = np.sqrt(np.sum(squares[:, 0] + squares[:, 1], axis=1))
+    return norms.max(axis=1, initial=0.0).tolist()
 
 
 def _shift_decomposability(op: ShiftOperator) -> DecomposabilityVerdict:

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .quat import (SPHERE_MERGE_TOL, EigenSphere, Quaternion, cluster_spheres,
-                   linked_components)
+from .quat import SPHERE_MERGE_TOL, EigenSphere, Quaternion, _clusters, linked_components
 
 
 def _split(q: Quaternion) -> tuple[complex, complex]:
@@ -356,25 +355,26 @@ def op_norm(a: QMatrix) -> float:
     return float(_singular_values(a)[0])
 
 
-def _kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> int:
-    """Kernel dimension of a matrix with ``cols`` columns whose complex image
-    has singular values ``s``, at kernel_basis's threshold tol * (1 + |A|_F).
+def _kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> np.ndarray:
+    """Kernel dimensions of matrices with ``cols`` columns whose complex
+    images have the singular values ``s``, one matrix per row of ``s`` (a
+    1-D ``s`` is one matrix), at kernel_basis's threshold tol * (1 + |A|_F).
 
     |A|_F^2 is the sum of s^2, halved for chi, which holds each value twice.
     C_i-block values count once, chi values in pairs; an odd count of small
-    chi values is the failure of a wrong-sized kernel pullback.
+    chi values is the failure of a wrong-sized kernel pullback.  The first
+    failing row raises.
     """
     with np.errstate(over="ignore"):
-        fro = math.sqrt(float(np.sum(s * s)) / (1 if half else 2))
-    if math.isinf(fro):
-        raise NumericalError(f"singular values up to {s.max():.3e} overflow when squared")
-    rank = int(np.sum(s > tol * (1.0 + fro)))
-    if half:
-        return cols - rank
-    null = 2 * cols - rank
-    if null % 2:
-        raise NumericalError(f"chi(A) has an odd null space dimension {null}")
-    return null // 2
+        fro = np.sqrt(np.sum(s * s, axis=-1) / (1 if half else 2))
+    null = (1 if half else 2) * cols - np.count_nonzero(s > tol * (1.0 + fro[..., None]), axis=-1)
+    failed = np.isinf(fro) if half else np.isinf(fro) | (null % 2 == 1)
+    if failed.any():
+        k = np.unravel_index(np.argmax(failed), failed.shape)    # the first failing row
+        if np.isinf(fro[k]):
+            raise NumericalError(f"singular values up to {s[k].max():.3e} overflow when squared")
+        raise NumericalError(f"chi(A) has an odd null space dimension {null[k]}")
+    return null if half else null // 2
 
 
 def kernel_basis(a: QMatrix, tol: float = 1e-10) -> QMatrix:
@@ -390,7 +390,7 @@ def kernel_basis(a: QMatrix, tol: float = 1e-10) -> QMatrix:
     if a.rows == 0 or m == 0:
         return QMatrix.identity(m)
     _, s, vh = np.linalg.svd(complex_adjoint(a), full_matrices=True)
-    expected = _kernel_dim(s, m, False, tol)
+    expected = int(_kernel_dim(s, m, False, tol))
     # each of the last 2 * expected rows w of vh pulls back to a column conj(w)
     null = vh[2 * (m - expected):]
     basis = orthonormalize(QMatrix(np.conj(null[:, :m]).T, -null[:, m:].T), drop_tol=1e-6)
@@ -546,7 +546,7 @@ class SpectralDecomposition:
         """dim ker R_q(A) at each sphere at ``kernel_basis``'s tol, from its
         singular values."""
         cols = len(self.m) if self.half else len(self.m) // 2
-        return tuple(_kernel_dim(s, cols, self.half, tol) for s in self.singular_values)
+        return tuple(_kernel_dim(self.singular_values, cols, self.half, tol).tolist())
 
     @property
     def certified(self) -> bool:
@@ -791,7 +791,7 @@ def _decompose(a: QMatrix) -> SpectralDecomposition:
     starts = np.array([i for i, _ in blocks])
     widths = np.diff(np.append(starts, len(t)))
     centres = np.add.reduceat(t.diagonal(), starts) / widths
-    spheres, owner = cluster_spheres([EigenSphere(c.real, abs(c.imag)) for c in centres])
+    spheres, owner = _clusters(centres.real, np.abs(centres.imag), SPHERE_MERGE_TOL)
     sizes = np.bincount(owner, weights=widths).astype(int)
     if not half and np.any(sizes % 2):
         raise NumericalError("eigenvalue cluster broke a conjugate pair")
@@ -819,15 +819,15 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
     each gather rotates ``z`` and the rows of W above with the rest.
     """
     n = len(t)
-    seed = linked_components(t.diagonal().real, t.diagonal().imag, SPHERE_MERGE_TOL)
+    seed = linked_components(t.diagonal().real, t.diagonal().imag, SPHERE_MERGE_TOL).tolist()
     w = np.eye(n, dtype=np.complex128)
     blocks, p = [], 0
     while p < n:
-        member = np.arange(n) == seed[p]    # indexed by seed label
+        member = {seed[p]}    # the seed labels of the block
         while True:
-            chosen = member[seed[p:]]
-            stop = p + int(np.count_nonzero(chosen))
-            if not chosen[:stop - p].all():
+            chosen = [label in member for label in seed[p:]]
+            stop = p + sum(chosen)
+            if not all(chosen[:stop - p]):
                 _gather(t, z, w, seed, p, chosen)
             if stop == n:
                 break
@@ -841,23 +841,25 @@ def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
                     w[p:stop, stop:] = y
                     break
             centre = np.trace(t[p:stop, p:stop]) / (stop - p)
-            member[seed[stop + int(np.argmin(np.abs(t.diagonal()[stop:] - centre)))]] = True
+            member.add(seed[stop + int(np.argmin(np.abs(t.diagonal()[stop:] - centre)))])
         blocks.append((p, stop))
         p = stop
     return blocks, w
 
 
-def _gather(t: np.ndarray, z: np.ndarray, w: np.ndarray, seed: np.ndarray, p: int,
-            chosen: np.ndarray) -> None:
+def _gather(t: np.ndarray, z: np.ndarray, w: np.ndarray, seed: list, p: int,
+            chosen: list) -> None:
     """Move the eigenvalues ``chosen`` among positions p.. to the top of
-    them with ``ztrsen``, updating t, z, the rows of W above p and ``seed``
-    in place."""
+    them with ``ztrsen``, updating t, z, the rows of W above p and the seed
+    labels in place."""
     ts, q, *_, info = _lapack().ztrsen(chosen, t[p:, p:], np.eye(len(t) - p), job="N")
     if info:
         raise NumericalError("Schur reordering failed on close eigenvalues")
     t[p:, p:], t[:p, p:] = ts, t[:p, p:] @ q
     z[:, p:], w[:p, p:] = z[:, p:] @ q, w[:p, p:] @ q
-    seed[p:] = np.concatenate([seed[p:][chosen], seed[p:][~chosen]])
+    rest = seed[p:]
+    seed[p:] = ([label for label, c in zip(rest, chosen) if c]
+                + [label for label, c in zip(rest, chosen) if not c])
 
 
 def right_eigenspheres(a: QMatrix) -> tuple[EigenSphere, ...]:

@@ -215,21 +215,30 @@ def cluster_spheres(spheres, tol: float = SPHERE_MERGE_TOL
     its members in (re, im) order.  This is the one place that merges the
     Schur blocks of chi(A) into spheres (Zhang, LAA 251 (1997)).
     """
-    items = list(spheres)
-    n = len(items)
+    keys = [s.key() for s in spheres]
+    re, im = np.array(keys, dtype=float).reshape(len(keys), 2).T
+    return _clusters(re, im, tol)
+
+
+def _clusters(re: np.ndarray, im: np.ndarray, tol: float
+              ) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
+    """``cluster_spheres`` of the spheres (re, im), im >= 0, given as arrays:
+    only the centroids become ``EigenSphere`` objects."""
+    n = len(re)
     if not n:
         return (), np.zeros(0, dtype=np.intp)
-    re, im = np.array([s.key() for s in items]).T
     root = linked_components(re, im, tol)
-    groups: dict[int, list[EigenSphere]] = {}
-    for k in sorted(range(n), key=lambda k: items[k].key()):
-        groups.setdefault(int(root[k]), []).append(items[k])
-    cents = {r: EigenSphere(sum(s.re for s in g) / len(g), sum(s.im for s in g) / len(g))
+    order = np.lexsort((im, re))    # stable, as sorting by key() is
+    groups: dict[int, list[int]] = {}
+    for k, r in zip(order.tolist(), root[order].tolist()):
+        groups.setdefault(r, []).append(k)
+    res, ims = re.tolist(), im.tolist()
+    cents = {r: (sum(res[k] for k in g) / len(g), sum(ims[k] for k in g) / len(g))
              for r, g in groups.items()}
-    ranked = sorted(cents, key=lambda r: cents[r].key())
-    where = {r: i for i, r in enumerate(ranked)}
-    return (tuple(cents[r] for r in ranked),
-            np.array([where[int(r)] for r in root], dtype=np.intp))
+    ranked = sorted(cents, key=cents.get)
+    rank = np.empty(n, dtype=np.intp)
+    rank[ranked] = np.arange(len(ranked))
+    return tuple(EigenSphere(*cents[r]) for r in ranked), rank[root]
 
 
 def merge_spheres(spheres, tol: float = SPHERE_MERGE_TOL) -> tuple[EigenSphere, ...]:

@@ -132,22 +132,33 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
     """
     if a.rows == 0:
         return 0.0, math.inf    # op_norm and min_singular of an empty matrix
-    images, power = [], a
+    rows, a1, a2 = a.rows, a.c1, a.c2
+    conj1, conj2 = np.conj(a1), np.conj(a2)
+    # (dtype, size) -> a stack of images and the powers they hold
+    groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
+    p1, p2 = a1, a2
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, 9):
-            if n > 1:
-                power = power @ a
-            image = qlinalg.complex_image(power)[0]
+            if n > 1:    # A^n = A^(n-1) A, as QMatrix.__matmul__ forms it
+                p1, p2 = p1 @ a1 - p2 @ conj2, p1 @ a2 + p2 @ conj1
+            # the image complex_image gives A^n: chi, a complex C_i block or a real one
+            kind = ((complex, 2 * rows) if p2.any() else
+                    (complex, rows) if p1.imag.any() else (float, rows))
+            if kind not in groups:
+                groups[kind] = np.empty((8, kind[1], kind[1]), kind[0]), []
+            stack, powers = groups[kind]
+            image = stack[len(powers)]
+            if kind[1] > rows:
+                image[:rows, :rows], image[:rows, rows:] = p1, p2
+                image[rows:, :rows], image[rows:, rows:] = -np.conj(p2), np.conj(p1)
+            else:
+                image[...] = p1 if kind[0] is complex else p1.real
             if not np.isfinite(image).all():
                 break    # each power bounds alone: the ones before an overflow stand
-            images.append(image)
-    groups: dict[tuple, list[int]] = {}
-    for idx, image in enumerate(images):
-        groups.setdefault((image.dtype, image.shape), []).append(idx)
-    values = [None] * len(images)
-    for idxs in groups.values():
-        for idx, s in zip(idxs, np.linalg.svd(np.stack([images[i] for i in idxs]),
-                                              compute_uv=False)):
+            powers.append(n - 1)
+    values = [None] * sum(len(powers) for _, powers in groups.values())
+    for stack, powers in groups.values():
+        for idx, s in zip(powers, np.linalg.svd(stack[:len(powers)], compute_uv=False)):
             values[idx] = s
     floor = 2 * a.rows * np.finfo(float).eps
     radius, lower = math.inf, 0.0

@@ -11,8 +11,10 @@ formed the whole R_q of one grid point at a time before taking its kept
 columns and one SVD; the object-by-object modified Gram-Schmidt behind
 orthonormal bases; and the arc rasterizer that placed one sample point at a
 time; the kernel dimension from a matrix's own SVD, and subspace membership
-from the projection's residual.  Kept so that tests can compare the two
-routes.
+from the projection's residual; the kernel count of one matrix at a time,
+sphere clusters built from one ``EigenSphere`` per input, and the largest
+column of each projection from its own ``col_norms``.  Kept so that tests
+can compare the two routes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from qspec.errors import NumericalError
 from qspec.qlinalg import (CONDITION_LIMIT, QMatrix, QVector, SubspaceBasis, _j_conj,
                            _kernel_dim, _singular_values, complex_adjoint, inner,
                            min_singular, op_norm, pseudo_resolvent)
-from qspec.quat import EigenSphere, Quaternion, cluster_spheres, merge_spheres, sphere_union
+from qspec.quat import (EigenSphere, Quaternion, cluster_spheres, linked_components,
+                        merge_spheres, sphere_union)
 from qspec.spectral import SphereFlags, SpectrumReport, membership_threshold
 
 CLUSTER_TOL = 1e-6
@@ -55,6 +58,47 @@ def nullity(a: QMatrix, tol: float = 1e-10, s: np.ndarray | None = None) -> int:
     """len(kernel_basis(a, tol)) counted from ``s = _singular_values(a)``."""
     s = _singular_values(a) if s is None else s
     return _kernel_dim(s, a.cols, a.is_complex_slice, tol)
+
+
+def kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> int:
+    """The kernel count of one matrix from the singular values ``s`` of its
+    image, the rule ``qlinalg._kernel_dim`` applies to every row at once."""
+    with np.errstate(over="ignore"):
+        fro = math.sqrt(float(np.sum(s * s)) / (1 if half else 2))
+    if math.isinf(fro):
+        raise NumericalError(f"singular values up to {s.max():.3e} overflow when squared")
+    rank = int(np.sum(s > tol * (1.0 + fro)))
+    if half:
+        return cols - rank
+    null = 2 * cols - rank
+    if null % 2:
+        raise NumericalError(f"chi(A) has an odd null space dimension {null}")
+    return null // 2
+
+
+def object_clusters(spheres, tol: float) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
+    """``quat.cluster_spheres`` with the members as ``EigenSphere`` objects,
+    sorted by ``key()``."""
+    items = list(spheres)
+    n = len(items)
+    if not n:
+        return (), np.zeros(0, dtype=np.intp)
+    re, im = np.array([s.key() for s in items]).T
+    root = linked_components(re, im, tol)
+    groups: dict[int, list[EigenSphere]] = {}
+    for k in sorted(range(n), key=lambda k: items[k].key()):
+        groups.setdefault(int(root[k]), []).append(items[k])
+    cents = {r: EigenSphere(sum(s.re for s in g) / len(g), sum(s.im for s in g) / len(g))
+             for r, g in groups.items()}
+    ranked = sorted(cents, key=lambda r: cents[r].key())
+    where = {r: i for i, r in enumerate(ranked)}
+    return (tuple(cents[r] for r in ranked),
+            np.array([where[int(r)] for r in root], dtype=np.intp))
+
+
+def largest_columns(projections) -> list[float]:
+    """The largest column norm of each projection, one ``col_norms`` each."""
+    return [float(np.max(p.col_norms())) for p in projections]
 
 
 def in_subspace(basis: SubspaceBasis, v: QVector, tol: float = 1e-8) -> bool:

@@ -3,13 +3,14 @@ the repeated-sphere inputs that split clusters under a sorted scan."""
 
 import numpy as np
 import pytest
+import spectral_reference as ref
 
 from qspec import rand
 from qspec.cli import main
 from qspec.io import format_qmat
 from qspec.localspec import local_subspace, spectral_projections
 from qspec.qlinalg import QMatrix, inverse_matrix
-from qspec.quat import (SPHERE_MERGE_TOL, EigenSphere, Quaternion,
+from qspec.quat import (SPHERE_MERGE_TOL, EigenSphere, Quaternion, _clusters,
                         cluster_spheres, merge_spheres)
 from qspec.spectral import s_spectrum
 
@@ -128,6 +129,22 @@ def test_cluster_spheres_matches_bfs_reference(kind):
         assert scan_agrees == 150
     else:
         assert scan_agrees > 0
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_array_clusters_match_the_object_route(kind):
+    # the helper that the decomposition calls on its block centres gives the
+    # centroids and labels of clustering one EigenSphere per input, bit for bit
+    for seed in range(150):
+        spheres = KINDS[kind](rand.generator(911, seed))
+        re = np.array([s.re for s in spheres])
+        im = np.array([s.im for s in spheres])
+        centroids, labels = _clusters(re, im, SPHERE_MERGE_TOL)
+        want, want_labels = ref.object_clusters(spheres, SPHERE_MERGE_TOL)
+        assert [repr(c.key()) for c in centroids] == [repr(c.key()) for c in want]
+        assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+        got, got_labels = cluster_spheres(spheres)
+        assert got == centroids and np.array_equal(got_labels, labels)
 
 
 def test_interleaved_copies_defeat_the_scan():

@@ -585,6 +585,21 @@ def test_spectral_projections_builds_the_stack_once(label, a, monkeypatch):
     assert built == ([dec] if len(dec.spheres) > 1 else [])
 
 
+@pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
+def test_local_union_reads_each_projections_own_column_norms(label, a):
+    # one pass over all projections gives each one's largest col_norms
+    # value bit for bit, so the decomposability verdict keeps the spheres
+    # it kept; scaled to straddle MEMBER_TOL, the two routes keep the same
+    dec = localspec.spectral_projections(a)
+    assert localspec._largest_columns(dec.projections) == ref.largest_columns(dec.projections)
+    for top in ref.largest_columns(dec.projections):
+        for f in (0.999, 1.0, 1.001):
+            scaled = [p.scale(f * localspec.MEMBER_TOL / top) for p in dec.projections]
+            got = localspec._largest_columns(scaled)
+            assert got == ref.largest_columns(scaled), label
+    assert localspec._largest_columns(()) == []
+
+
 def _rotation(rng, n: int, angle: float) -> np.ndarray:
     """chi of a quaternionic unitary exp(angle K), K skew-Hermitian."""
     b = rand.rand_qmatrix(rng, n, n)

@@ -394,9 +394,25 @@ def test_cli_spectrum_rejects_shift(capsys):
 
 
 def test_cli_check_unknown_suite(capsys):
-    code, _, err = run_cli(capsys, "check", "--suite", "nope")
-    assert code == 2
-    assert "available" in err
+    from qspec.suites import available_suites
+
+    code, out, err = run_cli(capsys, "check", "--suite", "nope")
+    assert code == 2 and out == ""
+    # the message itself, not the repr that str(KeyError) gives it
+    assert err == f"error: unknown suite 'nope'; available: {', '.join(available_suites())}\n"
+
+
+@pytest.mark.parametrize("name", ["scalar-algebra", "all"])
+def test_cli_check_lets_a_key_error_inside_a_suite_propagate(monkeypatch, name):
+    # a bug in a suite is not a mistyped name: it must not exit 2 with error:
+    from qspec import suites
+
+    def broken(cfg):
+        raise KeyError("inside the suite")
+
+    monkeypatch.setitem(suites.SUITES, "scalar-algebra", broken)
+    with pytest.raises(KeyError, match="inside the suite"):
+        main(["check", "--suite", name, "--trials", "1"])
 
 
 def test_cli_check_runs_suite(capsys):

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from test_golden import COUNT, build_case
 
-from qspec import io, qlinalg
+from qspec import io, localspec, qlinalg, spectral
 from qspec.qlinalg import spectral_decomposition
 
 
@@ -78,3 +78,41 @@ def test_zgees_matches_scipy_schur(routes, monkeypatch, n):
             want_t, want_z = scipy.linalg.schur(m, output="complex")
             assert np.array_equal(t, want_t) and np.array_equal(z, want_z)
             assert np.array_equal(m, before)
+
+
+#: the calls that ``classify`` and ``decomposability_necessary`` make on three
+#: golden matrices, one of each kind of ``matrix`` benchmark request: (zgees,
+#: ztrsen, ztrsyl, numpy SVD).  zgees runs twice per Schur form, a workspace
+#: query first.  A change that keeps the input bits of every call, as the
+#: output gate's digests require, keeps these counts.
+CLASSIFY_CALLS = {
+    "g06-generic-dense-n9": (2, 1, 15, 3),
+    "g08-imaginary-dense-n11": (2, 2, 7, 3),
+    "g10-repeated-mult-n13": (2, 4, 6, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_CALLS))
+def test_classify_makes_the_recorded_lapack_calls(name, monkeypatch):
+    calls = dict.fromkeys(("zgees", "ztrsen", "ztrsyl", "svd"), 0)
+    lapack, svd = qlinalg._lapack(), np.linalg.svd
+
+    def counted(key, routine):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return routine(*args, **kwargs)
+        return call
+
+    class Counted:
+        def __getattr__(self, attr):
+            routine = getattr(lapack, attr)
+            return counted(attr, routine) if attr in calls else routine
+
+    monkeypatch.setattr(qlinalg, "_lapack", Counted)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    idx = int(name[1:3])
+    got_name, a = _case_matrix(idx)
+    assert got_name == name
+    report = spectral.classify(a)
+    localspec.decomposability_necessary(a, report=report)
+    assert (calls["zgees"], calls["ztrsen"], calls["ztrsyl"], calls["svd"]) == CLASSIFY_CALLS[name]

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,59 @@ def test_nullity_reuses_given_singular_values():
     # chi values come in pairs; an odd count of small ones is a failure
     with pytest.raises(NumericalError):
         _kernel_dim(np.array([1.0, 1.0, 1.0, 0.0]), a.cols, False, 1e-10)
+
+
+def _row_by_row(s: np.ndarray, cols: int, half: bool, tol: float):
+    """The counts of the rows of s one at a time, or the message of the
+    first row that fails."""
+    try:
+        return tuple(ref.kernel_dim(row, cols, half, tol) for row in s)
+    except NumericalError as exc:
+        return str(exc)
+
+
+def _all_rows(s: np.ndarray, cols: int, half: bool, tol: float):
+    try:
+        return tuple(_kernel_dim(s, cols, half, tol).tolist())
+    except NumericalError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_kernel_dims_of_a_block_match_the_rule_row_by_row(half):
+    # random value blocks: chi values in pairs, some rows with an unpaired
+    # small value, values spread around the threshold, and rows past
+    # overflow; every block gives the row-by-row counts or the first
+    # failing row's message
+    rng = np.random.default_rng([63, half])
+    outcomes = set()
+    for _ in range(400):
+        spheres, cols = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        base = 10.0 ** rng.uniform(-13, 3, (spheres, cols))
+        s = base if half else np.repeat(base, 2, axis=1)
+        if not half and rng.random() < 0.3:
+            s[int(rng.integers(spheres)), -1] *= 10.0 ** rng.uniform(-12, 0)
+        if rng.random() < 0.1:
+            s[int(rng.integers(spheres)), 0] = 1e160
+        s = -np.sort(-s, axis=1)
+        for tol in (1e-8, 1e-10):
+            want = _row_by_row(s, cols, half, tol)
+            assert _all_rows(s, cols, half, tol) == want
+            outcomes.add(want if isinstance(want, str) else "counts")
+    assert "counts" in outcomes
+    assert any("overflow" in o for o in outcomes)
+    assert half or any("odd" in o for o in outcomes)
+
+
+def test_kernel_dims_raise_at_the_first_failing_row():
+    odd, wide = [2.0, 2.0, 1.0, 0.0], [1e200, 1e200, 1.0, 1.0]
+    for rows, message in (([odd, wide], "chi(A) has an odd null space dimension 1"),
+                          ([wide, odd], "singular values up to 1.000e+200 overflow when squared")):
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            _kernel_dim(np.array(rows), 2, False, 1e-10)
+    # a C_i block has no pairs; its counts are plain
+    assert _kernel_dim(np.array([odd]), 4, True, 1e-10).tolist() == [1]
+    assert _kernel_dim(np.empty((0, 4)), 2, False, 1e-10).tolist() == []
 
 
 def test_min_singular_invertible_vs_singular():
