@@ -409,48 +409,41 @@ def pseudo_resolvent(a: QMatrix, q: Quaternion) -> QMatrix:
 
 
 # entries of R_q per stacked SVD: small images go hundreds of points at a
-# time, shift sections of windows >= 66 one at a time, so a block never
-# holds much more than one large section
+# time, large ones one at a time, so a block never holds much more than one
+# large image
 _BLOCK_ENTRIES = 1 << 13
 #: the failure of an R_q with an entry past double precision
 RESOLVENT_OVERFLOW = "R_q = A^2 - 2 Re(q) A + |q|^2 I overflows double precision"
 
 
-def resolvent_singular_values(m: np.ndarray, xs, ys, keep: np.ndarray | None = None):
+def resolvent_singular_values(m: np.ndarray, xs, ys):
     """Singular values of R_q(m) = m^2 - 2x m + (x^2 + y^2) I at the points
-    q = x + yI of the equal-length sequences ``xs`` and ``ys``, restricted to
-    the columns ``keep`` (None: all of them).
+    q = x + yI of the equal-length sequences ``xs`` and ``ys``.
 
     With m = complex_image(A) these are the singular values of the image of
-    R_q(A).  Only the kept columns of R_q are formed, and of m^2 only
-    m @ m[:, keep]; a shift's real 0/1 band squares to small integers, exact
-    in either order, so its kept entries are bit for bit those of the whole
-    R_q.  Points go in blocks of about
-    _BLOCK_ENTRIES matrix entries, one stacked SVD each, and each block's
-    (points, values) array is yielded, largest value first, before the next
-    block is formed; a block past double precision raises NumericalError.
+    R_q(A).  Points go in blocks of about _BLOCK_ENTRIES matrix entries, one
+    stacked SVD each, and each block's (points, values) array is yielded,
+    largest value first, before the next block is formed; a block past
+    double precision raises NumericalError.
     """
-    cols = np.arange(m.shape[1]) if keep is None else keep
     x = np.asarray(xs, dtype=float).reshape(-1, 1, 1)
     y = np.asarray(ys, dtype=float).reshape(-1, 1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        m1 = m if keep is None else m[:, keep]
-        m2 = m @ m1
+        m2 = m @ m
         twice_x, r2 = 2.0 * x, x * x + y * y
-    eye = np.zeros(m1.shape, dtype=m.dtype)
-    eye[cols, np.arange(len(cols))] = 1
-    block = max(1, _BLOCK_ENTRIES // m1.size)
+    eye = np.eye(len(m), dtype=m.dtype)
+    block = max(1, _BLOCK_ENTRIES // m.size)
     for lo in range(0, len(x), block):
         hi = lo + block
         with np.errstate(over="ignore", invalid="ignore"):
-            r = m2 - twice_x[lo:hi] * m1 + r2[lo:hi] * eye
+            r = m2 - twice_x[lo:hi] * m + r2[lo:hi] * eye
         if not np.isfinite(r).all():
             raise NumericalError(RESOLVENT_OVERFLOW)
         yield np.linalg.svd(r, compute_uv=False)
 
 
 #: the LAPACK routines qspec calls, all wrapped in scipy's compiled ``_flapack``
-_LAPACK_ROUTINES = ("zgees", "ztrsen", "ztrsyl", "ztrtri")
+_LAPACK_ROUTINES = ("dsbevx", "zgees", "ztrsen", "ztrsyl", "ztrtri")
 
 
 def _flapack():

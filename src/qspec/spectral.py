@@ -15,7 +15,8 @@ The sections of the unilateral shifts are banded Toeplitz matrices whose
 Grams the sine transform diagonalizes up to a few corner terms, so their
 kappa comes from a secular equation over the symbol, O(W) per point, with
 an error bound; only the points where that bound cannot fix the printed
-value or the side of the ``threshold_region`` cut take the dense SVD.
+value or the side of the ``threshold_region`` cut take one banded eigenvalue
+solve of the section's Golub-Kahan matrix.
 """
 
 from __future__ import annotations
@@ -260,7 +261,11 @@ class GridSpec:
 # kappa is one over its largest singular value, which block power steps
 # bound from both sides until the bounds decide the cell.  Each value comes
 # with an error bound, and a cell whose printed value (``_fmt``) or side of
-# the ``threshold_region`` cut the bound cannot fix is left to the dense SVD.
+# the ``threshold_region`` cut the bound cannot fix is left to the band: the
+# smallest singular value of the kept section R is an eigenvalue of the
+# Golub-Kahan matrix [[0, R], [R^T, 0]] (Golub & Kahan, SIAM J. Numer. Anal.
+# B 2 (1965)), a symmetric band once R's rows and columns interleave, and
+# LAPACK's dsbevx gives that one eigenvalue without vectors.
 
 _EPS = float(np.finfo(float).eps)
 #: ``threshold_region``'s one cut, the one the shift kernel certifies against
@@ -275,18 +280,24 @@ _LEFT_STEPS = 20
 _PRINTS_ZERO = 5e-13
 #: block power steps at most on the inverse of a left-shift section
 _POWER_STEPS = 8
-#: error bounds: of the dense SVD's smallest value and of the right route's
-#: kappa, in units of eps times the section's norm bound 1 + 2|x| + r2
-#: (measured: at most 1.07 and, one stacked secular solve against kappa to
-#: 40 digits on 3,219 stress, benchmark and |q| <= 1e6 points, 0.96); of
-#: the left route's kappa^2, in units of eps times its first-order error
+#: error bounds: of the banded solve's kappa and of the right route's, in
+#: units of eps times the section's norm bound 1 + 2|x| + r2, measured
+#: against kappa to 40 digits.  The band: at most 1.46 on 943 points, both
+#: shifts at W = 96, 97, 151 and 257 with r = 1.05-3 and x = cos(pi/2) r,
+#: 1e-16 or -1e-12, 32 random points at W = 64-151, the stress sets of the
+#: tests and every hard cell of six benchmark seeds and of the default grid
+#: at W = 1024; it can pass 2 near the imaginary axis (1e-10 <= |x| / |q| <=
+#: 1e-6, growing with W) and for |q| past 3 (at most 3.3 below |q| = 1e3,
+#: 17 past it), where the symbol routes decide.  One stacked secular solve:
+#: at most 0.96 on 3,219 stress, benchmark and |q| <= 1e6 points.  Of the
+#: left route's kappa^2, in units of eps times its first-order error
 #: (``_LeftGram.error``)
-_DENSE_ERR, _RIGHT_ERR, _LEFT_ERR = 4.0, 2.0, 16.0
+_BAND_ERR, _RIGHT_ERR, _LEFT_ERR = 2.0, 2.0, 16.0
 #: the largest scale 1 + 2|x| + r2 the symbol routes take: the left route's
 #: model step squares products of its terms, about scale^12 in all, which
 #: passes double precision from about scale 3e24 on (measured)
 _SYMBOL_SCALE = 1e20
-#: left points with |x| <= _NEAR_AXIS eps r2 (cols + 1) go to the dense SVD
+#: left points with |x| <= _NEAR_AXIS eps r2 (cols + 1) go to the band
 #: (a scan of cols 3-1022, y 10-1e8 and x/y 1e-18-1e-4 found the Gram split
 #: failing up to |x| / (eps r2) = 142 at cols 62 and 4,504 at cols 1022)
 _NEAR_AXIS = 16.0
@@ -706,7 +717,7 @@ def _left_gram_min(c, s, d, xs, r2):
     eigenvalue below mu - bound and one below mu + bound.  A point where a
     probe's values are not finite (mu on a far pole to the last bit, or a
     term past double precision) leaves at once, unconfirmed, with an
-    infinite bound: the dense SVD decides it.
+    infinite bound: the band decides it.
     """
     gram = _LeftGram(c, s, d, xs, r2)
     cols, count = len(c), len(r2)
@@ -897,10 +908,10 @@ def _decided(lo: np.ndarray, hi: np.ndarray, cut: float) -> np.ndarray:
 
 def _shift_kappas(side: str, cols: int, xs: np.ndarray, ys: np.ndarray):
     """kappa on the ``cols`` kept columns of a shift's section at the points
-    (xs, ys), from the symbol; how far the dense SVD's value may lie from
-    each; and the mask of the points where the dense SVD must decide instead.
+    (xs, ys), from the symbol; how far the banded solve's value may lie from
+    each; and the mask of the points where the band must decide instead.
 
-    A kept value prints as the dense SVD's would and falls on the same side
+    A kept value prints as the banded solve's would and falls on the same side
     of the ``threshold_region`` cut, whatever the two routes' errors
     within their bounds.  At a left-shift point with |q| < 1 the truncated
     geometric eigenvector (1, q, q^2, ...) leaves a residual in its last two
@@ -911,16 +922,16 @@ def _shift_kappas(side: str, cols: int, xs: np.ndarray, ys: np.ndarray):
     Gram route, but for x = 0.
 
     Before any symbol arithmetic: a point where an entry of R_q (2x or r2)
-    passes double precision raises the dense kernel's ``NumericalError``,
-    and one whose scale 1 + 2|x| + r2 exceeds ``_SYMBOL_SCALE`` is left to
-    the dense SVD.
+    passes double precision raises the R_q overflow ``NumericalError``, and
+    one whose scale 1 + 2|x| + r2 exceeds ``_SYMBOL_SCALE`` is left to the
+    band.
     """
     with np.errstate(over="ignore"):
         twice_x, r2 = 2.0 * xs, xs * xs + ys * ys
     if not (np.isfinite(twice_x).all() and np.isfinite(r2).all()):
         raise NumericalError(qlinalg.RESOLVENT_OVERFLOW)
     scale = 1.0 + np.abs(twice_x) + r2
-    dense_err = _DENSE_ERR * _EPS * scale
+    band_err = _BAND_ERR * _EPS * scale
     cut = _region_cut(1.0)
     out, reach = np.full(len(xs), np.nan), np.zeros(len(xs))
     hard = np.ones(len(xs), dtype=bool)
@@ -931,14 +942,14 @@ def _shift_kappas(side: str, cols: int, xs: np.ndarray, ys: np.ndarray):
         inside = np.flatnonzero(r2 < 1.0)
         rr = r2[inside]
         bound = rr ** (0.5 * cols) * np.sqrt((1.0 + rr) * (1.0 - rr) / (1.0 - rr ** cols))
-        zero = bound + dense_err[inside] < _PRINTS_ZERO
+        zero = bound + band_err[inside] < _PRINTS_ZERO
         done = inside[zero]
-        out[done], reach[done], hard[done] = bound[zero], bound[zero] + dense_err[done], False
+        out[done], reach[done], hard[done] = bound[zero], bound[zero] + band_err[done], False
         rest = inside[~zero]
         for start in range(0, len(rest), chunk):
             idx = rest[start:start + chunk]
-            lo, hi, decided = _inverse_kappa_bounds(xs[idx], ys[idx], cols, dense_err[idx], cut)
-            out[idx], reach[idx], hard[idx] = hi, hi - lo + dense_err[idx], ~decided
+            lo, hi, decided = _inverse_kappa_bounds(xs[idx], ys[idx], cols, band_err[idx], cut)
+            out[idx], reach[idx], hard[idx] = hi, hi - lo + band_err[idx], ~decided
         # at x = 0 the section splits into two interleaved chains, equal for
         # even n, whose double eigenvalues the fast counts resolve slowly;
         # near it, |x| within _NEAR_AXIS eps r2 (cols + 1), the paired symbol
@@ -958,8 +969,8 @@ def _shift_kappas(side: str, cols: int, xs: np.ndarray, ys: np.ndarray):
             # the robust counts hold for a Gram whose mu is within err of L^T L's
             kappa = np.sqrt(mu)
             lo, hi = np.sqrt(np.maximum(mu - 2.0 * err, 0.0)), np.sqrt(mu + 2.0 * err)
-        out[idx], reach[idx] = kappa, np.maximum(hi - kappa, kappa - lo) + dense_err[idx]
-        hard[idx] = ~(sure & _decided(lo - dense_err[idx], hi + dense_err[idx], cut))
+        out[idx], reach[idx] = kappa, np.maximum(hi - kappa, kappa - lo) + band_err[idx]
+        hard[idx] = ~(sure & _decided(lo - band_err[idx], hi + band_err[idx], cut))
     return out, np.where(hard, 0.0, reach), hard
 
 
@@ -983,45 +994,78 @@ def _section_size(op, window: int | None) -> int:
     return n_win
 
 
+def _golub_kahan_band(side: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the entries of a shift's kept n x (n - 2) section R stand in the
+    lower band of its Golub-Kahan matrix [[0, R], [R^T, 0]]: (diagonal,
+    column, coefficient), the coefficient 0, 1 or 2 for 1, -2x or r2.
+
+    Column j of R holds r2, -2x, 1 at rows j, j + 1, j + 2 (right shift) or
+    1, -2x, r2 at rows j - 2, j - 1, j (left, cut off above row 0).  Ordered
+    row k then column k (right, its last two rows at the end) or column k
+    then row k (left, whose last two rows are zero), every entry lies within
+    3 of the diagonal."""
+    j = np.arange(n - 2)
+    if side == "right":
+        rows = j + np.array([[2], [1], [0]])
+        at_row, at_col = np.minimum(2 * rows, rows + n - 2), 2 * j + 1
+    else:
+        rows = j - np.array([[2], [1], [0]])
+        at_row, at_col = 2 * rows + 1, 2 * j
+    kept = rows >= 0
+    at_row, at_col = at_row[kept], np.broadcast_to(at_col, rows.shape)[kept]
+    coef = np.broadcast_to(np.arange(3)[:, None], rows.shape)[kept]
+    return np.abs(at_row - at_col), np.minimum(at_row, at_col), coef
+
+
+#: dsbevx's absolute tolerance: twice LAPACK's safe minimum dlamch('S'), as
+#: ``scipy.linalg.eig_banded`` passes it
+_BAND_ABSTOL = 2.0 * np.finfo(float).tiny
+
+
 class _SectionKappa:
     """kappa(R_q) on a rectangular window section, reusable across q.
 
     Dense and multiplication operators: the complex image of the section is
     taken once, and kappa is the last of the singular values
-    ``qlinalg.resolvent_singular_values`` gives for the kept columns, a block
-    of grid points per stacked SVD.  Shifts: kappa comes from the symbol
-    (``_shift_kappas``), O(W) per point, and only the points it cannot
-    certify go to that same dense kernel, on the section's real band
-    (``ShiftOperator.band``, the complex image of its section), taken when
-    the first such point comes.  ``dense_cells`` counts the points the dense
-    SVD decided.
+    ``qlinalg.resolvent_singular_values`` gives, a block of grid points per
+    stacked SVD.  Shifts: kappa comes from the symbol (``_shift_kappas``),
+    O(W) per point, and each point it cannot certify takes one ``dsbevx``
+    call on the Golub-Kahan band of the section (``_golub_kahan_band``, laid
+    out when the first such point comes).  ``hard_cells`` counts those
+    points.
     """
 
     def __init__(self, op, window: int | None):
         self.n = _section_size(op, window)
-        self.dense_cells = 0
+        self.hard_cells = 0
         self._op = op
         self._side = op.side if isinstance(op, ShiftOperator) else None
-        self._m = self._keep = None
+        self._m = self._band = None
 
-    def _image(self) -> tuple[np.ndarray, np.ndarray]:
+    def _image(self) -> np.ndarray:
         if self._m is None:
-            n_win = self.n
-            if self._side is not None:
-                # complex_image of a shift's section: its real band, a C_i block
-                self._m, half = self._op.band(n_win), True
-            else:
-                self._m, half = qlinalg.complex_image(self._op.finite_section(n_win))
-            cols = np.arange(n_win - (0 if self._op.dim is not None else self._op.section_margin))
-            self._keep = cols if half else np.concatenate([cols, n_win + cols])
-        return self._m, self._keep
+            self._m = qlinalg.complex_image(self._op.finite_section(self.n))[0]
+        return self._m
 
     def _dense(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        self.dense_cells += len(xs)
-        m, keep = self._image()
-        blocks = qlinalg.resolvent_singular_values(m, xs, ys, keep)
+        blocks = qlinalg.resolvent_singular_values(self._image(), xs, ys)
         # a copy, not a view, lets each block's values go before the next
         return np.concatenate([s[:, -1].copy() for s in blocks])
+
+    def _banded(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """kappa as eigenvalue n, 0-based and ascending, of the band: below
+        it lie n - 2 negatives and two zeros."""
+        if self._band is None:
+            self._band = _golub_kahan_band(self._side, self.n)
+        diagonal, column, coef = self._band
+        dsbevx, n = qlinalg._lapack().dsbevx, self.n
+        out = np.empty(len(xs))
+        for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            ab = np.zeros((4, 2 * n - 2))
+            ab[diagonal, column] = np.array([1.0, -2.0 * x, x * x + y * y])[coef]
+            out[k] = dsbevx(ab, 0.0, 0.0, n + 1, n + 1, compute_v=0, range=2, lower=1,
+                            abstol=_BAND_ABSTOL)[0][0]
+        return out
 
     def values(self, xs, ys) -> np.ndarray:
         """kappa at the points (x, y) of the broadcast of ``xs`` and ``ys``."""
@@ -1031,8 +1075,9 @@ class _SectionKappa:
         if self._side is None:
             return self._dense(x, y).reshape(xs.shape)
         out, _, hard = _shift_kappas(self._side, self.n - self._op.section_margin, x, y)
+        self.hard_cells += int(hard.sum())
         if hard.any():
-            out[hard] = self._dense(x[hard], y[hard])
+            out[hard] = self._banded(x[hard], y[hard])
         return out.reshape(xs.shape)
 
     def kappa(self, x: float, y: float) -> float:
@@ -1043,7 +1088,7 @@ class _SectionKappa:
         section is a partial isometry, and its norm is 1."""
         if self._side is not None:
             return 1.0
-        return float(np.linalg.svd(self._image()[0], compute_uv=False)[0])
+        return float(np.linalg.svd(self._image(), compute_uv=False)[0])
 
 
 def window_kappa(op, q: Quaternion, window: int) -> float:
@@ -1090,8 +1135,8 @@ class SlicePortrait:
     window: int
     norm_scale: float
     values: np.ndarray
-    #: cells whose kappa the dense SVD decided; bookkeeping, never printed
-    dense_cells: int = field(default=0, compare=False)
+    #: shift cells the symbol route left to the band; bookkeeping, never printed
+    hard_cells: int = field(default=0, compare=False)
 
     def csv_lines(self) -> list[str]:
         cells = itertools.product(_fmt_array(self.grid.ys()), _fmt_array(self.grid.xs()))
@@ -1116,7 +1161,7 @@ def portrait(op, grid: GridSpec, window: int | None = None) -> SlicePortrait:
     values.setflags(write=False)
     return SlicePortrait(grid=grid, window=engine.n,
                          norm_scale=engine.norm_scale(), values=values,
-                         dense_cells=engine.dense_cells)
+                         hard_cells=engine.hard_cells)
 
 
 # -- axially symmetric regions and the full spectrum ----------------------

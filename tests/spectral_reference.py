@@ -15,6 +15,12 @@ from the projection's residual; the kernel count of one matrix at a time,
 sphere clusters built from one ``EigenSphere`` per input, and the largest
 column of each projection from its own ``col_norms``.  Kept so that tests
 can compare the two routes.
+
+Also the shifts' banded route written out plainly: the interleaved
+Golub-Kahan matrix of a kept section built entry by entry, its band copied
+out by a loop and handed to ``scipy.linalg.eig_banded``; and, for checking
+error bounds, counts of the eigenvalues of the section's Gram below a
+value, in exact mpmath arithmetic.
 """
 
 from __future__ import annotations
@@ -228,6 +234,98 @@ def section_kappas(op, window: int, xs, ys) -> np.ndarray:
         full = m2 - (2.0 * x) * m + r2 * eye
         out[idx] = np.linalg.svd(full[:, keep], compute_uv=False)[-1]
     return out
+
+
+def _section_entries(side: str, n: int, coefs):
+    """(row, column, value) of each entry of a shift's kept n x (n - 2)
+    section, ``coefs`` = (r2, -2x, 1) standing at rows j, j + 1, j + 2 of
+    column j (right shift) or at rows j, j - 1, j - 2 (left, cut off above
+    the first row)."""
+    for j in range(n - 2):
+        rows = (j, j + 1, j + 2) if side == "right" else (j, j - 1, j - 2)
+        for i, value in zip(rows, coefs):
+            if i >= 0:
+                yield i, j, value
+
+
+def kept_section(side: str, n: int, x: float, y: float) -> np.ndarray:
+    """The kept n x (n - 2) section of R_{x+yI} of the ``side`` shift."""
+    r = np.zeros((n, n - 2))
+    for i, j, value in _section_entries(side, n, (x * x + y * y, -2.0 * x, 1.0)):
+        r[i, j] = value
+    return r
+
+
+def golub_kahan(side: str, n: int, x: float, y: float) -> np.ndarray:
+    """The Golub-Kahan matrix [[0, R], [R^T, 0]] of the kept section R, its
+    rows and columns interleaved: row k of R, then column k (right shift),
+    or column k, then row k (left); R's last two rows come last."""
+    cols = n - 2
+    first = 0 if side == "right" else 1
+    at_row = [2 * k + first if k < cols else cols + k for k in range(n)]
+    at_col = [2 * k + 1 - first for k in range(cols)]
+    g = np.zeros((n + cols, n + cols))
+    for i, j, value in _section_entries(side, n, (x * x + y * y, -2.0 * x, 1.0)):
+        g[at_row[i], at_col[j]] = g[at_col[j], at_row[i]] = value
+    return g
+
+
+def lower_band(g: np.ndarray, width: int) -> np.ndarray:
+    """The lower band storage of the symmetric g, ab[d, c] = g[c + d, c]."""
+    ab = np.zeros((width + 1, len(g)))
+    for d in range(width + 1):
+        for c in range(len(g) - d):
+            ab[d, c] = g[c + d, c]
+    return ab
+
+
+def band_kappas(side: str, window: int, xs, ys) -> np.ndarray:
+    """kappa(R_{x+yI}) on the kept window section of the ``side`` shift, one
+    point at a time: eigenvalue ``window``, 0-based and ascending, of the
+    Golub-Kahan matrix, from its band by ``scipy.linalg.eig_banded``."""
+    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    out = np.empty(xs.shape)
+    for idx in np.ndindex(xs.shape):
+        ab = lower_band(golub_kahan(side, window, float(xs[idx]), float(ys[idx])), 3)
+        out[idx] = scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True, select="i",
+                                           select_range=(window, window))[0]
+    return out
+
+
+def kappa_within(side: str, n: int, x: float, y: float, value: float, units: float) -> bool:
+    """Whether kappa of the kept n x (n - 2) section at x + yI, x and y taken
+    exactly, lies within ``units`` eps (1 + 2|x| + r2) of ``value``: no
+    eigenvalue of R^T R below (value - err)^2 and one below (value + err)^2,
+    counted as the negative pivots of the LDL^T factors of the pentadiagonal
+    R^T R - mu I (Sylvester's law of inertia), in mpmath at 40 digits."""
+    import mpmath
+
+    cols = n - 2
+    with mpmath.workdps(40):
+        x, y, value = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(float(value))
+        err = units * mpmath.mpf(np.finfo(float).eps) * (1 + 2 * abs(x) + x * x + y * y)
+        mus = ((value - err) ** 2 if value > err else 0, (value + err) ** 2)
+        column = [{} for _ in range(cols)]
+        for i, j, entry in _section_entries(side, n, (x * x + y * y, -2 * x, mpmath.mpf(1))):
+            column[j][i] = entry
+        gram = [[mpmath.fsum(v * column[j + o].get(i, 0) for i, v in column[j].items())
+                 for j in range(cols - o)] for o in range(3)]
+        counts = []
+        for mu in mus:
+            # a Gram has no eigenvalue below 0
+            d, l1, l2 = [], [0] * cols, [0] * cols
+            for k in range(cols if mu > 0 else 0):
+                pivot = gram[0][k] - mu
+                if k >= 2:
+                    l2[k] = gram[2][k - 2] / d[k - 2]
+                    pivot -= l2[k] ** 2 * d[k - 2]
+                if k >= 1:
+                    l1[k] = (gram[1][k - 1] - (l2[k] * l1[k - 1] * d[k - 2] if k >= 2 else 0)) \
+                        / d[k - 1]
+                    pivot -= l1[k] ** 2 * d[k - 1]
+                d.append(pivot)
+            counts.append(sum(p < 0 for p in d))
+    return counts[0] == 0 and counts[1] >= 1
 
 
 def growth_bounds(a: QMatrix, n_max: int = 8) -> tuple[float, float]:

@@ -95,10 +95,10 @@ def test_04_portrait_annulus_no_false_positives():
     inside = np.logical_and(region.mask, rsq <= 0.81).sum()
     outside = np.logical_and(region.mask, rsq >= 1.21).sum()
     assert inside == 0 and outside == 0
-    # the symbol route decides all but a few cells without a dense SVD
-    assert p.dense_cells < 0.02 * g.nx * g.ny
+    # the symbol route decides all but a few cells without the band
+    assert p.hard_cells < 0.02 * g.nx * g.ny
     report("4 right-shift portrait 128x64 window 128: no approximate cell "
-           f"off the unit annulus ({p.dense_cells} dense cells): PASS")
+           f"off the unit annulus ({p.hard_cells} hard cells): PASS")
 
 
 def test_05_multiplication_operators():

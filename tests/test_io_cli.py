@@ -282,7 +282,7 @@ def test_cli_overflowing_entries_fail_loudly(tmp_path, capsys, size):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_cli_shift_portrait_overflow_rule(capsys, side):
     # at 1e200 r2 = |q|^2, an entry of R_q, passes double precision: the
-    # dense kernel's numerical failure, before any symbol arithmetic
+    # R_q overflow failure, before any symbol arithmetic
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "portrait", "--op", f"shift:{side}",
@@ -290,7 +290,7 @@ def test_cli_shift_portrait_overflow_rule(capsys, side):
     assert (code, out) == (2, "")
     assert err == f"numerical failure: {RESOLVENT_OVERFLOW}\n"
     # at 1e100 R_q is finite and the symbol's terms are not: those cells
-    # take the dense SVD, and print what one SVD per point gives
+    # take the band, and print what one banded solve per point gives
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "portrait", "--op", f"shift:{side}",
@@ -298,7 +298,7 @@ def test_cli_shift_portrait_overflow_rule(capsys, side):
     assert (code, err) == (0, "")
     grid = GridSpec(-1e100, 1e100, 1e100, 3, 2)
     xs, ys = grid.xs()[None, :], grid.ys()[:, None]
-    want = ref.section_kappas(ShiftOperator(side), 128, xs, ys)
+    want = ref.band_kappas(side, 128, xs, ys)
     p = SlicePortrait(grid=grid, window=128, norm_scale=1.0, values=want)
     assert out == "\n".join(p.csv_lines()) + "\n"
 
@@ -306,7 +306,7 @@ def test_cli_shift_portrait_overflow_rule(capsys, side):
 def test_cli_left_shift_portrait_near_the_imaginary_axis(capsys):
     # the middle column sits at x = 0.1 with |q| = 1e7, where the paired
     # symbol values merge in rounding and the Gram route cannot split them:
-    # those cells take the dense SVD, with no warning
+    # those cells take the band, with no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "portrait", "--op", "shift:left",
@@ -314,7 +314,7 @@ def test_cli_left_shift_portrait_near_the_imaginary_axis(capsys):
     assert (code, err) == (0, "")
     grid = GridSpec(-1e7, 1.00000002e7, 1e7, 3, 2)
     xs, ys = grid.xs()[None, :], grid.ys()[:, None]
-    want = ref.section_kappas(ShiftOperator("left"), 128, xs, ys)
+    want = ref.band_kappas("left", 128, xs, ys)
     p = SlicePortrait(grid=grid, window=128, norm_scale=1.0, values=want)
     assert out == "\n".join(p.csv_lines()) + "\n"
 
@@ -322,8 +322,8 @@ def test_cli_left_shift_portrait_near_the_imaginary_axis(capsys):
 def test_cli_left_shift_portrait_where_a_probe_meets_a_pole():
     # at x = +-sqrt(10), y = sqrt(10) 1e6 and W = 64 the paired symbol values
     # d_(1), d_(2) lie 10 ulps apart, so the first probe, just below d_(2),
-    # lands on d_(1) and its sums are not finite: those cells take the dense
-    # SVD, with no numpy warning, in a fresh interpreter that turns every
+    # lands on d_(1) and its sums are not finite: those cells take the band,
+    # with no numpy warning, in a fresh interpreter that turns every
     # RuntimeWarning into an error
     grid_arg = "-3.162277660168379,3.162277660168379,3162277.660168379,3x2"
     src = os.path.dirname(os.path.dirname(io.__file__))
@@ -335,7 +335,7 @@ def test_cli_left_shift_portrait_where_a_probe_meets_a_pole():
     assert (proc.returncode, proc.stderr) == (0, "")
     grid = GridSpec(-3.162277660168379, 3.162277660168379, 3162277.660168379, 3, 2)
     xs, ys = grid.xs()[None, :], grid.ys()[:, None]
-    want = ref.section_kappas(ShiftOperator("left"), 64, xs, ys)
+    want = ref.band_kappas("left", 64, xs, ys)
     p = SlicePortrait(grid=grid, window=64, norm_scale=1.0, values=want)
     assert proc.stdout == "\n".join(p.csv_lines()) + "\n"
 
@@ -607,7 +607,7 @@ def test_library_takes_no_parameter_that_no_caller_sets(module, function, name):
 EXPORTED_DEFAULTS = {
     "CompactExhaustion": ("limit",),
     "Quaternion": ("w", "x", "y", "z"),
-    "SlicePortrait": ("dense_cells",),
+    "SlicePortrait": ("hard_cells",),
     "SliceSeries": ("radius",),
     "SuiteConfig": ("seed", "trials", "tol"),
     "annulus_check": ("tol",),

@@ -1,6 +1,7 @@
-"""The LAPACK wrappers behind the Schur decomposition: scipy's ``_flapack``
-loaded by file path, cross-tested bit for bit against the slow reference
-route through ``scipy.linalg``."""
+"""The LAPACK wrappers behind the Schur decomposition and the shift
+portrait's banded solve: scipy's ``_flapack`` loaded by file path,
+cross-tested bit for bit against the slow reference route through
+``scipy.linalg``."""
 
 import importlib.machinery
 
@@ -10,7 +11,12 @@ import scipy.linalg
 from test_golden import COUNT, build_case
 
 from qspec import io, localspec, qlinalg, spectral
+from qspec.operators import DenseOperator, ShiftOperator
 from qspec.qlinalg import spectral_decomposition
+
+#: a grid whose x = 0 column holds left-shift cells with |q| > 1, which the
+#: symbol route leaves to the band
+HARD_GRID = spectral.GridSpec(-1.2, 1.2, 1.5, 5, 4)
 
 
 @pytest.fixture
@@ -30,6 +36,9 @@ def routes(monkeypatch):
 
 
 def test_loader_gives_none_without_the_file_or_a_routine(monkeypatch):
+    # the shift portrait's dsbevx is one of them, so a _flapack without it
+    # falls back as a whole
+    assert "dsbevx" in qlinalg._LAPACK_ROUTINES
     monkeypatch.setattr(qlinalg, "_LAPACK_ROUTINES", qlinalg._LAPACK_ROUTINES + ("zmissing",))
     assert qlinalg._flapack() is None
     monkeypatch.undo()
@@ -63,6 +72,16 @@ def test_fallback_route_matches_direct_on_golden_inputs(routes, monkeypatch):
             assert np.array_equal(getattr(d, field), getattr(f, field)), f"{name}: {field}"
         assert d.spheres == f.spheres, name
         assert d.multiplicities == f.multiplicities, name
+    hard = 0
+    for side in ("left", "right"):
+        got = []
+        for lapack in (direct, fallback):
+            monkeypatch.setattr(qlinalg, "_lapack", lambda lapack=lapack: lapack)
+            got.append(spectral.portrait(ShiftOperator(side), HARD_GRID, window=40))
+        d, f = got
+        assert d.hard_cells == f.hard_cells and d.values.tobytes() == f.values.tobytes()
+        hard += d.hard_cells
+    assert hard >= 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 28])
@@ -116,3 +135,45 @@ def test_classify_makes_the_recorded_lapack_calls(name, monkeypatch):
     report = spectral.classify(a)
     localspec.decomposability_necessary(a, report=report)
     assert (calls["zgees"], calls["ztrsen"], calls["ztrsyl"], calls["svd"]) == CLASSIFY_CALLS[name]
+
+
+def _count_calls(monkeypatch, names) -> dict[str, int]:
+    """Count the calls to the LAPACK routines ``names`` and numpy's SVD."""
+    calls = dict.fromkeys((*names, "svd"), 0)
+    lapack, svd = qlinalg._lapack(), np.linalg.svd
+
+    def counted(key, routine):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return routine(*args, **kwargs)
+        return call
+
+    class Counted:
+        def __getattr__(self, attr):
+            routine = getattr(lapack, attr)
+            return counted(attr, routine) if attr in calls else routine
+
+    monkeypatch.setattr(qlinalg, "_lapack", Counted)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    return calls
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_shift_portrait_makes_one_dsbevx_call_per_hard_cell(side, monkeypatch):
+    calls = _count_calls(monkeypatch, ("dsbevx",))
+    p = spectral.portrait(ShiftOperator(side), HARD_GRID, window=40)
+    if side == "left":
+        assert p.hard_cells >= 1
+    assert (calls["dsbevx"], calls["svd"]) == (p.hard_cells, 0)
+
+
+def test_dense_portrait_makes_its_stacked_svds(monkeypatch):
+    calls = _count_calls(monkeypatch, ("dsbevx",))
+    _, a = _case_matrix(6)
+    grid = spectral.GridSpec(-2.0, 2.0, 3.0, 37, 29)
+    p = spectral.portrait(DenseOperator(a), grid, window=None)
+    # one stacked SVD per block of 2^13 // (2n)^2 points, and one for the norm
+    per_block = (1 << 13) // (2 * a.rows) ** 2
+    blocks = -(-grid.nx * grid.ny // per_block)
+    assert blocks > 1 and p.hard_cells == 0
+    assert (calls["dsbevx"], calls["svd"]) == (0, blocks + 1)
