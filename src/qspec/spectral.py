@@ -289,9 +289,8 @@ _POWER_STEPS = 8
 #: at W = 1024; it can pass 2 near the imaginary axis (1e-10 <= |x| / |q| <=
 #: 1e-6, growing with W) and for |q| past 3 (at most 3.3 below |q| = 1e3,
 #: 17 past it), where the symbol routes decide.  One stacked secular solve:
-#: at most 0.96 on 3,219 stress, benchmark and |q| <= 1e6 points.  Of the
-#: left route's kappa^2, in units of eps times its first-order error
-#: (``_LeftGram.error``)
+#: at most 0.96 on 3,219 stress, benchmark and |q| <= 1e6 points.  Of the left
+#: route's kappa^2, in eps times its first-order error (``_LeftGram.error``)
 _BAND_ERR, _RIGHT_ERR, _LEFT_ERR = 2.0, 2.0, 16.0
 #: the largest scale 1 + 2|x| + r2 the symbol routes take: the left route's
 #: model step squares products of its terms, about scale^12 in all, which
@@ -1063,8 +1062,11 @@ class _SectionKappa:
         for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
             ab = np.zeros((4, 2 * n - 2))
             ab[diagonal, column] = np.array([1.0, -2.0 * x, x * x + y * y])[coef]
-            out[k] = dsbevx(ab, 0.0, 0.0, n + 1, n + 1, compute_v=0, range=2, lower=1,
-                            abstol=_BAND_ABSTOL)[0][0]
+            w, _, found, _, info = dsbevx(ab, 0.0, 0.0, n + 1, n + 1, compute_v=0, range=2,
+                                          lower=1, abstol=_BAND_ABSTOL)
+            if info or found != 1:
+                raise NumericalError(f"banded eigenvalue solve failed: dsbevx info {info}")
+            out[k] = w[0]
         return out
 
     def values(self, xs, ys) -> np.ndarray:

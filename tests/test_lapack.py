@@ -11,6 +11,7 @@ import scipy.linalg
 from test_golden import COUNT, build_case
 
 from qspec import io, localspec, qlinalg, spectral
+from qspec.errors import NumericalError
 from qspec.operators import DenseOperator, ShiftOperator
 from qspec.qlinalg import spectral_decomposition
 
@@ -165,6 +166,23 @@ def test_shift_portrait_makes_one_dsbevx_call_per_hard_cell(side, monkeypatch):
     if side == "left":
         assert p.hard_cells >= 1
     assert (calls["dsbevx"], calls["svd"]) == (p.hard_cells, 0)
+
+
+def test_a_failed_band_solve_raises(monkeypatch):
+    lapack = qlinalg._lapack()
+
+    class Failing:
+        def __getattr__(self, attr):
+            return getattr(lapack, attr)
+
+        @staticmethod
+        def dsbevx(*args, **kwargs):
+            w, z, found, ifail, _ = lapack.dsbevx(*args, **kwargs)
+            return w, z, found, ifail, 3
+
+    monkeypatch.setattr(qlinalg, "_lapack", Failing)
+    with pytest.raises(NumericalError, match="dsbevx info 3"):
+        spectral.portrait(ShiftOperator("left"), HARD_GRID, window=40)
 
 
 def test_dense_portrait_makes_its_stacked_svds(monkeypatch):
