@@ -281,15 +281,15 @@ _PRINTS_ZERO = 5e-13
 #: block power steps at most on the inverse of a left-shift section
 _POWER_STEPS = 8
 #: error bounds: of the banded solve's kappa and of the right route's, in
-#: units of eps times the section's norm bound 1 + 2|x| + r2, measured
-#: against kappa to 40 digits.  The band: at most 1.46 on 943 points, both
-#: shifts at W = 96, 97, 151 and 257 with r = 1.05-3 and x = cos(pi/2) r,
-#: 1e-16 or -1e-12, 32 random points at W = 64-151, the stress sets of the
-#: tests and every hard cell of six benchmark seeds and of the default grid
-#: at W = 1024; it can pass 2 near the imaginary axis (1e-10 <= |x| / |q| <=
-#: 1e-6, growing with W) and for |q| past 3 (at most 3.3 below |q| = 1e3,
-#: 17 past it), where the symbol routes decide.  One stacked secular solve:
-#: at most 0.96 on 3,219 stress, benchmark and |q| <= 1e6 points.  Of the left
+#: units of eps times the section's norm bound 1 + 2|x| + r2, measured against
+#: kappa to 40 digits.  The band: at most 1.46 on 943 points, both shifts at
+#: W = 96, 97, 151, 257 with r = 1.05-3 and x = cos(pi/2) r, 1e-16 or -1e-12,
+#: 32 random points at W = 64-151, the tests' stress sets and every hard cell
+#: of six benchmark seeds and of the default grid at W = 1024; it can pass 2
+#: near the imaginary axis (1e-10 <= |x| / |q| <= 1e-6) and near q = 0 (right
+#: shift, |q| <= 1e-4), growing with W, and for |q| past 3 (3.3 below 1e3, 17
+#: past it), where the symbol routes decide.  One stacked secular solve: at
+#: most 0.96 on 3,219 stress, benchmark and |q| <= 1e6 points.  Of the left
 #: route's kappa^2, in eps times its first-order error (``_LeftGram.error``)
 _BAND_ERR, _RIGHT_ERR, _LEFT_ERR = 2.0, 2.0, 16.0
 #: the largest scale 1 + 2|x| + r2 the symbol routes take: the left route's

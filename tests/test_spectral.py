@@ -768,15 +768,16 @@ def test_band_error_bound_holds_against_40_digits():
 
 
 #: points where the band lies farther than _BAND_ERR from kappa (40 digits),
-#: in eps (1 + 2|x| + r2): near the imaginary axis its error grows with W
-#: (20.2 at this point), and past |q| of about 1e3 with |q| (15.3 here); the
-#: symbol routes decide both, so there a certificate against the band is off
-BAND_ERR_EXCEEDED = (("right", 254, 1e-9, 2.444),
+#: in eps (1 + 2|x| + r2): near the imaginary axis and near q = 0 its error
+#: grows with W (20.2 and 29.4 at these points), and past |q| of about 1e3
+#: with |q| (15.3 here); the symbol routes decide all three, so there a
+#: certificate against the band is off
+BAND_ERR_EXCEEDED = (("right", 254, 1e-9, 2.444), ("right", 254, 1e-7, 0.0),
                      ("right", 374, 7320.154020977144, 5638.170175530907))
 
 
 @pytest.mark.xfail(strict=True, reason="the band's error exceeds _BAND_ERR off the measured sets")
-@pytest.mark.parametrize("point", BAND_ERR_EXCEEDED, ids=["near-axis", "large-q"])
+@pytest.mark.parametrize("point", BAND_ERR_EXCEEDED, ids=["near-axis", "near-origin", "large-q"])
 def test_band_error_bound_off_the_measured_sets(point):
     pytest.importorskip("mpmath")
     side, window, x, y = point
