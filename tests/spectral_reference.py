@@ -20,7 +20,7 @@ Also the shifts' banded route written out plainly: the interleaved
 Golub-Kahan matrix of a kept section built entry by entry, its band copied
 out by a loop and handed to ``scipy.linalg.eig_banded``; and, for checking
 error bounds, counts of the eigenvalues of the section's Gram below a
-value, in exact mpmath arithmetic.
+value, in mpmath at 40 digits.
 """
 
 from __future__ import annotations
