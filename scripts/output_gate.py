@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the CLI output that a pure refactor must leave byte-identical.
 
-Ten gates, each printed on one line, named first, as a sha256 digest of
+Eleven gates, each printed on one line, named first, as a sha256 digest of
 its stdout and exit codes, with the number of stdout lines:
 
   matrix    the 504 ``classify`` requests of the ``matrix`` benchmark for
@@ -26,6 +26,9 @@ its stdout and exit codes, with the number of stdout lines:
             ``classify`` on one random matrix for each n of LARGE_SIZES,
             past the n = 8-14 of the ``matrix`` inputs: complex-normal c1,
             then c2, from a fresh ``default_rng(3)`` per n
+  local-mult
+            ``local`` on each ``.qfun`` input of seeds 51-53, with vectors
+            drawn as the local gate draws them, in the same folders
 
 Run it from any directory as ``python3 scripts/output_gate.py`` on two
 checkouts, save each output, and compare them with
@@ -36,8 +39,9 @@ which matches gates by name: a gate that both print must match, a gate
 that the head no longer prints fails, and a gate that only the head
 prints is listed as new.  The comparison exits 1 on any failure.  It imports qspec from the ``src`` of
 the checkout it sits in and the request builders of
-``perfbench/workloads.py``, which it only reads.  It takes about 16
-seconds on a 2-core host, under one of them in the classify-large gate.
+``perfbench/workloads.py``, which it only reads.  It took 15.5-20.8
+seconds on a 2-core host (four runs, as the host's speed drifted), under
+one of them in the classify-large gate.
 """
 
 import os
@@ -112,20 +116,23 @@ def seeded_matrix_requests(workdir: str) -> dict[int, list]:
     return out
 
 
-def local_requests(seeded: dict[int, list]) -> list[list[str]]:
-    """``local --op dense:M --vector V`` for each ``.qmat`` input M of the
+def local_requests(seeded: dict[int, list], kind: str = "dense") -> list[list[str]]:
+    """``local --op KIND:M --vector V`` for each input M of that kind
+    (``dense``, a ``.qmat``, or ``mult``, a ``.qfun``) of the
     ``seeded_matrix_requests``, with V a seeded vector and then a basis
-    vector, written next to M."""
+    vector, written next to M; each seed's vectors come from its own
+    stream, drawn in request order."""
     out = []
     for seed, requests in seeded.items():
         rng = np.random.default_rng([seed, LOCAL_STREAM])
         for k, req in enumerate(requests):
             spec = req.argv[req.argv.index("--op") + 1]
-            if not spec.startswith("dense:"):
+            if not spec.startswith(f"{kind}:"):
                 continue
-            source = spec[len("dense:"):]
+            source = spec[len(kind) + 1:]
             with open(source, encoding="ascii") as fh:
-                n = int(fh.readline().split()[0])
+                # a matrix header "n n", or one "label literal" line per point
+                n = int(fh.readline().split()[0]) if kind == "dense" else len(fh.readlines())
             basis = np.zeros((n, 4))
             basis[rng.integers(n), 0] = 1.0
             for name, vec in (("v", rng.uniform(-1.0, 1.0, (n, 4))), ("e", basis)):
@@ -203,7 +210,8 @@ def main(argv=None) -> int:
                             ("series", series), ("subspace", subspace), ("laws", laws),
                             ("local", local), ("classify", classify),
                             ("portrait-dense", dense_portrait),
-                            ("classify-large", large_requests(workdir))):
+                            ("classify-large", large_requests(workdir)),
+                            ("local-mult", local_requests(seeded, "mult"))):
             sha, lines = digest(argvs)
             print(f"{name:<9} {len(argvs):>4} commands  sha256 {sha}  lines {lines}")
     return 0

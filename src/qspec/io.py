@@ -20,10 +20,10 @@ import numpy as np
 
 from .qlinalg import QMatrix, QVector
 from .quat import Quaternion
-from .sliceseries import SliceSeries
 
 if TYPE_CHECKING:
     from .operators import LinearOperator, MultiplicationOperator
+    from .sliceseries import SliceSeries
     from .spectral import GridSpec
 
 
@@ -152,6 +152,7 @@ def format_qfun(op: MultiplicationOperator) -> str:
 
 
 def parse_series(text: str) -> SliceSeries:
+    from .sliceseries import SliceSeries
     lines = _data_lines(text)
     if not lines or not lines[0].startswith("center:"):
         raise ValueError("series file must open with 'center: w,x,y,z'")

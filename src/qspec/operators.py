@@ -65,6 +65,14 @@ class MultiplicationOperator(LinearOperator):
     operator is the diagonal matrix with entries g(x); the right scalar
     action of H then commutes with it entrywise.  Its S-spectrum is the
     sphere closure of the value set g(Omega), conjugates included.
+
+    It is the model decomposable operator, and its matrix is computed on in
+    closed form: ``spectral_decomposition`` reads the spheres, a unitary
+    eigenbasis and the singular values of each R_q off the values, with no
+    Schur form, and ``growth_bounds`` gives (max |g|, min |g|), with no
+    powers.  The projections are the coordinate projections onto the
+    points of each sphere, so the local spectrum of f is the set of spheres
+    of g on supp f.  A dense matrix that is diagonal takes the same route.
     """
 
     def __init__(self, labels, values):

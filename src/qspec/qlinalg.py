@@ -186,6 +186,13 @@ class QMatrix:
         """True when every entry lies in C_i, i.e. the j-part vanishes."""
         return not np.any(self.c2)
 
+    @property
+    def is_diagonal(self) -> bool:
+        """True when A is square and every off-diagonal entry of c1 and c2
+        is zero, however A was built."""
+        return self.rows == self.cols and all(
+            np.count_nonzero(c) == np.count_nonzero(c.diagonal()) for c in (self.c1, self.c2))
+
     @staticmethod
     def zeros(n: int, m: int | None = None) -> "QMatrix":
         m = n if m is None else m
@@ -480,12 +487,16 @@ def _lapack():
     return lapack
 
 
+#: the failure of a matrix with an entry that is not finite
+NOT_FINITE = "Schur iteration failed: array must not contain infs or NaNs"
+
+
 def _schur(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form T = Z^H M Z by ``zgees``, with the checks and the
     workspace query of ``scipy.linalg.schur(m, output="complex")``, so T
     and Z are bit for bit the same."""
     if not np.all(np.isfinite(m)):
-        raise NumericalError("Schur iteration failed: array must not contain infs or NaNs")
+        raise NumericalError(NOT_FINITE)
     zgees, m = _lapack().zgees, np.asarray(m, dtype=np.complex128)
     lwork = int(zgees(lambda x: None, m, lwork=-1)[-2][0].real)
     t, _, _, z, _, info = zgees(lambda x: None, m, lwork=lwork, sort_t=0)
@@ -764,6 +775,11 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     the singular values of R_q at every sphere's representative, and every
     sphere passes a direct check: that R_q is numerically singular.  An
     R_q past double precision raises NumericalError.
+
+    A diagonal A (``QMatrix.is_diagonal``) takes no Schur form: its image
+    is already one, up to a unitary 2 x 2 change of basis per entry, and
+    ``_diagonal_decomposition`` reads T, Z and the singular values off the
+    entries.  The same blocks, spheres, checks and errors follow.
     """
     dec = getattr(a, "_spectral", None)
     if dec is None:
@@ -779,8 +795,26 @@ def _decompose(a: QMatrix) -> SpectralDecomposition:
     if a.rows == 0:
         return SpectralDecomposition((), (), np.empty((0, 0)), m, half,
                                      *[np.eye(0)] * 3, (), ())
+    if a.is_diagonal:
+        return _diagonal_decomposition(a, m, half)
+    return _schur_decomposition(a, m, half)
+
+
+def _schur_decomposition(a: QMatrix, m: np.ndarray, half: bool) -> SpectralDecomposition:
+    """The decomposition of a nonempty square A with image ``m`` from one
+    Schur form and its split; the tests' reference for diagonal inputs."""
     t, z = _schur(m)
     blocks, w = _split_schur(t, z)
+    spheres, mult, owner = _block_spheres(t, blocks, half)
+    values = np.concatenate(list(resolvent_singular_values(
+        m, [s.re for s in spheres], [s.im for s in spheres])))
+    return _checked(a, SpectralDecomposition(spheres, mult, values, m, half, t, z, w,
+                                             tuple(blocks), tuple(owner.tolist())))
+
+
+def _block_spheres(t: np.ndarray, blocks: list, half: bool) -> tuple:
+    """The spheres of the blocks of a triangular T, their multiplicities and
+    each block's sphere."""
     starts = np.array([i for i, _ in blocks])
     widths = np.diff(np.append(starts, len(t)))
     centres = np.add.reduceat(t.diagonal(), starts) / widths
@@ -788,16 +822,90 @@ def _decompose(a: QMatrix) -> SpectralDecomposition:
     sizes = np.bincount(owner, weights=widths).astype(int)
     if not half and np.any(sizes % 2):
         raise NumericalError("eigenvalue cluster broke a conjugate pair")
-    mult = tuple(int(k) for k in (sizes if half else sizes // 2))
-    values = np.concatenate(list(resolvent_singular_values(
-        m, [s.re for s in spheres], [s.im for s in spheres])))
+    return spheres, tuple(int(k) for k in (sizes if half else sizes // 2)), owner
+
+
+def _checked(a: QMatrix, dec: SpectralDecomposition) -> SpectralDecomposition:
+    """A's decomposition ``dec``, once every sphere's R_q passes the direct
+    check."""
     check = 1e-6 * (1.0 + a.frobenius() ** 2)
-    for s, sv in zip(spheres, values):
+    for s, sv in zip(dec.spheres, dec.singular_values):
         if sv[-1] > check:
             raise NumericalError(f"eigen-sphere ({s.re}, {s.im}) failed the direct "
                                  f"residual check: kappa = {sv[-1]:.3e}")
-    return SpectralDecomposition(spheres, mult, values, m, half, t, z, w,
-                                 tuple(blocks), tuple(owner.tolist()))
+    return dec
+
+
+def _diagonal_decomposition(a: QMatrix, m: np.ndarray, half: bool) -> SpectralDecomposition:
+    """The decomposition of a nonempty diagonal A in closed form.
+
+    Entry g = w + x i + b j, |Im g| = s, puts the eigenvalue w + i x on the
+    C_i block, and w + i s and w - i s on chi(A), whose rows and columns k
+    and n + k hold [[a, b], [-conj b, conj a]] (a = w + x i).  Its unit
+    eigenvectors are v = (1 + xi, i conj(beta)) / sqrt(2 (1 + xi)) for
+    xi = x / s >= 0, else v = (beta, i (1 - xi)) / sqrt(2 (1 - xi)), with
+    beta = b / s, and their partners J conj(v) (v = e_k when s = 0).  So
+    T is diagonal, Z unitary and W = I; the columns are permuted so that
+    each group of linked eigenvalues is contiguous, one block each, as
+    ``_split_schur`` finds them.  R_q(A) is diagonal with entries of modulus
+    |g - lam| |g - conj lam| (lam = x' + s' I_g at the sphere (x', s')), so
+    those are its singular values, twice each in chi(A).  Errors are those
+    of the Schur route: a non-finite entry, and an R_q past double
+    precision, raise its messages.
+    """
+    if not np.isfinite(m).all():
+        raise NumericalError(NOT_FINITE)
+    n, g1, g2 = a.rows, a.c1.diagonal(), a.c2.diagonal()
+    re, s = g1.real, np.hypot(g1.imag, np.abs(g2))
+    if half:
+        diag, z = g1, np.eye(n, dtype=np.complex128)
+    else:
+        diag = np.concatenate([re + 1j * s, re - 1j * s])
+        real = s == 0.0
+        safe = np.where(real, 1.0, s)
+        xi, beta = np.where(real, 1.0, g1.imag / safe), np.where(real, 0.0, g2 / safe)
+        up = xi >= 0.0
+        norm = np.sqrt(2.0 * (1.0 + np.abs(xi)))
+        top = np.where(up, 1.0 + xi, beta) / norm
+        low = np.where(up, 1j * np.conj(beta), 1j * (1.0 - xi)) / norm
+        k = np.arange(n)
+        z = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+        z[k, k], z[k + n, k] = top, low
+        z[k, k + n], z[k + n, k + n] = np.conj(low), -np.conj(top)    # J conj(v)
+    seed = linked_components(diag.real, diag.imag, SPHERE_MERGE_TOL)
+    order = np.argsort(seed, kind="stable")
+    seed, t, z = seed[order], np.diag(diag[order]), z[:, order]
+    starts = np.flatnonzero(np.diff(seed, prepend=-1)).tolist()
+    blocks = list(zip(starts, starts[1:] + [len(t)]))
+    spheres, mult, owner = _block_spheres(t, blocks, half)
+    xs = np.array([sp.re for sp in spheres])
+    ys = np.array([sp.im for sp in spheres])
+    _check_resolvent_finite(g1, g2, half, xs, ys)
+    dw = re - xs[:, None]
+    values = np.hypot(dw, s - ys[:, None]) * np.hypot(dw, s + ys[:, None])
+    if not half:
+        values = np.repeat(values, 2, axis=1)
+    values = -np.sort(-values, axis=1)
+    w = np.eye(len(t), dtype=np.complex128)
+    return _checked(a, SpectralDecomposition(spheres, mult, values, m, half, t, z, w,
+                                             tuple(blocks), tuple(owner.tolist())))
+
+
+def _check_resolvent_finite(g1: np.ndarray, g2: np.ndarray, half: bool, xs: np.ndarray,
+                            ys: np.ndarray) -> None:
+    """Raise as ``resolvent_singular_values`` does where the image of some
+    R_q(A) = A^2 - 2x A + (x^2 + y^2) I of a diagonal A at the points
+    (xs, ys) has an entry past double precision: the nonzero ones are those
+    of its 2 x 2 blocks (1 x 1 on the C_i block), and a non-finite 2x or
+    x^2 + y^2 spoils its zeros."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        twice_x, r2 = 2.0 * xs[:, None], (xs * xs + ys * ys)[:, None]
+        square = g1 * g1 if half else g1 * g1 - g2 * np.conj(g2)
+        entries = [twice_x, r2, square - twice_x * g1 + r2]
+        if not half:
+            entries.append(g1 * g2 + g2 * np.conj(g1) - twice_x * g2)
+    if not all(np.isfinite(e).all() for e in entries):
+        raise NumericalError(RESOLVENT_OVERFLOW)
 
 
 def _split_schur(t: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:

@@ -130,9 +130,20 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
     the images come in two sizes.  A kappa at the rounding floor 2N eps
     |A^n| (N rows) is skipped: raised to 1/n it would lift the lower bound
     above small spheres.
+
+    A diagonal A (``QMatrix.is_diagonal``) takes no power: |A^n| = max|g|^n
+    and kappa(A^n) = min|g|^n over its entries g, so the bounds are
+    (max|g|, min|g|), the largest and smallest modulus of a sphere, with
+    none of the powers' rounding.  A modulus that is not finite gives
+    (inf, 0), as the loop does when the first power is not finite.
     """
     if a.rows == 0:
         return 0.0, math.inf    # op_norm and min_singular of an empty matrix
+    if a.is_diagonal:
+        moduli = np.hypot(np.abs(a.c1.diagonal()), np.abs(a.c2.diagonal()))
+        if not np.isfinite(moduli).all():
+            return math.inf, 0.0
+        return float(moduli.max()), float(moduli.min())
     rows, a1, a2 = a.rows, a.c1, a.c2
     conj1, conj2 = np.conj(a1), np.conj(a2)
     # (dtype, size) -> a stack of images and the powers they hold

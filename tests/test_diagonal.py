@@ -1,0 +1,176 @@
+"""Diagonal matrices in closed form: ``spectral_decomposition`` and
+``growth_bounds`` read a diagonal matrix off its entries, and the Schur
+route and the power loop, which every other matrix takes, are their
+reference here."""
+
+import math
+
+import numpy as np
+import pytest
+import spectral_reference as ref
+from test_golden import COUNT, build_case
+
+from qspec import io, qlinalg, spectral
+from qspec.errors import NumericalError
+from qspec.qlinalg import RESOLVENT_OVERFLOW, QMatrix, complex_image, op_norm
+from qspec.quat import SPHERE_MERGE_TOL, Quaternion
+
+EPS = np.finfo(float).eps
+
+
+def _diag(*entries) -> QMatrix:
+    return QMatrix.diag([Quaternion(*e) for e in entries])
+
+
+def _inputs():
+    """(label, diagonal matrix): the golden ``mult`` cases and entries that
+    break naive code."""
+    out = []
+    for idx in range(COUNT):
+        name, op, text, _ = build_case(idx)
+        if op == "mult":
+            out.append((name, io.parse_qfun(text).as_qmatrix()))
+    units = np.random.default_rng(5).normal(size=(4, 3))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    # one sphere on four slices, with both signs of each unit
+    out.append(("repeated-units", _diag(*[(0.3, *(s * 1.2 * u)) for u in units for s in (1, -1)],
+                                        (-1.0, 0.5, 0.0, 0.0))))
+    out.append(("imaginary-and-real", _diag((0.0, 0.0, 1.5, 0.0), (0.0, 0.3, 0.4, 0.0),
+                                            (2.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
+                                            (2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -0.5),
+                                            (0.0, -1.5, 0.0, 0.0))))
+    # C_i diagonals: conjugate entries on one sphere, and a real one
+    out.append(("complex-slice", QMatrix(np.diag([1 + 2j, 1 - 2j, -0.5j, 3.0, 0.25j]),
+                                         np.zeros((5, 5)))))
+    out.append(("real-slice", QMatrix(np.diag([1.0, -2.0, 1.0, 0.5]), np.zeros((4, 4)))))
+    out.append(("zero-entry", _diag((0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0),
+                                    (0.0, 0.0, 0.0, 0.0), (-0.7, 0.0, 0.2, 0.1))))
+    # a chain of entries 0.3 SPHERE_MERGE_TOL apart merges into one sphere;
+    # 2.5 of it away, another stays apart
+    step = 0.3 * SPHERE_MERGE_TOL * 2.0
+    out.append(("within-merge-tol", _diag((1.0, 0.5, 0.0, 0.0), (1.0 + step, 0.0, 0.5, 0.0),
+                                          (1.0 + 2 * step, 0.0, 0.0, 0.5 + step),
+                                          (1.0 + 12 * step, 0.5, 0.0, 0.0),
+                                          (-1.0, 0.2, 0.0, 0.0))))
+    return out
+
+
+INPUTS = _inputs()
+
+
+def _schur_route(a: QMatrix) -> qlinalg.SpectralDecomposition:
+    """The Schur route's decomposition of a copy of A, kept with neither."""
+    b = QMatrix(a.c1, a.c2)
+    return qlinalg._schur_decomposition(b, *complex_image(b))
+
+
+@pytest.mark.parametrize("label,a", INPUTS, ids=[lab for lab, _ in INPUTS])
+def test_closed_form_matches_the_schur_route(label, a):
+    assert a.is_diagonal
+    got, want = qlinalg.spectral_decomposition(a), _schur_route(a)
+    # the same spheres, in an order of their own: equal real parts go by im
+    # here, and by the rounding in re on the Schur route
+    order = [min(range(len(want.spheres)), key=lambda j: s.distance(want.spheres[j]))
+             for s in got.spheres]
+    assert sorted(order) == list(range(len(want.spheres)))
+    assert [s.key() for s in got.spheres] == sorted(s.key() for s in got.spheres)
+    for s, j in zip(got.spheres, order):
+        assert s.matches(want.spheres[j], 1e-14), (s, want.spheres[j])
+    assert got.multiplicities == tuple(want.multiplicities[j] for j in order)
+    for tol in (1e-8, 1e-10):
+        assert got.kernel_dims(tol) == tuple(want.kernel_dims(tol)[j] for j in order)
+    top = want.singular_values.max()
+    assert np.abs(got.singular_values - want.singular_values[order]).max() <= 1e-14 * top
+    assert got.certified == want.certified
+    for p, q in zip(got.projections, [want.projections[j] for j in order]):
+        assert op_norm(p - q) <= 1e-10
+    # the form is a Schur form of the image with W = I: Z unitary, T diagonal
+    size = len(got.t)
+    assert np.array_equal(got.w, np.eye(size)) and np.array_equal(got.t, np.diag(got.t.diagonal()))
+    scale = max(1.0, np.abs(got.m).max())
+    assert np.abs(got.z.conj().T @ got.z - np.eye(size)).max() <= 8 * EPS
+    assert np.abs(got.z @ got.t @ got.z.conj().T - got.m).max() <= 16 * EPS * scale
+    radius, lower = spectral.growth_bounds(a)
+    loop_radius, loop_lower = ref.growth_bounds(a)
+    assert abs(radius - loop_radius) <= 1e-14 * radius
+    moduli = [abs(a.entry(k, k)) for k in range(a.rows)]
+    assert radius == pytest.approx(max(moduli), rel=2 * EPS, abs=0.0)
+    assert lower == pytest.approx(min(moduli), rel=2 * EPS, abs=0.0)
+    # the loop's kappa(A) is an SVD value, min|g| up to its rounding
+    assert lower <= loop_lower + 2 * EPS * lower
+
+
+def test_classify_reads_the_closed_form_lower_bound(tmp_path):
+    # the seed-1 matrix benchmark input m134.qfun: the power loop printed
+    # 0.032778695027, above its smallest sphere |g| = 0.0327785798276774
+    from test_spectral import _matrix_request_values
+
+    values = _matrix_request_values(tmp_path, 1, "m134.qfun")
+    a = QMatrix.diag(values)
+    smallest = min(abs(q) for q in values)
+    assert spectral._fmt(ref.growth_bounds(a)[1]) == "0.032778695027"
+    report = spectral.classify(a)
+    assert report.lower_bound == pytest.approx(smallest, rel=2 * EPS, abs=0.0)
+    assert spectral.annulus_check(report).ok
+    assert min(s.abs_value() for s in report.spheres) == pytest.approx(smallest, rel=1e-14)
+
+
+#: diagonal inputs the Schur route refuses, and what it says
+ERRORS = {
+    "resolvent-overflow": _diag((1e160, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0)),
+    "resolvent-overflow-chi": _diag((1e160, 0.0, 1.0, 0.0), (1.0, 0.5, 0.0, 0.0)),
+    "resolvent-overflow-real": QMatrix(np.diag([2e154, 1.0]), np.zeros((2, 2))),
+    "nan": _diag((math.nan, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0)),
+    "inf-chi": _diag((1.0, 0.0, math.inf, 0.0), (1.0, 0.5, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ERRORS))
+def test_closed_form_raises_as_the_schur_route(label):
+    a = ERRORS[label]
+    assert a.is_diagonal
+    with pytest.raises(NumericalError) as want:
+        _schur_route(a)
+    with pytest.raises(NumericalError) as got:
+        qlinalg.spectral_decomposition(a)
+    assert str(got.value) == str(want.value)
+    if label.startswith("resolvent"):
+        assert str(got.value) == RESOLVENT_OVERFLOW
+    # and a failed build keeps nothing
+    assert getattr(a, "_spectral", None) is None
+
+
+def test_squared_singular_values_overflow_as_on_the_schur_route():
+    # R_q's values near 1e200 pass double precision when squared
+    a = _diag((1e100, 0.0, 0.0, 0.0), (-1e100, 0.3, 0.0, 0.0), (1.0, 0.0, 0.5, 0.0))
+    messages = []
+    for dec in (qlinalg.spectral_decomposition(a), _schur_route(a)):
+        with pytest.raises(NumericalError) as info:
+            dec.kernel_dims()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and "overflow when squared" in messages[0]
+
+
+def test_diagonal_matrices_take_no_schur_form(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a diagonal matrix took the Schur route")
+
+    monkeypatch.setattr(qlinalg, "_schur", refused)
+    monkeypatch.setattr(qlinalg, "resolvent_singular_values", refused)
+    for _, a in INPUTS:
+        b = QMatrix(a.c1, a.c2)
+        spectral.classify(b)
+        qlinalg.spectral_decomposition(b).projections
+
+
+def test_is_diagonal_reads_the_entries():
+    d = _diag((1.0, 0.5, 0.0, 0.0), (2.0, 0.0, 0.3, 0.0))
+    assert d.is_diagonal and QMatrix.zeros(3, 3).is_diagonal and QMatrix.identity(1).is_diagonal
+    assert QMatrix.zeros(0, 0).is_diagonal
+    c1, c2 = np.array(d.c1), np.array(d.c2)
+    c2[0, 1] = 1e-300
+    assert not QMatrix(c1, c2).is_diagonal
+    c1[1, 0], c2[0, 1] = 1e-300, 0.0
+    assert not QMatrix(c1, c2).is_diagonal
+    # a rectangular matrix is not diagonal, whatever its entries
+    assert not QMatrix.zeros(2, 3).is_diagonal

@@ -11,7 +11,7 @@ import pytest
 from qspec import io, rand
 from qspec.cli import main
 from qspec.operators import MultiplicationOperator, ShiftOperator
-from qspec.qlinalg import RESOLVENT_OVERFLOW
+from qspec.qlinalg import RESOLVENT_OVERFLOW, QVector
 from qspec.quat import Quaternion
 from qspec.sliceseries import SliceSeries
 from qspec.spectral import GridSpec, SlicePortrait
@@ -157,6 +157,31 @@ def test_cli_local(tmp_path, capsys):
     assert out == "0 1\n"
 
 
+def test_cli_diagonal_matrix_prints_alike_as_dense_and_mult(tmp_path, capsys):
+    # is_diagonal reads the matrix, not the spec kind: a dense file holding
+    # a diagonal matrix takes the closed form too
+    values = [Quaternion(0.0, 0.6, 0.0, 0.8), Quaternion(0.0, 0.0, -1.0, 0.0),
+              Quaternion(1.5, 0.3, 0.4, 0.0), Quaternion(-0.25), Quaternion(1.5, 0.0, 0.0, -0.5),
+              Quaternion(0.0, 0.0, 0.0, 2.0)]
+    op = MultiplicationOperator([f"x{k}" for k in range(len(values))], values)
+    dense, mult = tmp_path / "d.qmat", tmp_path / "d.qfun"
+    io.write_text(str(dense), io.format_qmat(op.as_qmatrix()))
+    io.write_text(str(mult), io.format_qfun(op))
+    vectors = []
+    for k, entries in enumerate(([Quaternion(0.5, -1.0, 0.25, 2.0)] * len(values),
+                                 [Quaternion(0.0)] * 2 + [I] + [Quaternion(0.0)] * 3)):
+        vectors.append(tmp_path / f"v{k}.qvec")
+        io.write_text(str(vectors[-1]), io.format_qvec(QVector.from_quaternions(entries)))
+    runs = [("spectrum",), ("classify",)] + [("local", "--vector", str(v)) for v in vectors]
+    for command, *rest in runs:
+        outs = [run_cli(capsys, command, "--op", spec, *rest)
+                for spec in (f"dense:{dense}", f"mult:{mult}")]
+        assert outs[0] == outs[1] and outs[0][0] == 0, command
+        assert outs[0][1].count("\n") >= 2 or command == "local"
+    assert run_cli(capsys, "local", "--op", f"mult:{mult}", "--vector", str(vectors[1]))[1] == \
+        "1.5 0.5\n"
+
+
 def test_cli_series(tmp_path, capsys):
     p = tmp_path / "f.series"
     io.write_text(str(p), "center: 0,0,0,0\n" + "".join(
@@ -218,6 +243,22 @@ def test_series_command_loads_only_the_series_layers(tmp_path):
     assert resolved == "True True False"
     for module in ("localspec", "operators", "rand", "spectral", "suites"):
         assert f"'qspec.{module}'" in everything
+    # and no matrix command loads the series engine
+    m, v = tmp_path / "a.qmat", tmp_path / "v.qvec"
+    io.write_text(str(m), "2 2\n0,1,0,0 0,0,0,0\n1,0,0,0 0,0,2,0\n")
+    io.write_text(str(v), "2\n0,1,0,0\n0,0,0,1\n")
+    commands = [[command, "--op", f"dense:{m}"] for command in ("classify", "spectrum")]
+    commands += [["local", "--op", f"dense:{m}", "--vector", str(v)],
+                 ["portrait", "--op", f"dense:{m}", "--grid=-1,1,1,3x2"]]
+    code = ("import contextlib, io, sys\n"
+            "from qspec import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = [cli.main(argv) for argv in {commands!r}]\n"
+            "print(status, 'qspec.spectral' in sys.modules, 'qspec.sliceseries' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0] True False\n"
 
 
 def test_cli_portrait_deterministic(tmp_path, capsys):

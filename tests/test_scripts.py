@@ -86,3 +86,32 @@ def test_output_gate_local_requests_pair_each_dense_input(tmp_path):
                           str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert len(run.stdout.splitlines()) >= 4
+
+
+def test_output_gate_local_requests_pair_each_mult_input(tmp_path):
+    # the local-mult gate: each .qfun input gets a seeded vector, then a
+    # basis vector, of its length; every pair of the first seed runs
+    # through the CLI
+    probe = (
+        "import collections, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import output_gate\n"
+        "from qspec import cli, io\n"
+        "seeded = output_gate.seeded_matrix_requests(sys.argv[2])\n"
+        "assert len({r.argv[2] for rs in seeded.values() for r in rs}) == 504\n"
+        "reqs = output_gate.local_requests(seeded, 'mult')\n"
+        "mats = collections.Counter(r[2] for r in reqs)\n"
+        "assert len(reqs) == 504 and len(mats) == 252, (len(reqs), len(mats))\n"
+        "assert set(mats.values()) == {2} and all(m.startswith('mult:') for m in mats)\n"
+        "for seeded, basis in zip(reqs[::2], reqs[1::2]):\n"
+        "    assert seeded[:3] == basis[:3]\n"
+        "    e = io.parse_qvec(io.read_text(basis[4])).to_components()\n"
+        "    assert sorted(e.ravel().tolist()) == [0.0] * (e.size - 1) + [1.0]\n"
+        "assert all(cli.main(r) == 0 for r in reqs[:168])\n")
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", probe, os.path.join(ROOT, "scripts"),
+                          str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert len(run.stdout.splitlines()) >= 4
