@@ -4,12 +4,15 @@ For a finite matrix the complex adjoint splits into invariant subspaces,
 one per eigen-sphere.  ``qlinalg.spectral_decomposition`` takes one Schur
 form of chi(A) and splits it into well-separated blocks; the spectral
 projection of each sphere comes from that same form, block-diagonalized
-by the Sylvester solutions the split already found, and is pulled back to
-quaternionic coordinates.  The local S-spectrum of phi is then the set of
-spheres whose projection sees phi, drawn from the very sphere objects the
-spectrum reports; the local subspace of a sphere set F is the span of the
-matching ranges.  The diagonal multiplication operator and the
-eigenvector law are the two oracles that certify this realization.
+by the Sylvester solutions the split already found, and stays factored as
+A_i B_i, thin factors of the form's size (a diagonal A's are coordinate
+projections).  The local S-spectrum of phi is then the set of spheres
+whose projection sees phi, |A_i (B_i phi)| read off the factors, drawn
+from the very sphere objects the spectrum reports; the local subspace of
+a sphere set F is the span of the matching ranges, for which the
+projections are formed as quaternionic matrices.  The diagonal
+multiplication operator and the eigenvector law are the two oracles that
+certify this realization.
 
 Shifts have no such decomposition.  Their R_q are Toeplitz operators,
 whose exact lower bounds ``spectral.shift_kappa_limit`` gives in closed
@@ -37,18 +40,18 @@ MEMBER_TOL = 1e-8
 
 
 def spectral_projections(a: QMatrix) -> SpectralDecomposition:
-    """A's ``spectral_decomposition``, with its spectral projections built
-    and validated: one per eigen-sphere, with ``conditions`` and
-    ``certified`` (see ``SpectralDecomposition``).
+    """A's ``spectral_decomposition``, with its spectral projections
+    validated: one per eigen-sphere, with ``conditions`` and ``certified``
+    (see ``SpectralDecomposition``).
 
-    The projections are built once per matrix, on their first read, and
-    kept on the decomposition; a failed validation raises here, and again
-    on the next call.
+    The projections are validated once per matrix, on their first read,
+    and kept factored on the decomposition; a failed validation raises
+    here, and again on the next call.
     """
     if a.rows != a.cols:
         raise ShapeError("spectral projections need a square matrix")
     dec = spectral_decomposition(a)
-    dec.projections    # builds and validates them, or raises
+    dec.conditions    # validates the projections, or raises
     return dec
 
 
@@ -62,7 +65,8 @@ def local_spectrum(a: QMatrix, phi: QVector, tol: float = MEMBER_TOL) -> tuple[E
     same objects ``s_spectrum`` and ``classify`` report, so it lies in
     sigma_S(A) exactly.  For a right eigenvector A phi = phi q this is the
     single sphere [q].  The projections are A's ``spectral_projections``,
-    built once per matrix, so the local spectra of many vectors share them.
+    validated once per matrix, so the local spectra of many vectors share
+    them.
     """
     if a.rows != a.cols or a.rows != phi.n:
         raise ShapeError("dimension mismatch between matrix and vector")
@@ -70,8 +74,22 @@ def local_spectrum(a: QMatrix, phi: QVector, tol: float = MEMBER_TOL) -> tuple[E
     if norm == 0.0:
         return ()
     proj = spectral_projections(a)
-    return tuple(s for s, p in zip(proj.spheres, proj.projections)
-                 if p.apply(phi).norm() > tol * norm)
+    return tuple(s for s, seen in zip(proj.spheres, _applied_norms(proj, phi))
+                 if seen > tol * norm)
+
+
+def _applied_norms(dec: SpectralDecomposition, phi: QVector) -> np.ndarray:
+    """|P_i phi| for each sphere i, as |A_i (B_i x)| from the projection
+    factors, for all spheres in one product: x = embed(phi) on chi(A), and
+    on the C_i block, whose projections act on both complex parts of phi,
+    the two parts side by side."""
+    a, b, owner = dec.projection_factors
+    x = np.stack([phi.c1, phi.c2], axis=1) if dec.half else phi.embed()[:, None]
+    count = len(dec.spheres)
+    # column (c, i) holds the rows of B x that are sphere i's, zeros elsewhere
+    y = (b @ x)[:, :, None] * (owner[:, None] == np.arange(count))[:, None, :]
+    parts = np.abs(a @ y.reshape(len(y), -1)) ** 2
+    return np.sqrt(parts.sum(axis=0).reshape(x.shape[1], count).sum(axis=0))
 
 
 def local_resolvent_diag(op: MultiplicationOperator, f: QVector, q: Quaternion) -> QVector:
@@ -213,8 +231,8 @@ def _matrix_decomposability(a: QMatrix, report) -> DecomposabilityVerdict:
     proj = spectral_projections(a)
     # s lies in the local spectrum of some basis vector e_k exactly when
     # |P_s e_k|, the norm of column k of P_s, exceeds MEMBER_TOL
-    local_union = tuple(s for s, top in zip(proj.spheres, _largest_columns(proj.projections))
-                        if top > MEMBER_TOL)
+    tops = _largest_columns(*proj.projection_factors, len(proj.spheres), a.rows)
+    local_union = tuple(s for s, top in zip(proj.spheres, tops) if top > MEMBER_TOL)
     # sigma_suS is sigma_apS here, read off the same singular values; both
     # sets are subsequences of the one tuple of spheres, so they compare
     # as tuples
@@ -232,14 +250,24 @@ def _matrix_decomposability(a: QMatrix, report) -> DecomposabilityVerdict:
         "consistent with decomposability, not a proof of it")
 
 
-def _largest_columns(projections) -> list[float]:
-    """The largest column norm of each n x n projection, from one pass over
-    them all that sums each column as ``QMatrix.col_norms`` does."""
-    n = projections[0].rows if projections else 0
-    parts = np.array([(p.c1, p.c2) for p in projections]).reshape(len(projections), 2, n, n)
-    squares = np.abs(parts) ** 2
-    norms = np.sqrt(np.sum(squares[:, 0] + squares[:, 1], axis=1))
-    return norms.max(axis=1, initial=0.0).tolist()
+def _largest_columns(a: np.ndarray, b: np.ndarray, owner: np.ndarray, count: int,
+                     n: int) -> list[float]:
+    """The largest column norm of each n x n projection A_i B_i (sphere i's
+    columns of A times the same rows of B), from the factors, for all
+    spheres at once: with G = blockdiag(A^H A), column k's square is
+    (B_i e_k)^H G_ii (B_i e_k), for the first n columns (the quaternionic
+    matrix's; on chi(A) the others repeat their norms).
+
+    A nonzero projection has 2-norm at least 1, so its largest column norm
+    is at least 1/sqrt(n): the rounding of this form, about K eps |A_i|^2
+    |B_i e_k|^2 for the K columns of A, carries it across MEMBER_TOL only
+    where that reaches 1/n.
+    """
+    spheres = (owner[:, None] == np.arange(count)).astype(float)
+    gram = (a.conj().T @ a) * (spheres @ spheres.T)
+    cols = b[:, :n]
+    squares = spheres.T @ (cols.conj() * (gram @ cols)).real
+    return np.sqrt(squares.max(axis=1, initial=0.0)).tolist()
 
 
 def _shift_decomposability(op: ShiftOperator) -> DecomposabilityVerdict:

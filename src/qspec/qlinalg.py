@@ -306,23 +306,6 @@ def complex_adjoint(a: QMatrix) -> np.ndarray:
     return out
 
 
-def _j_conj(m: np.ndarray) -> np.ndarray:
-    """M -> J conj(M) J^-1 with J = [[0, I], [-I, 0]], over the last two axes,
-    as a new array.
-
-    chi images are exactly its fixed points, so a stack of complex
-    adjoints maps to itself.
-    """
-    n, k = m.shape[-2] // 2, m.shape[-1] // 2
-    out = np.empty_like(m)
-    # block by block through out=, so that a stack costs no temporaries
-    np.conjugate(m[..., n:, k:], out=out[..., :n, :k])
-    np.conjugate(m[..., :n, :k], out=out[..., n:, k:])
-    np.negative(np.conjugate(m[..., n:, :k], out=out[..., :n, k:]), out=out[..., :n, k:])
-    np.negative(np.conjugate(m[..., :n, k:], out=out[..., n:, :k]), out=out[..., n:, :k])
-    return out
-
-
 # -- complex images, norms, kernels, eigen-spheres -------------------------
 
 
@@ -521,14 +504,19 @@ class SpectralDecomposition:
     ``owner[k]``; W is unit upper triangular, its block row k past the block
     the Y with T_kk Y - Y T_rest = T_k,rest, so W T W^-1 = diag(T_kk).
     Sphere i keeps its multiplicity and row i of ``singular_values``, those
-    of R_q(M) at its representative.  All of one matrix's consumers share it,
+    of R_q(M) at its representative.  For a diagonal A, ``entries`` holds
+    the entry of A whose eigenvalue sits at each diagonal position of T;
+    it is None for a Schur form.  All of one matrix's consumers share it,
     so its arrays are read-only.
 
     It also holds A's spectral projections, commuting idempotents splitting
     H^n along the spheres, with ``conditions``, their operator norms; a
-    multiplicity is the quaternionic rank of its projection.  ``certified``
-    is True when every sphere's eigenspace dimension matches its
-    multiplicity; defective spheres are computed but carry no certificate.
+    multiplicity is the quaternionic rank of its projection.  They stay
+    factored: sphere i's is A_i B_i for the ``projection_factors`` (A, B,
+    owner), and ``projections`` forms them as matrices only when read.
+    ``certified`` is True when every sphere's eigenspace dimension matches
+    its multiplicity; defective spheres are computed but carry no
+    certificate.
     """
 
     spheres: tuple[EigenSphere, ...]
@@ -541,10 +529,12 @@ class SpectralDecomposition:
     w: np.ndarray = field(repr=False)
     blocks: tuple[tuple[int, int], ...]
     owner: tuple[int, ...]
+    entries: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
-        for x in (self.singular_values, self.m, self.t, self.z, self.w):
-            x.setflags(write=False)
+        for x in (self.singular_values, self.m, self.t, self.z, self.w, self.entries):
+            if x is not None:
+                x.setflags(write=False)
 
     def kernel_dims(self, tol: float = 1e-10) -> tuple[int, ...]:
         """dim ker R_q(A) at each sphere at ``kernel_basis``'s tol, from its
@@ -556,41 +546,80 @@ class SpectralDecomposition:
     def certified(self) -> bool:
         return self.kernel_dims() == self.multiplicities
 
-    @property
+    @functools.cached_property
     def projections(self) -> tuple[QMatrix, ...]:
-        """One spectral projection per sphere, built and validated on first read."""
-        return self._validated[0]
+        """One spectral projection per sphere, formed from the validated
+        ``projection_factors`` on first read, one sphere at a time: A_i B_i
+        on the C_i block, its top block row [P1, P2] on chi(A)."""
+        a, b, owner = self.projection_factors
+        n = len(a) if self.half else len(a) // 2
+        out = []
+        for i in range(len(self.spheres)):
+            cols = owner == i
+            p = a[:n, cols] @ b[cols]
+            out.append(QMatrix(p, np.zeros_like(p)) if self.half else QMatrix(p[:, :n], p[:, n:]))
+        return tuple(out)
 
     @property
     def conditions(self) -> tuple[float, ...]:
+        return self._validated[0]
+
+    @property
+    def projection_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A, B and the sphere of each column of A, with A_i B_i (sphere
+        i's columns of A times the same rows of B) its projection of M,
+        validated on first read."""
         return self._validated[1]
 
     @functools.cached_property
-    def _validated(self) -> tuple[tuple[QMatrix, ...], tuple[float, ...]]:
-        """The projections and their conditions, kept from the first read on;
-        a failed validation raises and keeps nothing.
+    def _validated(self) -> tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The conditions and the projection factors, kept from the first
+        read on; a failed validation raises and keeps nothing.
 
-        ``projectors`` reads them from the Schur factors; nothing is
-        factored again.  ``_conditioned`` takes their conditions, refuses a
-        norm above CONDITION_LIMIT or a broken quaternionic structure (each
-        complex projection of a conjugate-closed spectral set descends to a
-        quaternionic matrix), and J-symmetrizes the stack.  One check,
-        ``_check_projections``, then validates what is returned: each
-        projection as the product A_i B_i of ``_projection_factors``.  A lone
-        sphere's projection is I exactly, of condition 1.
+        A lone sphere's projection is I, and a diagonal A's are the
+        coordinate projections onto the entries of each sphere: their
+        factors are I, I and the sphere of each coordinate of M, their
+        conditions exactly 1.  They sum to I, are orthogonal idempotents
+        and commute with a diagonal M exactly, so their one check is that
+        every entry has exactly one owner (``_coordinate_factors``).
+
+        Every other A's factors come from the Schur factors
+        (``_projection_factors``); nothing is factored again.
+        ``_conditioned`` reads their conditions and refuses a norm above
+        CONDITION_LIMIT or a broken quaternionic structure (each complex
+        projector of a conjugate-closed spectral set descends to a
+        quaternionic matrix).  One check, ``_check_projections``, then
+        validates the factors that are kept, in factored form.  No
+        (spheres, N, N) stack is formed.
         """
         count = len(self.spheres)
-        n = len(self.m) if self.half else len(self.m) // 2
-        if count < 2:
-            return (QMatrix.identity(n),) * count, (1.0,) * count
-        stack = self.projectors()
-        conditions = _conditioned(self, stack)
-        _check_projections(self.m, *_projection_factors(self), conditions)
-        if self.half:
-            projections = tuple(QMatrix(p, np.zeros_like(p)) for p in stack)
+        if count < 2 or self.entries is not None:
+            conditions, factors = (1.0,) * count, self._coordinate_factors()
         else:
-            projections = tuple(QMatrix(p[:n, :n], p[:n, n:]) for p in stack)
-        return projections, tuple(conditions)
+            conditions = tuple(_conditioned(self))
+            factors = _projection_factors(self)
+            _check_projections(self.m, *factors, conditions)
+        for x in factors:
+            x.setflags(write=False)
+        return conditions, factors
+
+    def _coordinate_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """I, I and the sphere of each coordinate of M, for a lone sphere or
+        a diagonal A; on chi(A) coordinates k and n + k are entry k's.  An
+        entry whose eigenvalues went to two spheres would make no
+        quaternionic projection, and raises as such."""
+        size = len(self.m)
+        if self.entries is None:
+            owner = np.zeros(size, dtype=np.intp)
+        else:
+            at, _ = self.positions
+            sphere = np.full(size if self.half else size // 2, -1)
+            sphere[self.entries] = at
+            if sphere.min() < 0 or not np.array_equal(sphere[self.entries], at):
+                raise NumericalError("projection broke the quaternionic structure")
+            owner = sphere if self.half else np.concatenate([sphere, sphere])
+        eye = np.eye(size)
+        return eye, eye, owner
 
     @functools.cached_property
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -609,11 +638,13 @@ class SpectralDecomposition:
         x, _ = _lapack().ztrtri(self.w, unitdiag=1)    # unit triangular: never singular
         return self.z @ x, self.w @ self.z.conj().T
 
-    @functools.cached_property
+    @property
     def sphere_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Sphere i's columns of V and rows of U, stacked along the first axis
-        and padded with zeros to the widest sphere: its projector is the
-        product of the two."""
+        and padded with zeros to the widest sphere: its spectral projector
+        of M, Z W^-1[:, S] W[S, :] Z^H over its diagonal positions S, is the
+        product of the two.  Formed on each read, for validation, and not
+        kept."""
         v, u = self.factors
         owner, slot = self.positions
         size, width = len(self.t), int(slot.max()) + 1
@@ -623,13 +654,6 @@ class SpectralDecomposition:
         us[owner, slot, :] = u
         return vs, us
 
-    def projectors(self) -> np.ndarray:
-        """Each sphere's spectral projector of M, stacked along the first
-        axis: Z W^-1[:, S] W[S, :] Z^H over the sphere's diagonal positions
-        S."""
-        vs, us = self.sphere_factors
-        return vs @ us
-
 
 def _fro(x: np.ndarray) -> np.ndarray:
     """Frobenius norms of the matrices of a complex stack."""
@@ -637,23 +661,22 @@ def _fro(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
-def _conditioned(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]:
-    """The conditions |V_i U_i|_2 of the projector stack, from each
-    sphere's columns of V and rows of U; each sphere's condition is checked
-    against CONDITION_LIMIT and its projector against the quaternionic
-    structure, then the stack is J-symmetrized in place.
+#: entries of the projectors the structure test forms at a time: a chunk of
+#: spheres, so that no (spheres, N, N) stack is formed at once
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _conditioned(dec: SpectralDecomposition) -> list[float]:
+    """The conditions |V_i U_i|_2 of the spheres' projectors, from each
+    sphere's columns of V and rows of U; sphere by sphere, its condition is
+    checked against CONDITION_LIMIT and its projector against the
+    quaternionic structure (``_structure_defects``).
     """
-    count, size = stack.shape[:2]
     vs, us = dec.sphere_factors
     # V_i = Q R with orthonormal Q, so |V_i U_i| = |R U_i|
     conditions = np.linalg.svd(np.linalg.qr(vs, mode="r") @ us, compute_uv=False)[:, 0]
     # a projector P of the C_i block is diag(P, conj P) on chi(A)
-    broken = np.zeros(count)
-    if not dec.half:
-        # P - J conj(P) J^-1 is minus its own J-conjugate: its lower half
-        # rows are the conjugates of the upper half's
-        sym = _j_conj(stack)
-        broken = math.sqrt(2.0) * _fro(stack[:, :size // 2] - sym[:, :size // 2])
+    broken = np.zeros(len(vs)) if dec.half else _structure_defects(vs, us)
     for i, s in enumerate(dec.spheres):
         if conditions[i] > CONDITION_LIMIT:
             raise NumericalError(
@@ -661,18 +684,35 @@ def _conditioned(dec: SpectralDecomposition, stack: np.ndarray) -> list[float]:
                 f"norm {conditions[i]:.3e}, beyond the conditioning limit")
         if broken[i] > 1e-6 * max(1.0, conditions[i]):
             raise NumericalError("projection broke the quaternionic structure")
-    if not dec.half:
-        stack += sym
-        stack *= 0.5
     return [float(c) for c in conditions]
+
+
+def _structure_defects(vs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """|P_i - J conj(P_i) J^-1|_F with J = [[0, I], [-I, 0]] for each
+    projector P_i = V_i U_i of chi(A), formed a chunk of spheres at a time.
+
+    The residual is minus its own J-conjugate, so its lower half rows are
+    the conjugates of its upper half's: the norm is sqrt(2) times that of
+    the upper half [P11 - conj P22, P12 + conj P21].
+    """
+    count, size = vs.shape[:2]
+    n = size // 2
+    step = max(1, _CHUNK_ENTRIES // (size * size))
+    out = np.empty(count)
+    for lo in range(0, count, step):
+        p = vs[lo:lo + step] @ us[lo:lo + step]
+        sym = np.concatenate([np.conj(p[:, n:, n:]), -np.conj(p[:, n:, :n])], axis=2)
+        out[lo:lo + step] = math.sqrt(2.0) * _fro(p[:, :n] - sym)
+    return out
 
 
 def _projection_factors(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A, B and the sphere of each column of A, with A_i B_i (sphere i's
-    columns of A times the same rows of B) its validated projection.  From
-    V = Z W^-1 and U = W Z^H: on the C_i block A = V and B = U; on chi(A)
-    A = [V, J conj(V)] and B = [U; conj(U) J^-1] / 2, so that A_i B_i =
-    (V_i U_i + J conj(V_i U_i) J^-1) / 2, the J-symmetrized projector."""
+    columns of A times the same rows of B) its projection, from V = Z W^-1
+    and U = W Z^H: on the C_i block A = V and B = U; on chi(A) A = [V,
+    J conj(V)] and B = [U; conj(U) J^-1] / 2, so that A_i B_i = (V_i U_i +
+    J conj(V_i U_i) J^-1) / 2, the J-symmetrized projector, whose top block
+    row is a quaternionic matrix."""
     v, u = dec.factors
     owner, _ = dec.positions
     if dec.half:
@@ -763,7 +803,7 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
 
     Built once per matrix: the first call keeps it with A (a copy of A does
     not), later calls return it, and a failed build keeps nothing.  Its
-    projections are built, the same way, on their first read.
+    projections are validated, the same way, on their first read.
 
     ``_split_schur`` splits the form into blocks, each gathered by
     ``ztrsen`` and split off by the rows of W one ``ztrsyl`` solve gives.  A
@@ -779,7 +819,8 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     A diagonal A (``QMatrix.is_diagonal``) takes no Schur form: its image
     is already one, up to a unitary 2 x 2 change of basis per entry, and
     ``_diagonal_decomposition`` reads T, Z and the singular values off the
-    entries.  The same blocks, spheres, checks and errors follow.
+    entries.  The same blocks, spheres, checks and errors follow, and its
+    projections are the coordinate projections onto each sphere's entries.
     """
     dec = getattr(a, "_spectral", None)
     if dec is None:
@@ -794,7 +835,7 @@ def _decompose(a: QMatrix) -> SpectralDecomposition:
     m, half = complex_image(a)
     if a.rows == 0:
         return SpectralDecomposition((), (), np.empty((0, 0)), m, half,
-                                     *[np.eye(0)] * 3, (), ())
+                                     *[np.eye(0)] * 3, (), (), None)
     if a.is_diagonal:
         return _diagonal_decomposition(a, m, half)
     return _schur_decomposition(a, m, half)
@@ -809,7 +850,7 @@ def _schur_decomposition(a: QMatrix, m: np.ndarray, half: bool) -> SpectralDecom
     values = np.concatenate(list(resolvent_singular_values(
         m, [s.re for s in spheres], [s.im for s in spheres])))
     return _checked(a, SpectralDecomposition(spheres, mult, values, m, half, t, z, w,
-                                             tuple(blocks), tuple(owner.tolist())))
+                                             tuple(blocks), tuple(owner.tolist()), None))
 
 
 def _block_spheres(t: np.ndarray, blocks: list, half: bool) -> tuple:
@@ -849,9 +890,11 @@ def _diagonal_decomposition(a: QMatrix, m: np.ndarray, half: bool) -> SpectralDe
     each group of linked eigenvalues is contiguous, one block each, as
     ``_split_schur`` finds them.  R_q(A) is diagonal with entries of modulus
     |g - lam| |g - conj lam| (lam = x' + s' I_g at the sphere (x', s')), so
-    those are its singular values, twice each in chi(A).  Errors are those
-    of the Schur route: a non-finite entry, and an R_q past double
-    precision, raise its messages.
+    those are its singular values, twice each in chi(A).  ``entries``
+    records the entry behind each position, so that the sphere owning it
+    gives the entry's coordinate projection.  Errors are those of the
+    Schur route: a non-finite entry, and an R_q past double precision,
+    raise its messages.
     """
     if not np.isfinite(m).all():
         raise NumericalError(NOT_FINITE)
@@ -888,7 +931,7 @@ def _diagonal_decomposition(a: QMatrix, m: np.ndarray, half: bool) -> SpectralDe
     values = -np.sort(-values, axis=1)
     w = np.eye(len(t), dtype=np.complex128)
     return _checked(a, SpectralDecomposition(spheres, mult, values, m, half, t, z, w,
-                                             tuple(blocks), tuple(owner.tolist())))
+                                             tuple(blocks), tuple(owner.tolist()), order % n))
 
 
 def _check_resolvent_finite(g1: np.ndarray, g2: np.ndarray, half: bool, xs: np.ndarray,

@@ -13,8 +13,10 @@ orthonormal bases; and the arc rasterizer that placed one sample point at a
 time; the kernel dimension from a matrix's own SVD, and subspace membership
 from the projection's residual; the kernel count of one matrix at a time,
 sphere clusters built from one ``EigenSphere`` per input, and the largest
-column of each projection from its own ``col_norms``.  Kept so that tests
-can compare the two routes.
+column of each projection from its own ``col_norms``; and the
+J-conjugation M -> J conj(M) J^-1 whose fixed points are the chi images,
+which J-symmetrized the projector stacks the library no longer forms.
+Kept so that tests can compare the two routes.
 
 Also the shifts' banded route written out plainly: the interleaved
 Golub-Kahan matrix of a kept section built entry by entry, its band copied
@@ -32,9 +34,9 @@ import numpy as np
 import scipy.linalg
 
 from qspec.errors import NumericalError
-from qspec.qlinalg import (CONDITION_LIMIT, QMatrix, QVector, SubspaceBasis, _j_conj,
-                           _kernel_dim, _singular_values, complex_adjoint, inner,
-                           min_singular, op_norm, pseudo_resolvent)
+from qspec.qlinalg import (CONDITION_LIMIT, QMatrix, QVector, SubspaceBasis, _kernel_dim,
+                           _singular_values, complex_adjoint, inner, min_singular, op_norm,
+                           pseudo_resolvent)
 from qspec.quat import (EigenSphere, Quaternion, cluster_spheres, linked_components,
                         merge_spheres, sphere_union)
 from qspec.spectral import SphereFlags, SpectrumReport, membership_threshold
@@ -102,6 +104,23 @@ def object_clusters(spheres, tol: float) -> tuple[tuple[EigenSphere, ...], np.nd
             np.array([where[int(r)] for r in root], dtype=np.intp))
 
 
+def j_conj(m: np.ndarray) -> np.ndarray:
+    """M -> J conj(M) J^-1 with J = [[0, I], [-I, 0]], over the last two axes,
+    as a new array.
+
+    chi images are exactly its fixed points, so a stack of complex
+    adjoints maps to itself.
+    """
+    n, k = m.shape[-2] // 2, m.shape[-1] // 2
+    out = np.empty_like(m)
+    # block by block through out=, so that a stack costs no temporaries
+    np.conjugate(m[..., n:, k:], out=out[..., :n, :k])
+    np.conjugate(m[..., :n, :k], out=out[..., n:, k:])
+    np.negative(np.conjugate(m[..., n:, :k], out=out[..., :n, k:]), out=out[..., :n, k:])
+    np.negative(np.conjugate(m[..., :n, k:], out=out[..., n:, :k]), out=out[..., n:, :k])
+    return out
+
+
 def largest_columns(projections) -> list[float]:
     """The largest column norm of each projection, one ``col_norms`` each."""
     return [float(np.max(p.col_norms())) for p in projections]
@@ -161,7 +180,7 @@ def projection_set(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> ProjectionSe
             cond = float(np.linalg.norm(p, 2))
             if cond > CONDITION_LIMIT:
                 raise NumericalError(f"projection norm {cond:.3e} beyond the limit")
-            sym = 0.5 * (p + _j_conj(p))
+            sym = 0.5 * (p + j_conj(p))
             projections.append(QMatrix(sym[:n, :n], sym[:n, n:]))
             conditions.append(cond)
     validate_projections(a, projections, conditions)

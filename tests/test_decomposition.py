@@ -5,6 +5,7 @@ local spectra: cross-tested against the eigvals route it replaced
 import ast
 import importlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from test_spectral import _rotated
 from qspec import localspec, qlinalg, rand, spectral
 from qspec.errors import NumericalError, ShapeError
 from qspec.operators import MultiplicationOperator
-from qspec.qlinalg import (QMatrix, QVector, _j_conj, _kernel_dim, _singular_values,
+from qspec.qlinalg import (QMatrix, QVector, _kernel_dim, _singular_values,
                            complex_adjoint, complex_image, op_norm,
                            pseudo_resolvent, resolvent_singular_values, spectral_decomposition)
 from qspec.quat import EigenSphere, Quaternion, SliceUnit, slice_compose
@@ -159,19 +160,26 @@ def test_spectral_projections_returns_the_decomposition():
 
 
 def test_projections_are_built_on_their_first_read(monkeypatch):
-    built = _counted_projectors(monkeypatch)
+    built = _counted_projections(monkeypatch)
     a = rand.rand_qmatrix(rand.generator(22, 0), 4, 4)
     dec = spectral_decomposition(a)
     spectral.classify(a)
     assert built == [] and "_validated" not in vars(dec)
     conditions = dec.conditions
-    assert built == [dec] and "_validated" in vars(dec)
+    assert built == [] and "_validated" in vars(dec)
     assert localspec.spectral_projections(a) is dec and dec.conditions is conditions
+    # the verdict and local spectra read the factors, not the matrices
+    localspec.decomposability_necessary(a)
+    localspec.local_spectrum(a, QVector.basis(4, 0))
+    assert built == []
     assert len(dec.projections) == len(dec.spheres) and built == [dec]
+    assert dec.projections is dec.projections and built == [dec]
 
 
 def test_failed_validation_raises_again_and_keeps_nothing(monkeypatch):
-    a = QMatrix.diag([Quaternion(1.0, 0.5), Quaternion(-1.0, 0.3), Quaternion(2.0)])
+    # not diagonal: a diagonal matrix's projections take no factored check
+    a = _rotated(QMatrix.diag([Quaternion(1.0, 0.5), Quaternion(-1.0, 0.3), Quaternion(2.0)]))
+    assert not a.is_diagonal
     dec = spectral_decomposition(a)
     fa, fb, owner = qlinalg._projection_factors(dec)
     monkeypatch.setattr(qlinalg, "_projection_factors", lambda dec: (fa, 1.01 * fb, owner))
@@ -210,23 +218,28 @@ def test_only_qlinalg_writes_a_decomposition():
                 assert isinstance(target, ast.Name) and target.id == "self", name
 
 
-def _counted_projectors(monkeypatch) -> list:
-    """The decompositions whose projector stack is built from now on."""
+def _counted_projections(monkeypatch) -> list:
+    """The decompositions whose projections are formed as QMatrix objects
+    from now on."""
+    import functools
+
     from qspec.qlinalg import SpectralDecomposition
 
     built = []
-    projectors = SpectralDecomposition.projectors
+    form = SpectralDecomposition.projections.func
 
     def counted(self):
         built.append(self)
-        return projectors(self)
+        return form(self)
 
-    monkeypatch.setattr(SpectralDecomposition, "projectors", counted)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(SpectralDecomposition, "projections")
+    monkeypatch.setattr(SpectralDecomposition, "projections", prop)
     return built
 
 
 def test_intertwining_builds_one_projector_stack_per_matrix(monkeypatch):
-    built = _counted_projectors(monkeypatch)
+    built = _counted_projections(monkeypatch)
     rng = rand.generator(23, 0)
     a1, a2 = rand.rand_qmatrix(rng, 2, 2), rand.rand_qmatrix(rng, 3, 3)
     a = QMatrix(np.block([[a1.c1, np.zeros((2, 3))], [np.zeros((3, 2)), a2.c1]]),
@@ -391,10 +404,12 @@ def test_coupling_matrix_block_diagonalizes_the_schur_form(label, a):
 
 
 def _factored(a: QMatrix):
-    """The factors A, B, the sphere of each column of A and the conditions,
-    exactly as ``spectral_projections`` hands them to ``_check_projections``."""
+    """The factors A, B, the sphere of each column of A and the conditions
+    that ``spectral_projections`` keeps: for a matrix with two spheres or
+    more that is not diagonal, exactly those it hands to
+    ``_check_projections``; else the coordinate factors I, I."""
     dec = localspec.spectral_projections(a)
-    return qlinalg._projection_factors(dec), list(dec.conditions)
+    return dec.projection_factors, list(dec.conditions)
 
 
 def _pulled(a: QMatrix, factors) -> list[QMatrix]:
@@ -493,15 +508,19 @@ def test_stacked_validator_matches_reference(label, a):
 def test_block_check_accepts_valid_projections(label, a, monkeypatch):
     # every valid set passes in the block coordinates of the factors, the
     # ill-conditioned ones too, with no residual formed; every set gets the
-    # conditions of the stacked SVD to rounding from the factors, and comes
-    # out J-symmetrized
+    # conditions of the stacked SVD to rounding from the factors, and the
+    # structure defects |P - J conj(P) J^-1|_F of the whole projectors from
+    # their top halves
     dec = spectral_decomposition(QMatrix(a.c1, a.c2))
-    stack = dec.projectors()
+    vs, us = dec.sphere_factors
+    stack = vs @ us
     want = np.linalg.norm(stack, 2, axis=(1, 2))
-    conditions = qlinalg._conditioned(dec, stack)
+    conditions = qlinalg._conditioned(dec)
     assert np.allclose(conditions, want, rtol=1e-12, atol=0.0)
     if not dec.half:
-        assert np.array_equal(stack, _j_conj(stack))
+        defects = np.linalg.norm(stack - ref.j_conj(stack), axis=(1, 2))
+        got = qlinalg._structure_defects(vs, us)
+        assert np.all(np.abs(got - defects) <= 1e-12 * defects + 1e-30)
     monkeypatch.setattr(qlinalg, "_exceeds", _never_formed)
     qlinalg._check_projections(dec.m, *qlinalg._projection_factors(dec), conditions)
 
@@ -564,11 +583,16 @@ def test_checked_factors_give_the_returned_projections(label, a, monkeypatch):
     monkeypatch.setattr(qlinalg, "_check_projections", recorded)
     a = QMatrix(a.c1, a.c2)    # a matrix of its own, with no projections kept yet
     dec = localspec.spectral_projections(a)
-    if len(dec.spheres) < 2:
-        one = dec.projections[0]
-        assert checked == [] and np.array_equal(one.c1, np.eye(a.rows)) and not one.c2.any()
-        return
-    [factors] = checked
+    factors = dec.projection_factors
+    if len(dec.spheres) < 2 or a.is_diagonal:
+        # coordinate projections, exact: nothing to check but their owners
+        eye = np.eye(len(dec.m))
+        assert checked == [] and all(np.array_equal(f, eye) for f in factors[:2])
+        if len(dec.spheres) < 2:
+            one = dec.projections[0]
+            assert np.array_equal(one.c1, np.eye(a.rows)) and not one.c2.any()
+    else:
+        assert len(checked) == 1 and all(x is y for x, y in zip(checked[0], factors))
     for p, q in zip(dec.projections, _pulled(a, factors)):
         got = p.c1 if dec.half else complex_adjoint(p)
         want = q.c1 if dec.half else complex_adjoint(q)
@@ -577,35 +601,112 @@ def test_checked_factors_give_the_returned_projections(label, a, monkeypatch):
 
 @pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
 def test_spectral_projections_builds_the_stack_once(label, a, monkeypatch):
-    built = _counted_projectors(monkeypatch)
+    # validation, the verdict and local spectra form no QMatrix projection;
+    # the first read of ``projections`` forms them, once
+    built = _counted_projections(monkeypatch)
     a = QMatrix(a.c1, a.c2)    # a matrix of its own, with no projections kept yet
     dec = spectral_decomposition(a)
     localspec.spectral_projections(a)
     localspec.spectral_projections(a)
-    # a lone sphere's projection is I, with no stack built
-    assert built == ([dec] if len(dec.spheres) > 1 else [])
+    localspec.decomposability_necessary(a)
+    localspec.local_spectrum(a, QVector.basis(a.rows, 0))
+    assert built == []
+    assert dec.projections is dec.projections and built == [dec]
+
+
+#: the relative gap allowed between a factored read and the same number from
+#: the formed QMatrix projections: both round sums of K = 2N <= 120 terms of
+#: size up to cond^2 |x|^2, cond <= 30 on these inputs, about 2e-11 at
+#: worst (4e-16 measured on them)
+FACTORED_RTOL = 1e-10
+
+
+def _assert_factored_reads_match(label: str, a: QMatrix, vectors) -> None:
+    """The factored reads of A's projections against the matrix route of
+    ``spectral_reference``: each sphere's largest column norm, and |P_i phi|
+    as ``local_spectrum`` sees it, for each of ``vectors``.  Scaled (or
+    with tol set) to straddle the threshold by 0.1 %, the two routes keep
+    the same spheres."""
+    dec = localspec.spectral_projections(a)
+    fa, fb, owner = dec.projection_factors
+    count = len(dec.spheres)
+    want = ref.largest_columns(dec.projections)
+    got = localspec._largest_columns(fa, fb, owner, count, a.rows)
+    assert np.allclose(got, want, rtol=FACTORED_RTOL, atol=0.0), label
+    for top in want:
+        assert top >= 1.0 / math.sqrt(a.rows) * (1.0 - FACTORED_RTOL), label
+        for f in (0.999, 1.001):
+            scale = f * localspec.MEMBER_TOL / top
+            scaled = localspec._largest_columns(scale * fa, fb, owner, count, a.rows)
+            kept = [x > localspec.MEMBER_TOL for x in scaled]
+            assert kept == [x > localspec.MEMBER_TOL for x in ref.largest_columns(
+                [p.scale(scale) for p in dec.projections])], label
+    for phi in vectors:
+        norm = phi.norm()
+        seen = [p.apply(phi).norm() for p in dec.projections]
+        assert np.allclose(localspec._applied_norms(dec, phi), seen,
+                           rtol=FACTORED_RTOL, atol=FACTORED_RTOL * max(dec.conditions) * norm)
+        assert localspec.local_spectrum(a, phi) == tuple(
+            s for s, x in zip(dec.spheres, seen) if x > localspec.MEMBER_TOL * norm), label
+        for x in seen:
+            # a norm well above the rounding of both routes
+            if x > 1e-4 * norm:
+                for f in (0.999, 1.001):
+                    tol = f * x / norm
+                    assert localspec.local_spectrum(a, phi, tol) == tuple(
+                        s for s, y in zip(dec.spheres, seen) if y > tol * norm), label
+
+
+def _vectors(a: QMatrix, seed: int) -> list[QVector]:
+    """A seeded vector, the first and last basis vectors, and a column of
+    the first projection, which lies in one sphere's range."""
+    rng = np.random.default_rng([seed, a.rows])
+    n = a.rows
+    first = localspec.spectral_projections(a).projections[0]
+    return [QVector.from_components(rng.normal(size=(n, 4))), QVector.basis(n, 0),
+            QVector.basis(n, n - 1), first.col(int(np.argmax(first.col_norms())))]
 
 
 @pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
 def test_local_union_reads_each_projections_own_column_norms(label, a):
-    # one pass over all projections gives each one's largest col_norms
-    # value bit for bit, so the decomposability verdict keeps the spheres
-    # it kept; scaled to straddle MEMBER_TOL, the two routes keep the same
-    dec = localspec.spectral_projections(a)
-    assert localspec._largest_columns(dec.projections) == ref.largest_columns(dec.projections)
-    for top in ref.largest_columns(dec.projections):
-        for f in (0.999, 1.0, 1.001):
-            scaled = [p.scale(f * localspec.MEMBER_TOL / top) for p in dec.projections]
-            got = localspec._largest_columns(scaled)
-            assert got == ref.largest_columns(scaled), label
-    assert localspec._largest_columns(()) == []
+    # the factored column norms and local spectra match each projection's
+    # own col_norms and apply to rounding, so the decomposability verdict
+    # and local spectra keep the spheres they kept
+    _assert_factored_reads_match(label, a, _vectors(a, 31))
+    empty = np.eye(0)
+    assert localspec._largest_columns(empty, empty, np.zeros(0, dtype=int), 0, 0) == []
+
+
+def test_factored_reads_match_the_matrix_route_on_golden_and_gate_inputs(tmp_path):
+    # the golden inputs and the 504 inputs of the matrix and classify gates
+    from test_golden import COUNT, build_case
+    from test_spectral import _workloads
+
+    from qspec import io as qio
+
+    inputs = []
+    for idx in range(COUNT):
+        name, op, text, _ = build_case(idx)
+        inputs.append((name, qio.parse_qmat(text) if op == "dense"
+                       else qio.parse_qfun(text).as_qmatrix()))
+    for seed in (51, 52, 53):
+        folder = tmp_path / str(seed)
+        folder.mkdir()
+        for req in _workloads().build_matrix(np.random.default_rng([seed, 1]), str(folder)):
+            kind, path = req.argv[-1].split(":", 1)
+            text = qio.read_text(path)
+            inputs.append((f"{seed}-{os.path.basename(path)}", qio.parse_qmat(text)
+                           if kind == "dense" else qio.parse_qfun(text).as_qmatrix()))
+    assert len(inputs) == COUNT + 504
+    for k, (label, a) in enumerate(inputs):
+        _assert_factored_reads_match(label, a, _vectors(a, k)[:1])
 
 
 def _rotation(rng, n: int, angle: float) -> np.ndarray:
     """chi of a quaternionic unitary exp(angle K), K skew-Hermitian."""
     b = rand.rand_qmatrix(rng, n, n)
     u = scipy.linalg.expm(angle * complex_adjoint(b - b.adjoint()))
-    return 0.5 * (u + _j_conj(u))
+    return 0.5 * (u + ref.j_conj(u))
 
 
 @pytest.mark.parametrize("label,a", [(lab, a) for lab, a in VALIDATOR_INPUTS
@@ -642,21 +743,21 @@ def test_frobenius_screen_defers_to_the_svd_and_accepts(monkeypatch):
 def test_spectral_projections_reaches_every_raise_path(monkeypatch):
     from qspec.qlinalg import SpectralDecomposition
 
-    a = QMatrix.diag([Quaternion(1.0, 0.5, 0.2, 0.0), Quaternion(-1.0, 0.3, 0.0, 0.4),
-                      Quaternion(2.0, 0.0, 0.0, 0.0)])
-    stack = spectral_decomposition(a).projectors()
+    # not diagonal: a diagonal matrix's coordinate projections take none of
+    # these paths (tests/test_diagonal.py)
+    a = _rotated(QMatrix.diag([Quaternion(1.0, 0.5, 0.2, 0.0), Quaternion(-1.0, 0.3, 0.0, 0.4),
+                               Quaternion(2.0, 0.0, 0.0, 0.0)]))
+    assert not a.is_diagonal
     factors, _ = _factored(a)
     fa, fb, owner = factors
 
-    def raised(sphere_factors=None, stack=None, factors=None) -> str:
-        # conditioning faults go in through the sphere factors the conditions
-        # are read from, structure faults through the stack, and the others
-        # through the factors the check reads
+    def raised(sphere_factors=None, factors=None) -> str:
+        # conditioning and structure faults go in through the sphere factors
+        # the conditions and the projectors' structure are read from, and
+        # the others through the factors the check reads
         if sphere_factors is not None:
             monkeypatch.setattr(SpectralDecomposition, "sphere_factors",
                                 property(lambda self: sphere_factors))
-        if stack is not None:
-            monkeypatch.setattr(SpectralDecomposition, "projectors", lambda self: stack.copy())
         if factors is not None:
             monkeypatch.setattr(qlinalg, "_projection_factors", lambda dec: factors)
         with pytest.raises(NumericalError) as info:
@@ -666,12 +767,14 @@ def test_spectral_projections_reaches_every_raise_path(monkeypatch):
         return str(info.value)
 
     vs, us = spectral_decomposition(a).sphere_factors
-    vs = vs.copy()
-    vs[1] *= 1e9
-    assert "beyond the conditioning limit" in raised(sphere_factors=(vs, us))
-    foreign = stack.copy()
+    big = vs.copy()
+    big[1] *= 1e9
+    assert "beyond the conditioning limit" in raised(sphere_factors=(big, us))
+    # one entry of U_0 moved: P_0 = V_0 U_0 gains a rank-one term that is
+    # not J-symmetric
+    foreign = us.copy()
     foreign[0, 0, 1] += 1e-3
-    assert raised(stack=foreign) == "projection broke the quaternionic structure"
+    assert raised(sphere_factors=(vs, foreign)) == "projection broke the quaternionic structure"
     assert raised(factors=(fa, 1.01 * fb, owner)) == \
         "spectral projections do not sum to the identity"
     assert raised(factors=_copied(factors, 0, 1, 1e-4, moved=True)) == \

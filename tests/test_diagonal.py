@@ -3,6 +3,7 @@
 route and the power loop, which every other matrix takes, are their
 reference here."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 import spectral_reference as ref
 from test_golden import COUNT, build_case
 
-from qspec import io, qlinalg, spectral
+from qspec import io, localspec, qlinalg, spectral
 from qspec.errors import NumericalError
-from qspec.qlinalg import RESOLVENT_OVERFLOW, QMatrix, complex_image, op_norm
+from qspec.qlinalg import RESOLVENT_OVERFLOW, QMatrix, QVector, complex_image, op_norm
 from qspec.quat import SPHERE_MERGE_TOL, Quaternion
 
 EPS = np.finfo(float).eps
@@ -84,6 +85,14 @@ def test_closed_form_matches_the_schur_route(label, a):
     assert got.certified == want.certified
     for p, q in zip(got.projections, [want.projections[j] for j in order]):
         assert op_norm(p - q) <= 1e-10
+    # coordinate projections: 0/1 on the diagonal, exactly, of condition 1,
+    # and the full factored check accepts them with no residual formed
+    assert got.conditions == (1.0,) * len(got.spheres)
+    for p in got.projections:
+        assert np.array_equal(p.c1, np.diag(p.c1.diagonal())) and not p.c2.any()
+        assert set(p.c1.diagonal().tolist()) <= {0.0, 1.0}
+    assert np.array_equal(sum(p.c1 for p in got.projections), np.eye(a.rows))
+    qlinalg._check_projections(got.m, *got.projection_factors, got.conditions)
     # the form is a Schur form of the image with W = I: Z unitary, T diagonal
     size = len(got.t)
     assert np.array_equal(got.w, np.eye(size)) and np.array_equal(got.t, np.diag(got.t.diagonal()))
@@ -161,6 +170,53 @@ def test_diagonal_matrices_take_no_schur_form(monkeypatch):
         b = QMatrix(a.c1, a.c2)
         spectral.classify(b)
         qlinalg.spectral_decomposition(b).projections
+
+
+def test_diagonal_verdict_makes_no_lapack_call_and_no_svd(monkeypatch):
+    # classify, the decomposability verdict, local spectra and the
+    # projections of a diagonal matrix come off its entries
+    def refused(*args, **kwargs):
+        raise AssertionError("a diagonal matrix made a LAPACK call or an SVD")
+
+    class Refused:
+        def __getattr__(self, attr):
+            return refused
+
+    monkeypatch.setattr(qlinalg, "_lapack", Refused)
+    for name in ("svd", "qr", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    monkeypatch.setattr(qlinalg, "_conditioned", refused)
+    monkeypatch.setattr(qlinalg, "_factored_residuals", refused)
+    for label, a in INPUTS:
+        b = QMatrix(a.c1, a.c2)
+        report = spectral.classify(b)
+        assert localspec.decomposability_necessary(b, report=report).status == "PASS", label
+        localspec.local_spectrum(b, QVector.basis(b.rows, 0))
+        assert len(localspec.spectral_projections(b).projections) == len(report.spheres)
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["chi", "complex-slice"])
+def test_an_entry_with_two_owners_breaks_the_structure(half):
+    # the one check of coordinate projections: every entry of A has exactly
+    # one owner among the spheres.  On chi(A) an entry whose two positions
+    # went to two spheres has two; on the C_i block a position moved onto
+    # another entry leaves one entry with none
+    a = (QMatrix(np.diag([1.0 + 2j, -0.5j, 3.0]), np.zeros((3, 3))) if half
+         else _diag((1.0, 0.5, 0.0, 0.0), (-1.0, 0.0, 0.3, 0.0), (2.0, 0.0, 0.0, 0.0)))
+    dec = qlinalg.spectral_decomposition(a)
+    owner, _ = dec.positions
+    entries = np.array(dec.entries)
+    p, q = 0, int(np.flatnonzero(owner != owner[0])[0])
+    if half:
+        entries[p] = entries[q]
+    else:
+        entries[p], entries[q] = entries[q], entries[p]
+    broken = dataclasses.replace(dec, entries=entries)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="projection broke the quaternionic structure"):
+            broken.conditions
+        assert "_validated" not in vars(broken)
+    assert dec.conditions == (1.0,) * len(dec.spheres)
 
 
 def test_is_diagonal_reads_the_entries():

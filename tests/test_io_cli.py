@@ -578,8 +578,9 @@ def test_cli_tol_and_seed_still_work_where_read(tmp_path, capsys):
     assert code == 0 and out.startswith("suite scalar-algebra")
 
 
-#: functions deleted along with their settings
-GONE = {"lower_bound_i"}
+#: functions deleted along with their settings, or moved out of the library
+#: (``_j_conj`` is ``tests/spectral_reference.py``'s ``j_conj``)
+GONE = {"lower_bound_i", "_j_conj"}
 
 
 @pytest.mark.parametrize("module, function, name", [

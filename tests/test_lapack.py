@@ -102,22 +102,22 @@ def test_zgees_matches_scipy_schur(routes, monkeypatch, n):
 
 #: the calls that ``classify`` and ``decomposability_necessary`` make on three
 #: golden matrices, one of each kind of ``matrix`` benchmark request: (zgees,
-#: ztrsen, ztrsyl, numpy SVD).  zgees runs twice per Schur form, a workspace
-#: query first.  A change that keeps the input bits of every call, as the
-#: output gate's digests require, keeps these counts.  A diagonal input reads
-#: its decomposition and growth bounds off its entries: it makes no Schur,
-#: reordering or Sylvester call and no power or resolvent SVD, and its one
-#: SVD is the projections' conditions.
+#: ztrsen, ztrsyl, ztrtri, numpy SVD).  zgees runs twice per Schur form, a
+#: workspace query first, and ztrtri inverts W once for the projection
+#: factors.  A change that keeps the input bits of every call, as the output
+#: gate's digests require, keeps these counts.  A diagonal input reads its
+#: decomposition, growth bounds and coordinate projections off its entries:
+#: it makes no LAPACK call and no SVD.
 CLASSIFY_CALLS = {
-    "g06-generic-dense-n9": (2, 1, 15, 3),
-    "g08-imaginary-dense-n11": (2, 2, 7, 3),
-    "g10-repeated-mult-n13": (0, 0, 0, 1),
+    "g06-generic-dense-n9": (2, 1, 15, 1, 3),
+    "g08-imaginary-dense-n11": (2, 2, 7, 1, 3),
+    "g10-repeated-mult-n13": (0, 0, 0, 0, 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFY_CALLS))
 def test_classify_makes_the_recorded_lapack_calls(name, monkeypatch):
-    calls = dict.fromkeys(("zgees", "ztrsen", "ztrsyl", "svd"), 0)
+    calls = dict.fromkeys(("zgees", "ztrsen", "ztrsyl", "ztrtri", "svd"), 0)
     lapack, svd = qlinalg._lapack(), np.linalg.svd
 
     def counted(key, routine):
@@ -138,7 +138,7 @@ def test_classify_makes_the_recorded_lapack_calls(name, monkeypatch):
     assert got_name == name
     report = spectral.classify(a)
     localspec.decomposability_necessary(a, report=report)
-    assert (calls["zgees"], calls["ztrsen"], calls["ztrsyl"], calls["svd"]) == CLASSIFY_CALLS[name]
+    assert tuple(calls.values()) == CLASSIFY_CALLS[name]
 
 
 def _count_calls(monkeypatch, names) -> dict[str, int]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import spectral_reference as ref
+from test_spectral import _rotated
 
 from qspec import rand, spectral
 from qspec.errors import PoleError
@@ -97,24 +98,43 @@ def test_single_sphere_projection_is_exactly_the_identity():
         assert not np.any(ps.projections[0].c2)
 
 
+def _memory_inputs():
+    """(label, matrix): 40 spheres of equal width at n = 40, and one 30-fold
+    sphere (on 30 slices) among 31 at n = 60, each rotated off the diagonal,
+    where the coordinate projections would take over."""
+    n = 40
+    equal = QMatrix(np.diag(np.arange(1.0, n + 1) + 0.3j), np.diag(np.full(n, 0.4 + 0j)))
+    units = np.random.default_rng(7).normal(size=(30, 3))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    entries = [Quaternion(0.5, *(1.2 * u)) for u in units]
+    entries += [Quaternion(-2.0 + 4.0 * k / 30, 0.3 + 0.05 * k) for k in range(30)]
+    return [("equal-widths", _rotated(equal)), ("mixed-widths", _rotated(QMatrix.diag(entries)))]
+
+
 def test_spectral_projections_memory_stays_within_three_stacks():
-    # 40 spheres of a 40x40 quaternionic diagonal: the (k, 2n, 2n) complex
-    # stack is 4.1 MB, all k^2 products at once would be 164 MB
+    # the (k, 2n, 2n) complex stack of all projectors is 4.1 MB for 40
+    # spheres at n = 40 and 7.1 MB for 31 at n = 60; all k^2 products at
+    # once would be 164 MB for the first.  Validation forms the projectors a
+    # chunk at a time and checks the factors: the peaks were 1.1 and 1.8
+    # stacks, against 2.6 and 3.6 when the stack and its J-conjugate were
+    # formed whole
     import tracemalloc
 
-    n = 40
-    a = QMatrix(np.diag(np.arange(1.0, n + 1) + 0.3j), np.diag(np.full(n, 0.4 + 0j)))
-    dec = spectral_decomposition(a)
-    assert len(dec.spheres) == n and "_validated" not in vars(dec)
-    stack_bytes = n * (2 * n) ** 2 * 16
-    tracemalloc.start()
-    try:
-        assert spectral_projections(a) is dec
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(dec.projections) == n
-    assert peak <= 3 * stack_bytes
+    for label, a in _memory_inputs():
+        dec = spectral_decomposition(a)
+        assert not a.is_diagonal and "_validated" not in vars(dec)
+        equal = label == "equal-widths"
+        assert sorted(set(dec.multiplicities)) == ([1] if equal else [1, 30])
+        assert len(dec.spheres) == (40 if equal else 31)
+        stack_bytes = len(dec.spheres) * len(dec.m) ** 2 * 16
+        tracemalloc.start()
+        try:
+            assert spectral_projections(a) is dec
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dec.conditions) == len(dec.spheres)
+        assert peak <= 2 * stack_bytes, (label, peak / stack_bytes)
 
 
 def test_local_resolvent_diag_frozen():
