@@ -6,11 +6,12 @@ form of chi(A) and splits it into well-separated blocks; the spectral
 projection of each sphere comes from that same form, block-diagonalized
 by the Sylvester solutions the split already found, and stays factored as
 A_i B_i, thin factors of the form's size (a diagonal A's are coordinate
-projections).  The local S-spectrum of phi is then the set of spheres
-whose projection sees phi, |A_i (B_i phi)| read off the factors, drawn
-from the very sphere objects the spectrum reports; the local subspace of
-a sphere set F is the span of the matching ranges, for which the
-projections are formed as quaternionic matrices.  The diagonal
+projections); the factors are the projections' only form.  The local
+S-spectrum of phi is then the set of spheres whose projection sees phi,
+|A_i (B_i phi)| read off the factors, drawn from the very sphere objects
+the spectrum reports.  The local subspace of a sphere set F is the range
+of its projection P_F = A_F B_F, one product of the factors, and the
+global subspace the kernel of the complementary P_{F^c}.  The diagonal
 multiplication operator and the eigenvector law are the two oracles that
 certify this realization.
 
@@ -29,9 +30,9 @@ import numpy as np
 
 from .errors import NumericalError, PoleError, ShapeError
 from .operators import MultiplicationOperator, ShiftOperator
-from .qlinalg import (QMatrix, QVector, SpectralDecomposition, SubspaceBasis, hstack,
-                      kernel_basis, min_singular, op_norm, orthonormalize,
-                      pseudo_resolvent, spectral_decomposition, vstack)
+from .qlinalg import (QMatrix, QVector, SpectralDecomposition, SubspaceBasis, kernel_basis,
+                      min_singular, op_norm, orthonormalize, pseudo_resolvent,
+                      spectral_decomposition)
 from .quat import EigenSphere, Quaternion, sphere_in, sphere_subset, sphere_union
 from . import spectral
 
@@ -118,7 +119,8 @@ def local_resolvent_diag(op: MultiplicationOperator, f: QVector, q: Quaternion) 
 
 
 def local_subspace(a: QMatrix, spheres) -> SubspaceBasis:
-    """Orthonormal basis of span{ ran P_k : sphere_k in F }.
+    """Orthonormal basis of span{ ran P_k : sphere_k in F }, the range of
+    the sphere set's projection P_F (``_set_projection``).
 
     A sphere of F selects the spectral sphere it matches at
     SPHERE_MERGE_TOL, the radius the spheres were merged at; spheres
@@ -129,13 +131,9 @@ def local_subspace(a: QMatrix, spheres) -> SubspaceBasis:
         raise ShapeError("local subspaces need a square matrix")
     proj = spectral_projections(a)
     targets = tuple(spheres)
-    blocks = [QMatrix.zeros(a.rows, 0)]  # so that hstack has a block when F selects none
-    expected = 0
-    for s, p, mult in zip(proj.spheres, proj.projections, proj.multiplicities):
-        if sphere_in(s, targets):
-            blocks.append(p)
-            expected += mult
-    basis = orthonormalize(hstack(blocks), drop_tol=1e-6)
+    chosen = np.array([sphere_in(s, targets) for s in proj.spheres], dtype=bool)
+    expected = sum(m for m, c in zip(proj.multiplicities, chosen) if c)
+    basis = orthonormalize(_set_projection(proj, chosen), drop_tol=1e-6)
     if basis.cols != expected:
         raise NumericalError(
             f"local subspace rank {basis.cols} disagrees with the cluster "
@@ -146,20 +144,32 @@ def local_subspace(a: QMatrix, spheres) -> SubspaceBasis:
 def global_subspace(a: QMatrix, spheres) -> SubspaceBasis:
     """Vectors whose local spectrum stays inside F.
 
-    Realized as the joint kernel, at MEMBER_TOL, of the projections of the
-    complementary spheres, a different numerical route from local_subspace;
-    finite matrices carry the single valued extension property, so the two
-    spans agree and tests compare them.
+    Realized as the kernel, at MEMBER_TOL, of the projection P_{F^c} of the
+    complementary spheres, which is their projections' joint kernel since
+    P_j P_{F^c} = P_j for each of them: an SVD kernel, a different numerical
+    route from local_subspace's range.  Finite matrices carry the single
+    valued extension property, so the two spans agree and tests compare them.
     """
     if a.rows != a.cols:
         raise ShapeError("global subspaces need a square matrix")
     proj = spectral_projections(a)
     targets = tuple(spheres)
-    outside = [p for s, p in zip(proj.spheres, proj.projections)
-               if not sphere_in(s, targets)]
-    if not outside:
+    outside = np.array([not sphere_in(s, targets) for s in proj.spheres], dtype=bool)
+    if not outside.any():
         return SubspaceBasis(QMatrix.identity(a.rows))
-    return SubspaceBasis(kernel_basis(vstack(outside), tol=MEMBER_TOL))
+    return SubspaceBasis(kernel_basis(_set_projection(proj, outside), tol=MEMBER_TOL))
+
+
+def _set_projection(dec: SpectralDecomposition, chosen: np.ndarray) -> QMatrix:
+    """P_F, the sum of the projections of the ``chosen`` spheres, as one
+    product A_F B_F of the projection factors (the columns of A and rows of
+    B that belong to a chosen sphere): on the C_i block, or its top block
+    row [P1, P2] on chi(A)."""
+    a, b, owner = dec.projection_factors
+    n = len(a) if dec.half else len(a) // 2
+    cols = chosen[owner]
+    p = a[:n, cols] @ b[cols]
+    return QMatrix(p, np.zeros_like(p)) if dec.half else QMatrix(p[:, :n], p[:, n:])
 
 
 # -- SVEP and decomposability -------------------------------------------------

@@ -374,12 +374,13 @@ def kernel_basis(a: QMatrix, tol: float = 1e-10) -> QMatrix:
     The complex null space of chi(A) is closed under the quaternionic
     structure map, so it pulls back to exactly half as many right
     independent quaternionic vectors: ``orthonormalize`` keeps one vector
-    of each pair phi, phi j of pulled-back singular vectors.
+    of each pair phi, phi j of pulled-back singular vectors.  Only a wide A
+    needs the full SVD, whose vh alone holds all of its null rows.
     """
     m = a.cols
     if a.rows == 0 or m == 0:
         return QMatrix.identity(m)
-    _, s, vh = np.linalg.svd(complex_adjoint(a), full_matrices=True)
+    _, s, vh = np.linalg.svd(complex_adjoint(a), full_matrices=a.rows < m)
     expected = int(_kernel_dim(s, m, False, tol))
     # each of the last 2 * expected rows w of vh pulls back to a column conj(w)
     null = vh[2 * (m - expected):]
@@ -511,9 +512,9 @@ class SpectralDecomposition:
 
     It also holds A's spectral projections, commuting idempotents splitting
     H^n along the spheres, with ``conditions``, their operator norms; a
-    multiplicity is the quaternionic rank of its projection.  They stay
-    factored: sphere i's is A_i B_i for the ``projection_factors`` (A, B,
-    owner), and ``projections`` forms them as matrices only when read.
+    multiplicity is the quaternionic rank of its projection.  Factors are
+    their only form: sphere i's is A_i B_i for the ``projection_factors``
+    (A, B, owner); readers take the products they need.
     ``certified`` is True when every sphere's eigenspace dimension matches
     its multiplicity; defective spheres are computed but carry no
     certificate.
@@ -545,20 +546,6 @@ class SpectralDecomposition:
     @property
     def certified(self) -> bool:
         return self.kernel_dims() == self.multiplicities
-
-    @functools.cached_property
-    def projections(self) -> tuple[QMatrix, ...]:
-        """One spectral projection per sphere, formed from the validated
-        ``projection_factors`` on first read, one sphere at a time: A_i B_i
-        on the C_i block, its top block row [P1, P2] on chi(A)."""
-        a, b, owner = self.projection_factors
-        n = len(a) if self.half else len(a) // 2
-        out = []
-        for i in range(len(self.spheres)):
-            cols = owner == i
-            p = a[:n, cols] @ b[cols]
-            out.append(QMatrix(p, np.zeros_like(p)) if self.half else QMatrix(p[:, :n], p[:, n:]))
-        return tuple(out)
 
     @property
     def conditions(self) -> tuple[float, ...]:

@@ -15,8 +15,10 @@ from the projection's residual; the kernel count of one matrix at a time,
 sphere clusters built from one ``EigenSphere`` per input, and the largest
 column of each projection from its own ``col_norms``; and the
 J-conjugation M -> J conj(M) J^-1 whose fixed points are the chi images,
-which J-symmetrized the projector stacks the library no longer forms.
-Kept so that tests can compare the two routes.
+which J-symmetrized the projector stacks the library no longer forms; and
+each sphere's projection formed from the factors as its own QMatrix, which
+the local and global subspaces stacked before they took one projection of
+the sphere set.  Kept so that tests can compare the two routes.
 
 Also the shifts' banded route written out plainly: the interleaved
 Golub-Kahan matrix of a kept section built entry by entry, its band copied
@@ -33,10 +35,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+from qspec import qlinalg
 from qspec.errors import NumericalError
+from qspec.localspec import MEMBER_TOL
 from qspec.qlinalg import (CONDITION_LIMIT, QMatrix, QVector, SubspaceBasis, _kernel_dim,
-                           _singular_values, complex_adjoint, inner, min_singular, op_norm,
-                           pseudo_resolvent)
+                           _singular_values, complex_adjoint, hstack, inner, kernel_basis,
+                           min_singular, op_norm, pseudo_resolvent, vstack)
 from qspec.quat import (EigenSphere, Quaternion, cluster_spheres, linked_components,
                         merge_spheres, sphere_union)
 from qspec.spectral import SphereFlags, SpectrumReport, membership_threshold
@@ -119,6 +123,40 @@ def j_conj(m: np.ndarray) -> np.ndarray:
     np.negative(np.conjugate(m[..., n:, :k], out=out[..., :n, k:]), out=out[..., :n, k:])
     np.negative(np.conjugate(m[..., :n, k:], out=out[..., n:, :k]), out=out[..., n:, :k])
     return out
+
+
+def projections(dec) -> tuple[QMatrix, ...]:
+    """One spectral projection per sphere of the validated decomposition
+    ``dec``, formed from its ``projection_factors`` one sphere at a time:
+    A_i B_i on the C_i block, its top block row [P1, P2] on chi(A)."""
+    a, b, owner = dec.projection_factors
+    n = len(a) if dec.half else len(a) // 2
+    out = []
+    for i in range(len(dec.spheres)):
+        cols = owner == i
+        p = a[:n, cols] @ b[cols]
+        out.append(QMatrix(p, np.zeros_like(p)) if dec.half else QMatrix(p[:, :n], p[:, n:]))
+    return tuple(out)
+
+
+def local_subspace(dec, chosen) -> SubspaceBasis:
+    """The span of the ``chosen`` spheres' projections, their columns side by
+    side, orthonormalized."""
+    n = len(dec.m) if dec.half else len(dec.m) // 2
+    picked = [p for p, c in zip(projections(dec), chosen) if c]
+    return SubspaceBasis(qlinalg.orthonormalize(hstack([QMatrix.zeros(n, 0), *picked]),
+                                                drop_tol=1e-6))
+
+
+def global_subspace(dec, chosen) -> SubspaceBasis:
+    """The joint kernel at ``MEMBER_TOL`` of the projections of the spheres
+    not ``chosen``, stacked one above the other; the whole space when every
+    sphere is chosen."""
+    n = len(dec.m) if dec.half else len(dec.m) // 2
+    outside = [p for p, c in zip(projections(dec), chosen) if not c]
+    if not outside:
+        return SubspaceBasis(QMatrix.identity(n))
+    return SubspaceBasis(kernel_basis(vstack(outside), tol=MEMBER_TOL))
 
 
 def largest_columns(projections) -> list[float]:

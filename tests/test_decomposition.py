@@ -19,7 +19,7 @@ from qspec.operators import MultiplicationOperator
 from qspec.qlinalg import (QMatrix, QVector, _kernel_dim, _singular_values,
                            complex_adjoint, complex_image, op_norm,
                            pseudo_resolvent, resolvent_singular_values, spectral_decomposition)
-from qspec.quat import EigenSphere, Quaternion, SliceUnit, slice_compose
+from qspec.quat import EigenSphere, Quaternion, SliceUnit, slice_compose, sphere_in
 
 
 def _chi(c1, c2):
@@ -104,7 +104,7 @@ def test_decomposition_matches_reference_route(label, a):
     old = ref.projection_set(a)
     assert proj.multiplicities == old.multiplicities
     assert proj.certified == old.certified
-    for p, q in zip(proj.projections, old.projections):
+    for p, q in zip(ref.projections(proj), old.projections):
         assert op_norm(p - q) <= 1e-10
 
 
@@ -125,7 +125,7 @@ def test_each_matrix_keeps_its_decomposition_and_projections():
     assert spectral_decomposition(a) is dec
     # the projections are the decomposition's own, kept from the first read
     assert localspec.spectral_projections(a) is dec
-    assert localspec.spectral_projections(a).projections is dec.projections
+    assert localspec.spectral_projections(a).projection_factors is dec.projection_factors
     assert dec.conditions is dec.conditions
     # an equal matrix is another object, with a decomposition of its own
     other = QMatrix(a.c1, a.c2)
@@ -133,9 +133,11 @@ def test_each_matrix_keeps_its_decomposition_and_projections():
     assert spectral_decomposition(other).spheres == dec.spheres
     with pytest.raises(ValueError):
         dec.t[0, 0] = 0.0
-    for name in ("projections", "conditions", "certified"):
+    for name in ("projection_factors", "conditions", "certified"):
         with pytest.raises(AttributeError):
             setattr(dec, name, None)
+    # the factors are the projections' one form
+    assert not hasattr(dec, "projections")
     # a local spectrum is a plain tuple of the projections' own spheres
     loc = localspec.local_spectrum(a, QVector.basis(4, 0))
     assert type(loc) is tuple and all(any(s is t for t in dec.spheres) for s in loc)
@@ -149,9 +151,9 @@ def test_spectral_projections_returns_the_decomposition():
               QMatrix.diag([Quaternion(0.5, 2.0)] * 3)):
         dec = localspec.spectral_projections(a)
         assert dec is spectral_decomposition(a)
-        assert len(dec.projections) == len(dec.conditions) == len(dec.spheres)
+        assert len(ref.projections(dec)) == len(dec.conditions) == len(dec.spheres)
         assert dec.certified == (dec.kernel_dims() == dec.multiplicities)
-    assert localspec.spectral_projections(QMatrix.zeros(0)).projections == ()
+    assert ref.projections(localspec.spectral_projections(QMatrix.zeros(0))) == ()
     with pytest.raises(ShapeError, match="square"):
         localspec.spectral_projections(QMatrix.zeros(2, 3))
     assert not hasattr(localspec, "SpectralProjectionSet")
@@ -168,12 +170,16 @@ def test_projections_are_built_on_their_first_read(monkeypatch):
     conditions = dec.conditions
     assert built == [] and "_validated" in vars(dec)
     assert localspec.spectral_projections(a) is dec and dec.conditions is conditions
-    # the verdict and local spectra read the factors, not the matrices
+    # the verdict and local spectra read the factors and form no projection
     localspec.decomposability_necessary(a)
     localspec.local_spectrum(a, QVector.basis(4, 0))
-    assert built == []
-    assert len(dec.projections) == len(dec.spheres) and built == [dec]
-    assert dec.projections is dec.projections and built == [dec]
+    assert built == [] and not hasattr(dec, "projections")
+    # a subspace forms the one projection of its sphere set, and keeps none
+    first = (True,) + (False,) * (len(dec.spheres) - 1)
+    localspec.local_subspace(a, dec.spheres[:1])
+    assert built == [(dec, first)]
+    localspec.global_subspace(a, dec.spheres[:1])
+    assert built == [(dec, first), (dec, tuple(not c for c in first))]
 
 
 def test_failed_validation_raises_again_and_keeps_nothing(monkeypatch):
@@ -188,7 +194,7 @@ def test_failed_validation_raises_again_and_keeps_nothing(monkeypatch):
             localspec.spectral_projections(a)
         assert "_validated" not in vars(dec)
     monkeypatch.undo()
-    assert localspec.spectral_projections(a) is dec and len(dec.projections) == 3
+    assert localspec.spectral_projections(a) is dec and len(ref.projections(dec)) == 3
 
 
 def _module_tree(name: str) -> ast.Module:
@@ -219,22 +225,17 @@ def test_only_qlinalg_writes_a_decomposition():
 
 
 def _counted_projections(monkeypatch) -> list:
-    """The decompositions whose projections are formed as QMatrix objects
-    from now on."""
-    import functools
-
-    from qspec.qlinalg import SpectralDecomposition
-
+    """(decomposition, whether each sphere is chosen) for each sphere-set
+    projection formed from now on, by ``localspec._set_projection``, the
+    one place the library forms a projection as a QMatrix."""
     built = []
-    form = SpectralDecomposition.projections.func
+    form = localspec._set_projection
 
-    def counted(self):
-        built.append(self)
-        return form(self)
+    def counted(dec, chosen):
+        built.append((dec, tuple(chosen.tolist())))
+        return form(dec, chosen)
 
-    prop = functools.cached_property(counted)
-    prop.__set_name__(SpectralDecomposition, "projections")
-    monkeypatch.setattr(SpectralDecomposition, "projections", prop)
+    monkeypatch.setattr(localspec, "_set_projection", counted)
     return built
 
 
@@ -248,7 +249,10 @@ def test_intertwining_builds_one_projector_stack_per_matrix(monkeypatch):
     phi = rand.rand_qvector(rng, 5)
     spheres = spectral.s_spectrum(a1)[:1]
     assert localspec.check_intertwining(a, a, r, phi, spheres)
-    assert len(built) == 1
+    # one projection of F per subspace call, A's and then B's (here A again)
+    dec = spectral_decomposition(a)
+    chosen = tuple(sphere_in(s, spheres) for s in dec.spheres)
+    assert sum(chosen) == 1 and built == [(dec, chosen)] * 2
 
 
 def _jordan(k: int, lam: complex) -> np.ndarray:
@@ -567,7 +571,7 @@ def test_check_accepts_a_large_draw_without_forming_a_residual(monkeypatch):
     a = QMatrix(c1, c2)
     monkeypatch.setattr(qlinalg, "_exceeds", _never_formed)
     dec = localspec.spectral_projections(a)
-    assert len(dec.projections) == len(dec.spheres) == 32
+    assert len(ref.projections(dec)) == len(dec.spheres) == 32
 
 
 @pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
@@ -589,11 +593,11 @@ def test_checked_factors_give_the_returned_projections(label, a, monkeypatch):
         eye = np.eye(len(dec.m))
         assert checked == [] and all(np.array_equal(f, eye) for f in factors[:2])
         if len(dec.spheres) < 2:
-            one = dec.projections[0]
+            one, = ref.projections(dec)
             assert np.array_equal(one.c1, np.eye(a.rows)) and not one.c2.any()
     else:
         assert len(checked) == 1 and all(x is y for x, y in zip(checked[0], factors))
-    for p, q in zip(dec.projections, _pulled(a, factors)):
+    for p, q in zip(ref.projections(dec), _pulled(a, factors)):
         got = p.c1 if dec.half else complex_adjoint(p)
         want = q.c1 if dec.half else complex_adjoint(q)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), label
@@ -601,17 +605,24 @@ def test_checked_factors_give_the_returned_projections(label, a, monkeypatch):
 
 @pytest.mark.parametrize("label,a", VALIDATOR_INPUTS, ids=[lab for lab, _ in VALIDATOR_INPUTS])
 def test_spectral_projections_builds_the_stack_once(label, a, monkeypatch):
-    # validation, the verdict and local spectra form no QMatrix projection;
-    # the first read of ``projections`` forms them, once
+    # the factors are validated and kept once; validation, the verdict and
+    # local spectra form no QMatrix projection, and each subspace forms the
+    # one projection of its sphere set, never one per sphere
     built = _counted_projections(monkeypatch)
     a = QMatrix(a.c1, a.c2)    # a matrix of its own, with no projections kept yet
     dec = spectral_decomposition(a)
-    localspec.spectral_projections(a)
+    factors = localspec.spectral_projections(a).projection_factors
     localspec.spectral_projections(a)
     localspec.decomposability_necessary(a)
     localspec.local_spectrum(a, QVector.basis(a.rows, 0))
     assert built == []
-    assert dec.projections is dec.projections and built == [dec]
+    first = tuple(k == 0 for k in range(len(dec.spheres)))
+    rest = tuple(not c for c in first)
+    localspec.local_subspace(a, dec.spheres[:1])
+    localspec.global_subspace(a, dec.spheres[:1])
+    # with one sphere, F^c is empty and the global subspace is the whole space
+    assert built == [(dec, first)] + ([(dec, rest)] if any(rest) else []), label
+    assert dec.projection_factors is factors and not hasattr(dec, "projections")
 
 
 #: the relative gap allowed between a factored read and the same number from
@@ -630,7 +641,8 @@ def _assert_factored_reads_match(label: str, a: QMatrix, vectors) -> None:
     dec = localspec.spectral_projections(a)
     fa, fb, owner = dec.projection_factors
     count = len(dec.spheres)
-    want = ref.largest_columns(dec.projections)
+    projections = ref.projections(dec)
+    want = ref.largest_columns(projections)
     got = localspec._largest_columns(fa, fb, owner, count, a.rows)
     assert np.allclose(got, want, rtol=FACTORED_RTOL, atol=0.0), label
     for top in want:
@@ -640,10 +652,10 @@ def _assert_factored_reads_match(label: str, a: QMatrix, vectors) -> None:
             scaled = localspec._largest_columns(scale * fa, fb, owner, count, a.rows)
             kept = [x > localspec.MEMBER_TOL for x in scaled]
             assert kept == [x > localspec.MEMBER_TOL for x in ref.largest_columns(
-                [p.scale(scale) for p in dec.projections])], label
+                [p.scale(scale) for p in projections])], label
     for phi in vectors:
         norm = phi.norm()
-        seen = [p.apply(phi).norm() for p in dec.projections]
+        seen = [p.apply(phi).norm() for p in projections]
         assert np.allclose(localspec._applied_norms(dec, phi), seen,
                            rtol=FACTORED_RTOL, atol=FACTORED_RTOL * max(dec.conditions) * norm)
         assert localspec.local_spectrum(a, phi) == tuple(
@@ -662,7 +674,7 @@ def _vectors(a: QMatrix, seed: int) -> list[QVector]:
     the first projection, which lies in one sphere's range."""
     rng = np.random.default_rng([seed, a.rows])
     n = a.rows
-    first = localspec.spectral_projections(a).projections[0]
+    first = ref.projections(localspec.spectral_projections(a))[0]
     return [QVector.from_components(rng.normal(size=(n, 4))), QVector.basis(n, 0),
             QVector.basis(n, n - 1), first.col(int(np.argmax(first.col_norms())))]
 

@@ -22,7 +22,7 @@ from qspec.localspec import (
 )
 from qspec.operators import MultiplicationOperator, ShiftOperator
 from qspec.qlinalg import QMatrix, QVector, op_norm, spectral_decomposition
-from qspec.quat import EigenSphere, Quaternion
+from qspec.quat import EigenSphere, Quaternion, sphere_in
 
 Z = Quaternion(0)
 ONE = Quaternion(1)
@@ -68,11 +68,12 @@ def test_spectral_projections_identities():
     a = rand.rand_qmatrix(rng, 4, 4)
     ps = spectral_projections(a)
     assert ps.certified
-    total = ps.projections[0]
-    for p in ps.projections[1:]:
+    projections = ref.projections(ps)
+    total = projections[0]
+    for p in projections[1:]:
         total = total + p
     assert np.allclose(total.c1, np.eye(4), atol=1e-8)
-    for idx, p in enumerate(ps.projections):
+    for idx, p in enumerate(projections):
         assert op_norm(p @ p - p) < 1e-8 * max(1.0, ps.conditions[idx])
         # ranges are invariant: A P = P A P
         lhs = a @ p
@@ -83,8 +84,8 @@ def test_spectral_projections_identities():
 def test_spectral_projection_single_sphere_is_identity():
     a = QMatrix.from_quaternions([[I, Z], [Z, J]])  # one sphere (0,1)
     ps = spectral_projections(a)
-    assert len(ps.projections) == 1
-    assert np.allclose(ps.projections[0].c1, np.eye(2))
+    assert len(ref.projections(ps)) == 1
+    assert np.allclose(ref.projections(ps)[0].c1, np.eye(2))
 
 
 def test_single_sphere_projection_is_exactly_the_identity():
@@ -94,8 +95,9 @@ def test_single_sphere_projection_is_exactly_the_identity():
               QMatrix.diag([Quaternion(0.5, 2.0)] * 3)):
         ps = spectral_projections(a)
         assert ps.conditions == (1.0,)
-        assert np.array_equal(ps.projections[0].c1, np.eye(a.rows))
-        assert not np.any(ps.projections[0].c2)
+        one, = ref.projections(ps)
+        assert np.array_equal(one.c1, np.eye(a.rows))
+        assert not np.any(one.c2)
 
 
 def _memory_inputs():
@@ -183,6 +185,70 @@ def test_global_subspace_matches_local():
     glo = global_subspace(a, take)
     assert loc.dim == glo.dim
     assert op_norm(loc.projection() - glo.projection()) < 1e-7
+
+
+def _subspace_inputs():
+    """(label, matrix): the golden inputs, the validator inputs (Jordan,
+    close-pair, single-sphere and ``mult:`` inputs among them) and 0 x 0."""
+    from test_decomposition import VALIDATOR_INPUTS
+    from test_golden import COUNT, build_case
+
+    from qspec import io as qio
+
+    out = list(VALIDATOR_INPUTS)
+    for idx in range(COUNT):
+        name, op, text, _ = build_case(idx)
+        out.append((name, qio.parse_qmat(text) if op == "dense"
+                    else qio.parse_qfun(text).as_qmatrix()))
+    return out + [("empty", QMatrix.zeros(0))]
+
+
+SUBSPACE_INPUTS = _subspace_inputs()
+
+
+@pytest.mark.parametrize("label,a", SUBSPACE_INPUTS, ids=[lab for lab, _ in SUBSPACE_INPUTS])
+def test_subspaces_match_the_per_sphere_route(label, a):
+    # one projection of F (or of F^c) against the per-sphere projections
+    # side by side (or stacked), for F empty, whole, one sphere, every other
+    # sphere, outside the spectrum, and one sphere with an outside one
+    dec = spectral_projections(a)
+    spheres, far = dec.spheres, (EigenSphere(99.0, 7.0),)
+    for f in ((), spheres, spheres[:1], spheres[::2], far, spheres[:1] + far):
+        chosen = [sphere_in(s, f) for s in dec.spheres]
+        for got, want in ((local_subspace(a, f), ref.local_subspace(dec, chosen)),
+                          (global_subspace(a, f), ref.global_subspace(dec, chosen))):
+            assert got.dim == want.dim == sum(m for m, c in zip(dec.multiplicities, chosen)
+                                              if c), (label, f)
+            assert op_norm(got.projection() - want.projection()) <= 1e-8, (label, f)
+
+
+def _large_draw(n: int) -> QMatrix:
+    """The complex-normal draw of the classify-large gate: c1, then c2."""
+    rng = np.random.default_rng(3)
+    c1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    c2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return QMatrix(c1, c2)
+
+
+def test_subspaces_of_a_large_draw_stay_small():
+    # at n = 40 (40 spheres) the stack of the 39 other spheres' projections
+    # handed its 3120 x 80 image to a full SVD, whose U alone is 156 MB (the
+    # peak was 164 MB); one complementary projection is an 80 x 80 image
+    import tracemalloc
+
+    a = _large_draw(40)
+    spheres = spectral_projections(a).spheres
+    assert len(spheres) == 40
+    for fn in (local_subspace, global_subspace):
+        for f in (spheres[:1], spheres[:20]):
+            tracemalloc.start()
+            try:
+                basis = fn(a, f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert basis.dim == len(f)
+            assert peak <= 4e6, (fn.__name__, len(f), peak)
 
 
 def test_check_combination_and_commutant():

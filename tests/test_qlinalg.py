@@ -210,6 +210,40 @@ def test_nullity_matches_kernel_basis():
         assert ref.nullity(a, tol=1e-8) == kernel_basis(a, tol=1e-8).cols == dim
 
 
+def test_kernel_basis_takes_the_full_svd_only_when_wide(monkeypatch):
+    # a tall or square A's thin SVD has the same s and vh, so the same basis
+    # bits, with no (2 rows)^2 U; a wide A needs the full vh for its null rows
+    import tracemalloc
+
+    rng = rand.generator(63, 0)
+    cases = [rand.rand_qmatrix(rng, rows, cols) for rows, cols in ((6, 3), (4, 4), (3, 5))]
+    cases += [_rank_product(rng, n, m, r, kind) for kind in ("quaternion", "complex", "real")
+              for n, m, r in ((7, 4, 2), (5, 5, 2), (4, 6, 3), (6, 3, 0))]
+    thin = [kernel_basis(a) for a in cases]
+    assert [b.cols for b in thin] == [ref.nullity(a) for a in cases]
+    svd, asked = np.linalg.svd, []
+
+    def full(x, full_matrices=True, **kwargs):
+        asked.append(full_matrices)
+        return svd(x, full_matrices=True, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", full)
+    for a, got in zip(cases, thin):
+        want = kernel_basis(a)
+        assert np.array_equal(got.c1, want.c1) and np.array_equal(got.c2, want.c2), a
+    assert asked == [a.rows < a.cols for a in cases]
+    monkeypatch.undo()
+    tall = rand.rand_qmatrix(rng, 400, 3)
+    tracemalloc.start()
+    try:
+        assert kernel_basis(tall).cols == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full U alone is 800^2 complex entries, 10.2 MB; the thin one 77 kB
+    assert peak <= 1e6, peak
+
+
 def test_nullity_reuses_given_singular_values():
     # the kernel count reads only the singular values it is given
     a = rand.rand_qmatrix(rand.generator(62, 0), 2, 2)
@@ -531,4 +565,4 @@ def test_pickle_and_deepcopy_round_trips():
         p = clone(proj)
         assert p.spheres == proj.spheres and p.conditions == proj.conditions
         assert all(np.array_equal(x.c1, y.c1) and np.array_equal(x.c2, y.c2)
-                   for x, y in zip(p.projections, proj.projections))
+                   for x, y in zip(ref.projections(p), ref.projections(proj)))
