@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the CLI output that a pure refactor must leave byte-identical.
 
-Eleven gates, each printed on one line, named first, as a sha256 digest of
+Twelve gates, each printed on one line, named first, as a sha256 digest of
 its stdout and exit codes, with the number of stdout lines:
 
   matrix    the 504 ``classify`` requests of the ``matrix`` benchmark for
@@ -29,6 +29,11 @@ its stdout and exit codes, with the number of stdout lines:
   local-mult
             ``local`` on each ``.qfun`` input of seeds 51-53, with vectors
             drawn as the local gate draws them, in the same folders
+  classify-tol
+            the 168 ``classify`` requests of seed 51 at ``--tol 1e-30`` and
+            then at ``--tol 1e-4``, each on its own input as the classify
+            gate reads it: the flags move with ``--tol``, the decomposability
+            verdict, read at a fixed threshold, does not
 
 Run it from any directory as ``python3 scripts/output_gate.py`` on two
 checkouts, save each output, and compare them with
@@ -81,6 +86,10 @@ SUBSPACE_SUITES = ("subspace-laws", "restriction-quotient", "mult-operator",
 # the suites of the local spectrum laws under products, and of planted
 # spheres under similarity, that no other seeded gate runs
 LAW_SUITES = ("product-laws", "defective-similarity")
+
+# the membership thresholds of the classify-tol gate, below and above the
+# default 1e-8
+GATE_TOLS = ("1e-30", "1e-4")
 
 # the sizes of the classify-large gate's random matrices
 LARGE_SIZES = (16, 24, 32, 40, 48, 60)
@@ -206,12 +215,14 @@ def main(argv=None) -> int:
         classify = [req.argv for requests in seeded.values() for req in requests]
         dense_portrait = [["portrait", "--op", req.argv[req.argv.index("--op") + 1],
                            DENSE_PORTRAIT_GRID] for req in seeded[51]]
+        classify_tol = [req.argv + ["--tol", tol] for tol in GATE_TOLS for req in seeded[51]]
         for name, argvs in (("matrix", matrix), ("check", check), ("portrait", portrait),
                             ("series", series), ("subspace", subspace), ("laws", laws),
                             ("local", local), ("classify", classify),
                             ("portrait-dense", dense_portrait),
                             ("classify-large", large_requests(workdir)),
-                            ("local-mult", local_requests(seeded, "mult"))):
+                            ("local-mult", local_requests(seeded, "mult")),
+                            ("classify-tol", classify_tol)):
             sha, lines = digest(argvs)
             print(f"{name:<9} {len(argvs):>4} commands  sha256 {sha}  lines {lines}")
     return 0

@@ -100,7 +100,7 @@ def _cmd_classify(cfg: argparse.Namespace) -> int:
     from . import localspec, spectral
     mat = _matrix_backed(io.parse_operator_spec(cfg.op_spec))
     report = spectral.classify(mat, tol=cfg.tol)
-    verdict = localspec.decomposability_necessary(mat, report=report)
+    verdict = localspec.decomposability_necessary(mat)
     lines = report.to_lines()
     lines.append(f"radius {_fmt(report.radius)}")
     lines.append(f"lower-bound {_fmt(report.lower_bound)}")

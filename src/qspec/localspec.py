@@ -215,30 +215,36 @@ class DecomposabilityVerdict:
         return self.status == "PASS"
 
 
-def decomposability_necessary(
-        op, report: spectral.SpectrumReport | None = None) -> DecomposabilityVerdict:
+def decomposability_necessary(op) -> DecomposabilityVerdict:
     """Necessary condition: a decomposable operator has
     sigma_S = sigma_apS = sigma_suS = union of all local spectra.
 
     FAIL therefore proves the operator is not decomposable; PASS is only
     consistent with decomposability, never a proof of it.  Matrices are
-    checked exactly through their classification (``report``, else one at
-    MEMBER_TOL) and projections, columns seen above MEMBER_TOL; shifts
-    through the exact lower bounds of R_q on both sides of the adjoint
-    duality (``spectral.shift_kappa_limit``), with no finite section.
+    checked exactly through their decomposition and projections, always
+    at MEMBER_TOL: sigma_apS is the spheres whose smallest singular value
+    of R_q is within ``spectral.membership_threshold`` at MEMBER_TOL, as
+    ``classify`` flags them, and the local union the spheres whose
+    projection has a column above MEMBER_TOL; shifts through the exact
+    lower bounds of R_q on both sides of the adjoint duality
+    (``spectral.shift_kappa_limit``), with no finite section.
     """
     if isinstance(op, QMatrix):
-        return _matrix_decomposability(op, report)
+        return _matrix_decomposability(op)
     if getattr(op, "dim", None) is not None:
-        return _matrix_decomposability(op.finite_section(op.dim), report)
+        return _matrix_decomposability(op.finite_section(op.dim))
     if isinstance(op, ShiftOperator):
         return _shift_decomposability(op)
     raise TypeError(f"no decomposability route for {type(op).__name__}")
 
 
-def _matrix_decomposability(a: QMatrix, report) -> DecomposabilityVerdict:
-    rep = report if report is not None else spectral.classify(a, tol=MEMBER_TOL)
+def _matrix_decomposability(a: QMatrix) -> DecomposabilityVerdict:
+    if a.rows != a.cols:
+        raise ShapeError("classification needs a square matrix")
     proj = spectral_projections(a)
+    thresh = spectral.membership_threshold(a, MEMBER_TOL)
+    approximate = tuple(s for s, sv in zip(proj.spheres, proj.singular_values)
+                        if sv[-1] <= thresh)
     # s lies in the local spectrum of some basis vector e_k exactly when
     # |P_s e_k|, the norm of column k of P_s, exceeds MEMBER_TOL
     tops = _largest_columns(*proj.projection_factors, len(proj.spheres), a.rows)
@@ -246,10 +252,9 @@ def _matrix_decomposability(a: QMatrix, report) -> DecomposabilityVerdict:
     # sigma_suS is sigma_apS here, read off the same singular values; both
     # sets are subsequences of the one tuple of spheres, so they compare
     # as tuples
-    for name, other in (("sigma_apS", rep.part("approximate")), ("local union", local_union)):
-        if other != rep.spheres:
-            witness = next(s for s in (*rep.spheres, *other)
-                           if (s in rep.spheres) != (s in other))
+    for name, other in (("sigma_apS", approximate), ("local union", local_union)):
+        if other != proj.spheres:
+            witness = next(s for s in proj.spheres if s not in other)
             return DecomposabilityVerdict(
                 "FAIL", witness,
                 f"sigma_S and {name} differ at sphere ({witness.re}, {witness.im}); "

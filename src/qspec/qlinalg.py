@@ -499,16 +499,20 @@ CONDITION_LIMIT = 1e8
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """One complex Schur form T = Z^H M Z of the image M = complex_image(A),
-    split into blocks, and the spheres they make; ``half`` when M is the C_i
-    block.  Block k spans ``blocks[k]`` of the diagonal and belongs to sphere
-    ``owner[k]``; W is unit upper triangular, its block row k past the block
-    the Y with T_kk Y - Y T_rest = T_k,rest, so W T W^-1 = diag(T_kk).
-    Sphere i keeps its multiplicity and row i of ``singular_values``, those
-    of R_q(M) at its representative.  For a diagonal A, ``entries`` holds
-    the entry of A whose eigenvalue sits at each diagonal position of T;
-    it is None for a Schur form.  All of one matrix's consumers share it,
-    so its arrays are read-only.
+    """The spheres of the image M = complex_image(A) of a square A, with
+    ``half`` when M is the C_i block.  The eigenvalues of M lie along one
+    diagonal in blocks: block k spans ``blocks[k]`` of it and belongs to
+    sphere ``owner[k]``.  Sphere i keeps its multiplicity and row i of
+    ``singular_values``, those of R_q(M) at its representative.
+
+    The Schur route fills Z and W from one complex Schur form T = Z^H M Z,
+    whose diagonal is the eigenvalue diagonal: W is unit upper triangular,
+    its block row k past the block the Y with T_kk Y - Y T_rest = T_k,rest,
+    so W T W^-1 = diag(T_kk); T itself is not kept.  A diagonal A takes no
+    Schur form: ``z`` and ``w`` are None, and ``entries`` holds the entry
+    of A whose eigenvalue sits at each position of the diagonal (None on
+    the Schur route).  All of one matrix's consumers share it, so its
+    arrays are read-only.
 
     It also holds A's spectral projections, commuting idempotents splitting
     H^n along the spheres, with ``conditions``, their operator norms; a
@@ -525,15 +529,14 @@ class SpectralDecomposition:
     singular_values: np.ndarray = field(repr=False)
     m: np.ndarray = field(repr=False)
     half: bool
-    t: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
+    z: np.ndarray | None = field(repr=False)
+    w: np.ndarray | None = field(repr=False)
     blocks: tuple[tuple[int, int], ...]
     owner: tuple[int, ...]
     entries: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
-        for x in (self.singular_values, self.m, self.t, self.z, self.w, self.entries):
+        for x in (self.singular_values, self.m, self.z, self.w, self.entries):
             if x is not None:
                 x.setflags(write=False)
 
@@ -610,8 +613,8 @@ class SpectralDecomposition:
 
     @functools.cached_property
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """For each diagonal position of T, the sphere that owns it and its
-        rank among that sphere's positions."""
+        """For each position of the eigenvalue diagonal, the sphere that
+        owns it and its rank among that sphere's positions."""
         owner = np.repeat(self.owner, [stop - start for start, stop in self.blocks])
         order = np.argsort(owner, kind="stable")
         counts = np.bincount(owner, minlength=len(self.spheres))
@@ -621,7 +624,8 @@ class SpectralDecomposition:
 
     @functools.cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """V = Z W^-1 and U = W Z^H, so that M = V diag(T_kk) U and U V = I."""
+        """V = Z W^-1 and U = W Z^H, so that M = V diag(T_kk) U and U V = I;
+        on the Schur route only."""
         x, _ = _lapack().ztrtri(self.w, unitdiag=1)    # unit triangular: never singular
         return self.z @ x, self.w @ self.z.conj().T
 
@@ -634,7 +638,7 @@ class SpectralDecomposition:
         kept."""
         v, u = self.factors
         owner, slot = self.positions
-        size, width = len(self.t), int(slot.max()) + 1
+        size, width = len(self.m), int(slot.max()) + 1
         vs = np.zeros((len(self.spheres), size, width), dtype=np.complex128)
         us = np.zeros((len(self.spheres), width, size), dtype=np.complex128)
         vs[owner, :, slot] = v.T
@@ -805,9 +809,10 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
 
     A diagonal A (``QMatrix.is_diagonal``) takes no Schur form: its image
     is already one, up to a unitary 2 x 2 change of basis per entry, and
-    ``_diagonal_decomposition`` reads T, Z and the singular values off the
-    entries.  The same blocks, spheres, checks and errors follow, and its
-    projections are the coordinate projections onto each sphere's entries.
+    ``_diagonal_decomposition`` reads the eigenvalues and the singular
+    values off the entries, with no Schur factors.  The same blocks,
+    spheres, checks and errors follow, and its projections are the
+    coordinate projections onto each sphere's entries.
     """
     dec = getattr(a, "_spectral", None)
     if dec is None:
@@ -821,8 +826,8 @@ def _decompose(a: QMatrix) -> SpectralDecomposition:
         raise ShapeError("eigen-spheres need a square matrix")
     m, half = complex_image(a)
     if a.rows == 0:
-        return SpectralDecomposition((), (), np.empty((0, 0)), m, half,
-                                     *[np.eye(0)] * 3, (), (), None)
+        return SpectralDecomposition((), (), np.empty((0, 0)), m, half, None, None,
+                                     (), (), None)
     if a.is_diagonal:
         return _diagonal_decomposition(a, m, half)
     return _schur_decomposition(a, m, half)
@@ -833,19 +838,20 @@ def _schur_decomposition(a: QMatrix, m: np.ndarray, half: bool) -> SpectralDecom
     Schur form and its split; the tests' reference for diagonal inputs."""
     t, z = _schur(m)
     blocks, w = _split_schur(t, z)
-    spheres, mult, owner = _block_spheres(t, blocks, half)
+    spheres, mult, owner = _block_spheres(t.diagonal(), blocks, half)
     values = np.concatenate(list(resolvent_singular_values(
         m, [s.re for s in spheres], [s.im for s in spheres])))
-    return _checked(a, SpectralDecomposition(spheres, mult, values, m, half, t, z, w,
+    return _checked(a, SpectralDecomposition(spheres, mult, values, m, half, z, w,
                                              tuple(blocks), tuple(owner.tolist()), None))
 
 
-def _block_spheres(t: np.ndarray, blocks: list, half: bool) -> tuple:
-    """The spheres of the blocks of a triangular T, their multiplicities and
-    each block's sphere."""
+def _block_spheres(diag: np.ndarray, blocks: list, half: bool) -> tuple:
+    """The spheres of the blocks of the eigenvalue diagonal ``diag`` (a
+    Schur form's on the Schur route, the closed form's for a diagonal A),
+    their multiplicities and each block's sphere."""
     starts = np.array([i for i, _ in blocks])
-    widths = np.diff(np.append(starts, len(t)))
-    centres = np.add.reduceat(t.diagonal(), starts) / widths
+    widths = np.diff(np.append(starts, len(diag)))
+    centres = np.add.reduceat(diag, starts) / widths
     spheres, owner = _clusters(centres.real, np.abs(centres.imag), SPHERE_MERGE_TOL)
     sizes = np.bincount(owner, weights=widths).astype(int)
     if not half and np.any(sizes % 2):
@@ -868,14 +874,10 @@ def _diagonal_decomposition(a: QMatrix, m: np.ndarray, half: bool) -> SpectralDe
     """The decomposition of a nonempty diagonal A in closed form.
 
     Entry g = w + x i + b j, |Im g| = s, puts the eigenvalue w + i x on the
-    C_i block, and w + i s and w - i s on chi(A), whose rows and columns k
-    and n + k hold [[a, b], [-conj b, conj a]] (a = w + x i).  Its unit
-    eigenvectors are v = (1 + xi, i conj(beta)) / sqrt(2 (1 + xi)) for
-    xi = x / s >= 0, else v = (beta, i (1 - xi)) / sqrt(2 (1 - xi)), with
-    beta = b / s, and their partners J conj(v) (v = e_k when s = 0).  So
-    T is diagonal, Z unitary and W = I; the columns are permuted so that
-    each group of linked eigenvalues is contiguous, one block each, as
-    ``_split_schur`` finds them.  R_q(A) is diagonal with entries of modulus
+    C_i block, and w + i s and w - i s on chi(A).  The eigenvalues are
+    ordered so that each group of linked ones is contiguous, one block
+    each, as ``_split_schur`` finds them; no Schur form is built, so ``z``
+    and ``w`` are None.  R_q(A) is diagonal with entries of modulus
     |g - lam| |g - conj lam| (lam = x' + s' I_g at the sphere (x', s')), so
     those are its singular values, twice each in chi(A).  ``entries``
     records the entry behind each position, so that the sphere owning it
@@ -887,27 +889,13 @@ def _diagonal_decomposition(a: QMatrix, m: np.ndarray, half: bool) -> SpectralDe
         raise NumericalError(NOT_FINITE)
     n, g1, g2 = a.rows, a.c1.diagonal(), a.c2.diagonal()
     re, s = g1.real, np.hypot(g1.imag, np.abs(g2))
-    if half:
-        diag, z = g1, np.eye(n, dtype=np.complex128)
-    else:
-        diag = np.concatenate([re + 1j * s, re - 1j * s])
-        real = s == 0.0
-        safe = np.where(real, 1.0, s)
-        xi, beta = np.where(real, 1.0, g1.imag / safe), np.where(real, 0.0, g2 / safe)
-        up = xi >= 0.0
-        norm = np.sqrt(2.0 * (1.0 + np.abs(xi)))
-        top = np.where(up, 1.0 + xi, beta) / norm
-        low = np.where(up, 1j * np.conj(beta), 1j * (1.0 - xi)) / norm
-        k = np.arange(n)
-        z = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        z[k, k], z[k + n, k] = top, low
-        z[k, k + n], z[k + n, k + n] = np.conj(low), -np.conj(top)    # J conj(v)
+    diag = g1 if half else np.concatenate([re + 1j * s, re - 1j * s])
     seed = linked_components(diag.real, diag.imag, SPHERE_MERGE_TOL)
     order = np.argsort(seed, kind="stable")
-    seed, t, z = seed[order], np.diag(diag[order]), z[:, order]
+    seed, diag = seed[order], diag[order]
     starts = np.flatnonzero(np.diff(seed, prepend=-1)).tolist()
-    blocks = list(zip(starts, starts[1:] + [len(t)]))
-    spheres, mult, owner = _block_spheres(t, blocks, half)
+    blocks = list(zip(starts, starts[1:] + [len(diag)]))
+    spheres, mult, owner = _block_spheres(diag, blocks, half)
     xs = np.array([sp.re for sp in spheres])
     ys = np.array([sp.im for sp in spheres])
     _check_resolvent_finite(g1, g2, half, xs, ys)
@@ -916,8 +904,7 @@ def _diagonal_decomposition(a: QMatrix, m: np.ndarray, half: bool) -> SpectralDe
     if not half:
         values = np.repeat(values, 2, axis=1)
     values = -np.sort(-values, axis=1)
-    w = np.eye(len(t), dtype=np.complex128)
-    return _checked(a, SpectralDecomposition(spheres, mult, values, m, half, t, z, w,
+    return _checked(a, SpectralDecomposition(spheres, mult, values, m, half, None, None,
                                              tuple(blocks), tuple(owner.tolist()), order % n))
 
 

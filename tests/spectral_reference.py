@@ -139,6 +139,21 @@ def projections(dec) -> tuple[QMatrix, ...]:
     return tuple(out)
 
 
+def schur_route(a: QMatrix) -> qlinalg.SpectralDecomposition:
+    """The Schur route's decomposition of a copy of A, kept with neither:
+    the route of every non-diagonal matrix, taken by a diagonal one too."""
+    b = QMatrix(a.c1, a.c2)
+    return qlinalg._schur_decomposition(b, *qlinalg.complex_image(b))
+
+
+def schur_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
+    """T, Z, the blocks and W of a fresh Schur form of M and its split, as
+    ``_schur_decomposition`` forms them; a decomposition keeps no T."""
+    t, z = qlinalg._schur(m)
+    blocks, w = qlinalg._split_schur(t, z)
+    return t, z, tuple(blocks), w
+
+
 def local_subspace(dec, chosen) -> SubspaceBasis:
     """The span of the ``chosen`` spheres' projections, their columns side by
     side, orthonormalized."""

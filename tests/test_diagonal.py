@@ -4,6 +4,7 @@ route and the power loop, which every other matrix takes, are their
 reference here."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from test_golden import COUNT, build_case
 
 from qspec import io, localspec, qlinalg, spectral
 from qspec.errors import NumericalError
-from qspec.qlinalg import RESOLVENT_OVERFLOW, QMatrix, QVector, complex_image, op_norm
+from qspec.qlinalg import RESOLVENT_OVERFLOW, QMatrix, QVector, op_norm
 from qspec.quat import SPHERE_MERGE_TOL, Quaternion
 
 EPS = np.finfo(float).eps
@@ -59,16 +60,10 @@ def _inputs():
 INPUTS = _inputs()
 
 
-def _schur_route(a: QMatrix) -> qlinalg.SpectralDecomposition:
-    """The Schur route's decomposition of a copy of A, kept with neither."""
-    b = QMatrix(a.c1, a.c2)
-    return qlinalg._schur_decomposition(b, *complex_image(b))
-
-
 @pytest.mark.parametrize("label,a", INPUTS, ids=[lab for lab, _ in INPUTS])
 def test_closed_form_matches_the_schur_route(label, a):
     assert a.is_diagonal
-    got, want = qlinalg.spectral_decomposition(a), _schur_route(a)
+    got, want = qlinalg.spectral_decomposition(a), ref.schur_route(a)
     # the same spheres, in an order of their own: equal real parts go by im
     # here, and by the rounding in re on the Schur route
     order = [min(range(len(want.spheres)), key=lambda j: s.distance(want.spheres[j]))
@@ -94,12 +89,8 @@ def test_closed_form_matches_the_schur_route(label, a):
         assert set(p.c1.diagonal().tolist()) <= {0.0, 1.0}
     assert np.array_equal(sum(p.c1 for p in got_p), np.eye(a.rows))
     qlinalg._check_projections(got.m, *got.projection_factors, got.conditions)
-    # the form is a Schur form of the image with W = I: Z unitary, T diagonal
-    size = len(got.t)
-    assert np.array_equal(got.w, np.eye(size)) and np.array_equal(got.t, np.diag(got.t.diagonal()))
-    scale = max(1.0, np.abs(got.m).max())
-    assert np.abs(got.z.conj().T @ got.z - np.eye(size)).max() <= 8 * EPS
-    assert np.abs(got.z @ got.t @ got.z.conj().T - got.m).max() <= 16 * EPS * scale
+    # the closed form keeps no Schur factors
+    assert got.z is None and got.w is None
     radius, lower = spectral.growth_bounds(a)
     loop_radius, loop_lower = ref.growth_bounds(a)
     assert abs(radius - loop_radius) <= 1e-14 * radius
@@ -108,6 +99,48 @@ def test_closed_form_matches_the_schur_route(label, a):
     assert lower == pytest.approx(min(moduli), rel=2 * EPS, abs=0.0)
     # the loop's kappa(A) is an SVD value, min|g| up to its rounding
     assert lower <= loop_lower + 2 * EPS * lower
+
+
+#: sha256 of ``_closed_form_digest`` over INPUTS, taken when the closed
+#: form also built an eigenvector basis Z, W = I and a diagonal T: what it
+#: keeps must stay bit for bit what it was
+CLOSED_FORM_DIGEST = "c1c80153ba387fde9be528ffdd71bb327b483a5cb6b0fddcfabfa8d25e92769f"
+
+
+def _closed_form_digest(decs) -> str:
+    """sha256 over the spheres, multiplicities, singular values, blocks,
+    owners, entries and projection factors of each decomposition."""
+    h = hashlib.sha256()
+    for dec in decs:
+        spheres = np.array([(s.re, s.im) for s in dec.spheres], dtype=float)
+        ints = [np.array(x, dtype=np.int64) for x in (dec.multiplicities, dec.blocks,
+                                                      dec.owner, dec.entries)]
+        for x in (spheres, dec.singular_values, *ints, *dec.projection_factors):
+            h.update(f"{x.dtype.str} {x.shape}".encode())
+            h.update(np.ascontiguousarray(x).tobytes())
+    return h.hexdigest()
+
+
+def test_only_the_schur_route_keeps_schur_factors():
+    # a diagonal matrix keeps no Z, W or T, and what it keeps is unchanged
+    decs = []
+    for label, a in INPUTS:
+        dec = qlinalg.spectral_decomposition(QMatrix(a.c1, a.c2))
+        assert dec.z is None and dec.w is None and not hasattr(dec, "t"), label
+        decs.append(dec)
+    assert _closed_form_digest(decs) == CLOSED_FORM_DIGEST
+    # every other matrix keeps the Z, W and blocks of a fresh Schur form
+    # of its image and its split, and no T
+    for idx in range(COUNT):
+        name, op, text, _ = build_case(idx)
+        if op != "dense":
+            continue
+        a = io.parse_qmat(text)
+        assert not a.is_diagonal, name
+        dec = qlinalg.spectral_decomposition(a)
+        _, z, blocks, w = ref.schur_split(dec.m)
+        assert np.array_equal(dec.z, z) and np.array_equal(dec.w, w), name
+        assert dec.blocks == blocks and not hasattr(dec, "t"), name
 
 
 def test_classify_reads_the_closed_form_lower_bound(tmp_path):
@@ -140,7 +173,7 @@ def test_closed_form_raises_as_the_schur_route(label):
     a = ERRORS[label]
     assert a.is_diagonal
     with pytest.raises(NumericalError) as want:
-        _schur_route(a)
+        ref.schur_route(a)
     with pytest.raises(NumericalError) as got:
         qlinalg.spectral_decomposition(a)
     assert str(got.value) == str(want.value)
@@ -154,7 +187,7 @@ def test_squared_singular_values_overflow_as_on_the_schur_route():
     # R_q's values near 1e200 pass double precision when squared
     a = _diag((1e100, 0.0, 0.0, 0.0), (-1e100, 0.3, 0.0, 0.0), (1.0, 0.0, 0.5, 0.0))
     messages = []
-    for dec in (qlinalg.spectral_decomposition(a), _schur_route(a)):
+    for dec in (qlinalg.spectral_decomposition(a), ref.schur_route(a)):
         with pytest.raises(NumericalError) as info:
             dec.kernel_dims()
         messages.append(str(info.value))
@@ -191,7 +224,7 @@ def test_diagonal_verdict_makes_no_lapack_call_and_no_svd(monkeypatch):
     for label, a in INPUTS:
         b = QMatrix(a.c1, a.c2)
         report = spectral.classify(b)
-        assert localspec.decomposability_necessary(b, report=report).status == "PASS", label
+        assert localspec.decomposability_necessary(b).status == "PASS", label
         localspec.local_spectrum(b, QVector.basis(b.rows, 0))
         assert len(ref.projections(localspec.spectral_projections(b))) == len(report.spheres)
 

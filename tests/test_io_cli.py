@@ -17,6 +17,7 @@ from qspec.sliceseries import SliceSeries
 from qspec.spectral import GridSpec, SlicePortrait
 
 import spectral_reference as ref
+from test_golden import build_case
 
 ONE = Quaternion(1)
 I = Quaternion(0, 1, 0, 0)
@@ -144,6 +145,54 @@ def test_cli_classify_has_verdicts(tmp_path, capsys):
     assert code == 0
     assert "decomposability PASS" in out
     assert "annulus ok" in out
+
+
+def _golden_g00(tmp_path) -> str:
+    """The spec of golden case g00, a dense n = 3 matrix, written out."""
+    name, op, text, _ = build_case(0)
+    assert name == "g00-generic-dense-n3" and op == "dense"
+    p = tmp_path / "g00.qmat"
+    io.write_text(str(p), text)
+    return f"dense:{p}"
+
+
+def test_cli_decomposability_verdict_does_not_read_tol(tmp_path, capsys):
+    # a finite matrix is decomposable: the verdict reads its parts at
+    # MEMBER_TOL whatever --tol sets the printed flags to, so at 1e-30,
+    # where no sphere is flagged approximate, it still passes
+    spec = _golden_g00(tmp_path)
+    verdicts = []
+    for tol in ("1e-30", "1e-8", "1e-4"):
+        code, out, _ = run_cli(capsys, "classify", "--op", spec, "--tol", tol)
+        assert code == 0, tol
+        lines = out.splitlines()
+        verdicts.append(lines[-1])
+        if tol == "1e-30":
+            assert not any(" a " in line for line in lines[:3])
+    assert verdicts == ["decomposability PASS"] * 3
+
+
+def test_cli_prints_the_witness_of_a_failed_verdict(tmp_path, capsys, monkeypatch):
+    # a local union that misses one sphere fails the verdict at that sphere
+    from qspec import localspec, spectral
+
+    largest = localspec._largest_columns
+
+    def hiding(*args):
+        tops = largest(*args)
+        tops[1] = 0.0
+        return tops
+
+    monkeypatch.setattr(localspec, "_largest_columns", hiding)
+    spec = _golden_g00(tmp_path)
+    hidden = spectral.s_spectrum(io.parse_operator_spec(spec).finite_section(3))[1]
+    verdict = localspec.decomposability_necessary(io.parse_operator_spec(spec))
+    assert verdict.status == "FAIL" and verdict.witness == hidden
+    assert verdict.detail.startswith("sigma_S and local union differ")
+    code, out, _ = run_cli(capsys, "classify", "--op", spec)
+    assert code == 0
+    assert out.splitlines()[-1] == (f"decomposability FAIL witness "
+                                    f"{spectral._fmt(hidden.re)} {spectral._fmt(hidden.im)}")
 
 
 def test_cli_local(tmp_path, capsys):
@@ -628,6 +677,7 @@ GONE = {"lower_bound_i", "_j_conj"}
     ("spectral", "lower_bound_i", "n_max"),
     ("sliceseries", "h_metric", "center"),
     ("rand", "rand_qmatrix", "scale"),
+    ("localspec", "decomposability_necessary", "report"),
 ])
 def test_library_takes_no_parameter_that_no_caller_sets(module, function, name):
     # each was a constant in every call outside the tests: thresholds are
@@ -654,7 +704,6 @@ EXPORTED_DEFAULTS = {
     "SuiteConfig": ("seed", "trials", "tol"),
     "annulus_check": ("tol",),
     "classify": ("tol",),
-    "decomposability_necessary": ("report",),
     "default_exhaustion": ("radius", "levels"),
     "h_metric": ("exhaustion",),
     "kernel_basis": ("tol",),
@@ -677,7 +726,7 @@ def test_exported_defaults_are_the_table():
         if defaults:
             found[name] = defaults
     assert found == EXPORTED_DEFAULTS
-    assert sum(map(len, found.values())) == 20
+    assert sum(map(len, found.values())) == 19
 
 
 def test_cli_check_has_its_own_tol_default():

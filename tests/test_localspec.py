@@ -154,6 +154,15 @@ def test_local_resolvent_pole_guard():
         local_resolvent_diag(m, f, J)  # [j] = [i] hits the value sphere
 
 
+def test_local_resolvent_is_zero_at_a_pole_where_f_is():
+    # q = j lies on the sphere of g = i, but f vanishes there: no pole
+    m = MultiplicationOperator(("p", "r"), (I, Quaternion(2)))
+    f = QVector.from_quaternions([Quaternion(), ONE])
+    h = local_resolvent_diag(m, f, J)
+    # at g = 2, d = g^2 + |j|^2 = 5
+    assert h.entry(0) == Quaternion() and h.entry(1).isclose(Quaternion(0.2))
+
+
 def test_local_resolvent_inverts_pseudo_resolvent():
     rng = rand.generator(79, 0)
     vals = tuple(rand.rand_quaternion(rng) for _ in range(5))
