@@ -68,6 +68,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
 from qspec import cli  # noqa: E402
+from qspec.io import format_qmat, format_qvec  # noqa: E402
+from qspec.qlinalg import QMatrix, QVector  # noqa: E402
 
 # the random streams perfbench/worker.py gives these three workloads
 MATRIX_STREAM, PORTRAIT_STREAM, SERIES_STREAM = 1, 2, 3
@@ -146,8 +148,10 @@ def local_requests(seeded: dict[int, list], kind: str = "dense") -> list[list[st
             basis[rng.integers(n), 0] = 1.0
             for name, vec in (("v", rng.uniform(-1.0, 1.0, (n, 4))), ("e", basis)):
                 path = os.path.join(os.path.dirname(source), f"{name}{k}.qvec")
+                # rows w, x, y, z viewed as the complex pair w + x i, y + z i
+                pairs = vec.view(np.complex128)
                 with open(path, "w", encoding="ascii") as fh:
-                    fh.write("\n".join([str(n)] + [workloads.qlit(q) for q in vec]) + "\n")
+                    fh.write(format_qvec(QVector(pairs[:, 0], pairs[:, 1])))
                 out.append(["local", "--op", spec, "--vector", path])
     return out
 
@@ -159,11 +163,9 @@ def large_requests(workdir: str) -> list[list[str]]:
     for n in LARGE_SIZES:
         rng = np.random.default_rng(3)
         c1, c2 = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
-        entries = np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=-1)
         path = os.path.join(workdir, f"large{n}.qmat")
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join([f"{n} {n}"] + [" ".join(workloads.qlit(q) for q in row)
-                                               for row in entries]) + "\n")
+            fh.write(format_qmat(QMatrix(c1, c2)))
         out.append(["classify", "--op", f"dense:{path}"])
     return out
 

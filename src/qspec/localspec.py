@@ -81,16 +81,11 @@ def local_spectrum(a: QMatrix, phi: QVector, tol: float = MEMBER_TOL) -> tuple[E
 
 def _applied_norms(dec: SpectralDecomposition, phi: QVector) -> np.ndarray:
     """|P_i phi| for each sphere i, as |A_i (B_i x)| from the projection
-    factors, for all spheres in one product: x = embed(phi) on chi(A), and
-    on the C_i block, whose projections act on both complex parts of phi,
-    the two parts side by side."""
+    factors with x = embed(phi), for all spheres in one product."""
     a, b, owner = dec.projection_factors
-    x = np.stack([phi.c1, phi.c2], axis=1) if dec.half else phi.embed()[:, None]
-    count = len(dec.spheres)
-    # column (c, i) holds the rows of B x that are sphere i's, zeros elsewhere
-    y = (b @ x)[:, :, None] * (owner[:, None] == np.arange(count))[:, None, :]
-    parts = np.abs(a @ y.reshape(len(y), -1)) ** 2
-    return np.sqrt(parts.sum(axis=0).reshape(x.shape[1], count).sum(axis=0))
+    # column i holds the rows of B x that are sphere i's, zeros elsewhere
+    y = (b @ phi.embed()[:, None]) * (owner[:, None] == np.arange(len(dec.spheres)))
+    return np.sqrt((np.abs(a @ y) ** 2).sum(axis=0))
 
 
 def local_resolvent_diag(op: MultiplicationOperator, f: QVector, q: Quaternion) -> QVector:
@@ -163,13 +158,13 @@ def global_subspace(a: QMatrix, spheres) -> SubspaceBasis:
 def _set_projection(dec: SpectralDecomposition, chosen: np.ndarray) -> QMatrix:
     """P_F, the sum of the projections of the ``chosen`` spheres, as one
     product A_F B_F of the projection factors (the columns of A and rows of
-    B that belong to a chosen sphere): on the C_i block, or its top block
-    row [P1, P2] on chi(A)."""
+    B that belong to a chosen sphere), read off its top block row [P1, P2]
+    on chi(A)."""
     a, b, owner = dec.projection_factors
-    n = len(a) if dec.half else len(a) // 2
+    n = len(a) // 2
     cols = chosen[owner]
     p = a[:n, cols] @ b[cols]
-    return QMatrix(p, np.zeros_like(p)) if dec.half else QMatrix(p[:, :n], p[:, n:])
+    return QMatrix(p[:, :n], p[:, n:])
 
 
 # -- SVEP and decomposability -------------------------------------------------
@@ -271,7 +266,7 @@ def _largest_columns(a: np.ndarray, b: np.ndarray, owner: np.ndarray, count: int
     columns of A times the same rows of B), from the factors, for all
     spheres at once: with G = blockdiag(A^H A), column k's square is
     (B_i e_k)^H G_ii (B_i e_k), for the first n columns (the quaternionic
-    matrix's; on chi(A) the others repeat their norms).
+    matrix's; the others repeat their norms).
 
     A nonzero projection has 2-norm at least 1, so its largest column norm
     is at least 1/sqrt(n): the rounding of this form, about K eps |A_i|^2

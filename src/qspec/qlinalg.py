@@ -309,23 +309,25 @@ def complex_adjoint(a: QMatrix) -> np.ndarray:
 # -- complex images, norms, kernels, eigen-spheres -------------------------
 
 
-def complex_image(a: QMatrix) -> tuple[np.ndarray, bool]:
-    """The complex matrix every spectral fact of A is read from, and whether
-    it is ``half``, the C_i block of a complex-slice A, rather than chi(A).
+def complex_image(a: QMatrix) -> np.ndarray:
+    """The smallest complex matrix with A's singular values, for the norms
+    and the dense portrait kernel: chi(A), or the C_i block of a
+    complex-slice A.
 
     chi of a complex-slice A is block diagonal with conjugate blocks, so one
-    block carries each singular value and eigenvalue, once instead of twice.
-    A real block is returned as a contiguous real array, for the cheaper
-    real BLAS and LAPACK paths.
+    block carries each singular value, once instead of twice, at an eighth
+    of the SVD's work.  A real block is returned as a contiguous real array,
+    for the cheaper real BLAS and LAPACK paths.  The spectral decomposition
+    always reads chi(A).
     """
     if a.is_complex_slice:
         block = a.c1
-        return (block if np.any(block.imag) else block.real.copy()), True
-    return complex_adjoint(a), False
+        return block if np.any(block.imag) else block.real.copy()
+    return complex_adjoint(a)
 
 
 def _singular_values(a: QMatrix) -> np.ndarray:
-    return np.linalg.svd(complex_image(a)[0], compute_uv=False)
+    return np.linalg.svd(complex_image(a), compute_uv=False)
 
 
 def min_singular(a: QMatrix) -> float:
@@ -345,26 +347,25 @@ def op_norm(a: QMatrix) -> float:
     return float(_singular_values(a)[0])
 
 
-def _kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> np.ndarray:
-    """Kernel dimensions of matrices with ``cols`` columns whose complex
-    images have the singular values ``s``, one matrix per row of ``s`` (a
-    1-D ``s`` is one matrix), at kernel_basis's threshold tol * (1 + |A|_F).
+def _kernel_dim(s: np.ndarray, cols: int, tol: float) -> np.ndarray:
+    """Kernel dimensions of matrices with ``cols`` columns whose chi images
+    have the singular values ``s``, one matrix per row of ``s`` (a 1-D
+    ``s`` is one matrix), at kernel_basis's threshold tol * (1 + |A|_F).
 
-    |A|_F^2 is the sum of s^2, halved for chi, which holds each value twice.
-    C_i-block values count once, chi values in pairs; an odd count of small
-    chi values is the failure of a wrong-sized kernel pullback.  The first
-    failing row raises.
+    |A|_F^2 is half the sum of s^2, since chi holds each value twice, and
+    small values count in pairs; an odd count of them is the failure of a
+    wrong-sized kernel pullback.  The first failing row raises.
     """
     with np.errstate(over="ignore"):
-        fro = np.sqrt(np.sum(s * s, axis=-1) / (1 if half else 2))
-    null = (1 if half else 2) * cols - np.count_nonzero(s > tol * (1.0 + fro[..., None]), axis=-1)
-    failed = np.isinf(fro) if half else np.isinf(fro) | (null % 2 == 1)
+        fro = np.sqrt(np.sum(s * s, axis=-1) / 2)
+    null = 2 * cols - np.count_nonzero(s > tol * (1.0 + fro[..., None]), axis=-1)
+    failed = np.isinf(fro) | (null % 2 == 1)
     if failed.any():
         k = np.unravel_index(np.argmax(failed), failed.shape)    # the first failing row
         if np.isinf(fro[k]):
             raise NumericalError(f"singular values up to {s[k].max():.3e} overflow when squared")
         raise NumericalError(f"chi(A) has an odd null space dimension {null[k]}")
-    return null if half else null // 2
+    return null // 2
 
 
 def kernel_basis(a: QMatrix, tol: float = 1e-10) -> QMatrix:
@@ -381,7 +382,7 @@ def kernel_basis(a: QMatrix, tol: float = 1e-10) -> QMatrix:
     if a.rows == 0 or m == 0:
         return QMatrix.identity(m)
     _, s, vh = np.linalg.svd(complex_adjoint(a), full_matrices=a.rows < m)
-    expected = int(_kernel_dim(s, m, False, tol))
+    expected = int(_kernel_dim(s, m, tol))
     # each of the last 2 * expected rows w of vh pulls back to a column conj(w)
     null = vh[2 * (m - expected):]
     basis = orthonormalize(QMatrix(np.conj(null[:, :m]).T, -null[:, m:].T), drop_tol=1e-6)
@@ -411,11 +412,11 @@ def resolvent_singular_values(m: np.ndarray, xs, ys):
     """Singular values of R_q(m) = m^2 - 2x m + (x^2 + y^2) I at the points
     q = x + yI of the equal-length sequences ``xs`` and ``ys``.
 
-    With m = complex_image(A) these are the singular values of the image of
-    R_q(A).  Points go in blocks of about _BLOCK_ENTRIES matrix entries, one
-    stacked SVD each, and each block's (points, values) array is yielded,
-    largest value first, before the next block is formed; a block past
-    double precision raises NumericalError.
+    With m = chi(A), or complex_image(A), these are the singular values of
+    that image of R_q(A).  Points go in blocks of about _BLOCK_ENTRIES
+    matrix entries, one stacked SVD each, and each block's (points, values)
+    array is yielded, largest value first, before the next block is formed;
+    a block past double precision raises NumericalError.
     """
     x = np.asarray(xs, dtype=float).reshape(-1, 1, 1)
     y = np.asarray(ys, dtype=float).reshape(-1, 1, 1)
@@ -499,11 +500,12 @@ CONDITION_LIMIT = 1e8
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """The spheres of the image M = complex_image(A) of a square A, with
-    ``half`` when M is the C_i block.  The eigenvalues of M lie along one
-    diagonal in blocks: block k spans ``blocks[k]`` of it and belongs to
-    sphere ``owner[k]``.  Sphere i keeps its multiplicity and row i of
-    ``singular_values``, those of R_q(M) at its representative.
+    """The spheres of a square A, read off M = chi(A), which carries every
+    sphere of every A as conjugate eigenvalues (Zhang, LAA 251 (1997)).
+    The eigenvalues of M lie along one diagonal in blocks: block k spans
+    ``blocks[k]`` of it and belongs to sphere ``owner[k]``.  Sphere i keeps
+    its multiplicity and row i of ``singular_values``, those of R_q(M) at
+    its representative.
 
     The Schur route fills Z and W from one complex Schur form T = Z^H M Z,
     whose diagonal is the eigenvalue diagonal: W is unit upper triangular,
@@ -528,7 +530,6 @@ class SpectralDecomposition:
     multiplicities: tuple[int, ...]
     singular_values: np.ndarray = field(repr=False)
     m: np.ndarray = field(repr=False)
-    half: bool
     z: np.ndarray | None = field(repr=False)
     w: np.ndarray | None = field(repr=False)
     blocks: tuple[tuple[int, int], ...]
@@ -543,8 +544,7 @@ class SpectralDecomposition:
     def kernel_dims(self, tol: float = 1e-10) -> tuple[int, ...]:
         """dim ker R_q(A) at each sphere at ``kernel_basis``'s tol, from its
         singular values."""
-        cols = len(self.m) if self.half else len(self.m) // 2
-        return tuple(_kernel_dim(self.singular_values, cols, self.half, tol).tolist())
+        return tuple(_kernel_dim(self.singular_values, len(self.m) // 2, tol).tolist())
 
     @property
     def certified(self) -> bool:
@@ -595,7 +595,7 @@ class SpectralDecomposition:
 
     def _coordinate_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """I, I and the sphere of each coordinate of M, for a lone sphere or
-        a diagonal A; on chi(A) coordinates k and n + k are entry k's.  An
+        a diagonal A; coordinates k and n + k of chi(A) are entry k's.  An
         entry whose eigenvalues went to two spheres would make no
         quaternionic projection, and raises as such."""
         size = len(self.m)
@@ -603,11 +603,11 @@ class SpectralDecomposition:
             owner = np.zeros(size, dtype=np.intp)
         else:
             at, _ = self.positions
-            sphere = np.full(size if self.half else size // 2, -1)
+            sphere = np.full(size // 2, -1)
             sphere[self.entries] = at
             if sphere.min() < 0 or not np.array_equal(sphere[self.entries], at):
                 raise NumericalError("projection broke the quaternionic structure")
-            owner = sphere if self.half else np.concatenate([sphere, sphere])
+            owner = np.concatenate([sphere, sphere])
         eye = np.eye(size)
         return eye, eye, owner
 
@@ -625,7 +625,10 @@ class SpectralDecomposition:
     @functools.cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """V = Z W^-1 and U = W Z^H, so that M = V diag(T_kk) U and U V = I;
-        on the Schur route only."""
+        on the Schur route only: a diagonal or empty A's decomposition has
+        no Schur factors and raises ValueError."""
+        if self.z is None:
+            raise ValueError("a diagonal or empty matrix's decomposition has no Schur factors")
         x, _ = _lapack().ztrtri(self.w, unitdiag=1)    # unit triangular: never singular
         return self.z @ x, self.w @ self.z.conj().T
 
@@ -666,8 +669,7 @@ def _conditioned(dec: SpectralDecomposition) -> list[float]:
     vs, us = dec.sphere_factors
     # V_i = Q R with orthonormal Q, so |V_i U_i| = |R U_i|
     conditions = np.linalg.svd(np.linalg.qr(vs, mode="r") @ us, compute_uv=False)[:, 0]
-    # a projector P of the C_i block is diag(P, conj P) on chi(A)
-    broken = np.zeros(len(vs)) if dec.half else _structure_defects(vs, us)
+    broken = _structure_defects(vs, us)
     for i, s in enumerate(dec.spheres):
         if conditions[i] > CONDITION_LIMIT:
             raise NumericalError(
@@ -700,14 +702,11 @@ def _structure_defects(vs: np.ndarray, us: np.ndarray) -> np.ndarray:
 def _projection_factors(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A, B and the sphere of each column of A, with A_i B_i (sphere i's
     columns of A times the same rows of B) its projection, from V = Z W^-1
-    and U = W Z^H: on the C_i block A = V and B = U; on chi(A) A = [V,
-    J conj(V)] and B = [U; conj(U) J^-1] / 2, so that A_i B_i = (V_i U_i +
-    J conj(V_i U_i) J^-1) / 2, the J-symmetrized projector, whose top block
-    row is a quaternionic matrix."""
+    and U = W Z^H: A = [V, J conj(V)] and B = [U; conj(U) J^-1] / 2, so
+    that A_i B_i = (V_i U_i + J conj(V_i U_i) J^-1) / 2, the J-symmetrized
+    projector, whose top block row is a quaternionic matrix."""
     v, u = dec.factors
     owner, _ = dec.positions
-    if dec.half:
-        return v, u, owner
     n = len(v) // 2    # J = [[0, I], [-I, 0]]
     a = np.hstack([v, np.conj(np.vstack([v[n:], -v[:n]]))])
     b = 0.5 * np.vstack([u, np.conj(np.hstack([u[:, n:], -u[:, :n]]))])
@@ -824,39 +823,40 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
 def _decompose(a: QMatrix) -> SpectralDecomposition:
     if a.rows != a.cols:
         raise ShapeError("eigen-spheres need a square matrix")
-    m, half = complex_image(a)
+    m = complex_adjoint(a)
     if a.rows == 0:
-        return SpectralDecomposition((), (), np.empty((0, 0)), m, half, None, None,
-                                     (), (), None)
+        return SpectralDecomposition((), (), np.empty((0, 0)), m, None, None, (), (), None)
     if a.is_diagonal:
-        return _diagonal_decomposition(a, m, half)
-    return _schur_decomposition(a, m, half)
+        return _diagonal_decomposition(a, m)
+    return _schur_decomposition(a, m)
 
 
-def _schur_decomposition(a: QMatrix, m: np.ndarray, half: bool) -> SpectralDecomposition:
-    """The decomposition of a nonempty square A with image ``m`` from one
+def _schur_decomposition(a: QMatrix, m: np.ndarray) -> SpectralDecomposition:
+    """The decomposition of a nonempty square A with m = chi(A) from one
     Schur form and its split; the tests' reference for diagonal inputs."""
     t, z = _schur(m)
     blocks, w = _split_schur(t, z)
-    spheres, mult, owner = _block_spheres(t.diagonal(), blocks, half)
+    spheres, mult, owner = _block_spheres(t.diagonal(), blocks)
     values = np.concatenate(list(resolvent_singular_values(
         m, [s.re for s in spheres], [s.im for s in spheres])))
-    return _checked(a, SpectralDecomposition(spheres, mult, values, m, half, z, w,
+    return _checked(a, SpectralDecomposition(spheres, mult, values, m, z, w,
                                              tuple(blocks), tuple(owner.tolist()), None))
 
 
-def _block_spheres(diag: np.ndarray, blocks: list, half: bool) -> tuple:
+def _block_spheres(diag: np.ndarray, blocks: list) -> tuple:
     """The spheres of the blocks of the eigenvalue diagonal ``diag`` (a
     Schur form's on the Schur route, the closed form's for a diagonal A),
-    their multiplicities and each block's sphere."""
+    their multiplicities and each block's sphere.  chi(A) holds each
+    sphere's eigenvalues in conjugate pairs, so a cluster of odd size
+    raises."""
     starts = np.array([i for i, _ in blocks])
     widths = np.diff(np.append(starts, len(diag)))
     centres = np.add.reduceat(diag, starts) / widths
     spheres, owner = _clusters(centres.real, np.abs(centres.imag), SPHERE_MERGE_TOL)
     sizes = np.bincount(owner, weights=widths).astype(int)
-    if not half and np.any(sizes % 2):
+    if np.any(sizes % 2):
         raise NumericalError("eigenvalue cluster broke a conjugate pair")
-    return spheres, tuple(int(k) for k in (sizes if half else sizes // 2)), owner
+    return spheres, tuple(int(k) for k in sizes // 2), owner
 
 
 def _checked(a: QMatrix, dec: SpectralDecomposition) -> SpectralDecomposition:
@@ -870,57 +870,51 @@ def _checked(a: QMatrix, dec: SpectralDecomposition) -> SpectralDecomposition:
     return dec
 
 
-def _diagonal_decomposition(a: QMatrix, m: np.ndarray, half: bool) -> SpectralDecomposition:
-    """The decomposition of a nonempty diagonal A in closed form.
+def _diagonal_decomposition(a: QMatrix, m: np.ndarray) -> SpectralDecomposition:
+    """The decomposition of a nonempty diagonal A, m = chi(A), in closed form.
 
-    Entry g = w + x i + b j, |Im g| = s, puts the eigenvalue w + i x on the
-    C_i block, and w + i s and w - i s on chi(A).  The eigenvalues are
-    ordered so that each group of linked ones is contiguous, one block
-    each, as ``_split_schur`` finds them; no Schur form is built, so ``z``
-    and ``w`` are None.  R_q(A) is diagonal with entries of modulus
-    |g - lam| |g - conj lam| (lam = x' + s' I_g at the sphere (x', s')), so
-    those are its singular values, twice each in chi(A).  ``entries``
-    records the entry behind each position, so that the sphere owning it
-    gives the entry's coordinate projection.  Errors are those of the
-    Schur route: a non-finite entry, and an R_q past double precision,
-    raise its messages.
+    Entry g = w + x i + b j, |Im g| = s, puts the eigenvalues w + i s and
+    w - i s on chi(A).  They are ordered so that each group of linked ones
+    is contiguous, one block each, as ``_split_schur`` finds them; no Schur
+    form is built, so ``z`` and ``w`` are None.  R_q(A) is diagonal with
+    entries of modulus |g - lam| |g - conj lam| (lam = x' + s' I_g at the
+    sphere (x', s')), so those are its singular values, twice each in
+    chi(A).  ``entries`` records the entry behind each position, so that
+    the sphere owning it gives the entry's coordinate projection.  Errors
+    are those of the Schur route: a non-finite entry, and an R_q past
+    double precision, raise its messages.
     """
     if not np.isfinite(m).all():
         raise NumericalError(NOT_FINITE)
     n, g1, g2 = a.rows, a.c1.diagonal(), a.c2.diagonal()
     re, s = g1.real, np.hypot(g1.imag, np.abs(g2))
-    diag = g1 if half else np.concatenate([re + 1j * s, re - 1j * s])
+    diag = np.concatenate([re + 1j * s, re - 1j * s])
     seed = linked_components(diag.real, diag.imag, SPHERE_MERGE_TOL)
     order = np.argsort(seed, kind="stable")
     seed, diag = seed[order], diag[order]
     starts = np.flatnonzero(np.diff(seed, prepend=-1)).tolist()
     blocks = list(zip(starts, starts[1:] + [len(diag)]))
-    spheres, mult, owner = _block_spheres(diag, blocks, half)
+    spheres, mult, owner = _block_spheres(diag, blocks)
     xs = np.array([sp.re for sp in spheres])
     ys = np.array([sp.im for sp in spheres])
-    _check_resolvent_finite(g1, g2, half, xs, ys)
+    _check_resolvent_finite(g1, g2, xs, ys)
     dw = re - xs[:, None]
     values = np.hypot(dw, s - ys[:, None]) * np.hypot(dw, s + ys[:, None])
-    if not half:
-        values = np.repeat(values, 2, axis=1)
-    values = -np.sort(-values, axis=1)
-    return _checked(a, SpectralDecomposition(spheres, mult, values, m, half, None, None,
+    values = -np.sort(-np.repeat(values, 2, axis=1), axis=1)
+    return _checked(a, SpectralDecomposition(spheres, mult, values, m, None, None,
                                              tuple(blocks), tuple(owner.tolist()), order % n))
 
 
-def _check_resolvent_finite(g1: np.ndarray, g2: np.ndarray, half: bool, xs: np.ndarray,
+def _check_resolvent_finite(g1: np.ndarray, g2: np.ndarray, xs: np.ndarray,
                             ys: np.ndarray) -> None:
-    """Raise as ``resolvent_singular_values`` does where the image of some
-    R_q(A) = A^2 - 2x A + (x^2 + y^2) I of a diagonal A at the points
-    (xs, ys) has an entry past double precision: the nonzero ones are those
-    of its 2 x 2 blocks (1 x 1 on the C_i block), and a non-finite 2x or
-    x^2 + y^2 spoils its zeros."""
+    """Raise as ``resolvent_singular_values`` does where chi of some R_q(A)
+    = A^2 - 2x A + (x^2 + y^2) I of a diagonal A at the points (xs, ys) has
+    an entry past double precision: the nonzero ones are those of its 2 x 2
+    blocks, and a non-finite 2x or x^2 + y^2 spoils its zeros."""
     with np.errstate(over="ignore", invalid="ignore"):
         twice_x, r2 = 2.0 * xs[:, None], (xs * xs + ys * ys)[:, None]
-        square = g1 * g1 if half else g1 * g1 - g2 * np.conj(g2)
-        entries = [twice_x, r2, square - twice_x * g1 + r2]
-        if not half:
-            entries.append(g1 * g2 + g2 * np.conj(g1) - twice_x * g2)
+        entries = [twice_x, r2, g1 * g1 - g2 * np.conj(g2) - twice_x * g1 + r2,
+                   g1 * g2 + g2 * np.conj(g1) - twice_x * g2]
     if not all(np.isfinite(e).all() for e in entries):
         raise NumericalError(RESOLVENT_OVERFLOW)
 

@@ -204,9 +204,9 @@ def linked_components(re: np.ndarray, im: np.ndarray, tol: float) -> np.ndarray:
     return root
 
 
-def cluster_spheres(spheres, tol: float = SPHERE_MERGE_TOL
-                    ) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
-    """Single-linkage clusters of spheres under ``EigenSphere.matches``.
+def cluster_spheres(spheres) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
+    """Single-linkage clusters of spheres under ``EigenSphere.matches`` at
+    SPHERE_MERGE_TOL.
 
     Spheres share a cluster when a chain of pairwise matches joins them;
     every pair is compared, so a sphere sorting between two copies of
@@ -217,13 +217,13 @@ def cluster_spheres(spheres, tol: float = SPHERE_MERGE_TOL
     """
     keys = [s.key() for s in spheres]
     re, im = np.array(keys, dtype=float).reshape(len(keys), 2).T
-    return _clusters(re, im, tol)
+    return _clusters(re, im, SPHERE_MERGE_TOL)
 
 
 def _clusters(re: np.ndarray, im: np.ndarray, tol: float
               ) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
-    """``cluster_spheres`` of the spheres (re, im), im >= 0, given as arrays:
-    only the centroids become ``EigenSphere`` objects."""
+    """``cluster_spheres`` of the spheres (re, im), im >= 0, given as arrays,
+    at ``tol``: only the centroids become ``EigenSphere`` objects."""
     n = len(re)
     if not n:
         return (), np.zeros(0, dtype=np.intp)
@@ -241,15 +241,15 @@ def _clusters(re: np.ndarray, im: np.ndarray, tol: float
     return tuple(EigenSphere(*cents[r]) for r in ranked), rank[root]
 
 
-def merge_spheres(spheres, tol: float = SPHERE_MERGE_TOL) -> tuple[EigenSphere, ...]:
+def merge_spheres(spheres) -> tuple[EigenSphere, ...]:
     """Deduplicate spheres, replacing each cluster by its centroid.
 
     The clusters are those of ``cluster_spheres``; input order does not
     matter and the result is sorted by (re, im).  Matching is chained, so
     the merge radius bounds neighbours, not cluster width: 200 spheres
-    spaced 0.9e-8 apart collapse into one centroid at the default tol.
+    spaced 0.9e-8 apart collapse into one centroid at SPHERE_MERGE_TOL.
     """
-    return cluster_spheres(spheres, tol)[0]
+    return cluster_spheres(spheres)[0]
 
 
 def sphere_in(s: EigenSphere, spheres, tol: float = SPHERE_MERGE_TOL) -> bool:

@@ -1054,7 +1054,7 @@ class _SectionKappa:
 
     def _image(self) -> np.ndarray:
         if self._m is None:
-            self._m = qlinalg.complex_image(self._op.finite_section(self.n))[0]
+            self._m = qlinalg.complex_image(self._op.finite_section(self.n))
         return self._m
 
     def _dense(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Reference for the spectral decomposition: the route it replaced.
 
-Spheres from ``numpy.linalg.eigvals`` merged by ``merge_spheres``;
+Spheres from ``numpy.linalg.eigvals`` merged as ``merge_spheres`` merges;
 projections from one ordered Schur form and one ``solve_sylvester`` per
 eigenvalue cluster (clustered at a fixed radius); and a classification
 that merges the spheres of A and A^dag and reads surjectivity from a
@@ -38,11 +38,10 @@ import scipy.linalg
 from qspec import qlinalg
 from qspec.errors import NumericalError
 from qspec.localspec import MEMBER_TOL
-from qspec.qlinalg import (CONDITION_LIMIT, QMatrix, QVector, SubspaceBasis, _kernel_dim,
-                           _singular_values, complex_adjoint, hstack, inner, kernel_basis,
-                           min_singular, op_norm, pseudo_resolvent, vstack)
-from qspec.quat import (EigenSphere, Quaternion, cluster_spheres, linked_components,
-                        merge_spheres, sphere_union)
+from qspec.qlinalg import (CONDITION_LIMIT, QMatrix, QVector, SubspaceBasis, _singular_values,
+                           complex_adjoint, hstack, inner, kernel_basis, min_singular, op_norm,
+                           pseudo_resolvent, vstack)
+from qspec.quat import EigenSphere, Quaternion, _clusters, linked_components, sphere_union
 from qspec.spectral import SphereFlags, SpectrumReport, membership_threshold
 
 CLUSTER_TOL = 1e-6
@@ -67,14 +66,17 @@ def _eigenvalues(a: QMatrix) -> np.ndarray:
 
 
 def nullity(a: QMatrix, tol: float = 1e-10, s: np.ndarray | None = None) -> int:
-    """len(kernel_basis(a, tol)) counted from ``s = _singular_values(a)``."""
+    """len(kernel_basis(a, tol)) counted from ``s = _singular_values(a)``,
+    the values of ``complex_image(a)``."""
     s = _singular_values(a) if s is None else s
-    return _kernel_dim(s, a.cols, a.is_complex_slice, tol)
+    return kernel_dim(s, a.cols, a.is_complex_slice, tol)
 
 
 def kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> int:
     """The kernel count of one matrix from the singular values ``s`` of its
-    image, the rule ``qlinalg._kernel_dim`` applies to every row at once."""
+    image, ``half`` when that is the C_i block of a complex-slice matrix
+    (``complex_image``), whose values count once: on chi(A), the rule
+    ``qlinalg._kernel_dim`` applies to every row at once."""
     with np.errstate(over="ignore"):
         fro = math.sqrt(float(np.sum(s * s)) / (1 if half else 2))
     if math.isinf(fro):
@@ -88,8 +90,15 @@ def kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> int:
     return null // 2
 
 
+def _eigen_clusters(lams: np.ndarray, tol: float) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
+    """The clusters at ``tol`` of the spheres (Re l, |Im l|) of the
+    eigenvalues ``lams``, as ``quat.cluster_spheres`` forms them at
+    SPHERE_MERGE_TOL."""
+    return _clusters(lams.real, np.abs(lams.imag), tol)
+
+
 def object_clusters(spheres, tol: float) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
-    """``quat.cluster_spheres`` with the members as ``EigenSphere`` objects,
+    """``quat._clusters`` with the members as ``EigenSphere`` objects,
     sorted by ``key()``."""
     items = list(spheres)
     n = len(items)
@@ -128,14 +137,14 @@ def j_conj(m: np.ndarray) -> np.ndarray:
 def projections(dec) -> tuple[QMatrix, ...]:
     """One spectral projection per sphere of the validated decomposition
     ``dec``, formed from its ``projection_factors`` one sphere at a time:
-    A_i B_i on the C_i block, its top block row [P1, P2] on chi(A)."""
+    the top block row [P1, P2] of A_i B_i on chi(A)."""
     a, b, owner = dec.projection_factors
-    n = len(a) if dec.half else len(a) // 2
+    n = len(a) // 2
     out = []
     for i in range(len(dec.spheres)):
         cols = owner == i
         p = a[:n, cols] @ b[cols]
-        out.append(QMatrix(p, np.zeros_like(p)) if dec.half else QMatrix(p[:, :n], p[:, n:]))
+        out.append(QMatrix(p[:, :n], p[:, n:]))
     return tuple(out)
 
 
@@ -143,7 +152,7 @@ def schur_route(a: QMatrix) -> qlinalg.SpectralDecomposition:
     """The Schur route's decomposition of a copy of A, kept with neither:
     the route of every non-diagonal matrix, taken by a diagonal one too."""
     b = QMatrix(a.c1, a.c2)
-    return qlinalg._schur_decomposition(b, *qlinalg.complex_image(b))
+    return qlinalg._schur_decomposition(b, complex_adjoint(b))
 
 
 def schur_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
@@ -157,7 +166,7 @@ def schur_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarra
 def local_subspace(dec, chosen) -> SubspaceBasis:
     """The span of the ``chosen`` spheres' projections, their columns side by
     side, orthonormalized."""
-    n = len(dec.m) if dec.half else len(dec.m) // 2
+    n = len(dec.m) // 2
     picked = [p for p, c in zip(projections(dec), chosen) if c]
     return SubspaceBasis(qlinalg.orthonormalize(hstack([QMatrix.zeros(n, 0), *picked]),
                                                 drop_tol=1e-6))
@@ -167,7 +176,7 @@ def global_subspace(dec, chosen) -> SubspaceBasis:
     """The joint kernel at ``MEMBER_TOL`` of the projections of the spheres
     not ``chosen``, stacked one above the other; the whole space when every
     sphere is chosen."""
-    n = len(dec.m) if dec.half else len(dec.m) // 2
+    n = len(dec.m) // 2
     outside = [p for p, c in zip(projections(dec), chosen) if not c]
     if not outside:
         return SubspaceBasis(QMatrix.identity(n))
@@ -188,8 +197,7 @@ def eigen_spheres(a: QMatrix, tol: float = 1e-8) -> tuple[EigenSphere, ...]:
     """Merged (Re, |Im|) of the eigenvalues of chi(A), each checked directly."""
     if a.rows == 0:
         return ()
-    spheres = merge_spheres(
-        [EigenSphere(float(l.real), abs(float(l.imag))) for l in _eigenvalues(a)], tol=tol)
+    spheres = _eigen_clusters(_eigenvalues(a), tol)[0]
     check_scale = 1e-6 * (1.0 + a.frobenius() ** 2)
     for s in spheres:
         if min_singular(pseudo_resolvent(a, Quaternion(s.re, s.im))) > check_scale:
@@ -201,9 +209,7 @@ def projection_set(a: QMatrix, cluster_tol: float = CLUSTER_TOL) -> ProjectionSe
     """One ordered Schur form and one Sylvester solve per sphere cluster."""
     n = a.rows
     m = complex_adjoint(a)
-    spheres, labels = cluster_spheres(
-        [EigenSphere(float(l.real), abs(float(l.imag))) for l in np.linalg.eigvals(m)],
-        tol=cluster_tol)
+    spheres, labels = _eigen_clusters(np.linalg.eigvals(m), cluster_tol)
     sizes = np.bincount(labels, minlength=len(spheres))
     if np.any(sizes % 2):
         raise NumericalError("eigenvalue cluster broke a conjugate pair")

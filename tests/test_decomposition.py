@@ -3,6 +3,7 @@ local spectra: cross-tested against the eigvals route it replaced
 (``spectral_reference``), and regression inputs that split that route."""
 
 import ast
+import dataclasses
 import importlib
 import math
 import os
@@ -318,10 +319,11 @@ def test_every_build_counts_n_with_at_most_n_spheres():
 
 def test_ill_separated_eigenvalues_share_a_block():
     # the eigenvalues 1 and 1 + 1e-4 are 1e-4 apart, but splitting them
-    # needs a Sylvester solution of norm 1e12: one block, one sphere
+    # needs a Sylvester solution of norm 1e12: one block, one sphere, of
+    # all four eigenvalues of chi(A), which holds each twice
     a = QMatrix(np.array([[1.0, 1e8], [0.0, 1.0 + 1e-4]]), np.zeros((2, 2)))
     dec = spectral_decomposition(a)
-    assert dec.blocks == ((0, 2),)
+    assert dec.blocks == ((0, 4),)
     assert dec.multiplicities == (2,)
     assert dec.spheres[0].matches(EigenSphere(1.0 + 5e-5, 0.0), 1e-12)
     # with a coupling of 1, |Y| = 1e4 < GROWTH_LIMIT: two blocks, two spheres
@@ -430,8 +432,7 @@ def _pulled(a: QMatrix, factors) -> list[QMatrix]:
     out = []
     for i in range(int(owner.max()) + 1):
         p = fa[:, owner == i] @ fb[owner == i]
-        out.append(QMatrix(p, np.zeros_like(p)) if a.is_complex_slice
-                   else QMatrix(p[:n, :n], p[:n, n:]))
+        out.append(QMatrix(p[:n, :n], p[:n, n:]))
     return out
 
 
@@ -439,7 +440,7 @@ def _checks_agree(a: QMatrix, factors, conditions) -> str:
     """The factored check and the QMatrix reference on the projections of
     one set of factors: the same accept or the same message."""
     outcomes = []
-    for run in (lambda: qlinalg._check_projections(complex_image(a)[0], *factors, conditions),
+    for run in (lambda: qlinalg._check_projections(complex_adjoint(a), *factors, conditions),
                 lambda: ref.validate_projections(a, _pulled(a, factors), conditions)):
         try:
             run()
@@ -529,10 +530,9 @@ def test_block_check_accepts_valid_projections(label, a, monkeypatch):
     want = np.linalg.norm(stack, 2, axis=(1, 2))
     conditions = qlinalg._conditioned(dec)
     assert np.allclose(conditions, want, rtol=1e-12, atol=0.0)
-    if not dec.half:
-        defects = np.linalg.norm(stack - ref.j_conj(stack), axis=(1, 2))
-        got = qlinalg._structure_defects(vs, us)
-        assert np.all(np.abs(got - defects) <= 1e-12 * defects + 1e-30)
+    defects = np.linalg.norm(stack - ref.j_conj(stack), axis=(1, 2))
+    got = qlinalg._structure_defects(vs, us)
+    assert np.all(np.abs(got - defects) <= 1e-12 * defects + 1e-30)
     monkeypatch.setattr(qlinalg, "_exceeds", _never_formed)
     qlinalg._check_projections(dec.m, *qlinalg._projection_factors(dec), conditions)
 
@@ -558,7 +558,7 @@ def test_check_screens_are_the_frobenius_norms_of_the_residuals():
         for (fa, fb, owner), slack in sets:
             count = int(owner.max()) + 1
             _, c, x, pairs, invariance, rounding = qlinalg._factored_residuals(
-                complex_image(a)[0], fa, fb, owner, count)
+                complex_adjoint(a), fa, fb, owner, count)
             assert rounding <= slack, label
             cols = [owner == i for i in range(count)]
             for i in range(count):
@@ -606,8 +606,7 @@ def test_checked_factors_give_the_returned_projections(label, a, monkeypatch):
     else:
         assert len(checked) == 1 and all(x is y for x, y in zip(checked[0], factors))
     for p, q in zip(ref.projections(dec), _pulled(a, factors)):
-        got = p.c1 if dec.half else complex_adjoint(p)
-        want = q.c1 if dec.half else complex_adjoint(q)
+        got, want = complex_adjoint(p), complex_adjoint(q)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), label
 
 
@@ -729,8 +728,13 @@ def _rotation(rng, n: int, angle: float) -> np.ndarray:
     return 0.5 * (u + ref.j_conj(u))
 
 
-@pytest.mark.parametrize("label,a", [(lab, a) for lab, a in VALIDATOR_INPUTS
-                                     if not a.is_complex_slice and lab != "single-sphere"])
+# the complex-slice inputs go last, so that the others keep their ids
+ROTATED_INPUTS = ([(lab, a) for lab, a in VALIDATOR_INPUTS
+                   if not a.is_complex_slice and lab != "single-sphere"]
+                  + [(lab, a) for lab, a in VALIDATOR_INPUTS if a.is_complex_slice])
+
+
+@pytest.mark.parametrize("label,a", ROTATED_INPUTS)
 def test_stacked_validator_rejects_rotated_ranges(label, a):
     # rotating every projection, A -> R A and B -> B R^H, keeps the sum and
     # the products but moves the ranges off the invariant subspaces of A
@@ -804,6 +808,24 @@ def test_spectral_projections_reaches_every_raise_path(monkeypatch):
         "a projection range is not invariant"
 
 
+def test_decomposition_raises_on_an_odd_cluster_and_a_failed_residual_check():
+    # chi(A) holds each sphere's eigenvalues in conjugate pairs, so a
+    # cluster of odd size cannot be a sphere of A
+    with pytest.raises(NumericalError, match="eigenvalue cluster broke a conjugate pair"):
+        qlinalg._block_spheres(np.array([1 + 1j, 1 - 1j, 2.0]), [(0, 1), (1, 2), (2, 3)])
+    # every sphere's R_q must be numerically singular: a smallest value
+    # above 1e-6 (1 + |A|_F^2) fails, and names the first sphere that does
+    a = INPUTS[0][1]
+    dec = spectral_decomposition(a)
+    assert qlinalg._checked(a, dec) is dec
+    check = 1e-6 * (1.0 + a.frobenius() ** 2)
+    lifted = dataclasses.replace(dec, singular_values=dec.singular_values + 2.0 * check)
+    first = dec.spheres[0]
+    with pytest.raises(NumericalError, match=r"failed the direct residual check") as info:
+        qlinalg._checked(a, lifted)
+    assert str(info.value).startswith(f"eigen-sphere ({first.re}, {first.im})")
+
+
 # -- the R_q kernel against the QMatrix pseudo-resolvent ----------------------
 
 
@@ -825,11 +847,14 @@ KERNEL_INPUTS = _kernel_inputs()
 
 @pytest.mark.parametrize("label,a", KERNEL_INPUTS, ids=[lab for lab, _ in KERNEL_INPUTS])
 def test_resolvent_kernel_matches_pseudo_resolvent(label, a):
-    m, half = complex_image(a)
-    assert half == a.is_complex_slice
-    assert np.array_equal(m, a.c1 if half else complex_adjoint(a))
-    assert (m.dtype == np.float64) == (half and not np.any(a.c1.imag))
+    # the decomposition reads chi(A); the norms the reference counts with
+    # read complex_image(A), the C_i block of a complex-slice A
+    m = complex_adjoint(a)
+    image = complex_image(a)
+    assert np.array_equal(image, a.c1 if a.is_complex_slice else m)
+    assert (image.dtype == np.float64) == (a.is_complex_slice and not np.any(a.c1.imag))
     dec = spectral_decomposition(a)
+    assert np.array_equal(dec.m, m)
     rng = np.random.default_rng([97, a.rows])
     points = [Quaternion(s.re, s.im) for s in dec.spheres]
     points += [rand.rand_quaternion(rng, 1.5) for _ in range(4)]
@@ -842,7 +867,7 @@ def test_resolvent_kernel_matches_pseudo_resolvent(label, a):
     pinned = spectral_decomposition(b)
     assert not b.is_diagonal
     assert np.array_equal(np.concatenate(list(resolvent_singular_values(
-        complex_image(b)[0], [s.re for s in pinned.spheres], [s.im for s in pinned.spheres]))),
+        complex_adjoint(b), [s.re for s in pinned.spheres], [s.im for s in pinned.spheres]))),
         pinned.singular_values)
     scale = 1.0 + a.frobenius() ** 2
     for q, s in zip(points, got):
@@ -853,7 +878,7 @@ def test_resolvent_kernel_matches_pseudo_resolvent(label, a):
         top = want[0] if want[0] > 1e-12 * scale else scale
         assert abs(s[-1] - want[-1]) <= 1e-14 * top, (q, s[-1], want[-1])
         for tol in (1e-8, 1e-10):
-            assert _kernel_dim(s, a.cols, half, tol) == ref.nullity(r, tol), (q, tol)
+            assert _kernel_dim(s, a.cols, tol) == ref.nullity(r, tol), (q, tol)
     for tol in (1e-8, 1e-10):
         assert dec.kernel_dims(tol) == tuple(
             ref.nullity(pseudo_resolvent(a, q), tol) for q in points[:len(dec.spheres)])
@@ -862,9 +887,101 @@ def test_resolvent_kernel_matches_pseudo_resolvent(label, a):
 def test_real_image_has_the_schur_form_of_its_complex_block():
     reals = [a for label, a in INPUTS if label.startswith("real")]
     for a in reals:
-        m, half = complex_image(a)
-        assert half and m.dtype == np.float64
+        m = complex_image(a)
+        assert a.is_complex_slice and m.dtype == np.float64
         t, z = scipy.linalg.schur(m, output="complex")
         t1, z1 = scipy.linalg.schur(a.c1, output="complex")
         assert np.array_equal(t, t1) and np.array_equal(z, z1)
     assert len(reals) == 8
+
+
+# -- one layout: every decomposition is of chi(A) -----------------------------
+
+
+def _layout_inputs():
+    """The real, slice and mult inputs, an empty and two 1 x 1 matrices, and
+    the complex-slice diagonals of tests/test_diagonal.py."""
+    from test_diagonal import INPUTS as DIAGONAL_INPUTS
+
+    out = [(lab, a) for lab, a in INPUTS if lab.startswith(("real", "slice", "mult"))]
+    out += [("empty", QMatrix.zeros(0)),
+            ("one", rand.rand_qmatrix(rand.generator(34, 0), 1, 1)),
+            ("one-slice", QMatrix(np.array([[0.5 - 1.25j]]), np.zeros((1, 1))))]
+    return out + [(lab, a) for lab, a in DIAGONAL_INPUTS if a.is_complex_slice]
+
+
+LAYOUT_INPUTS = _layout_inputs()
+
+#: the multiplicities and the spheres, as qspec prints them, of each
+#: complex-slice input when it was decomposed on its C_i block rather than
+#: on chi(A).  Then every kernel count equalled its multiplicity, at tol
+#: 1e-8 and 1e-10, every sphere was flagged p a c s, the verdict passed,
+#: every seeded vector saw every sphere, and the first sphere's local and
+#: global subspaces had its multiplicity as dimension
+C_BLOCK_TABLE = {
+    "real0": ((1, 1), ("0.301564313667 0", "0.559551839697 0")),
+    "slice0": ((1, 1), ("-0.04475717005 0.02065180797", "0.905873323415 0.833721141975")),
+    "real1": ((1, 1, 1), ("-1.5712944391 0", "-0.936448497437 0", "0.443519174036 0")),
+    "slice1": ((1, 1, 1), ("-1.16882577747 1.4969426221", "-1.15902778201 0.391675472764",
+        "0.263629796982 0.812442028027")),
+    "real2": ((1, 1, 2), ("-0.999003012712 0", "-0.555504379205 0",
+        "1.03549732655 0.39750945381")),
+    "slice2": ((1, 1, 1, 1), ("-1.05818504568 0.621695237988", "-0.788622792025 0.917510880546",
+        "0.835003593401 1.01471585844", "1.52829150548 0.220202419615")),
+    "real3": ((1, 1, 1, 2), ("-1.25401181501 0", "-0.753831068142 0", "0.072916649961 0",
+        "0.490250125495 0.555462383958")),
+    "slice3": ((1, 1, 1, 1, 1), ("-1.23108722303 1.09082470562", "-1.01688515622 1.15425876542",
+        "-0.808821598785 0.149631036993", "0.787760977219 1.06308322558",
+        "1.31460701861 0.96330579362")),
+    "real4": ((1, 2, 2, 1), ("-1.24189108874 0", "0.278221864571 1.3099615033",
+        "0.363957115337 0.277436984307", "1.36132249631 0")),
+    "slice4": ((1, 1, 1, 1, 1, 1), ("-1.41570915892 0.787017564034",
+        "-0.389538916652 0.242988811235", "0.015259021157 1.49734956717",
+        "0.327976231552 2.29360854019", "0.617403571935 0.159898651064",
+        "2.24839861831 0.342163478395")),
+    "real5": ((1, 1, 2, 2, 1), ("-1.83529117525 0", "-0.894758556587 0",
+        "-0.432225858373 0.672789211313", "0.334485649531 0.30910700149", "0.779925223579 0")),
+    "slice5": ((1, 1, 1, 1, 1, 1, 1), ("-1.96000061499 1.57135883938",
+        "-1.13835994586 0.403702962073", "-0.997240987515 0.781084918243",
+        "-0.199766189705 1.2418049833", "0.059808736203 1.93367121847",
+        "0.473312215442 0.277301252937", "1.61664186048 0.730323702168")),
+    "real6": ((1, 1, 2, 2, 2), ("-1.60767043653 0", "-0.300967673395 0",
+        "0.231750891998 0.984910734497", "0.247838985929 1.14431407995",
+        "0.632953464515 0.294967308507")),
+    "slice6": ((1, 1, 1, 1, 1, 1, 1, 1), ("-1.90230957959 0.080969100162",
+        "-1.16044773228 0.058399226793", "-0.313151286628 2.24755057716",
+        "-0.235628353977 1.80975845809", "0.576942398639 0.130437624512",
+        "0.884826592238 0.551667244366", "1.13264655243 0.520868109988",
+        "1.33356998414 2.01308174802")),
+    "real7": ((1, 1), ("-0.396615031665 0", "0.526707876927 0")),
+    "slice7": ((1, 1), ("-0.35010326193 0.891599770452", "0.480196107192 0.210017665559")),
+    "empty": ((), ()),
+    "one-slice": ((1,), ("0.5 1.25",)),
+    "complex-slice": ((1, 1, 2, 1), ("0 0.25", "0 0.5", "1 2", "3 0")),
+    "real-slice": ((1, 1, 2), ("-2 0", "0.5 0", "1 0")),
+}
+
+
+@pytest.mark.parametrize("label,a", LAYOUT_INPUTS, ids=[lab for lab, _ in LAYOUT_INPUTS])
+def test_every_decomposition_is_of_chi(label, a):
+    a = QMatrix(a.c1, a.c2)    # a matrix of its own, decomposed here
+    dec = spectral_decomposition(a)
+    chi = complex_adjoint(a)
+    assert dec.m.dtype == chi.dtype and dec.m.shape == chi.shape
+    assert dec.m.tobytes() == chi.tobytes()
+    assert "half" not in {f.name for f in dataclasses.fields(dec)} and not hasattr(dec, "half")
+    if not a.is_complex_slice:
+        return
+    mult, printed = C_BLOCK_TABLE[label]
+    assert [f"{spectral._fmt(s.re)} {spectral._fmt(s.im)}" for s in dec.spheres] == list(printed)
+    assert dec.multiplicities == mult == dec.kernel_dims(1e-8) == dec.kernel_dims()
+    assert dec.certified
+    assert spectral.classify(a).to_lines() == sorted(f"{p} p a c s" for p in printed)
+    assert localspec.decomposability_necessary(a).status == "PASS"
+    rng = np.random.default_rng([34, a.rows])
+    for _ in range(4):
+        v = QVector.from_components(rng.uniform(-1.0, 1.0, (a.rows, 4)))
+        assert localspec.local_spectrum(a, v) == dec.spheres
+    first = dec.spheres[:1]
+    assert localspec.local_subspace(a, first).dim == sum(mult[:1])
+    assert localspec.global_subspace(a, first).dim == sum(mult[:1])

@@ -102,9 +102,11 @@ def test_closed_form_matches_the_schur_route(label, a):
 
 
 #: sha256 of ``_closed_form_digest`` over INPUTS, taken when the closed
-#: form also built an eigenvector basis Z, W = I and a diagonal T: what it
-#: keeps must stay bit for bit what it was
-CLOSED_FORM_DIGEST = "c1c80153ba387fde9be528ffdd71bb327b483a5cb6b0fddcfabfa8d25e92769f"
+#: form also built an eigenvector basis Z, W = I and a diagonal T, and
+#: re-taken when the complex-slice inputs moved from their C_i block to
+#: chi(A), with the digest of the other inputs and their spheres and
+#: multiplicities unchanged: what it keeps must stay bit for bit what it was
+CLOSED_FORM_DIGEST = "5ce6dc0b057b1980069ad93b7a9fd41735a5c6d6f823b222070580f85d9c1b57"
 
 
 def _closed_form_digest(decs) -> str:
@@ -141,6 +143,17 @@ def test_only_the_schur_route_keeps_schur_factors():
         _, z, blocks, w = ref.schur_split(dec.m)
         assert np.array_equal(dec.z, z) and np.array_equal(dec.w, w), name
         assert dec.blocks == blocks and not hasattr(dec, "t"), name
+
+
+def test_no_schur_factors_to_read_on_a_diagonal_or_empty_matrix():
+    # a decomposition with z = w = None says so, rather than failing inside
+    # a matrix product
+    for a in (_diag((1.0, 0.5, 0.0, 0.0), (2.0, 0.0, 0.3, 0.0)), QMatrix.zeros(0)):
+        dec = qlinalg.spectral_decomposition(a)
+        assert dec.z is None and dec.w is None
+        for read in (lambda: dec.factors, lambda: dec.sphere_factors):
+            with pytest.raises(ValueError, match="decomposition has no Schur factors"):
+                read()
 
 
 def test_classify_reads_the_closed_form_lower_bound(tmp_path):
@@ -229,19 +242,19 @@ def test_diagonal_verdict_makes_no_lapack_call_and_no_svd(monkeypatch):
         assert len(ref.projections(localspec.spectral_projections(b))) == len(report.spheres)
 
 
-@pytest.mark.parametrize("half", [False, True], ids=["chi", "complex-slice"])
-def test_an_entry_with_two_owners_breaks_the_structure(half):
+@pytest.mark.parametrize("complex_slice", [False, True], ids=["chi", "complex-slice"])
+def test_an_entry_with_two_owners_breaks_the_structure(complex_slice):
     # the one check of coordinate projections: every entry of A has exactly
-    # one owner among the spheres.  On chi(A) an entry whose two positions
-    # went to two spheres has two; on the C_i block a position moved onto
-    # another entry leaves one entry with none
-    a = (QMatrix(np.diag([1.0 + 2j, -0.5j, 3.0]), np.zeros((3, 3))) if half
+    # one owner among the spheres.  An entry whose two positions on chi(A)
+    # went to two spheres has two, whether the positions were swapped or
+    # one was moved onto another entry
+    a = (QMatrix(np.diag([1.0 + 2j, -0.5j, 3.0]), np.zeros((3, 3))) if complex_slice
          else _diag((1.0, 0.5, 0.0, 0.0), (-1.0, 0.0, 0.3, 0.0), (2.0, 0.0, 0.0, 0.0)))
     dec = qlinalg.spectral_decomposition(a)
     owner, _ = dec.positions
     entries = np.array(dec.entries)
     p, q = 0, int(np.flatnonzero(owner != owner[0])[0])
-    if half:
+    if complex_slice:
         entries[p] = entries[q]
     else:
         entries[p], entries[q] = entries[q], entries[p]

@@ -678,6 +678,8 @@ GONE = {"lower_bound_i", "_j_conj"}
     ("sliceseries", "h_metric", "center"),
     ("rand", "rand_qmatrix", "scale"),
     ("localspec", "decomposability_necessary", "report"),
+    ("quat", "merge_spheres", "tol"),
+    ("quat", "cluster_spheres", "tol"),
 ])
 def test_library_takes_no_parameter_that_no_caller_sets(module, function, name):
     # each was a constant in every call outside the tests: thresholds are
@@ -708,7 +710,6 @@ EXPORTED_DEFAULTS = {
     "h_metric": ("exhaustion",),
     "kernel_basis": ("tol",),
     "local_spectrum": ("tol",),
-    "merge_spheres": ("tol",),
     "portrait": ("window",),
 }
 
@@ -726,7 +727,7 @@ def test_exported_defaults_are_the_table():
         if defaults:
             found[name] = defaults
     assert found == EXPORTED_DEFAULTS
-    assert sum(map(len, found.values())) == 19
+    assert sum(map(len, found.values())) == 18
 
 
 def test_cli_check_has_its_own_tol_default():

@@ -247,10 +247,10 @@ def test_kernel_basis_takes_the_full_svd_only_when_wide(monkeypatch):
 def test_nullity_reuses_given_singular_values():
     # the kernel count reads only the singular values it is given
     a = rand.rand_qmatrix(rand.generator(62, 0), 2, 2)
-    assert _kernel_dim(np.array([2.0, 2.0, 0.0, 0.0]), a.cols, False, 1e-10) == 1
+    assert _kernel_dim(np.array([2.0, 2.0, 0.0, 0.0]), a.cols, 1e-10) == 1
     # chi values come in pairs; an odd count of small ones is a failure
     with pytest.raises(NumericalError):
-        _kernel_dim(np.array([1.0, 1.0, 1.0, 0.0]), a.cols, False, 1e-10)
+        _kernel_dim(np.array([1.0, 1.0, 1.0, 0.0]), a.cols, 1e-10)
 
 
 def _row_by_row(s: np.ndarray, cols: int, half: bool, tol: float):
@@ -263,8 +263,10 @@ def _row_by_row(s: np.ndarray, cols: int, half: bool, tol: float):
 
 
 def _all_rows(s: np.ndarray, cols: int, half: bool, tol: float):
+    """The counts of ``_kernel_dim``, which reads chi values: a C_i block's
+    values (``half``) go in twice each, as chi of its matrix holds them."""
     try:
-        return tuple(_kernel_dim(s, cols, half, tol).tolist())
+        return tuple(_kernel_dim(np.repeat(s, 2, axis=-1) if half else s, cols, tol).tolist())
     except NumericalError as exc:
         return str(exc)
 
@@ -274,7 +276,8 @@ def test_kernel_dims_of_a_block_match_the_rule_row_by_row(half):
     # random value blocks: chi values in pairs, some rows with an unpaired
     # small value, values spread around the threshold, and rows past
     # overflow; every block gives the row-by-row counts or the first
-    # failing row's message
+    # failing row's message.  C_i-block values, counted once by the
+    # reference, give the same counts as chi's, which holds each twice
     rng = np.random.default_rng([63, half])
     outcomes = set()
     for _ in range(400):
@@ -300,10 +303,10 @@ def test_kernel_dims_raise_at_the_first_failing_row():
     for rows, message in (([odd, wide], "chi(A) has an odd null space dimension 1"),
                           ([wide, odd], "singular values up to 1.000e+200 overflow when squared")):
         with pytest.raises(NumericalError, match=re.escape(message)):
-            _kernel_dim(np.array(rows), 2, False, 1e-10)
-    # a C_i block has no pairs; its counts are plain
-    assert _kernel_dim(np.array([odd]), 4, True, 1e-10).tolist() == [1]
-    assert _kernel_dim(np.empty((0, 4)), 2, False, 1e-10).tolist() == []
+            _kernel_dim(np.array(rows), 2, 1e-10)
+    # the values of a C_i block, twice each on chi, count in pairs
+    assert _kernel_dim(np.repeat([odd], 2, axis=1), 4, 1e-10).tolist() == [1]
+    assert _kernel_dim(np.empty((0, 4)), 2, 1e-10).tolist() == []
 
 
 def test_min_singular_invertible_vs_singular():
