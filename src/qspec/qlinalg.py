@@ -306,28 +306,12 @@ def complex_adjoint(a: QMatrix) -> np.ndarray:
     return out
 
 
-# -- complex images, norms, kernels, eigen-spheres -------------------------
-
-
-def complex_image(a: QMatrix) -> np.ndarray:
-    """The smallest complex matrix with A's singular values, for the norms
-    and the dense portrait kernel: chi(A), or the C_i block of a
-    complex-slice A.
-
-    chi of a complex-slice A is block diagonal with conjugate blocks, so one
-    block carries each singular value, once instead of twice, at an eighth
-    of the SVD's work.  A real block is returned as a contiguous real array,
-    for the cheaper real BLAS and LAPACK paths.  The spectral decomposition
-    always reads chi(A).
-    """
-    if a.is_complex_slice:
-        block = a.c1
-        return block if np.any(block.imag) else block.real.copy()
-    return complex_adjoint(a)
+# -- norms, kernels, eigen-spheres -----------------------------------------
 
 
 def _singular_values(a: QMatrix) -> np.ndarray:
-    return np.linalg.svd(complex_image(a), compute_uv=False)
+    """The singular values of chi(A), largest first: each of A's twice."""
+    return np.linalg.svd(complex_adjoint(a), compute_uv=False)
 
 
 def min_singular(a: QMatrix) -> float:
@@ -352,18 +336,22 @@ def _kernel_dim(s: np.ndarray, cols: int, tol: float) -> np.ndarray:
     have the singular values ``s``, one matrix per row of ``s`` (a 1-D
     ``s`` is one matrix), at kernel_basis's threshold tol * (1 + |A|_F).
 
-    |A|_F^2 is half the sum of s^2, since chi holds each value twice, and
-    small values count in pairs; an odd count of them is the failure of a
-    wrong-sized kernel pullback.  The first failing row raises.
+    |A|_F^2 is half the sum of s^2, since chi holds each value twice; it is
+    summed over s / top, top the row's largest value, so that no finite
+    value overflows when squared.  Small values count in pairs; an odd count
+    of them is the failure of a wrong-sized kernel pullback.  A row whose
+    |A|_F is not finite fails too, and the first failing row raises.
     """
-    with np.errstate(over="ignore"):
-        fro = np.sqrt(np.sum(s * s, axis=-1) / 2)
+    top = np.max(s, axis=-1, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = s / np.where(top > 0, top, 1.0)[..., None]
+        fro = top * np.sqrt(np.sum(scaled * scaled, axis=-1) / 2)
     null = 2 * cols - np.count_nonzero(s > tol * (1.0 + fro[..., None]), axis=-1)
-    failed = np.isinf(fro) | (null % 2 == 1)
+    failed = ~np.isfinite(fro) | (null % 2 == 1)
     if failed.any():
         k = np.unravel_index(np.argmax(failed), failed.shape)    # the first failing row
-        if np.isinf(fro[k]):
-            raise NumericalError(f"singular values up to {s[k].max():.3e} overflow when squared")
+        if not np.isfinite(fro[k]):
+            raise NumericalError(f"singular values up to {s[k].max():.3e} give no finite |A|_F")
         raise NumericalError(f"chi(A) has an odd null space dimension {null[k]}")
     return null // 2
 
@@ -412,11 +400,13 @@ def resolvent_singular_values(m: np.ndarray, xs, ys):
     """Singular values of R_q(m) = m^2 - 2x m + (x^2 + y^2) I at the points
     q = x + yI of the equal-length sequences ``xs`` and ``ys``.
 
-    With m = chi(A), or complex_image(A), these are the singular values of
-    that image of R_q(A).  Points go in blocks of about _BLOCK_ENTRIES
-    matrix entries, one stacked SVD each, and each block's (points, values)
-    array is yielded, largest value first, before the next block is formed;
-    a block past double precision raises NumericalError.
+    With m = chi(A) these are the singular values of chi(R_q(A)), each of
+    R_q(A)'s twice; the dense portrait kernel (``spectral._SectionKappa``)
+    also passes the C_i block of a complex-slice section, which gives each
+    once.  Points go in blocks of about _BLOCK_ENTRIES matrix entries, one
+    stacked SVD each, and each block's (points, values) array is yielded,
+    largest value first, before the next block is formed; a block past
+    double precision raises NumericalError.
     """
     x = np.asarray(xs, dtype=float).reshape(-1, 1, 1)
     y = np.asarray(ys, dtype=float).reshape(-1, 1, 1)

@@ -204,26 +204,18 @@ def linked_components(re: np.ndarray, im: np.ndarray, tol: float) -> np.ndarray:
     return root
 
 
-def cluster_spheres(spheres) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
-    """Single-linkage clusters of spheres under ``EigenSphere.matches`` at
-    SPHERE_MERGE_TOL.
+def _clusters(re: np.ndarray, im: np.ndarray, tol: float
+              ) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
+    """Single-linkage clusters of the spheres (re, im), im >= 0, given as
+    arrays, under ``EigenSphere.matches`` at ``tol``.
 
     Spheres share a cluster when a chain of pairwise matches joins them;
     every pair is compared, so a sphere sorting between two copies of
     another cannot split them.  Returns the centroids, sorted by (re, im),
     and for each input sphere the index of its centroid; a centroid sums
-    its members in (re, im) order.  This is the one place that merges the
-    Schur blocks of chi(A) into spheres (Zhang, LAA 251 (1997)).
+    its members in (re, im) order, and only the centroids become
+    ``EigenSphere`` objects.
     """
-    keys = [s.key() for s in spheres]
-    re, im = np.array(keys, dtype=float).reshape(len(keys), 2).T
-    return _clusters(re, im, SPHERE_MERGE_TOL)
-
-
-def _clusters(re: np.ndarray, im: np.ndarray, tol: float
-              ) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
-    """``cluster_spheres`` of the spheres (re, im), im >= 0, given as arrays,
-    at ``tol``: only the centroids become ``EigenSphere`` objects."""
     n = len(re)
     if not n:
         return (), np.zeros(0, dtype=np.intp)
@@ -244,12 +236,14 @@ def _clusters(re: np.ndarray, im: np.ndarray, tol: float
 def merge_spheres(spheres) -> tuple[EigenSphere, ...]:
     """Deduplicate spheres, replacing each cluster by its centroid.
 
-    The clusters are those of ``cluster_spheres``; input order does not
-    matter and the result is sorted by (re, im).  Matching is chained, so
-    the merge radius bounds neighbours, not cluster width: 200 spheres
-    spaced 0.9e-8 apart collapse into one centroid at SPHERE_MERGE_TOL.
+    The clusters are those of ``_clusters`` at SPHERE_MERGE_TOL; input
+    order does not matter and the result is sorted by (re, im).  Matching is
+    chained, so the merge radius bounds neighbours, not cluster width: 200
+    spheres spaced 0.9e-8 apart collapse into one centroid.
     """
-    return cluster_spheres(spheres)[0]
+    keys = [s.key() for s in spheres]
+    re, im = np.array(keys, dtype=float).reshape(len(keys), 2).T
+    return _clusters(re, im, SPHERE_MERGE_TOL)[0]
 
 
 def sphere_in(s: EigenSphere, spheres, tol: float = SPHERE_MERGE_TOL) -> bool:

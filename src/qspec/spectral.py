@@ -124,12 +124,11 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
     """(spectral radius bound, lower bound): inf |A^n|^(1/n) and sup
     kappa(A^n)^(1/n) over n <= 8, from one set of singular values per power.
 
-    The powers' complex images take one stacked SVD per (dtype, shape),
-    which gives each the values of its own SVD bit for bit: a quaternionic
-    A can have complex-slice powers (j B with B real squares to -B^2), so
-    the images come in two sizes.  A kappa at the rounding floor 2N eps
-    |A^n| (N rows) is skipped: raised to 1/n it would lift the lower bound
-    above small spheres.
+    Each power A^n = A^(n-1) A is a ``QMatrix`` product, and the chi
+    images of the powers take one stacked SVD, which gives each the values
+    of its own SVD bit for bit.  A kappa at the rounding floor 2N eps |A^n|
+    (N rows) is skipped: raised to 1/n it would lift the lower bound above
+    small spheres.
 
     A diagonal A (``QMatrix.is_diagonal``) takes no power: |A^n| = max|g|^n
     and kappa(A^n) = min|g|^n over its entries g, so the bounds are
@@ -144,34 +143,16 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
         if not np.isfinite(moduli).all():
             return math.inf, 0.0
         return float(moduli.max()), float(moduli.min())
-    rows, a1, a2 = a.rows, a.c1, a.c2
-    conj1, conj2 = np.conj(a1), np.conj(a2)
-    # (dtype, size) -> a stack of images and the powers they hold
-    groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
-    p1, p2 = a1, a2
+    images, power = [], a
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, 9):
-            if n > 1:    # A^n = A^(n-1) A, as QMatrix.__matmul__ forms it
-                p1, p2 = p1 @ a1 - p2 @ conj2, p1 @ a2 + p2 @ conj1
-            # the image complex_image gives A^n: chi, a complex C_i block or a real one
-            kind = ((complex, 2 * rows) if p2.any() else
-                    (complex, rows) if p1.imag.any() else (float, rows))
-            if kind not in groups:
-                groups[kind] = np.empty((8, kind[1], kind[1]), kind[0]), []
-            stack, powers = groups[kind]
-            image = stack[len(powers)]
-            if kind[1] > rows:
-                image[:rows, :rows], image[:rows, rows:] = p1, p2
-                image[rows:, :rows], image[rows:, rows:] = -np.conj(p2), np.conj(p1)
-            else:
-                image[...] = p1 if kind[0] is complex else p1.real
+            if n > 1:
+                power = power @ a
+            image = qlinalg.complex_adjoint(power)
             if not np.isfinite(image).all():
                 break    # each power bounds alone: the ones before an overflow stand
-            powers.append(n - 1)
-    values = [None] * sum(len(powers) for _, powers in groups.values())
-    for stack, powers in groups.values():
-        for idx, s in zip(powers, np.linalg.svd(stack[:len(powers)], compute_uv=False)):
-            values[idx] = s
+            images.append(image)
+    values = np.linalg.svd(np.stack(images), compute_uv=False) if images else ()
     floor = 2 * a.rows * np.finfo(float).eps
     radius, lower = math.inf, 0.0
     for n, s in enumerate(values, 1):
@@ -199,10 +180,14 @@ class AnnulusVerdict:
 
 
 def annulus_check(report: SpectrumReport, tol: float = 1e-6) -> AnnulusVerdict:
-    """Every approximate sphere must satisfy i(A) <= |q| <= r_S(A) up to tol."""
+    """Every approximate sphere must satisfy i(A) <= |q| <= r_S(A) up to a
+    slack of tol * (1 + r_S(A)): the bounds and the moduli round at about
+    eps |A|, so the slack scales with A, as ``membership_threshold`` scales
+    with R_q."""
+    slack = tol * (1.0 + report.radius)
     bad = tuple(
         s for s in report.part("approximate")
-        if not (report.lower_bound - tol <= s.abs_value() <= report.radius + tol))
+        if not (report.lower_bound - slack <= s.abs_value() <= report.radius + slack))
     return AnnulusVerdict(ok=not bad, violations=bad)
 
 
@@ -1038,7 +1023,12 @@ class _SectionKappa:
     Dense and multiplication operators: the complex image of the section is
     taken once, and kappa is the last of the singular values
     ``qlinalg.resolvent_singular_values`` gives, a block of grid points per
-    stacked SVD.  Shifts: kappa comes from the symbol (``_shift_kappas``),
+    stacked SVD.  The image is chi of the section, or the C_i block of a
+    complex-slice one (a real block as a real array), which carries each
+    singular value once, not twice, at an eighth of chi's SVD work.  This is
+    the one place in qspec that takes the smaller image: a portrait repeats
+    the SVDs at every grid point, where every other fact takes one SVD of
+    chi.  Shifts: kappa comes from the symbol (``_shift_kappas``),
     O(W) per point, and each point it cannot certify takes one ``dsbevx``
     call on the Golub-Kahan band of the section (``_golub_kahan_band``, laid
     out when the first such point comes).  ``hard_cells`` counts those
@@ -1054,7 +1044,12 @@ class _SectionKappa:
 
     def _image(self) -> np.ndarray:
         if self._m is None:
-            self._m = qlinalg.complex_image(self._op.finite_section(self.n))
+            section = self._op.finite_section(self.n)
+            if section.is_complex_slice:    # real LAPACK for a real block
+                block = section.c1
+                self._m = block if np.any(block.imag) else block.real.copy()
+            else:
+                self._m = qlinalg.complex_adjoint(section)
         return self._m
 
     def _dense(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -1097,7 +1092,7 @@ class _SectionKappa:
         return float(self.values(x, y))
 
     def norm_scale(self) -> float:
-        """The section's 2-norm, from the SVD ``op_norm`` would take; a shift's
+        """The section's 2-norm, from the SVD of the kernel's image; a shift's
         section is a partial isometry, and its norm is 1."""
         if self._side is not None:
             return 1.0

@@ -67,20 +67,23 @@ def _eigenvalues(a: QMatrix) -> np.ndarray:
 
 def nullity(a: QMatrix, tol: float = 1e-10, s: np.ndarray | None = None) -> int:
     """len(kernel_basis(a, tol)) counted from ``s = _singular_values(a)``,
-    the values of ``complex_image(a)``."""
+    the values of chi(A)."""
     s = _singular_values(a) if s is None else s
-    return kernel_dim(s, a.cols, a.is_complex_slice, tol)
+    return kernel_dim(s, a.cols, False, tol)
 
 
 def kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> int:
     """The kernel count of one matrix from the singular values ``s`` of its
-    image, ``half`` when that is the C_i block of a complex-slice matrix
-    (``complex_image``), whose values count once: on chi(A), the rule
-    ``qlinalg._kernel_dim`` applies to every row at once."""
-    with np.errstate(over="ignore"):
-        fro = math.sqrt(float(np.sum(s * s)) / (1 if half else 2))
-    if math.isinf(fro):
-        raise NumericalError(f"singular values up to {s.max():.3e} overflow when squared")
+    image: chi(A), or with ``half`` the C_i block of a complex-slice A (the
+    dense portrait kernel's image), whose values count once.  |A|_F is
+    summed over s / max(s), as ``qlinalg._kernel_dim`` sums every row at
+    once, so that no finite value overflows when squared."""
+    top = float(np.max(s, initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro = top * math.sqrt(float(np.sum((s / (top if top > 0 else 1.0)) ** 2))
+                              / (1 if half else 2))
+    if not math.isfinite(fro):
+        raise NumericalError(f"singular values up to {s.max():.3e} give no finite |A|_F")
     rank = int(np.sum(s > tol * (1.0 + fro)))
     if half:
         return cols - rank
@@ -92,7 +95,7 @@ def kernel_dim(s: np.ndarray, cols: int, half: bool, tol: float) -> int:
 
 def _eigen_clusters(lams: np.ndarray, tol: float) -> tuple[tuple[EigenSphere, ...], np.ndarray]:
     """The clusters at ``tol`` of the spheres (Re l, |Im l|) of the
-    eigenvalues ``lams``, as ``quat.cluster_spheres`` forms them at
+    eigenvalues ``lams``, as ``quat.merge_spheres`` forms them at
     SPHERE_MERGE_TOL."""
     return _clusters(lams.real, np.abs(lams.imag), tol)
 

@@ -1,5 +1,6 @@
-"""Sphere clustering: cluster_spheres against a brute-force reference, and
-the repeated-sphere inputs that split clusters under a sorted scan."""
+"""Sphere clustering: the clusters behind merge_spheres against a
+brute-force reference, and the repeated-sphere inputs that split clusters
+under a sorted scan."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,15 @@ from qspec.cli import main
 from qspec.io import format_qmat
 from qspec.localspec import local_subspace, spectral_projections
 from qspec.qlinalg import QMatrix, inverse_matrix
-from qspec.quat import (SPHERE_MERGE_TOL, EigenSphere, Quaternion, _clusters,
-                        cluster_spheres, merge_spheres)
+from qspec.quat import SPHERE_MERGE_TOL, EigenSphere, Quaternion, _clusters, merge_spheres
 from qspec.spectral import s_spectrum
+
+
+def _labelled(spheres):
+    """The centroids and labels of ``quat._clusters`` at SPHERE_MERGE_TOL on
+    the spheres' key arrays, which ``merge_spheres`` keeps the centroids of."""
+    re, im = np.array([s.key() for s in spheres], dtype=float).reshape(-1, 2).T
+    return _clusters(re, im, SPHERE_MERGE_TOL)
 
 
 def _bfs_clusters(spheres, tol):
@@ -106,7 +113,7 @@ def test_cluster_spheres_matches_bfs_reference(kind):
     for seed in range(150):
         rng = rand.generator(907, seed)
         spheres = KINDS[kind](rng)
-        centroids, labels = cluster_spheres(spheres)
+        centroids, labels = _labelled(spheres)
         comps = _bfs_clusters(spheres, SPHERE_MERGE_TOL)
         got = {frozenset(np.flatnonzero(labels == c).tolist())
                for c in range(len(centroids))}
@@ -143,29 +150,29 @@ def test_array_clusters_match_the_object_route(kind):
         want, want_labels = ref.object_clusters(spheres, SPHERE_MERGE_TOL)
         assert [repr(c.key()) for c in centroids] == [repr(c.key()) for c in want]
         assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
-        got, got_labels = cluster_spheres(spheres)
-        assert got == centroids and np.array_equal(got_labels, labels)
+        assert merge_spheres(spheres) == centroids
 
 
 def test_interleaved_copies_defeat_the_scan():
     spheres = [EigenSphere(-1e-15, 5.0), EigenSphere(0.0, 0.0),
                EigenSphere(1e-15, 5.0), EigenSphere(2e-15, 0.0)]
     assert len(_scan_merge(spheres, SPHERE_MERGE_TOL)) == 4
-    centroids, labels = cluster_spheres(spheres)
+    centroids, labels = _labelled(spheres)
     assert len(centroids) == 2
     assert labels[0] == labels[2] != labels[1] == labels[3]
 
 
 def test_chain_collapses_to_one_cluster():
     chain = [EigenSphere(k * 0.9e-8, 0.0) for k in range(200)]
-    centroids, labels = cluster_spheres(chain)
+    centroids, labels = _labelled(chain)
     assert len(centroids) == 1 and not labels.any()
     assert len(merge_spheres(chain)) == 1
 
 
 def test_cluster_spheres_empty():
-    centroids, labels = cluster_spheres([])
+    centroids, labels = _labelled([])
     assert centroids == () and labels.shape == (0,)
+    assert merge_spheres([]) == ()
 
 
 def _planted(seed):

@@ -4,6 +4,7 @@ local spectra: cross-tested against the eigvals route it replaced
 
 import ast
 import dataclasses
+import hashlib
 import importlib
 import math
 import os
@@ -12,13 +13,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import spectral_reference as ref
+from test_golden import COUNT, build_case
 from test_spectral import _rotated
 
-from qspec import localspec, qlinalg, rand, spectral
+from qspec import io, localspec, qlinalg, rand, spectral
 from qspec.errors import NumericalError, ShapeError
-from qspec.operators import MultiplicationOperator
+from qspec.operators import DenseOperator, MultiplicationOperator
 from qspec.qlinalg import (QMatrix, QVector, _kernel_dim, _singular_values,
-                           complex_adjoint, complex_image, op_norm,
+                           complex_adjoint, op_norm,
                            pseudo_resolvent, resolvent_singular_values, spectral_decomposition)
 from qspec.quat import EigenSphere, Quaternion, SliceUnit, slice_compose, sphere_in
 
@@ -847,10 +849,10 @@ KERNEL_INPUTS = _kernel_inputs()
 
 @pytest.mark.parametrize("label,a", KERNEL_INPUTS, ids=[lab for lab, _ in KERNEL_INPUTS])
 def test_resolvent_kernel_matches_pseudo_resolvent(label, a):
-    # the decomposition reads chi(A); the norms the reference counts with
-    # read complex_image(A), the C_i block of a complex-slice A
+    # the decomposition and the norms the reference counts with read chi(A);
+    # the dense portrait kernel alone reads the C_i block of a complex-slice A
     m = complex_adjoint(a)
-    image = complex_image(a)
+    image = spectral._SectionKappa(DenseOperator(a), None)._image()
     assert np.array_equal(image, a.c1 if a.is_complex_slice else m)
     assert (image.dtype == np.float64) == (a.is_complex_slice and not np.any(a.c1.imag))
     dec = spectral_decomposition(a)
@@ -887,7 +889,7 @@ def test_resolvent_kernel_matches_pseudo_resolvent(label, a):
 def test_real_image_has_the_schur_form_of_its_complex_block():
     reals = [a for label, a in INPUTS if label.startswith("real")]
     for a in reals:
-        m = complex_image(a)
+        m = spectral._SectionKappa(DenseOperator(a), None)._image()
         assert a.is_complex_slice and m.dtype == np.float64
         t, z = scipy.linalg.schur(m, output="complex")
         t1, z1 = scipy.linalg.schur(a.c1, output="complex")
@@ -985,3 +987,68 @@ def test_every_decomposition_is_of_chi(label, a):
     first = dec.spheres[:1]
     assert localspec.local_subspace(a, first).dim == sum(mult[:1])
     assert localspec.global_subspace(a, first).dim == sum(mult[:1])
+
+
+# -- one image: the norms and the growth bounds read chi(A) --------------------
+
+
+def _growth_inputs():
+    """Every non-diagonal input of this file, once each, then every golden
+    ``dense`` case."""
+    seen = {}
+    for lab, a in INPUTS + VALIDATOR_INPUTS + KERNEL_INPUTS:
+        if not a.is_diagonal:
+            seen.setdefault(id(a), (lab, a))
+    out = list(seen.values())
+    for idx in range(COUNT):
+        name, op, text, _ = build_case(idx)
+        if op == "dense":
+            out.append((name, io.parse_qmat(text)))
+    return out
+
+
+#: sha256 over ``growth_bounds`` of the non-complex-slice inputs of
+#: ``_growth_inputs``, taken when the growth bounds still read the C_i block
+#: of a complex-slice power: the images of these inputs' powers were chi
+#: then too, so their bounds keep every bit
+GROWTH_DIGEST = "c82f47302fcff193615b38e07eb05ce369f06efbcd5f6d982a77592843b0b91b"
+
+
+def test_growth_bounds_and_norms_read_chi():
+    inputs = _growth_inputs()
+    assert len(inputs) == 69
+    digest = hashlib.sha256()
+    sliced = 0
+    for label, a in inputs:
+        bounds = spectral.growth_bounds(a)
+        assert bounds == ref.growth_bounds(a), label
+        if not a.is_complex_slice:
+            digest.update(np.array(bounds).tobytes())
+            continue
+        # chi of a complex-slice A holds each value of its C_i block twice:
+        # the norms of A and of its powers match the block's SVD
+        sliced += 1
+        power = a
+        for n in range(1, 9):
+            s = np.linalg.svd(power.c1, compute_uv=False)
+            scale = 1.0 + s[0]
+            assert abs(op_norm(power) - s[0]) <= 1e-14 * scale, (label, n)
+            assert abs(qlinalg.min_singular(power) - s[-1]) <= 1e-14 * scale, (label, n)
+            power = power @ a
+    assert sliced == 16
+    assert digest.hexdigest() == GROWTH_DIGEST
+
+
+def test_only_the_portrait_kernel_picks_the_c_i_block():
+    # qlinalg keeps one image of a matrix, chi(A); the one read of
+    # is_complex_slice outside its definition is the dense portrait kernel's
+    assert not hasattr(qlinalg, "complex_image")
+    reads = set()
+    for name in ("cli", "io", "localspec", "operators", "qlinalg", "quat", "rand",
+                 "sliceseries", "spectral", "suites"):
+        for func in ast.walk(_module_tree(name)):
+            if isinstance(func, ast.FunctionDef):
+                reads.update((name, func.name) for node in ast.walk(func)
+                             if isinstance(node, ast.Attribute)
+                             and node.attr == "is_complex_slice")
+    assert reads == {("spectral", "_image")}

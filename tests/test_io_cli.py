@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import math
@@ -8,11 +9,11 @@ import warnings
 
 import pytest
 
-from qspec import io, rand
+from qspec import io, rand, spectral
 from qspec.cli import main
 from qspec.operators import MultiplicationOperator, ShiftOperator
-from qspec.qlinalg import RESOLVENT_OVERFLOW, QVector
-from qspec.quat import Quaternion
+from qspec.qlinalg import RESOLVENT_OVERFLOW, QVector, orthonormalize
+from qspec.quat import EigenSphere, Quaternion
 from qspec.sliceseries import SliceSeries
 from qspec.spectral import GridSpec, SlicePortrait
 
@@ -145,6 +146,104 @@ def test_cli_classify_has_verdicts(tmp_path, capsys):
     assert code == 0
     assert "decomposability PASS" in out
     assert "annulus ok" in out
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_cli_annulus_slack_scales_with_the_radius(tmp_path, capsys, scale):
+    # the bounds and the moduli of a scaled unitary round at about eps |A|,
+    # past an absolute slack of 1e-6 from 1e9 on; the slack scales with r_S(A)
+    for seed in range(3):
+        a = orthonormalize(rand.rand_qmatrix(rand.generator(seed, 9), 5, 5)).scale(scale)
+        p = tmp_path / f"u{seed}.qmat"
+        io.write_text(str(p), io.format_qmat(a))
+        code, out, err = run_cli(capsys, "classify", "--op", f"dense:{p}")
+        assert (code, err) == (0, "")
+        assert "annulus ok" in out.splitlines(), out
+
+
+def test_annulus_check_still_sees_a_sphere_past_a_bound():
+    # a sphere 1e-3 r_S(A) outside the annulus is far past the rounding
+    for scale in (1.0, 1e9):
+        a = orthonormalize(rand.rand_qmatrix(rand.generator(0, 9), 5, 5)).scale(scale)
+        report = spectral.classify(a)
+        assert spectral.annulus_check(report).ok
+        sphere = report.part("approximate")[0]
+        modulus, off = sphere.abs_value(), 1e-3 * report.radius
+        for moved in (dataclasses.replace(report, radius=modulus - off),
+                      dataclasses.replace(report, lower_bound=modulus + off)):
+            verdict = spectral.annulus_check(moved)
+            assert not verdict.ok and sphere in verdict.violations, scale
+
+
+#: (command line, file text, message) of malformed inputs: FILE in the
+#: command line names a file holding the text, and ``qspec`` must print
+#: ``error: <message>`` alone and exit 2
+MALFORMED = [
+    (["local", "--op", "dense:ONE", "--vector", "FILE"], "# no data\n", "empty vector file"),
+    (["local", "--op", "dense:ONE", "--vector", "FILE"], "two\n1,0,0,0\n",
+     "bad vector header 'two'"),
+    (["local", "--op", "dense:ONE", "--vector", "FILE"], "2\n1,0,0,0\n",
+     "vector header says 2 entries, file has 1"),
+    (["local", "--op", "dense:ONE", "--vector", "FILE"], "-1\n",
+     "vector header says -1 entries, file has 0"),
+    (["spectrum", "--op", "dense:FILE"], "\n# no data\n", "empty matrix file"),
+    (["spectrum", "--op", "dense:FILE"], "2\n1,0,0,0\n",
+     "matrix header must be 'rows cols', got '2'"),
+    (["spectrum", "--op", "dense:FILE"], "2 x\n1,0,0,0\n", "bad matrix header '2 x'"),
+    (["spectrum", "--op", "dense:FILE"], "2 2\n1,0,0,0 0,0,0,0\n",
+     "matrix header says 2 rows, file has 1"),
+    (["spectrum", "--op", "dense:FILE"], "-1 2\n", "matrix header says -1 rows, file has 0"),
+    (["spectrum", "--op", "dense:FILE"], "1 2\n1,0,0,0\n", "row has 1 entries, expected 2"),
+    (["spectrum", "--op", "mult:FILE"], "# no data\n", "empty point-function file"),
+    (["spectrum", "--op", "mult:FILE"], "a 1,0,0,0 b\n",
+     "point-function line must be 'label literal': 'a 1,0,0,0 b'"),
+    (["series", "--input", "FILE"], "1,0,0,0\n",
+     "series file must open with 'center: w,x,y,z'"),
+    (["series", "--input", "FILE"], "center: 0,0,0,0\nradius: wide\n1,0,0,0\n",
+     "bad radius line 'radius: wide'"),
+    (["series", "--input", "FILE"], "center: 0,0,0,0\nradius: 2\n",
+     "series file has no coefficients"),
+    (["spectrum", "--op", "dense:"], None, "dense spec must be dense:FILE, got 'dense:'"),
+    (["classify", "--op", "mult:"], None, "mult spec must be mult:FILE, got 'mult:'"),
+    (["portrait", "--op", "shift:right", "--grid=0,1,1"], None,
+     "grid must be 'x0,x1,y1,RES', got '0,1,1'"),
+    (["portrait", "--op", "shift:right", "--grid=a,1,1,4"], None,
+     "bad grid bounds in 'a,1,1,4'"),
+    (["portrait", "--op", "shift:right", "--grid=0,1,1,4xq"], None,
+     "bad grid resolution '4xq'"),
+    (["portrait", "--op", "shift:right", "--grid=1,0,1,4"], None, "x1 must not be below x0"),
+    (["portrait", "--op", "shift:right", "--grid=0,1,1,0"], None,
+     "grid resolution must be positive"),
+    (["portrait", "--op", "shift:right", "--grid=0,1,1,4x0"], None,
+     "grid resolution must be positive"),
+]
+
+
+@pytest.mark.parametrize("argv, text, message", MALFORMED,
+                         ids=[message for _, _, message in MALFORMED])
+def test_cli_malformed_input_names_its_fault(tmp_path, capsys, argv, text, message):
+    one = tmp_path / "one.qmat"
+    io.write_text(str(one), "1 1\n0,1,0,0\n")
+    bad = tmp_path / "bad.txt"
+    if text is not None:
+        io.write_text(str(bad), text)
+    argv = [arg.replace("FILE", str(bad)).replace("ONE", str(one)) for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_library_input_checks():
+    f = SliceSeries(Quaternion(0), tuple(rand.rand_qvector(rand.generator(5, 0), 2)
+                                         for _ in range(3)))
+    assert f.is_vector
+    with pytest.raises(ValueError, match="^only scalar series have a file form$"):
+        io.format_series(f)
+    # rounding below zero is clamped; a clearly negative im is refused
+    clamped = EigenSphere(1.0, -1e-12)
+    assert clamped.im == 0.0 and repr(clamped.im) == "0.0"
+    with pytest.raises(ValueError, match=r"^eigen-sphere needs im >= 0, got -2e-09$"):
+        EigenSphere(1.0, -2e-9)
 
 
 def _golden_g00(tmp_path) -> str:
@@ -347,26 +446,32 @@ def test_cli_portrait_rejects_non_finite_grid(capsys, grid, bound):
 
 @pytest.mark.parametrize("size", [1e150, 1e200])
 def test_cli_overflowing_entries_fail_loudly(tmp_path, capsys, size):
-    # at 1e150 the squares of R_q's singular values pass double precision, at
-    # 1e200 R_q itself: a numerical failure that names the overflow, with no
-    # numpy warning and no inf or nan printed
+    # at 1e150 R_q's singular values near 1e300 are still doubles, and so is
+    # |R_q|_F, summed over the values scaled by the largest: every command
+    # prints, with no numpy warning and no inf or nan; at 1e200 R_q itself
+    # passes double precision, a numerical failure that names the overflow
     p = tmp_path / "huge.qmat"
     io.write_text(str(p), f"2 2\n{size!r},0.3,0,0 1,0,0.5,0\n0,0,0,0.2 {-size!r},0,0.1,0\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         runs = {command: run_cli(capsys, command, "--op", f"dense:{p}")
                 for command in ("classify", "spectrum", "portrait")}
-    failing = ("classify", "spectrum") if size < 1e160 else tuple(runs)
-    for command in failing:
-        code, out, err = runs[command]
-        assert (code, out) == (2, ""), command
-        assert err.startswith("numerical failure: ") and "overflow" in err, (command, err)
-    if "portrait" not in failing:
-        # kappa near 1e300 is still a double, and prints as one
-        code, out, err = runs["portrait"]
-        assert (code, err) == (0, "")
-        kappas = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
-        assert kappas and all(1e299 < k < 1e301 for k in kappas)
+    if size > 1e160:
+        for command, (code, out, err) in runs.items():
+            assert (code, out) == (2, ""), command
+            assert err.startswith("numerical failure: ") and "overflow" in err, (command, err)
+        return
+    for command, (code, out, err) in runs.items():
+        assert (code, err) == (0, ""), command
+        assert "inf" not in out and "nan" not in out, (command, out)
+    spheres = runs["spectrum"][1].splitlines()
+    assert [line.split()[0] for line in spheres] == [f"{-size:.12g}", f"{size:.12g}"]
+    assert all(line.endswith(" p a c s") for line in spheres)
+    assert runs["classify"][1].splitlines()[:2] == spheres
+    assert "annulus ok" in runs["classify"][1].splitlines()
+    # kappa near 1e300 is still a double, and prints as one
+    kappas = [float(line.split(",")[2]) for line in runs["portrait"][1].splitlines()[1:]]
+    assert kappas and all(1e299 < k < 1e301 for k in kappas)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -629,7 +734,7 @@ def test_cli_tol_and_seed_still_work_where_read(tmp_path, capsys):
 
 #: functions deleted along with their settings, or moved out of the library
 #: (``_j_conj`` is ``tests/spectral_reference.py``'s ``j_conj``)
-GONE = {"lower_bound_i", "_j_conj"}
+GONE = {"lower_bound_i", "_j_conj", "cluster_spheres"}
 
 
 @pytest.mark.parametrize("module, function, name", [

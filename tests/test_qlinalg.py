@@ -274,36 +274,48 @@ def _all_rows(s: np.ndarray, cols: int, half: bool, tol: float):
 @pytest.mark.parametrize("half", [False, True])
 def test_kernel_dims_of_a_block_match_the_rule_row_by_row(half):
     # random value blocks: chi values in pairs, some rows with an unpaired
-    # small value, values spread around the threshold, and rows past
-    # overflow; every block gives the row-by-row counts or the first
-    # failing row's message.  C_i-block values, counted once by the
-    # reference, give the same counts as chi's, which holds each twice
+    # small value, values spread around the threshold, rows whose squares
+    # would pass double precision, and rows with a value that is not
+    # finite; every block gives the row-by-row counts or the first failing
+    # row's message.  C_i-block values, counted once by the reference, give
+    # the same counts as chi's, which holds each twice
     rng = np.random.default_rng([63, half])
-    outcomes = set()
+    outcomes, huge_counted = set(), False
     for _ in range(400):
         spheres, cols = int(rng.integers(1, 9)), int(rng.integers(1, 8))
         base = 10.0 ** rng.uniform(-13, 3, (spheres, cols))
         s = base if half else np.repeat(base, 2, axis=1)
         if not half and rng.random() < 0.3:
             s[int(rng.integers(spheres)), -1] *= 10.0 ** rng.uniform(-12, 0)
-        if rng.random() < 0.1:
-            s[int(rng.integers(spheres)), 0] = 1e160
+        huge = rng.random() < 0.1
+        if huge:
+            s[int(rng.integers(spheres)), :1 if half else 2] = 1e160    # a chi pair
+        if rng.random() < 0.05:
+            s[int(rng.integers(spheres)), 0] = np.inf
         s = -np.sort(-s, axis=1)
         for tol in (1e-8, 1e-10):
             want = _row_by_row(s, cols, half, tol)
             assert _all_rows(s, cols, half, tol) == want
             outcomes.add(want if isinstance(want, str) else "counts")
-    assert "counts" in outcomes
-    assert any("overflow" in o for o in outcomes)
+            huge_counted |= huge and not isinstance(want, str)
+    assert "counts" in outcomes and huge_counted
+    assert any("no finite |A|_F" in o for o in outcomes)
     assert half or any("odd" in o for o in outcomes)
 
 
 def test_kernel_dims_raise_at_the_first_failing_row():
     odd, wide = [2.0, 2.0, 1.0, 0.0], [1e200, 1e200, 1.0, 1.0]
-    for rows, message in (([odd, wide], "chi(A) has an odd null space dimension 1"),
-                          ([wide, odd], "singular values up to 1.000e+200 overflow when squared")):
-        with pytest.raises(NumericalError, match=re.escape(message)):
+    # values near 1e200 count: |A|_F is summed over them scaled by the largest
+    assert _kernel_dim(np.array([wide, [1e200] * 4]), 2, 1e-10).tolist() == [1, 0]
+    for rows in ([odd, wide], [wide, odd]):
+        with pytest.raises(NumericalError, match="chi\\(A\\) has an odd null space dimension 1"):
             _kernel_dim(np.array(rows), 2, 1e-10)
+    # a value that is not finite gives no |A|_F, and fails where it stands
+    for bad in (np.inf, np.nan):
+        for rows, message in (([odd, [bad, 1.0, 1.0, 1.0]], "odd null space dimension 1"),
+                              ([[bad, 1.0, 1.0, 1.0], odd], f"up to {bad:.3e} give no finite")):
+            with pytest.raises(NumericalError, match=re.escape(message)):
+                _kernel_dim(np.array(rows), 2, 1e-10)
     # the values of a C_i block, twice each on chi, count in pairs
     assert _kernel_dim(np.repeat([odd], 2, axis=1), 4, 1e-10).tolist() == [1]
     assert _kernel_dim(np.empty((0, 4)), 2, 1e-10).tolist() == []
