@@ -5,7 +5,7 @@ interior whitespace.  Vectors and matrices carry a header line with
 their dimensions; point functions are "label literal" lines; a series
 file opens with its center (and optional radius) followed by one
 coefficient literal per line.  Writers emit shortest round-trip floats,
-so read(write(x)) is exact.
+so read(write(x)) is exact; point-function and series files are only read.
 
 Operator specifications are single tokens: ``dense:FILE.qmat``,
 ``mult:FILE.qfun``, ``shift:left`` / ``shift:right``.
@@ -145,12 +145,6 @@ def parse_qfun(text: str) -> MultiplicationOperator:
     return MultiplicationOperator(tuple(labels), values)
 
 
-def format_qfun(op: MultiplicationOperator) -> str:
-    lines = [f"{lab} {format_quaternion(val)}"
-             for lab, val in zip(op.labels, op.values)]
-    return "\n".join(lines) + "\n"
-
-
 def parse_series(text: str) -> SliceSeries:
     from .sliceseries import SliceSeries
     lines = _data_lines(text)
@@ -168,16 +162,6 @@ def parse_series(text: str) -> SliceSeries:
     if not body:
         raise ValueError("series file has no coefficients")
     return SliceSeries._from_array(center, _components(body), radius)
-
-
-def format_series(f: SliceSeries) -> str:
-    if f.is_vector:
-        raise ValueError("only scalar series have a file form")
-    lines = [f"center: {format_quaternion(f.center)}"]
-    if math.isfinite(f.radius):
-        lines.append(f"radius: {f.radius!r}")
-    lines.extend(format_quaternion(c) for c in f.coefficients)
-    return "\n".join(lines) + "\n"
 
 
 def read_text(path: str) -> str:

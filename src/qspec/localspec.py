@@ -5,13 +5,14 @@ one per eigen-sphere.  ``qlinalg.spectral_decomposition`` takes one Schur
 form of chi(A) and splits it into well-separated blocks; the spectral
 projection of each sphere comes from that same form, block-diagonalized
 by the Sylvester solutions the split already found, and stays factored as
-A_i B_i, thin factors of the form's size (a diagonal A's are coordinate
-projections); the factors are the projections' only form.  The local
-S-spectrum of phi is then the set of spheres whose projection sees phi,
-|A_i (B_i phi)| read off the factors, drawn from the very sphere objects
-the spectrum reports.  The local subspace of a sphere set F is the range
-of its projection P_F = A_F B_F, one product of the factors, and the
-global subspace the kernel of the complementary P_{F^c}.  The diagonal
+V_i U_i, the Schur factors' columns and rows of its positions (a diagonal
+A's are coordinate projections); the factors are the projections' only
+form, and every read takes the J-symmetrized projector, the chi image of a
+quaternionic matrix.  The local S-spectrum of phi is then the set of
+spheres whose projection sees phi, read off the factors, drawn from the
+very sphere objects the spectrum reports.  The local subspace of a sphere
+set F is the range of its projection P_F, one product V_F U_F of the
+factors, and the global subspace the kernel of the complementary P_{F^c}.  The diagonal
 multiplication operator and the eigenvector law are the two oracles that
 certify this realization.
 
@@ -80,12 +81,19 @@ def local_spectrum(a: QMatrix, phi: QVector, tol: float = MEMBER_TOL) -> tuple[E
 
 
 def _applied_norms(dec: SpectralDecomposition, phi: QVector) -> np.ndarray:
-    """|P_i phi| for each sphere i, as |A_i (B_i x)| from the projection
-    factors with x = embed(phi), for all spheres in one product."""
-    a, b, owner = dec.projection_factors
-    # column i holds the rows of B x that are sphere i's, zeros elsewhere
-    y = (b @ phi.embed()[:, None]) * (owner[:, None] == np.arange(len(dec.spheres)))
-    return np.sqrt((np.abs(a @ y) ** 2).sum(axis=0))
+    """|P_i phi| for each sphere i, the norm of the J-symmetrized projector
+    applied to x = embed(phi): (P_i x + J conj(P_i J^-1 conj x)) / 2, from
+    the products of the factors V_i U_i with x and with J^-1 conj x, for all
+    spheres in one product."""
+    v, u, owner = dec.projection_factors
+    n = len(v) // 2
+    # rows x = [phi1; -conj(phi2)] and J^-1 conj(x) = [phi2; conj(phi1)]
+    x = np.concatenate([phi.c1, -np.conj(phi.c2), phi.c2, np.conj(phi.c1)]).reshape(2, 2 * n)
+    # p[k, i] = the rows of U x_k that are sphere i's, through V
+    p = ((x @ u.T)[:, None, :] * (owner == np.arange(len(dec.spheres))[:, None])) @ v.T
+    sym = np.concatenate([p[0, :, :n] + np.conj(p[1, :, n:]), p[0, :, n:] - np.conj(p[1, :, :n])],
+                         axis=1)
+    return 0.5 * np.linalg.norm(sym, axis=1)
 
 
 def local_resolvent_diag(op: MultiplicationOperator, f: QVector, q: Quaternion) -> QVector:
@@ -157,14 +165,14 @@ def global_subspace(a: QMatrix, spheres) -> SubspaceBasis:
 
 def _set_projection(dec: SpectralDecomposition, chosen: np.ndarray) -> QMatrix:
     """P_F, the sum of the projections of the ``chosen`` spheres, as one
-    product A_F B_F of the projection factors (the columns of A and rows of
-    B that belong to a chosen sphere), read off its top block row [P1, P2]
-    on chi(A)."""
-    a, b, owner = dec.projection_factors
-    n = len(a) // 2
+    product V_F U_F of the projection factors (the columns of V and rows of
+    U that belong to a chosen sphere), J-symmetrized: the quaternionic
+    matrix [(P11 + conj P22) / 2, (P12 - conj P21) / 2]."""
+    v, u, owner = dec.projection_factors
+    n = len(v) // 2
     cols = chosen[owner]
-    p = a[:n, cols] @ b[cols]
-    return QMatrix(p[:, :n], p[:, n:])
+    p = v[:, cols] @ u[cols]
+    return QMatrix(0.5 * (p[:n, :n] + np.conj(p[n:, n:])), 0.5 * (p[:n, n:] - np.conj(p[n:, :n])))
 
 
 # -- SVEP and decomposability -------------------------------------------------
@@ -238,8 +246,7 @@ def _matrix_decomposability(a: QMatrix) -> DecomposabilityVerdict:
         raise ShapeError("classification needs a square matrix")
     proj = spectral_projections(a)
     thresh = spectral.membership_threshold(a, MEMBER_TOL)
-    approximate = tuple(s for s, sv in zip(proj.spheres, proj.singular_values)
-                        if sv[-1] <= thresh)
+    approximate = tuple(s for s, seen in zip(proj.spheres, proj.kappa_at_most(thresh)) if seen)
     # s lies in the local spectrum of some basis vector e_k exactly when
     # |P_s e_k|, the norm of column k of P_s, exceeds MEMBER_TOL
     tops = _largest_columns(*proj.projection_factors, len(proj.spheres), a.rows)
@@ -260,24 +267,30 @@ def _matrix_decomposability(a: QMatrix) -> DecomposabilityVerdict:
         "consistent with decomposability, not a proof of it")
 
 
-def _largest_columns(a: np.ndarray, b: np.ndarray, owner: np.ndarray, count: int,
+def _largest_columns(v: np.ndarray, u: np.ndarray, owner: np.ndarray, count: int,
                      n: int) -> list[float]:
-    """The largest column norm of each n x n projection A_i B_i (sphere i's
-    columns of A times the same rows of B), from the factors, for all
-    spheres at once: with G = blockdiag(A^H A), column k's square is
-    (B_i e_k)^H G_ii (B_i e_k), for the first n columns (the quaternionic
-    matrix's; the others repeat their norms).
+    """The largest column norm of each n x n quaternionic projection, the
+    J-symmetrized V_i U_i (sphere i's columns of V times the same rows of
+    U), from the factors, for all spheres at once.
+
+    Column k < n of (P + J conj(P) J^-1) / 2 is (V_i b + J conj(V_i c)) / 2
+    with b, c columns k and n + k of U_i, since J^-1 e_k = e_(n+k).  With
+    G = blockdiag(V^H V) and K = blockdiag(V^H J conj(V)) four times its
+    square is b^H G_ii b + c^H G_ii c + 2 Re(b^H K_ii conj(c)); the other
+    columns repeat these norms.
 
     A nonzero projection has 2-norm at least 1, so its largest column norm
-    is at least 1/sqrt(n): the rounding of this form, about K eps |A_i|^2
-    |B_i e_k|^2 for the K columns of A, carries it across MEMBER_TOL only
+    is at least 1/sqrt(n): the rounding of this form, about N eps |V_i|^2
+    |U_i|^2 for the N = 2n columns of V, carries it across MEMBER_TOL only
     where that reaches 1/n.
     """
     spheres = (owner[:, None] == np.arange(count)).astype(float)
-    gram = (a.conj().T @ a) * (spheres @ spheres.T)
-    cols = b[:, :n]
-    squares = spheres.T @ (cols.conj() * (gram @ cols)).real
-    return np.sqrt(squares.max(axis=1, initial=0.0)).tolist()
+    same, vh = spheres @ spheres.T, v.conj().T
+    gram = (vh @ v) * same
+    cross = (vh @ np.conj(np.concatenate([v[n:], -v[:n]]))) * same    # with J conj(V)
+    direct = (u.conj() * (gram @ u)).real    # b^H G b in the first n columns, c^H G c after
+    terms = direct[:, :n] + direct[:, n:] + 2.0 * (u[:, :n].conj() * (cross @ u[:, n:].conj())).real
+    return np.sqrt(0.25 * (spheres.T @ terms).max(axis=1, initial=0.0)).tolist()
 
 
 def _shift_decomposability(op: ShiftOperator) -> DecomposabilityVerdict:

@@ -23,6 +23,7 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -494,23 +495,31 @@ class SpectralDecomposition:
     sphere of every A as conjugate eigenvalues (Zhang, LAA 251 (1997)).
     The eigenvalues of M lie along one diagonal in blocks: block k spans
     ``blocks[k]`` of it and belongs to sphere ``owner[k]``.  Sphere i keeps
-    its multiplicity and row i of ``singular_values``, those of R_q(M) at
-    its representative.
+    its multiplicity, and its kernel counts and flags come from the
+    singular values of R_q(M) at its representative: off the ``bounds`` on
+    them where those decide, and from the sphere's full SVD where they do
+    not, as on any read of ``singular_values``.
 
     The Schur route fills Z and W from one complex Schur form T = Z^H M Z,
     whose diagonal is the eigenvalue diagonal: W is unit upper triangular,
     its block row k past the block the Y with T_kk Y - Y T_rest = T_k,rest,
-    so W T W^-1 = diag(T_kk); T itself is not kept.  A diagonal A takes no
-    Schur form: ``z`` and ``w`` are None, and ``entries`` holds the entry
-    of A whose eigenvalue sits at each position of the diagonal (None on
-    the Schur route).  All of one matrix's consumers share it, so its
-    arrays are read-only.
+    so W T W^-1 = diag(T_kk); ``inverse`` is W^-1, ``split`` what the
+    bounds read of T and W and their widening at each sphere
+    (``_split_scales``), and T itself is not kept.
+    A diagonal A takes no Schur form: ``z``, ``w``, ``inverse`` and
+    ``split`` are None, ``exact`` holds the singular values in closed form
+    (None on the Schur route), and ``entries`` the entry of A whose
+    eigenvalue sits at each position of the diagonal (None on the Schur
+    route).  All of one matrix's consumers share it, so its arrays are
+    read-only.
 
     It also holds A's spectral projections, commuting idempotents splitting
     H^n along the spheres, with ``conditions``, their operator norms; a
     multiplicity is the quaternionic rank of its projection.  Factors are
-    their only form: sphere i's is A_i B_i for the ``projection_factors``
-    (A, B, owner); readers take the products they need.
+    their only form: sphere i's is P_i = V_i U_i for the ``projection_factors``
+    (V, U, owner), N x N factors of the form's size N = 2n; a reader takes
+    the products it needs of the J-symmetrized (P_i + J conj(P_i) J^-1) / 2,
+    the chi image of a quaternionic matrix.
     ``certified`` is True when every sphere's eigenspace dimension matches
     its multiplicity; defective spheres are computed but carry no
     certificate.
@@ -518,23 +527,83 @@ class SpectralDecomposition:
 
     spheres: tuple[EigenSphere, ...]
     multiplicities: tuple[int, ...]
-    singular_values: np.ndarray = field(repr=False)
     m: np.ndarray = field(repr=False)
     z: np.ndarray | None = field(repr=False)
     w: np.ndarray | None = field(repr=False)
+    inverse: np.ndarray | None = field(repr=False)
+    split: "_SplitScales | None" = field(repr=False)
     blocks: tuple[tuple[int, int], ...]
     owner: tuple[int, ...]
     entries: np.ndarray | None = field(repr=False)
+    exact: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
-        for x in (self.singular_values, self.m, self.z, self.w, self.entries):
+        for x in (self.m, self.z, self.w, self.inverse, self.entries, self.exact):
             if x is not None:
                 x.setflags(write=False)
 
     def kernel_dims(self, tol: float = 1e-10) -> tuple[int, ...]:
-        """dim ker R_q(A) at each sphere at ``kernel_basis``'s tol, from its
-        singular values."""
-        return tuple(_kernel_dim(self.singular_values, len(self.m) // 2, tol).tolist())
+        """dim ker R_q(A) at each sphere at ``kernel_basis``'s tol: off the
+        bounds where they decide it, else from the sphere's singular values,
+        which raise as ``_kernel_dim`` raises."""
+        if self.exact is not None:
+            return tuple(_kernel_dim(self.exact, len(self.m) // 2, tol).tolist())
+        dims, undecided = _bounded_kernel_dims(*self.bounds, tol)
+        if undecided.any():
+            rows = np.flatnonzero(undecided)
+            dims[rows] = _kernel_dim(self._values(rows), len(self.m) // 2, tol)
+        return tuple(dims.tolist())
+
+    def kappa_at_most(self, threshold: float) -> np.ndarray:
+        """Whether each sphere's kappa, the smallest singular value of R_q,
+        is at most ``threshold``: off the bounds where they decide it, else
+        from the sphere's singular values."""
+        lower, upper, _ = self.bounds
+        at_most = upper[:, -1:].ravel() <= threshold
+        if not at_most.all():
+            rows = np.flatnonzero(~at_most & ~(lower[:, -1:].ravel() > threshold))
+            if len(rows):
+                at_most[rows] = self._values(rows)[:, -1] <= threshold
+        return at_most
+
+    @functools.cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Lower and upper bounds on the singular values of R_q(M) at each
+        sphere, largest first, and bounds on |R_q(A)|_F (``_resolvent_bounds``),
+        formed on the first read of a kernel count or flag; a diagonal A's
+        are its exact values, with no Frobenius bounds."""
+        if self.exact is not None:
+            return self.exact, self.exact, None
+        out = _resolvent_bounds(self.m, self.split, self.blocks)
+        for x in out:
+            x.setflags(write=False)
+        return out
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        """The singular values of R_q(M) at every sphere, by the full SVD."""
+        return self._values(range(len(self.spheres)))
+
+    @functools.cached_property
+    def _exact(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def _values(self, rows) -> np.ndarray:
+        """The singular values of R_q(M) at the spheres ``rows``, largest
+        first: one ``resolvent_singular_values`` call for those not read
+        before, each kept from its first read; a diagonal A's are exact."""
+        rows = [int(i) for i in rows]
+        if self.exact is not None:
+            return self.exact[rows]
+        kept = self._exact
+        new = [i for i in rows if i not in kept]
+        if new:
+            blocks = resolvent_singular_values(
+                self.m, [self.spheres[i].re for i in new], [self.spheres[i].im for i in new])
+            for i, s in zip(new, np.concatenate(list(blocks))):
+                s.setflags(write=False)
+                kept[i] = s
+        return np.array([kept[i] for i in rows]).reshape(len(rows), len(self.m))
 
     @property
     def certified(self) -> bool:
@@ -546,9 +615,9 @@ class SpectralDecomposition:
 
     @property
     def projection_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A, B and the sphere of each column of A, with A_i B_i (sphere
-        i's columns of A times the same rows of B) its projection of M,
-        validated on first read."""
+        """V, U and the sphere of each column of V, with V_i U_i (sphere
+        i's columns of V times the same rows of U) its projection of M,
+        validated on first read; sphere i owns 2 m_i columns."""
         return self._validated[1]
 
     @functools.cached_property
@@ -563,8 +632,8 @@ class SpectralDecomposition:
         and commute with a diagonal M exactly, so their one check is that
         every entry has exactly one owner (``_coordinate_factors``).
 
-        Every other A's factors come from the Schur factors
-        (``_projection_factors``); nothing is factored again.
+        Every other A's factors are the Schur factors V and U with the
+        sphere of each position; nothing is factored again.
         ``_conditioned`` reads their conditions and refuses a norm above
         CONDITION_LIMIT or a broken quaternionic structure (each complex
         projector of a conjugate-closed spectral set descends to a
@@ -577,7 +646,7 @@ class SpectralDecomposition:
             conditions, factors = (1.0,) * count, self._coordinate_factors()
         else:
             conditions = tuple(_conditioned(self))
-            factors = _projection_factors(self)
+            factors = (*self.factors, self.positions[0])
             _check_projections(self.m, *factors, conditions)
         for x in factors:
             x.setflags(write=False)
@@ -619,24 +688,25 @@ class SpectralDecomposition:
         no Schur factors and raises ValueError."""
         if self.z is None:
             raise ValueError("a diagonal or empty matrix's decomposition has no Schur factors")
-        x, _ = _lapack().ztrtri(self.w, unitdiag=1)    # unit triangular: never singular
-        return self.z @ x, self.w @ self.z.conj().T
+        return self.z @ self.inverse, self.w @ self.z.conj().T
 
     @property
-    def sphere_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sphere i's columns of V and rows of U, stacked along the first axis
-        and padded with zeros to the widest sphere: its spectral projector
-        of M, Z W^-1[:, S] W[S, :] Z^H over its diagonal positions S, is the
-        product of the two.  Formed on each read, for validation, and not
-        kept."""
+    def sphere_factors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Each sphere's columns of V and rows of U, in groups of spheres of
+        one width: (the spheres, their V_i stacked along the first axis,
+        their U_i), widest group last.  A sphere's spectral projector of M,
+        Z W^-1[:, S] W[S, :] Z^H over its diagonal positions S, is the product
+        of its two.  Formed on each read, for validation, and not kept."""
         v, u = self.factors
-        owner, slot = self.positions
-        size, width = len(self.m), int(slot.max()) + 1
-        vs = np.zeros((len(self.spheres), size, width), dtype=np.complex128)
-        us = np.zeros((len(self.spheres), width, size), dtype=np.complex128)
-        vs[owner, :, slot] = v.T
-        us[owner, slot, :] = u
-        return vs, us
+        owner, _ = self.positions
+        order = np.argsort(owner, kind="stable")    # by sphere, then by position
+        widths = np.bincount(owner, minlength=len(self.spheres))
+        groups = []
+        for width in np.unique(widths).tolist():
+            spheres = np.flatnonzero(widths == width)
+            cols = order[(widths == width)[owner[order]]].reshape(len(spheres), width)
+            groups.append((spheres, v[:, cols].transpose(1, 0, 2), u[cols]))
+        return tuple(groups)
 
 
 def _fro(x: np.ndarray) -> np.ndarray:
@@ -652,14 +722,17 @@ _CHUNK_ENTRIES = 1 << 16
 
 def _conditioned(dec: SpectralDecomposition) -> list[float]:
     """The conditions |V_i U_i|_2 of the spheres' projectors, from each
-    sphere's columns of V and rows of U; sphere by sphere, its condition is
-    checked against CONDITION_LIMIT and its projector against the
-    quaternionic structure (``_structure_defects``).
+    sphere's columns of V and rows of U, one QR and one SVD per group of
+    spheres of one width; sphere by sphere, its condition is checked against
+    CONDITION_LIMIT and its projector against the quaternionic structure
+    (``_structure_defects``).
     """
-    vs, us = dec.sphere_factors
-    # V_i = Q R with orthonormal Q, so |V_i U_i| = |R U_i|
-    conditions = np.linalg.svd(np.linalg.qr(vs, mode="r") @ us, compute_uv=False)[:, 0]
-    broken = _structure_defects(vs, us)
+    conditions, broken = np.empty(len(dec.spheres)), np.empty(len(dec.spheres))
+    for spheres, vs, us in dec.sphere_factors:
+        # V_i = Q R with orthonormal Q, so |V_i U_i| = |R U_i|
+        conditions[spheres] = np.linalg.svd(np.linalg.qr(vs, mode="r") @ us,
+                                            compute_uv=False)[:, 0]
+        broken[spheres] = _structure_defects(vs, us)
     for i, s in enumerate(dec.spheres):
         if conditions[i] > CONDITION_LIMIT:
             raise NumericalError(
@@ -689,20 +762,6 @@ def _structure_defects(vs: np.ndarray, us: np.ndarray) -> np.ndarray:
     return out
 
 
-def _projection_factors(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A, B and the sphere of each column of A, with A_i B_i (sphere i's
-    columns of A times the same rows of B) its projection, from V = Z W^-1
-    and U = W Z^H: A = [V, J conj(V)] and B = [U; conj(U) J^-1] / 2, so
-    that A_i B_i = (V_i U_i + J conj(V_i U_i) J^-1) / 2, the J-symmetrized
-    projector, whose top block row is a quaternionic matrix."""
-    v, u = dec.factors
-    owner, _ = dec.positions
-    n = len(v) // 2    # J = [[0, I], [-I, 0]]
-    a = np.hstack([v, np.conj(np.vstack([v[n:], -v[:n]]))])
-    b = 0.5 * np.vstack([u, np.conj(np.hstack([u[:, n:], -u[:, :n]]))])
-    return a, b, np.concatenate([owner, owner])
-
-
 def _factored_residuals(m: np.ndarray, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
                         count: int) -> tuple[np.ndarray, ...]:
     """A B - I, C = B A - I, X = M A - A blockdiag(B M A), the squared
@@ -714,8 +773,13 @@ def _factored_residuals(m: np.ndarray, a: np.ndarray, b: np.ndarray, owner: np.n
     tr(C_ij^H G_ii C_ij H_jj) and tr(X_i H_ii X_i^H), from a few products of
     the factors' size for all spheres at once.  Such a sum rounds by about
     gamma |C_ij|^2 |A_i|^2 |B_j|^2, small where C_ij is small, as it is off
-    the diagonal; C_ii need not be (on chi(A) A_i has 2 m_i columns of rank
-    m_i), so A_i C_ii = (P_i - I) A_i, which is, is formed first.
+    the diagonal; C_ii need not be (factors wider than their rank, as a
+    faulty set may be, leave it of order 1), so A_i C_ii = (P_i - I) A_i,
+    which is small, is formed first.  For A of N rows and K columns each
+    square passes through two Gram sums of length N, two products of length
+    K and the final sums, so gamma = 4 (N + K) eps covers their lengths;
+    the Schur factors have K = N, so gamma = 8 N eps, where the factors
+    [V, J conj(V)] of twice the width had 12 N eps.
     """
     spheres = (owner[:, None] == np.arange(count)).astype(float)
     same = spheres @ spheres.T
@@ -791,15 +855,18 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     Jordan block spreads its eigenvalues by eps^(1/k) (Moro, Burke &
     Overton, SIAM J. Matrix Anal. Appl. 18 (1997)).  Blocks map to the
     spheres (Re mu, |Im mu|), merged once at SPHERE_MERGE_TOL; chi(A)
-    counts each sphere twice.  One ``resolvent_singular_values`` call gives
-    the singular values of R_q at every sphere's representative, and every
-    sphere passes a direct check: that R_q is numerically singular.  An
-    R_q past double precision raises NumericalError.
+    counts each sphere twice.  The singular values of R_q at each sphere's
+    representative are bounded from the split form (``_resolvent_bounds``),
+    and a sphere takes its full SVD (``resolvent_singular_values``) only
+    where the bounds leave a kernel count or flag open.  Every sphere passes
+    a direct check, that R_q is numerically singular, read off its own
+    blocks (``_kappa_ceilings``).  An R_q past double precision raises
+    NumericalError.
 
     A diagonal A (``QMatrix.is_diagonal``) takes no Schur form: its image
     is already one, up to a unitary 2 x 2 change of basis per entry, and
-    ``_diagonal_decomposition`` reads the eigenvalues and the singular
-    values off the entries, with no Schur factors.  The same blocks,
+    ``_diagonal_decomposition`` reads the eigenvalues and the exact
+    singular values off the entries, with no Schur factors.  The same blocks,
     spheres, checks and errors follow, and its projections are the
     coordinate projections onto each sphere's entries.
     """
@@ -815,7 +882,8 @@ def _decompose(a: QMatrix) -> SpectralDecomposition:
         raise ShapeError("eigen-spheres need a square matrix")
     m = complex_adjoint(a)
     if a.rows == 0:
-        return SpectralDecomposition((), (), np.empty((0, 0)), m, None, None, (), (), None)
+        return SpectralDecomposition((), (), m, None, None, None, None, (), (), None,
+                                     np.empty((0, 0)))
     if a.is_diagonal:
         return _diagonal_decomposition(a, m)
     return _schur_decomposition(a, m)
@@ -827,10 +895,198 @@ def _schur_decomposition(a: QMatrix, m: np.ndarray) -> SpectralDecomposition:
     t, z = _schur(m)
     blocks, w = _split_schur(t, z)
     spheres, mult, owner = _block_spheres(t.diagonal(), blocks)
-    values = np.concatenate(list(resolvent_singular_values(
-        m, [s.re for s in spheres], [s.im for s in spheres])))
-    return _checked(a, SpectralDecomposition(spheres, mult, values, m, z, w,
-                                             tuple(blocks), tuple(owner.tolist()), None))
+    inverse, _ = _lapack().ztrtri(w, unitdiag=1)    # unit triangular: never singular
+    split = _split_scales(m, t, w, inverse, blocks, spheres)
+    dec = SpectralDecomposition(spheres, mult, m, z, w, inverse, split, tuple(blocks),
+                                tuple(owner.tolist()), None, None)
+    return _checked(a, dec, _kappa_ceilings(split, dec.blocks, owner))
+
+
+class _SplitScales(NamedTuple):
+    """What the bounds on R_q(M)'s singular values read of the split Schur
+    form T, W and W^-1, and the widening at each sphere (``_split_scales``)."""
+
+    diag: np.ndarray     # T's diagonal, the eigenvalues
+    strict: np.ndarray   # |N|_F of each block's strictly upper part N
+    c: float             # c >= |W| |W^-1|
+    norm_m: float        # |M|_F
+    xs: np.ndarray       # each sphere's q = x + yI, at 0 where R_q may not be finite
+    ys: np.ndarray
+    rho: np.ndarray      # |M|_F^2 + 2 |x| |M|_F + sqrt(N) r^2
+    eta: np.ndarray      # the absolute widening of each singular value
+    unsafe: np.ndarray   # whether R_q may not be finite
+
+
+def _split_scales(m: np.ndarray, t: np.ndarray, w: np.ndarray, inverse: np.ndarray,
+                  blocks: list, spheres) -> _SplitScales:
+    """The scales of the split Schur form T of M, W and inverse = W^-1 that
+    ``_resolvent_bounds`` reads, and its widening at each sphere.
+
+    W T W^-1 = Td + H W^-1, Td the block diagonal of T and H = W T - Td W
+    the residual of the split's ``ztrsyl`` solves and reorderings, taken as
+    formed plus its rounding (N + 1) eps (|W| |T| + |Td| |W|) for M of order
+    N; so T = T0 + G with T0 = W^-1 Td W and |G| <= g = |W^-1| |H|.  |W|
+    and |W^-1| are bounded by Frobenius norms, the latter through the
+    forward error N eps |W^-1| |W| |inverse| of ``ztrtri``.
+
+    Each value of R_q moves by at most eta = (e + g)(2 |T| + 2 |x|) + e^2 +
+    g^2 + (2N + 3) eps rho outside the factor c (``_resolvent_bounds``):
+    by Weyl, through G and through the ``zgees`` backward error E, |E| <= e
+    = N eps |M|_F, and by the SVD route's own rounding of R_q(M) and its
+    values, rho = |M|_F^2 + 2 |x| |M|_F + sqrt(N) r^2 being at least the
+    Frobenius norm of every R_q here.  A sphere with rho past max_float /
+    (4N) is unsafe: its R_q may not be finite.
+    """
+    eps, size = np.finfo(float).eps, len(m)
+    widths = [stop - start for start, stop in blocks]
+    block = np.repeat(np.arange(len(blocks)), widths)    # the block of each position
+    td = np.where(block[:, None] == block, t, 0.0)
+    xs = np.array([s.re for s in spheres])
+    ys = np.array([s.im for s in spheres])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_m, norm_t, norm_w, norm_inv = (_frobenius(x) for x in (m, t, w, inverse))
+        shrink = 1.0 - size * eps * norm_w * norm_inv    # ztrtri: |W^-1| <= |inverse| / shrink
+        norm_inv = norm_inv / shrink if shrink > 0 else math.inf
+        abs_w = np.abs(w)
+        h = _frobenius(w @ t - td @ w) + (size + 1) * eps * (
+            _frobenius(abs_w @ np.abs(t)) + _frobenius(np.abs(td) @ abs_w))
+        strict = np.zeros(len(blocks))    # a 1 x 1 block has no strictly upper part
+        if len(blocks) < size:
+            strict = np.sqrt(np.bincount(block, weights=(np.abs(np.triu(td, 1)) ** 2).sum(axis=1),
+                                         minlength=len(blocks)))
+        rho = norm_m * norm_m + 2.0 * norm_m * np.abs(xs) + math.sqrt(size) * (xs * xs + ys * ys)
+        unsafe = ~(rho <= np.finfo(float).max / (4 * size))
+        if unsafe.any():    # computed at q = 0 and then discarded
+            xs, ys, rho = (np.where(unsafe, 0.0, v) for v in (xs, ys, rho))
+        e, g = size * eps * norm_m, norm_inv * h
+        eta = ((e + g) * (2 * max(norm_m, norm_t) + 2 * np.abs(xs)) + e * e + g * g
+               + (2 * size + 3) * eps * rho)
+    return _SplitScales(t.diagonal().copy(), strict, norm_w * norm_inv, norm_m, xs, ys, rho,
+                        eta, unsafe)
+
+
+def _resolvent_bounds(m: np.ndarray, split: _SplitScales,
+                      blocks: tuple) -> tuple[np.ndarray, ...]:
+    """Bounds on the singular values of R_q(M), largest first, and on
+    |R_q(A)|_F at each sphere's q = x + yI, from the split Schur form's
+    ``split`` scales.
+
+    The bounds hold for the values the full SVD route computes: the SVD of
+    R_q(M) formed in floating point (``resolvent_singular_values``), and
+    |R_q(A)|_F as ``_kernel_dim`` sums them.  Every LAPACK result is taken
+    to carry the backward error p eps of its input's norm with p = N, the
+    order of M (the LAPACK Users' Guide takes p = 1).
+
+    - R_q(T_kk) = (T_kk - lam)(T_kk - conj lam) with lam = x + iy.  By Weyl,
+      each value of the block lies within (a - n)(b - n) and (a' + n)(b' +
+      n), with a, a' the least and largest |t_ll - lam| over its diagonal,
+      b, b' those of |t_ll - conj lam| and n = |N|_F for its strictly upper
+      part N; a 1 x 1 block t has the one value |t - lam| |t - conj lam|
+      (``_distances``).  Sorted apart, the lower and upper ends bound the
+      j-th largest value d_j of D = blockdiag R_q(T_kk).  Formed from the
+      entries of T, they round by at most (N + 8) eps of the upper end.  On
+      its own sphere a Jordan block's interval reaches 0 from above its
+      small values, so it decides nothing there: that sphere takes its full
+      SVD.
+    - R_q(T0) = W^-1 D W has its j-th value within a factor c = |W| |W^-1|
+      of d_j (Horn & Johnson, Topics in Matrix Analysis, 1991, sec. 3.3),
+      and the rounding and backward errors move each by at most eta
+      (``_split_scales``).
+    - |R_q(M)|_F^2 = 2 |R_q(A)|_F^2 is a quadratic in x and r^2 = x^2 + y^2
+      over five inner products of M and M^2, each a sum of at most N^2
+      terms; its rounding stays within 2 (N^2 + 4N + 8) eps rho^2, and the
+      SVD route's sum of squares moves it by (N + 3 + N sqrt(N)) eps rho
+      and (N + 8) eps of itself.
+
+    The constants also absorb the rounding of the bounds' own arithmetic.
+    An unsafe sphere, and one whose bounds do not come out finite, gets the
+    bounds [0, inf], which decide nothing.
+    """
+    eps, size = np.finfo(float).eps, len(m)
+    xs, ys, rho, eta, c = split.xs, split.ys, split.rho, split.eta[:, None], split.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        widths = np.array([stop - start for start, stop in blocks])
+        d_low, d_high = _block_values(split.diag, split.strict, widths, xs, ys)
+        lower = np.maximum((d_low - (size + 8) * eps * d_high) / c - eta, 0.0)
+        upper = d_high * ((1 + (size + 8) * eps) * c) + eta
+
+        m2, r2 = m @ m, xs * xs + ys * ys
+        p0, p1, p2 = (np.vdot(u, v).real for u, v in ((m2, m2), (m, m), (m2, m)))
+        f2 = p0 + 4 * xs * (xs * p1 - p2 - r2 * m.trace().real) + r2 * (size * r2
+                                                                       + 2 * m2.trace().real)
+        err = 2 * (size * size + 4 * size + 8) * eps * rho * rho
+        spread = (size + 3 + size * math.sqrt(size)) * eps * rho
+        fro = np.stack([np.sqrt(np.maximum(f2 - err, 0.0)) - spread, np.sqrt(f2 + err) + spread],
+                       axis=1)
+        fro = np.maximum(fro, 0.0) * [(1 - (size + 8) * eps) / math.sqrt(2),
+                                      (1 + (size + 8) * eps) / math.sqrt(2)]
+    bad = split.unsafe | ~np.isfinite(fro).all(axis=1)
+    if bad.any():
+        lower[bad], upper[bad], fro[bad] = 0.0, math.inf, (0.0, math.inf)
+    return lower, upper, fro
+
+
+def _kappa_ceilings(split: _SplitScales, blocks: tuple, block_owner: np.ndarray) -> np.ndarray:
+    """An upper bound on each sphere's kappa, the smallest singular value of
+    R_q(M) as the full SVD route computes it; inf where R_q may not be finite.
+
+    The first column of an upper triangular block T_kk is t e_1, so
+    R_q(T_kk) e_1 = (t - lam)(t - conj lam) e_1 and sigma_min(D) is at most
+    |t - lam| |t - conj lam| for the first diagonal entry t of any block;
+    the sphere's first block gives its ceiling, c times that, widened as in
+    ``_resolvent_bounds``."""
+    eps, size = np.finfo(float).eps, len(split.diag)
+    first = dict(zip(reversed(block_owner.tolist()), reversed([p for p, _ in blocks])))
+    at = split.diag[[first[i] for i in range(len(split.xs))]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dw = at.real - split.xs
+        point = np.hypot(dw, at.imag - split.ys) * np.hypot(dw, at.imag + split.ys)
+        ceilings = point * ((1 + (size + 8) * eps) * split.c) + split.eta
+    return np.where(split.unsafe, math.inf, ceilings)
+
+
+def _block_values(diag: np.ndarray, strict: np.ndarray, widths: np.ndarray, xs: np.ndarray,
+                  ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the singular values of D = blockdiag
+    R_q(T_kk) at each sphere's q, each sorted largest first, from the
+    diagonal of T and the norm of each block's strictly upper part: the
+    Weyl interval of ``_resolvent_bounds`` for each block, exact for a 1 x 1
+    block."""
+    starts = np.cumsum(widths) - widths
+    near_far = np.stack(_distances(diag.real, diag.imag, xs, ys))
+    low = np.maximum(np.minimum.reduceat(near_far, starts, axis=2) - strict, 0.0).prod(axis=0)
+    high = (np.maximum.reduceat(near_far, starts, axis=2) + strict).prod(axis=0)
+    low, high = np.sort(np.repeat(np.stack([low, high]), widths, axis=2), axis=2)[..., ::-1]
+    return low, high
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """|X|_F, from one inner product."""
+    return math.sqrt(np.vdot(x, x).real)
+
+
+def _distances(re: np.ndarray, im: np.ndarray, xs: np.ndarray,
+               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|t - lam| and |t - conj lam| for each point t = re + i im (a column)
+    at each sphere's lam = x + iy (a row); their product is the singular
+    value of R_q of a 1 x 1 block t, and of a diagonal A's entry with
+    eigenvalue t."""
+    dw = re - xs[:, None]
+    return np.hypot(dw, im - ys[:, None]), np.hypot(dw, im + ys[:, None])
+
+
+def _bounded_kernel_dims(lower: np.ndarray, upper: np.ndarray, fro: np.ndarray,
+                         tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel counts that the bounds on each sphere's singular values
+    and |R_q(A)|_F decide at ``_kernel_dim``'s threshold tol (1 + |R_q(A)|_F),
+    and which spheres they leave undecided: those where the values surely
+    at most the threshold and those possibly at most it differ in number,
+    or come in an odd number, or whose |R_q(A)|_F bound is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, high = (tol * (1.0 + fro[:, k]) for k in (0, 1))
+    sure = np.count_nonzero(upper <= low[:, None], axis=1)
+    maybe = np.count_nonzero(lower <= high[:, None], axis=1)
+    return sure // 2, (sure != maybe) | (sure % 2 == 1) | ~np.isfinite(fro[:, 1])
 
 
 def _block_spheres(diag: np.ndarray, blocks: list) -> tuple:
@@ -849,14 +1105,26 @@ def _block_spheres(diag: np.ndarray, blocks: list) -> tuple:
     return spheres, tuple(int(k) for k in sizes // 2), owner
 
 
-def _checked(a: QMatrix, dec: SpectralDecomposition) -> SpectralDecomposition:
+def _checked(a: QMatrix, dec: SpectralDecomposition,
+             ceilings: np.ndarray) -> SpectralDecomposition:
     """A's decomposition ``dec``, once every sphere's R_q passes the direct
-    check."""
+    check, kappa at most 1e-6 (1 + |A|_F^2): a sphere whose kappa ceiling
+    (an upper bound on kappa) is at most that passes, and the others take
+    their SVDs; those with no finite ceiling take theirs first, so an R_q
+    past double precision raises as on the SVD route.  The first sphere
+    whose kappa fails raises, with its kappa."""
+    unknown = np.flatnonzero(~(ceilings < math.inf))
+    if len(unknown):
+        dec._values(unknown)
     check = 1e-6 * (1.0 + a.frobenius() ** 2)
-    for s, sv in zip(dec.spheres, dec.singular_values):
-        if sv[-1] > check:
-            raise NumericalError(f"eigen-sphere ({s.re}, {s.im}) failed the direct "
-                                 f"residual check: kappa = {sv[-1]:.3e}")
+    rows = np.flatnonzero(~(ceilings <= check))
+    if len(rows):
+        kappas = dec._values(rows)[:, -1]
+        for k, kappa in zip(rows.tolist(), kappas.tolist()):
+            if kappa > check:
+                s = dec.spheres[k]
+                raise NumericalError(f"eigen-sphere ({s.re}, {s.im}) failed the direct "
+                                     f"residual check: kappa = {kappa:.3e}")
     return dec
 
 
@@ -866,10 +1134,12 @@ def _diagonal_decomposition(a: QMatrix, m: np.ndarray) -> SpectralDecomposition:
     Entry g = w + x i + b j, |Im g| = s, puts the eigenvalues w + i s and
     w - i s on chi(A).  They are ordered so that each group of linked ones
     is contiguous, one block each, as ``_split_schur`` finds them; no Schur
-    form is built, so ``z`` and ``w`` are None.  R_q(A) is diagonal with
-    entries of modulus |g - lam| |g - conj lam| (lam = x' + s' I_g at the
-    sphere (x', s')), so those are its singular values, twice each in
-    chi(A).  ``entries`` records the entry behind each position, so that
+    form is built, so ``z``, ``w``, ``inverse`` and ``fro`` are None.  R_q(A) is
+    diagonal with entries of modulus |g - lam| |g - conj lam| (lam = x' +
+    s' I_g at the sphere (x', s')), so those are its singular values, twice
+    each in chi(A): the 1 x 1 blocks of the Schur route's bounds
+    (``_distances``) with c = 1 and no rounding to widen by, so its
+    bounds are these exact values.  ``entries`` records the entry behind each position, so that
     the sphere owning it gives the entry's coordinate projection.  Errors
     are those of the Schur route: a non-finite entry, and an R_q past
     double precision, raise its messages.
@@ -888,11 +1158,11 @@ def _diagonal_decomposition(a: QMatrix, m: np.ndarray) -> SpectralDecomposition:
     xs = np.array([sp.re for sp in spheres])
     ys = np.array([sp.im for sp in spheres])
     _check_resolvent_finite(g1, g2, xs, ys)
-    dw = re - xs[:, None]
-    values = np.hypot(dw, s - ys[:, None]) * np.hypot(dw, s + ys[:, None])
-    values = -np.sort(-np.repeat(values, 2, axis=1), axis=1)
-    return _checked(a, SpectralDecomposition(spheres, mult, values, m, None, None,
-                                             tuple(blocks), tuple(owner.tolist()), order % n))
+    near, far = _distances(re, s, xs, ys)
+    values = -np.sort(-np.repeat(near * far, 2, axis=1), axis=1)
+    dec = SpectralDecomposition(spheres, mult, m, None, None, None, None, tuple(blocks),
+                                tuple(owner.tolist()), order % n, values)
+    return _checked(a, dec, values[:, -1])
 
 
 def _check_resolvent_finite(g1: np.ndarray, g2: np.ndarray, xs: np.ndarray,

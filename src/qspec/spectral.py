@@ -109,8 +109,8 @@ def classify(a: QMatrix, tol: float = 1e-8) -> SpectrumReport:
     dec = qlinalg.spectral_decomposition(a)
     thresh = membership_threshold(a, tol)
     flags: dict[EigenSphere, SphereFlags] = {}
-    for s, dim, sv in zip(dec.spheres, dec.kernel_dims(tol), dec.singular_values):
-        approx = bool(sv[-1] <= thresh)
+    for s, dim, approx in zip(dec.spheres, dec.kernel_dims(tol),
+                              dec.kappa_at_most(thresh).tolist()):
         flags[s] = SphereFlags(dim > 0, approx, dim > 0, approx)
     coincident = all(f.point == f.approximate for f in flags.values())
     radius, lower = growth_bounds(a) if a.rows else (0.0, 0.0)
@@ -124,9 +124,10 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
     """(spectral radius bound, lower bound): inf |A^n|^(1/n) and sup
     kappa(A^n)^(1/n) over n <= 8, from one set of singular values per power.
 
-    Each power A^n = A^(n-1) A is a ``QMatrix`` product, and the chi
-    images of the powers take one stacked SVD, which gives each the values
-    of its own SVD bit for bit.  A kappa at the rounding floor 2N eps |A^n|
+    Each power A^n = A^(n-1) A is a ``QMatrix`` product whose chi image
+    is written straight into one (8, 2N, 2N) stack, cut at the first power
+    that is not finite; the stack takes one SVD, which gives each image the
+    values of its own SVD bit for bit.  A kappa at the rounding floor 2N eps |A^n|
     (N rows) is skipped: raised to 1/n it would lift the lower bound above
     small spheres.
 
@@ -143,16 +144,21 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
         if not np.isfinite(moduli).all():
             return math.inf, 0.0
         return float(moduli.max()), float(moduli.min())
-    images, power = [], a
+    rows = a.rows
+    images, power, count = np.empty((8, 2 * rows, 2 * rows), dtype=np.complex128), a, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, 9):
-            if n > 1:
+        for image in images:
+            if count:
                 power = power @ a
-            image = qlinalg.complex_adjoint(power)
+            # chi(A^n), written in place
+            image[:rows, :rows], image[:rows, rows:] = power.c1, power.c2
+            np.conjugate(power.c2, out=image[rows:, :rows])
+            np.negative(image[rows:, :rows], out=image[rows:, :rows])
+            np.conjugate(power.c1, out=image[rows:, rows:])
             if not np.isfinite(image).all():
                 break    # each power bounds alone: the ones before an overflow stand
-            images.append(image)
-    values = np.linalg.svd(np.stack(images), compute_uv=False) if images else ()
+            count += 1
+    values = np.linalg.svd(images[:count], compute_uv=False) if count else ()
     floor = 2 * a.rows * np.finfo(float).eps
     radius, lower = math.inf, 0.0
     for n, s in enumerate(values, 1):

@@ -139,15 +139,21 @@ def j_conj(m: np.ndarray) -> np.ndarray:
 
 def projections(dec) -> tuple[QMatrix, ...]:
     """One spectral projection per sphere of the validated decomposition
-    ``dec``, formed from its ``projection_factors`` one sphere at a time:
-    the top block row [P1, P2] of A_i B_i on chi(A)."""
-    a, b, owner = dec.projection_factors
-    n = len(a) // 2
+    ``dec``, formed from its ``projection_factors``: see ``factor_projections``."""
+    return factor_projections(*dec.projection_factors)
+
+
+def factor_projections(v: np.ndarray, u: np.ndarray, owner: np.ndarray) -> tuple[QMatrix, ...]:
+    """The projection of each sphere of ``owner``, formed from the factors
+    one sphere at a time: the top block row [P1, P2] of the J-symmetrized
+    (V_i U_i + J conj(V_i U_i) J^-1) / 2 on chi(A)."""
+    n = len(v) // 2
     out = []
-    for i in range(len(dec.spheres)):
+    for i in range(int(owner.max(initial=-1)) + 1):
         cols = owner == i
-        p = a[:n, cols] @ b[cols]
-        out.append(QMatrix(p[:, :n], p[:, n:]))
+        p = v[:, cols] @ u[cols]
+        p = 0.5 * (p + j_conj(p))
+        out.append(QMatrix(p[:n, :n], p[:n, n:]))
     return tuple(out)
 
 

@@ -193,8 +193,10 @@ def test_failed_validation_raises_again_and_keeps_nothing(monkeypatch):
     a = _rotated(QMatrix.diag([Quaternion(1.0, 0.5), Quaternion(-1.0, 0.3), Quaternion(2.0)]))
     assert not a.is_diagonal
     dec = spectral_decomposition(a)
-    fa, fb, owner = qlinalg._projection_factors(dec)
-    monkeypatch.setattr(qlinalg, "_projection_factors", lambda dec: (fa, 1.01 * fb, owner))
+    check = qlinalg._check_projections
+    monkeypatch.setattr(qlinalg, "_check_projections",
+                        lambda m, fa, fb, owner, conditions: check(m, fa, 1.01 * fb, owner,
+                                                                   conditions))
     for _ in range(2):
         with pytest.raises(NumericalError, match="do not sum to the identity"):
             localspec.spectral_projections(a)
@@ -427,23 +429,13 @@ def _factored(a: QMatrix):
     return dec.projection_factors, list(dec.conditions)
 
 
-def _pulled(a: QMatrix, factors) -> list[QMatrix]:
-    """The projections A_i B_i of the factors, as QMatrix objects."""
-    fa, fb, owner = factors
-    n = a.rows
-    out = []
-    for i in range(int(owner.max()) + 1):
-        p = fa[:, owner == i] @ fb[owner == i]
-        out.append(QMatrix(p[:n, :n], p[:n, n:]))
-    return out
-
-
 def _checks_agree(a: QMatrix, factors, conditions) -> str:
     """The factored check and the QMatrix reference on the projections of
     one set of factors: the same accept or the same message."""
     outcomes = []
     for run in (lambda: qlinalg._check_projections(complex_adjoint(a), *factors, conditions),
-                lambda: ref.validate_projections(a, _pulled(a, factors), conditions)):
+                lambda: ref.validate_projections(a, list(ref.factor_projections(*factors)),
+                                                 conditions)):
         try:
             run()
             outcomes.append("accept")
@@ -527,16 +519,16 @@ def test_block_check_accepts_valid_projections(label, a, monkeypatch):
     # their top halves.  A diagonal A takes the Schur route here, since its
     # own decomposition has no Schur factors
     dec = ref.schur_route(a) if a.is_diagonal else spectral_decomposition(QMatrix(a.c1, a.c2))
-    vs, us = dec.sphere_factors
-    stack = vs @ us
-    want = np.linalg.norm(stack, 2, axis=(1, 2))
     conditions = qlinalg._conditioned(dec)
-    assert np.allclose(conditions, want, rtol=1e-12, atol=0.0)
-    defects = np.linalg.norm(stack - ref.j_conj(stack), axis=(1, 2))
-    got = qlinalg._structure_defects(vs, us)
-    assert np.all(np.abs(got - defects) <= 1e-12 * defects + 1e-30)
+    for spheres, vs, us in dec.sphere_factors:
+        stack = vs @ us
+        want = np.linalg.norm(stack, 2, axis=(1, 2))
+        assert np.allclose(np.array(conditions)[spheres], want, rtol=1e-12, atol=0.0)
+        defects = np.linalg.norm(stack - ref.j_conj(stack), axis=(1, 2))
+        got = qlinalg._structure_defects(vs, us)
+        assert np.all(np.abs(got - defects) <= 1e-12 * defects + 1e-30)
     monkeypatch.setattr(qlinalg, "_exceeds", _never_formed)
-    qlinalg._check_projections(dec.m, *qlinalg._projection_factors(dec), conditions)
+    qlinalg._check_projections(dec.m, *dec.factors, dec.positions[0], conditions)
 
 
 def _never_formed(residual, bound):
@@ -607,7 +599,7 @@ def test_checked_factors_give_the_returned_projections(label, a, monkeypatch):
             assert np.array_equal(one.c1, np.eye(a.rows)) and not one.c2.any()
     else:
         assert len(checked) == 1 and all(x is y for x, y in zip(checked[0], factors))
-    for p, q in zip(ref.projections(dec), _pulled(a, factors)):
+    for p, q in zip(ref.projections(dec), ref.factor_projections(*factors)):
         got, want = complex_adjoint(p), complex_adjoint(q)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), label
 
@@ -698,6 +690,77 @@ def test_local_union_reads_each_projections_own_column_norms(label, a):
     assert localspec._largest_columns(empty, empty, np.zeros(0, dtype=int), 0, 0) == []
 
 
+def _half_width_inputs():
+    """The validator's Jordan and close-pair inputs, a size-4 Jordan block
+    and a close pair at the smallest gap that still splits."""
+    out = [(lab, a) for lab, a in VALIDATOR_INPUTS if lab.startswith(("jordan", "close-pair"))]
+    out.append(("jordan4", _conditioned_similarity(np.random.default_rng([4, 17]),
+                                                    _jordan(4, 0.5 + 0.8j))))
+    d = np.diag([0.3 + 0.7j, 0.3 + 3e-8 + 0.7j, -0.8 + 0.2j, 1.1]).astype(complex)
+    out.append(("close-pair-3e-8", _conditioned_similarity(np.random.default_rng([2, 99]), d)))
+    return out
+
+
+HALF_WIDTH_INPUTS = _half_width_inputs()
+
+
+@pytest.mark.parametrize("label,a", HALF_WIDTH_INPUTS, ids=[lab for lab, _ in HALF_WIDTH_INPUTS])
+def test_half_width_reads_match_the_symmetrized_projections(label, a):
+    # each read of the factors V_i U_i takes the J-symmetrized projector:
+    # the sphere-set projection, |P_i phi| and the largest column norms
+    # match the reference's symmetrized projections to rounding, while the
+    # raw top block row of V_i U_i carries the pair's structure defect
+    dec = localspec.spectral_projections(a)
+    v, u, owner = dec.projection_factors
+    projections = ref.projections(dec)
+    count = len(dec.spheres)
+    scale = max(dec.conditions)
+    for chosen in (np.arange(count) == 0, np.arange(count) % 2 == 0, np.ones(count, bool)):
+        got = complex_adjoint(localspec._set_projection(dec, chosen))
+        want = complex_adjoint(sum((p for p, c in zip(projections, chosen) if c),
+                                   QMatrix.zeros(a.rows)))
+        assert np.linalg.norm(got - want) <= 1e-14 * scale * np.linalg.norm(want), label
+    rng = np.random.default_rng([43, a.rows])
+    for phi in (QVector.from_components(rng.normal(size=(a.rows, 4))), QVector.basis(a.rows, 0)):
+        seen = [p.apply(phi).norm() for p in projections]
+        assert np.allclose(localspec._applied_norms(dec, phi), seen, rtol=1e-13 * scale,
+                           atol=1e-15 * scale * phi.norm()), label
+    want = np.array(ref.largest_columns(projections))
+    tops = localspec._largest_columns(v, u, owner, count, a.rows)
+    assert np.allclose(tops, want, rtol=1e-13 * scale, atol=0.0), label
+    # read as a quaternionic matrix, the raw top block row of V_i U_i misses
+    # by its structure defect: about 1e-9 relative on the close pairs
+    raw = np.array([np.sqrt((np.abs(v[:a.rows, owner == i] @ u[owner == i]) ** 2)
+                            .reshape(a.rows, 2, a.rows).sum(axis=(0, 1))).max()
+                    for i in range(count)])
+    if label.startswith("close-pair"):
+        assert np.max(np.abs(raw - want) / want) > 1e-11, label
+
+
+@pytest.mark.parametrize("label,a", VALIDATOR_INPUTS + HALF_WIDTH_INPUTS[-2:],
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_projection_factors_are_half_width(label, a):
+    # V and U are N x N for N = 2n, sphere i owning 2 m_i of their columns
+    # and rows; the sphere factors are those columns and rows, unpadded, in
+    # groups of spheres of one width
+    dec = localspec.spectral_projections(a)
+    v, u, owner = dec.projection_factors
+    size = 2 * a.rows
+    assert v.shape == u.shape == (size, size) and owner.shape == (size,), label
+    assert np.bincount(owner).tolist() == [2 * m for m in dec.multiplicities], label
+    if dec.z is None:
+        return
+    seen = []
+    for spheres, vs, us in dec.sphere_factors:
+        width = 2 * dec.multiplicities[spheres[0]]
+        assert vs.shape == (len(spheres), size, width), label
+        assert us.shape == (len(spheres), width, size), label
+        for k, i in enumerate(spheres.tolist()):
+            assert np.array_equal(vs[k], v[:, owner == i]) and np.array_equal(us[k], u[owner == i])
+            seen.append(i)
+    assert sorted(seen) == list(range(len(dec.spheres))), label
+
+
 def test_factored_reads_match_the_matrix_route_on_golden_and_gate_inputs(tmp_path):
     # the golden inputs and the 504 inputs of the matrix and classify gates
     from test_golden import COUNT, build_case
@@ -785,22 +848,27 @@ def test_spectral_projections_reaches_every_raise_path(monkeypatch):
             monkeypatch.setattr(SpectralDecomposition, "sphere_factors",
                                 property(lambda self: sphere_factors))
         if factors is not None:
-            monkeypatch.setattr(qlinalg, "_projection_factors", lambda dec: factors)
+            monkeypatch.setattr(qlinalg, "_check_projections",
+                                lambda m, fa, fb, owner, conditions, check=qlinalg._check_projections:
+                                check(m, *factors, conditions))
         with pytest.raises(NumericalError) as info:
             # a matrix of its own: a's projections are kept from _factored
             localspec.spectral_projections(QMatrix(a.c1, a.c2))
         monkeypatch.undo()
         return str(info.value)
 
-    vs, us = spectral_decomposition(a).sphere_factors
+    # three spheres of multiplicity 1: one group of width 2
+    (spheres, vs, us), = spectral_decomposition(a).sphere_factors
+    assert spheres.tolist() == [0, 1, 2]
     big = vs.copy()
     big[1] *= 1e9
-    assert "beyond the conditioning limit" in raised(sphere_factors=(big, us))
+    assert "beyond the conditioning limit" in raised(sphere_factors=((spheres, big, us),))
     # one entry of U_0 moved: P_0 = V_0 U_0 gains a rank-one term that is
     # not J-symmetric
     foreign = us.copy()
     foreign[0, 0, 1] += 1e-3
-    assert raised(sphere_factors=(vs, foreign)) == "projection broke the quaternionic structure"
+    assert raised(sphere_factors=((spheres, vs, foreign),)) == \
+        "projection broke the quaternionic structure"
     assert raised(factors=(fa, 1.01 * fb, owner)) == \
         "spectral projections do not sum to the identity"
     assert raised(factors=_copied(factors, 0, 1, 1e-4, moved=True)) == \
@@ -819,13 +887,20 @@ def test_decomposition_raises_on_an_odd_cluster_and_a_failed_residual_check():
     # above 1e-6 (1 + |A|_F^2) fails, and names the first sphere that does
     a = INPUTS[0][1]
     dec = spectral_decomposition(a)
-    assert qlinalg._checked(a, dec) is dec
+    unknown = np.full(len(dec.spheres), np.inf)
+    assert qlinalg._checked(a, dec, unknown) is dec
+    # a sphere whose kappa ceiling does not pass takes its SVD: here values
+    # lifted past the check, so the first sphere fails with its kappa
     check = 1e-6 * (1.0 + a.frobenius() ** 2)
-    lifted = dataclasses.replace(dec, singular_values=dec.singular_values + 2.0 * check)
+    lifted = dataclasses.replace(dec)
+    lifted._exact.update({i: s + 2.0 * check for i, s in enumerate(dec.singular_values)})
     first = dec.spheres[0]
     with pytest.raises(NumericalError, match=r"failed the direct residual check") as info:
-        qlinalg._checked(a, lifted)
-    assert str(info.value).startswith(f"eigen-sphere ({first.re}, {first.im})")
+        qlinalg._checked(a, lifted, unknown)
+    assert str(info.value) == (f"eigen-sphere ({first.re}, {first.im}) failed the direct "
+                               f"residual check: kappa = {dec.singular_values[0, -1] + 2 * check:.3e}")
+    # a ceiling at or below the check passes the sphere without its SVD
+    assert qlinalg._checked(a, lifted, np.zeros(len(dec.spheres))) is lifted
 
 
 # -- the R_q kernel against the QMatrix pseudo-resolvent ----------------------
@@ -884,6 +959,82 @@ def test_resolvent_kernel_matches_pseudo_resolvent(label, a):
     for tol in (1e-8, 1e-10):
         assert dec.kernel_dims(tol) == tuple(
             ref.nullity(pseudo_resolvent(a, q), tol) for q in points[:len(dec.spheres)])
+
+
+# -- the bound route against the full SVD -------------------------------------
+
+#: the kernel thresholds the library reads: classify's default tol, that of
+#: ``certified`` and that of the decomposability verdict
+BOUND_TOLS = (1e-8, 1e-10, localspec.MEMBER_TOL)
+
+
+def _bound_families(tmp_path) -> dict[str, list[QMatrix]]:
+    """The Schur-route inputs of each family: the dense golden inputs, the
+    dense inputs of the classify gate (seeds 51-53), the classify-large
+    draws, and Jordan and close-pair inputs as this file plants them."""
+    from test_spectral import _workloads
+
+    families = {"golden": [], "gate": [], "large": [], "jordan": [], "close-pair": []}
+    for idx in range(COUNT):
+        _, op, text, _ = build_case(idx)
+        if op == "dense":
+            families["golden"].append(io.parse_qmat(text))
+    for seed in (51, 52, 53):
+        folder = tmp_path / str(seed)
+        folder.mkdir()
+        for req in _workloads().build_matrix(np.random.default_rng([seed, 1]), str(folder)):
+            kind, path = req.argv[-1].split(":", 1)
+            if kind == "dense":
+                families["gate"].append(io.parse_qmat(io.read_text(path)))
+    for n in (16, 24, 32, 40, 48, 60):
+        rng = np.random.default_rng(3)
+        c1, c2 = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+        families["large"].append(QMatrix(c1, c2))
+    for k, lam in ((2, 0.5), (3, 0.5), (3, 0.5 + 0.8j), (4, 0.8j)):
+        for seed in range(4):
+            families["jordan"].append(
+                _conditioned_similarity(np.random.default_rng([seed, k, 7]), _jordan(k, lam)))
+    for gap in (3e-8, 1e-7, 3e-7, 1e-6):
+        for seed in range(4):
+            d = np.diag([0.3 + 0.7j, 0.3 + gap + 0.7j, -0.8 + 0.2j, 1.1]).astype(complex)
+            families["close-pair"].append(
+                _conditioned_similarity(np.random.default_rng([seed, 99]), d))
+    return families
+
+
+def test_bound_route_matches_the_full_svd(tmp_path):
+    # the bounds hold the full SVD's values and |R_q(A)|_F as _kernel_dim
+    # sums them; every kernel count and kappa flag, read before any SVD,
+    # equals the SVD's at each threshold the library reads; the golden, gate
+    # and large inputs decide every case at classify's default tol, while
+    # the Jordan and close-pair inputs, whose blocks or split leave the
+    # intervals wide, take the fallback SVD
+    undecided = {}
+    for family, mats in _bound_families(tmp_path).items():
+        open_cases = dict.fromkeys(BOUND_TOLS, 0)
+        for a in mats:
+            dec = spectral_decomposition(a)
+            assert dec.z is not None, family
+            got = {tol: (dec.kernel_dims(tol), dec.kappa_at_most(
+                spectral.membership_threshold(a, tol)).tolist()) for tol in BOUND_TOLS}
+            s = dec.singular_values
+            lower, upper, bound_fro = dec.bounds
+            assert np.all(lower <= s) and np.all(s <= upper), family
+            top = s[:, :1]
+            fro = top[:, 0] * np.sqrt(np.sum((s / top) ** 2, axis=1) / 2)
+            assert np.all(bound_fro[:, 0] <= fro) and np.all(fro <= bound_fro[:, 1]), family
+            for tol in BOUND_TOLS:
+                dims, left_open = qlinalg._bounded_kernel_dims(lower, upper, bound_fro, tol)
+                want = _kernel_dim(s, a.rows, tol)
+                assert np.array_equal(dims[~left_open], want[~left_open]), family
+                assert got[tol] == (tuple(want.tolist()), (s[:, -1] <= spectral.membership_threshold(
+                    a, tol)).tolist()), family
+                open_cases[tol] += int(left_open.sum())
+        undecided[family] = open_cases
+    for family in ("golden", "gate", "large"):
+        assert undecided[family][1e-8] == 0, (family, undecided)
+    for family in ("jordan", "close-pair"):
+        assert sum(undecided[family].values()) > 0, (family, undecided)
 
 
 def test_real_image_has_the_schur_form_of_its_complex_block():

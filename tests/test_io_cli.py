@@ -17,6 +17,7 @@ from qspec.quat import EigenSphere, Quaternion
 from qspec.sliceseries import SliceSeries
 from qspec.spectral import GridSpec, SlicePortrait
 
+import file_forms
 import spectral_reference as ref
 from test_golden import build_case
 
@@ -63,14 +64,14 @@ def test_qmat_rejects_bad_header():
 
 def test_qfun_roundtrip():
     m = MultiplicationOperator(("a", "b"), (I, 2 * ONE))
-    back = io.parse_qfun(io.format_qfun(m))
+    back = io.parse_qfun(file_forms.format_qfun(m))
     assert back.labels == ("a", "b")
     assert back.values[0] == I
 
 
 def test_series_roundtrip():
     f = SliceSeries(Quaternion(0.5), (ONE, I), radius=2.0)
-    g = io.parse_series(io.format_series(f))
+    g = io.parse_series(file_forms.format_series(f))
     assert g.center == f.center
     assert g.radius == 2.0
     assert g.coefficients == f.coefficients
@@ -238,7 +239,7 @@ def test_library_input_checks():
                                          for _ in range(3)))
     assert f.is_vector
     with pytest.raises(ValueError, match="^only scalar series have a file form$"):
-        io.format_series(f)
+        file_forms.format_series(f)
     # rounding below zero is clamped; a clearly negative im is refused
     clamped = EigenSphere(1.0, -1e-12)
     assert clamped.im == 0.0 and repr(clamped.im) == "0.0"
@@ -314,7 +315,7 @@ def test_cli_diagonal_matrix_prints_alike_as_dense_and_mult(tmp_path, capsys):
     op = MultiplicationOperator([f"x{k}" for k in range(len(values))], values)
     dense, mult = tmp_path / "d.qmat", tmp_path / "d.qfun"
     io.write_text(str(dense), io.format_qmat(op.as_qmatrix()))
-    io.write_text(str(mult), io.format_qfun(op))
+    io.write_text(str(mult), file_forms.format_qfun(op))
     vectors = []
     for k, entries in enumerate(([Quaternion(0.5, -1.0, 0.25, 2.0)] * len(values),
                                  [Quaternion(0.0)] * 2 + [I] + [Quaternion(0.0)] * 3)):

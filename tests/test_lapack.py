@@ -65,16 +65,17 @@ def test_fallback_route_matches_direct_on_golden_inputs(routes, monkeypatch):
             monkeypatch.setattr(qlinalg, "_lapack", lambda lapack=lapack: lapack)
             # one parse per route: a matrix keeps its first decomposition
             name, a = _case_matrix(idx)
-            dec = spectral_decomposition(a)
-            if dec.z is not None:
-                dec.factors    # ztrtri, while this route is in place
+            dec = spectral_decomposition(a)    # ztrtri inverts W here
             # the decomposition keeps no T: a fresh one, on this route
             got.append((dec, qlinalg._schur(dec.m)[0]))
         (d, d_t), (f, f_t) = got
         assert np.array_equal(d_t, f_t), f"{name}: t"
-        fields = ("z", "w", "singular_values") + (("factors",) if d.z is not None else ())
+        fields = ("z", "w", "inverse", "exact", "singular_values") + (
+            ("factors", "split", "bounds") if d.z is not None else ())
         for field in fields:
-            assert np.array_equal(getattr(d, field), getattr(f, field)), f"{name}: {field}"
+            got, want = getattr(d, field), getattr(f, field)
+            for x, y in zip(*((got, want) if isinstance(got, tuple) else ((got,), (want,)))):
+                assert np.array_equal(x, y), f"{name}: {field}"
         assert d.spheres == f.spheres, name
         assert d.multiplicities == f.multiplicities, name
     hard = 0
@@ -105,18 +106,30 @@ def test_zgees_matches_scipy_schur(routes, monkeypatch, n):
 
 
 #: the calls that ``classify`` and ``decomposability_necessary`` make on three
-#: golden matrices, one of each kind of ``matrix`` benchmark request: (zgees,
-#: ztrsen, ztrsyl, ztrtri, numpy SVD).  zgees runs twice per Schur form, a
-#: workspace query first, and ztrtri inverts W once for the projection
-#: factors.  A change that keeps the input bits of every call, as the output
-#: gate's digests require, keeps these counts.  A diagonal input reads its
-#: decomposition, growth bounds and coordinate projections off its entries:
-#: it makes no LAPACK call and no SVD.
+#: golden matrices, one of each kind of ``matrix`` benchmark request, and on
+#: the validator's size-3 Jordan input: (zgees, ztrsen, ztrsyl, ztrtri, numpy
+#: SVD).  zgees runs twice per Schur form, a workspace query first, and
+#: ztrtri inverts W once, for the bounds on R_q's values and the projection
+#: factors.  The SVDs are the growth bounds' stacked one and one per width of
+#: the projections' conditions; R_q takes one only for spheres the bounds
+#: leave open, which on the Jordan input are its Jordan sphere and the one
+#: beside it, each read in its own call.  A change that keeps the input bits
+#: of every call, as the output gate's digests require, keeps these counts.
+#: A diagonal input reads its decomposition, growth bounds and coordinate
+#: projections off its entries: it makes no LAPACK call and no SVD.
 CLASSIFY_CALLS = {
-    "g06-generic-dense-n9": (2, 1, 15, 1, 3),
-    "g08-imaginary-dense-n11": (2, 2, 7, 1, 3),
+    "g06-generic-dense-n9": (2, 1, 15, 1, 2),
+    "g08-imaginary-dense-n11": (2, 2, 7, 1, 4),
     "g10-repeated-mult-n13": (0, 0, 0, 0, 0),
+    "jordan3": (2, 1, 8, 1, 5),
 }
+
+
+def _pinned_matrix(name: str) -> tuple[str, qlinalg.QMatrix]:
+    if name == "jordan3":
+        from test_decomposition import VALIDATOR_INPUTS
+        return next((label, a) for label, a in VALIDATOR_INPUTS if label == name)
+    return _case_matrix(int(name[1:3]))
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFY_CALLS))
@@ -137,12 +150,15 @@ def test_classify_makes_the_recorded_lapack_calls(name, monkeypatch):
 
     monkeypatch.setattr(qlinalg, "_lapack", Counted)
     monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
-    idx = int(name[1:3])
-    got_name, a = _case_matrix(idx)
+    got_name, a = _pinned_matrix(name)
     assert got_name == name
+    a = qlinalg.QMatrix(a.c1, a.c2)    # a matrix of its own, with no decomposition kept
     spectral.classify(a)
     localspec.decomposability_necessary(a)
     assert tuple(calls.values()) == CLASSIFY_CALLS[name]
+    dec = spectral_decomposition(a)
+    # the SVDs of R_q that were taken: none unless the bounds left a sphere open
+    assert (sorted(dec._exact) if dec.z is not None else []) == ([1, 2] if name == "jordan3" else [])
 
 
 def _count_calls(monkeypatch, names) -> dict[str, int]:

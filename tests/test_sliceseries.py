@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import file_forms
 import series_reference as ref
 
 from qspec import io, rand, sliceseries
@@ -550,7 +551,7 @@ def test_derived_series_build_no_quaternion_until_read(count_quaternions):
     f = SliceSeries(center, _coeffs(rng, 6, False))
     g = SliceSeries(center, _coeffs(rng, 4, False))
     v = SliceSeries(center, _coeffs(rng, 3, True))
-    text = io.format_series(SliceSeries(center, _coeffs(rng, 5, False), radius=0.75))
+    text = file_forms.format_series(SliceSeries(center, _coeffs(rng, 5, False), radius=0.75))
     count_quaternions["built"] = 0
     derived = {"product": star_product(f, g), "vector product": star_product(g, v),
                "derivative": slice_derivative(f), "sum": f + g, "difference": f - g,
