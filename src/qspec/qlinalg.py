@@ -702,7 +702,7 @@ class SpectralDecomposition:
         order = np.argsort(owner, kind="stable")    # by sphere, then by position
         widths = np.bincount(owner, minlength=len(self.spheres))
         groups = []
-        for width in np.unique(widths).tolist():
+        for width in sorted(set(widths.tolist())):
             spheres = np.flatnonzero(widths == width)
             cols = order[(widths == width)[owner[order]]].reshape(len(spheres), width)
             groups.append((spheres, v[:, cols].transpose(1, 0, 2), u[cols]))
@@ -909,7 +909,6 @@ class _SplitScales(NamedTuple):
     diag: np.ndarray     # T's diagonal, the eigenvalues
     strict: np.ndarray   # |N|_F of each block's strictly upper part N
     c: float             # c >= |W| |W^-1|
-    norm_m: float        # |M|_F
     xs: np.ndarray       # each sphere's q = x + yI, at 0 where R_q may not be finite
     ys: np.ndarray
     rho: np.ndarray      # |M|_F^2 + 2 |x| |M|_F + sqrt(N) r^2
@@ -961,8 +960,7 @@ def _split_scales(m: np.ndarray, t: np.ndarray, w: np.ndarray, inverse: np.ndarr
         e, g = size * eps * norm_m, norm_inv * h
         eta = ((e + g) * (2 * max(norm_m, norm_t) + 2 * np.abs(xs)) + e * e + g * g
                + (2 * size + 3) * eps * rho)
-    return _SplitScales(t.diagonal().copy(), strict, norm_w * norm_inv, norm_m, xs, ys, rho,
-                        eta, unsafe)
+    return _SplitScales(t.diagonal().copy(), strict, norm_w * norm_inv, xs, ys, rho, eta, unsafe)
 
 
 def _resolvent_bounds(m: np.ndarray, split: _SplitScales,
