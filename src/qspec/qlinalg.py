@@ -531,7 +531,7 @@ class SpectralDecomposition:
     z: np.ndarray | None = field(repr=False)
     w: np.ndarray | None = field(repr=False)
     inverse: np.ndarray | None = field(repr=False)
-    split: "_SplitScales | None" = field(repr=False)
+    split: _SplitScales | None = field(repr=False)
     blocks: tuple[tuple[int, int], ...]
     owner: tuple[int, ...]
     entries: np.ndarray | None = field(repr=False)

@@ -97,10 +97,11 @@ def classify(a: QMatrix, tol: float = 1e-8) -> SpectrumReport:
     The spheres come from A's ``spectral_decomposition``, built once per
     matrix and kept with it, so the projections and local spectra of A
     read the same Schur form; ``tol`` only sets the membership threshold,
-    never the grouping of spheres.  The singular values of R_q(A) that the
-    decomposition holds for each sphere give every flag: point membership
-    (ker R_q(A) counted), approximate membership (kappa, the smallest
-    value), compression (the point spectrum at the conjugate
+    never the grouping of spheres.  The singular values of R_q(A) at each
+    sphere give every flag, read off the decomposition's bounds on them (or
+    the sphere's full SVD where the bounds leave a flag open): point
+    membership (ker R_q(A) counted), approximate membership (kappa, the
+    smallest value), compression (the point spectrum at the conjugate
     representative, where R_q is bit for bit the same matrix) and
     surjectivity (R_q(A^dag) = R_q(A)^dag has the same singular values).
     """
