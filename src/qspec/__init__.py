@@ -20,11 +20,11 @@ _HOMES = {
     "operators": ("DenseOperator", "HalfPlaneRegion", "LinearOperator",
                   "MultiplicationOperator", "ShiftOperator", "partition_splitting",
                   "quotient", "restrict", "truncated_eigenvector"),
-    "qlinalg": ("QMatrix", "QVector", "SpectralDecomposition", "SubspaceBasis",
-                "complex_adjoint", "inner", "kernel_basis", "min_singular", "op_norm",
-                "right_eigenspheres"),
+    "qlinalg": ("QMatrix", "SpectralDecomposition", "SubspaceBasis", "complex_adjoint",
+                "inner", "kernel_basis", "min_singular", "op_norm", "right_eigenspheres"),
     "quat": ("SLICE_I", "SLICE_J", "SLICE_K", "EigenSphere", "Quaternion", "SliceUnit",
              "merge_spheres", "sphere_of"),
+    "qvector": ("QVector",),
     "sliceseries": ("CompactExhaustion", "DivergenceWarning", "RadiusBiasWarning",
                     "SliceSeries", "cr_residual", "default_exhaustion", "h_metric",
                     "sigma_radius", "slice_derivative", "star_product"),

@@ -18,11 +18,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .qlinalg import QMatrix, QVector
 from .quat import Quaternion
+from .qvector import QVector
 
 if TYPE_CHECKING:
     from .operators import LinearOperator, MultiplicationOperator
+    from .qlinalg import QMatrix
     from .sliceseries import SliceSeries
     from .spectral import GridSpec
 
@@ -94,6 +95,8 @@ def format_qvec(v: QVector) -> str:
 
 
 def parse_qmat(text: str) -> QMatrix:
+    from .qlinalg import QMatrix
+
     lines = _data_lines(text)
     if not lines:
         raise ValueError("empty matrix file")

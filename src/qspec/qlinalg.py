@@ -29,112 +29,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .quat import SPHERE_MERGE_TOL, EigenSphere, Quaternion, _clusters, linked_components
-
-
-def _split(q: Quaternion) -> tuple[complex, complex]:
-    return complex(q.w, q.x), complex(q.y, q.z)
-
-
-def _join(a: complex, b: complex) -> Quaternion:
-    return Quaternion(a.real, a.imag, b.real, b.imag)
-
-
-class QVector:
-    """Column vector with quaternion entries."""
-
-    __slots__ = ("c1", "c2")
-
-    def __init__(self, c1: np.ndarray, c2: np.ndarray):
-        c1 = np.asarray(c1, dtype=np.complex128).reshape(-1).copy()
-        c2 = np.asarray(c2, dtype=np.complex128).reshape(-1).copy()
-        if c1.shape != c2.shape:
-            raise ShapeError("component arrays differ in length")
-        c1.setflags(write=False)
-        c2.setflags(write=False)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QVector is immutable")
-
-    def __reduce__(self):
-        return (QVector, (self.c1, self.c2))
-
-    @property
-    def n(self) -> int:
-        return self.c1.shape[0]
-
-    def __len__(self) -> int:
-        return self.n
-
-    @staticmethod
-    def zeros(n: int) -> "QVector":
-        return QVector(np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128))
-
-    @staticmethod
-    def basis(n: int, k: int) -> "QVector":
-        c1 = np.zeros(n, dtype=np.complex128)
-        c1[k] = 1.0
-        return QVector(c1, np.zeros(n, dtype=np.complex128))
-
-    @staticmethod
-    def from_quaternions(entries) -> "QVector":
-        pairs = [_split(q) for q in entries]
-        return QVector(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
-
-    @staticmethod
-    def from_components(arr: np.ndarray) -> "QVector":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise ShapeError("expected an (n, 4) component array")
-        return QVector(arr[:, 0] + 1j * arr[:, 1], arr[:, 2] + 1j * arr[:, 3])
-
-    def to_components(self) -> np.ndarray:
-        return np.stack([self.c1.real, self.c1.imag, self.c2.real, self.c2.imag], axis=1)
-
-    def entry(self, k: int) -> Quaternion:
-        return _join(complex(self.c1[k]), complex(self.c2[k]))
-
-    def __add__(self, other: "QVector") -> "QVector":
-        if self.n != other.n:
-            raise ShapeError("vector lengths differ")
-        return QVector(self.c1 + other.c1, self.c2 + other.c2)
-
-    def __sub__(self, other: "QVector") -> "QVector":
-        if self.n != other.n:
-            raise ShapeError("vector lengths differ")
-        return QVector(self.c1 - other.c1, self.c2 - other.c2)
-
-    def __neg__(self) -> "QVector":
-        return QVector(-self.c1, -self.c2)
-
-    def times(self, q: Quaternion) -> "QVector":
-        """Right scalar action phi * q."""
-        a, b = _split(q)
-        return QVector(self.c1 * a - self.c2 * np.conj(b),
-                       self.c1 * b + self.c2 * np.conj(a))
-
-    def scale(self, t: float) -> "QVector":
-        return QVector(self.c1 * t, self.c2 * t)
-
-    def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2)))
-
-    def pad(self, n: int) -> "QVector":
-        if n < self.n:
-            raise ShapeError("cannot pad to a shorter length")
-        c1 = np.zeros(n, dtype=np.complex128)
-        c2 = np.zeros(n, dtype=np.complex128)
-        c1[: self.n] = self.c1
-        c2[: self.n] = self.c2
-        return QVector(c1, c2)
-
-    def embed(self) -> np.ndarray:
-        """Complex column [phi1; -conj(phi2)] compatible with chi."""
-        return np.concatenate([self.c1, -np.conj(self.c2)])
-
-    def __repr__(self) -> str:
-        return f"QVector(n={self.n})"
+from .qvector import QVector, _join, _split  # noqa: F401 (QVector: documented re-export)
 
 
 def inner(u: QVector, v: QVector) -> Quaternion:
@@ -574,7 +469,7 @@ class SpectralDecomposition:
         are its exact values, with no Frobenius bounds."""
         if self.exact is not None:
             return self.exact, self.exact, None
-        out = _resolvent_bounds(self.m, self.split, self.blocks)
+        out = _resolvent_bounds(self.m, self.split)
         for x in out:
             x.setflags(write=False)
         return out
@@ -859,8 +754,9 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     representative are bounded from the split form (``_resolvent_bounds``),
     and a sphere takes its full SVD (``resolvent_singular_values``) only
     where the bounds leave a kernel count or flag open.  Every sphere passes
-    a direct check, that R_q is numerically singular, read off its own
-    blocks (``_kappa_ceilings``).  An R_q past double precision raises
+    a direct check, that R_q is numerically singular, read off the first
+    entries of the blocks in the same pass as the scales of the split
+    (``_split_scales``).  An R_q past double precision raises
     NumericalError.
 
     A diagonal A (``QMatrix.is_diagonal``) takes no Schur form: its image
@@ -896,36 +792,42 @@ def _schur_decomposition(a: QMatrix, m: np.ndarray) -> SpectralDecomposition:
     blocks, w = _split_schur(t, z)
     spheres, mult, owner = _block_spheres(t.diagonal(), blocks)
     inverse, _ = _lapack().ztrtri(w, unitdiag=1)    # unit triangular: never singular
-    split = _split_scales(m, t, w, inverse, blocks, spheres)
+    split, ceilings = _split_scales(m, t, w, inverse, blocks, spheres)
     dec = SpectralDecomposition(spheres, mult, m, z, w, inverse, split, tuple(blocks),
                                 tuple(owner.tolist()), None, None)
-    return _checked(a, dec, _kappa_ceilings(split, dec.blocks, owner))
+    return _checked(a, dec, ceilings)
 
 
 class _SplitScales(NamedTuple):
     """What the bounds on R_q(M)'s singular values read of the split Schur
     form T, W and W^-1, and the widening at each sphere (``_split_scales``)."""
 
-    diag: np.ndarray     # T's diagonal, the eigenvalues
-    strict: np.ndarray   # |N|_F of each block's strictly upper part N
-    c: float             # c >= |W| |W^-1|
-    xs: np.ndarray       # each sphere's q = x + yI, at 0 where R_q may not be finite
+    starts: list           # the first position of each block
+    widths: list           # the size of each block
+    strict: np.ndarray     # |N|_F of each block's off-diagonal part N
+    near_far: np.ndarray   # |t - lam|, |t - conj lam| at each sphere, each t of T's diagonal
+    c: float               # c >= |W| |W^-1|
+    gram: float            # |M|_F^2, one inner product
+    xs: np.ndarray         # each sphere's q = x + yI, at 0 where R_q may not be finite
     ys: np.ndarray
-    rho: np.ndarray      # |M|_F^2 + 2 |x| |M|_F + sqrt(N) r^2
-    eta: np.ndarray      # the absolute widening of each singular value
-    unsafe: np.ndarray   # whether R_q may not be finite
+    r2: np.ndarray         # x^2 + y^2
+    rho: np.ndarray        # |M|_F^2 + 2 |x| |M|_F + sqrt(N) r^2
+    eta: np.ndarray        # the absolute widening of each singular value
+    unsafe: np.ndarray     # whether R_q may not be finite
 
 
 def _split_scales(m: np.ndarray, t: np.ndarray, w: np.ndarray, inverse: np.ndarray,
-                  blocks: list, spheres) -> _SplitScales:
+                  blocks: list, spheres) -> tuple[_SplitScales, np.ndarray]:
     """The scales of the split Schur form T of M, W and inverse = W^-1 that
-    ``_resolvent_bounds`` reads, and its widening at each sphere.
+    ``_resolvent_bounds`` reads, and from them, in the same pass, an upper
+    bound on each sphere's kappa, the smallest singular value of R_q(M) as
+    the full SVD route computes it (inf where R_q may not be finite).
 
     W T W^-1 = Td + H W^-1, Td the block diagonal of T and H = W T - Td W
     the residual of the split's ``ztrsyl`` solves and reorderings, taken as
     formed plus its rounding (N + 1) eps (|W| |T| + |Td| |W|) for M of order
-    N; so T = T0 + G with T0 = W^-1 Td W and |G| <= g = |W^-1| |H|.  |W|
-    and |W^-1| are bounded by Frobenius norms, the latter through the
+    N; so T = T0 + G with T0 = W^-1 Td W and |G| <= g = |W^-1| |H|.
+    |W| and |W^-1| are bounded by Frobenius norms, the latter through the
     forward error N eps |W^-1| |W| |inverse| of ``ztrtri``.
 
     Each value of R_q moves by at most eta = (e + g)(2 |T| + 2 |x|) + e^2 +
@@ -935,36 +837,51 @@ def _split_scales(m: np.ndarray, t: np.ndarray, w: np.ndarray, inverse: np.ndarr
     values, rho = |M|_F^2 + 2 |x| |M|_F + sqrt(N) r^2 being at least the
     Frobenius norm of every R_q here.  A sphere with rho past max_float /
     (4N) is unsafe: its R_q may not be finite.
+
+    The kappa bound: D = blockdiag R_q(T_kk) is upper triangular, with the
+    eigenvalues (t - lam)(t - conj lam) for t on T's diagonal, and no
+    singular value of D exceeds the modulus of an eigenvalue, so
+    sigma_min(D) is at most the least |t - lam| |t - conj lam|; times c and
+    widened as in ``_resolvent_bounds``, that bounds kappa.
     """
     eps, size = np.finfo(float).eps, len(m)
-    widths = [stop - start for start, stop in blocks]
+    starts, widths = [p for p, _ in blocks], [stop - start for start, stop in blocks]
     block = np.repeat(np.arange(len(blocks)), widths)    # the block of each position
     td = np.where(block[:, None] == block, t, 0.0)
     xs = np.array([s.re for s in spheres])
     ys = np.array([s.im for s in spheres])
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_m, norm_t, norm_w, norm_inv = (_frobenius(x) for x in (m, t, w, inverse))
+        gram = np.vdot(m, m).real
+        norm_m, norm_t, norm_w, norm_inv = (math.sqrt(gram), _frobenius(t), _frobenius(w),
+                                            _frobenius(inverse))
         shrink = 1.0 - size * eps * norm_w * norm_inv    # ztrtri: |W^-1| <= |inverse| / shrink
         norm_inv = norm_inv / shrink if shrink > 0 else math.inf
         abs_w = np.abs(w)
         h = _frobenius(w @ t - td @ w) + (size + 1) * eps * (
             _frobenius(abs_w @ np.abs(t)) + _frobenius(np.abs(td) @ abs_w))
-        strict = np.zeros(len(blocks))    # a 1 x 1 block has no strictly upper part
+        strict = np.zeros(len(blocks))    # a 1 x 1 block has no off-diagonal part
         if len(blocks) < size:
-            strict = np.sqrt(np.bincount(block, weights=(np.abs(np.triu(td, 1)) ** 2).sum(axis=1),
-                                         minlength=len(blocks)))
-        rho = norm_m * norm_m + 2.0 * norm_m * np.abs(xs) + math.sqrt(size) * (xs * xs + ys * ys)
+            part = np.square(np.abs(td))
+            part.flat[::size + 1] = 0.0
+            strict = np.sqrt(np.bincount(block, weights=part.sum(axis=1), minlength=len(blocks)))
+        r2, twice_x = xs * xs + ys * ys, 2.0 * np.abs(xs)
+        rho = norm_m * norm_m + norm_m * twice_x + math.sqrt(size) * r2
         unsafe = ~(rho <= np.finfo(float).max / (4 * size))
         if unsafe.any():    # computed at q = 0 and then discarded
-            xs, ys, rho = (np.where(unsafe, 0.0, v) for v in (xs, ys, rho))
+            xs, ys, r2, twice_x, rho = (np.where(unsafe, 0.0, v) for v in (xs, ys, r2, twice_x, rho))
         e, g = size * eps * norm_m, norm_inv * h
-        eta = ((e + g) * (2 * max(norm_m, norm_t) + 2 * np.abs(xs)) + e * e + g * g
+        eta = ((e + g) * (2 * max(norm_m, norm_t) + twice_x) + e * e + g * g
                + (2 * size + 3) * eps * rho)
-    return _SplitScales(t.diagonal().copy(), strict, norm_w * norm_inv, xs, ys, rho, eta, unsafe)
+        c = norm_w * norm_inv
+        diag = t.diagonal()
+        near_far = _distances(diag.real, diag.imag, xs, ys)
+        point = near_far.prod(axis=0).min(axis=1)
+        ceilings = np.where(unsafe, math.inf, point * ((1 + (size + 8) * eps) * c) + eta)
+    split = _SplitScales(starts, widths, strict, near_far, c, gram, xs, ys, r2, rho, eta, unsafe)
+    return split, ceilings
 
 
-def _resolvent_bounds(m: np.ndarray, split: _SplitScales,
-                      blocks: tuple) -> tuple[np.ndarray, ...]:
+def _resolvent_bounds(m: np.ndarray, split: _SplitScales) -> tuple[np.ndarray, ...]:
     """Bounds on the singular values of R_q(M), largest first, and on
     |R_q(A)|_F at each sphere's q = x + yI, from the split Schur form's
     ``split`` scales.
@@ -978,7 +895,7 @@ def _resolvent_bounds(m: np.ndarray, split: _SplitScales,
     - R_q(T_kk) = (T_kk - lam)(T_kk - conj lam) with lam = x + iy.  By Weyl,
       each value of the block lies within (a - n)(b - n) and (a' + n)(b' +
       n), with a, a' the least and largest |t_ll - lam| over its diagonal,
-      b, b' those of |t_ll - conj lam| and n = |N|_F for its strictly upper
+      b, b' those of |t_ll - conj lam| and n = |N|_F for its off-diagonal
       part N; a 1 x 1 block t has the one value |t - lam| |t - conj lam|
       (``_distances``).  Sorted apart, the lower and upper ends bound the
       j-th largest value d_j of D = blockdiag R_q(T_kk).  Formed from the
@@ -1001,21 +918,25 @@ def _resolvent_bounds(m: np.ndarray, split: _SplitScales,
     bounds [0, inf], which decide nothing.
     """
     eps, size = np.finfo(float).eps, len(m)
-    xs, ys, rho, eta, c = split.xs, split.ys, split.rho, split.eta[:, None], split.c
+    near_far, starts, strict, c = split.near_far, split.starts, split.strict, split.c
+    xs, r2, rho, eta = split.xs, split.r2, split.rho, split.eta[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        widths = np.array([stop - start for start, stop in blocks])
-        d_low, d_high = _block_values(split.diag, split.strict, widths, xs, ys)
+        low = np.maximum(np.minimum.reduceat(near_far, starts, axis=2) - strict, 0.0).prod(axis=0)
+        high = (np.maximum.reduceat(near_far, starts, axis=2) + strict).prod(axis=0)
+        ends = np.stack((low, high)).repeat(split.widths, axis=2)    # D's values, sorted apart
+        ends.sort(axis=2)
+        d_low, d_high = ends[..., ::-1]
         lower = np.maximum((d_low - (size + 8) * eps * d_high) / c - eta, 0.0)
         upper = d_high * ((1 + (size + 8) * eps) * c) + eta
 
-        m2, r2 = m @ m, xs * xs + ys * ys
-        p0, p1, p2 = (np.vdot(u, v).real for u, v in ((m2, m2), (m, m), (m2, m)))
-        f2 = p0 + 4 * xs * (xs * p1 - p2 - r2 * m.trace().real) + r2 * (size * r2
-                                                                       + 2 * m2.trace().real)
+        m2 = m @ m
+        p0, p2 = np.vdot(m2, m2).real, np.vdot(m2, m).real
+        f2 = p0 + 4 * xs * (xs * split.gram - p2 - r2 * m.trace().real) + r2 * (
+            size * r2 + 2 * m2.trace().real)
         err = 2 * (size * size + 4 * size + 8) * eps * rho * rho
         spread = (size + 3 + size * math.sqrt(size)) * eps * rho
-        fro = np.stack([np.sqrt(np.maximum(f2 - err, 0.0)) - spread, np.sqrt(f2 + err) + spread],
-                       axis=1)
+        sign = np.array([-1.0, 1.0])    # the lower and upper ends
+        fro = np.sqrt(np.maximum(f2[:, None] + err[:, None] * sign, 0.0)) + spread[:, None] * sign
         fro = np.maximum(fro, 0.0) * [(1 - (size + 8) * eps) / math.sqrt(2),
                                       (1 + (size + 8) * eps) / math.sqrt(2)]
     bad = split.unsafe | ~np.isfinite(fro).all(axis=1)
@@ -1024,53 +945,17 @@ def _resolvent_bounds(m: np.ndarray, split: _SplitScales,
     return lower, upper, fro
 
 
-def _kappa_ceilings(split: _SplitScales, blocks: tuple, block_owner: np.ndarray) -> np.ndarray:
-    """An upper bound on each sphere's kappa, the smallest singular value of
-    R_q(M) as the full SVD route computes it; inf where R_q may not be finite.
-
-    The first column of an upper triangular block T_kk is t e_1, so
-    R_q(T_kk) e_1 = (t - lam)(t - conj lam) e_1 and sigma_min(D) is at most
-    |t - lam| |t - conj lam| for the first diagonal entry t of any block;
-    the sphere's first block gives its ceiling, c times that, widened as in
-    ``_resolvent_bounds``."""
-    eps, size = np.finfo(float).eps, len(split.diag)
-    first = dict(zip(reversed(block_owner.tolist()), reversed([p for p, _ in blocks])))
-    at = split.diag[[first[i] for i in range(len(split.xs))]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        dw = at.real - split.xs
-        point = np.hypot(dw, at.imag - split.ys) * np.hypot(dw, at.imag + split.ys)
-        ceilings = point * ((1 + (size + 8) * eps) * split.c) + split.eta
-    return np.where(split.unsafe, math.inf, ceilings)
-
-
-def _block_values(diag: np.ndarray, strict: np.ndarray, widths: np.ndarray, xs: np.ndarray,
-                  ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on the singular values of D = blockdiag
-    R_q(T_kk) at each sphere's q, each sorted largest first, from the
-    diagonal of T and the norm of each block's strictly upper part: the
-    Weyl interval of ``_resolvent_bounds`` for each block, exact for a 1 x 1
-    block."""
-    starts = np.cumsum(widths) - widths
-    near_far = np.stack(_distances(diag.real, diag.imag, xs, ys))
-    low = np.maximum(np.minimum.reduceat(near_far, starts, axis=2) - strict, 0.0).prod(axis=0)
-    high = (np.maximum.reduceat(near_far, starts, axis=2) + strict).prod(axis=0)
-    low, high = np.sort(np.repeat(np.stack([low, high]), widths, axis=2), axis=2)[..., ::-1]
-    return low, high
-
-
 def _frobenius(x: np.ndarray) -> float:
     """|X|_F, from one inner product."""
     return math.sqrt(np.vdot(x, x).real)
 
 
-def _distances(re: np.ndarray, im: np.ndarray, xs: np.ndarray,
-               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|t - lam| and |t - conj lam| for each point t = re + i im (a column)
-    at each sphere's lam = x + iy (a row); their product is the singular
-    value of R_q of a 1 x 1 block t, and of a diagonal A's entry with
-    eigenvalue t."""
-    dw = re - xs[:, None]
-    return np.hypot(dw, im - ys[:, None]), np.hypot(dw, im + ys[:, None])
+def _distances(re: np.ndarray, im: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """|t - lam| and |t - conj lam|, stacked, for each point t = re + i im
+    (a column) at each sphere's lam = x + iy (a row); their product is the
+    singular value of R_q of a 1 x 1 block t, and of a diagonal A's entry
+    with eigenvalue t."""
+    return np.hypot(re - xs[:, None], im - np.array([ys, -ys])[:, :, None])
 
 
 def _bounded_kernel_dims(lower: np.ndarray, upper: np.ndarray, fro: np.ndarray,
@@ -1081,9 +966,9 @@ def _bounded_kernel_dims(lower: np.ndarray, upper: np.ndarray, fro: np.ndarray,
     at most the threshold and those possibly at most it differ in number,
     or come in an odd number, or whose |R_q(A)|_F bound is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        low, high = (tol * (1.0 + fro[:, k]) for k in (0, 1))
-    sure = np.count_nonzero(upper <= low[:, None], axis=1)
-    maybe = np.count_nonzero(lower <= high[:, None], axis=1)
+        low, high = (tol * (1.0 + fro)).T
+    sure = (upper <= low[:, None]).sum(axis=1)
+    maybe = (lower <= high[:, None]).sum(axis=1)
     return sure // 2, (sure != maybe) | (sure % 2 == 1) | ~np.isfinite(fro[:, 1])
 
 
@@ -1111,12 +996,13 @@ def _checked(a: QMatrix, dec: SpectralDecomposition,
     their SVDs; those with no finite ceiling take theirs first, so an R_q
     past double precision raises as on the SVD route.  The first sphere
     whose kappa fails raises, with its kappa."""
-    unknown = np.flatnonzero(~(ceilings < math.inf))
-    if len(unknown):
-        dec._values(unknown)
+    unknown = ~(ceilings < math.inf)
+    if unknown.any():
+        dec._values(np.flatnonzero(unknown))
     check = 1e-6 * (1.0 + a.frobenius() ** 2)
-    rows = np.flatnonzero(~(ceilings <= check))
-    if len(rows):
+    failed = ~(ceilings <= check)
+    if failed.any():
+        rows = np.flatnonzero(failed)
         kappas = dec._values(rows)[:, -1]
         for k, kappa in zip(rows.tolist(), kappas.tolist()):
             if kappa > check:

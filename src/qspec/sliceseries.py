@@ -45,9 +45,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .qlinalg import QVector
 from .quat import (SLICE_I, SLICE_J, SLICE_K, Quaternion, SliceUnit,
                    hamilton_array, sigma_dist)
+from .qvector import QVector
 
 Coefficient = Union[Quaternion, QVector]
 

@@ -125,12 +125,14 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
     """(spectral radius bound, lower bound): inf |A^n|^(1/n) and sup
     kappa(A^n)^(1/n) over n <= 8, from one set of singular values per power.
 
-    Each power A^n = A^(n-1) A is a ``QMatrix`` product whose chi image
-    is written straight into one (8, 2N, 2N) stack, cut at the first power
-    that is not finite; the stack takes one SVD, which gives each image the
-    values of its own SVD bit for bit.  A kappa at the rounding floor 2N eps |A^n|
-    (N rows) is skipped: raised to 1/n it would lift the lower bound above
-    small spheres.
+    The powers are built in place in one (8, 2N, 2N) stack of their chi
+    images: the blocks (c1, c2) of A^n = A^(n-1) A go straight into the top
+    block row of slot n, by the products ``QMatrix.__matmul__`` forms from
+    the previous slot's, and one pass fills every bottom block row.  The
+    stack is cut at the first power that is not finite; it takes one SVD,
+    which gives each image the values of its own SVD bit for bit.  A kappa
+    at the rounding floor 2N eps |A^n| (N rows) is skipped: raised to 1/n
+    it would lift the lower bound above small spheres.
 
     A diagonal A (``QMatrix.is_diagonal``) takes no power: |A^n| = max|g|^n
     and kappa(A^n) = min|g|^n over its entries g, so the bounds are
@@ -145,20 +147,25 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
         if not np.isfinite(moduli).all():
             return math.inf, 0.0
         return float(moduli.max()), float(moduli.min())
-    rows = a.rows
-    images, power, count = np.empty((8, 2 * rows, 2 * rows), dtype=np.complex128), a, 0
+    rows, a1, a2 = a.rows, a.c1, a.c2
+    images = np.empty((8, 2 * rows, 2 * rows), dtype=np.complex128)
+    left, right = images[:, :rows, :rows], images[:, :rows, rows:]    # (c1, c2) of A^n
+    left[0], right[0] = a1, a2
+    conj1, conj2, part = np.conj(a1), np.conj(a2), np.empty((rows, rows), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for image in images:
-            if count:
-                power = power @ a
-            # chi(A^n), written in place
-            image[:rows, :rows], image[:rows, rows:] = power.c1, power.c2
-            np.conjugate(power.c2, out=image[rows:, :rows])
-            np.negative(image[rows:, :rows], out=image[rows:, :rows])
-            np.conjugate(power.c1, out=image[rows:, rows:])
-            if not np.isfinite(image).all():
-                break    # each power bounds alone: the ones before an overflow stand
-            count += 1
+        for n in range(1, 8):
+            # A^n = A^(n-1) A, the products QMatrix.__matmul__ forms
+            p1, p2 = left[n - 1], right[n - 1]
+            np.subtract(np.matmul(p1, a1, out=left[n]), np.matmul(p2, conj2, out=part),
+                        out=left[n])
+            np.add(np.matmul(p1, a2, out=right[n]), np.matmul(p2, conj1, out=part),
+                   out=right[n])
+        # chi(A^n) = [[c1, c2], [-conj c2, conj c1]]
+        np.negative(np.conjugate(right, out=images[:, rows:, :rows]), out=images[:, rows:, :rows])
+        np.conjugate(left, out=images[:, rows:, rows:])
+        finite = np.isfinite(images).all(axis=(1, 2))
+    # each power bounds alone: the ones before the first overflow stand
+    count = 8 if finite.all() else int(finite.argmin())
     values = np.linalg.svd(images[:count], compute_uv=False) if count else ()
     floor = 2 * a.rows * np.finfo(float).eps
     radius, lower = math.inf, 0.0

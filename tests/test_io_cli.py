@@ -12,7 +12,7 @@ import pytest
 from qspec import io, rand, spectral
 from qspec.cli import main
 from qspec.operators import MultiplicationOperator, ShiftOperator
-from qspec.qlinalg import RESOLVENT_OVERFLOW, QVector, orthonormalize
+from qspec.qlinalg import RESOLVENT_OVERFLOW, QMatrix, QVector, orthonormalize
 from qspec.quat import EigenSphere, Quaternion
 from qspec.sliceseries import SliceSeries
 from qspec.spectral import GridSpec, SlicePortrait
@@ -387,8 +387,8 @@ def test_series_command_loads_only_the_series_layers(tmp_path):
                           timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     loaded, resolved, everything = proc.stdout.splitlines()
-    assert loaded == ("0 ['qspec.cli', 'qspec.errors', 'qspec.io', 'qspec.qlinalg', "
-                      "'qspec.quat', 'qspec.sliceseries']")
+    assert loaded == ("0 ['qspec.cli', 'qspec.errors', 'qspec.io', 'qspec.quat', "
+                      "'qspec.qvector', 'qspec.sliceseries']")
     assert resolved == "True True False"
     for module in ("localspec", "operators", "rand", "spectral", "suites"):
         assert f"'qspec.{module}'" in everything
@@ -408,6 +408,22 @@ def test_series_command_loads_only_the_series_layers(tmp_path):
                           timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0, 0, 0] True False\n"
+
+
+def test_series_layers_leave_the_matrix_layer_unloaded():
+    # QVector has a module of its own, so the CLI and the series engine
+    # import (and compile) no qlinalg; qlinalg and the package still name it
+    src = os.path.dirname(os.path.dirname(io.__file__))
+    path = os.pathsep.join(x for x in (src, os.environ.get("PYTHONPATH")) if x)
+    code = ("import sys\n"
+            "import qspec.cli, qspec.sliceseries\n"
+            "print('qspec.qlinalg' in sys.modules, 'qspec.qvector' in sys.modules)\n"
+            "import qspec, qspec.qlinalg, qspec.qvector\n"
+            "print(qspec.QVector is qspec.qlinalg.QVector is qspec.qvector.QVector)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True\nTrue\n"
 
 
 def test_cli_portrait_deterministic(tmp_path, capsys):
@@ -858,7 +874,7 @@ def _qmat_by_literals(text: str):
         if len(cells) != cols:
             raise ValueError(f"row has {len(cells)} entries, expected {cols}")
         entries.append([io.parse_quaternion(c) for c in cells])
-    return io.QMatrix.from_quaternions(entries)
+    return QMatrix.from_quaternions(entries)
 
 
 def _outcome(parse, text):
@@ -960,7 +976,6 @@ def test_cli_rejects_a_matrix_with_no_rows_but_columns(tmp_path, capsys):
 def test_cli_portrait_rejects_an_empty_matrix(tmp_path, capsys):
     from qspec import spectral
     from qspec.operators import DenseOperator
-    from qspec.qlinalg import QMatrix
 
     # the empty section once reached the SVD block size as a ZeroDivisionError
     p = tmp_path / "e.qmat"

@@ -1,5 +1,6 @@
 """The example scripts under scripts/ run end to end on the public names."""
 
+import json
 import os
 import subprocess
 import sys
@@ -115,3 +116,15 @@ def test_output_gate_local_requests_pair_each_mult_input(tmp_path):
                           str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert len(run.stdout.splitlines()) >= 4
+
+
+def test_layer_times_runs_one_round_on_two_checkouts():
+    # one worker per side, both on this checkout: every layer is timed
+    run = _run_script("layer_times.py", ROOT, ROOT, "--rounds", "1")
+    report = json.loads(run.stdout)
+    assert (report["seed"], report["rounds"]) == (51, 1)
+    assert list(report["layers"]) == ["growth_bounds", "spectral_decomposition",
+                                      "spectral_projections", "classify"]
+    for layer in report["layers"].values():
+        assert layer["base_us"] > 0 and layer["head_us"] > 0
+        assert layer["head_wins"] in (0, 1)

@@ -224,6 +224,22 @@ def test_growth_bounds_stop_before_an_overflowing_power():
         warnings.simplefilter("error")
         assert growth_bounds(a) == ref.growth_bounds(a, 5)
     assert growth_bounds(a)[0] == pytest.approx(2e60, rel=1e-12)
+    # the stack forms all eight powers and finds the cut afterwards: the
+    # first power past double precision is each of A^2 .. A^8 in turn, with
+    # a factor of 1e20 or more on either side of the overflow
+    for k in range(2, 9):
+        top = 10.0 ** (308 / (k - 0.5))    # top^(k - 1) is finite, top^k is not
+        a = _rotated(QMatrix.diag([Quaternion(top / 2, 0.3), Quaternion(-top, 0.0, 0.1)]))
+        powers = [a]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(powers) < k:
+                powers.append(powers[-1] @ a)
+        finite = [np.isfinite(p.c1).all() and np.isfinite(p.c2).all() for p in powers]
+        assert finite == [True] * (k - 1) + [False], k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert growth_bounds(a) == ref.growth_bounds(a, k - 1), k
+        assert growth_bounds(a)[0] == pytest.approx(top, rel=1e-12), k
 
 
 def _small_sphere(seed):
