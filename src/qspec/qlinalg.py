@@ -754,8 +754,8 @@ def spectral_decomposition(a: QMatrix) -> SpectralDecomposition:
     representative are bounded from the split form (``_resolvent_bounds``),
     and a sphere takes its full SVD (``resolvent_singular_values``) only
     where the bounds leave a kernel count or flag open.  Every sphere passes
-    a direct check, that R_q is numerically singular, read off the first
-    entries of the blocks in the same pass as the scales of the split
+    a direct check, that R_q is numerically singular, read off the diagonal
+    of the form in the same pass as the scales of the split
     (``_split_scales``).  An R_q past double precision raises
     NumericalError.
 
@@ -826,8 +826,8 @@ def _split_scales(m: np.ndarray, t: np.ndarray, w: np.ndarray, inverse: np.ndarr
     W T W^-1 = Td + H W^-1, Td the block diagonal of T and H = W T - Td W
     the residual of the split's ``ztrsyl`` solves and reorderings, taken as
     formed plus its rounding (N + 1) eps (|W| |T| + |Td| |W|) for M of order
-    N; so T = T0 + G with T0 = W^-1 Td W and |G| <= g = |W^-1| |H|.
-    |W| and |W^-1| are bounded by Frobenius norms, the latter through the
+    N; so T = T0 + G with T0 = W^-1 Td W and |G| <= g = |W^-1| |H|.  |W|
+    and |W^-1| are bounded by Frobenius norms, the latter through the
     forward error N eps |W^-1| |W| |inverse| of ``ztrtri``.
 
     Each value of R_q moves by at most eta = (e + g)(2 |T| + 2 |x|) + e^2 +
@@ -839,9 +839,10 @@ def _split_scales(m: np.ndarray, t: np.ndarray, w: np.ndarray, inverse: np.ndarr
     (4N) is unsafe: its R_q may not be finite.
 
     The kappa bound: D = blockdiag R_q(T_kk) is upper triangular, with the
-    eigenvalues (t - lam)(t - conj lam) for t on T's diagonal, and no
-    singular value of D exceeds the modulus of an eigenvalue, so
-    sigma_min(D) is at most the least |t - lam| |t - conj lam|; times c and
+    eigenvalues (t - lam)(t - conj lam) for t on T's diagonal, and the
+    smallest singular value of a matrix is at most the modulus of each of
+    its eigenvalues, so sigma_min(D) is at most the least |t - lam| |t -
+    conj lam| (``_distances``, which the bounds read again); times c and
     widened as in ``_resolvent_bounds``, that bounds kappa.
     """
     eps, size = np.finfo(float).eps, len(m)

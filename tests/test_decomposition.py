@@ -1002,9 +1002,20 @@ def _bound_families(tmp_path) -> dict[str, list[QMatrix]]:
     return families
 
 
+def _kappa_ceilings(m: np.ndarray) -> np.ndarray:
+    """The direct check's ceilings on each sphere's kappa, formed again
+    from the same Schur form and split as the decomposition of m's."""
+    t, z = qlinalg._schur(m)
+    blocks, w = qlinalg._split_schur(t, z)
+    spheres, _, _ = qlinalg._block_spheres(t.diagonal(), blocks)
+    inverse, _ = qlinalg._lapack().ztrtri(w, unitdiag=1)
+    return qlinalg._split_scales(m, t, w, inverse, blocks, spheres)[1]
+
+
 def test_bound_route_matches_the_full_svd(tmp_path):
     # the bounds hold the full SVD's values and |R_q(A)|_F as _kernel_dim
-    # sums them; every kernel count and kappa flag, read before any SVD,
+    # sums them, and the direct check's ceilings hold its kappa; every
+    # kernel count and kappa flag, read before any SVD,
     # equals the SVD's at each threshold the library reads; the golden, gate
     # and large inputs decide every case at classify's default tol, while
     # the Jordan and close-pair inputs, whose blocks or split leave the
@@ -1020,6 +1031,7 @@ def test_bound_route_matches_the_full_svd(tmp_path):
             s = dec.singular_values
             lower, upper, bound_fro = dec.bounds
             assert np.all(lower <= s) and np.all(s <= upper), family
+            assert np.all(s[:, -1] <= _kappa_ceilings(dec.m)), family
             top = s[:, :1]
             fro = top[:, 0] * np.sqrt(np.sum((s / top) ** 2, axis=1) / 2)
             assert np.all(bound_fro[:, 0] <= fro) and np.all(fro <= bound_fro[:, 1]), family
