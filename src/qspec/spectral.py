@@ -166,11 +166,11 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
         finite = np.isfinite(images).all(axis=(1, 2))
     # each power bounds alone: the ones before the first overflow stand
     count = 8 if finite.all() else int(finite.argmin())
-    values = np.linalg.svd(images[:count], compute_uv=False) if count else ()
+    # each power's largest and smallest singular value
+    ends = np.linalg.svd(images[:count], compute_uv=False)[:, [0, -1]].tolist() if count else ()
     floor = 2 * a.rows * np.finfo(float).eps
     radius, lower = math.inf, 0.0
-    for n, s in enumerate(values, 1):
-        top, kappa = float(s[0]), float(s[-1])
+    for n, (top, kappa) in enumerate(ends, 1):
         radius = min(radius, top ** (1.0 / n))
         if kappa > floor * top:
             lower = max(lower, kappa ** (1.0 / n))
