@@ -127,10 +127,11 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
 
     The powers are built in place in one (8, 2N, 2N) stack of their chi
     images: the blocks (c1, c2) of A^n = A^(n-1) A go straight into the top
-    block row of slot n, by the products ``QMatrix.__matmul__`` forms from
-    the previous slot's, and one pass fills every bottom block row.  The
-    stack is cut at the first power that is not finite; it takes one SVD,
-    which gives each image the values of its own SVD bit for bit.  A kappa
+    block row of slot n, as the products ``QMatrix.__matmul__`` forms from
+    the previous slot's blocks, all four in one stacked matrix product, and
+    one pass fills every bottom block row.  The stack is cut at the first
+    power that is not finite; it takes one SVD, which gives each image the
+    values of its own SVD bit for bit.  A kappa
     at the rounding floor 2N eps |A^n| (N rows) is skipped: raised to 1/n
     it would lift the lower bound above small spheres.
 
@@ -147,22 +148,23 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
         if not np.isfinite(moduli).all():
             return math.inf, 0.0
         return float(moduli.max()), float(moduli.min())
-    rows, a1, a2 = a.rows, a.c1, a.c2
+    rows = a.rows
     images = np.empty((8, 2 * rows, 2 * rows), dtype=np.complex128)
-    left, right = images[:, :rows, :rows], images[:, :rows, rows:]    # (c1, c2) of A^n
-    left[0], right[0] = a1, a2
-    conj1, conj2, part = np.conj(a1), np.conj(a2), np.empty((rows, rows), dtype=np.complex128)
+    blocks = images.reshape(8, 2, rows, 2, rows).swapaxes(2, 3)    # blocks[n, r, s]: a view
+    blocks[0, 0] = a.c1, a.c2
+    # A^n = A^(n-1) A has the blocks QMatrix.__matmul__ forms, c1 = p1 a1 -
+    # p2 conj(a2) and c2 = p1 a2 + p2 conj(a1): [p1, p2] times each row of
+    # ``factors`` gives their two terms (negating a factor negates its
+    # product exactly), and one sum writes both blocks of the next slot
+    factors = np.array([[a.c1, -np.conj(a.c2)], [a.c2, np.conj(a.c1)]])
+    terms = np.empty_like(factors)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, 8):
-            # A^n = A^(n-1) A, the products QMatrix.__matmul__ forms
-            p1, p2 = left[n - 1], right[n - 1]
-            np.subtract(np.matmul(p1, a1, out=left[n]), np.matmul(p2, conj2, out=part),
-                        out=left[n])
-            np.add(np.matmul(p1, a2, out=right[n]), np.matmul(p2, conj1, out=part),
-                   out=right[n])
+            np.add(*np.matmul(blocks[n - 1, 0], factors, out=terms).swapaxes(0, 1),
+                   out=blocks[n, 0])
         # chi(A^n) = [[c1, c2], [-conj c2, conj c1]]
-        np.negative(np.conjugate(right, out=images[:, rows:, :rows]), out=images[:, rows:, :rows])
-        np.conjugate(left, out=images[:, rows:, rows:])
+        np.conjugate(blocks[:, 0, ::-1], out=blocks[:, 1])
+        np.negative(blocks[:, 1, 0], out=blocks[:, 1, 0])
         finite = np.isfinite(images).all(axis=(1, 2))
     # each power bounds alone: the ones before the first overflow stand
     count = 8 if finite.all() else int(finite.argmin())
