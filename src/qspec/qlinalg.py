@@ -47,7 +47,9 @@ def inner(u: QVector, v: QVector) -> Quaternion:
 class QMatrix:
     """Dense matrix with quaternion entries acting on the left of columns."""
 
-    __slots__ = ("c1", "c2", "_spectral")    # _spectral: see spectral_decomposition
+    # kept facts of an immutable matrix: _spectral (see spectral_decomposition)
+    # and _frobenius (see frobenius)
+    __slots__ = ("c1", "c2", "_spectral", "_frobenius")
 
     def __init__(self, c1: np.ndarray, c2: np.ndarray):
         c1 = np.asarray(c1, dtype=np.complex128).copy()
@@ -172,7 +174,13 @@ class QMatrix:
         return QMatrix(np.conj(self.c1).T, -self.c2.T)
 
     def frobenius(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2)))
+        """|A|_F, kept from the first call: a classify request reads it for
+        the direct check and for both membership thresholds."""
+        fro = getattr(self, "_frobenius", None)
+        if fro is None:
+            fro = math.sqrt(float(np.sum(np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2)))
+            object.__setattr__(self, "_frobenius", fro)
+        return fro
 
     def col_norms(self) -> np.ndarray:
         """Euclidean norm of each column."""
