@@ -131,9 +131,9 @@ def growth_bounds(a: QMatrix) -> tuple[float, float]:
     the previous slot's blocks, all four in one stacked matrix product, and
     one pass fills every bottom block row.  The stack is cut at the first
     power that is not finite; it takes one SVD, which gives each image the
-    values of its own SVD bit for bit.  A kappa
-    at the rounding floor 2N eps |A^n| (N rows) is skipped: raised to 1/n
-    it would lift the lower bound above small spheres.
+    values of its own SVD bit for bit.  A kappa at the rounding floor
+    2N eps |A^n| (N rows) is skipped: raised to 1/n it would lift the lower
+    bound above small spheres.
 
     A diagonal A (``QMatrix.is_diagonal``) takes no power: |A^n| = max|g|^n
     and kappa(A^n) = min|g|^n over its entries g, so the bounds are
